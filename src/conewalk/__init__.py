@@ -12,8 +12,6 @@ from .bessel import (
     convolve_points,
     kappa_mu,
     kappa_quadrature_1d,
-    root_lipschitz_gap,
-    run_bessel_walk,
     run_bessel_walks,
     sample_contraction,
     semigroup_convolve,
@@ -22,7 +20,7 @@ from .cone_linalg import (
     COMPLEX,
     REAL,
     clamp_psd,
-    det_herm,
+    cone_step,
     devectorize_herm,
     eig_herm,
     frob_norm,
@@ -32,10 +30,8 @@ from .cone_linalg import (
     vectorize_herm,
 )
 from .limit_lab import (
-    EmpiricalSummary,
     MardiaResult,
     RateFit,
-    berry_esseen_scan,
     chi2_cdf,
     empirical_cov,
     ks_2samp,
@@ -49,7 +45,6 @@ from .limit_lab import (
 from .orbit_sampler import (
     GroupWalkConfig,
     WalkTrajectory,
-    run_group_walk,
     run_group_walks,
     sample_radial_matrix,
     sample_stiefel_frame,

@@ -10,13 +10,21 @@ index mu interpolates the group cases mu = p d / 2; as mu -> infinity the
 convolution degenerates to the deterministic semigroup rule
 t = sqrt(r^2 + s^2).
 
+The move itself is :func:`cone_linalg.cone_step`, and the index-mu walk
+runs through the checkpointed driver :func:`orbit_sampler.drive_walk`;
+the group walk of :mod:`orbit_sampler` makes the same move through the
+same driver and differs only in drawing v from a Haar block instead of
+the contraction density.
+
 The contraction sampler is exact rejection sampling.  For exponent
 e = mu - rho >= 1/2 the proposal is Gaussian with coordinate variance
 1/(2e) and acceptance det(I - v v*)^e * exp(e <v, v>), which is a valid
 probability because log det(I - M) <= -tr M for 0 <= M < I.  For
 0 <= e < 1/2 the proposal is uniform on D_q (rejection from the enclosing
 Frobenius ball) with acceptance det(I - v v*)^e <= 1.  Indices below rho
-would need an unbounded acceptance ratio and are rejected up front.
+would need an unbounded acceptance ratio and are rejected up front.  A
+Gaussian-branch candidate that breaks the envelope bound raises
+NumericalFailureError.
 """
 
 from __future__ import annotations
@@ -28,8 +36,14 @@ import numpy as np
 
 from . import cone_linalg as cl
 from .errors import NumericalFailureError, SamplerStallError, StableRangeError
-from .orbit_sampler import WalkTrajectory
-from .radial_laws import RadialLaw, _std_entries
+from .orbit_sampler import (
+    WalkTrajectory,
+    checkpoint_tuple,
+    drive_walk,
+    square_radial,
+    zero_radial,
+)
+from .radial_laws import RadialLaw
 
 # series evaluation of the one-dimensional character
 _SERIES_F64_MAX = 12.0   # float64 term-recurrence is reliable up to here
@@ -85,7 +99,7 @@ def sample_contraction(param: BesselParam, rng: np.random.Generator, size=None,
     return out if size is not None else out[0]
 
 
-def _sample_contraction_flat(param, rng, n, stall_window, stall_rate):
+def _sample_contraction_flat(param, rng, n, stall_window=10**7, stall_rate=1e-6):
     """Core rejection loop; returns (n,) scalars for q = 1, else (n, q, q)."""
     e = param.mu - param.rho
     if e < 0:
@@ -107,7 +121,8 @@ def _sample_contraction_flat(param, rng, n, stall_window, stall_rate):
         if e >= 0.5:
             # validity of the Gaussian envelope: log det(I-vv*) + tr(v v*) <= 0
             gap = np.where(in_ball, logdet + tr, 0.0)
-            assert np.all(gap <= 1e-9), "rejection envelope violated"
+            if not np.all(gap <= 1e-9):
+                raise NumericalFailureError("rejection envelope violated", payload=v)
             log_acc = e * gap
         else:
             log_acc = e * np.where(in_ball, logdet, 0.0)
@@ -173,12 +188,6 @@ def _ball_stats(v, q):
     return in_ball, logdet, np.sum(lam, axis=-1)
 
 
-def _convolve_given_v(r, s, v):
-    """t^2 = r^2 + s^2 + s v r + r v* s for stacked hermitian r, s."""
-    svr = s @ v @ r
-    return cl.herm_part(r @ r + s @ s + svr + np.swapaxes(np.conj(svr), -1, -2))
-
-
 def convolve_points(r: np.ndarray, s: np.ndarray, param: BesselParam,
                     rng: np.random.Generator, size=None) -> np.ndarray:
     """One draw (or a batch) from the convolution of point masses at r, s."""
@@ -189,9 +198,7 @@ def convolve_points(r: np.ndarray, s: np.ndarray, param: BesselParam,
         r = r.reshape(1, 1)
     if s.ndim == 0:
         s = s.reshape(1, 1)
-    v = sample_contraction(param, rng, n)
-    t2 = _convolve_given_v(r, s, v)
-    t = cl.psd_sqrt(cl.clamp_psd(t2))
+    t = cl.cone_step(r, s, sample_contraction(param, rng, n))
     return t if size is not None else t[0]
 
 
@@ -201,21 +208,15 @@ def convolve_points_scalar(r, s, param: BesselParam, rng: np.random.Generator,
     if param.q != 1:
         raise ValueError("scalar convolution requires q = 1")
     n = 1 if size is None else int(size)
-    v = _sample_contraction_flat(param, rng, n, 10**7, 1e-6)
-    w = v.real if param.d == 2 else v
-    r = np.asarray(r, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    t = np.sqrt(np.maximum(r * r + s * s + 2.0 * r * s * w, 0.0))
+    v = _sample_contraction_flat(param, rng, n)
+    t = cl.cone_step(np.asarray(r, dtype=np.float64), np.asarray(s, dtype=np.float64), v)
     return t if size is not None else float(t[0])
 
 
 def semigroup_convolve(r: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Deterministic large-index limit sqrt(r^2 + s^2)."""
+    """Deterministic large-index limit sqrt(r^2 + s^2): the cone step at v = 0."""
     r = np.asarray(r)
-    s = np.asarray(s)
-    if r.ndim == 0 and s.ndim == 0:
-        return np.sqrt(r * r + s * s)
-    return cl.psd_sqrt(cl.clamp_psd(cl.herm_part(r @ r + s @ s)))
+    return cl.cone_step(r, np.asarray(s), np.zeros_like(r))
 
 
 def kappa_mu(param: BesselParam, n_samples: int,
@@ -281,54 +282,24 @@ class BesselWalkConfig:
     def __post_init__(self):
         if self.law.q != self.param.q or self.law.field != self.param.field:
             raise ValueError("law dimensions do not match the walk parameter")
-        cps = tuple(int(c) for c in self.checkpoints)
-        if not cps or list(cps) != sorted(set(cps)):
-            raise ValueError("checkpoints must be nonempty, sorted, unique")
-        if cps[0] < 1 or cps[-1] > self.n_steps:
-            raise ValueError("checkpoints must lie in [1, n_steps]")
-        object.__setattr__(self, "checkpoints", cps)
+        object.__setattr__(self, "checkpoints",
+                           checkpoint_tuple(self.checkpoints, self.n_steps))
 
 
 def run_bessel_walks(cfg: BesselWalkConfig, rng: np.random.Generator,
                      replicates: int) -> WalkTrajectory:
     """Simulate a batch of walks: S_0 = 0 and each step convolves the
-    current state with a fresh increment from the law."""
-    cps = cfg.checkpoints
-    q = cfg.param.q
-    k = 0
-    if q == 1:
-        out = np.empty((len(cps), replicates))
-        a = np.zeros(replicates)
-        for step in range(1, cfg.n_steps + 1):
-            s = cfg.law.sample_scalar(rng, replicates)
-            v = _sample_contraction_flat(cfg.param, rng, replicates, 10**7, 1e-6)
-            w = v.real if cfg.param.d == 2 else v
-            a = np.sqrt(np.maximum(a * a + s * s + 2.0 * a * s * w, 0.0))
-            if step == cps[k]:
-                out[k] = a * a
-                k += 1
-                if k == len(cps):
-                    break
-    else:
-        out = np.empty((len(cps), replicates, q, q), dtype=cl.field_dtype(cfg.param.field))
-        a = np.zeros((replicates, q, q), dtype=cl.field_dtype(cfg.param.field))
-        for step in range(1, cfg.n_steps + 1):
-            s = cfg.law.sample(rng, replicates)
-            v = sample_contraction(cfg.param, rng, replicates)
-            t2 = _convolve_given_v(a, s, v)
-            a = cl.psd_sqrt(cl.clamp_psd(t2))
-            if step == cps[k]:
-                out[k] = a @ a
-                k += 1
-                if k == len(cps):
-                    break
-    if not np.all(np.isfinite(out if q == 1 else out.view(np.float64))):
-        raise NumericalFailureError("walk accumulation overflowed", payload=None)
-    return WalkTrajectory(steps=cps, q=q, values=out)
+    current state with a fresh increment from the law (drawn before v)."""
+    param, n = cfg.param, replicates
+    draw_s = cfg.law.sample_scalar if param.q == 1 else cfg.law.sample
 
+    def step(a):
+        s = draw_s(rng, n)
+        return cl.cone_step(a, s, _sample_contraction_flat(param, rng, n))
 
-def run_bessel_walk(cfg: BesselWalkConfig, rng: np.random.Generator) -> WalkTrajectory:
-    return run_bessel_walks(cfg, rng, 1)
+    values = drive_walk(zero_radial(param.q, param.field, n), step, square_radial,
+                        cfg.checkpoints)
+    return WalkTrajectory(steps=cfg.checkpoints, q=param.q, values=values)
 
 
 # -- one-dimensional characters ---------------------------------------------
@@ -431,21 +402,6 @@ class ClippedQuadraticForm:
         return np.minimum(quad, self.cap)
 
 
-def root_lipschitz_gap(law: RadialLaw, param: BesselParam, n: int,
-                       f: ClippedQuadraticForm, reps: int,
-                       rng: np.random.Generator) -> tuple[float, float]:
-    """Paired Monte Carlo estimate of |E f(S_n^mu) - E f(S_n^semigroup)|.
-
-    Both compositions consume the same increment draws; only the walk
-    composition rule differs, so the difference isolates the index-mu
-    correction.  Returns (gap, standard error of the paired difference).
-    """
-    diffs = paired_composition_diffs(law, param, n, f, reps, rng)
-    gap = abs(float(np.mean(diffs)))
-    se = float(np.std(diffs, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    return gap, se
-
-
 def paired_composition_diffs(law: RadialLaw, param: BesselParam, n: int,
                              f: ClippedQuadraticForm, reps: int,
                              rng: np.random.Generator) -> np.ndarray:
@@ -453,24 +409,21 @@ def paired_composition_diffs(law: RadialLaw, param: BesselParam, n: int,
     semigroup composition), both walks fed the same increments."""
     param.require_lemma_range()
     q = param.q
+    # every increment is drawn before any v
     if q == 1:
         s = np.asarray(law.sample_scalar(rng, (reps, n)), dtype=np.float64)
         bullet_sq = np.sum(s * s, axis=1)
-        a = np.zeros(reps)
-        for kstep in range(n):
-            v = _sample_contraction_flat(param, rng, reps, 10**7, 1e-6)
-            w = v.real if param.d == 2 else v
-            sk = s[:, kstep]
-            a = np.sqrt(np.maximum(a * a + sk * sk + 2.0 * a * sk * w, 0.0))
-        star_sq = a * a
     else:
         s = law.sample(rng, reps * n).reshape(reps, n, q, q)
         bullet_sq = cl.herm_part(np.einsum("rnij,rnjk->rik", s, s))
-        a = np.zeros((reps, q, q), dtype=cl.field_dtype(param.field))
-        for kstep in range(n):
-            v = sample_contraction(param, rng, reps)
-            t2 = _convolve_given_v(a, s[:, kstep], v)
-            a = cl.psd_sqrt(cl.clamp_psd(t2))
-        star_sq = cl.herm_part(a @ a)
+    increments = iter(np.moveaxis(s, 1, 0))
+
+    def step(a):
+        return cl.cone_step(a, next(increments), _sample_contraction_flat(param, rng, reps))
+
+    def record(a):
+        return a * a if q == 1 else cl.herm_part(a @ a)
+
+    star_sq = drive_walk(zero_radial(q, param.field, reps), step, record, (n,))[0]
     return np.asarray(f.value_from_square(star_sq) - f.value_from_square(bullet_sq),
                       dtype=np.float64)

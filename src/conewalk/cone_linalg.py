@@ -90,17 +90,6 @@ def eig_herm(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, u
 
 
-def det_herm(a: np.ndarray) -> np.ndarray | float:
-    """Determinant via the product of eigenvalues (real for hermitian input)."""
-    a = herm_part(np.asarray(a))
-    try:
-        w = np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"hermitian eigensolver failed: {exc}", payload=a) from exc
-    out = np.prod(w, axis=-1)
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def clamp_psd(a: np.ndarray, tol: float = EPS_PSD) -> np.ndarray:
     """Project a hermitian array onto the PSD cone.
 
@@ -136,6 +125,23 @@ def psd_sqrt(a: np.ndarray, tol: float = EPS_PSD) -> np.ndarray:
         )
     w = np.sqrt(np.maximum(w, 0.0))
     return _assemble(w, u)
+
+
+def cone_step(a, s, v):
+    """One move of a cone walk: t = sqrt(a^2 + s^2 + s v a + a v* s).
+
+    Both engines make this move and differ only in how v is drawn: the top
+    block of a Haar frame for the group walk, the contraction density for
+    the index-mu walk.  When v has fewer than two axes this is the q = 1
+    form on scalars or (n,) batches, sqrt(max(a^2 + s^2 + 2 a s Re v, 0));
+    otherwise a, s and v are (stacked) q x q matrices and the square is
+    hermitized and clamped into the PSD cone before its root is taken.
+    """
+    if np.ndim(v) < 2:
+        return np.sqrt(np.maximum(a * a + s * s + 2.0 * a * s * np.real(v), 0.0))
+    sva = s @ v @ a
+    t2 = a @ a + s @ s + sva + np.swapaxes(np.conj(sva), -1, -2)
+    return psd_sqrt(clamp_psd(herm_part(t2)))
 
 
 def _assemble(w: np.ndarray, u: np.ndarray) -> np.ndarray:

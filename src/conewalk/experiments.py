@@ -67,9 +67,38 @@ def rng_for(master_seed: int, cell: int, block: int, role: int = 0) -> np.random
     return np.random.Generator(np.random.Philox(seq))
 
 
-def block_sizes(replicates: int, block_size: int) -> list[int]:
-    full, rem = divmod(int(replicates), int(block_size))
-    return [block_size] * full + ([rem] if rem else [])
+def plan_blocks(cell_sizes, block_size: int) -> list[dict]:
+    """Block tasks in (cell, block) order: each cell's replicate count is
+    split into full blocks of block_size and one remainder block."""
+    tasks = []
+    for cell, reps in enumerate(cell_sizes):
+        full, rem = divmod(int(reps), int(block_size))
+        sizes = [block_size] * full + ([rem] if rem else [])
+        tasks += [{"cell": cell, "block": i, "size": s} for i, s in enumerate(sizes)]
+    return tasks
+
+
+def mean_se(count, total, total_sq):
+    """Sample mean and its standard error from pooled sums of x and x^2."""
+    mean = total / count
+    var = np.maximum(total_sq / count - mean**2, 0.0)
+    return mean, np.sqrt(var / count)
+
+
+def pooled_mean_se(parts, key="sum", key_sq="sum_sq"):
+    """(count, mean, standard error) of block partials that hold "count"
+    and the sums of x and x^2 under key and key_sq."""
+    count = sum(p["count"] for p in parts)
+    mean, se = mean_se(count, sum(p[key] for p in parts), sum(p[key_sq] for p in parts))
+    return count, mean, se
+
+
+def diff_over_se(diff, se):
+    """A difference in standard errors; at se == 0 an exact match counts as
+    0 and any other difference as infinitely many."""
+    if se > 0:
+        return diff / se
+    return 0.0 if diff == 0 else math.inf
 
 
 _MOMENTS_CACHE: dict[str, object] = {}
@@ -168,8 +197,7 @@ class WalkGroupExperiment:
 
     @staticmethod
     def plan(cfg):
-        return [{"cell": 0, "block": i, "size": s}
-                for i, s in enumerate(block_sizes(cfg["replicates"], cfg["block_size"]))]
+        return plan_blocks([cfg["replicates"]], cfg["block_size"])
 
     @staticmethod
     def run_block(cfg, task):
@@ -255,15 +283,13 @@ def _walk_reduce(cfg, partials, md):
     count = sum(p["count"] for p in partials)
     sum_tr = np.sum([p["sum_tr"] for p in partials], axis=0)
     sum_tr2 = np.sum([p["sum_tr2"] for p in partials], axis=0)
-    mean = sum_tr / count
-    var = np.maximum(sum_tr2 / count - mean**2, 0.0)
-    se = np.sqrt(var / count)
+    mean, se = mean_se(count, sum_tr, sum_tr2)
     rows = []
     checks = []
     for k, step in enumerate(cps):
         expected = step * md.m2
         diff = abs(mean[k] - expected)
-        ratio = diff / se[k] if se[k] > 0 else (0.0 if diff == 0 else math.inf)
+        ratio = diff_over_se(diff, se[k])
         ok = ratio <= cfg["max_se"]
         rows.append([step, count, float(mean[k]), float(se[k]), float(expected),
                      float(diff), float(ratio), ok])
@@ -342,12 +368,9 @@ class ConvolveExperiment:
         field = cl.REAL if cfg["d"] == 1 else cl.COMPLEX
         r = cl.clamp_psd(_matrix_from_spec(cfg, "r", field))
         s = cl.clamp_psd(_matrix_from_spec(cfg, "s", field))
-        count = sum(p["count"] for p in partials)
-        mean = sum(p["sum_tr"] for p in partials) / count
-        var = max(sum(p["sum_tr2"] for p in partials) / count - mean**2, 0.0)
-        se = math.sqrt(var / count)
+        count, mean, se = pooled_mean_se(partials, "sum_tr", "sum_tr2")
         expected = float(cl.trace_herm(r @ r) + cl.trace_herm(s @ s))
-        ratio = abs(mean - expected) / se if se > 0 else 0.0
+        ratio = diff_over_se(abs(mean - expected), se)
         violations = sum(p["violations"] for p in partials)
         max_excess = max(p["max_excess"] for p in partials)
         ok = ratio <= cfg["max_se"] and violations == 0
@@ -392,11 +415,8 @@ class KappaExperiment:
 
     @staticmethod
     def plan(cfg):
-        tasks = []
-        for cell in range(len(cfg["mu_grid"])):
-            for i, s in enumerate(block_sizes(cfg["n_samples"], max(cfg["block_size"], 10**5))):
-                tasks.append({"cell": cell, "block": i, "size": s})
-        return tasks
+        return plan_blocks([cfg["n_samples"]] * len(cfg["mu_grid"]),
+                           max(cfg["block_size"], 10**5))
 
     @staticmethod
     def run_block(cfg, task):
@@ -416,16 +436,13 @@ class KappaExperiment:
         checks = []
         for cell, mu in enumerate(cfg["mu_grid"]):
             parts = [p for p in partials if p["cell"] == cell]
-            count = sum(p["count"] for p in parts)
-            mean = sum(p["sum"] for p in parts) / count
-            var = max(sum(p["sum_sq"] for p in parts) / count - mean**2, 0.0)
-            se = math.sqrt(var / count)
+            count, mean, se = pooled_mean_se(parts)
             param = BesselParam(mu, cfg["q"], cfg["d"])
             branch = "gaussian-is" if mu - param.rho >= 0.5 else "ball-is"
             if cfg["q"] == 1:
                 ref = kappa_quadrature_1d(mu, cfg["d"])
                 diff = abs(mean - ref)
-                ratio = diff / se if se > 0 else (0.0 if diff == 0 else math.inf)
+                ratio = diff_over_se(diff, se)
                 ok = ratio <= cfg["max_se"]
                 checks.append({"check": "kappa-quadrature", "mu": mu,
                                "diff_over_se": ratio, "max_se": cfg["max_se"], "pass": ok})
@@ -553,9 +570,6 @@ class CltCheckExperiment:
             limit_var = md.m4 - md.sigma4
         sd = math.sqrt(limit_var)
         ks = lab.ks_distance(stat, lambda t: lab.normal_cdf(t, 0.0, sd))
-        lab.EmpiricalSummary(count=stat.size, mean=np.array([stat.mean()]),
-                             covariance=np.array([[stat.var()]]), ks_distance=ks,
-                             sup_chi2_distance=sup_chi2)
         ok = ks <= cfg["ks_threshold"]
         index = cfg.get("p", cfg.get("mu"))
         rows = [[cfg["kind"], cfg["engine"], cfg["n_steps"], index, stat.size,
@@ -587,16 +601,13 @@ class CltCheckExperiment:
                 prod = centered[:, i] * centered[:, j]
                 se = float(np.std(prod, ddof=1) / math.sqrt(n))
                 diff = abs(float(cov[i, j] - target[i, j]))
-                ratio = diff / se if se > 0 else (0.0 if diff == 0 else math.inf)
+                ratio = diff_over_se(diff, se)
                 ok = ratio <= cfg["max_se"]
                 worst = max(worst, ratio)
                 all_ok &= ok
                 rows.append([i, j, float(cov[i, j]), float(target[i, j]),
                              se, diff, float(ratio), ok])
         mr = lab.mardia_tests(stat)
-        lab.EmpiricalSummary(count=stat.shape[0], mean=mean, covariance=cov,
-                             mardia_skew_p=mr.skew_pvalue,
-                             mardia_kurt_p=mr.kurt_pvalue)
         mardia_ok = (mr.skew_pvalue >= cfg["mardia_level"]
                      and mr.kurt_pvalue >= cfg["mardia_level"])
         checks = [
@@ -640,11 +651,7 @@ class BerryEsseenScanExperiment:
 
     @staticmethod
     def plan(cfg):
-        tasks = []
-        for cell in range(len(cfg["n_grid"])):
-            for i, s in enumerate(block_sizes(cfg["replicates"], cfg["block_size"])):
-                tasks.append({"cell": cell, "block": i, "size": s})
-        return tasks
+        return plan_blocks([cfg["replicates"]] * len(cfg["n_grid"]), cfg["block_size"])
 
     @staticmethod
     def run_block(cfg, task):
@@ -712,11 +719,7 @@ class MomentIdentityExperiment:
 
     @staticmethod
     def plan(cfg):
-        tasks = []
-        for cell in range(len(cfg["grid"])):
-            for i, s in enumerate(block_sizes(cfg["replicates"], cfg["block_size"])):
-                tasks.append({"cell": cell, "block": i, "size": s})
-        return tasks
+        return plan_blocks([cfg["replicates"]] * len(cfg["grid"]), cfg["block_size"])
 
     @staticmethod
     def run_block(cfg, task):
@@ -739,13 +742,10 @@ class MomentIdentityExperiment:
         checks = []
         for cell, (n, p) in enumerate(cfg["grid"]):
             parts = [q for q in partials if q["cell"] == cell]
-            count = sum(q["count"] for q in parts)
-            mean = sum(q["sum"] for q in parts) / count
-            var = max(sum(q["sum_sq"] for q in parts) / count - mean**2, 0.0)
-            se = math.sqrt(var / count)
+            count, mean, se = pooled_mean_se(parts)
             expected = lab.moment_identity_rhs(n, p, md)
             diff = abs(mean - expected)
-            ratio = diff / se if se > 0 else math.inf
+            ratio = diff_over_se(diff, se)
             ok = ratio <= cfg["max_se"]
             rows.append([n, p, count, mean, se, expected, diff, ratio, ok])
             checks.append({"check": "moment-identity", "n": n, "p": p,
@@ -783,12 +783,8 @@ class AxiomsExperiment:
 
     @staticmethod
     def plan(cfg):
-        tasks = []
-        for cell, spec in enumerate(cfg["checks"]):
-            reps = spec.get("replicates", spec.get("draws"))
-            for i, s in enumerate(block_sizes(reps, cfg["block_size"])):
-                tasks.append({"cell": cell, "block": i, "size": s})
-        return tasks
+        return plan_blocks([spec.get("replicates", spec.get("draws")) for spec in cfg["checks"]],
+                           cfg["block_size"])
 
     @staticmethod
     def run_block(cfg, task):
@@ -809,12 +805,6 @@ class AxiomsExperiment:
         return {"columns": AxiomsExperiment.columns, "rows": rows,
                 "aggregates": {"checks_run": [s["check"] for s in cfg["checks"]]},
                 "checks": checks}
-
-
-def _axiom_base(spec, idx, extra):
-    out = {"check": spec["check"]}
-    out.update(extra)
-    return out
 
 
 def _v_dims(spec, idx, default_q=1):
@@ -971,11 +961,7 @@ def _run_support_bound(cfg, spec, task):
     # varied cone geometry: random scaled Wishart draws for r and s
     r = cl.psd_sqrt(cl.clamp_psd(wishart_sample(q + 2, q, field, rng, k) * 1.5))
     s = cl.psd_sqrt(cl.clamp_psd(wishart_sample(q + 2, q, field, rng, k) * 0.8))
-    v = sample_contraction(param, rng, k)
-    from .bessel import _convolve_given_v
-
-    t2 = _convolve_given_v(r, s, v)
-    t = cl.psd_sqrt(cl.clamp_psd(t2))
+    t = cl.cone_step(r, s, sample_contraction(param, rng, k))
     excess = cl.frob_norm(t) - (cl.frob_norm(r) + cl.frob_norm(s))
     return {"count": k, "violations": int(np.count_nonzero(excess > spec["slack"])),
             "max_excess": float(np.max(excess))}
@@ -1028,12 +1014,9 @@ def _run_m2_additivity(cfg, spec, task):
 
 
 def _reduce_m2_additivity(spec, parts, cell):
-    count = sum(p["count"] for p in parts)
-    mean = sum(p["sum"] for p in parts) / count
-    var = max(sum(p["sum_sq"] for p in parts) / count - mean**2, 0.0)
-    se = math.sqrt(var / count)
+    _, mean, se = pooled_mean_se(parts)
     expected = spec["n_steps"] * law_moments(law_from_spec(spec["law"])).m2
-    ratio = abs(mean - expected) / se if se > 0 else math.inf
+    ratio = diff_over_se(abs(mean - expected), se)
     ok = ratio <= spec["max_se"]
     row = ["m2-additivity", cell, _params_str(spec), mean, expected, se,
            ratio, spec["max_se"], ok]
@@ -1049,19 +1032,12 @@ def _run_m1_subadd(cfg, spec, task):
     k = task["size"]
     s1 = law1.sample(rng, k)
     s2 = law2.sample(rng, k)
-    v = sample_contraction(param, rng, k)
-    from .bessel import _convolve_given_v
-
-    t = cl.psd_sqrt(cl.clamp_psd(_convolve_given_v(s1, s2, v)))
-    h = cl.frob_norm(t)
+    h = cl.frob_norm(cl.cone_step(s1, s2, sample_contraction(param, rng, k)))
     return {"count": k, "sum": float(np.sum(h)), "sum_sq": float(np.sum(h * h))}
 
 
 def _reduce_m1_subadd(spec, parts, cell):
-    count = sum(p["count"] for p in parts)
-    mean = sum(p["sum"] for p in parts) / count
-    var = max(sum(p["sum_sq"] for p in parts) / count - mean**2, 0.0)
-    se = math.sqrt(var / count)
+    _, mean, se = pooled_mean_se(parts)
     bound = (law_moments(law_from_spec(spec["law"])).m1
              + law_moments(law_from_spec(spec["law2"])).m1)
     ok = mean <= bound + spec["max_se"] * se
@@ -1109,13 +1085,10 @@ def _run_character(cfg, spec, task):
 
 
 def _reduce_character(spec, parts, cell):
-    count = sum(p["count"] for p in parts)
-    mean = sum(p["sum"] for p in parts) / count
-    var = max(sum(p["sum_sq"] for p in parts) / count - mean**2, 0.0)
-    se = math.sqrt(var / count)
+    _, mean, se = pooled_mean_se(parts)
     target = (bessel_character_1d(spec["mu"], spec["r1"], spec["s"])
               * bessel_character_1d(spec["mu"], spec["r2"], spec["s"]))
-    ratio = abs(mean - target) / se if se > 0 else math.inf
+    ratio = diff_over_se(abs(mean - target), se)
     ok = ratio <= spec["max_se"]
     row = ["character", cell, _params_str(spec), mean, float(target), se,
            ratio, spec["max_se"], ok]
@@ -1187,14 +1160,12 @@ def _run_mu_scaling(cfg, spec, task):
 
 
 def _reduce_mu_scaling(spec, parts, cell):
-    count = sum(p["count"] for p in parts)
     gaps = []
     ses = []
     for role in (0, 1):
-        mean = sum(p[f"sum{role}"] for p in parts) / count
-        var = max(sum(p[f"sum_sq{role}"] for p in parts) / count - mean**2, 0.0)
+        _, mean, se = pooled_mean_se(parts, f"sum{role}", f"sum_sq{role}")
         gaps.append(abs(mean))
-        ses.append(math.sqrt(var / count))
+        ses.append(se)
     ratio = gaps[0] / gaps[1] if gaps[1] > 0 else math.inf
     ok = spec["ratio_lo"] <= ratio <= spec["ratio_hi"]
     row = ["mu-scaling", cell, _params_str(spec), ratio, 2.0,

@@ -27,9 +27,8 @@ import numpy as np
 from scipy.special import gammainc, gammaincc, ndtr
 
 from . import cone_linalg as cl
-from . import orbit_sampler as orbit
 from .errors import DegenerateDataError, UnsupportedFieldError
-from .radial_laws import MomentData, RadialLaw
+from .radial_laws import MomentData
 
 CLT_KINDS = ("CLT1", "CLT2", "CLT3", "CLT4")
 
@@ -205,27 +204,6 @@ def _solve_lower(chol: np.ndarray, xc: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EmpiricalSummary:
-    """Replicate-level statistics of a batch of limit statistics."""
-
-    count: int
-    mean: np.ndarray
-    covariance: np.ndarray
-    ks_distance: float | None = None
-    sup_chi2_distance: float | None = None
-    mardia_skew_p: float | None = None
-    mardia_kurt_p: float | None = None
-
-    def __post_init__(self):
-        cov = np.atleast_2d(np.asarray(self.covariance))
-        scale = 1.0 + float(np.max(np.abs(cov)))
-        if np.max(np.abs(cov - cov.T)) > 1e-10 * scale:
-            raise ValueError("covariance must be symmetric")
-        if float(np.min(np.linalg.eigvalsh(0.5 * (cov + cov.T)))) < -1e-10 * scale:
-            raise ValueError("covariance must be PSD")
-
-
-@dataclass(frozen=True)
 class RateFit:
     """Log-log rate fit of distance-versus-n points with noise-floor flags."""
 
@@ -261,30 +239,3 @@ def fit_loglog(ns, distances, noise_floor: float) -> RateFit:
             slope_se = float("nan")
     return RateFit(ns=ns, distances=distances, included=included,
                    noise_floor=noise_floor, slope=slope, slope_se=slope_se)
-
-
-def berry_esseen_scan(law: RadialLaw, p: int, n_grid, reps: int,
-                      rng: np.random.Generator, method: str = "auto") -> RateFit:
-    """KS distance of p ||S_n||^2 / (n sigma2) to chi-square_p across an
-    n-grid, with a least-squares log-log rate fit.
-
-    Points below the noise floor 3 / sqrt(reps) are flagged and excluded
-    from the fit (the Monte Carlo resolution limit, not a convergence
-    statement).
-    """
-    from .radial_laws import moments
-
-    if law.q != 1:
-        raise ValueError("the distribution-function scan is a q = 1 experiment")
-    n_grid = [int(n) for n in n_grid]
-    if len(n_grid) < 4:
-        raise ValueError("need at least 4 grid points")
-    md = moments(law)
-    dists = []
-    for n in n_grid:
-        cfg = orbit.GroupWalkConfig(p=p, q=1, field=law.field, n_steps=n,
-                                    law=law, checkpoints=(n,), method=method)
-        traj = orbit.run_group_walks(cfg, rng, reps)
-        x = traj.values[0] * (p / (n * md.m2))
-        dists.append(ks_distance(x, lambda t: chi2_cdf(p, t)))
-    return fit_loglog(n_grid, dists, noise_floor=3.0 / math.sqrt(reps))

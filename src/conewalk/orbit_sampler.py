@@ -8,11 +8,16 @@ S_n = X_1 + ... + X_n is tracked either
 * through its radial part alone ("polar"): conditionally on the past, the
   radial part a of S_{n-1} couples to the new increment only through
   V = U* Q, the top q x q block of a Haar frame, giving the exact update
-  a^2 <- a^2 + s^2 + a V s + s V* a.  This costs O(q^3) per step
-  regardless of p, which makes dimensions like p = 1e5 feasible.
+  a^2 <- a^2 + s^2 + a V s + s V* a.  This is the cone step
+  :func:`cone_linalg.cone_step` that the index-mu walk of :mod:`bessel`
+  also makes; the two engines differ only in how they draw v.  It costs
+  O(q^3) per step regardless of p, which makes dimensions like p = 1e5
+  feasible.
 
 Both routes sample the same trajectory law; "direct" is the literal
-construction and serves as the oracle in equivalence tests.
+construction and serves as the oracle in equivalence tests.  Every walk
+of the package, of both engines and both routes, runs through the one
+checkpointed driver :func:`drive_walk`.
 """
 
 from __future__ import annotations
@@ -176,11 +181,7 @@ class GroupWalkConfig:
             raise ValueError("matrix walks require p >= q")
         if self.law.q != self.q or self.law.field != self.field:
             raise ValueError("law dimensions do not match the walk")
-        cps = tuple(int(c) for c in self.checkpoints)
-        if not cps or list(cps) != sorted(set(cps)):
-            raise ValueError("checkpoints must be nonempty, sorted, unique")
-        if cps[0] < 1 or cps[-1] > self.n_steps:
-            raise ValueError("checkpoints must lie in [1, n_steps]")
+        cps = checkpoint_tuple(self.checkpoints, self.n_steps)
         if self.method not in ("auto", "direct", "polar"):
             raise ValueError("method must be auto, direct or polar")
         object.__setattr__(self, "checkpoints", cps)
@@ -209,8 +210,46 @@ class WalkTrajectory:
             return self.values
         return np.trace(self.values, axis1=-2, axis2=-1).real
 
-    def replicate_count(self) -> int:
-        return self.values.shape[1]
+
+def checkpoint_tuple(checkpoints, n_steps: int) -> tuple[int, ...]:
+    """Walk checkpoints as a nonempty, sorted, unique tuple in [1, n_steps]."""
+    cps = tuple(int(c) for c in checkpoints)
+    if not cps or list(cps) != sorted(set(cps)):
+        raise ValueError("checkpoints must be nonempty, sorted, unique")
+    if cps[0] < 1 or cps[-1] > n_steps:
+        raise ValueError("checkpoints must lie in [1, n_steps]")
+    return cps
+
+
+def drive_walk(state, step, record, checkpoints: tuple[int, ...]) -> np.ndarray:
+    """Checkpointed walk driver shared by both engines and every route.
+
+    Applies ``state = step(state)`` up to the last checkpoint (no further,
+    so nothing is drawn that no checkpoint reads) and stacks
+    ``record(state)`` at each checkpoint along a new leading axis.
+    Overflow inside the loop is not warned about; a non-finite recorded
+    value raises NumericalFailureError instead.
+    """
+    values = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, checkpoints[-1] + 1):
+            state = step(state)
+            if k == checkpoints[len(values)]:
+                values.append(record(state))
+    out = np.stack(values)
+    if not np.all(np.isfinite(out)):
+        raise NumericalFailureError("walk accumulation overflowed", payload=None)
+    return out
+
+
+def zero_radial(q: int, field: str, n: int) -> np.ndarray:
+    """Radial part of n walks at S_0 = 0: (n,) reals for q = 1, else (n, q, q)."""
+    return np.zeros(n) if q == 1 else np.zeros((n, q, q), dtype=cl.field_dtype(field))
+
+
+def square_radial(a: np.ndarray) -> np.ndarray:
+    """S_n* S_n from the radial part: a * a for q = 1 batches, else a @ a."""
+    return a * a if a.ndim == 1 else a @ a
 
 
 def run_group_walks(cfg: GroupWalkConfig, rng: np.random.Generator,
@@ -219,81 +258,39 @@ def run_group_walks(cfg: GroupWalkConfig, rng: np.random.Generator,
 
     The accumulated state is a single running p x q sum (direct) or the
     q x q radial part (polar); increments are never materialized as a
-    history.
+    history.  The polar route draws the increment's radial part, then V;
+    the direct route draws the frame (or Gaussian), then the radial part.
     """
-    method = cfg.resolved_method()
-    with np.errstate(over="ignore", invalid="ignore"):
-        if cfg.q == 1:
-            values = _walk_q1(cfg, rng, replicates, method)
-        else:
-            values = _walk_matrix(cfg, rng, replicates, method)
-    if not np.all(np.isfinite(values if cfg.q == 1 else values.view(np.float64))):
-        raise NumericalFailureError("walk accumulation overflowed", payload=None)
-    return WalkTrajectory(steps=cfg.checkpoints, q=cfg.q, values=values)
+    n, p, q, field, law = replicates, cfg.p, cfg.q, cfg.field, cfg.law
+    if cfg.resolved_method() == "polar":
+        draw_s = law.sample_scalar if q == 1 else law.sample
 
+        def step(a):
+            s = draw_s(rng, n)
+            if q == 1:
+                v = radial_projection_coeff(p, field, rng, n)
+            else:
+                v = stiefel_block(p, q, field, rng, n)
+            # a V s + s V* a is cone_step with the roles of a and s swapped:
+            # the same law as the index-mu order s v a + a v* s, as V ~ V*
+            return cl.cone_step(s, a, v)
 
-def run_group_walk(cfg: GroupWalkConfig, rng: np.random.Generator) -> WalkTrajectory:
-    """Single-trajectory convenience wrapper."""
-    return run_group_walks(cfg, rng, 1)
-
-
-def _walk_q1(cfg, rng, n, method):
-    cps = cfg.checkpoints
-    out = np.empty((len(cps), n))
-    k = 0
-    if method == "direct":
-        s = np.zeros((n, cfg.p), dtype=cl.field_dtype(cfg.field))
-        for step in range(1, cfg.n_steps + 1):
-            g = _std_entries(rng, (n, cfg.p), cfg.field)
+        values = drive_walk(zero_radial(q, field, n), step, square_radial, cfg.checkpoints)
+    elif q == 1:
+        def step(x):
+            g = _std_entries(rng, (n, p), field)
             norm = np.sqrt(np.sum(np.abs(g) ** 2, axis=1))
-            r = cfg.law.sample_scalar(rng, n)
-            s += g * (r / norm)[:, None]
-            if step == cps[k]:
-                out[k] = np.sum(np.abs(s) ** 2, axis=1)
-                k += 1
-                if k == len(cps):
-                    break
-    else:
-        a = np.zeros(n)
-        for step in range(1, cfg.n_steps + 1):
-            r = cfg.law.sample_scalar(rng, n)
-            w = radial_projection_coeff(cfg.p, cfg.field, rng, n)
-            a = np.sqrt(np.maximum(a * a + r * r + 2.0 * a * r * w, 0.0))
-            if step == cps[k]:
-                out[k] = a * a
-                k += 1
-                if k == len(cps):
-                    break
-    return out
+            x += g * (law.sample_scalar(rng, n) / norm)[:, None]
+            return x
 
-
-def _walk_matrix(cfg, rng, n, method):
-    cps = cfg.checkpoints
-    q = cfg.q
-    out = np.empty((len(cps), n, q, q), dtype=cl.field_dtype(cfg.field))
-    k = 0
-    if method == "direct":
-        s = np.zeros((n, cfg.p, q), dtype=cl.field_dtype(cfg.field))
-        for step in range(1, cfg.n_steps + 1):
-            frames = sample_stiefel_frame(cfg.p, q, cfg.field, rng, n)
-            incr = frames @ cfg.law.sample(rng, n)
-            s += incr
-            if step == cps[k]:
-                out[k] = cl.herm_part(np.swapaxes(np.conj(s), -1, -2) @ s)
-                k += 1
-                if k == len(cps):
-                    break
+        values = drive_walk(np.zeros((n, p), dtype=cl.field_dtype(field)), step,
+                            lambda x: np.sum(np.abs(x) ** 2, axis=1), cfg.checkpoints)
     else:
-        a = np.zeros((n, q, q), dtype=cl.field_dtype(cfg.field))
-        for step in range(1, cfg.n_steps + 1):
-            smat = cfg.law.sample(rng, n)
-            v = stiefel_block(cfg.p, q, cfg.field, rng, n)
-            avs = a @ v @ smat
-            t2 = a @ a + smat @ smat + avs + np.swapaxes(np.conj(avs), -1, -2)
-            a = cl.psd_sqrt(cl.clamp_psd(cl.herm_part(t2)))
-            if step == cps[k]:
-                out[k] = a @ a
-                k += 1
-                if k == len(cps):
-                    break
-    return out
+        def step(x):
+            x += sample_stiefel_frame(p, q, field, rng, n) @ law.sample(rng, n)
+            return x
+
+        values = drive_walk(np.zeros((n, p, q), dtype=cl.field_dtype(field)), step,
+                            lambda x: cl.herm_part(np.swapaxes(np.conj(x), -1, -2) @ x),
+                            cfg.checkpoints)
+    return WalkTrajectory(steps=cfg.checkpoints, q=q, values=values)

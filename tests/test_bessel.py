@@ -14,13 +14,11 @@ from conewalk.bessel import (
     kappa_mu,
     kappa_quadrature_1d,
     paired_composition_diffs,
-    root_lipschitz_gap,
-    run_bessel_walk,
     run_bessel_walks,
     sample_contraction,
     semigroup_convolve,
 )
-from conewalk.errors import SamplerStallError, StableRangeError
+from conewalk.errors import NumericalFailureError, SamplerStallError, StableRangeError
 from conewalk.limit_lab import ks_2samp, ks_distance
 from conewalk.orbit_sampler import GroupWalkConfig, run_group_walks
 from conewalk.radial_laws import RadialLaw, law_from_spec, moments
@@ -86,6 +84,19 @@ class TestContractionSampler:
         with pytest.raises(SamplerStallError):
             sample_contraction(BesselParam(4.0, 1, 1), rng, 10,
                                _stall_window=1000, _stall_rate=2.0)
+
+    def test_envelope_violation_raises(self, monkeypatch):
+        # a candidate with log det(I - vv*) + tr(vv*) > 0 breaks the
+        # Gaussian envelope; the check must survive python -O
+        import conewalk.bessel as bessel
+
+        def violating(v, q):
+            k = v.shape[0]
+            return np.ones(k, dtype=bool), np.zeros(k), np.full(k, 1e-3)
+
+        monkeypatch.setattr(bessel, "_ball_stats", violating)
+        with pytest.raises(NumericalFailureError, match="envelope"):
+            sample_contraction(BesselParam(4.0, 1, 1), np.random.default_rng(27), 10)
 
     def test_gaussian_branch_boundary(self):
         rng = np.random.default_rng(6)
@@ -221,7 +232,7 @@ class TestBesselWalk:
         rng = np.random.default_rng(19)
         cfg = BesselWalkConfig(param=BesselParam(5.0, 2, 1), law=MIX2,
                                n_steps=3, checkpoints=(3,))
-        traj = run_bessel_walk(cfg, rng)
+        traj = run_bessel_walks(cfg, rng, 1)
         assert traj.values.shape == (1, 1, 2, 2)
 
     def test_checkpoint_validation(self):
@@ -287,23 +298,22 @@ class TestRootLipschitz:
         rng = np.random.default_rng(22)
         f = ClippedQuadraticForm(direction=np.eye(1), cap=10.0)
         law = RadialLaw.two_point(1.0, 2.0, 0.5)
-        gap, se = root_lipschitz_gap(law, BesselParam(10.0, 1, 1), 1, f,
-                                     2000, rng)
-        assert gap == 0.0
+        diffs = paired_composition_diffs(law, BesselParam(10.0, 1, 1), 1, f, 2000, rng)
+        assert np.all(diffs == 0.0)
 
     def test_zero_law_gap_is_zero(self):
         rng = np.random.default_rng(23)
         f = ClippedQuadraticForm(direction=np.eye(1), cap=10.0)
-        gap, _ = root_lipschitz_gap(RadialLaw.point_mass(0.0),
-                                    BesselParam(10.0, 1, 1), 5, f, 2000, rng)
-        assert gap == 0.0
+        diffs = paired_composition_diffs(RadialLaw.point_mass(0.0),
+                                         BesselParam(10.0, 1, 1), 5, f, 2000, rng)
+        assert np.all(diffs == 0.0)
 
     def test_lemma_range_enforced(self):
         rng = np.random.default_rng(24)
         f = ClippedQuadraticForm(direction=np.eye(1), cap=10.0)
         with pytest.raises(ValueError):
-            root_lipschitz_gap(RadialLaw.point_mass(1.0),
-                               BesselParam(2.0, 1, 1), 4, f, 100, rng)
+            paired_composition_diffs(RadialLaw.point_mass(1.0),
+                                     BesselParam(2.0, 1, 1), 4, f, 100, rng)
 
     def test_lipschitz_constant(self):
         f = ClippedQuadraticForm(direction=np.diag([1.0, 2.0]), cap=3.0)

@@ -130,20 +130,38 @@ class TestScalars:
     def test_frob_norm(self):
         assert cl.frob_norm(np.diag([3.0, 4.0])) == pytest.approx(5.0)
 
-    def test_det_identity(self):
-        assert cl.det_herm(np.eye(4)) == pytest.approx(1.0)
-
-    def test_det_2x2_closed_form(self):
-        assert cl.det_herm(np.array([[2.0, 1.0], [1.0, 2.0]])) == pytest.approx(3.0)
-
-    def test_det_matches_eigenvalue_product(self):
-        rng = np.random.default_rng(505)
-        for _ in range(100):
-            a = rand_herm(rng, 3, cl.REAL)
-            w, _ = cl.eig_herm(a)
-            expect = float(np.prod(w))
-            assert cl.det_herm(a) == pytest.approx(expect, rel=1e-10, abs=1e-12)
-
     def test_trace_real(self):
         a = np.array([[2.0, 1j], [-1j, 3.0]])
         assert cl.trace_herm(a) == pytest.approx(5.0)
+
+
+class TestConeStep:
+    def test_scalar_form(self):
+        a = np.array([0.0, 1.0, 2.0, 1.0])
+        s = np.array([1.5, 1.0, 0.5, 1.0])
+        v = np.array([0.3, -1.0, 0.2 + 0.9j, 0.5])
+        t = cl.cone_step(a, s, v)
+        assert np.array_equal(t, np.sqrt(np.maximum(a * a + s * s + 2 * a * s * v.real, 0)))
+        assert t[1] == 0.0  # a = s and v = -1 cancel exactly
+
+    @pytest.mark.parametrize("field", cl.FIELDS)
+    def test_matrix_form_squares_to_the_update(self, field):
+        rng = np.random.default_rng(606)
+        for _ in range(20):
+            a = cl.psd_sqrt(rand_psd(rng, 3, field))
+            s = cl.psd_sqrt(rand_psd(rng, 3, field))
+            g = rand_herm(rng, 3, field) + 0.3 * rand_herm(rng, 3, field) @ rand_herm(
+                rng, 3, field)
+            v = g / (1.0 + np.linalg.norm(g, 2))  # a strict contraction
+            t = cl.cone_step(a, s, v)
+            svr = s @ v @ a
+            expect = a @ a + s @ s + svr + np.conj(svr.T)
+            assert cl.frob_norm(t @ t - expect) <= 1e-10 * (1 + cl.frob_norm(expect))
+            assert np.min(cl.eig_herm(t)[0]) >= 0.0
+
+    def test_one_by_one_matrices_match_the_scalar_form(self):
+        rng = np.random.default_rng(607)
+        a, s = rng.uniform(0, 2, 50), rng.uniform(0, 2, 50)
+        v = rng.uniform(-1, 1, 50)
+        t = cl.cone_step(a[:, None, None], s[:, None, None], v[:, None, None])
+        assert np.allclose(t[:, 0, 0], cl.cone_step(a, s, v), rtol=1e-12, atol=1e-12)

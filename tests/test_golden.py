@@ -9,9 +9,10 @@ refactor that keeps the program's arithmetic keeps these digests.
 
 The digests depend on the floating-point results of numpy's BLAS/LAPACK
 (``eigh``, ``qr``, ``matmul``) and are specific to the machine that
-recorded them (an x86-64 VM with numpy's bundled OpenBLAS).  On another
-BLAS/LAPACK build they may differ without any fault in the program; check
-such a case by comparing the outputs of two checkouts on the same host.
+recorded them: x86-64, numpy 2.4 with its bundled OpenBLAS 0.3.31, whose
+kernels are chosen by CPU model.  On another BLAS/LAPACK build or CPU
+they may differ without any fault in the program; check such a case by
+comparing the outputs of two checkouts on the same host.
 """
 
 import hashlib

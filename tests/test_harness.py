@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -191,6 +192,40 @@ class TestOutputs:
         cfg, _ = validate_config(raw)
         rec = run_experiment(cfg)
         assert rec.rows[0][2] == 0.0 and rec.rows[0][4] == 0.0
+
+
+class TestZeroStandardError:
+    """At se == 0 an exact match is 0 standard errors away and passes; any
+    other difference is infinitely many and fails, in every family."""
+
+    def test_exact_character_passes(self):
+        # at s = 0 every character value and the target are exactly 1
+        raw = {"experiment": "axioms", "seed": 31, "checks": [
+            {"check": "character", "mu": 4.0, "r1": 1.0, "r2": 2.0, "s": 0.0,
+             "draws": 2000}]}
+        cfg, _ = validate_config(raw)
+        rec = run_experiment(cfg)
+        assert rec.checks[0]["diff_over_se"] == 0.0
+        assert rec.passed
+
+    def test_exact_m2_additivity_passes(self):
+        # one step of a unit point law has ||S_1||^2 = 1 exactly
+        raw = {"experiment": "axioms", "seed": 32, "checks": [
+            {"check": "m2-additivity", "q": 1, "d": 1, "mu": 3.0,
+             "law": {"kind": "point_mass", "atom": 1.0}, "n_steps": 1,
+             "replicates": 2000}]}
+        cfg, _ = validate_config(raw)
+        rec = run_experiment(cfg)
+        assert rec.checks[0]["diff_over_se"] == 0.0
+        assert rec.passed
+
+    def test_nonzero_difference_fails(self):
+        from conewalk.experiments import diff_over_se
+
+        assert diff_over_se(0.0, 0.0) == 0.0
+        assert diff_over_se(1e-12, 0.0) == math.inf
+        assert not diff_over_se(1e-12, 0.0) <= 4.0
+        assert diff_over_se(0.3, 0.1) == pytest.approx(3.0)
 
 
 class TestOtherFamilies:

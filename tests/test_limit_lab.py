@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conewalk import cone_linalg as cl
-from conewalk.errors import DegenerateDataError, UnsupportedFieldError
+from conewalk.errors import ConfigError, DegenerateDataError, UnsupportedFieldError
+from conewalk.harness import run_experiment, validate_config
 from conewalk.limit_lab import (
-    berry_esseen_scan,
     chi2_cdf,
     empirical_cov,
     fit_loglog,
@@ -234,30 +234,33 @@ class TestRateFit:
 
 
 class TestScan:
+    """The berry-esseen-scan family: KS distance to chi-square_p over an
+    n-grid, with the 3 / sqrt(replicates) noise floor."""
+
+    @staticmethod
+    def scan(law, n_grid, replicates, seed, **extra):
+        cfg, _ = validate_config({"experiment": "berry-esseen-scan", "seed": seed,
+                                  "law": law.to_spec(), "p": 3, "n_grid": n_grid,
+                                  "replicates": replicates, **extra})
+        return run_experiment(cfg).aggregates
+
     def test_noise_floor_path(self):
-        rng = np.random.default_rng(12)
-        law = RadialLaw.two_point(1.0, 2.0, 0.5)
-        fit = berry_esseen_scan(law, 3, [64, 128, 256, 512], 150, rng)
-        assert fit.slope is None
-        assert not any(fit.included)
+        agg = self.scan(RadialLaw.two_point(1.0, 2.0, 0.5), [64, 128, 256, 512], 150, 12)
+        assert agg["slope"] is None
+        assert agg["included_points"] == 0
 
     def test_skewed_law_has_negative_slope(self):
-        rng = np.random.default_rng(13)
-        law = RadialLaw.log_normal(0.0, 1.0)
-        fit = berry_esseen_scan(law, 3, [16, 64, 256, 1024], 20000, rng,
-                                method="polar")
-        assert fit.slope is not None and fit.slope <= -0.3
+        agg = self.scan(RadialLaw.log_normal(0.0, 1.0), [16, 64, 256, 1024], 20000, 13,
+                        method="polar")
+        assert agg["slope"] is not None and agg["slope"] <= -0.3
 
     def test_grid_size_precondition(self):
-        rng = np.random.default_rng(14)
-        with pytest.raises(ValueError):
-            berry_esseen_scan(RadialLaw.two_point(1, 2, 0.5), 3,
-                              [16, 32, 64], 100, rng)
+        with pytest.raises(ConfigError, match="n_grid"):
+            self.scan(RadialLaw.two_point(1, 2, 0.5), [16, 32, 64], 100, 14)
 
     def test_noise_floor_scales_with_replicates(self):
         # quadrupling the replicate count halves the 3/sqrt(reps) floor
-        rng = np.random.default_rng(15)
         law = RadialLaw.two_point(1.0, 2.0, 0.5)
-        f1 = berry_esseen_scan(law, 3, [8, 16, 32, 64], 100, rng)
-        f2 = berry_esseen_scan(law, 3, [8, 16, 32, 64], 400, rng)
-        assert f2.noise_floor == pytest.approx(f1.noise_floor / 2)
+        f1 = self.scan(law, [8, 16, 32, 64], 100, 15)
+        f2 = self.scan(law, [8, 16, 32, 64], 400, 15)
+        assert f2["noise_floor"] == pytest.approx(f1["noise_floor"] / 2)

@@ -7,7 +7,6 @@ from conewalk.limit_lab import ks_2samp, moment_identity_rhs
 from conewalk.orbit_sampler import (
     GroupWalkConfig,
     radial_projection_coeff,
-    run_group_walk,
     run_group_walks,
     sample_radial_matrix,
     sample_stiefel_frame,
@@ -222,7 +221,7 @@ class TestGroupWalk:
 
     def test_single_walk_wrapper(self):
         rng = np.random.default_rng(20)
-        traj = run_group_walk(self._cfg(), rng)
+        traj = run_group_walks(self._cfg(), rng, 1)
         assert traj.values.shape == (1, 1)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
