@@ -1,11 +1,17 @@
 """Golden outputs: byte-level digests of scaled-down copies of every shipped
-config, plus extra configs that reach each walk route and cone-step caller.
+config, plus extra configs that reach each walk route and cone-step caller,
+plus raw per-draw arrays of the cone kernels.
 
 Each case is run through ``run_experiment`` and ``emit_outputs`` at
 block_size 1000, so reduction merges several blocks, at one and at two
 workers.  The digest is sha256 over every emitted file in name order: the
 CSVs as written and the summary JSON with ``wall_time_s`` removed.  A
 refactor that keeps the program's arithmetic keeps these digests.
+
+Configs that emit only aggregates (block sums, KS distances) can absorb a
+last-bit change in single draws, so ``DRAW_CASES`` also digests per-draw
+arrays (dtype, shape and bytes) of point convolutions, the support-bound
+``t``, Haar blocks, cone steps and Wishart-root law samples.
 
 The digests depend on the floating-point results of numpy's BLAS/LAPACK
 (``eigh``, ``qr``, ``matmul``) and are specific to the machine that
@@ -19,9 +25,14 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conewalk import cone_linalg as cl
+from conewalk.bessel import BesselParam, convolve_points
 from conewalk.harness import emit_outputs, run_experiment, validate_config
+from conewalk.orbit_sampler import sample_stiefel_frame, stiefel_block
+from conewalk.radial_laws import law_from_spec
 
 REPO = Path(__file__).resolve().parents[1]
 BLOCK = 1000
@@ -178,3 +189,106 @@ def _digest(raw, workers, out_dir):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_digest(case, workers, tmp_path):
     assert _digest(CASES[case], workers, tmp_path) == GOLDEN[case]
+
+
+# -- per-draw arrays ---------------------------------------------------------
+
+DRAWS = 2000
+
+
+def _rng(seed):
+    return np.random.Generator(np.random.Philox(seed))
+
+
+def _draw_convolve(q, d, mu, seed):
+    rng = _rng(seed)
+    g = rng.standard_normal((2, q + 1, q))
+    if d == 2:
+        g = g + 1j * rng.standard_normal((2, q + 1, q))
+    r, s = cl.herm_part(np.swapaxes(np.conj(g), -1, -2) @ g) / (q + 1)
+    return [convolve_points(r, s, BesselParam(mu, q, d), rng, DRAWS)]
+
+
+def _draw_support_bound(q, d, mu, monkeypatch):
+    # the support-bound check emits only counts and a maximum; record its t
+    seen = []
+    step = cl.cone_step
+
+    def recording_step(a, s, v):
+        t = step(a, s, v)
+        seen.append(t)
+        return t
+
+    monkeypatch.setattr(cl, "cone_step", recording_step)
+    raw = _axioms("sb", {"check": "support-bound", "q": q, "d": d, "mu": mu,
+                         "draws": 1200})
+    cfg, warnings = validate_config(dict(raw, block_size=500))
+    run_experiment(cfg, workers=1, warnings=warnings)
+    return seen
+
+
+def _draw_stiefel(p, q, field, seed):
+    return [stiefel_block(p, q, field, _rng(seed), DRAWS)]
+
+
+def _draw_cone_step(q, field, seed):
+    rng = _rng(seed)
+    dtype = cl.field_dtype(field)
+    out = []
+    for scale in (1.0, 0.3):
+        g = rng.standard_normal((2, DRAWS, q + 2, q)).astype(dtype)
+        if field == cl.COMPLEX:
+            g = g + 1j * rng.standard_normal((2, DRAWS, q + 2, q))
+        a, s = scale * cl.herm_part(np.swapaxes(np.conj(g), -1, -2) @ g)
+        v = sample_stiefel_frame(q + 3, q, field, rng, DRAWS)[:, :q, :]
+        out.append(cl.cone_step(a, s, v))
+    return out
+
+
+def _draw_wishart_root(field, seed):
+    scale = [[1.0, 0.3], [0.3, 0.5]] if field == cl.REAL else \
+        [[[1.0, 0.0], [0.3, 0.2]], [[0.3, -0.2], [0.5, 0.0]]]
+    law = law_from_spec({"kind": "wishart_root", "field": field, "scale": scale, "dof": 3})
+    return [law.sample(_rng(seed), DRAWS)]
+
+
+DRAW_CASES = {
+    "convolve-q1-matrix": lambda mp: _draw_convolve(1, 1, 2.5, 4201),
+    "convolve-q2-real": lambda mp: _draw_convolve(2, 1, 4.0, 4202),
+    "convolve-q2-complex": lambda mp: _draw_convolve(2, 2, 6.0, 4203),
+    "support-bound-q3-real": lambda mp: _draw_support_bound(3, 1, 12.0, mp),
+    "stiefel-q2-real": lambda mp: _draw_stiefel(5, 2, cl.REAL, 4204),
+    "stiefel-q2-complex-small-dof": lambda mp: _draw_stiefel(3, 2, cl.COMPLEX, 4205),
+    "cone-step-q2-real": lambda mp: _draw_cone_step(2, cl.REAL, 4206),
+    "cone-step-q2-complex": lambda mp: _draw_cone_step(2, cl.COMPLEX, 4207),
+    "wishart-root-q2-real": lambda mp: _draw_wishart_root(cl.REAL, 4208),
+    "wishart-root-q2-complex": lambda mp: _draw_wishart_root(cl.COMPLEX, 4209),
+}
+
+# digests of the per-draw arrays as recorded; never regenerate them to make a
+# refactor pass
+DRAW_GOLDEN = {
+    "cone-step-q2-complex": "31ed555126522e059703ba234b97ccc28b4d42f496f863c40b2d2a4ca7b55f04",
+    "cone-step-q2-real": "a6d489d4e39aa82602456055f31942d5945c57d64fcc6ed84860d173c091b5e3",
+    "convolve-q1-matrix": "49b46b999b3caec2277a3673d1e6d5979b4a2db4a369b31694925ae380ec95b0",
+    "convolve-q2-complex": "bbfe9e3d49ddc0735a0acab8a51f64acdbaf1f35bdf4e22baaefdf4d1344ce5d",
+    "convolve-q2-real": "f67326fcaac4e58a3cd8b4c900d376e7847f5779f6dc356fad87debe17768fed",
+    "stiefel-q2-complex-small-dof": "4afd83b5a50424d3cbba064242fa6da6944c053cc166477ea45aed299e8a9169",
+    "stiefel-q2-real": "4becb2c76a53d5cb6cc5dc75c00f055f7b48d52f79f33713469c87445fb74d90",
+    "support-bound-q3-real": "b8a820af9ac2ae301b3ed0633ae404f035d76bf0550feae1c9148aca082089f1",
+    "wishart-root-q2-complex": "0a6fdc842f37cc307c323b15b3bf0298f5a85d728a4813ef07890e67c750ba28",
+    "wishart-root-q2-real": "10d3eec57188bc1875172f09b1914e5df826512611aa53edf1b534c035e3ec2d",
+}
+
+
+def _array_digest(arrays):
+    h = hashlib.sha256()
+    for arr in arrays:
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode() + b"\0" + arr.tobytes() + b"\0")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(DRAW_CASES))
+def test_golden_draws(case, monkeypatch):
+    assert _array_digest(DRAW_CASES[case](monkeypatch)) == DRAW_GOLDEN[case]
