@@ -6,9 +6,14 @@ Conventions used throughout the package:
   field, complex128 over the complex field; leading axes are batch axes;
 * hermitian arrays are kept exactly hermitian via :func:`herm_part`
   (A <- (A + A*)/2), which makes diagonals exactly real;
-* PSD arrays are produced by :func:`clamp_psd`: eigenvalues negative
-  within tolerance are clamped to zero, anything more negative raises
-  :class:`ConeViolationError`;
+* PSD input is checked and clamped by whichever kernel reads it
+  (:func:`clamp_psd`, :func:`psd_sqrt`, :func:`psd_inv_sqrt`):
+  eigenvalues below -tol*(1+||a||_F) raise :class:`ConeViolationError`,
+  the other negative ones are clamped to zero;
+* a spectral function U f(w) U* costs one ``eigh`` with no eigenvector
+  phase convention (the result does not depend on the phases), and none
+  at q = 2, where the square root and the inverse square root have a
+  closed form in the trace and the discriminant;
 * :func:`vectorize_herm` maps hermitian matrices isometrically to real
   coordinate vectors: diagonal entries first, then off-diagonal real
   parts scaled by sqrt(2) (row-major upper triangle), then, over the
@@ -75,10 +80,7 @@ def eig_herm(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     modulus (first such index on ties) is made real and positive.
     """
     a = herm_part(np.asarray(a))
-    try:
-        w, u = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"hermitian eigensolver failed: {exc}", payload=a) from exc
+    w, u = _eigh(a)
     piv_idx = np.argmax(np.abs(u), axis=-2)
     pivots = np.take_along_axis(u, piv_idx[..., None, :], axis=-2)[..., 0, :]
     mod = np.abs(pivots)
@@ -97,34 +99,28 @@ def clamp_psd(a: np.ndarray, tol: float = EPS_PSD) -> np.ndarray:
     below that raises ConeViolationError.
     """
     a = herm_part(np.asarray(a))
-    w, u = eig_herm(a)
-    thr = tol * (1.0 + frob_norm(a))
-    wmin = w[..., 0]
-    if np.any(wmin < -np.asarray(thr)):
-        worst = float(np.min(wmin))
-        raise ConeViolationError(
-            f"eigenvalue {worst:.6e} below -tol*(1+||a||_F) with tol={tol:.1e}",
-            payload=a,
-        )
-    w = np.maximum(w, 0.0)
-    return _assemble(w, u)
+    w, u = _eigh(a)
+    _check_cone(w[..., 0], a, tol)
+    return _assemble(np.maximum(w, 0.0), u)
 
 
 def psd_sqrt(a: np.ndarray, tol: float = EPS_PSD) -> np.ndarray:
-    """PSD square root via the eigenbasis, batched.
+    """PSD square root of a (stacked) hermitian array.
 
-    Input must already be PSD within the clamping tolerance.
+    Checks and clamps the spectrum like :func:`clamp_psd`, so the input
+    need only be PSD within tolerance; one ``eigh``, none at q = 2.
     """
-    a = herm_part(np.asarray(a))
-    w, u = eig_herm(a)
-    thr = tol * (1.0 + frob_norm(a))
-    if np.any(w[..., 0] < -np.asarray(thr)):
-        raise ConeViolationError(
-            f"psd_sqrt input has eigenvalue below -tol*(1+||a||_F) (tol={tol:.1e})",
-            payload=a,
-        )
-    w = np.sqrt(np.maximum(w, 0.0))
-    return _assemble(w, u)
+    return _psd_root(a, tol, inverse=False)
+
+
+def psd_inv_sqrt(a: np.ndarray, tol: float = EPS_PSD) -> np.ndarray:
+    """Inverse square root of a (stacked) positive definite array.
+
+    Checks the spectrum like :func:`psd_sqrt`; eigenvalues below
+    ``_INV_FLOOR`` are raised to it, which keeps a numerically singular
+    input finite.
+    """
+    return _psd_root(a, tol, inverse=True)
 
 
 def cone_step(a, s, v):
@@ -135,18 +131,91 @@ def cone_step(a, s, v):
     the index-mu walk.  When v has fewer than two axes this is the q = 1
     form on scalars or (n,) batches, sqrt(max(a^2 + s^2 + 2 a s Re v, 0));
     otherwise a, s and v are (stacked) q x q matrices and the square is
-    hermitized and clamped into the PSD cone before its root is taken.
+    hermitized and clamped into the PSD cone as its root is taken.
     """
     if np.ndim(v) < 2:
         return np.sqrt(np.maximum(a * a + s * s + 2.0 * a * s * np.real(v), 0.0))
     sva = s @ v @ a
-    t2 = a @ a + s @ s + sva + np.swapaxes(np.conj(sva), -1, -2)
-    return psd_sqrt(clamp_psd(herm_part(t2)))
+    return psd_sqrt(a @ a + s @ s + sva + np.swapaxes(np.conj(sva), -1, -2))
+
+
+# eigenvalue floor of psd_inv_sqrt
+_INV_FLOOR = 1e-300
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    try:
+        return np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"hermitian eigensolver failed: {exc}", payload=a) from exc
+
+
+def _check_cone(wmin: np.ndarray, a: np.ndarray, tol: float) -> None:
+    """Raise ConeViolationError where the smallest eigenvalue of a is below
+    -tol*(1+||a||_F)."""
+    if np.any(wmin < -tol * (1.0 + frob_norm(a))):
+        raise ConeViolationError(
+            f"eigenvalue {float(np.min(wmin)):.6e} below -tol*(1+||a||_F) with tol={tol:.1e}",
+            payload=a,
+        )
+
+
+def _psd_root(a: np.ndarray, tol: float, inverse: bool) -> np.ndarray:
+    """U f(w) U* after the cone check, with f(w) = sqrt(max(w, 0)), or
+    1/sqrt(max(w, _INV_FLOOR)) if inverse."""
+    a = herm_part(np.asarray(a))
+    floor = _INV_FLOOR if inverse else 0.0
+    if a.shape[-1] == 2:
+        return _psd_root_2x2(a, tol, inverse, floor)
+    w, u = _eigh(a)
+    _check_cone(w[..., 0], a, tol)
+    r = np.sqrt(np.maximum(w, floor))
+    return _assemble(1.0 / r if inverse else r, u)
+
+
+def _psd_root_2x2(m: np.ndarray, tol: float, inverse: bool, floor: float) -> np.ndarray:
+    """Closed form of :func:`_psd_root` on hermitian 2 x 2 stacks.
+
+    With eigenvalues lo <= hi from the trace and the discriminant,
+    f(M) = f(lo) I + k (M - lo I) where k = (f(hi) - f(lo)) / (hi - lo)
+    is the divided difference of f.  Where lo is at or above the floor it
+    is taken in a form free of cancellation: 1/(r_hi + r_lo) for the root
+    and -1/(r_hi r_lo (r_hi + r_lo)) for the inverse root, r = sqrt(w).
+    Below the floor f(lo) is the floor value and the plain quotient has
+    no cancellation.  At hi == lo, M is a multiple of I and k is unused.
+    """
+    m00, m11, m01 = m[..., 0, 0].real, m[..., 1, 1].real, np.abs(m[..., 0, 1])
+    mid = 0.5 * (m00 + m11)
+    rad = np.hypot(0.5 * (m00 - m11), m01)
+    hi = mid + rad
+    # with a positive trace hi has no cancellation, and lo = det/hi (taken
+    # as LAPACK's dlaev2 does) cancels only through a large off-diagonal
+    # entry, unlike mid - rad: it keeps ill-conditioned, nearly diagonal
+    # input accurate
+    pos = mid > 0
+    safe_hi = np.where(pos, hi, 1.0)
+    lo = np.where(pos, (m00 / safe_hi) * m11 - (m01 / safe_hi) * m01, mid - rad)
+    _check_cone(lo, m, tol)
+    r_lo = np.sqrt(np.maximum(lo, floor))
+    r_hi = np.sqrt(np.maximum(hi, floor))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if inverse:
+            f_lo, f_hi = 1.0 / r_lo, 1.0 / r_hi
+            smooth = -1.0 / (r_hi * r_lo * (r_hi + r_lo))
+        else:
+            f_lo, f_hi, smooth = r_lo, r_hi, 1.0 / (r_hi + r_lo)
+        k = np.where(lo >= floor, smooth, (f_hi - f_lo) / (hi - lo))
+    k = np.where(np.isfinite(k), k, 0.0)
+    out = k[..., None, None] * m
+    shift = f_lo - k * lo
+    out[..., 0, 0] += shift
+    out[..., 1, 1] += shift
+    return out
 
 
 def _assemble(w: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Rebuild U diag(w) U* for stacked spectra/bases."""
-    return herm_part(np.einsum("...ik,...k,...jk->...ij", u, w, np.conj(u)))
+    return herm_part((u * w[..., None, :]) @ np.conj(np.swapaxes(u, -1, -2)))
 
 
 def herm_vec_dim(q: int, field: str) -> int:

@@ -959,8 +959,8 @@ def _run_support_bound(cfg, spec, task):
     param = BesselParam(spec["mu"], q, d)
     k = task["size"]
     # varied cone geometry: random scaled Wishart draws for r and s
-    r = cl.psd_sqrt(cl.clamp_psd(wishart_sample(q + 2, q, field, rng, k) * 1.5))
-    s = cl.psd_sqrt(cl.clamp_psd(wishart_sample(q + 2, q, field, rng, k) * 0.8))
+    r = cl.psd_sqrt(wishart_sample(q + 2, q, field, rng, k) * 1.5)
+    s = cl.psd_sqrt(wishart_sample(q + 2, q, field, rng, k) * 0.8)
     t = cl.cone_step(r, s, sample_contraction(param, rng, k))
     excess = cl.frob_norm(t) - (cl.frob_norm(r) + cl.frob_norm(s))
     return {"count": k, "violations": int(np.count_nonzero(excess > spec["slack"])),

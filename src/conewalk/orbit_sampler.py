@@ -81,7 +81,7 @@ def stiefel_block(p: int, q: int, field: str, rng: np.random.Generator,
             g2 = _std_entries(rng, (n, dof, q), field)
             w = cl.herm_part(np.swapaxes(np.conj(g2), -1, -2) @ g2)
         m = m + w
-    v = g1 @ _inv_sqrt_psd(m)
+    v = g1 @ cl.psd_inv_sqrt(m)
     return v if size is not None else v[0]
 
 
@@ -97,12 +97,6 @@ def _wishart_bartlett(q: int, dof: int, field: str, rng: np.random.Generator,
         if i > 0:
             a[:, i, :i] = _std_entries(rng, (n, i), field)
     return cl.herm_part(a @ np.swapaxes(np.conj(a), -1, -2))
-
-
-def _inv_sqrt_psd(m: np.ndarray) -> np.ndarray:
-    w, u = np.linalg.eigh(m)
-    w = np.maximum(w, 1e-300)
-    return np.einsum("...ik,...k,...jk->...ij", u, 1.0 / np.sqrt(w), np.conj(u))
 
 
 def radial_projection_coeff(p: int, field: str, rng: np.random.Generator,

@@ -187,7 +187,7 @@ class RadialLaw:
             g = _std_entries(rng, (n, self.dof, self.q), self.field)
             g = g @ root
             gram = cl.herm_part(np.swapaxes(np.conj(g), -1, -2) @ g)
-            out = cl.psd_sqrt(cl.clamp_psd(gram))
+            out = cl.psd_sqrt(gram)
             return out if size is not None else out[0]
         raise ValueError(f"unknown law kind {self.kind!r}")
 
@@ -233,8 +233,7 @@ def law_from_spec(spec: dict) -> RadialLaw:
             return RadialLaw.point_mass(atom, field=field)
         if kind == "finite_mixture":
             if "atoms_squared" in spec:
-                atoms = [cl.psd_sqrt(cl.clamp_psd(_to_matrix(s, field)))
-                         for s in spec["atoms_squared"]]
+                atoms = [cl.psd_sqrt(_to_matrix(s, field)) for s in spec["atoms_squared"]]
             elif "atoms" in spec:
                 atoms = [_to_matrix(s, field) for s in spec["atoms"]]
             else:
@@ -346,7 +345,7 @@ def _to_matrix(s, field: str) -> np.ndarray:
 
 def _matrix_from_spec(spec: dict, key: str, field: str) -> np.ndarray:
     if f"{key}_squared" in spec:
-        return cl.psd_sqrt(cl.clamp_psd(_to_matrix(spec[f"{key}_squared"], field)))
+        return cl.psd_sqrt(_to_matrix(spec[f"{key}_squared"], field))
     return _to_matrix(spec[key], field)
 
 

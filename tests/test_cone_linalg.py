@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conewalk import cone_linalg as cl
 from conewalk.errors import ConeViolationError, UnsupportedFieldError
@@ -165,3 +167,120 @@ class TestConeStep:
         v = rng.uniform(-1, 1, 50)
         t = cl.cone_step(a[:, None, None], s[:, None, None], v[:, None, None])
         assert np.allclose(t[:, 0, 0], cl.cone_step(a, s, v), rtol=1e-12, atol=1e-12)
+
+
+# -- property tests of the spectral kernel ------------------------------------
+# q = 2 runs the closed form, q = 1 and q = 3 the eigh route
+
+
+def with_spectrum(seed, w, field):
+    """U diag(w) U* with U a Haar unitary drawn from the seed."""
+    rng = np.random.default_rng(seed)
+    q = len(w)
+    g = rng.standard_normal((q, q))
+    if field == cl.COMPLEX:
+        g = g + 1j * rng.standard_normal((q, q))
+    u, r = np.linalg.qr(g)
+    u = u * (np.diag(r) / np.abs(np.diag(r)))
+    return cl.herm_part((u * np.asarray(w, dtype=np.float64)) @ np.conj(u.T))
+
+
+def eigh_root(a, inverse=False):
+    w, u = np.linalg.eigh(cl.herm_part(a))
+    f = 1.0 / np.sqrt(w) if inverse else np.sqrt(np.maximum(w, 0.0))
+    return (u * f) @ np.conj(u.T)
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+DIMS = st.sampled_from([1, 2, 3])
+FIELD = st.sampled_from(cl.FIELDS)
+# eigenvalues of well-conditioned input: within a factor 1e3 of each other
+WELL = st.floats(1e-3, 1.0)
+SCALES = st.floats(1e-6, 1e6)
+PROPS = settings(max_examples=150, deadline=None)
+
+
+class TestSpectralProperties:
+    @PROPS
+    @given(SEEDS, DIMS, FIELD, st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+           SCALES)
+    def test_sqrt_squares_back(self, seed, q, field, w, scale):
+        # near-singular input included: squaring back is the check there,
+        # as the root itself is not Lipschitz at 0
+        a = with_spectrum(seed, scale * np.array(w[:q]), field)
+        root = cl.psd_sqrt(a)
+        assert cl.frob_norm(root @ root - a) <= 1e-13 * cl.frob_norm(a) + 1e-300
+        assert np.min(np.linalg.eigvalsh(root)) >= -1e-14 * np.sqrt(scale)
+
+    @PROPS
+    @given(SEEDS, DIMS, FIELD, st.lists(WELL, min_size=3, max_size=3), SCALES)
+    def test_matches_eigh_on_well_conditioned_input(self, seed, q, field, w, scale):
+        a = with_spectrum(seed, scale * np.array(w[:q]), field)
+        for inverse, ours in ((False, cl.psd_sqrt), (True, cl.psd_inv_sqrt)):
+            ref = eigh_root(a, inverse)
+            assert cl.frob_norm(ours(a) - ref) <= 1e-12 * cl.frob_norm(ref)
+
+    @PROPS
+    @given(SEEDS, DIMS, FIELD, st.lists(WELL, min_size=3, max_size=3), SCALES)
+    def test_inverse_root_inverts_the_root(self, seed, q, field, w, scale):
+        a = with_spectrum(seed, scale * np.array(w[:q]), field)
+        prod = cl.psd_inv_sqrt(a) @ cl.psd_sqrt(a)
+        assert cl.frob_norm(prod - np.eye(q)) <= 1e-12
+
+    @PROPS
+    @given(SEEDS, DIMS, FIELD, st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+           st.floats(0.05, 0.95), SCALES)
+    @example(seed=193, q=2, field=cl.REAL, w=[0.0, 0.0], frac=0.5, scale=1.0)
+    def test_clamps_inside_tolerance(self, seed, q, field, w, frac, scale):
+        tol = 1e-10
+        pos = scale * np.array(w[:q - 1])
+        neg = -frac * tol * (1.0 + np.linalg.norm(pos))
+        a = with_spectrum(seed, np.append(pos, neg), field)
+        clamped = with_spectrum(seed, np.append(pos, 0.0), field)
+        root = cl.psd_sqrt(a, tol)
+        assert np.min(np.linalg.eigvalsh(root)) >= -1e-14 * (1.0 + np.sqrt(scale))
+        err = cl.frob_norm(root @ root - clamped)
+        assert err <= 1e-13 * cl.frob_norm(clamped) + 2.0 * abs(neg)
+        assert cl.frob_norm(cl.clamp_psd(a, tol) - clamped) <= (
+            1e-13 * cl.frob_norm(clamped) + 2.0 * abs(neg))
+
+    @PROPS
+    @given(SEEDS, DIMS, FIELD, st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+           st.floats(1.05, 100.0), SCALES)
+    @example(seed=824, q=2, field=cl.COMPLEX, w=[0.0, 0.0], factor=1.06, scale=1.0)
+    def test_rejects_outside_tolerance(self, seed, q, field, w, factor, scale):
+        # ||a||_F <= ||pos|| + |neg|, so |neg| is past the threshold
+        tol = 1e-10
+        pos = scale * np.array(w[:q - 1])
+        neg = -factor * tol * (1.0 + np.linalg.norm(pos)) / (1.0 - factor * tol)
+        a = with_spectrum(seed, np.append(pos, neg), field)
+        for kernel in (cl.psd_sqrt, cl.psd_inv_sqrt, cl.clamp_psd):
+            with pytest.raises(ConeViolationError):
+                kernel(a, tol)
+
+    @pytest.mark.parametrize("field", cl.FIELDS)
+    def test_degenerate_two_by_two(self, field):
+        dtype = cl.field_dtype(field)
+        rank1 = np.outer([1.0, 2.0j if field == cl.COMPLEX else 2.0],
+                         np.conj([1.0, 2.0j if field == cl.COMPLEX else 2.0]))
+        for a in (np.zeros((2, 2)), 3.0 * np.eye(2), rank1):
+            a = a.astype(dtype)
+            assert cl.frob_norm(cl.psd_sqrt(a) - eigh_root(a)) <= 1e-15 * (1 + cl.frob_norm(a))
+        assert np.array_equal(cl.psd_sqrt(np.zeros((2, 2), dtype)), np.zeros((2, 2)))
+        assert np.allclose(cl.psd_inv_sqrt(4.0 * np.eye(2, dtype=dtype)), 0.5 * np.eye(2),
+                           rtol=1e-15, atol=0)
+
+    @PROPS
+    @given(SEEDS, DIMS, FIELD, st.integers(0, 4))
+    def test_vectorize_round_trip(self, seed, q, field, batch):
+        rng = np.random.default_rng(seed)
+        shape = (batch, q, q) if batch else (q, q)
+        a = rng.standard_normal(shape)
+        if field == cl.COMPLEX:
+            a = a + 1j * rng.standard_normal(shape)
+        a = cl.herm_part(a)
+        vec = cl.vectorize_herm(a, field)
+        assert vec.shape == shape[:-2] + (cl.herm_vec_dim(q, field),)
+        back = cl.devectorize_herm(vec, q, field)
+        assert np.all(cl.frob_norm(back - a) <= 1e-15 * (1 + cl.frob_norm(a)))
+        assert np.allclose(np.linalg.norm(vec, axis=-1), cl.frob_norm(a), rtol=1e-14)

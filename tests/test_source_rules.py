@@ -15,3 +15,32 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _called_name(node):
+    """Name of the function a Call node calls (``f(...)`` or ``mod.f(...)``)."""
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_eigh_only_in_cone_linalg():
+    # each PSD root costs one eigendecomposition, made in cone_linalg's kernel
+    found = [f"{path.relative_to(SRC)}:{node.lineno}"
+             for path in sorted(SRC.rglob("*.py")) if path.name != "cone_linalg.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, ast.Attribute) and node.attr == "eigh")
+             or (isinstance(node, ast.ImportFrom)
+                 and any(alias.name == "eigh" for alias in node.names))]
+    assert found == []
+
+
+def test_no_clamp_inside_psd_sqrt():
+    # psd_sqrt checks and clamps its input itself; clamp_psd first would
+    # decompose every matrix twice
+    found = [f"{path.relative_to(SRC)}:{node.lineno}"
+             for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and _called_name(node) == "psd_sqrt"
+             and any(isinstance(arg, ast.Call) and _called_name(arg) == "clamp_psd"
+                     for arg in node.args)]
+    assert found == []
