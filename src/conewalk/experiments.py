@@ -153,9 +153,16 @@ def _common(raw: dict, experiment: str) -> dict:
     return cfg
 
 
+def _numbers(field: str, values: list, kind) -> list:
+    """List entries converted by kind (int or float); ConfigError on failure."""
+    try:
+        return [kind(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(field, f"entries must be numbers ({exc})") from exc
+
+
 def _checkpoints(raw, n_steps):
-    cps = _opt(raw, "checkpoints", list, [n_steps])
-    cps = [int(c) for c in cps]
+    cps = _numbers("checkpoints", _opt(raw, "checkpoints", list, [n_steps]), int)
     if not cps or cps != sorted(set(cps)) or cps[0] < 1 or cps[-1] > n_steps:
         raise ConfigError("checkpoints", "must be sorted unique integers in [1, n_steps]")
     return cps
@@ -401,7 +408,7 @@ class KappaExperiment:
         cfg["q"] = _opt(raw, "q", int, 1, lambda v: v >= 1)
         cfg["d"] = _opt(raw, "d", int, 1, lambda v: v in (1, 2))
         grid = _req(raw, "mu_grid", list, lambda v: len(v) >= 1, "must be nonempty")
-        cfg["mu_grid"] = [float(m) for m in grid]
+        cfg["mu_grid"] = _numbers("mu_grid", grid, float)
         cfg["n_samples"] = _req(raw, "n_samples", int, lambda v: v >= 1)
         cfg["max_se"] = _opt(raw, "max_se", float, 4.0, lambda v: v > 0)
         for m in cfg["mu_grid"]:
@@ -640,7 +647,7 @@ class BerryEsseenScanExperiment:
             raise ConfigError("law", "the scan is a q = 1 experiment")
         cfg["p"] = _req(raw, "p", int, lambda v: v >= 1)
         grid = _req(raw, "n_grid", list, lambda v: len(v) >= 4, "needs >= 4 points")
-        cfg["n_grid"] = [int(n) for n in grid]
+        cfg["n_grid"] = _numbers("n_grid", grid, int)
         if cfg["n_grid"] != sorted(set(cfg["n_grid"])) or cfg["n_grid"][0] < 1:
             raise ConfigError("n_grid", "must be sorted unique positive integers")
         cfg["replicates"] = _req(raw, "replicates", int, lambda v: v >= 4)
@@ -710,7 +717,7 @@ class MomentIdentityExperiment:
         for entry in grid:
             if not (isinstance(entry, list) and len(entry) == 2):
                 raise ConfigError("grid", "entries must be [n, p] pairs")
-            cfg["grid"].append([int(entry[0]), int(entry[1])])
+            cfg["grid"].append(_numbers("grid", entry, int))
         cfg["replicates"] = _req(raw, "replicates", int, lambda v: v >= 2)
         cfg["method"] = _opt(raw, "method", str, "auto",
                              lambda v: v in ("auto", "direct", "polar"))

@@ -53,6 +53,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match="checkpoints"):
             validate_config(tiny_walk_config(checkpoints=[4, 2]))
 
+    @pytest.mark.parametrize("field, raw", [
+        ("checkpoints", tiny_walk_config(checkpoints=["x"])),
+        ("grid", {"experiment": "moment-identity", "seed": 1, "law": TWO_POINT,
+                  "grid": [["a", 2]], "replicates": 10}),
+        ("n_grid", {"experiment": "berry-esseen-scan", "seed": 1, "law": TWO_POINT,
+                    "p": 3, "n_grid": [4, 8, "y", 32], "replicates": 10}),
+        ("mu_grid", {"experiment": "kappa", "seed": 1, "q": 1, "d": 1,
+                     "mu_grid": ["z"], "n_samples": 10}),
+    ])
+    def test_non_numeric_list_entry(self, field, raw):
+        with pytest.raises(ConfigError, match=field) as info:
+            validate_config(raw)
+        assert info.value.field == field
+
     def test_law_errors_are_config_errors(self):
         with pytest.raises(ConfigError, match="law"):
             validate_config(tiny_walk_config(law={"kind": "two_point", "a": 1}))
