@@ -14,7 +14,6 @@ from .bessel import (
     kappa_quadrature_1d,
     run_bessel_walks,
     sample_contraction,
-    semigroup_convolve,
 )
 from .cone_linalg import (
     COMPLEX,

@@ -213,12 +213,6 @@ def convolve_points_scalar(r, s, param: BesselParam, rng: np.random.Generator,
     return t if size is not None else float(t[0])
 
 
-def semigroup_convolve(r: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Deterministic large-index limit sqrt(r^2 + s^2): the cone step at v = 0."""
-    r = np.asarray(r)
-    return cl.cone_step(r, np.asarray(s), np.zeros_like(r))
-
-
 def kappa_mu(param: BesselParam, n_samples: int,
              rng: np.random.Generator) -> tuple[float, float]:
     """Importance-sampling estimate of the normalization constant.

@@ -16,7 +16,6 @@ from conewalk.bessel import (
     paired_composition_diffs,
     run_bessel_walks,
     sample_contraction,
-    semigroup_convolve,
 )
 from conewalk.errors import NumericalFailureError, SamplerStallError, StableRangeError
 from conewalk.limit_lab import ks_2samp, ks_distance
@@ -161,17 +160,20 @@ class TestConvolve:
 
 
 class TestSemigroup:
+    # the large-index rule t = sqrt(r^2 + s^2) is the cone step at v = 0
     def test_pythagorean(self):
-        assert semigroup_convolve(np.array(3.0), np.array(4.0)) == pytest.approx(5.0)
+        assert cl.cone_step(3.0, 4.0, 0.0) == pytest.approx(5.0)
 
     def test_identity_element(self):
         s = np.array([[1.0, 0.2], [0.2, 0.5]])
-        assert np.allclose(semigroup_convolve(np.zeros((2, 2)), s), s, atol=1e-10)
+        zero = np.zeros((2, 2))
+        assert np.allclose(cl.cone_step(zero, s, zero), s, atol=1e-10)
 
     def test_commutes_exactly(self):
         r = np.array([[1.0, 0.1], [0.1, 0.4]])
         s = np.array([[0.5, 0.0], [0.0, 2.0]])
-        assert np.array_equal(semigroup_convolve(r, s), semigroup_convolve(s, r))
+        zero = np.zeros((2, 2))
+        assert np.array_equal(cl.cone_step(r, s, zero), cl.cone_step(s, r, zero))
 
 
 class TestKappa:
