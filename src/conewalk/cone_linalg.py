@@ -113,14 +113,14 @@ def psd_sqrt(a: np.ndarray, tol: float = EPS_PSD) -> np.ndarray:
     return _psd_root(a, tol, inverse=False)
 
 
-def psd_inv_sqrt(a: np.ndarray, tol: float = EPS_PSD) -> np.ndarray:
+def psd_inv_sqrt(a: np.ndarray) -> np.ndarray:
     """Inverse square root of a (stacked) positive definite array.
 
-    Checks the spectrum like :func:`psd_sqrt`; eigenvalues below
-    ``_INV_FLOOR`` are raised to it, which keeps a numerically singular
-    input finite.
+    Checks the spectrum like :func:`psd_sqrt` at the default tolerance;
+    eigenvalues below ``_INV_FLOOR`` are raised to it, which keeps a
+    numerically singular input finite.
     """
-    return _psd_root(a, tol, inverse=True)
+    return _psd_root(a, EPS_PSD, inverse=True)
 
 
 def cone_step(a, s, v):
