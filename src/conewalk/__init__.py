@@ -21,7 +21,6 @@ from .cone_linalg import (
     clamp_psd,
     cone_step,
     devectorize_herm,
-    eig_herm,
     frob_norm,
     herm_part,
     psd_sqrt,
@@ -44,6 +43,7 @@ from .limit_lab import (
 from .orbit_sampler import (
     GroupWalkConfig,
     WalkTrajectory,
+    haar_block,
     run_group_walks,
     sample_radial_matrix,
     sample_stiefel_frame,

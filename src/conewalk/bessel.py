@@ -11,20 +11,16 @@ convolution degenerates to the deterministic semigroup rule
 t = sqrt(r^2 + s^2).
 
 The move itself is :func:`cone_linalg.cone_step`, and the index-mu walk
-runs through the checkpointed driver :func:`orbit_sampler.drive_walk`;
-the group walk of :mod:`orbit_sampler` makes the same move through the
-same driver and differs only in drawing v from a Haar block instead of
-the contraction density.
-
-The contraction sampler is exact rejection sampling.  For exponent
-e = mu - rho >= 1/2 the proposal is Gaussian with coordinate variance
-1/(2e) and acceptance det(I - v v*)^e * exp(e <v, v>), which is a valid
-probability because log det(I - M) <= -tr M for 0 <= M < I.  For
-0 <= e < 1/2 the proposal is uniform on D_q (rejection from the enclosing
-Frobenius ball) with acceptance det(I - v v*)^e <= 1.  Indices below rho
-would need an unbounded acceptance ratio and are rejected up front.  A
-Gaussian-branch candidate that breaks the envelope bound raises
-NumericalFailureError.
+runs through the checkpointed driver :func:`orbit_sampler.drive_walk`.
+The group walk of :mod:`orbit_sampler` makes the same move through the
+same driver, and both engines draw v from the one sampler
+:func:`orbit_sampler.haar_block`: the top block G1 (G1*G1 + W)^(-1/2) of
+a Gaussian frame with W ~ Wishart(I_q, nu).  The group walk takes the
+integer nu = p - q; the contraction density above is its law at the real
+nu = 2 mu / d - q (Muirhead 1982, Thm 3.2.14 and Sec. 3.3; Roesler,
+Compositio Math. 143, 2007).  The sampler is exact and rejection-free
+over the whole existence range mu > rho - 1.  Close to mu = rho - 1 the
+density piles up at the boundary of D_q, and a draw may round onto it.
 """
 
 from __future__ import annotations
@@ -35,11 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cone_linalg as cl
-from .errors import NumericalFailureError, SamplerStallError, StableRangeError
+from .errors import StableRangeError
 from .orbit_sampler import (
     WalkTrajectory,
     checkpoint_tuple,
     drive_walk,
+    haar_block,
     square_radial,
     zero_radial,
 )
@@ -80,66 +77,34 @@ class BesselParam:
     def field(self) -> str:
         return cl.REAL if self.d == 1 else cl.COMPLEX
 
+    @property
+    def nu(self) -> float:
+        """Wishart degrees of freedom 2 mu / d - q of the contraction sampler."""
+        return 2.0 * self.mu / self.d - self.q
+
     def require_lemma_range(self) -> None:
         if self.mu < 2 * self.rho:
             raise ValueError(
                 f"mu={self.mu} below the comparison-bound range mu >= 2*rho = {2 * self.rho}")
 
 
-def sample_contraction(param: BesselParam, rng: np.random.Generator, size=None,
-                       _stall_window: int = 10**7,
-                       _stall_rate: float = 1e-6) -> np.ndarray:
+def sample_contraction(param: BesselParam, rng: np.random.Generator,
+                       size=None) -> np.ndarray:
     """Draw matrices from the contraction density on D_q, shape (size, q, q)."""
-    flat = _sample_contraction_flat(param, rng, 1 if size is None else int(size),
-                                    _stall_window, _stall_rate)
-    if param.q == 1:
-        out = flat.reshape(-1, 1, 1)
-    else:
-        out = flat
-    return out if size is not None else out[0]
+    v = haar_block(param.nu, param.q, param.field, rng, 1 if size is None else int(size))
+    return v if size is not None else v[0]
 
 
-def _sample_contraction_flat(param, rng, n, stall_window=10**7, stall_rate=1e-6):
-    """Core rejection loop; returns (n,) scalars for q = 1, else (n, q, q)."""
-    e = param.mu - param.rho
-    if e < 0:
-        raise ValueError(
-            f"contraction sampler requires mu >= rho (mu={param.mu}, rho={param.rho}); "
-            "for rho-1 < mu < rho the uniform-proposal acceptance is unbounded")
-    q, field = param.q, param.field
-    if q == 1:
-        out = np.empty(n, dtype=cl.field_dtype(field))
-    else:
-        out = np.empty((n, q, q), dtype=cl.field_dtype(field))
-    filled = 0
-    proposals = 0
-    accepts = 0
-    while filled < n:
-        k = int(min(max(2 * (n - filled), 1024), 4_000_000))
-        v = _propose(e, q, field, rng, k)
-        in_ball, logdet, tr = _ball_stats(v, q)
-        if e >= 0.5:
-            # validity of the Gaussian envelope: log det(I-vv*) + tr(v v*) <= 0
-            gap = np.where(in_ball, logdet + tr, 0.0)
-            if not np.all(gap <= 1e-9):
-                raise NumericalFailureError("rejection envelope violated", payload=v)
-            log_acc = e * gap
-        else:
-            log_acc = e * np.where(in_ball, logdet, 0.0)
-        u = rng.random(k)
-        acc = in_ball & (np.log(u) < log_acc)
-        take = min(int(np.count_nonzero(acc)), n - filled)
-        if take:
-            out[filled:filled + take] = v[acc][:take]
-            filled += take
-        proposals += k
-        accepts += int(np.count_nonzero(acc))
-        if proposals >= stall_window and accepts < stall_rate * proposals:
-            raise SamplerStallError(param.mu, param.q, proposals, accepts)
-    return out
+def _sample_contraction_flat(param, rng, n):
+    """n contraction draws: (n,) scalars for q = 1, else (n, q, q)."""
+    v = haar_block(param.nu, param.q, param.field, rng, n)
+    return v.reshape(n) if param.q == 1 else v
 
 
 def _propose(e, q, field, rng, k):
+    """k importance-sampling proposals for :func:`kappa_mu`: Gaussian with
+    coordinate variance 1/(2e) for e >= 1/2, else uniform on the Frobenius
+    ball of radius sqrt(q), which encloses D_q; (k,) for q = 1."""
     dim = (1 if field == cl.REAL else 2) * q * q
     if e >= 0.5:
         scale = 1.0 / math.sqrt(2.0 * e)
@@ -169,16 +134,6 @@ def _ball_stats(v, q):
         in_ball = lam < 1.0
         logdet = np.log1p(-np.where(in_ball, lam, 0.0))
         return in_ball, logdet, lam
-    if q == 2:
-        # closed forms: for M = v v*, det(I-M) = 1 - tr M + det M and
-        # (2x2 hermitian) I-M is PD iff its trace and determinant are positive
-        trm = np.sum(np.abs(v) ** 2, axis=(-2, -1))
-        detv = v[..., 0, 0] * v[..., 1, 1] - v[..., 0, 1] * v[..., 1, 0]
-        detm = np.abs(detv) ** 2
-        det_i = 1.0 - trm + detm
-        in_ball = (det_i > 0.0) & (2.0 - trm > 0.0)
-        logdet = np.log(np.where(in_ball, det_i, 1.0))
-        return in_ball, logdet, trm
     m = np.einsum("...ij,...kj->...ik", v, np.conj(v))
     lam = np.linalg.eigvalsh(cl.herm_part(m))
     lam = np.maximum(lam, 0.0)
@@ -218,12 +173,13 @@ def kappa_mu(param: BesselParam, n_samples: int,
     """Importance-sampling estimate of the normalization constant.
 
     kappa = integral over D_q of det(I - v*v)^(mu-rho) dv.  The sampler
-    never needs it (rejection is self-normalizing); this exists for
-    validation against quadrature.  Returns (estimate, standard error).
+    never needs it; this exists for validation against quadrature.
+    Returns (estimate, standard error).  Below mu = rho the weights
+    det(I - v*v)^(mu-rho) are unbounded, so such indices are refused.
     """
     e = param.mu - param.rho
     if e < 0:
-        raise ValueError("kappa estimation requires mu >= rho")
+        raise ValueError(f"kappa estimation requires mu >= rho (mu={param.mu}, rho={param.rho})")
     q, field = param.q, param.field
     dim = (1 if field == cl.REAL else 2) * q * q
     if e >= 0.5:

@@ -72,26 +72,6 @@ def trace_herm(a: np.ndarray) -> np.ndarray | float:
     return float(out) if np.ndim(out) == 0 else out
 
 
-def eig_herm(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a (stacked) hermitian array.
-
-    Returns (eigenvalues ascending, eigenvectors as columns).  Eigenvector
-    columns follow a deterministic sign convention: the entry of largest
-    modulus (first such index on ties) is made real and positive.
-    """
-    a = herm_part(np.asarray(a))
-    w, u = _eigh(a)
-    piv_idx = np.argmax(np.abs(u), axis=-2)
-    pivots = np.take_along_axis(u, piv_idx[..., None, :], axis=-2)[..., 0, :]
-    mod = np.abs(pivots)
-    safe = np.where(mod > 0, mod, 1.0)
-    phase = np.where(mod > 0, pivots / safe, 1.0)
-    u = u * np.conj(phase)[..., None, :]
-    if not np.iscomplexobj(a):
-        u = u.real
-    return w, u
-
-
 def clamp_psd(a: np.ndarray, tol: float = EPS_PSD) -> np.ndarray:
     """Project a hermitian array onto the PSD cone.
 

@@ -2,7 +2,7 @@
 
 
 class NumericalFailureError(RuntimeError):
-    """An eigensolver, accumulation or sampler step produced garbage.
+    """An eigensolver or a walk accumulation produced garbage.
 
     Carries the offending array (when available) in ``payload``.
     """
@@ -16,21 +16,6 @@ class ConeViolationError(NumericalFailureError):
     """A matrix that should lie in the PSD cone has an eigenvalue below
     the clamping tolerance.  This signals an implementation bug in the
     caller, not a recoverable state."""
-
-
-class SamplerStallError(NumericalFailureError):
-    """A rejection sampler accepted essentially nothing over a large
-    proposal window."""
-
-    def __init__(self, mu, q, proposals, accepts):
-        super().__init__(
-            f"contraction sampler stalled: mu={mu}, q={q}: "
-            f"{accepts} accepts in {proposals} proposals"
-        )
-        self.mu = mu
-        self.q = q
-        self.proposals = proposals
-        self.accepts = accepts
 
 
 class UnsupportedFieldError(ValueError):

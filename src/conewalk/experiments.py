@@ -245,8 +245,6 @@ class WalkBesselExperiment:
             param = BesselParam(cfg["mu"], cfg["q"], cfg["d"])
         except ValueError as exc:
             raise ConfigError("mu", str(exc)) from exc
-        if cfg["mu"] < param.rho:
-            raise ConfigError("mu", f"sampler requires mu >= rho = {param.rho}")
         law = law_from_spec(cfg["law"])
         if law.q != cfg["q"] or law.field != param.field:
             raise ConfigError("law", "law dimensions must match (q, d)")
@@ -417,7 +415,8 @@ class KappaExperiment:
             except ValueError as exc:
                 raise ConfigError("mu_grid", str(exc)) from exc
             if m < param.rho:
-                raise ConfigError("mu_grid", f"mu={m} below rho={param.rho}")
+                raise ConfigError("mu_grid", f"mu={m} below rho={param.rho}: the kappa "
+                                  "estimate and its quadrature reference need mu >= rho")
         return cfg, []
 
     @staticmethod
@@ -502,8 +501,6 @@ class CltCheckExperiment:
                 param = BesselParam(cfg["mu"], law.q, 1 if law.field == cl.REAL else 2)
             except ValueError as exc:
                 raise ConfigError("mu", str(exc)) from exc
-            if cfg["mu"] < param.rho:
-                raise ConfigError("mu", f"sampler requires mu >= rho = {param.rho}")
             index = cfg["mu"]
         if cfg["kind"] in ("CLT1", "CLT2") and law.q != 1:
             raise ConfigError("kind", f"{cfg['kind']} is a q = 1 statistic")
@@ -826,8 +823,6 @@ def _v_mu(spec, idx, q, d, *, need_lemma=False):
         param = BesselParam(mu, q, d)
     except ValueError as exc:
         raise ConfigError(f"checks[{idx}].mu", str(exc)) from exc
-    if mu < param.rho:
-        raise ConfigError(f"checks[{idx}].mu", f"sampler requires mu >= rho = {param.rho}")
     if need_lemma and mu < 2 * param.rho:
         raise ConfigError(f"checks[{idx}].mu",
                           f"comparison bounds require mu >= 2*rho = {2 * param.rho}")
@@ -893,12 +888,9 @@ def _validate_group_consistency(spec, idx):
         raise ConfigError(f"checks[{idx}].p", "needs p >= q")
     mu = p * d / 2.0
     try:
-        param = BesselParam(mu, q, d)
+        BesselParam(mu, q, d)
     except ValueError as exc:
         raise ConfigError(f"checks[{idx}].p", f"mu = p d/2 = {mu}: {exc}") from exc
-    if mu < param.rho:
-        raise ConfigError(f"checks[{idx}].p",
-                          f"sampler requires mu = p d/2 >= rho = {param.rho}")
     law = law_from_spec(spec["law"])
     if law.q != q or law.field != (cl.REAL if d == 1 else cl.COMPLEX):
         raise ConfigError(f"checks[{idx}].law", "law dimensions must match (q, d)")
@@ -909,11 +901,18 @@ def _validate_group_consistency(spec, idx):
             "level": _opt(spec, "level", float, 1e-3, lambda v: 0 < v < 1)}
 
 
-def _validate_character(spec, idx):
+def _v_reference_mu(spec, idx, reference):
+    """mu of a q = 1 real check whose reference is validated only for mu >= rho."""
     mu = float(_req(spec, "mu", (int, float), lambda v: v > 0))
-    param = BesselParam(mu, 1, 1)
-    if mu < param.rho:
-        raise ConfigError(f"checks[{idx}].mu", f"sampler requires mu >= rho = {param.rho}")
+    rho = 1.5  # d (q - 1/2) + 1 at q = d = 1
+    if mu < rho:
+        raise ConfigError(f"checks[{idx}].mu",
+                          f"the {reference} is validated only for mu >= rho = {rho}")
+    return mu
+
+
+def _validate_character(spec, idx):
+    mu = _v_reference_mu(spec, idx, "character series reference")
     return {"check": "character", "mu": mu,
             "r1": float(_req(spec, "r1", (int, float), lambda v: v >= 0)),
             "r2": float(_req(spec, "r2", (int, float), lambda v: v >= 0)),
@@ -923,10 +922,7 @@ def _validate_character(spec, idx):
 
 
 def _validate_contraction_beta(spec, idx):
-    mu = float(_req(spec, "mu", (int, float), lambda v: v > 0))
-    param = BesselParam(mu, 1, 1)
-    if mu < param.rho:
-        raise ConfigError(f"checks[{idx}].mu", f"sampler requires mu >= rho = {param.rho}")
+    mu = _v_reference_mu(spec, idx, "Beta(1/2, mu - 1/2) quadrature CDF")
     return {"check": "contraction-beta", "mu": mu,
             "draws": _req(spec, "draws", int, lambda v: v >= 8),
             "ks_max": float(_req(spec, "ks_max", (int, float), lambda v: v > 0))}

@@ -62,38 +62,85 @@ def stiefel_block(p: int, q: int, field: str, rng: np.random.Generator,
 
     With G = [G1; G2] Gaussian (G1 the top q x q block), the polar frame is
     G (G*G)^{-1/2} and its top block is V = G1 (G1*G1 + W)^{-1/2} where
-    W = G2*G2 is Wishart with p - q degrees of freedom; W is drawn by the
-    Bartlett factorization, so p never enters the matrix sizes.
+    W = G2*G2 is Wishart with p - q degrees of freedom: :func:`haar_block`
+    at nu = p - q, so p never enters the matrix sizes.
     """
     if p < q:
         raise ValueError("stiefel block requires p >= q")
     if p == q:
         # the block is the whole frame: a Haar unitary, best taken from QR
         return sample_stiefel_frame(p, q, field, rng, size)
-    n = 1 if size is None else int(size)
-    g1 = _std_entries(rng, (n, q, q), field)
-    m = cl.herm_part(np.swapaxes(np.conj(g1), -1, -2) @ g1)
-    dof = p - q
-    if dof > 0:
-        if dof >= q:
-            w = _wishart_bartlett(q, dof, field, rng, n)
-        else:
-            g2 = _std_entries(rng, (n, dof, q), field)
-            w = cl.herm_part(np.swapaxes(np.conj(g2), -1, -2) @ g2)
-        m = m + w
-    v = g1 @ cl.psd_inv_sqrt(m)
+    v = haar_block(p - q, q, field, rng, 1 if size is None else int(size))
     return v if size is not None else v[0]
 
 
-def _wishart_bartlett(q: int, dof: int, field: str, rng: np.random.Generator,
+def haar_block(nu: float, q: int, field: str, rng: np.random.Generator,
+               n: int) -> np.ndarray:
+    """n draws, shape (n, q, q), of v = G1 (G1*G1 + W)^{-1/2} with G1 a
+    standard Gaussian q x q block and W ~ Wishart(I_q, nu) independent.
+
+    At an integer nu = p - q this is the top block of a Haar q-frame in
+    F^p.  For every real nu > q - 1 its density on the contraction ball
+    is proportional to det(I - v v*)^(d (nu - q + 1) / 2 - 1) (Muirhead,
+    Aspects of Multivariate Statistical Theory, 1982, Thm 3.2.14 and
+    Sec. 3.3), which is the index-mu contraction density at
+    nu = 2 mu / d - q.  There W is drawn by the Bartlett factorization,
+    whose chi-square (gamma over C) degrees of freedom need not be
+    integers; at an integer 0 < nu <= q - 1, where W is singular, it is
+    G2*G2 for a Gaussian nu x q block G2.  q = 1 is v = g / sqrt(|g|^2 + c)
+    with c ~ W, and q = 2 assembles the Gram matrix G1*G1 + W and the
+    product elementwise.
+    """
+    if not (nu > q - 1 or (nu == int(nu) and nu >= 1)):
+        raise ValueError(f"Wishart degrees of freedom nu={nu} need nu > q - 1 = {q - 1} "
+                         "or a positive integer")
+    g1 = _std_entries(rng, (n, q, q), field)
+    if q == 1:
+        g = g1.reshape(n)
+        return (g / np.sqrt(_abs2(g) + _bartlett_diag(nu, field, rng, n))).reshape(n, 1, 1)
+    if q == 2 and nu > 1:
+        c0 = _bartlett_diag(nu, field, rng, n)
+        c1 = _bartlett_diag(nu - 1, field, rng, n)
+        b = _std_entries(rng, n, field)
+        g00, g01, g10, g11 = g1[:, 0, 0], g1[:, 0, 1], g1[:, 1, 0], g1[:, 1, 1]
+        gram = np.empty_like(g1)
+        gram[:, 0, 0] = _abs2(g00) + _abs2(g10) + c0
+        gram[:, 1, 1] = _abs2(g01) + _abs2(g11) + _abs2(b) + c1
+        gram[:, 0, 1] = np.conj(g00) * g01 + np.conj(g10) * g11 + np.sqrt(c0) * np.conj(b)
+        gram[:, 1, 0] = np.conj(gram[:, 0, 1])
+    else:
+        if nu > q - 1:
+            w = _wishart_bartlett(q, nu, field, rng, n)
+        else:
+            g2 = _std_entries(rng, (n, int(nu), q), field)
+            w = cl.herm_part(np.swapaxes(np.conj(g2), -1, -2) @ g2)
+        gram = cl.herm_part(np.swapaxes(np.conj(g1), -1, -2) @ g1) + w
+    r = cl.psd_inv_sqrt(gram)
+    if q != 2:
+        return g1 @ r
+    # written out: matmul on stacks of complex 2 x 2 matrices is ~10x slower
+    v = np.empty_like(g1)
+    v[:, :, 0] = g1[:, :, 0] * r[:, None, 0, 0] + g1[:, :, 1] * r[:, None, 1, 0]
+    v[:, :, 1] = g1[:, :, 0] * r[:, None, 0, 1] + g1[:, :, 1] * r[:, None, 1, 1]
+    return v
+
+
+def _abs2(x: np.ndarray) -> np.ndarray:
+    """|x|^2 elementwise, without the square root of np.abs."""
+    return x * x if not np.iscomplexobj(x) else x.real * x.real + x.imag * x.imag
+
+
+def _bartlett_diag(dof: float, field: str, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Squared Bartlett diagonal: chi-square(dof) over R, gamma(dof) over C."""
+    return rng.chisquare(dof, n) if field == cl.REAL else rng.gamma(dof, 1.0, n)
+
+
+def _wishart_bartlett(q: int, dof: float, field: str, rng: np.random.Generator,
                       n: int) -> np.ndarray:
-    """Wishart(I_q, dof) draws via the Bartlett factorization (dof >= q)."""
+    """Wishart(I_q, dof) draws via the Bartlett factorization (dof > q - 1)."""
     a = np.zeros((n, q, q), dtype=cl.field_dtype(field))
     for i in range(q):
-        if field == cl.REAL:
-            a[:, i, i] = np.sqrt(rng.chisquare(dof - i, n))
-        else:
-            a[:, i, i] = np.sqrt(rng.gamma(dof - i, 1.0, n))
+        a[:, i, i] = np.sqrt(_bartlett_diag(dof - i, field, rng, n))
         if i > 0:
             a[:, i, :i] = _std_entries(rng, (n, i), field)
     return cl.herm_part(a @ np.swapaxes(np.conj(a), -1, -2))

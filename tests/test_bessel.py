@@ -17,9 +17,14 @@ from conewalk.bessel import (
     run_bessel_walks,
     sample_contraction,
 )
-from conewalk.errors import NumericalFailureError, SamplerStallError, StableRangeError
+from conewalk.errors import StableRangeError
 from conewalk.limit_lab import ks_2samp, ks_distance
-from conewalk.orbit_sampler import GroupWalkConfig, run_group_walks
+from conewalk.orbit_sampler import (
+    GroupWalkConfig,
+    haar_block,
+    run_group_walks,
+    sample_stiefel_frame,
+)
 from conewalk.radial_laws import RadialLaw, law_from_spec, moments
 
 MIX2 = RadialLaw.finite_mixture(
@@ -74,28 +79,61 @@ class TestContractionSampler:
         assert ks <= 0.011
 
     def test_below_rho_rejected(self):
+        # no density exists at mu <= rho - 1 (here rho - 1 = 1/2)
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError):
-            sample_contraction(BesselParam(1.2, 1, 1), rng, 4)
+            sample_contraction(BesselParam(0.5, 1, 1), rng, 4)
 
-    def test_stall_guard(self):
+    def test_beta_marginal_below_rho(self):
+        # rho - 1 < mu = 1.2 < rho: v^2 is still Beta(1/2, mu - 1/2)
+        from scipy.stats import beta
+
         rng = np.random.default_rng(5)
-        with pytest.raises(SamplerStallError):
-            sample_contraction(BesselParam(4.0, 1, 1), rng, 10,
-                               _stall_window=1000, _stall_rate=2.0)
+        n = 30000
+        v = sample_contraction(BesselParam(1.2, 1, 1), rng, n)[:, 0, 0]
+        assert ks_distance(v**2, beta(0.5, 0.7).cdf) <= 0.011
 
-    def test_envelope_violation_raises(self, monkeypatch):
-        # a candidate with log det(I - vv*) + tr(vv*) > 0 breaks the
-        # Gaussian envelope; the check must survive python -O
-        import conewalk.bessel as bessel
+    def test_near_boundary_draws_inside_ball(self):
+        # q = 2 complex, rho - 1 = 3 < mu = 3.2: the mass piles up within
+        # far less than an ulp of the boundary, so "inside" holds up to
+        # rounding; the law still has E tr(v v*) = q^2 d / (2 mu)
+        rng = np.random.default_rng(27)
+        n = 50000
+        v = sample_contraction(BesselParam(3.2, 2, 2), rng, n)
+        assert np.all(np.isfinite(v))
+        sing = np.linalg.eigvalsh(cl.herm_part(v @ np.conj(np.swapaxes(v, -1, -2))))
+        assert np.max(sing) <= 1.0 + 1e-12
+        tr = np.sum(sing, axis=-1)
+        assert abs(tr.mean() - 1.25) <= 4 * tr.std() / np.sqrt(n)
 
-        def violating(v, q):
-            k = v.shape[0]
-            return np.ones(k, dtype=bool), np.zeros(k), np.full(k, 1e-3)
+    @pytest.mark.parametrize("q, d, p", [(2, 1, 5), (2, 2, 3), (3, 1, 7)])
+    def test_integer_index_matches_qr_block(self, q, d, p):
+        # at mu = p d / 2 the contraction draw is the top block of a Haar
+        # frame; the oracle takes it from QR.  (2, 2, 3) is mu = rho - 1,
+        # outside the existence range: there the Wishart part is singular
+        # and only haar_block's integer route reaches it
+        field = cl.REAL if d == 1 else cl.COMPLEX
+        n = 20000
+        rng = np.random.default_rng(100 + p)
+        if p * d / 2 > d * (q - 0.5):
+            v = sample_contraction(BesselParam(p * d / 2, q, d), rng, n)
+        else:
+            v = haar_block(p - q, q, field, rng, n)
+        ref = sample_stiefel_frame(p, q, field, np.random.default_rng(200 + p), n)[:, :q, :]
+        for stat in (lambda x: np.sum(np.abs(x) ** 2, axis=(-2, -1)),
+                     lambda x: x[:, 0, 0].real,
+                     lambda x: np.abs(np.linalg.det(x))):
+            _, pvalue = ks_2samp(stat(v), stat(ref))
+            assert pvalue >= 1e-3
 
-        monkeypatch.setattr(bessel, "_ball_stats", violating)
-        with pytest.raises(NumericalFailureError, match="envelope"):
-            sample_contraction(BesselParam(4.0, 1, 1), np.random.default_rng(27), 10)
+    @pytest.mark.parametrize("mu, q, d", [(2.8, 2, 1), (4.3, 2, 2), (3.8, 3, 1)])
+    def test_mean_square_norm(self, mu, q, d):
+        # E tr(v v*) = q^2 d / (2 mu) at any index
+        rng = np.random.default_rng(31)
+        n = 200000
+        v = sample_contraction(BesselParam(mu, q, d), rng, n)
+        tr = np.sum(np.abs(v) ** 2, axis=(-2, -1))
+        assert abs(tr.mean() - q * q * d / (2 * mu)) <= 4 * tr.std() / np.sqrt(n)
 
     def test_gaussian_branch_boundary(self):
         rng = np.random.default_rng(6)
@@ -153,7 +191,7 @@ class TestConvolve:
         param = BesselParam(3.0, 1, 1)
         from conewalk.bessel import _sample_contraction_flat
 
-        v = _sample_contraction_flat(param, rng, n, 10**7, 1e-6)
+        v = _sample_contraction_flat(param, rng, n)
         t = np.sqrt(np.maximum(s1**2 + s2**2 + 2 * s1 * s2 * v, 0.0))
         se = np.std(t) / np.sqrt(n)
         assert np.mean(t) <= 2 * md.m1 + 4 * se
@@ -177,6 +215,11 @@ class TestSemigroup:
 
 
 class TestKappa:
+    def test_below_rho_refused(self):
+        # the importance weights det(I - v*v)^(mu - rho) are unbounded there
+        with pytest.raises(ValueError, match="kappa"):
+            kappa_mu(BesselParam(1.2, 1, 1), 10, np.random.default_rng(0))
+
     def test_exponent_zero_exact(self):
         rng = np.random.default_rng(13)
         est, se = kappa_mu(BesselParam(1.5, 1, 1), 50000, rng)

@@ -21,40 +21,6 @@ def rand_psd(rng, q, field):
     return cl.herm_part(np.conj(g.T) @ g)
 
 
-class TestEig:
-    def test_identity(self):
-        w, u = cl.eig_herm(np.eye(2))
-        assert np.allclose(w, [1.0, 1.0])
-        recon = u @ np.diag(w) @ u.T
-        assert np.linalg.norm(recon - np.eye(2)) <= 1e-10 * (1 + np.sqrt(2))
-
-    def test_diagonal(self):
-        w, _ = cl.eig_herm(np.diag([3.0, -1.0]))
-        assert np.allclose(w, [-1.0, 3.0])
-
-    def test_hand_characteristic_polynomial(self):
-        # det(A - t I) = (2-t)^2 - 1 gives t in {1, 3}; eigenvectors
-        # solve (A - t)v = 0: (1, -1)/sqrt(2) and (1, 1)/sqrt(2)
-        a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        w, u = cl.eig_herm(a)
-        assert np.allclose(w, [1.0, 3.0], atol=1e-12)
-        s = 1 / np.sqrt(2)
-        assert np.allclose(u[:, 0], [s, -s], atol=1e-12)
-        assert np.allclose(u[:, 1], [s, s], atol=1e-12)
-
-    @pytest.mark.parametrize("field", cl.FIELDS)
-    def test_reconstruction_and_unitarity(self, field):
-        rng = np.random.default_rng(101)
-        for q in (1, 2, 3, 4, 8):
-            for _ in range(25):
-                a = rand_herm(rng, q, field)
-                w, u = cl.eig_herm(a)
-                assert np.all(np.diff(w) >= -1e-14)
-                recon = u @ np.diag(w) @ np.conj(u.T)
-                assert cl.frob_norm(recon - a) <= 1e-10 * (1 + cl.frob_norm(a))
-                assert cl.frob_norm(np.conj(u.T) @ u - np.eye(q)) <= 1e-12
-
-
 class TestPsdSqrt:
     def test_identity(self):
         assert np.allclose(cl.psd_sqrt(np.eye(3)), np.eye(3), atol=1e-12)

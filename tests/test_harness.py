@@ -72,8 +72,28 @@ class TestValidation:
             validate_config(tiny_walk_config(law={"kind": "two_point", "a": 1}))
 
     def test_mu_below_rho_rejected(self):
+        # below the existence range mu > rho - 1 = 1/2 no walk exists
         with pytest.raises(ConfigError, match="mu"):
-            validate_config(tiny_walk_config(mu=1.2))
+            validate_config(tiny_walk_config(mu=0.5))
+
+    def test_mu_between_rho_minus_one_and_rho_accepted(self):
+        cfg, _ = validate_config(tiny_walk_config(mu=1.2))
+        assert cfg["mu"] == 1.2
+
+    def test_axioms_below_rho_only_for_sampler_checks(self):
+        # support-bound needs only draws; contraction-beta's reference
+        # CDF is validated only for mu >= rho
+        support = {"check": "support-bound", "q": 2, "d": 1, "mu": 2.0, "draws": 10}
+        validate_config({"experiment": "axioms", "seed": 1, "checks": [support]})
+        beta = {"check": "contraction-beta", "mu": 1.2, "draws": 10, "ks_max": 0.1}
+        with pytest.raises(ConfigError, match="quadrature CDF"):
+            validate_config({"experiment": "axioms", "seed": 1, "checks": [beta]})
+
+    def test_kappa_below_rho_names_its_reference(self):
+        raw = {"experiment": "kappa", "seed": 1, "q": 1, "d": 1,
+               "mu_grid": [1.2], "n_samples": 10}
+        with pytest.raises(ConfigError, match="quadrature reference"):
+            validate_config(raw)
 
     def test_round_trip_is_identity(self):
         cfg, _ = validate_config(tiny_walk_config())

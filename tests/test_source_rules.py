@@ -44,3 +44,21 @@ def test_no_clamp_inside_psd_sqrt():
              and any(isinstance(arg, ast.Call) and _called_name(arg) == "clamp_psd"
                      for arg in node.args)]
     assert found == []
+
+
+def test_one_inverse_root_caller():
+    # both engines draw v through the one Haar-block sampler, the only
+    # place an inverse square root is taken
+    found = [f"{path.name}:{getattr(top, 'name', top.lineno)}"
+             for path in sorted(SRC.rglob("*.py"))
+             for top in ast.parse(path.read_text()).body
+             for node in ast.walk(top)
+             if isinstance(node, ast.Call) and _called_name(node) == "psd_inv_sqrt"]
+    assert found == ["orbit_sampler.py:haar_block"]
+
+
+def test_no_rejection_stall_error():
+    # the contraction sampler is rejection-free; nothing can stall
+    found = [path.name for path in sorted(SRC.rglob("*.py"))
+             if "SamplerStallError" in path.read_text()]
+    assert found == []
