@@ -140,27 +140,32 @@ CASES = {
 # digests of the outputs as recorded; never regenerate them to make a refactor pass.
 # The q >= 2 cases here and in DRAW_GOLDEN were recorded again once, when the
 # PSD root went from two eigendecompositions to one (a closed form at q = 2),
-# which changed their last bits; the q = 1 cases kept their digests.
+# which changed their last bits; the q = 1 cases kept their digests.  Every
+# case that draws a contraction v was recorded again once more when the
+# rejection sampler gave way to the Bartlett Haar block (other random draws),
+# together with c09, group-q2-polar-real and the two stiefel-q2 draw cases,
+# whose q = 2 Haar-block Gram matrix and product are now written out
+# elementwise (last bits).
 GOLDEN = {
-    "axiom-extras": "d2bfb33a0964c8ae6fb5484399815b51d13dc86f1885d3d8d5f6b78ee2ce32eb",
-    "bessel-q1-complex": "3b2bf1d66b765bd6b49cb48cc34475c30155842297c846589a71858fe0c1e4a6",
-    "bessel-q2-complex": "9e9cdbef9de91460e0762c899c916aa6d33720921771943aff0f1a048133a0ce",
+    "axiom-extras": "8801cc65bd229e777a06fe300c483266532f72d5fbf5130a3300a40fc976c9c8",
+    "bessel-q1-complex": "de1b79c94db7d424d16af1b54f15c60ebfea278c448d4d1b4cc27e7473b00896",
+    "bessel-q2-complex": "c2a4b76e02cc078b8e1a967502f3d1e74c1b025a8230920ce7875befbdbc9a39",
     "c01": "4e2291d018d98570858a74415f04bd64b9e7c8a7682217eeb2769fd871b0df73",
-    "c02": "f521056fbd4b9bae9122ae8557eb2d3b2c25bd574fef80b8c46e2904878845e2",
-    "c03": "f0bdaa7ee78e3d3d69b2980ae5e20ed1cf990ce1c160f921e6718a4c95991ddd",
-    "c04": "d8d6c30b9250ceb6c961b68a384adb5df4788252bc5f6265b7391bc388c21238",
-    "c05": "a3cf94a2e1f0610d284478548839775b5f006c88c314f1ba9d4b5524b178a507",
+    "c02": "c0be12b09cdaab8dd6e6a9bfe2dd17537f7b983909dad8432ce57c2ffc19a680",
+    "c03": "078a907c3000a4f0213deab45c34aaa4509dd7cdf2861452d3fe457943ef4cc3",
+    "c04": "0563cf30b71fc1a48423ed61c5a97b3a88f03ecd62fdcd2ffe14dae5dafbd25c",
+    "c05": "0af6909d25845d03322ba660302e86c69df20c191eb27d1114cf17ce63d6286b",
     "c06": "70c64ad17cc4e0f6cee93b46ed0bb32bb68fbf3b26cffdf03f6a199c5ee0e878",
-    "c07": "8de0e6a52870c7ee3daf8e9f90b2f4c130b5d4534ef37050be2c5c03ec81d2ca",
+    "c07": "053381bc3cba23b5821d9389d4af831a48a602ed80606b31d5123b34233ebb04",
     "c08": "f241ce0ceec44f4c7f24a3cf1bf3d78199e3507389866f7e458c7a7487106c27",
-    "c09": "37e77c8288685f04e71859297519bfb6ef3b1617adc4252477b4ac8ed7e533af",
+    "c09": "5b0e4df3f46c8ca86ed10131936da7c38f1ecc0ae42f65f20cbbb7b3b6491131",
     "c10": "69ad9462a399ab0aac34e68d476278147643bf164659ee3a0c1b3f2df5204519",
-    "c11": "79be1c41e8b74011a2370c313f7dcc3bd015201ef26033608a33b4876e90da99",
+    "c11": "742eea399fdf1a9758994f37849c099daad89216e4ec9db106a8687f84368b49",
     "c12a": "040e29cdb14c3113d7d390dcfe22016e0b0c00c4d9fd436096199782b0d4e431",
-    "c12b": "6d23dc269495fd2ad5c0c2bdd8bc28b87f678aee8333871014f2b40a92531340",
-    "convolve-q1": "9f8e863c88b7fbfc4c4ae49ad63c95810db2018d94b2f0fb95d90e7b18e80103",
-    "demo-convolve": "b3eeb293669217ae4aec101de500d338458bd80c54614f326de59ec72250761e",
-    "demo-walk-bessel": "9f45a2d38c70813f5b6bf00ee1c3393e500f0b3fb281c29d81473b5d6b7a11e1",
+    "c12b": "70238bed6b5e98b0dda2b7e79d8aa16f24fc9818a3b175267aabb688eb707f83",
+    "convolve-q1": "0b45a1a04272933c0252b9aafe14ff298da6d21686d0ed83e9b5b0a42450c408",
+    "demo-convolve": "1cfdb4bcb2eab48d425a40c475a4becf7bdda6c86ff44f3d5ce639a5d279d39f",
+    "demo-walk-bessel": "130d8b6362778b70166809de23ed7f3ca269c6a46850b3ba612110c2ab9926e9",
     "demo-walk-group": "f119a93bcc4e3653f3642b250043520b3d531123ab7d94b9de1fa722fc2e5cc6",
     "extras-clt1": "8e02c9ea40b7de2ca4c568f985ef9fdc310cef714a335465b07882384b070bdf",
     "group-q1-direct-complex": "79bffee1089f8a06e3e08d6c388ed2a1d16c3d182bd6259a0fb8e3044b57d0d0",
@@ -168,7 +173,7 @@ GOLDEN = {
     "group-q1-polar-complex": "cbeabfac57a1fca22b3248388d4299c7d0018491af4155e14d0fe2a38068d70a",
     "group-q2-direct-complex": "96e131a03d98709b4a94f017f8f6e45e8cf2753dcf1f056b99a0b7ca367bc6bd",
     "group-q2-polar-complex": "52b767e9ce40c97785148067551c9910117c77230e3b5919b155e7d197daf21c",
-    "group-q2-polar-real": "1824910f1f5538fc8eaf6baa69c79c3882507330983e6ed67c0a08140b05cc20",
+    "group-q2-polar-real": "e55244e051deba840f0fa49e837556703dea7ee047daf3ca3880ce0d1380651d",
 }
 
 
@@ -273,12 +278,12 @@ DRAW_CASES = {
 DRAW_GOLDEN = {
     "cone-step-q2-complex": "5a8c47b500bc0269f53d1e32641bbc9eb82ff211fd99c02ddc796ed0ab18b8b1",
     "cone-step-q2-real": "d9680f07fdb0c3644057014a4914b02b70f2e1675280b5f9fa7b038600fb110c",
-    "convolve-q1-matrix": "49b46b999b3caec2277a3673d1e6d5979b4a2db4a369b31694925ae380ec95b0",
-    "convolve-q2-complex": "3261ecea2a2141ee071bf77eef18ad7d130202966f6ae9952cf5d5d75d99eb33",
-    "convolve-q2-real": "7d3aea0a712e459d9acf353f2bf1217b5b3677c080da09c28662c8c72c1b125d",
-    "stiefel-q2-complex-small-dof": "02ec5329466f28d49ff4f86ffd4dc4731011d5fed560f8a8a3022f36f3054c06",
-    "stiefel-q2-real": "f7e3105f7333a43bff9ebcf28e5dec261cf12a09e7ab13886bd7a043eec5fa46",
-    "support-bound-q3-real": "ce83aabbac1a2f78a32ee4825656b730361b3da770c41d0351f373d34a025940",
+    "convolve-q1-matrix": "a5df39495a64b98ccccf5b35d8aa741122fb21dbdea0da1139830b5f99ec8dce",
+    "convolve-q2-complex": "78dce275550c0599be549a7c309a8407c8543bd8bd7dc73fd392cf9b24fd620d",
+    "convolve-q2-real": "a3291e10049ddc5ec8a95131c7c0b0a097581a9305065711ed5c0333a7b26ef8",
+    "stiefel-q2-complex-small-dof": "6c91dffafe9b50412fbaf40d43de9398cbe3f186c44104fdcb267982ab89c472",
+    "stiefel-q2-real": "32e5e38c65e8bf2731ef0024c71c36376d7a92d8ee6d24c4a3ab0faf276ab215",
+    "support-bound-q3-real": "e2ca14c3fab3c3ff414ef663f280963ed8d490eba69fb5937ddce7527c1ed7da",
     "wishart-root-q2-complex": "415724bb0c5173906f8d933ec395ec853af223623d088ab86837a0eea1784f4f",
     "wishart-root-q2-real": "0358355caddc8f8c760d4cf09214da1401b36ebe75d33c489e83dd5b4a3a4140",
 }
