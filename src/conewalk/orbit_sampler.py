@@ -99,6 +99,8 @@ def haar_block(nu: float, q: int, field: str, rng: np.random.Generator,
         g = g1.reshape(n)
         return (g / np.sqrt(_abs2(g) + _bartlett_diag(nu, field, rng, n))).reshape(n, 1, 1)
     if q == 2 and nu > 1:
+        # Bartlett factor [[sqrt(c0), 0], [b, sqrt(c1)]], drawn in the order
+        # of _wishart_bartlett; W = A A* and G1*G1 written out
         c0 = _bartlett_diag(nu, field, rng, n)
         c1 = _bartlett_diag(nu - 1, field, rng, n)
         b = _std_entries(rng, n, field)

@@ -88,6 +88,10 @@ class TestValidation:
         beta = {"check": "contraction-beta", "mu": 1.2, "draws": 10, "ks_max": 0.1}
         with pytest.raises(ConfigError, match="quadrature CDF"):
             validate_config({"experiment": "axioms", "seed": 1, "checks": [beta]})
+        # below the existence range too it is a config error, not a bare ValueError
+        char = {"check": "character", "mu": 0.3, "r1": 1, "r2": 1, "s": 1, "draws": 10}
+        with pytest.raises(ConfigError, match="character series"):
+            validate_config({"experiment": "axioms", "seed": 1, "checks": [char]})
 
     def test_kappa_below_rho_names_its_reference(self):
         raw = {"experiment": "kappa", "seed": 1, "q": 1, "d": 1,
