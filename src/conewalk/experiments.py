@@ -357,8 +357,8 @@ class ConvolveExperiment:
     def run_block(cfg, task):
         rng = rng_for(cfg["seed"], task["cell"], task["block"])
         field = cl.REAL if cfg["d"] == 1 else cl.COMPLEX
-        r = cl.clamp_psd(_matrix_from_spec(cfg, "r", field))
-        s = cl.clamp_psd(_matrix_from_spec(cfg, "s", field))
+        r = _matrix_from_spec(cfg, "r", field)
+        s = _matrix_from_spec(cfg, "s", field)
         param = BesselParam(cfg["mu"], cfg["q"], cfg["d"])
         t = convolve_points(r, s, param, rng, task["size"])
         tr = cl.trace_herm(t @ t)
@@ -371,8 +371,8 @@ class ConvolveExperiment:
     @staticmethod
     def reduce(cfg, partials):
         field = cl.REAL if cfg["d"] == 1 else cl.COMPLEX
-        r = cl.clamp_psd(_matrix_from_spec(cfg, "r", field))
-        s = cl.clamp_psd(_matrix_from_spec(cfg, "s", field))
+        r = _matrix_from_spec(cfg, "r", field)
+        s = _matrix_from_spec(cfg, "s", field)
         count, mean, se = pooled_mean_se(partials, "sum_tr", "sum_tr2")
         expected = float(cl.trace_herm(r @ r) + cl.trace_herm(s @ s))
         ratio = diff_over_se(abs(mean - expected), se)
@@ -984,8 +984,8 @@ def _run_commutativity(cfg, spec, task):
     q, d = spec["q"], spec["d"]
     field = cl.REAL if d == 1 else cl.COMPLEX
     param = BesselParam(spec["mu"], q, d)
-    r = cl.clamp_psd(_matrix_from_spec(spec, "r", field))
-    s = cl.clamp_psd(_matrix_from_spec(spec, "s", field))
+    r = _matrix_from_spec(spec, "r", field)
+    s = _matrix_from_spec(spec, "s", field)
     rng_a = rng_for(cfg["seed"], task["cell"], task["block"], 0)
     rng_b = rng_for(cfg["seed"], task["cell"], task["block"], 1)
     t_rs = convolve_points(r, s, param, rng_a, task["size"])

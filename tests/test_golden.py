@@ -145,7 +145,9 @@ CASES = {
 # rejection sampler gave way to the Bartlett Haar block (other random draws),
 # together with c09, group-q2-polar-real and the two stiefel-q2 draw cases,
 # whose q = 2 Haar-block Gram matrix and product are now written out
-# elementwise (last bits).
+# elementwise (last bits).  demo-convolve was recorded again when the
+# convolve family stopped re-clamping its point matrices through a second
+# eigendecomposition (last bits of r and s).
 GOLDEN = {
     "axiom-extras": "8801cc65bd229e777a06fe300c483266532f72d5fbf5130a3300a40fc976c9c8",
     "bessel-q1-complex": "de1b79c94db7d424d16af1b54f15c60ebfea278c448d4d1b4cc27e7473b00896",
@@ -164,7 +166,7 @@ GOLDEN = {
     "c12a": "040e29cdb14c3113d7d390dcfe22016e0b0c00c4d9fd436096199782b0d4e431",
     "c12b": "70238bed6b5e98b0dda2b7e79d8aa16f24fc9818a3b175267aabb688eb707f83",
     "convolve-q1": "0b45a1a04272933c0252b9aafe14ff298da6d21686d0ed83e9b5b0a42450c408",
-    "demo-convolve": "1cfdb4bcb2eab48d425a40c475a4becf7bdda6c86ff44f3d5ce639a5d279d39f",
+    "demo-convolve": "dd576a0647acdf26603473340b23dbf525487bfc66dae1ae8ea24fcdc0ee90a8",
     "demo-walk-bessel": "130d8b6362778b70166809de23ed7f3ca269c6a46850b3ba612110c2ab9926e9",
     "demo-walk-group": "f119a93bcc4e3653f3642b250043520b3d531123ab7d94b9de1fa722fc2e5cc6",
     "extras-clt1": "8e02c9ea40b7de2ca4c568f985ef9fdc310cef714a335465b07882384b070bdf",
