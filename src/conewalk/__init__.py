@@ -10,8 +10,8 @@ from .bessel import (
     ClippedQuadraticForm,
     bessel_character_1d,
     convolve_points,
+    kappa_exact,
     kappa_mu,
-    kappa_quadrature_1d,
     run_bessel_walks,
     sample_contraction,
 )

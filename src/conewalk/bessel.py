@@ -29,9 +29,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from . import cone_linalg as cl
-from .errors import StableRangeError
 from .orbit_sampler import (
     WalkTrajectory,
     checkpoint_tuple,
@@ -41,10 +41,6 @@ from .orbit_sampler import (
     zero_radial,
 )
 from .radial_laws import RadialLaw
-
-# series evaluation of the one-dimensional character
-_SERIES_F64_MAX = 12.0   # float64 term-recurrence is reliable up to here
-_SERIES_ARG_MAX = 200.0  # beyond this the validated accuracy claim ends
 
 
 @dataclass(frozen=True)
@@ -173,7 +169,7 @@ def kappa_mu(param: BesselParam, n_samples: int,
     """Importance-sampling estimate of the normalization constant.
 
     kappa = integral over D_q of det(I - v*v)^(mu-rho) dv.  The sampler
-    never needs it; this exists for validation against quadrature.
+    never needs it; this exists for validation against :func:`kappa_exact`.
     Returns (estimate, standard error).  Below mu = rho the weights
     det(I - v*v)^(mu-rho) are unbounded, so such indices are refused.
     """
@@ -206,18 +202,19 @@ def kappa_mu(param: BesselParam, n_samples: int,
     return const * mean, const * math.sqrt(var / n_samples)
 
 
-def kappa_quadrature_1d(mu: float, d: int = 1) -> float:
-    """q = 1 reference value of kappa by adaptive quadrature."""
-    from scipy.integrate import quad
+def kappa_exact(param: BesselParam) -> float:
+    """kappa = integral over D_q of det(I - v*v)^(mu-rho) dv in closed form,
 
-    rho = d * 0.5 + 1.0
-    if mu < rho:
-        raise ValueError("quadrature reference requires mu >= rho")
-    if d == 1:
-        val, _ = quad(lambda t: (1.0 - t * t) ** (mu - 1.5), -1.0, 1.0)
-    else:
-        val, _ = quad(lambda t: 2.0 * math.pi * t * (1.0 - t * t) ** (mu - 2.0), 0.0, 1.0)
-    return val
+        pi^(d q^2/2) prod_{j<q} Gamma(mu - d q/2 - j d/2) / Gamma(mu - j d/2),
+
+    by Hua's integral (Faraut & Koranyi, Analysis on Symmetric Cones, 1994).
+    Every Gamma argument is positive over the existence range mu > rho - 1.
+    """
+    mu, q, d = param.mu, param.q, param.d
+    log_kappa = 0.5 * d * q * q * math.log(math.pi)
+    for j in range(q):
+        log_kappa += math.lgamma(mu - 0.5 * d * q - 0.5 * j * d) - math.lgamma(mu - 0.5 * j * d)
+    return math.exp(log_kappa)
 
 
 @dataclass(frozen=True)
@@ -258,71 +255,21 @@ def run_bessel_walks(cfg: BesselWalkConfig, rng: np.random.Generator,
 def bessel_character_1d(mu: float, r, s) -> np.ndarray | float:
     """The q = 1 character value j_{mu-1}(r s) = 0F1(mu; -(r s)^2 / 4).
 
-    Series summation with the term-ratio recurrence; float64 for small
-    arguments, arbitrary precision (same recurrence) where float64 would
-    lose the cancellation battle.  Validated relative accuracy 1e-10 for
-    r s <= 50; arguments beyond _SERIES_ARG_MAX raise StableRangeError.
+    Evaluated by scipy.special.hyp0f1, which returns NaN at some arguments
+    of large index: in a narrow band of small r s from about mu = 88 on, and
+    for most r s at mu = 300.  Such arguments raise ValueError.
     """
     if mu <= 0:
         raise ValueError("character requires mu > 0")
     x = np.asarray(r, dtype=np.float64) * np.asarray(s, dtype=np.float64)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     if np.any(x < 0):
         raise ValueError("character arguments must be nonnegative")
-    if np.any(x > _SERIES_ARG_MAX):
-        raise StableRangeError(
-            f"argument {float(np.max(x)):.3g} beyond validated range {_SERIES_ARG_MAX}")
-    out = np.empty_like(x)
-    small = x <= _SERIES_F64_MAX
-    if np.any(small):
-        out[small] = _j_series_f64(mu, x[small])
-    for i in np.nonzero(~small)[0]:
-        out[i] = _j_series_mp(mu, float(x[i]))
-    return float(out[0]) if scalar else out
-
-
-def _j_series_f64(mu: float, x: np.ndarray) -> np.ndarray:
-    if x.size == 0:
-        return np.empty_like(x)
-    z = -0.25 * x * x
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    k = 0
-    # terms decay once k exceeds |x|/2; cap is generous
-    kmax = int(np.ceil(np.max(x, initial=0.0))) + 60
-    while k < kmax:
-        term = term * z / ((mu + k) * (k + 1.0))
-        total += term
-        k += 1
-        if np.max(np.abs(term)) < 1e-18 * max(np.max(np.abs(total)), 1e-300):
-            break
-    return total
-
-
-def _j_series_mp(mu: float, x: float) -> float:
-    import mpmath as mp
-
-    # digits must absorb both the alternating-term cancellation (max term
-    # grows like e^x) and the smallness of the oscillation amplitude
-    # Gamma(mu) (2/x)^(mu-1) / sqrt(x)
-    amp_digits = max(0.0, (mu - 1.0) * math.log10(max(x, 2.0) / 2.0)
-                     - math.lgamma(mu) / math.log(10.0))
-    dps = 30 + int(0.45 * x + amp_digits)
-    with mp.workdps(dps):
-        mu_mp = mp.mpf(mu)
-        z = -mp.mpf(x) ** 2 / 4
-        term = mp.mpf(1)
-        total = mp.mpf(1)
-        tiny = mp.mpf(10) ** (-dps)
-        k = 0
-        while True:
-            term = term * z / ((mu_mp + k) * (k + 1))
-            total += term
-            k += 1
-            if k > x / 2 and abs(term) < tiny * max(abs(total), tiny):
-                break
-        return float(total)
+    out = special.hyp0f1(mu, -0.25 * x * x)
+    bad = ~np.isfinite(out)
+    if np.any(bad):
+        raise ValueError(f"0F1(mu; -x^2/4) is not finite in float64 at mu={mu}, "
+                         f"x={float(np.min(x[bad])):.6g}")
+    return float(out) if x.ndim == 0 else out
 
 
 # -- large-index comparison -------------------------------------------------

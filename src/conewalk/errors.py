@@ -26,10 +26,6 @@ class DegenerateDataError(ValueError):
     """Sample batch is degenerate (e.g. singular empirical covariance)."""
 
 
-class StableRangeError(ValueError):
-    """Argument outside the validated accuracy range of a special function."""
-
-
 class ConfigError(ValueError):
     """Experiment configuration failed validation.  ``field`` names the
     offending entry."""

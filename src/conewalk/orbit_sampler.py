@@ -153,7 +153,7 @@ def radial_projection_coeff(p: int, field: str, rng: np.random.Generator,
     """Real part of the q = 1 Haar block: the projection of a uniform unit
     vector in F^p onto a fixed direction.
 
-    Density proportional to (1 - w^2)^{(d(p-1) - 1)/2} on (-1, 1).  Real
+    Density proportional to (1 - w^2)^{(d p - 3)/2} on (-1, 1).  Real
     p = 3 is exactly uniform, real p = 5 has the closed-form inverse CDF
     w = 2 sin(arcsin(u)/3); the general case uses w = g / sqrt(g^2 + c)
     with c chi-square (gamma over C) independent of the Gaussian g.

@@ -163,7 +163,7 @@ def test_criterion_12_sampler_correctness():
     rec_b = run_config("c12b_contraction_beta.json")
     ks = rec_b.checks[0]["ks"]
     worst = max(c["diff_over_se"] for c in rec_k.checks)
-    ok = report(12, "normalization constant vs quadrature; contraction law vs Beta CDF",
+    ok = report(12, "normalization constant vs Hua's closed form; contraction law vs Beta CDF",
                 rec_k.passed and rec_b.passed,
                 f"kappa max |diff|/se = {worst:.2f}; beta KS = {ks:.4f} (<= 0.006)")
     assert ok, f"kappa: {rec_k.checks}, beta: {rec_b.checks}"

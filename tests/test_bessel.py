@@ -11,13 +11,12 @@ from conewalk.bessel import (
     bessel_character_1d,
     convolve_points,
     convolve_points_scalar,
+    kappa_exact,
     kappa_mu,
-    kappa_quadrature_1d,
     paired_composition_diffs,
     run_bessel_walks,
     sample_contraction,
 )
-from conewalk.errors import StableRangeError
 from conewalk.limit_lab import ks_2samp, ks_distance
 from conewalk.orbit_sampler import (
     GroupWalkConfig,
@@ -69,13 +68,13 @@ class TestContractionSampler:
         assert np.max(np.abs(v.mean(axis=0))) <= 4 * se
 
     def test_beta_marginal(self):
-        # v^2 is Beta(1/2, mu - 1/2); quadrature CDF of the same density
-        from conewalk.experiments import _beta_half_cdf
+        # v^2 is Beta(1/2, mu - 1/2)
+        from scipy.stats import beta
 
         rng = np.random.default_rng(3)
         n = 30000
         v = sample_contraction(BesselParam(5.0, 1, 1), rng, n)[:, 0, 0]
-        ks = ks_distance(v**2, _beta_half_cdf(5.0))
+        ks = ks_distance(v**2, beta(0.5, 4.5).cdf)
         assert ks <= 0.011
 
     def test_below_rho_rejected(self):
@@ -224,18 +223,25 @@ class TestKappa:
         rng = np.random.default_rng(13)
         est, se = kappa_mu(BesselParam(1.5, 1, 1), 50000, rng)
         assert est == pytest.approx(2.0, abs=1e-12)
+        # the length of (-1, 1)
+        assert kappa_exact(BesselParam(1.5, 1, 1)) == pytest.approx(2.0, rel=1e-14)
 
     def test_closed_form_value(self):
         rng = np.random.default_rng(14)
         est, se = kappa_mu(BesselParam(2.5, 1, 1), 400000, rng)
         assert abs(est - 4.0 / 3.0) <= 4 * se
+        # integral of (1 - t^2) over (-1, 1); the unit disc's area at d = 2
+        assert kappa_exact(BesselParam(2.5, 1, 1)) == pytest.approx(4.0 / 3.0, rel=1e-14)
+        assert kappa_exact(BesselParam(2.0, 1, 2)) == pytest.approx(math.pi, rel=1e-14)
 
-    def test_against_quadrature(self):
+    def test_against_exact(self):
+        # Hua's closed form against the importance-sampling estimate, at
+        # q = 1 and at matrix indices over R and C
         rng = np.random.default_rng(15)
-        for mu, d in ((6.0, 1), (3.5, 2)):
-            est, se = kappa_mu(BesselParam(mu, 1, d), 400000, rng)
-            ref = kappa_quadrature_1d(mu, d)
-            assert abs(est - ref) <= 4 * se, (mu, d)
+        for mu, q, d in ((6.0, 1, 1), (3.5, 1, 2), (5.0, 2, 1), (8.0, 2, 2), (6.0, 3, 1)):
+            param = BesselParam(mu, q, d)
+            est, se = kappa_mu(param, 400000, rng)
+            assert abs(est - kappa_exact(param)) <= 4 * se, (mu, q, d)
 
 
 class TestBesselWalk:
@@ -303,26 +309,35 @@ class TestCharacter:
         assert bessel_character_1d(1.5, x, 1.0) == pytest.approx(
             math.sin(x) / x, rel=1e-12)
 
-    def test_against_scipy_reference(self):
-        from scipy.special import gamma as gamma_fn, jv
+    def test_against_mpmath_reference(self):
+        # 50-digit 0F1 as the oracle.  The error is measured against the
+        # oscillation envelope min(1, Gamma(mu) (2/x)^(mu-1) |H_{mu-1}(x)|),
+        # |H|^2 = J^2 + Y^2, since |j| <= 1 for mu >= 1/2 and the zeros of
+        # j admit no relative accuracy
+        import mpmath as mp
 
         rng = np.random.default_rng(20)
-        xs = np.concatenate([rng.uniform(0.01, 50.0, 40), [1e-3, 12.0, 49.9]])
-        for mu in (0.7, 1.5, 4.0, 9.3):
-            mine = bessel_character_1d(mu, xs, 1.0)
-            amp = gamma_fn(mu) * (2.0 / xs) ** (mu - 1) * np.abs(jv(mu - 1, xs))
-            ref = gamma_fn(mu) * (2.0 / xs) ** (mu - 1) * jv(mu - 1, xs)
-            # relative accuracy against the oscillation amplitude
-            scale = np.maximum(np.abs(ref), amp * 1e-4) + 1e-300
-            assert np.max(np.abs(mine - ref) / scale) <= 1e-9
+        xs = np.concatenate([rng.uniform(0.01, 200.0, 60), [1e-3, 12.0, 49.9, 200.0]])
+        with mp.workdps(50):
+            for mu in (0.52, 0.6, 1.5, 3.7, 9.3, 40.0):
+                mine = bessel_character_1d(mu, xs, 1.0)
+                nu = mp.mpf(mu) - 1
+                for x, val in zip(xs, mine):
+                    ref = mp.hyp0f1(mu, -mp.mpf(x) ** 2 / 4)
+                    env = min(mp.mpf(1), mp.gamma(mu) * (2 / mp.mpf(x)) ** nu
+                              * mp.sqrt(mp.besselj(nu, x) ** 2 + mp.bessely(nu, x) ** 2))
+                    assert abs(val - ref) <= 1e-11 * env, (mu, x)
 
     def test_eval_is_vectorized(self):
         out = bessel_character_1d(2.0, np.array([0.0, 1.0, 20.0]), 0.5)
         assert out.shape == (3,)
 
     def test_range_error(self):
-        with pytest.raises(StableRangeError):
-            bessel_character_1d(2.0, 500.0, 1.0)
+        # finite far past the old series' x <= 200 at moderate mu; where
+        # float64 0F1 is not finite the value is refused, never returned
+        assert np.isfinite(bessel_character_1d(100.0, 2000.0, 1.0))
+        with pytest.raises(ValueError, match="not finite"):
+            bessel_character_1d(300.0, np.array([1.0, 200.0]), 1.0)
         with pytest.raises(ValueError):
             bessel_character_1d(-1.0, 1.0, 1.0)
 

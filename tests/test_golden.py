@@ -135,6 +135,16 @@ CASES = {
         {"check": "group-consistency", "q": 2, "d": 2, "p": 4, "law": MIX2C,
          "n_steps": 3, "replicates": 2000},
     ),
+    # kappa at a matrix index, in both importance-sampling branches
+    "kappa-q2": {"experiment": "kappa", "name": "kappa-q2", "seed": 4105, "q": 2, "d": 1,
+                 "mu_grid": [2.7, 5.0], "n_samples": 250000},
+    # the q = 1 references at mu = 0.52 < rho, where 47% of the draws of v
+    # round onto |v| = 1
+    "character-mu0.52": _axioms("char052", {"check": "character", "mu": 0.52, "r1": 1.0,
+                                            "r2": 2.0, "s": 0.7, "draws": 3000}),
+    # (ks_max 2.6 / sqrt(draws))
+    "contraction-beta-mu0.52": _axioms("beta052", {"check": "contraction-beta", "mu": 0.52,
+                                                   "draws": 3000, "ks_max": 0.047}),
 }
 
 # digests of the outputs as recorded; never regenerate them to make a refactor pass.
@@ -147,7 +157,9 @@ CASES = {
 # whose q = 2 Haar-block Gram matrix and product are now written out
 # elementwise (last bits).  demo-convolve was recorded again when the
 # convolve family stopped re-clamping its point matrices through a second
-# eigendecomposition (last bits of r and s).
+# eigendecomposition (last bits of r and s).  c05, c12a and c12b were
+# recorded again when their references became scipy.special closed forms
+# (last bits of the character values, of kappa and of the Beta CDF).
 GOLDEN = {
     "axiom-extras": "8801cc65bd229e777a06fe300c483266532f72d5fbf5130a3300a40fc976c9c8",
     "bessel-q1-complex": "de1b79c94db7d424d16af1b54f15c60ebfea278c448d4d1b4cc27e7473b00896",
@@ -156,15 +168,17 @@ GOLDEN = {
     "c02": "c0be12b09cdaab8dd6e6a9bfe2dd17537f7b983909dad8432ce57c2ffc19a680",
     "c03": "078a907c3000a4f0213deab45c34aaa4509dd7cdf2861452d3fe457943ef4cc3",
     "c04": "0563cf30b71fc1a48423ed61c5a97b3a88f03ecd62fdcd2ffe14dae5dafbd25c",
-    "c05": "0af6909d25845d03322ba660302e86c69df20c191eb27d1114cf17ce63d6286b",
+    "c05": "8617b21ad89d860d912b75d0f3c9aeb00a1f09985d5d1c58999eb80e669a5da1",
     "c06": "70c64ad17cc4e0f6cee93b46ed0bb32bb68fbf3b26cffdf03f6a199c5ee0e878",
     "c07": "053381bc3cba23b5821d9389d4af831a48a602ed80606b31d5123b34233ebb04",
     "c08": "f241ce0ceec44f4c7f24a3cf1bf3d78199e3507389866f7e458c7a7487106c27",
     "c09": "5b0e4df3f46c8ca86ed10131936da7c38f1ecc0ae42f65f20cbbb7b3b6491131",
     "c10": "69ad9462a399ab0aac34e68d476278147643bf164659ee3a0c1b3f2df5204519",
     "c11": "742eea399fdf1a9758994f37849c099daad89216e4ec9db106a8687f84368b49",
-    "c12a": "040e29cdb14c3113d7d390dcfe22016e0b0c00c4d9fd436096199782b0d4e431",
-    "c12b": "70238bed6b5e98b0dda2b7e79d8aa16f24fc9818a3b175267aabb688eb707f83",
+    "c12a": "da16732b73d4d0e7d59f0f4a2c9cd8b7060f456230b6d7e484d8318445a3f985",
+    "c12b": "9fcdecc1ccf91c6e99d70627a8dd905c96e9053396aabe10f8f404f7f37042f4",
+    "character-mu0.52": "512b002b5644678ad8481f6b7bf5a6f8e6a7af004f39d4fa14450cc9e350519d",
+    "contraction-beta-mu0.52": "1d8c8ed2c6d98f85edaa1a0ea90063f47e619574facf1fe66255ab0526eb956f",
     "convolve-q1": "0b45a1a04272933c0252b9aafe14ff298da6d21686d0ed83e9b5b0a42450c408",
     "demo-convolve": "dd576a0647acdf26603473340b23dbf525487bfc66dae1ae8ea24fcdc0ee90a8",
     "demo-walk-bessel": "130d8b6362778b70166809de23ed7f3ca269c6a46850b3ba612110c2ab9926e9",
@@ -176,6 +190,7 @@ GOLDEN = {
     "group-q2-direct-complex": "96e131a03d98709b4a94f017f8f6e45e8cf2753dcf1f056b99a0b7ca367bc6bd",
     "group-q2-polar-complex": "52b767e9ce40c97785148067551c9910117c77230e3b5919b155e7d197daf21c",
     "group-q2-polar-real": "e55244e051deba840f0fa49e837556703dea7ee047daf3ca3880ce0d1380651d",
+    "kappa-q2": "7fcb2f5b2135be33ecf1a5fa1798fd368e1dd00e90674698ca062e41fe67374a",
 }
 
 

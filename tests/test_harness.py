@@ -4,8 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conewalk import cone_linalg as cl
 from conewalk.errors import ConfigError
 from conewalk.harness import (
     canonical_json,
@@ -34,6 +38,58 @@ def tiny_walk_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def _matrix_json(rng, q, field):
+    """A PSD matrix plus an anti-hermitian part that canonicalization drops,
+    in its field's JSON form (complex entries as [re, im] pairs)."""
+    g = rng.standard_normal((2, q + 1, q))
+    h = rng.standard_normal((2, q, q))
+    g, h = (g[0], h[0]) if field == cl.REAL else (g[0] + 1j * g[1], h[0] + 1j * h[1])
+    m = np.conj(g.T) @ g + 0.1 * (h - np.conj(h.T))
+    return m.tolist() if field == cl.REAL else np.stack([m.real, m.imag], -1).tolist()
+
+
+def _random_config(rng):
+    """A valid raw config of a random family, with floats, integers given
+    for floats, and matrices in either their plain or their squared key."""
+    q, d = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+    field = cl.REAL if d == 1 else cl.COMPLEX
+    rho = d * (q - 0.5) + 1
+    mu = rho - 1 + float(rng.exponential(5.0)) + 1e-3
+
+    def matrix(key):
+        return {key + ("_squared" if rng.random() < 0.5 else ""): _matrix_json(rng, q, field)}
+
+    law = {"kind": "point_mass", "field": field, **matrix("atom")}
+    if q == 1 and rng.random() < 0.5:
+        law = {"kind": "two_point", "field": field, "a": float(rng.uniform(0, 2)), "b": 2,
+               "p_a": float(rng.random())}
+    n_steps = int(rng.integers(1, 20))
+    walk = {"n_steps": n_steps, "law": law, "replicates": int(rng.integers(1, 10**4)),
+            "checkpoints": sorted({int(c) for c in rng.integers(1, n_steps + 1, 3)})}
+    family = rng.choice(["walk-group", "walk-bessel", "convolve", "kappa", "axioms"])
+    raw = {"experiment": str(family), "seed": int(rng.integers(0, 2**63))}
+    if family == "walk-group":
+        raw |= walk | {"p": q + int(rng.integers(0, 5)), "q": q, "field": field,
+                       "method": str(rng.choice(["auto", "direct", "polar"]))}
+    elif family == "walk-bessel":
+        raw |= walk | {"mu": mu, "q": q, "d": d}
+    elif family == "convolve":
+        raw |= {"q": q, "d": d, "mu": mu, "replicates": 100, **matrix("r"), **matrix("s")}
+    elif family == "kappa":
+        raw |= {"q": q, "d": d, "n_samples": 10,
+                "mu_grid": [rho + float(x) for x in rng.exponential(3.0, 3)]}
+    else:
+        raw["checks"] = [
+            {"check": "commutativity", "q": q, "d": d, "mu": mu, "replicates": 100,
+             **matrix("r"), **matrix("s")},
+            {"check": "character", "mu": 0.5 + float(rng.exponential(3.0)) + 1e-3,
+             "r1": float(rng.random()), "r2": 1, "s": float(rng.random()), "draws": 10},
+            {"check": "contraction-beta", "mu": float(rng.uniform(0.51, 9.0)),
+             "draws": 10, "ks_max": 0.1},
+        ]
+    return raw
 
 
 class TestValidation:
@@ -81,28 +137,40 @@ class TestValidation:
         assert cfg["mu"] == 1.2
 
     def test_axioms_below_rho_only_for_sampler_checks(self):
-        # support-bound needs only draws; contraction-beta's reference
-        # CDF is validated only for mu >= rho
-        support = {"check": "support-bound", "q": 2, "d": 1, "mu": 2.0, "draws": 10}
-        validate_config({"experiment": "axioms", "seed": 1, "checks": [support]})
-        beta = {"check": "contraction-beta", "mu": 1.2, "draws": 10, "ks_max": 0.1}
-        with pytest.raises(ConfigError, match="quadrature CDF"):
-            validate_config({"experiment": "axioms", "seed": 1, "checks": [beta]})
-        # below the existence range too it is a config error, not a bare ValueError
-        char = {"check": "character", "mu": 0.3, "r1": 1, "r2": 1, "s": 1, "draws": 10}
-        with pytest.raises(ConfigError, match="character series"):
-            validate_config({"experiment": "axioms", "seed": 1, "checks": [char]})
+        # support-bound needs only draws, and character and contraction-beta
+        # have closed-form references: all take the existence range
+        # mu > rho - 1, which is mu > 1/2 at q = 1
+        for spec in ({"check": "support-bound", "q": 2, "d": 1, "mu": 2.0, "draws": 10},
+                     {"check": "contraction-beta", "mu": 0.52, "draws": 10, "ks_max": 0.1},
+                     {"check": "character", "mu": 1.2, "r1": 1, "r2": 1, "s": 1,
+                      "draws": 10}):
+            validate_config({"experiment": "axioms", "seed": 1, "checks": [spec]})
+        # below the existence range it is a config error, not a bare ValueError
+        for spec in ({"check": "contraction-beta", "mu": 0.5, "draws": 10, "ks_max": 0.1},
+                     {"check": "character", "mu": 0.3, "r1": 1, "r2": 1, "s": 1,
+                      "draws": 10}):
+            with pytest.raises(ConfigError, match="existence range"):
+                validate_config({"experiment": "axioms", "seed": 1, "checks": [spec]})
 
-    def test_kappa_below_rho_names_its_reference(self):
+    def test_kappa_below_rho_names_its_sampler(self):
         raw = {"experiment": "kappa", "seed": 1, "q": 1, "d": 1,
                "mu_grid": [1.2], "n_samples": 10}
-        with pytest.raises(ConfigError, match="quadrature reference"):
+        with pytest.raises(ConfigError, match="importance sampler"):
             validate_config(raw)
 
     def test_round_trip_is_identity(self):
         cfg, _ = validate_config(tiny_walk_config())
         again, _ = validate_config(json.loads(canonical_json(cfg)))
         assert canonical_json(cfg) == canonical_json(again)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1))
+    def test_canonical_config_round_trips(self, seed):
+        # validate(canonical) == canonical, byte for byte, in every family
+        cfg, _ = validate_config(_random_config(np.random.default_rng(seed)))
+        text = canonical_json(cfg)
+        again, _ = validate_config(json.loads(text))
+        assert canonical_json(again) == text
 
     def test_regime_warning_clt2(self):
         raw = {
@@ -193,12 +261,23 @@ class TestOutputs:
         assert summary["config"]["seed"] == 99
 
     def test_empty_rows_still_valid(self, tmp_path):
-        # kappa with q=2 has no quadrature reference -> no checks, rows exist
-        raw = {"experiment": "kappa", "seed": 3, "q": 2, "d": 1,
-               "mu_grid": [6.0], "n_samples": 2000}
+        # a scan without slope_threshold has rows but no checks
+        raw = {"experiment": "berry-esseen-scan", "seed": 3, "law": TWO_POINT,
+               "p": 3, "n_grid": [4, 8, 16, 32], "replicates": 200}
         cfg, _ = validate_config(raw)
         rec = run_experiment(cfg)
+        assert len(rec.rows) == 4
         assert rec.checks == []
+        assert rec.passed
+
+    def test_kappa_matrix_rows_checked_against_exact(self):
+        # every kappa row, q >= 2 included, has a finite reference and a check
+        raw = {"experiment": "kappa", "seed": 3, "q": 2, "d": 1,
+               "mu_grid": [2.7, 6.0], "n_samples": 20000}
+        cfg, _ = validate_config(raw)
+        rec = run_experiment(cfg)
+        assert all(math.isfinite(row[7]) for row in rec.rows)
+        assert [c["check"] for c in rec.checks] == ["kappa-quadrature"] * 2
         assert rec.passed
 
     def test_empty_record_emission(self, tmp_path):

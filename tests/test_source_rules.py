@@ -62,3 +62,24 @@ def test_no_rejection_stall_error():
     found = [path.name for path in sorted(SRC.rglob("*.py"))
              if "SamplerStallError" in path.read_text()]
     assert found == []
+
+
+
+def _imported_names(tree):
+    """(line, dotted name) of every module and module member an import brings in."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.lineno, node.module
+            yield from ((node.lineno, f"{node.module}.{alias.name}") for alias in node.names)
+
+
+def test_references_from_closed_forms():
+    # the exact references come from scipy.special closed forms, not from
+    # hand-rolled series, quadrature or arbitrary precision
+    found = [f"{path.relative_to(SRC)}:{lineno}"
+             for path in sorted(SRC.rglob("*.py"))
+             for lineno, name in _imported_names(ast.parse(path.read_text()))
+             if name.split(".")[0] == "mpmath" or name.startswith("scipy.integrate")]
+    assert found == []
