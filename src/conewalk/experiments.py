@@ -49,10 +49,6 @@ from .radial_laws import (
 DEFAULT_BLOCK_SIZE = 8192
 MAX_REPLICATE_ROWS = 2_000_000
 
-# the contraction-beta check compares v^2 with its law up to 1 - 2^-40;
-# see _reduce_contraction_beta
-_BETA_TOP = 1.0 - 2.0**-40
-
 AXIOM_CHECKS = (
     "support-bound",
     "commutativity",
@@ -1097,6 +1093,9 @@ def _run_contraction_beta(cfg, spec, task):
     return {"u": v * v}
 
 
+_BETA_TOP = 1.0 - 2.0**-40
+
+
 def _reduce_contraction_beta(spec, parts, cell):
     # v^2 is Beta(1/2, mu - 1/2).  Close to mu = 1/2 that law puts much of
     # its mass within a few ulps of 1, where float64 rounds the draws (47%
@@ -1104,12 +1103,13 @@ def _reduce_contraction_beta(spec, parts, cell):
     # over u <= _BETA_TOP, where rounding moves the CDF by less than 1e-5;
     # the draws above it enter through their count.  With no draw above
     # it, this is the plain KS distance.
+    b = spec["mu"] - 0.5
     x = np.sort(np.concatenate([p["u"] for p in parts]))
     n, k = x.size, int(np.searchsorted(x, _BETA_TOP, side="right"))
-    f = special.betainc(0.5, spec["mu"] - 0.5, x[:k])
+    f = special.betainc(0.5, b, x[:k])
     ks = float(max(np.max(np.arange(1, k + 1) / n - f, initial=0.0),
                    np.max(f - np.arange(k) / n, initial=0.0),
-                   special.betainc(0.5, spec["mu"] - 0.5, _BETA_TOP) - k / n))
+                   special.betainc(0.5, b, _BETA_TOP) - k / n))
     ok = ks <= spec["ks_max"]
     row = ["contraction-beta", cell, _params_str(spec), ks, 0.0,
            math.nan, math.nan, spec["ks_max"], ok]

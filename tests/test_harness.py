@@ -270,6 +270,18 @@ class TestOutputs:
         assert rec.checks == []
         assert rec.passed
 
+    def test_q1_references_near_the_existence_bound(self):
+        # at mu = 0.52, 47% of the draws of v round onto |v| = 1; the KS
+        # distance to the continuous Beta CDF would read 0.47 whatever the
+        # sampler did (ks_max is 2.6 / sqrt(draws))
+        raw = {"experiment": "axioms", "seed": 5, "checks": [
+            {"check": "character", "mu": 0.52, "r1": 1.0, "r2": 2.0, "s": 0.7,
+             "draws": 20000},
+            {"check": "contraction-beta", "mu": 0.52, "draws": 20000, "ks_max": 0.0184}]}
+        cfg, _ = validate_config(raw)
+        rec = run_experiment(cfg)
+        assert rec.passed, rec.checks
+
     def test_kappa_matrix_rows_checked_against_exact(self):
         # every kappa row, q >= 2 included, has a finite reference and a check
         raw = {"experiment": "kappa", "seed": 3, "q": 2, "d": 1,
