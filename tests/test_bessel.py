@@ -333,8 +333,8 @@ class TestCharacter:
         assert out.shape == (3,)
 
     def test_range_error(self):
-        # finite far past the old series' x <= 200 at moderate mu; where
-        # float64 0F1 is not finite the value is refused, never returned
+        # finite at mu = 100, x = 2000; where float64 0F1 is not finite the
+        # value is refused, never returned
         assert np.isfinite(bessel_character_1d(100.0, 2000.0, 1.0))
         with pytest.raises(ValueError, match="not finite"):
             bessel_character_1d(300.0, np.array([1.0, 200.0]), 1.0)
