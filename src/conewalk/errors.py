@@ -28,8 +28,9 @@ class DegenerateDataError(ValueError):
 
 class ConfigError(ValueError):
     """Experiment configuration failed validation.  ``field`` names the
-    offending entry."""
+    offending entry and ``message`` says what is wrong with it."""
 
     def __init__(self, field, message):
         super().__init__(f"config field '{field}': {message}")
         self.field = field
+        self.message = message

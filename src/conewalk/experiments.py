@@ -16,8 +16,10 @@ in task order, which pins floating-point summation order.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import special
@@ -30,8 +32,10 @@ from .bessel import (
     ClippedQuadraticForm,
     bessel_character_1d,
     convolve_points,
+    convolve_points_scalar,
     kappa_exact,
     kappa_mu,
+    paired_composition_diffs,
     run_bessel_walks,
     sample_contraction,
 )
@@ -48,17 +52,7 @@ from .radial_laws import (
 
 DEFAULT_BLOCK_SIZE = 8192
 MAX_REPLICATE_ROWS = 2_000_000
-
-AXIOM_CHECKS = (
-    "support-bound",
-    "commutativity",
-    "m2-additivity",
-    "m1-subadditivity",
-    "group-consistency",
-    "character",
-    "contraction-beta",
-    "mu-scaling",
-)
+_METHODS = ("auto", "direct", "polar")
 
 
 def rng_for(master_seed: int, cell: int, block: int, role: int = 0) -> np.random.Generator:
@@ -66,6 +60,11 @@ def rng_for(master_seed: int, cell: int, block: int, role: int = 0) -> np.random
     seq = np.random.SeedSequence(entropy=int(master_seed),
                                  spawn_key=(int(cell), int(block), int(role)))
     return np.random.Generator(np.random.Philox(seq))
+
+
+def _task_rng(cfg, task, role=0):
+    """The stream of one block task under the config's master seed."""
+    return rng_for(cfg["seed"], task["cell"], task["block"], role)
 
 
 def plan_blocks(cell_sizes, block_size: int) -> list[dict]:
@@ -112,6 +111,35 @@ def law_moments(law: RadialLaw):
     return _MOMENTS_CACHE[key]
 
 
+def _field(d: int) -> str:
+    return cl.REAL if d == 1 else cl.COMPLEX
+
+
+def _group_walk_end(law, p, n, method, rng, size):
+    """A batch of group walks of n steps, recorded at step n only."""
+    wcfg = GroupWalkConfig(p=p, q=law.q, field=law.field, n_steps=n, law=law,
+                           checkpoints=(n,), method=method)
+    return run_group_walks(wcfg, rng, size)
+
+
+def _bessel_walk_end(law, mu, n, rng, size):
+    """A batch of index-mu walks of n steps, recorded at step n only."""
+    param = BesselParam(mu, law.q, 1 if law.field == cl.REAL else 2)
+    wcfg = BesselWalkConfig(param=param, law=law, n_steps=n, checkpoints=(n,))
+    return run_bessel_walks(wcfg, rng, size)
+
+
+def _support_partial(t, r, s, slack):
+    """Points t of the convolution of r and s beyond ||r|| + ||s|| + slack."""
+    excess = cl.frob_norm(t) - (cl.frob_norm(r) + cl.frob_norm(s))
+    return {"violations": int(np.count_nonzero(excess > slack)),
+            "max_excess": float(np.max(excess))}
+
+
+def _support_totals(parts):
+    return sum(p["violations"] for p in parts), max(p["max_excess"] for p in parts)
+
+
 # -- validation helpers ------------------------------------------------------
 
 
@@ -136,10 +164,47 @@ def _opt(raw: dict, field: str, kind, default, cond=None, msg=""):
     return _req(raw, field, kind, cond, msg)
 
 
-def _law_field(raw: dict, field: str = "law") -> dict:
-    if field not in raw:
-        raise ConfigError(field, "missing required field")
-    return normalize_law_spec(raw[field])
+def _law_field(raw: dict, key="law", q=None, field=None) -> dict:
+    """The canonical law spec under key; given q, its dimensions must be
+    (q, field)."""
+    if key not in raw:
+        raise ConfigError(key, "missing required field")
+    spec = normalize_law_spec(raw[key])
+    if q is not None:
+        law = law_from_spec(spec)
+        if law.q != q or law.field != field:
+            raise ConfigError(key, f"law dimensions must match q = {q}, field = {field}")
+    return spec
+
+
+def _param_field(raw: dict, q: int, d: int, lemma=False) -> BesselParam:
+    """The index "mu" in the existence range, and with lemma in the
+    comparison-bound range mu >= 2 rho."""
+    mu = float(_req(raw, "mu", (int, float), lambda v: v > 0, "must be positive"))
+    try:
+        param = BesselParam(mu, q, d)
+        if lemma:
+            param.require_lemma_range()
+    except ValueError as exc:
+        raise ConfigError("mu", str(exc)) from exc
+    return param
+
+
+def _point_matrices(raw: dict, out: dict, q: int, field: str) -> None:
+    """Echo the point matrices r and s into out under the names the input
+    used (key or key_squared); each must be a PSD q x q matrix."""
+    for key in ("r", "s"):
+        used = f"{key}_squared" if f"{key}_squared" in raw else key
+        if used not in raw:
+            raise ConfigError(key, "missing required matrix")
+        try:
+            out[used] = normalize_matrix_spec(raw[used], field)
+        except ValueError as exc:
+            raise ConfigError(used, str(exc)) from exc
+        mat = _matrix_from_spec(out, key, field)
+        if mat.shape != (q, q):
+            raise ConfigError(used, f"expected a {q}x{q} matrix")
+        cl.clamp_psd(mat)  # PSD validation only
 
 
 def _common(raw: dict, experiment: str) -> dict:
@@ -169,6 +234,21 @@ def _checkpoints(raw, n_steps):
     return cps
 
 
+def _walk_fields(raw: dict, cfg: dict, field: str) -> dict:
+    """The fields both walk families share; the law must match (q, field)."""
+    cfg["n_steps"] = _req(raw, "n_steps", int, lambda v: v >= 1, "must be >= 1")
+    cfg["checkpoints"] = _checkpoints(raw, cfg["n_steps"])
+    cfg["law"] = _law_field(raw, "law", cfg["q"], field)
+    cfg["replicates"] = _req(raw, "replicates", int, lambda v: v >= 1, "must be >= 1")
+    cfg["emit"] = _opt(raw, "emit", str, "aggregate",
+                       lambda v: v in ("aggregate", "replicates"))
+    cfg["max_se"] = _opt(raw, "max_se", float, 4.0, lambda v: v > 0)
+    if cfg["emit"] == "replicates" and \
+            cfg["replicates"] * len(cfg["checkpoints"]) > MAX_REPLICATE_ROWS:
+        raise ConfigError("emit", f"replicate emission capped at {MAX_REPLICATE_ROWS} rows")
+    return cfg
+
+
 # -- walk families -----------------------------------------------------------
 
 
@@ -184,24 +264,10 @@ class WalkGroupExperiment:
         cfg["p"] = _req(raw, "p", int, lambda v: v >= 1, "must be >= 1")
         cfg["q"] = _opt(raw, "q", int, 1, lambda v: v >= 1, "must be >= 1")
         cfg["field"] = _opt(raw, "field", str, cl.REAL, lambda v: v in cl.FIELDS)
-        cfg["n_steps"] = _req(raw, "n_steps", int, lambda v: v >= 1, "must be >= 1")
-        cfg["checkpoints"] = _checkpoints(raw, cfg["n_steps"])
-        cfg["law"] = _law_field(raw)
-        cfg["replicates"] = _req(raw, "replicates", int, lambda v: v >= 1, "must be >= 1")
-        cfg["method"] = _opt(raw, "method", str, "auto",
-                             lambda v: v in ("auto", "direct", "polar"))
-        cfg["emit"] = _opt(raw, "emit", str, "aggregate",
-                           lambda v: v in ("aggregate", "replicates"))
-        cfg["max_se"] = _opt(raw, "max_se", float, 4.0, lambda v: v > 0)
+        cfg["method"] = _opt(raw, "method", str, "auto", lambda v: v in _METHODS)
         if cfg["q"] > 1 and cfg["p"] < cfg["q"]:
             raise ConfigError("p", "matrix walks require p >= q")
-        law = law_from_spec(cfg["law"])
-        if law.q != cfg["q"] or law.field != cfg["field"]:
-            raise ConfigError("law", "law dimensions must match (q, field)")
-        if cfg["emit"] == "replicates" and \
-                cfg["replicates"] * len(cfg["checkpoints"]) > MAX_REPLICATE_ROWS:
-            raise ConfigError("emit", f"replicate emission capped at {MAX_REPLICATE_ROWS} rows")
-        return cfg, []
+        return _walk_fields(raw, cfg, cfg["field"]), []
 
     @staticmethod
     def plan(cfg):
@@ -209,18 +275,46 @@ class WalkGroupExperiment:
 
     @staticmethod
     def run_block(cfg, task):
-        rng = rng_for(cfg["seed"], task["cell"], task["block"])
-        law = law_from_spec(cfg["law"])
         wcfg = GroupWalkConfig(p=cfg["p"], q=cfg["q"], field=cfg["field"],
-                               n_steps=cfg["n_steps"], law=law,
+                               n_steps=cfg["n_steps"], law=law_from_spec(cfg["law"]),
                                checkpoints=tuple(cfg["checkpoints"]), method=cfg["method"])
-        traj = run_group_walks(wcfg, rng, task["size"])
-        return _walk_partial(cfg, traj)
+        return _walk_partial(cfg, run_group_walks(wcfg, _task_rng(cfg, task), task["size"]))
 
     @staticmethod
     def reduce(cfg, partials):
         md = law_moments(law_from_spec(cfg["law"]))
-        return _walk_reduce(cfg, partials, md)
+        cps = cfg["checkpoints"]
+        count = sum(p["count"] for p in partials)
+        sum_tr = np.sum([p["sum_tr"] for p in partials], axis=0)
+        sum_tr2 = np.sum([p["sum_tr2"] for p in partials], axis=0)
+        mean, se = mean_se(count, sum_tr, sum_tr2)
+        rows = []
+        checks = []
+        for k, step in enumerate(cps):
+            expected = step * md.m2
+            diff = abs(mean[k] - expected)
+            ratio = diff_over_se(diff, se[k])
+            ok = ratio <= cfg["max_se"]
+            rows.append([step, count, float(mean[k]), float(se[k]), float(expected),
+                         float(diff), float(ratio), ok])
+            checks.append({"check": "m2-additivity", "step": step,
+                           "diff_over_se": float(ratio), "max_se": cfg["max_se"], "pass": ok})
+        out = {
+            "columns": WalkGroupExperiment.columns,
+            "rows": rows,
+            "aggregates": {"replicates": count,
+                           "mean_tr_sq": [float(x) for x in mean],
+                           "expected_tr_sq": [float(s * md.m2) for s in cps]},
+            "checks": checks,
+            "plot": {"columns": ["step", "mean_tr_sq", "se_mean"],
+                     "rows": [[s, float(mean[k]), float(se[k])] for k, s in enumerate(cps)]},
+        }
+        if cfg["emit"] == "replicates":
+            raw = np.concatenate([p["raw_tr"] for p in partials], axis=1)
+            out["replicate_columns"] = WalkGroupExperiment.replicate_columns
+            out["replicate_rows"] = [[step, i, float(raw[k, i])]
+                                     for k, step in enumerate(cps) for i in range(count)]
+        return out
 
 
 class WalkBesselExperiment:
@@ -231,45 +325,21 @@ class WalkBesselExperiment:
     @staticmethod
     def validate(raw):
         cfg = _common(raw, "walk-bessel")
-        cfg["mu"] = _req(raw, "mu", (int, float), lambda v: v > 0, "must be positive")
-        cfg["mu"] = float(cfg["mu"])
         cfg["q"] = _opt(raw, "q", int, 1, lambda v: v >= 1)
         cfg["d"] = _opt(raw, "d", int, 1, lambda v: v in (1, 2), "must be 1 or 2")
-        cfg["n_steps"] = _req(raw, "n_steps", int, lambda v: v >= 1)
-        cfg["checkpoints"] = _checkpoints(raw, cfg["n_steps"])
-        cfg["law"] = _law_field(raw)
-        cfg["replicates"] = _req(raw, "replicates", int, lambda v: v >= 1)
-        cfg["emit"] = _opt(raw, "emit", str, "aggregate",
-                           lambda v: v in ("aggregate", "replicates"))
-        cfg["max_se"] = _opt(raw, "max_se", float, 4.0, lambda v: v > 0)
-        try:
-            param = BesselParam(cfg["mu"], cfg["q"], cfg["d"])
-        except ValueError as exc:
-            raise ConfigError("mu", str(exc)) from exc
-        law = law_from_spec(cfg["law"])
-        if law.q != cfg["q"] or law.field != param.field:
-            raise ConfigError("law", "law dimensions must match (q, d)")
-        if cfg["emit"] == "replicates" and \
-                cfg["replicates"] * len(cfg["checkpoints"]) > MAX_REPLICATE_ROWS:
-            raise ConfigError("emit", f"replicate emission capped at {MAX_REPLICATE_ROWS} rows")
-        return cfg, []
+        cfg["mu"] = _param_field(raw, cfg["q"], cfg["d"]).mu
+        return _walk_fields(raw, cfg, _field(cfg["d"])), []
 
     plan = WalkGroupExperiment.plan
 
     @staticmethod
     def run_block(cfg, task):
-        rng = rng_for(cfg["seed"], task["cell"], task["block"])
-        law = law_from_spec(cfg["law"])
         wcfg = BesselWalkConfig(param=BesselParam(cfg["mu"], cfg["q"], cfg["d"]),
-                                law=law, n_steps=cfg["n_steps"],
+                                law=law_from_spec(cfg["law"]), n_steps=cfg["n_steps"],
                                 checkpoints=tuple(cfg["checkpoints"]))
-        traj = run_bessel_walks(wcfg, rng, task["size"])
-        return _walk_partial(cfg, traj)
+        return _walk_partial(cfg, run_bessel_walks(wcfg, _task_rng(cfg, task), task["size"]))
 
-    @staticmethod
-    def reduce(cfg, partials):
-        md = law_moments(law_from_spec(cfg["law"]))
-        return _walk_reduce(cfg, partials, md)
+    reduce = WalkGroupExperiment.reduce
 
 
 def _walk_partial(cfg, traj):
@@ -282,44 +352,6 @@ def _walk_partial(cfg, traj):
     if cfg["emit"] == "replicates":
         part["raw_tr"] = tr
     return part
-
-
-def _walk_reduce(cfg, partials, md):
-    cps = cfg["checkpoints"]
-    count = sum(p["count"] for p in partials)
-    sum_tr = np.sum([p["sum_tr"] for p in partials], axis=0)
-    sum_tr2 = np.sum([p["sum_tr2"] for p in partials], axis=0)
-    mean, se = mean_se(count, sum_tr, sum_tr2)
-    rows = []
-    checks = []
-    for k, step in enumerate(cps):
-        expected = step * md.m2
-        diff = abs(mean[k] - expected)
-        ratio = diff_over_se(diff, se[k])
-        ok = ratio <= cfg["max_se"]
-        rows.append([step, count, float(mean[k]), float(se[k]), float(expected),
-                     float(diff), float(ratio), ok])
-        checks.append({"check": "m2-additivity", "step": step,
-                       "diff_over_se": float(ratio), "max_se": cfg["max_se"], "pass": ok})
-    out = {
-        "columns": WalkGroupExperiment.columns,
-        "rows": rows,
-        "aggregates": {"replicates": count,
-                       "mean_tr_sq": [float(x) for x in mean],
-                       "expected_tr_sq": [float(s * md.m2) for s in cps]},
-        "checks": checks,
-        "plot": {"columns": ["step", "mean_tr_sq", "se_mean"],
-                 "rows": [[s, float(mean[k]), float(se[k])] for k, s in enumerate(cps)]},
-    }
-    if cfg["emit"] == "replicates":
-        raw = np.concatenate([p["raw_tr"] for p in partials], axis=1)
-        rep_rows = []
-        for k, step in enumerate(cps):
-            for i in range(count):
-                rep_rows.append([step, i, float(raw[k, i])])
-        out["replicate_columns"] = WalkGroupExperiment.replicate_columns
-        out["replicate_rows"] = rep_rows
-    return out
 
 
 # -- convolution family ------------------------------------------------------
@@ -335,50 +367,33 @@ class ConvolveExperiment:
         cfg = _common(raw, "convolve")
         cfg["q"] = _opt(raw, "q", int, 1, lambda v: v >= 1)
         cfg["d"] = _opt(raw, "d", int, 1, lambda v: v in (1, 2))
-        cfg["mu"] = float(_req(raw, "mu", (int, float), lambda v: v > 0))
-        field = cl.REAL if cfg["d"] == 1 else cl.COMPLEX
-        for key in ("r", "s"):
-            used = _canonical_matrix_entry(raw, key, field, cfg, f"{key}")
-            mat = _matrix_from_spec(cfg, key, field)
-            if mat.shape != (cfg["q"], cfg["q"]):
-                raise ConfigError(used, f"expected a {cfg['q']}x{cfg['q']} matrix")
-            cl.clamp_psd(mat)  # PSD validation only
+        cfg["mu"] = _param_field(raw, cfg["q"], cfg["d"]).mu
+        _point_matrices(raw, cfg, cfg["q"], _field(cfg["d"]))
         cfg["replicates"] = _req(raw, "replicates", int, lambda v: v >= 1)
         cfg["slack"] = _opt(raw, "slack", float, 1e-8, lambda v: v >= 0)
         cfg["max_se"] = _opt(raw, "max_se", float, 4.0, lambda v: v > 0)
-        try:
-            BesselParam(cfg["mu"], cfg["q"], cfg["d"])
-        except ValueError as exc:
-            raise ConfigError("mu", str(exc)) from exc
         return cfg, []
 
     plan = WalkGroupExperiment.plan
 
     @staticmethod
     def run_block(cfg, task):
-        rng = rng_for(cfg["seed"], task["cell"], task["block"])
-        field = cl.REAL if cfg["d"] == 1 else cl.COMPLEX
-        r = _matrix_from_spec(cfg, "r", field)
-        s = _matrix_from_spec(cfg, "s", field)
+        r = _matrix_from_spec(cfg, "r", _field(cfg["d"]))
+        s = _matrix_from_spec(cfg, "s", _field(cfg["d"]))
         param = BesselParam(cfg["mu"], cfg["q"], cfg["d"])
-        t = convolve_points(r, s, param, rng, task["size"])
+        t = convolve_points(r, s, param, _task_rng(cfg, task), task["size"])
         tr = cl.trace_herm(t @ t)
-        excess = cl.frob_norm(t) - (cl.frob_norm(r) + cl.frob_norm(s))
         return {"count": task["size"], "sum_tr": float(np.sum(tr)),
-                "sum_tr2": float(np.sum(tr * tr)),
-                "violations": int(np.count_nonzero(excess > cfg["slack"])),
-                "max_excess": float(np.max(excess))}
+                "sum_tr2": float(np.sum(tr * tr)), **_support_partial(t, r, s, cfg["slack"])}
 
     @staticmethod
     def reduce(cfg, partials):
-        field = cl.REAL if cfg["d"] == 1 else cl.COMPLEX
-        r = _matrix_from_spec(cfg, "r", field)
-        s = _matrix_from_spec(cfg, "s", field)
+        r = _matrix_from_spec(cfg, "r", _field(cfg["d"]))
+        s = _matrix_from_spec(cfg, "s", _field(cfg["d"]))
         count, mean, se = pooled_mean_se(partials, "sum_tr", "sum_tr2")
         expected = float(cl.trace_herm(r @ r) + cl.trace_herm(s @ s))
         ratio = diff_over_se(abs(mean - expected), se)
-        violations = sum(p["violations"] for p in partials)
-        max_excess = max(p["max_excess"] for p in partials)
+        violations, max_excess = _support_totals(partials)
         ok = ratio <= cfg["max_se"] and violations == 0
         rows = [[count, mean, se, expected, ratio, violations, max_excess, ok]]
         checks = [
@@ -428,9 +443,8 @@ class KappaExperiment:
 
     @staticmethod
     def run_block(cfg, task):
-        rng = rng_for(cfg["seed"], task["cell"], task["block"])
         param = BesselParam(cfg["mu_grid"][task["cell"]], cfg["q"], cfg["d"])
-        est, se = kappa_mu(param, task["size"], rng)
+        est, se = kappa_mu(param, task["size"], _task_rng(cfg, task))
         # convert back to raw sums so blocks merge exactly
         mean = est
         var = (se**2) * task["size"]
@@ -491,16 +505,11 @@ class CltCheckExperiment:
         warnings = []
         if cfg["engine"] == "group":
             cfg["p"] = _req(raw, "p", int, lambda v: v >= 1)
-            cfg["method"] = _opt(raw, "method", str, "auto",
-                                 lambda v: v in ("auto", "direct", "polar"))
+            cfg["method"] = _opt(raw, "method", str, "auto", lambda v: v in _METHODS)
             index = cfg["p"]
         else:
-            cfg["mu"] = float(_req(raw, "mu", (int, float), lambda v: v > 0))
-            try:
-                param = BesselParam(cfg["mu"], law.q, 1 if law.field == cl.REAL else 2)
-            except ValueError as exc:
-                raise ConfigError("mu", str(exc)) from exc
-            index = cfg["mu"]
+            d = 1 if law.field == cl.REAL else 2
+            index = cfg["mu"] = _param_field(raw, law.q, d).mu
         if cfg["kind"] in ("CLT1", "CLT2") and law.q != 1:
             raise ConfigError("kind", f"{cfg['kind']} is a q = 1 statistic")
         if cfg["kind"] == "CLT1" and cfg["engine"] != "group":
@@ -533,22 +542,17 @@ class CltCheckExperiment:
 
     @staticmethod
     def run_block(cfg, task):
-        rng = rng_for(cfg["seed"], task["cell"], task["block"])
+        rng = _task_rng(cfg, task)
         law = law_from_spec(cfg["law"])
-        md = law_moments(law)
         n = cfg["n_steps"]
         if cfg["engine"] == "group":
-            wcfg = GroupWalkConfig(p=cfg["p"], q=law.q, field=law.field, n_steps=n,
-                                   law=law, checkpoints=(n,), method=cfg["method"])
-            traj = run_group_walks(wcfg, rng, task["size"])
             index = cfg["p"]
+            traj = _group_walk_end(law, index, n, cfg["method"], rng, task["size"])
         else:
-            d = 1 if law.field == cl.REAL else 2
-            wcfg = BesselWalkConfig(param=BesselParam(cfg["mu"], law.q, d),
-                                    law=law, n_steps=n, checkpoints=(n,))
-            traj = run_bessel_walks(wcfg, rng, task["size"])
             index = cfg["mu"]
-        return {"stat": lab.normalize_clt(cfg["kind"], traj.values[0], n, index, md)}
+            traj = _bessel_walk_end(law, index, n, rng, task["size"])
+        stat = lab.normalize_clt(cfg["kind"], traj.values[0], n, index, law_moments(law))
+        return {"stat": stat}
 
     @staticmethod
     def reduce(cfg, partials):
@@ -647,8 +651,7 @@ class BerryEsseenScanExperiment:
         if cfg["n_grid"] != sorted(set(cfg["n_grid"])) or cfg["n_grid"][0] < 1:
             raise ConfigError("n_grid", "must be sorted unique positive integers")
         cfg["replicates"] = _req(raw, "replicates", int, lambda v: v >= 4)
-        cfg["method"] = _opt(raw, "method", str, "auto",
-                             lambda v: v in ("auto", "direct", "polar"))
+        cfg["method"] = _opt(raw, "method", str, "auto", lambda v: v in _METHODS)
         cfg["slope_threshold"] = _opt(raw, "slope_threshold", float, None)
         return cfg, []
 
@@ -658,15 +661,12 @@ class BerryEsseenScanExperiment:
 
     @staticmethod
     def run_block(cfg, task):
-        rng = rng_for(cfg["seed"], task["cell"], task["block"])
         law = law_from_spec(cfg["law"])
-        md = law_moments(law)
         n = cfg["n_grid"][task["cell"]]
-        wcfg = GroupWalkConfig(p=cfg["p"], q=1, field=law.field, n_steps=n,
-                               law=law, checkpoints=(n,), method=cfg["method"])
-        traj = run_group_walks(wcfg, rng, task["size"])
+        traj = _group_walk_end(law, cfg["p"], n, cfg["method"], _task_rng(cfg, task),
+                               task["size"])
         return {"cell": task["cell"],
-                "x": traj.values[0] * (cfg["p"] / (n * md.m2))}
+                "x": traj.values[0] * (cfg["p"] / (n * law_moments(law).m2))}
 
     @staticmethod
     def reduce(cfg, partials):
@@ -715,8 +715,7 @@ class MomentIdentityExperiment:
                 raise ConfigError("grid", "entries must be [n, p] pairs")
             cfg["grid"].append(_numbers("grid", entry, int))
         cfg["replicates"] = _req(raw, "replicates", int, lambda v: v >= 2)
-        cfg["method"] = _opt(raw, "method", str, "auto",
-                             lambda v: v in ("auto", "direct", "polar"))
+        cfg["method"] = _opt(raw, "method", str, "auto", lambda v: v in _METHODS)
         cfg["max_se"] = _opt(raw, "max_se", float, 4.0, lambda v: v > 0)
         return cfg, []
 
@@ -726,14 +725,10 @@ class MomentIdentityExperiment:
 
     @staticmethod
     def run_block(cfg, task):
-        rng = rng_for(cfg["seed"], task["cell"], task["block"])
         law = law_from_spec(cfg["law"])
-        md = law_moments(law)
         n, p = cfg["grid"][task["cell"]]
-        wcfg = GroupWalkConfig(p=p, q=1, field=law.field, n_steps=n,
-                               law=law, checkpoints=(n,), method=cfg["method"])
-        traj = run_group_walks(wcfg, rng, task["size"])
-        y = (traj.values[0] - n * md.m2) ** 2
+        traj = _group_walk_end(law, p, n, cfg["method"], _task_rng(cfg, task), task["size"])
+        y = (traj.values[0] - n * law_moments(law).m2) ** 2
         return {"cell": task["cell"], "count": task["size"],
                 "sum": float(np.sum(y)), "sum_sq": float(np.sum(y * y))}
 
@@ -772,16 +767,23 @@ class AxiomsExperiment:
     def validate(raw):
         cfg = _common(raw, "axioms")
         checks = _req(raw, "checks", list, lambda v: len(v) >= 1, "must be nonempty")
-        out = []
+        cfg["checks"] = []
         for idx, spec in enumerate(checks):
+            where = f"checks[{idx}]"
             if not isinstance(spec, dict) or "check" not in spec:
-                raise ConfigError(f"checks[{idx}]", "each entry needs a 'check' name")
+                raise ConfigError(where, "each entry needs a 'check' name")
             kind = spec["check"]
-            if kind not in AXIOM_CHECKS:
-                raise ConfigError(f"checks[{idx}].check",
-                                  f"unknown check {kind!r}; expected one of {AXIOM_CHECKS}")
-            out.append(_AXIOM_VALIDATORS[kind](spec, idx))
-        cfg["checks"] = out
+            if not isinstance(kind, str) or kind not in _CHECKS:
+                raise ConfigError(f"{where}.check",
+                                  f"unknown check {kind!r}; expected one of {tuple(_CHECKS)}")
+            try:
+                out = {"check": kind, **_CHECKS[kind].validate(spec)}
+                unknown = sorted(set(spec) - set(out))
+                if unknown:
+                    raise ConfigError(unknown[0], "unknown field")
+            except ConfigError as exc:
+                raise ConfigError(f"{where}.{exc.field}", exc.message) from exc
+            cfg["checks"].append(out)
         return cfg, []
 
     @staticmethod
@@ -792,116 +794,175 @@ class AxiomsExperiment:
     @staticmethod
     def run_block(cfg, task):
         spec = cfg["checks"][task["cell"]]
-        part = _AXIOM_RUNNERS[spec["check"]](cfg, spec, task)
-        part["cell"] = task["cell"]
-        return part
+        stream = functools.partial(_task_rng, cfg, task)
+        return {"cell": task["cell"], **_CHECKS[spec["check"]].run(spec, task["size"], stream)}
 
     @staticmethod
     def reduce(cfg, partials):
         rows = []
         checks = []
         for cell, spec in enumerate(cfg["checks"]):
+            kind = spec["check"]
             parts = [p for p in partials if p["cell"] == cell]
-            row, check = _AXIOM_REDUCERS[spec["check"]](spec, parts, cell)
-            rows.append(row)
-            checks.append(check)
+            values, fields = _CHECKS[kind].reduce(spec, parts)
+            rows.append([kind, cell, _params_str(spec), *values, fields["pass"]])
+            checks.append({"check": kind, "cell": cell, **fields})
         return {"columns": AxiomsExperiment.columns, "rows": rows,
                 "aggregates": {"checks_run": [s["check"] for s in cfg["checks"]]},
                 "checks": checks}
 
 
-def _v_dims(spec, idx, default_q=1):
-    q = _opt(spec, "q", int, default_q, lambda v: v >= 1)
+class _Check(NamedTuple):
+    """One axioms check.  validate(spec) gives the canonical spec without
+    its name; run(spec, size, stream) gives a block partial, where
+    stream(role) is the block's random stream for that role; reduce(spec,
+    parts) gives the row's (statistic, reference, se, diff_over_se,
+    threshold) and the check's fields, "pass" among them."""
+
+    validate: Callable
+    run: Callable
+    reduce: Callable
+
+
+def _v_dims(spec, *laws, index=True, lemma=False):
+    """q and d (default 1), the laws named, whose dimensions must match,
+    and unless index is False the index mu in the existence range."""
+    q = _opt(spec, "q", int, 1, lambda v: v >= 1)
     d = _opt(spec, "d", int, 1, lambda v: v in (1, 2))
-    return q, d
-
-
-def _v_mu(spec, idx, q, d, *, need_lemma=False):
-    mu = float(_req(spec, "mu", (int, float), lambda v: v > 0))
-    try:
-        param = BesselParam(mu, q, d)
-    except ValueError as exc:
-        raise ConfigError(f"checks[{idx}].mu", str(exc)) from exc
-    if need_lemma and mu < 2 * param.rho:
-        raise ConfigError(f"checks[{idx}].mu",
-                          f"comparison bounds require mu >= 2*rho = {2 * param.rho}")
-    return mu
-
-
-def _validate_support_bound(spec, idx):
-    q, d = _v_dims(spec, idx)
-    return {"check": "support-bound", "q": q, "d": d,
-            "mu": _v_mu(spec, idx, q, d),
-            "draws": _req(spec, "draws", int, lambda v: v >= 1),
-            "slack": _opt(spec, "slack", float, 1e-8, lambda v: v >= 0)}
-
-
-def _validate_commutativity(spec, idx):
-    q, d = _v_dims(spec, idx)
-    field = cl.REAL if d == 1 else cl.COMPLEX
-    out = {"check": "commutativity", "q": q, "d": d,
-           "mu": _v_mu(spec, idx, q, d),
-           "replicates": _req(spec, "replicates", int, lambda v: v >= 8),
-           "level": _opt(spec, "level", float, 1e-3, lambda v: 0 < v < 1)}
-    for key in ("r", "s"):
-        _canonical_matrix_entry(spec, key, field, out, f"checks[{idx}].{key}")
-        mat = cl.clamp_psd(_matrix_from_spec(out, key, field))
-        if mat.shape != (q, q):
-            raise ConfigError(f"checks[{idx}].{key}", f"expected {q}x{q}")
+    out = {"q": q, "d": d}
+    for key in laws:
+        out[key] = _law_field(spec, key, q, _field(d))
+    if index:
+        out["mu"] = _param_field(spec, q, d, lemma).mu
     return out
 
 
-def _validate_m2_additivity(spec, idx):
-    q, d = _v_dims(spec, idx)
-    if "law" not in spec:
-        raise ConfigError(f"checks[{idx}].law", "missing law")
+def _param(spec):
+    return BesselParam(spec["mu"], spec["q"], spec["d"])
+
+
+def _validate_support_bound(spec):
+    return _v_dims(spec) | {"draws": _req(spec, "draws", int, lambda v: v >= 1),
+                            "slack": _opt(spec, "slack", float, 1e-8, lambda v: v >= 0)}
+
+
+def _run_support_bound(spec, k, stream):
+    rng = stream()
+    q, field = spec["q"], _field(spec["d"])
+    # varied cone geometry: random scaled Wishart draws for r and s
+    r = cl.psd_sqrt(wishart_sample(q + 2, q, field, rng, k) * 1.5)
+    s = cl.psd_sqrt(wishart_sample(q + 2, q, field, rng, k) * 0.8)
+    t = cl.cone_step(r, s, sample_contraction(_param(spec), rng, k))
+    return _support_partial(t, r, s, spec["slack"])
+
+
+def _reduce_support_bound(spec, parts):
+    violations, max_excess = _support_totals(parts)
+    return (max_excess, 0.0, math.nan, math.nan, spec["slack"]), \
+        {"violations": violations, "max_excess": max_excess, "pass": violations == 0}
+
+
+def _validate_commutativity(spec):
+    out = _v_dims(spec) | {"replicates": _req(spec, "replicates", int, lambda v: v >= 8),
+                           "level": _opt(spec, "level", float, 1e-3, lambda v: 0 < v < 1)}
+    _point_matrices(spec, out, out["q"], _field(out["d"]))
+    return out
+
+
+def _run_commutativity(spec, k, stream):
+    field = _field(spec["d"])
+    r = _matrix_from_spec(spec, "r", field)
+    s = _matrix_from_spec(spec, "s", field)
+    t_rs = convolve_points(r, s, _param(spec), stream(0), k)
+    t_sr = convolve_points(s, r, _param(spec), stream(1), k)
+    return {"a": cl.trace_herm(t_rs @ t_rs), "b": cl.trace_herm(t_sr @ t_sr)}
+
+
+def _reduce_two_sample_ks(spec, parts):
+    """The p-value of the two-sample KS test between the samples a and b."""
+    _, pvalue = lab.ks_2samp(np.concatenate([p["a"] for p in parts]),
+                             np.concatenate([p["b"] for p in parts]))
+    return (pvalue, spec["level"], math.nan, math.nan, spec["level"]), \
+        {"pvalue": pvalue, "level": spec["level"], "pass": pvalue >= spec["level"]}
+
+
+def _diff_over_se_row(spec, mean, se, target):
+    """Row values and check fields of a mean held to its target within
+    max_se standard errors."""
+    ratio = diff_over_se(abs(mean - target), se)
+    return (mean, target, se, ratio, spec["max_se"]), \
+        {"diff_over_se": ratio, "max_se": spec["max_se"], "pass": ratio <= spec["max_se"]}
+
+
+def _validate_m2_additivity(spec):
+    return _v_dims(spec, "law") | {
+        "n_steps": _req(spec, "n_steps", int, lambda v: v >= 1),
+        "replicates": _req(spec, "replicates", int, lambda v: v >= 2),
+        "max_se": _opt(spec, "max_se", float, 4.0, lambda v: v > 0)}
+
+
+def _run_m2_additivity(spec, k, stream):
     law = law_from_spec(spec["law"])
-    if law.q != q or law.field != (cl.REAL if d == 1 else cl.COMPLEX):
-        raise ConfigError(f"checks[{idx}].law", "law dimensions must match (q, d)")
-    return {"check": "m2-additivity", "q": q, "d": d,
-            "mu": _v_mu(spec, idx, q, d), "law": normalize_law_spec(spec["law"]),
-            "n_steps": _req(spec, "n_steps", int, lambda v: v >= 1),
-            "replicates": _req(spec, "replicates", int, lambda v: v >= 2),
-            "max_se": _opt(spec, "max_se", float, 4.0, lambda v: v > 0)}
+    tr = _bessel_walk_end(law, spec["mu"], spec["n_steps"], stream(), k).tr_squared()[0]
+    return {"count": k, "sum": float(np.sum(tr)), "sum_sq": float(np.sum(tr * tr))}
 
 
-def _validate_m1_subadd(spec, idx):
-    q, d = _v_dims(spec, idx)
-    law = law_from_spec(spec["law"])
-    law2 = law_from_spec(spec["law2"]) if "law2" in spec else law
-    field = cl.REAL if d == 1 else cl.COMPLEX
-    if law.q != q or law2.q != q or law.field != field or law2.field != field:
-        raise ConfigError(f"checks[{idx}].law", "law dimensions must match (q, d)")
-    return {"check": "m1-subadditivity", "q": q, "d": d,
-            "mu": _v_mu(spec, idx, q, d),
-            "law": normalize_law_spec(spec["law"]),
-            "law2": normalize_law_spec(spec.get("law2", spec["law"])),
-            "replicates": _req(spec, "replicates", int, lambda v: v >= 2),
-            "max_se": _opt(spec, "max_se", float, 4.0, lambda v: v > 0)}
+def _reduce_m2_additivity(spec, parts):
+    _, mean, se = pooled_mean_se(parts)
+    m2 = law_moments(law_from_spec(spec["law"])).m2
+    return _diff_over_se_row(spec, mean, se, spec["n_steps"] * m2)
 
 
-def _validate_group_consistency(spec, idx):
-    q, d = _v_dims(spec, idx)
-    p = _req(spec, "p", int, lambda v: v >= 1)
+def _validate_m1_subadd(spec):
+    out = _v_dims(spec, "law", *(["law2"] if "law2" in spec else []))
+    out.setdefault("law2", out["law"])
+    return out | {"replicates": _req(spec, "replicates", int, lambda v: v >= 2),
+                  "max_se": _opt(spec, "max_se", float, 4.0, lambda v: v > 0)}
+
+
+def _run_m1_subadd(spec, k, stream):
+    rng = stream()
+    s1 = law_from_spec(spec["law"]).sample(rng, k)
+    s2 = law_from_spec(spec["law2"]).sample(rng, k)
+    h = cl.frob_norm(cl.cone_step(s1, s2, sample_contraction(_param(spec), rng, k)))
+    return {"count": k, "sum": float(np.sum(h)), "sum_sq": float(np.sum(h * h))}
+
+
+def _reduce_m1_subadd(spec, parts):
+    _, mean, se = pooled_mean_se(parts)
+    bound = (law_moments(law_from_spec(spec["law"])).m1
+             + law_moments(law_from_spec(spec["law2"])).m1)
+    ratio = (mean - bound) / se if se > 0 else -math.inf
+    return (mean, bound, se, ratio, spec["max_se"]), \
+        {"excess_over_se": ratio, "max_se": spec["max_se"],
+         "pass": mean <= bound + spec["max_se"] * se}
+
+
+def _validate_group_consistency(spec):
+    out = _v_dims(spec, "law", index=False)
+    q, d = out["q"], out["d"]
+    p = out["p"] = _req(spec, "p", int, lambda v: v >= 1)
     if q > 1 and p < q:
-        raise ConfigError(f"checks[{idx}].p", "needs p >= q")
-    mu = p * d / 2.0
+        raise ConfigError("p", "needs p >= q")
     try:
-        BesselParam(mu, q, d)
+        BesselParam(p * d / 2.0, q, d)
     except ValueError as exc:
-        raise ConfigError(f"checks[{idx}].p", f"mu = p d/2 = {mu}: {exc}") from exc
+        raise ConfigError("p", f"mu = p d/2 = {p * d / 2.0}: {exc}") from exc
+    return out | {"n_steps": _req(spec, "n_steps", int, lambda v: v >= 1),
+                  "replicates": _req(spec, "replicates", int, lambda v: v >= 8),
+                  "level": _opt(spec, "level", float, 1e-3, lambda v: 0 < v < 1)}
+
+
+def _run_group_consistency(spec, k, stream):
     law = law_from_spec(spec["law"])
-    if law.q != q or law.field != (cl.REAL if d == 1 else cl.COMPLEX):
-        raise ConfigError(f"checks[{idx}].law", "law dimensions must match (q, d)")
-    return {"check": "group-consistency", "q": q, "d": d, "p": p,
-            "law": normalize_law_spec(spec["law"]),
-            "n_steps": _req(spec, "n_steps", int, lambda v: v >= 1),
-            "replicates": _req(spec, "replicates", int, lambda v: v >= 8),
-            "level": _opt(spec, "level", float, 1e-3, lambda v: 0 < v < 1)}
+    p, n = spec["p"], spec["n_steps"]
+    group = _group_walk_end(law, p, n, "direct", stream(0), k)
+    bessel = _bessel_walk_end(law, p * spec["d"] / 2.0, n, stream(1), k)
+    return {"a": group.tr_squared()[0], "b": bessel.tr_squared()[0]}
 
 
-def _validate_character(spec, idx):
-    return {"check": "character", "mu": _v_mu(spec, idx, 1, 1),
+def _validate_character(spec):
+    return {"mu": _param_field(spec, 1, 1).mu,
             "r1": float(_req(spec, "r1", (int, float), lambda v: v >= 0)),
             "r2": float(_req(spec, "r2", (int, float), lambda v: v >= 0)),
             "s": float(_req(spec, "s", (int, float), lambda v: v >= 0)),
@@ -909,194 +970,35 @@ def _validate_character(spec, idx):
             "max_se": _opt(spec, "max_se", float, 4.0, lambda v: v > 0)}
 
 
-def _validate_contraction_beta(spec, idx):
-    return {"check": "contraction-beta", "mu": _v_mu(spec, idx, 1, 1),
+def _run_character(spec, k, stream):
+    param = BesselParam(spec["mu"], 1, 1)
+    t = convolve_points_scalar(spec["r1"], spec["r2"], param, stream(), k)
+    phi = bessel_character_1d(spec["mu"], t, spec["s"])
+    return {"count": k, "sum": float(np.sum(phi)), "sum_sq": float(np.sum(phi * phi))}
+
+
+def _reduce_character(spec, parts):
+    _, mean, se = pooled_mean_se(parts)
+    target = (bessel_character_1d(spec["mu"], spec["r1"], spec["s"])
+              * bessel_character_1d(spec["mu"], spec["r2"], spec["s"]))
+    return _diff_over_se_row(spec, mean, se, target)
+
+
+def _validate_contraction_beta(spec):
+    return {"mu": _param_field(spec, 1, 1).mu,
             "draws": _req(spec, "draws", int, lambda v: v >= 8),
             "ks_max": float(_req(spec, "ks_max", (int, float), lambda v: v > 0))}
 
 
-def _validate_mu_scaling(spec, idx):
-    q, d = _v_dims(spec, idx)
-    mu = _v_mu(spec, idx, q, d, need_lemma=True)
-    law = law_from_spec(spec["law"])
-    if law.q != q or law.field != (cl.REAL if d == 1 else cl.COMPLEX):
-        raise ConfigError(f"checks[{idx}].law", "law dimensions must match (q, d)")
-    return {"check": "mu-scaling", "q": q, "d": d, "mu": mu,
-            "law": normalize_law_spec(spec["law"]),
-            "n_steps": _req(spec, "n_steps", int, lambda v: v >= 2),
-            "cap": float(_req(spec, "cap", (int, float), lambda v: v > 0)),
-            "replicates": _req(spec, "replicates", int, lambda v: v >= 2),
-            "ratio_lo": _opt(spec, "ratio_lo", float, 1.0),
-            "ratio_hi": _opt(spec, "ratio_hi", float, 4.0)}
-
-
-_AXIOM_VALIDATORS = {
-    "support-bound": _validate_support_bound,
-    "commutativity": _validate_commutativity,
-    "m2-additivity": _validate_m2_additivity,
-    "m1-subadditivity": _validate_m1_subadd,
-    "group-consistency": _validate_group_consistency,
-    "character": _validate_character,
-    "contraction-beta": _validate_contraction_beta,
-    "mu-scaling": _validate_mu_scaling,
-}
-
-
-def _run_support_bound(cfg, spec, task):
-    rng = rng_for(cfg["seed"], task["cell"], task["block"])
-    q, d = spec["q"], spec["d"]
-    field = cl.REAL if d == 1 else cl.COMPLEX
-    param = BesselParam(spec["mu"], q, d)
-    k = task["size"]
-    # varied cone geometry: random scaled Wishart draws for r and s
-    r = cl.psd_sqrt(wishart_sample(q + 2, q, field, rng, k) * 1.5)
-    s = cl.psd_sqrt(wishart_sample(q + 2, q, field, rng, k) * 0.8)
-    t = cl.cone_step(r, s, sample_contraction(param, rng, k))
-    excess = cl.frob_norm(t) - (cl.frob_norm(r) + cl.frob_norm(s))
-    return {"count": k, "violations": int(np.count_nonzero(excess > spec["slack"])),
-            "max_excess": float(np.max(excess))}
-
-
-def _reduce_support_bound(spec, parts, cell):
-    violations = sum(p["violations"] for p in parts)
-    max_excess = max(p["max_excess"] for p in parts)
-    ok = violations == 0
-    row = ["support-bound", cell, _params_str(spec), max_excess, 0.0,
-           math.nan, math.nan, spec["slack"], ok]
-    return row, {"check": "support-bound", "cell": cell, "violations": violations,
-                 "max_excess": max_excess, "pass": ok}
-
-
-def _run_commutativity(cfg, spec, task):
-    q, d = spec["q"], spec["d"]
-    field = cl.REAL if d == 1 else cl.COMPLEX
-    param = BesselParam(spec["mu"], q, d)
-    r = _matrix_from_spec(spec, "r", field)
-    s = _matrix_from_spec(spec, "s", field)
-    rng_a = rng_for(cfg["seed"], task["cell"], task["block"], 0)
-    rng_b = rng_for(cfg["seed"], task["cell"], task["block"], 1)
-    t_rs = convolve_points(r, s, param, rng_a, task["size"])
-    t_sr = convolve_points(s, r, param, rng_b, task["size"])
-    return {"a": cl.trace_herm(t_rs @ t_rs), "b": cl.trace_herm(t_sr @ t_sr)}
-
-
-def _reduce_commutativity(spec, parts, cell):
-    a = np.concatenate([p["a"] for p in parts])
-    b = np.concatenate([p["b"] for p in parts])
-    _, pvalue = lab.ks_2samp(a, b)
-    ok = pvalue >= spec["level"]
-    row = ["commutativity", cell, _params_str(spec), pvalue, spec["level"],
-           math.nan, math.nan, spec["level"], ok]
-    return row, {"check": "commutativity", "cell": cell, "pvalue": pvalue,
-                 "level": spec["level"], "pass": ok}
-
-
-def _run_m2_additivity(cfg, spec, task):
-    rng = rng_for(cfg["seed"], task["cell"], task["block"])
-    law = law_from_spec(spec["law"])
-    wcfg = BesselWalkConfig(param=BesselParam(spec["mu"], spec["q"], spec["d"]),
-                            law=law, n_steps=spec["n_steps"],
-                            checkpoints=(spec["n_steps"],))
-    traj = run_bessel_walks(wcfg, rng, task["size"])
-    tr = traj.tr_squared()[0]
-    return {"count": task["size"], "sum": float(np.sum(tr)),
-            "sum_sq": float(np.sum(tr * tr))}
-
-
-def _reduce_m2_additivity(spec, parts, cell):
-    _, mean, se = pooled_mean_se(parts)
-    expected = spec["n_steps"] * law_moments(law_from_spec(spec["law"])).m2
-    ratio = diff_over_se(abs(mean - expected), se)
-    ok = ratio <= spec["max_se"]
-    row = ["m2-additivity", cell, _params_str(spec), mean, expected, se,
-           ratio, spec["max_se"], ok]
-    return row, {"check": "m2-additivity", "cell": cell, "diff_over_se": ratio,
-                 "max_se": spec["max_se"], "pass": ok}
-
-
-def _run_m1_subadd(cfg, spec, task):
-    rng = rng_for(cfg["seed"], task["cell"], task["block"])
-    law1 = law_from_spec(spec["law"])
-    law2 = law_from_spec(spec["law2"])
-    param = BesselParam(spec["mu"], spec["q"], spec["d"])
-    k = task["size"]
-    s1 = law1.sample(rng, k)
-    s2 = law2.sample(rng, k)
-    h = cl.frob_norm(cl.cone_step(s1, s2, sample_contraction(param, rng, k)))
-    return {"count": k, "sum": float(np.sum(h)), "sum_sq": float(np.sum(h * h))}
-
-
-def _reduce_m1_subadd(spec, parts, cell):
-    _, mean, se = pooled_mean_se(parts)
-    bound = (law_moments(law_from_spec(spec["law"])).m1
-             + law_moments(law_from_spec(spec["law2"])).m1)
-    ok = mean <= bound + spec["max_se"] * se
-    ratio = (mean - bound) / se if se > 0 else -math.inf
-    row = ["m1-subadditivity", cell, _params_str(spec), mean, bound, se,
-           ratio, spec["max_se"], ok]
-    return row, {"check": "m1-subadditivity", "cell": cell,
-                 "excess_over_se": ratio, "max_se": spec["max_se"], "pass": ok}
-
-
-def _run_group_consistency(cfg, spec, task):
-    law = law_from_spec(spec["law"])
-    q, d, p, n = spec["q"], spec["d"], spec["p"], spec["n_steps"]
-    rng_g = rng_for(cfg["seed"], task["cell"], task["block"], 0)
-    rng_b = rng_for(cfg["seed"], task["cell"], task["block"], 1)
-    gcfg = GroupWalkConfig(p=p, q=q, field=law.field, n_steps=n, law=law,
-                           checkpoints=(n,), method="direct")
-    bcfg = BesselWalkConfig(param=BesselParam(p * d / 2.0, q, d), law=law,
-                            n_steps=n, checkpoints=(n,))
-    gt = run_group_walks(gcfg, rng_g, task["size"])
-    bt = run_bessel_walks(bcfg, rng_b, task["size"])
-    return {"a": gt.tr_squared()[0], "b": bt.tr_squared()[0]}
-
-
-def _reduce_group_consistency(spec, parts, cell):
-    a = np.concatenate([p["a"] for p in parts])
-    b = np.concatenate([p["b"] for p in parts])
-    _, pvalue = lab.ks_2samp(a, b)
-    ok = pvalue >= spec["level"]
-    row = ["group-consistency", cell, _params_str(spec), pvalue, spec["level"],
-           math.nan, math.nan, spec["level"], ok]
-    return row, {"check": "group-consistency", "cell": cell, "pvalue": pvalue,
-                 "level": spec["level"], "pass": ok}
-
-
-def _run_character(cfg, spec, task):
-    rng = rng_for(cfg["seed"], task["cell"], task["block"])
-    from .bessel import convolve_points_scalar
-
-    param = BesselParam(spec["mu"], 1, 1)
-    t = convolve_points_scalar(spec["r1"], spec["r2"], param, rng, task["size"])
-    phi = bessel_character_1d(spec["mu"], t, spec["s"])
-    return {"count": task["size"], "sum": float(np.sum(phi)),
-            "sum_sq": float(np.sum(phi * phi))}
-
-
-def _reduce_character(spec, parts, cell):
-    _, mean, se = pooled_mean_se(parts)
-    target = (bessel_character_1d(spec["mu"], spec["r1"], spec["s"])
-              * bessel_character_1d(spec["mu"], spec["r2"], spec["s"]))
-    ratio = diff_over_se(abs(mean - target), se)
-    ok = ratio <= spec["max_se"]
-    row = ["character", cell, _params_str(spec), mean, float(target), se,
-           ratio, spec["max_se"], ok]
-    return row, {"check": "character", "cell": cell, "diff_over_se": ratio,
-                 "max_se": spec["max_se"], "pass": ok}
-
-
-def _run_contraction_beta(cfg, spec, task):
-    rng = rng_for(cfg["seed"], task["cell"], task["block"])
-    param = BesselParam(spec["mu"], 1, 1)
-    v = sample_contraction(param, rng, task["size"])[:, 0, 0].real
+def _run_contraction_beta(spec, k, stream):
+    v = sample_contraction(BesselParam(spec["mu"], 1, 1), stream(), k)[:, 0, 0].real
     return {"u": v * v}
 
 
 _BETA_TOP = 1.0 - 2.0**-40
 
 
-def _reduce_contraction_beta(spec, parts, cell):
+def _reduce_contraction_beta(spec, parts):
     # v^2 is Beta(1/2, mu - 1/2).  Close to mu = 1/2 that law puts much of
     # its mass within a few ulps of 1, where float64 rounds the draws (47%
     # of them onto exactly 1 at mu = 0.52).  So the KS distance is taken
@@ -1110,31 +1012,33 @@ def _reduce_contraction_beta(spec, parts, cell):
     ks = float(max(np.max(np.arange(1, k + 1) / n - f, initial=0.0),
                    np.max(f - np.arange(k) / n, initial=0.0),
                    special.betainc(0.5, b, _BETA_TOP) - k / n))
-    ok = ks <= spec["ks_max"]
-    row = ["contraction-beta", cell, _params_str(spec), ks, 0.0,
-           math.nan, math.nan, spec["ks_max"], ok]
-    return row, {"check": "contraction-beta", "cell": cell, "ks": ks,
-                 "ks_max": spec["ks_max"], "pass": ok}
+    return (ks, 0.0, math.nan, math.nan, spec["ks_max"]), \
+        {"ks": ks, "ks_max": spec["ks_max"], "pass": ks <= spec["ks_max"]}
 
 
-def _run_mu_scaling(cfg, spec, task):
-    from .bessel import paired_composition_diffs
+def _validate_mu_scaling(spec):
+    return _v_dims(spec, "law", lemma=True) | {
+        "n_steps": _req(spec, "n_steps", int, lambda v: v >= 2),
+        "cap": float(_req(spec, "cap", (int, float), lambda v: v > 0)),
+        "replicates": _req(spec, "replicates", int, lambda v: v >= 2),
+        "ratio_lo": _opt(spec, "ratio_lo", float, 1.0),
+        "ratio_hi": _opt(spec, "ratio_hi", float, 4.0)}
 
+
+def _run_mu_scaling(spec, k, stream):
     law = law_from_spec(spec["law"])
     q = spec["q"]
     f = ClippedQuadraticForm(direction=np.eye(q), cap=spec["cap"])
-    out = {"count": task["size"]}
+    out = {"count": k}
     for role, mu in ((0, spec["mu"]), (1, 4.0 * spec["mu"])):
-        rng = rng_for(cfg["seed"], task["cell"], task["block"], role)
         param = BesselParam(mu, q, spec["d"])
-        diffs = paired_composition_diffs(law, param, spec["n_steps"], f,
-                                         task["size"], rng)
+        diffs = paired_composition_diffs(law, param, spec["n_steps"], f, k, stream(role))
         out[f"sum{role}"] = float(np.sum(diffs))
         out[f"sum_sq{role}"] = float(np.sum(diffs * diffs))
     return out
 
 
-def _reduce_mu_scaling(spec, parts, cell):
+def _reduce_mu_scaling(spec, parts):
     gaps = []
     ses = []
     for role in (0, 1):
@@ -1142,35 +1046,26 @@ def _reduce_mu_scaling(spec, parts, cell):
         gaps.append(abs(mean))
         ses.append(se)
     ratio = gaps[0] / gaps[1] if gaps[1] > 0 else math.inf
-    ok = spec["ratio_lo"] <= ratio <= spec["ratio_hi"]
-    row = ["mu-scaling", cell, _params_str(spec), ratio, 2.0,
-           math.nan, math.nan, spec["ratio_hi"], ok]
-    return row, {"check": "mu-scaling", "cell": cell, "gap_mu": gaps[0],
-                 "gap_4mu": gaps[1], "se_mu": ses[0], "se_4mu": ses[1],
-                 "ratio": ratio, "lo": spec["ratio_lo"], "hi": spec["ratio_hi"],
-                 "pass": ok}
+    return (ratio, 2.0, math.nan, math.nan, spec["ratio_hi"]), \
+        {"gap_mu": gaps[0], "gap_4mu": gaps[1], "se_mu": ses[0], "se_4mu": ses[1],
+         "ratio": ratio, "lo": spec["ratio_lo"], "hi": spec["ratio_hi"],
+         "pass": spec["ratio_lo"] <= ratio <= spec["ratio_hi"]}
 
 
-_AXIOM_RUNNERS = {
-    "support-bound": _run_support_bound,
-    "commutativity": _run_commutativity,
-    "m2-additivity": _run_m2_additivity,
-    "m1-subadditivity": _run_m1_subadd,
-    "group-consistency": _run_group_consistency,
-    "character": _run_character,
-    "contraction-beta": _run_contraction_beta,
-    "mu-scaling": _run_mu_scaling,
-}
-
-_AXIOM_REDUCERS = {
-    "support-bound": _reduce_support_bound,
-    "commutativity": _reduce_commutativity,
-    "m2-additivity": _reduce_m2_additivity,
-    "m1-subadditivity": _reduce_m1_subadd,
-    "group-consistency": _reduce_group_consistency,
-    "character": _reduce_character,
-    "contraction-beta": _reduce_contraction_beta,
-    "mu-scaling": _reduce_mu_scaling,
+_CHECKS = {
+    "support-bound": _Check(_validate_support_bound, _run_support_bound,
+                            _reduce_support_bound),
+    "commutativity": _Check(_validate_commutativity, _run_commutativity,
+                            _reduce_two_sample_ks),
+    "m2-additivity": _Check(_validate_m2_additivity, _run_m2_additivity,
+                            _reduce_m2_additivity),
+    "m1-subadditivity": _Check(_validate_m1_subadd, _run_m1_subadd, _reduce_m1_subadd),
+    "group-consistency": _Check(_validate_group_consistency, _run_group_consistency,
+                                _reduce_two_sample_ks),
+    "character": _Check(_validate_character, _run_character, _reduce_character),
+    "contraction-beta": _Check(_validate_contraction_beta, _run_contraction_beta,
+                               _reduce_contraction_beta),
+    "mu-scaling": _Check(_validate_mu_scaling, _run_mu_scaling, _reduce_mu_scaling),
 }
 
 
@@ -1180,19 +1075,6 @@ def _params_str(spec) -> str:
             "ratio_lo", "ratio_hi", "slack", "cap"}
     parts = [f"{k}={spec[k]}" for k in sorted(spec) if k not in skip]
     return " ".join(parts)
-
-
-def _canonical_matrix_entry(raw, key, field, out, err_field) -> str:
-    """Echo a matrix entry (key or key_squared) into the canonical dict
-    under whichever name the input used; returns that name."""
-    used = f"{key}_squared" if f"{key}_squared" in raw else key
-    if used not in raw:
-        raise ConfigError(err_field, "missing required matrix")
-    try:
-        out[used] = normalize_matrix_spec(raw[used], field)
-    except ValueError as exc:
-        raise ConfigError(err_field, str(exc)) from exc
-    return used
 
 
 EXPERIMENTS = {

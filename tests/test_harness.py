@@ -104,6 +104,13 @@ class TestValidation:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="bogus"):
             validate_config(tiny_walk_config(bogus=1))
+        # inside an axioms check too, where a misspelt max_se would
+        # otherwise leave the default of 4 standard errors in force
+        spec = {"check": "character", "mu": 4.0, "r1": 1, "r2": 1, "s": 1, "draws": 10,
+                "maxse": 1e-9}
+        with pytest.raises(ConfigError, match="unknown field") as info:
+            validate_config({"experiment": "axioms", "seed": 1, "checks": [spec]})
+        assert info.value.field == "checks[0].maxse"
 
     def test_bad_checkpoints(self):
         with pytest.raises(ConfigError, match="checkpoints"):
@@ -149,8 +156,20 @@ class TestValidation:
         for spec in ({"check": "contraction-beta", "mu": 0.5, "draws": 10, "ks_max": 0.1},
                      {"check": "character", "mu": 0.3, "r1": 1, "r2": 1, "s": 1,
                       "draws": 10}):
-            with pytest.raises(ConfigError, match="existence range"):
+            with pytest.raises(ConfigError, match="existence range") as info:
                 validate_config({"experiment": "axioms", "seed": 1, "checks": [spec]})
+            assert info.value.field == "checks[0].mu"
+
+    @pytest.mark.parametrize("spec", [
+        {"check": "m2-additivity", "mu": 3.0, "n_steps": 2, "replicates": 10},
+        {"check": "m1-subadditivity", "mu": 3.0, "replicates": 10},
+        {"check": "group-consistency", "p": 4, "n_steps": 2, "replicates": 10},
+        {"check": "mu-scaling", "mu": 40.0, "n_steps": 4, "cap": 6.0, "replicates": 10},
+    ])
+    def test_axioms_missing_law(self, spec):
+        with pytest.raises(ConfigError, match="missing") as info:
+            validate_config({"experiment": "axioms", "seed": 1, "checks": [spec]})
+        assert info.value.field == "checks[0].law"
 
     def test_kappa_below_rho_names_its_sampler(self):
         raw = {"experiment": "kappa", "seed": 1, "q": 1, "d": 1,
