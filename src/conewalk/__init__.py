@@ -29,6 +29,7 @@ from .cone_linalg import (
 )
 from .limit_lab import (
     MardiaResult,
+    Moments,
     RateFit,
     chi2_cdf,
     empirical_cov,

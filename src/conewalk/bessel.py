@@ -32,6 +32,7 @@ import numpy as np
 from scipy import special
 
 from . import cone_linalg as cl
+from .limit_lab import Moments
 from .orbit_sampler import (
     WalkTrajectory,
     checkpoint_tuple,
@@ -164,14 +165,14 @@ def convolve_points_scalar(r, s, param: BesselParam, rng: np.random.Generator,
     return t if size is not None else float(t[0])
 
 
-def kappa_mu(param: BesselParam, n_samples: int,
-             rng: np.random.Generator) -> tuple[float, float]:
+def kappa_mu(param: BesselParam, n_samples: int, rng: np.random.Generator) -> Moments:
     """Importance-sampling estimate of the normalization constant.
 
     kappa = integral over D_q of det(I - v*v)^(mu-rho) dv.  The sampler
     never needs it; this exists for validation against :func:`kappa_exact`.
-    Returns (estimate, standard error).  Below mu = rho the weights
-    det(I - v*v)^(mu-rho) are unbounded, so such indices are refused.
+    Returns the moments of the n_samples importance weights: their mean is
+    the estimate, and its standard error is ``se``.  Below mu = rho the
+    weights det(I - v*v)^(mu-rho) are unbounded, so such indices are refused.
     """
     e = param.mu - param.rho
     if e < 0:
@@ -181,25 +182,24 @@ def kappa_mu(param: BesselParam, n_samples: int,
     if e >= 0.5:
         const = (math.pi / e) ** (dim / 2.0)
     else:
-        const = (math.pi ** (dim / 2.0)) * (math.sqrt(q) ** dim) / math.gamma(dim / 2.0 + 1.0)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk = 1_000_000
-    while done < n_samples:
-        k = min(chunk, n_samples - done)
+        # the volume of the Frobenius ball of radius sqrt(q), through lgamma
+        # as in kappa_exact: at q = 1 that ball is D_1, every weight at
+        # mu = rho is 1, and the estimate equals the closed form to the bit
+        const = math.exp(dim / 2.0 * math.log(math.pi) + dim * math.log(math.sqrt(q))
+                         - math.lgamma(dim / 2.0 + 1.0))
+
+    def weights(k):
         v = _propose(e, q, field, rng, k)
         in_ball, logdet, tr = _ball_stats(v, q)
         if e >= 0.5:
-            g = np.where(in_ball, np.exp(e * (logdet + tr)), 0.0)
-        else:
-            g = np.where(in_ball, np.exp(e * logdet), 0.0)
-        total += float(np.sum(g))
-        total_sq += float(np.sum(g * g))
-        done += k
-    mean = total / n_samples
-    var = max(total_sq / n_samples - mean * mean, 0.0)
-    return const * mean, const * math.sqrt(var / n_samples)
+            return Moments.of(np.where(in_ball, np.exp(e * (logdet + tr)), 0.0))
+        return Moments.of(np.where(in_ball, np.exp(e * logdet), 0.0))
+
+    chunk = 1_000_000
+    m = Moments.pooled(weights(min(chunk, n_samples - done))
+                       for done in range(0, n_samples, chunk))
+    # scaled once, so weights that are all exactly 1 (mu = rho) give const
+    return Moments(m.count, const * m.mean, const * const * m.M2)
 
 
 def kappa_exact(param: BesselParam) -> float:

@@ -78,19 +78,9 @@ def plan_blocks(cell_sizes, block_size: int) -> list[dict]:
     return tasks
 
 
-def mean_se(count, total, total_sq):
-    """Sample mean and its standard error from pooled sums of x and x^2."""
-    mean = total / count
-    var = np.maximum(total_sq / count - mean**2, 0.0)
-    return mean, np.sqrt(var / count)
-
-
-def pooled_mean_se(parts, key="sum", key_sq="sum_sq"):
-    """(count, mean, standard error) of block partials that hold "count"
-    and the sums of x and x^2 under key and key_sq."""
-    count = sum(p["count"] for p in parts)
-    mean, se = mean_se(count, sum(p[key] for p in parts), sum(p[key_sq] for p in parts))
-    return count, mean, se
+def _pooled(parts, key="m") -> lab.Moments:
+    """The moments under key of block partials, merged in task order."""
+    return lab.Moments.pooled(p[key] for p in parts)
 
 
 def diff_over_se(diff, se):
@@ -284,10 +274,8 @@ class WalkGroupExperiment:
     def reduce(cfg, partials):
         md = law_moments(law_from_spec(cfg["law"]))
         cps = cfg["checkpoints"]
-        count = sum(p["count"] for p in partials)
-        sum_tr = np.sum([p["sum_tr"] for p in partials], axis=0)
-        sum_tr2 = np.sum([p["sum_tr2"] for p in partials], axis=0)
-        mean, se = mean_se(count, sum_tr, sum_tr2)
+        m = _pooled(partials)
+        count, mean, se = m.count, m.mean, m.se
         rows = []
         checks = []
         for k, step in enumerate(cps):
@@ -344,14 +332,7 @@ class WalkBesselExperiment:
 
 def _walk_partial(cfg, traj):
     tr = traj.tr_squared()
-    part = {
-        "count": tr.shape[1],
-        "sum_tr": tr.sum(axis=1),
-        "sum_tr2": (tr * tr).sum(axis=1),
-    }
-    if cfg["emit"] == "replicates":
-        part["raw_tr"] = tr
-    return part
+    return {"m": lab.Moments.of(tr), **({"raw_tr": tr} if cfg["emit"] == "replicates" else {})}
 
 
 # -- convolution family ------------------------------------------------------
@@ -382,15 +363,15 @@ class ConvolveExperiment:
         s = _matrix_from_spec(cfg, "s", _field(cfg["d"]))
         param = BesselParam(cfg["mu"], cfg["q"], cfg["d"])
         t = convolve_points(r, s, param, _task_rng(cfg, task), task["size"])
-        tr = cl.trace_herm(t @ t)
-        return {"count": task["size"], "sum_tr": float(np.sum(tr)),
-                "sum_tr2": float(np.sum(tr * tr)), **_support_partial(t, r, s, cfg["slack"])}
+        return {"m": lab.Moments.of(cl.trace_herm(t @ t)),
+                **_support_partial(t, r, s, cfg["slack"])}
 
     @staticmethod
     def reduce(cfg, partials):
         r = _matrix_from_spec(cfg, "r", _field(cfg["d"]))
         s = _matrix_from_spec(cfg, "s", _field(cfg["d"]))
-        count, mean, se = pooled_mean_se(partials, "sum_tr", "sum_tr2")
+        m = _pooled(partials)
+        count, mean, se = m.count, m.mean, m.se
         expected = float(cl.trace_herm(r @ r) + cl.trace_herm(s @ s))
         ratio = diff_over_se(abs(mean - expected), se)
         violations, max_excess = _support_totals(partials)
@@ -444,21 +425,15 @@ class KappaExperiment:
     @staticmethod
     def run_block(cfg, task):
         param = BesselParam(cfg["mu_grid"][task["cell"]], cfg["q"], cfg["d"])
-        est, se = kappa_mu(param, task["size"], _task_rng(cfg, task))
-        # convert back to raw sums so blocks merge exactly
-        mean = est
-        var = (se**2) * task["size"]
-        return {"cell": task["cell"], "count": task["size"],
-                "sum": mean * task["size"],
-                "sum_sq": (var + mean**2) * task["size"]}
+        return {"cell": task["cell"], "m": kappa_mu(param, task["size"], _task_rng(cfg, task))}
 
     @staticmethod
     def reduce(cfg, partials):
         rows = []
         checks = []
         for cell, mu in enumerate(cfg["mu_grid"]):
-            parts = [p for p in partials if p["cell"] == cell]
-            count, mean, se = pooled_mean_se(parts)
+            m = _pooled(p for p in partials if p["cell"] == cell)
+            count, mean, se = m.count, m.mean, m.se
             param = BesselParam(mu, cfg["q"], cfg["d"])
             branch = "gaussian-is" if mu - param.rho >= 0.5 else "ball-is"
             ref = kappa_exact(param)
@@ -729,8 +704,7 @@ class MomentIdentityExperiment:
         n, p = cfg["grid"][task["cell"]]
         traj = _group_walk_end(law, p, n, cfg["method"], _task_rng(cfg, task), task["size"])
         y = (traj.values[0] - n * law_moments(law).m2) ** 2
-        return {"cell": task["cell"], "count": task["size"],
-                "sum": float(np.sum(y)), "sum_sq": float(np.sum(y * y))}
+        return {"cell": task["cell"], "m": lab.Moments.of(y)}
 
     @staticmethod
     def reduce(cfg, partials):
@@ -739,8 +713,8 @@ class MomentIdentityExperiment:
         rows = []
         checks = []
         for cell, (n, p) in enumerate(cfg["grid"]):
-            parts = [q for q in partials if q["cell"] == cell]
-            count, mean, se = pooled_mean_se(parts)
+            m = _pooled(p for p in partials if p["cell"] == cell)
+            count, mean, se = m.count, m.mean, m.se
             expected = lab.moment_identity_rhs(n, p, md)
             diff = abs(mean - expected)
             ratio = diff_over_se(diff, se)
@@ -886,11 +860,11 @@ def _reduce_two_sample_ks(spec, parts):
         {"pvalue": pvalue, "level": spec["level"], "pass": pvalue >= spec["level"]}
 
 
-def _diff_over_se_row(spec, mean, se, target):
+def _diff_over_se_row(spec, m, target):
     """Row values and check fields of a mean held to its target within
     max_se standard errors."""
-    ratio = diff_over_se(abs(mean - target), se)
-    return (mean, target, se, ratio, spec["max_se"]), \
+    ratio = diff_over_se(abs(m.mean - target), m.se)
+    return (m.mean, target, m.se, ratio, spec["max_se"]), \
         {"diff_over_se": ratio, "max_se": spec["max_se"], "pass": ratio <= spec["max_se"]}
 
 
@@ -904,13 +878,12 @@ def _validate_m2_additivity(spec):
 def _run_m2_additivity(spec, k, stream):
     law = law_from_spec(spec["law"])
     tr = _bessel_walk_end(law, spec["mu"], spec["n_steps"], stream(), k).tr_squared()[0]
-    return {"count": k, "sum": float(np.sum(tr)), "sum_sq": float(np.sum(tr * tr))}
+    return {"m": lab.Moments.of(tr)}
 
 
 def _reduce_m2_additivity(spec, parts):
-    _, mean, se = pooled_mean_se(parts)
     m2 = law_moments(law_from_spec(spec["law"])).m2
-    return _diff_over_se_row(spec, mean, se, spec["n_steps"] * m2)
+    return _diff_over_se_row(spec, _pooled(parts), spec["n_steps"] * m2)
 
 
 def _validate_m1_subadd(spec):
@@ -925,11 +898,12 @@ def _run_m1_subadd(spec, k, stream):
     s1 = law_from_spec(spec["law"]).sample(rng, k)
     s2 = law_from_spec(spec["law2"]).sample(rng, k)
     h = cl.frob_norm(cl.cone_step(s1, s2, sample_contraction(_param(spec), rng, k)))
-    return {"count": k, "sum": float(np.sum(h)), "sum_sq": float(np.sum(h * h))}
+    return {"m": lab.Moments.of(h)}
 
 
 def _reduce_m1_subadd(spec, parts):
-    _, mean, se = pooled_mean_se(parts)
+    m = _pooled(parts)
+    mean, se = m.mean, m.se
     bound = (law_moments(law_from_spec(spec["law"])).m1
              + law_moments(law_from_spec(spec["law2"])).m1)
     ratio = (mean - bound) / se if se > 0 else -math.inf
@@ -973,15 +947,13 @@ def _validate_character(spec):
 def _run_character(spec, k, stream):
     param = BesselParam(spec["mu"], 1, 1)
     t = convolve_points_scalar(spec["r1"], spec["r2"], param, stream(), k)
-    phi = bessel_character_1d(spec["mu"], t, spec["s"])
-    return {"count": k, "sum": float(np.sum(phi)), "sum_sq": float(np.sum(phi * phi))}
+    return {"m": lab.Moments.of(bessel_character_1d(spec["mu"], t, spec["s"]))}
 
 
 def _reduce_character(spec, parts):
-    _, mean, se = pooled_mean_se(parts)
     target = (bessel_character_1d(spec["mu"], spec["r1"], spec["s"])
               * bessel_character_1d(spec["mu"], spec["r2"], spec["s"]))
-    return _diff_over_se_row(spec, mean, se, target)
+    return _diff_over_se_row(spec, _pooled(parts), target)
 
 
 def _validate_contraction_beta(spec):
@@ -1029,22 +1001,18 @@ def _run_mu_scaling(spec, k, stream):
     law = law_from_spec(spec["law"])
     q = spec["q"]
     f = ClippedQuadraticForm(direction=np.eye(q), cap=spec["cap"])
-    out = {"count": k}
+    out = {}
     for role, mu in ((0, spec["mu"]), (1, 4.0 * spec["mu"])):
         param = BesselParam(mu, q, spec["d"])
         diffs = paired_composition_diffs(law, param, spec["n_steps"], f, k, stream(role))
-        out[f"sum{role}"] = float(np.sum(diffs))
-        out[f"sum_sq{role}"] = float(np.sum(diffs * diffs))
+        out[f"m{role}"] = lab.Moments.of(diffs)
     return out
 
 
 def _reduce_mu_scaling(spec, parts):
-    gaps = []
-    ses = []
-    for role in (0, 1):
-        _, mean, se = pooled_mean_se(parts, f"sum{role}", f"sum_sq{role}")
-        gaps.append(abs(mean))
-        ses.append(se)
+    m = [_pooled(parts, f"m{role}") for role in (0, 1)]
+    gaps = [abs(m[0].mean), abs(m[1].mean)]
+    ses = [m[0].se, m[1].se]
     ratio = gaps[0] / gaps[1] if gaps[1] > 0 else math.inf
     return (ratio, 2.0, math.nan, math.nan, spec["ratio_hi"]), \
         {"gap_mu": gaps[0], "gap_4mu": gaps[1], "se_mu": ses[0], "se_4mu": ses[1],

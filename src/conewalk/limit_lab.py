@@ -20,6 +20,7 @@ N(0, 1) is D_p ~ 1 / (3 sqrt(pi p)); see :func:`chi2_normal_gap`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,6 +59,44 @@ def chi2_normal_gap(p: int) -> float:
     x = np.linspace(-12.0, 12.0, 4001)
     gap = np.abs(chi2_cdf(p, p + math.sqrt(2.0 * p) * x) - normal_cdf(x))
     return float(gap.max())
+
+
+@dataclass(frozen=True)
+class Moments:
+    """Count, mean and sum of squared deviations M2 of a sample (of each
+    row of a 2-d sample).  A block is summarized in two passes, and blocks
+    merge pairwise (Chan, Golub & LeVeque 1979), so no variance is ever a
+    difference of two large sums.  The first pass's mean is corrected by
+    the mean deviation from it, so a constant block has its value as mean
+    and M2 = 0 even where the sum of its entries rounds."""
+
+    count: int
+    mean: np.ndarray | float
+    M2: np.ndarray | float
+
+    @classmethod
+    def of(cls, x) -> Moments:
+        x = np.asarray(x, dtype=np.float64)
+        mean = x.mean(axis=-1)
+        mean = mean + (x - np.expand_dims(mean, -1)).mean(axis=-1)
+        dev = x - np.expand_dims(mean, -1)
+        return cls(x.shape[-1], mean, np.sum(dev * dev, axis=-1))
+
+    def merge(self, other: Moments) -> Moments:
+        count = self.count + other.count
+        delta = other.mean - self.mean
+        return Moments(count, self.mean + delta * (other.count / count),
+                       self.M2 + other.M2 + delta * delta * (self.count * other.count / count))
+
+    @staticmethod
+    def pooled(parts) -> Moments:
+        """The moments of blocks merged in the given (task) order."""
+        return functools.reduce(Moments.merge, parts)
+
+    @property
+    def se(self):
+        """Standard error of the mean."""
+        return np.sqrt(self.M2 / self.count) / np.sqrt(self.count)
 
 
 def ks_distance(sample: np.ndarray, cdf) -> float:

@@ -221,15 +221,16 @@ class TestKappa:
 
     def test_exponent_zero_exact(self):
         rng = np.random.default_rng(13)
-        est, se = kappa_mu(BesselParam(1.5, 1, 1), 50000, rng)
-        assert est == pytest.approx(2.0, abs=1e-12)
+        est = kappa_mu(BesselParam(1.5, 1, 1), 50000, rng)
+        assert est.count == 50000
+        assert est.mean == pytest.approx(2.0, abs=1e-12)
         # the length of (-1, 1)
         assert kappa_exact(BesselParam(1.5, 1, 1)) == pytest.approx(2.0, rel=1e-14)
 
     def test_closed_form_value(self):
         rng = np.random.default_rng(14)
-        est, se = kappa_mu(BesselParam(2.5, 1, 1), 400000, rng)
-        assert abs(est - 4.0 / 3.0) <= 4 * se
+        est = kappa_mu(BesselParam(2.5, 1, 1), 400000, rng)
+        assert abs(est.mean - 4.0 / 3.0) <= 4 * est.se
         # integral of (1 - t^2) over (-1, 1); the unit disc's area at d = 2
         assert kappa_exact(BesselParam(2.5, 1, 1)) == pytest.approx(4.0 / 3.0, rel=1e-14)
         assert kappa_exact(BesselParam(2.0, 1, 2)) == pytest.approx(math.pi, rel=1e-14)
@@ -240,8 +241,8 @@ class TestKappa:
         rng = np.random.default_rng(15)
         for mu, q, d in ((6.0, 1, 1), (3.5, 1, 2), (5.0, 2, 1), (8.0, 2, 2), (6.0, 3, 1)):
             param = BesselParam(mu, q, d)
-            est, se = kappa_mu(param, 400000, rng)
-            assert abs(est - kappa_exact(param)) <= 4 * se, (mu, q, d)
+            est = kappa_mu(param, 400000, rng)
+            assert abs(est.mean - kappa_exact(param)) <= 4 * est.se, (mu, q, d)
 
 
 class TestBesselWalk:

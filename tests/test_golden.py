@@ -159,38 +159,42 @@ CASES = {
 # convolve family stopped re-clamping its point matrices through a second
 # eigendecomposition (last bits of r and s).  c05, c12a and c12b were
 # recorded again when their references became scipy.special closed forms
-# (last bits of the character values, of kappa and of the Beta CDF).
+# (last bits of the character values, of kappa and of the Beta CDF).  Every
+# case that reduces a mean and its standard error (the walks, convolve,
+# kappa, moment-identity and the m2, m1, character and mu-scaling checks)
+# was recorded again once when the one-pass sums of x and x^2 gave way to
+# two-pass block moments merged pairwise (last bits of means and SEs).
 GOLDEN = {
-    "axiom-extras": "8801cc65bd229e777a06fe300c483266532f72d5fbf5130a3300a40fc976c9c8",
-    "bessel-q1-complex": "de1b79c94db7d424d16af1b54f15c60ebfea278c448d4d1b4cc27e7473b00896",
-    "bessel-q2-complex": "c2a4b76e02cc078b8e1a967502f3d1e74c1b025a8230920ce7875befbdbc9a39",
-    "c01": "4e2291d018d98570858a74415f04bd64b9e7c8a7682217eeb2769fd871b0df73",
-    "c02": "c0be12b09cdaab8dd6e6a9bfe2dd17537f7b983909dad8432ce57c2ffc19a680",
+    "axiom-extras": "c98620a9f981ac0094342a60766ad6b9fa0d156f271ea8249356105c61a6fd8a",
+    "bessel-q1-complex": "f3378e93d30fcd8eef27cd22f641766751ddfa354d2fa865420f03f75d8a36b7",
+    "bessel-q2-complex": "13690c28787c095d4e7da2e847aa9534c2cbdf66850fcab1afb84d4f2f98d3c6",
+    "c01": "dab094f2da71e9a7e9721e2e381f5f0008bdec6db7223cfc0c00538d4baaa467",
+    "c02": "f24586aa5b2e640b883e71374994ac78c34cf86c6ef9f0fe11fb7636dc27205c",
     "c03": "078a907c3000a4f0213deab45c34aaa4509dd7cdf2861452d3fe457943ef4cc3",
     "c04": "0563cf30b71fc1a48423ed61c5a97b3a88f03ecd62fdcd2ffe14dae5dafbd25c",
-    "c05": "8617b21ad89d860d912b75d0f3c9aeb00a1f09985d5d1c58999eb80e669a5da1",
+    "c05": "ed664769e2763474530a34b4a6eb9f5f3a8470d8da4a7e2d5200bf4577b783b0",
     "c06": "70c64ad17cc4e0f6cee93b46ed0bb32bb68fbf3b26cffdf03f6a199c5ee0e878",
     "c07": "053381bc3cba23b5821d9389d4af831a48a602ed80606b31d5123b34233ebb04",
     "c08": "f241ce0ceec44f4c7f24a3cf1bf3d78199e3507389866f7e458c7a7487106c27",
     "c09": "5b0e4df3f46c8ca86ed10131936da7c38f1ecc0ae42f65f20cbbb7b3b6491131",
     "c10": "69ad9462a399ab0aac34e68d476278147643bf164659ee3a0c1b3f2df5204519",
-    "c11": "742eea399fdf1a9758994f37849c099daad89216e4ec9db106a8687f84368b49",
-    "c12a": "da16732b73d4d0e7d59f0f4a2c9cd8b7060f456230b6d7e484d8318445a3f985",
+    "c11": "3434369133bc09b75de862309d4f7d20885b290c59fbcd158edae1b71dd6f7f8",
+    "c12a": "a5109c2ee38cb97c4e08a860ea4ae19cb723dfbd31114b60c2095165275157ef",
     "c12b": "9fcdecc1ccf91c6e99d70627a8dd905c96e9053396aabe10f8f404f7f37042f4",
-    "character-mu0.52": "512b002b5644678ad8481f6b7bf5a6f8e6a7af004f39d4fa14450cc9e350519d",
+    "character-mu0.52": "84598dd63a9f28638377c28a5a7e1376b7d554308f5c4a075c76eb32593ed1d3",
     "contraction-beta-mu0.52": "1d8c8ed2c6d98f85edaa1a0ea90063f47e619574facf1fe66255ab0526eb956f",
-    "convolve-q1": "0b45a1a04272933c0252b9aafe14ff298da6d21686d0ed83e9b5b0a42450c408",
-    "demo-convolve": "dd576a0647acdf26603473340b23dbf525487bfc66dae1ae8ea24fcdc0ee90a8",
-    "demo-walk-bessel": "130d8b6362778b70166809de23ed7f3ca269c6a46850b3ba612110c2ab9926e9",
-    "demo-walk-group": "f119a93bcc4e3653f3642b250043520b3d531123ab7d94b9de1fa722fc2e5cc6",
+    "convolve-q1": "0a69f04045a73e11b54ce11152fb33e2a893cf90cce1c6477bbc82de6484fd6f",
+    "demo-convolve": "8deb618e71b4fc505bee756e887df1e9410c6986bc8ac4f11e0a324bd13fc9f1",
+    "demo-walk-bessel": "efb974f8ee28b8d3e3c312856ada43d162773fd9826d53be56839256e9e551f4",
+    "demo-walk-group": "2acdfe2003b346e58b857de8928e3ccf5e215e8bbf4dfd09a5673d9719dd5b9b",
     "extras-clt1": "8e02c9ea40b7de2ca4c568f985ef9fdc310cef714a335465b07882384b070bdf",
-    "group-q1-direct-complex": "79bffee1089f8a06e3e08d6c388ed2a1d16c3d182bd6259a0fb8e3044b57d0d0",
-    "group-q1-direct-real": "f3f1a0e996f1d9f1f50642e2c98f9c5dc514336b00876650b22116dbf3ce0ed2",
-    "group-q1-polar-complex": "cbeabfac57a1fca22b3248388d4299c7d0018491af4155e14d0fe2a38068d70a",
-    "group-q2-direct-complex": "96e131a03d98709b4a94f017f8f6e45e8cf2753dcf1f056b99a0b7ca367bc6bd",
-    "group-q2-polar-complex": "52b767e9ce40c97785148067551c9910117c77230e3b5919b155e7d197daf21c",
-    "group-q2-polar-real": "e55244e051deba840f0fa49e837556703dea7ee047daf3ca3880ce0d1380651d",
-    "kappa-q2": "7fcb2f5b2135be33ecf1a5fa1798fd368e1dd00e90674698ca062e41fe67374a",
+    "group-q1-direct-complex": "455eda430f5808f9da4a6b0e4bcbd03c76fd3f4dd66ed8880e36b5da191449c3",
+    "group-q1-direct-real": "1e280046e4b3a9978fa50566efb04ebaa1406b3860b3be7bfbc856b07e668c4d",
+    "group-q1-polar-complex": "5f4336ea3d61bf5393e5801d5b4ff8894cc28fdbfa96ecb5e4c5855d6feb30e0",
+    "group-q2-direct-complex": "8ca486516669f1d93939e41c3894bfb29509b349bab01bfcc8aa0806b51b9a54",
+    "group-q2-polar-complex": "057bccd0352c5828a13c7c3add34fca674add95f0667454b0f94ea1074f6f5cc",
+    "group-q2-polar-real": "752bed75493acc54325e0d565069a2817f6fc187d0e637b148ced4dceaaac29b",
+    "kappa-q2": "b83196a2e4726baa56dd40c800860082bc5aaf1f8e74edc4105d6d442a23b575",
 }
 
 

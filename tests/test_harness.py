@@ -357,15 +357,30 @@ class TestZeroStandardError:
         assert rec.passed
 
     def test_exact_m2_additivity_passes(self):
-        # one step of a unit point law has ||S_1||^2 = 1 exactly
-        raw = {"experiment": "axioms", "seed": 32, "checks": [
-            {"check": "m2-additivity", "q": 1, "d": 1, "mu": 3.0,
-             "law": {"kind": "point_mass", "atom": 1.0}, "n_steps": 1,
-             "replicates": 2000}]}
+        # one step of a point law has ||S_1||^2 = atom^2 exactly; at 0.1 the
+        # sum of the 2000 equal draws rounds, but their mean must not
+        for atom in (1.0, 0.1):
+            raw = {"experiment": "axioms", "seed": 32, "checks": [
+                {"check": "m2-additivity", "q": 1, "d": 1, "mu": 3.0,
+                 "law": {"kind": "point_mass", "atom": atom}, "n_steps": 1,
+                 "replicates": 2000}]}
+            cfg, _ = validate_config(raw)
+            rec = run_experiment(cfg)
+            assert rec.checks[0]["diff_over_se"] == 0.0, atom
+            assert rec.passed
+
+    def test_nearly_constant_walk_keeps_its_standard_error(self):
+        # as mu -> inf the index-mu walk of a unit point law tends to the
+        # deterministic ||S_8||^2 = 8; at mu = 1e17 its spread is about
+        # 2e-8, below what sum(x^2)/n - mean^2 resolves at x = 8, so a
+        # one-pass variance reads se = 0 and the check infinitely many SEs off
+        raw = {"experiment": "walk-bessel", "seed": 7, "mu": 1e17, "q": 1, "d": 1,
+               "n_steps": 8, "law": {"kind": "point_mass", "atom": 1.0},
+               "replicates": 20000}
         cfg, _ = validate_config(raw)
         rec = run_experiment(cfg)
-        assert rec.checks[0]["diff_over_se"] == 0.0
-        assert rec.passed
+        assert rec.rows[0][3] > 0
+        assert rec.passed, rec.checks
 
     def test_nonzero_difference_fails(self):
         from conewalk.experiments import diff_over_se

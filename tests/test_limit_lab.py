@@ -7,6 +7,7 @@ from conewalk import cone_linalg as cl
 from conewalk.errors import ConfigError, DegenerateDataError, UnsupportedFieldError
 from conewalk.harness import run_experiment, validate_config
 from conewalk.limit_lab import (
+    Moments,
     chi2_cdf,
     empirical_cov,
     fit_loglog,
@@ -171,6 +172,35 @@ class TestEmpiricalCov:
     def test_needs_two(self):
         with pytest.raises(ValueError):
             empirical_cov(np.zeros((1, 3)))
+
+
+class TestMoments:
+    def test_merge_matches_one_block(self):
+        # blocks of unequal size merged in order give the one-block moments,
+        # row by row for a 2-d sample
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((3, 1000)) * [[1.0], [1e-3], [1e3]] + 1e4
+        merged = Moments.pooled(Moments.of(x[:, a:b])
+                                for a, b in ((0, 1), (1, 300), (300, 1000)))
+        whole = Moments.of(x)
+        assert merged.count == 1000
+        assert np.allclose(merged.mean, whole.mean, rtol=1e-15)
+        assert np.allclose(merged.M2, whole.M2, rtol=1e-12)
+        assert np.allclose(merged.se, np.std(x, axis=1) / np.sqrt(1000), rtol=1e-12)
+
+    def test_constant_sample_is_exact(self):
+        # the sum of 0.1s rounds, yet a constant sample keeps its value as
+        # mean and has M2 = 0 and se = 0
+        m = Moments.pooled([Moments.of(np.full(7, 0.1)), Moments.of(np.full(2000, 0.1))])
+        assert (m.count, m.mean, m.M2, m.se) == (2007, 0.1, 0.0, 0.0)
+        assert np.mean(np.full(2000, 0.1)) != 0.1
+
+    def test_spread_far_below_the_mean(self):
+        # a one-pass sum(x^2)/n - mean^2 loses a spread of 1e-9 around 8
+        x = 8.0 + 1e-9 * np.random.default_rng(11).standard_normal(20000)
+        m = Moments.pooled(Moments.of(b) for b in np.split(x, 4))
+        assert m.se == pytest.approx(np.std(x) / np.sqrt(x.size), rel=1e-6)
+        assert np.mean(x * x) - np.mean(x) ** 2 <= 1e-15
 
 
 class TestMardia:

@@ -1,6 +1,7 @@
 """Rules on the package source that a run of the program cannot show."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "conewalk"
@@ -63,6 +64,23 @@ def test_no_rejection_stall_error():
              if "SamplerStallError" in path.read_text()]
     assert found == []
 
+
+def test_line_length():
+    # lines are not packed to meet a line-count target
+    found = [f"{path.relative_to(SRC)}:{i}"
+             for path in sorted(SRC.rglob("*.py"))
+             for i, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 99]
+    assert found == []
+
+
+def test_one_reduction_path():
+    # means and standard errors come from limit_lab.Moments: a two-pass
+    # block summary merged pairwise, never a one-pass sum of squares
+    found = [f"{path.relative_to(SRC)}:{i}"
+             for path in sorted(SRC.rglob("*.py"))
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if re.search(r"(sum|total)_sq", line)]
+    assert found == []
 
 
 def _imported_names(tree):
