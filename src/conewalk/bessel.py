@@ -255,21 +255,40 @@ def run_bessel_walks(cfg: BesselWalkConfig, rng: np.random.Generator,
 def bessel_character_1d(mu: float, r, s) -> np.ndarray | float:
     """The q = 1 character value j_{mu-1}(r s) = 0F1(mu; -(r s)^2 / 4).
 
-    Evaluated by scipy.special.hyp0f1, which returns NaN at some arguments
+    Evaluated by scipy.special.hyp0f1.  That returns NaN at some arguments
     of large index: in a narrow band of small r s from about mu = 88 on, and
-    for most r s at mu = 300.  Such arguments raise ValueError.
+    for most r s from about mu = 300.  There the value is the power series,
+    the Taylor expansion scipy itself takes at small arguments.  Where that
+    cancels too (its largest term above 1e3), the argument raises ValueError.
     """
     if mu <= 0:
         raise ValueError("character requires mu > 0")
     x = np.asarray(r, dtype=np.float64) * np.asarray(s, dtype=np.float64)
     if np.any(x < 0):
         raise ValueError("character arguments must be nonnegative")
-    out = special.hyp0f1(mu, -0.25 * x * x)
+    out = np.array(special.hyp0f1(mu, -0.25 * x * x), dtype=np.float64)
     bad = ~np.isfinite(out)
     if np.any(bad):
-        raise ValueError(f"0F1(mu; -x^2/4) is not finite in float64 at mu={mu}, "
-                         f"x={float(np.min(x[bad])):.6g}")
+        total, largest = _hyp0f1_series(mu, -0.25 * x[bad] * x[bad])
+        if np.any(largest > 1e3):
+            raise ValueError(f"0F1(mu; -x^2/4) is not finite in float64 and its series "
+                             f"cancels at mu={mu}, x={float(np.min(x[bad][largest > 1e3])):.6g}")
+        out[bad] = total
     return float(out) if x.ndim == 0 else out
+
+
+def _hyp0f1_series(mu, z):
+    """The first 60 terms of 0F1(mu; z) = sum_k z^k / ((mu)_k k!) summed, and
+    the size of the largest.  With that at most 1e3 the rest is negligible:
+    the 60th term is below 1e-26 for mu in [1/2, 1e5]."""
+    term = np.ones_like(z)
+    total = np.ones_like(z)
+    largest = np.ones_like(z)
+    for k in range(60):
+        term = term * z / ((mu + k) * (k + 1.0))
+        total += term
+        largest = np.maximum(largest, np.abs(term))
+    return total, largest
 
 
 # -- large-index comparison -------------------------------------------------

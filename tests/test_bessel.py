@@ -329,6 +329,22 @@ class TestCharacter:
                               * mp.sqrt(mp.besselj(nu, x) ** 2 + mp.bessely(nu, x) ** 2))
                     assert abs(val - ref) <= 1e-11 * env, (mu, x)
 
+    def test_series_in_the_nan_band(self):
+        # where scipy's hyp0f1 is NaN (small x from about mu = 88 on, most x
+        # at mu = 300) the character is its power series; 40-digit oracle
+        import mpmath as mp
+        from scipy import special
+
+        xs = np.linspace(1e-3, 60.0, 20001)
+        with mp.workdps(40):
+            for mu in (90.0, 100.0, 120.0, 300.0, 1000.0):
+                band = xs[~np.isfinite(special.hyp0f1(mu, -0.25 * xs * xs))]
+                assert band.size > 0, mu
+                band = band[np.linspace(0, band.size - 1, 25).astype(int)]
+                mine = bessel_character_1d(mu, band, 1.0)
+                for x, val in zip(band, mine):
+                    assert abs(val - mp.hyp0f1(mu, -mp.mpf(x) ** 2 / 4)) <= 1e-15, (mu, x)
+
     def test_eval_is_vectorized(self):
         out = bessel_character_1d(2.0, np.array([0.0, 1.0, 20.0]), 0.5)
         assert out.shape == (3,)

@@ -301,6 +301,16 @@ class TestOutputs:
         rec = run_experiment(cfg)
         assert rec.passed, rec.checks
 
+    def test_character_in_the_hyp0f1_nan_band(self):
+        # at mu = 100 scipy's hyp0f1 is NaN for x in [0.0202, 0.0577], which
+        # r s = 0.03 and the convolved t s fall in
+        raw = {"experiment": "axioms", "seed": 5, "checks": [
+            {"check": "character", "mu": 100.0, "r1": 1.0, "r2": 1.0, "s": 0.03,
+             "draws": 20000}]}
+        cfg, _ = validate_config(raw)
+        rec = run_experiment(cfg)
+        assert rec.passed, rec.checks
+
     def test_kappa_matrix_rows_checked_against_exact(self):
         # every kappa row, q >= 2 included, has a finite reference and a check
         raw = {"experiment": "kappa", "seed": 3, "q": 2, "d": 1,
