@@ -170,7 +170,7 @@ def _law_field(raw: dict, key="law", q=None, field=None) -> dict:
 def _param_field(raw: dict, q: int, d: int, lemma=False) -> BesselParam:
     """The index "mu" in the existence range, and with lemma in the
     comparison-bound range mu >= 2 rho."""
-    mu = float(_req(raw, "mu", (int, float), lambda v: v > 0, "must be positive"))
+    mu = _req(raw, "mu", float, lambda v: v > 0, "must be positive")
     try:
         param = BesselParam(mu, q, d)
         if lemma:
@@ -844,11 +844,11 @@ def _validate_commutativity(spec):
 
 
 def _run_commutativity(spec, k, stream):
-    field = _field(spec["d"])
-    r = _matrix_from_spec(spec, "r", field)
-    s = _matrix_from_spec(spec, "s", field)
-    t_rs = convolve_points(r, s, _param(spec), stream(0), k)
-    t_sr = convolve_points(s, r, _param(spec), stream(1), k)
+    param = _param(spec)
+    r = _matrix_from_spec(spec, "r", param.field)
+    s = _matrix_from_spec(spec, "s", param.field)
+    t_rs = convolve_points(r, s, param, stream(0), k)
+    t_sr = convolve_points(s, r, param, stream(1), k)
     return {"a": cl.trace_herm(t_rs @ t_rs), "b": cl.trace_herm(t_sr @ t_sr)}
 
 
@@ -937,9 +937,9 @@ def _run_group_consistency(spec, k, stream):
 
 def _validate_character(spec):
     return {"mu": _param_field(spec, 1, 1).mu,
-            "r1": float(_req(spec, "r1", (int, float), lambda v: v >= 0)),
-            "r2": float(_req(spec, "r2", (int, float), lambda v: v >= 0)),
-            "s": float(_req(spec, "s", (int, float), lambda v: v >= 0)),
+            "r1": _req(spec, "r1", float, lambda v: v >= 0),
+            "r2": _req(spec, "r2", float, lambda v: v >= 0),
+            "s": _req(spec, "s", float, lambda v: v >= 0),
             "draws": _req(spec, "draws", int, lambda v: v >= 2),
             "max_se": _opt(spec, "max_se", float, 4.0, lambda v: v > 0)}
 
@@ -959,7 +959,7 @@ def _reduce_character(spec, parts):
 def _validate_contraction_beta(spec):
     return {"mu": _param_field(spec, 1, 1).mu,
             "draws": _req(spec, "draws", int, lambda v: v >= 8),
-            "ks_max": float(_req(spec, "ks_max", (int, float), lambda v: v > 0))}
+            "ks_max": _req(spec, "ks_max", float, lambda v: v > 0)}
 
 
 def _run_contraction_beta(spec, k, stream):
@@ -991,7 +991,7 @@ def _reduce_contraction_beta(spec, parts):
 def _validate_mu_scaling(spec):
     return _v_dims(spec, "law", lemma=True) | {
         "n_steps": _req(spec, "n_steps", int, lambda v: v >= 2),
-        "cap": float(_req(spec, "cap", (int, float), lambda v: v > 0)),
+        "cap": _req(spec, "cap", float, lambda v: v > 0),
         "replicates": _req(spec, "replicates", int, lambda v: v >= 2),
         "ratio_lo": _opt(spec, "ratio_lo", float, 1.0),
         "ratio_hi": _opt(spec, "ratio_hi", float, 4.0)}

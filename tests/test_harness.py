@@ -138,6 +138,8 @@ class TestValidation:
         # below the existence range mu > rho - 1 = 1/2 no walk exists
         with pytest.raises(ConfigError, match="mu"):
             validate_config(tiny_walk_config(mu=0.5))
+        with pytest.raises(ConfigError, match="mu"):
+            validate_config(tiny_walk_config(mu="3"))
 
     def test_mu_between_rho_minus_one_and_rho_accepted(self):
         cfg, _ = validate_config(tiny_walk_config(mu=1.2))
