@@ -332,7 +332,10 @@ class WalkBesselExperiment:
 
 def _walk_partial(cfg, traj):
     tr = traj.tr_squared()
-    return {"m": lab.Moments.of(tr), **({"raw_tr": tr} if cfg["emit"] == "replicates" else {})}
+    part = {"m": lab.Moments.of(tr)}
+    if cfg["emit"] == "replicates":
+        part["raw_tr"] = tr
+    return part
 
 
 # -- convolution family ------------------------------------------------------
@@ -713,7 +716,7 @@ class MomentIdentityExperiment:
         rows = []
         checks = []
         for cell, (n, p) in enumerate(cfg["grid"]):
-            m = _pooled(p for p in partials if p["cell"] == cell)
+            m = _pooled(part for part in partials if part["cell"] == cell)
             count, mean, se = m.count, m.mean, m.se
             expected = lab.moment_identity_rhs(n, p, md)
             diff = abs(mean - expected)
@@ -887,7 +890,8 @@ def _reduce_m2_additivity(spec, parts):
 
 
 def _validate_m1_subadd(spec):
-    out = _v_dims(spec, "law", *(["law2"] if "law2" in spec else []))
+    laws = ("law", "law2") if "law2" in spec else ("law",)
+    out = _v_dims(spec, *laws)
     out.setdefault("law2", out["law"])
     return out | {"replicates": _req(spec, "replicates", int, lambda v: v >= 2),
                   "max_se": _opt(spec, "max_se", float, 4.0, lambda v: v > 0)}
