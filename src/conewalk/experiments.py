@@ -55,16 +55,12 @@ MAX_REPLICATE_ROWS = 2_000_000
 _METHODS = ("auto", "direct", "polar")
 
 
-def rng_for(master_seed: int, cell: int, block: int, role: int = 0) -> np.random.Generator:
-    """Counter-based stream: master seed plus a (cell, block, role) key."""
-    seq = np.random.SeedSequence(entropy=int(master_seed),
-                                 spawn_key=(int(cell), int(block), int(role)))
+def _task_rng(cfg, task, role=0) -> np.random.Generator:
+    """Counter-based stream of one block task: the config's master seed
+    plus a (cell, block, role) key."""
+    seq = np.random.SeedSequence(entropy=int(cfg["seed"]),
+                                 spawn_key=(int(task["cell"]), int(task["block"]), int(role)))
     return np.random.Generator(np.random.Philox(seq))
-
-
-def _task_rng(cfg, task, role=0):
-    """The stream of one block task under the config's master seed."""
-    return rng_for(cfg["seed"], task["cell"], task["block"], role)
 
 
 def plan_blocks(cell_sizes, block_size: int) -> list[dict]:
