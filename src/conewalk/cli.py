@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config master seed (u64)")
         p.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: CONEWALK_WORKERS or 1)")
+                       help="worker processes (default: CONEWALK_WORKERS or the usable CPUs)")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--format", default="both", choices=("csv", "json", "both"),
                        help="output formats")

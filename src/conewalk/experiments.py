@@ -17,7 +17,6 @@ in task order, which pins floating-point summation order.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from typing import Callable, NamedTuple
 
@@ -39,7 +38,7 @@ from .bessel import (
     run_bessel_walks,
     sample_contraction,
 )
-from .errors import ConfigError
+from .errors import ConeViolationError, ConfigError
 from .orbit_sampler import GroupWalkConfig, run_group_walks, wishart_sample
 from .radial_laws import (
     RadialLaw,
@@ -87,14 +86,9 @@ def diff_over_se(diff, se):
     return 0.0 if diff == 0 else math.inf
 
 
-_MOMENTS_CACHE: dict[str, object] = {}
-
-
 def law_moments(law: RadialLaw):
-    key = json.dumps(law.to_spec(), sort_keys=True)
-    if key not in _MOMENTS_CACHE:
-        _MOMENTS_CACHE[key] = moments(law)
-    return _MOMENTS_CACHE[key]
+    """The law's exact moments; cheap enough to compute at each use."""
+    return moments(law)
 
 
 def _field(d: int) -> str:
@@ -155,7 +149,10 @@ def _law_field(raw: dict, key="law", q=None, field=None) -> dict:
     (q, field)."""
     if key not in raw:
         raise ConfigError(key, "missing required field")
-    spec = normalize_law_spec(raw[key])
+    try:
+        spec = normalize_law_spec(raw[key])
+    except ConfigError as exc:  # law_from_spec names its fields law.*
+        raise ConfigError(key + exc.field.removeprefix("law"), exc.message) from exc
     if q is not None:
         law = law_from_spec(spec)
         if law.q != q or law.field != field:
@@ -185,12 +182,14 @@ def _point_matrices(raw: dict, out: dict, q: int, field: str) -> None:
             raise ConfigError(key, "missing required matrix")
         try:
             out[used] = normalize_matrix_spec(raw[used], field)
+            mat = _matrix_from_spec(out, key, field)
+            cl.clamp_psd(mat)  # PSD validation only
         except ValueError as exc:
             raise ConfigError(used, str(exc)) from exc
-        mat = _matrix_from_spec(out, key, field)
+        except ConeViolationError as exc:
+            raise ConfigError(used, f"must be PSD: {exc}") from exc
         if mat.shape != (q, q):
             raise ConfigError(used, f"expected a {q}x{q} matrix")
-        cl.clamp_psd(mat)  # PSD validation only
 
 
 def _common(raw: dict, experiment: str) -> dict:

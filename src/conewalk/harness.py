@@ -169,13 +169,17 @@ def run_experiment(cfg: dict, workers: int = 1,
 
 
 def default_workers() -> int:
+    """CONEWALK_WORKERS if set, else the number of CPUs this process may use."""
     env = os.environ.get("CONEWALK_WORKERS")
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             return 1
-    return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask outside Linux
+        return os.cpu_count() or 1
 
 
 # -- output emission ---------------------------------------------------------

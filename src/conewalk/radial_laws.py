@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cone_linalg as cl
-from .errors import ConfigError
+from .errors import ConeViolationError, ConfigError
 
 KINDS = (
     "point_mass",
@@ -29,18 +29,17 @@ KINDS = (
 )
 
 _SCALAR_KINDS = ("two_point", "log_normal", "uniform")
+# the key of a matrix law's payload; "<key>_squared" gives its square
+_MATRIX_KEYS = {"point_mass": "atom", "finite_mixture": "atoms", "wishart_root": "scale"}
 
-# deterministic stream for Monte Carlo moment estimation
-_MC_SEED = 927121
+# trapezoid nodes y = log u over [-40, 40] for the half-integer Wishart moments
+_HALF_STEP = 1.0 / 16.0
+_HALF_Y = np.arange(-640, 641) * _HALF_STEP
 
 
 @dataclass(frozen=True)
 class MomentData:
-    """Moment metadata of a radial law.
-
-    exactness is "analytic" or "monte_carlo"; Monte Carlo entries carry
-    the sample count and a dict of standard errors.
-    """
+    """Exact moment metadata of a radial law."""
 
     q: int
     field: str
@@ -50,9 +49,6 @@ class MomentData:
     m4: float
     sigma2: np.ndarray
     sigma2_image_cov: np.ndarray
-    exactness: str
-    mc_samples: int | None = None
-    mc_std_error: dict | None = None
 
     def __post_init__(self):
         slack = 1e-9 * (1.0 + self.m2 + self.m4)
@@ -252,6 +248,8 @@ def law_from_spec(spec: dict) -> RadialLaw:
         raise ConfigError(f"law.{exc.args[0]}", "missing required law parameter") from exc
     except ValueError as exc:
         raise ConfigError("law", str(exc)) from exc
+    except ConeViolationError as exc:
+        raise ConfigError(f"law.{_matrix_key(spec)}", f"must be PSD: {exc}") from exc
     raise ConfigError("law.kind", f"unhandled law kind {kind!r}")
 
 
@@ -275,10 +273,10 @@ def normalize_law_spec(spec: dict) -> dict:
     if "q" in spec and int(spec["q"]) != law.q:
         raise ConfigError("law.q", f"declared q={spec['q']} but payload implies q={law.q}")
     if kind == "point_mass":
-        key = "atom_squared" if "atom_squared" in spec else "atom"
+        key = _matrix_key(spec)
         out[key] = normalize_matrix_spec(spec[key], field)
     elif kind == "finite_mixture":
-        key = "atoms_squared" if "atoms_squared" in spec else "atoms"
+        key = _matrix_key(spec)
         out[key] = [normalize_matrix_spec(s, field) for s in spec[key]]
         out["weights"] = [float(w) for w in spec["weights"]]
     elif kind == "two_point":
@@ -288,19 +286,14 @@ def normalize_law_spec(spec: dict) -> dict:
     elif kind == "uniform":
         out.update(lo=float(spec["lo"]), hi=float(spec["hi"]))
     elif kind == "wishart_root":
-        key = "scale_squared" if "scale_squared" in spec else "scale"
+        key = _matrix_key(spec)
         out[key] = normalize_matrix_spec(spec[key], field)
         out["dof"] = int(spec["dof"])
     return out
 
 
-def moments(law: RadialLaw, mc_samples: int = 10**6, mc_seed: int = _MC_SEED) -> MomentData:
-    """Moment metadata; analytic where closed forms exist, else Monte Carlo.
-
-    The Monte Carlo branch (wishart_root) uses a private deterministic
-    stream so the metadata is reproducible and independent of any walk
-    simulation that consumes it.
-    """
+def moments(law: RadialLaw) -> MomentData:
+    """Exact moment metadata of every law in the catalogue."""
     if law.kind == "point_mass":
         return _atomic_moments(law, law.atom[None, ...], np.array([1.0]))
     if law.kind == "finite_mixture":
@@ -311,9 +304,9 @@ def moments(law: RadialLaw, mc_samples: int = 10**6, mc_seed: int = _MC_SEED) ->
         img = np.array([[mk[4] - mk[2] ** 2]])
         return MomentData(q=1, field=law.field, m1=mk[1], m2=mk[2], m3=mk[3], m4=mk[4],
                           sigma2=sigma2 if law.field == cl.REAL else sigma2.astype(np.complex128),
-                          sigma2_image_cov=img, exactness="analytic")
+                          sigma2_image_cov=img)
     if law.kind == "wishart_root":
-        return _mc_moments(law, mc_samples, mc_seed)
+        return _wishart_moments(law)
     raise ValueError(f"unknown law kind {law.kind!r}")
 
 
@@ -341,6 +334,12 @@ def _to_matrix(s, field: str) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     return cl.herm_part(arr)
+
+
+def _matrix_key(spec: dict) -> str:
+    """The key a matrix law's payload came under: the plain or the squared one."""
+    key = _MATRIX_KEYS[spec["kind"]]
+    return f"{key}_squared" if f"{key}_squared" in spec else key
 
 
 def _matrix_from_spec(spec: dict, key: str, field: str) -> np.ndarray:
@@ -386,45 +385,39 @@ def _atomic_moments(law: RadialLaw, atoms: np.ndarray, weights: np.ndarray) -> M
     img = np.einsum("n,ni,nj->ij", weights, vec, vec) - np.outer(mean_vec, mean_vec)
     img = 0.5 * (img + img.T)
     return MomentData(q=law.q, field=law.field, m1=mk[0], m2=mk[1], m3=mk[2], m4=mk[3],
-                      sigma2=sigma2, sigma2_image_cov=img, exactness="analytic")
+                      sigma2=sigma2, sigma2_image_cov=img)
 
 
-def _mc_moments(law: RadialLaw, n_samples: int, seed: int) -> MomentData:
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    dim = cl.herm_vec_dim(law.q, law.field)
-    cnt = 0
-    s_norm = np.zeros(4)
-    s_norm2 = np.zeros(4)
-    s_vec = np.zeros(dim)
-    s_outer = np.zeros((dim, dim))
-    s_sq = np.zeros((law.q, law.q), dtype=cl.field_dtype(law.field))
-    chunk = 200_000
-    while cnt < n_samples:
-        k = min(chunk, n_samples - cnt)
-        s = law.sample(rng, k)
-        sq = cl.herm_part(np.einsum("nij,njk->nik", s, s))
-        h = cl.frob_norm(s)
-        pw = np.stack([h, h**2, h**3, h**4])
-        s_norm += pw.sum(axis=1)
-        s_norm2 += (pw**2).sum(axis=1)
-        vec = cl.vectorize_herm(sq, law.field)
-        s_vec += vec.sum(axis=0)
-        s_outer += vec.T @ vec
-        s_sq += sq.sum(axis=0)
-        cnt += k
-    mk = s_norm / cnt
-    se = np.sqrt(np.maximum(s_norm2 / cnt - mk**2, 0.0) / cnt)
-    sigma2 = cl.herm_part(s_sq / cnt)
-    mean_vec = s_vec / cnt
-    img = s_outer / cnt - np.outer(mean_vec, mean_vec)
-    img = 0.5 * (img + img.T)
-    # keep tr(sigma2) == m2 exactly consistent with the same sample
+def _wishart_moments(law: RadialLaw) -> MomentData:
+    """Moments of s = W^(1/2) with W = s^2 ~ Wishart_q(Sigma, dof) over the
+    field (Muirhead 1982, Sec. 3.2), Sigma = law.scale."""
+    d, dof, sigma = cl.field_dim(law.field), law.dof, law.scale
+    sigma2 = dof * sigma
     m2 = float(cl.trace_herm(sigma2))
-    return MomentData(
-        q=law.q, field=law.field,
-        m1=float(mk[0]), m2=m2, m3=float(mk[2]), m4=float(mk[3]),
-        sigma2=sigma2, sigma2_image_cov=img, exactness="monte_carlo",
-        mc_samples=cnt,
-        mc_std_error={"m1": float(se[0]), "m2": float(se[1]),
-                      "m3": float(se[2]), "m4": float(se[3])},
-    )
+    m4 = m2**2 + (2.0 / d) * dof * float(cl.frob_norm(sigma)) ** 2
+    e_sigma = cl.herm_basis(law.q, law.field) @ sigma
+    img = (2.0 / d) * dof * np.einsum("aij,bji->ab", e_sigma, e_sigma).real
+    img = 0.5 * (img + img.T)
+    # ||s||^2 = tr W is a sum of Gamma(d dof / 2) variables of scales theta_i
+    theta = (2.0 / d) * np.maximum(np.linalg.eigvalsh(sigma), 0.0)
+    m1, m3 = _half_moments(theta, d * dof / 2.0, m2)
+    return MomentData(q=law.q, field=law.field, m1=m1, m2=m2, m3=m3, m4=m4,
+                      sigma2=sigma2, sigma2_image_cov=img)
+
+
+def _half_moments(theta: np.ndarray, k: float, mean: float) -> tuple[float, float]:
+    """E X^(1/2) and E X^(3/2) of X = sum_i theta_i Gamma_i(k), E X = mean.
+
+    With L(t) = E exp(-t X) = prod_i (1 + theta_i t)^-k they are
+    (2/sqrt(pi)) int_0^inf -L'(u^2) du and (2/sqrt(pi)) int_0^inf L''(u^2) du,
+    taken by the trapezoid rule in y = log u around u = mean^(-1/2).  In y
+    the integrands are analytic and decay exponentially at both ends, so
+    the rule converges geometrically in the step.
+    """
+    y = _HALF_Y - 0.5 * np.log(mean or 1.0)  # mean 0: theta = 0, both vanish
+    tu = np.exp(2.0 * y)[:, None] * theta
+    w = theta / (1.0 + tu)
+    s1 = k * w.sum(axis=1)
+    s2 = k * (w * w).sum(axis=1)
+    weight = np.exp(y - k * np.log1p(tu).sum(axis=1)) * (2.0 / np.sqrt(np.pi) * _HALF_STEP)
+    return float(weight @ s1), float(weight @ (s1 * s1 + s2))

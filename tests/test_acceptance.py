@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conewalk.harness import emit_outputs, run_experiment, validate_config
+from conewalk.harness import default_workers, emit_outputs, run_experiment, validate_config
 from conewalk.limit_lab import chi2_normal_gap
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs" / "acceptance"
@@ -24,12 +24,14 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs" / "acceptance"
 _RECORDS = {}
 
 
-def run_config(name, workers=1):
-    key = (name, workers)
+def run_config(name, workers=None):
+    # bytes do not depend on the worker count (criterion 13), so the
+    # long criteria may use every CPU this process can run on
+    key = (name, default_workers() if workers is None else workers)
     if key not in _RECORDS:
         raw = json.loads((CONFIG_DIR / name).read_text())
         cfg, warnings = validate_config(raw)
-        _RECORDS[key] = run_experiment(cfg, workers=workers, warnings=warnings)
+        _RECORDS[key] = run_experiment(cfg, workers=key[1], warnings=warnings)
     return _RECORDS[key]
 
 

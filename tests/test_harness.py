@@ -134,6 +134,25 @@ class TestValidation:
         with pytest.raises(ConfigError, match="law"):
             validate_config(tiny_walk_config(law={"kind": "two_point", "a": 1}))
 
+    @pytest.mark.parametrize("raw, field", [
+        ({"experiment": "convolve", "seed": 1, "q": 1, "d": 1, "mu": 3.0, "replicates": 10,
+          "r": [[-1.0]], "s": [[1.0]]}, "r"),
+        (tiny_walk_config(law={"kind": "wishart_root", "scale": [[-1.0]], "dof": 2}),
+         "law.scale"),
+    ], ids=["convolve", "wishart_root"])
+    def test_non_psd_matrix_is_config_error(self, raw, field):
+        # a wrong input, not a numerical failure of the program
+        with pytest.raises(ConfigError, match="must be PSD") as info:
+            validate_config(raw)
+        assert info.value.field == field
+
+    def test_law_error_names_its_key(self):
+        spec = {"check": "m1-subadditivity", "mu": 3.0, "replicates": 10,
+                "law": TWO_POINT, "law2": {"kind": "nope"}}
+        with pytest.raises(ConfigError, match="unknown law kind") as info:
+            validate_config({"experiment": "axioms", "seed": 1, "checks": [spec]})
+        assert info.value.field == "checks[0].law2.kind"
+
     def test_mu_below_rho_rejected(self):
         # below the existence range mu > rho - 1 = 1/2 no walk exists
         with pytest.raises(ConfigError, match="mu"):
@@ -457,6 +476,14 @@ class TestCli:
         res = self._run("walk-bessel", "--config", str(path))
         assert res.returncode == 2
         assert "config error" in res.stderr
+
+    def test_non_psd_matrix_exit_two(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        law = {"kind": "wishart_root", "scale": [[-1.0]], "dof": 2}
+        path.write_text(json.dumps(tiny_walk_config(law=law)))
+        res = self._run("walk-bessel", "--config", str(path))
+        assert res.returncode == 2
+        assert "law.scale" in res.stderr
 
     def test_subcommand_mismatch_exit_two(self, tmp_path):
         path = tmp_path / "cfg.json"

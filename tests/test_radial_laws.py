@@ -1,5 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conewalk import cone_linalg as cl
 from conewalk.errors import ConfigError
@@ -23,6 +26,8 @@ MIX6_SPEC = {
     ],
     "weights": [1 / 6] * 6,
 }
+# the q = 3 wishart_root scale of the benchmark's matrix walks
+SCALE_Q3 = [[0.5, 0.1, 0.0], [0.1, 0.4, 0.0], [0.0, 0.0, 0.3]]
 
 
 class TestSampling:
@@ -101,10 +106,14 @@ class TestMoments:
         RadialLaw.uniform(0.5, 2.0),
         RadialLaw.log_normal(0.1, 0.4),
         law_from_spec(MIX6_SPEC),
-    ], ids=["two_point", "uniform", "log_normal", "mixture"])
+        RadialLaw.wishart_root(np.array([[1.0, 0.3], [0.3, 0.6]]), 3),
+        RadialLaw.wishart_root(np.array([[1.0, 0.3 + 0.2j], [0.3 - 0.2j, 0.6]]), 3,
+                               field=cl.COMPLEX),
+        RadialLaw.wishart_root(np.array(SCALE_Q3), 4),
+    ], ids=["two_point", "uniform", "log_normal", "mixture", "wishart_q2_real",
+            "wishart_q2_complex", "wishart_q3_real"])
     def test_monte_carlo_agrees_with_analytic(self, law):
         md = moments(law)
-        assert md.exactness == "analytic"
         rng = RNG(44)
         n = 100000
         s = law.sample(rng, n)
@@ -120,26 +129,104 @@ class TestMoments:
         assert np.max(np.abs(cov - md.sigma2_image_cov)) <= 4 * se_cov
 
     def test_wishart_root_monte_carlo_metadata(self):
+        # tr(G* G) is chi-square with dof*q = 8 degrees of freedom, whose
+        # mean is 8 and second moment 8 * 10, exactly
         law = RadialLaw.wishart_root(np.eye(2), 4)
-        md = moments(law, mc_samples=200000)
-        assert md.exactness == "monte_carlo"
-        assert md.mc_samples == 200000
-        # tr(G* G) is chi-square with dof*q degrees of freedom
-        assert md.m2 == pytest.approx(8.0, abs=4 * md.mc_std_error["m2"])
-        assert md.m4 == pytest.approx(8.0 * 10.0, abs=4 * md.mc_std_error["m4"])
-        assert cl.trace_herm(md.sigma2) == pytest.approx(md.m2)
+        md = moments(law)
+        assert md.m2 == 8
+        assert md.m4 == 80
+        assert cl.trace_herm(md.sigma2) == md.m2
 
     def test_invariants_rejected(self):
         with pytest.raises(ValueError):
             MomentData(q=1, field=cl.REAL, m1=2.0, m2=1.0, m3=1.0, m4=1.0,
                        sigma2=np.array([[1.0]]),
-                       sigma2_image_cov=np.array([[0.0]]),
-                       exactness="analytic")
+                       sigma2_image_cov=np.array([[0.0]]))
         with pytest.raises(ValueError):
             MomentData(q=1, field=cl.REAL, m1=1.0, m2=2.0, m3=1.0, m4=1.0,
                        sigma2=np.array([[2.0]]),
-                       sigma2_image_cov=np.array([[0.0]]),
-                       exactness="analytic")
+                       sigma2_image_cov=np.array([[0.0]]))
+
+
+def _psd_with_spectrum(seed, w, field):
+    """A PSD matrix of eigenvalues w in a random orthonormal basis of the field."""
+    q = len(w)
+    g = RNG(seed).standard_normal((2, q, q))
+    u, _ = np.linalg.qr(g[0] if field == cl.REAL else g[0] + 1j * g[1])
+    return cl.herm_part((u * np.asarray(w)) @ np.conj(u.T))
+
+
+def _mp_half_moments(law):
+    """m1 and m3 of a wishart_root law by 30-digit quadrature of
+    (2/sqrt(pi)) int_0^inf L(u^2) S(u^2) du, S = S1 and S1^2 + S2."""
+    d = cl.field_dim(law.field)
+    with mpmath.workdps(30):
+        k = mpmath.mpf(d * law.dof) / 2
+        theta = [2 * mpmath.mpf(float(x)) / d for x in np.linalg.eigvalsh(law.scale) if x > 0]
+
+        def integrand(u, power):
+            t = u * u
+            s1 = mpmath.fsum(k * x / (1 + x * t) for x in theta)
+            s2 = mpmath.fsum(k * x**2 / (1 + x * t) ** 2 for x in theta)
+            lap = mpmath.fprod((1 + x * t) ** -k for x in theta)
+            return lap * (s1 if power == 1 else s1 * s1 + s2)
+
+        u0 = 1 / mpmath.sqrt(k * mpmath.fsum(theta))
+        nodes = [0, u0 / 8, u0 / 2, u0, 2 * u0, 8 * u0, mpmath.inf]
+        c = 2 / mpmath.sqrt(mpmath.pi)
+        return tuple(float(c * mpmath.quad(lambda u: integrand(u, pw), nodes))
+                     for pw in (1, 3))
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+DIMS = st.sampled_from([1, 2, 3])
+FIELD = st.sampled_from(cl.FIELDS)
+DOFS = st.integers(1, 10**4)
+# eigenvalues from 1e-8 to 1e4, with zeros for singular scales
+SPECTRA = st.lists(st.one_of(st.just(0.0), st.floats(1e-8, 1e4)), min_size=3, max_size=3)
+# derandomized: every run draws the same examples, like the kernel tests
+PROPS = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+class TestWishartClosedForms:
+    @PROPS
+    @given(DIMS, FIELD, DOFS, st.floats(1e-6, 1e6))
+    def test_isotropic_gamma_ratios(self, q, field, dof, c):
+        # at Sigma = c I, ||s||^2 = (2c/d) Gamma(d dof q / 2)
+        dof, d = max(dof, q), cl.field_dim(field)
+        md = moments(RadialLaw.wishart_root(c * np.eye(q), dof, field=field))
+        with mpmath.workdps(30):
+            k, theta = mpmath.mpf(d * dof * q) / 2, 2 * mpmath.mpf(c) / d
+            ratio = [float(theta ** (j / 2) * mpmath.gamma(k + j / 2) / mpmath.gamma(k))
+                     for j in (1, 3)]
+        assert md.m1 == pytest.approx(ratio[0], rel=1e-13)
+        assert md.m3 == pytest.approx(ratio[1], rel=1e-13)
+
+    @PROPS
+    @given(SEEDS, DIMS, FIELD, DOFS, SPECTRA, st.floats(1e-6, 1e6))
+    def test_scaling(self, seed, q, field, dof, w, c):
+        assume(sum(w[:q]) > 0)
+        dof, sigma = max(dof, q), _psd_with_spectrum(seed, w[:q], field)
+        md = moments(RadialLaw.wishart_root(sigma, dof, field=field))
+        scaled = moments(RadialLaw.wishart_root(c * sigma, dof, field=field))
+        for j, a, b in ((1, md.m1, scaled.m1), (2, md.m2, scaled.m2),
+                        (3, md.m3, scaled.m3), (4, md.m4, scaled.m4)):
+            assert b == pytest.approx(c ** (j / 2) * a, rel=1e-13)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(SEEDS, DIMS, FIELD, DOFS, SPECTRA)
+    def test_half_moments_match_mpmath(self, seed, q, field, dof, w):
+        assume(sum(w[:q]) > 0)
+        dof, sigma = max(dof, q), _psd_with_spectrum(seed, w[:q], field)
+        law = RadialLaw.wishart_root(sigma, dof, field=field)
+        md = moments(law)
+        m1, m3 = _mp_half_moments(law)
+        assert md.m1 == pytest.approx(m1, rel=1e-12)
+        assert md.m3 == pytest.approx(m3, rel=1e-12)
+
+    def test_zero_scale(self):
+        md = moments(RadialLaw.wishart_root(np.zeros((2, 2)), 3))
+        assert (md.m1, md.m2, md.m3, md.m4) == (0, 0, 0, 0)
 
 
 class TestSpecs:
