@@ -56,6 +56,8 @@ def main(argv=None) -> int:
                 f"config is for {raw.get('experiment')!r} but subcommand is "
                 f"{args.experiment!r}")
         cfg, warnings = validate_config(raw)
+        if args.workers is not None and args.workers < 1:
+            raise ConfigError("--workers", "must be >= 1")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -241,7 +241,6 @@ class WalkGroupExperiment:
     name = "walk-group"
     columns = ["step", "replicates", "mean_tr_sq", "se_mean", "expected_tr_sq",
                "abs_diff", "diff_over_se", "pass"]
-    replicate_columns = ["step", "replicate", "tr_squared"]
 
     @staticmethod
     def validate(raw):
@@ -293,17 +292,13 @@ class WalkGroupExperiment:
                      "rows": [[s, float(mean[k]), float(se[k])] for k, s in enumerate(cps)]},
         }
         if cfg["emit"] == "replicates":
-            raw = np.concatenate([p["raw_tr"] for p in partials], axis=1)
-            out["replicate_columns"] = WalkGroupExperiment.replicate_columns
-            out["replicate_rows"] = [[step, i, float(raw[k, i])]
-                                     for k, step in enumerate(cps) for i in range(count)]
+            out["replicate_tr"] = np.concatenate([p["raw_tr"] for p in partials], axis=1)
         return out
 
 
 class WalkBesselExperiment:
     name = "walk-bessel"
     columns = WalkGroupExperiment.columns
-    replicate_columns = WalkGroupExperiment.replicate_columns
 
     @staticmethod
     def validate(raw):

@@ -27,6 +27,7 @@ from .errors import ConfigError
 from .experiments import EXPERIMENTS
 
 SCHEMA_VERSION = 1
+_REPLICATE_CHUNK = 65536  # rows joined per write, so memory does not grow with the file
 
 
 def validate_config(raw: dict) -> tuple[dict, list[str]]:
@@ -83,8 +84,8 @@ class RunRecord:
     checks: list[dict]
     warnings: list[str]
     wall_time_s: float
-    replicate_columns: list[str] | None = None
-    replicate_rows: list[list] | None = None
+    # a walk's (checkpoints, replicates) tr S_n^2 when it emits replicates
+    replicate_tr: np.ndarray | None = None
     plot: dict | None = None
 
     @property
@@ -138,7 +139,7 @@ def run_experiment(cfg: dict, workers: int = 1,
     Blocks run in a process pool when workers > 1; results are identical
     to the single-process run by construction.
     """
-    start = time.time()
+    start = time.perf_counter()
     exp = EXPERIMENTS[cfg["experiment"]]
     tasks = exp.plan(cfg)
     cfg_json = canonical_json(cfg)
@@ -161,9 +162,8 @@ def run_experiment(cfg: dict, workers: int = 1,
         aggregates=reduced.get("aggregates", {}),
         checks=reduced.get("checks", []),
         warnings=list(warnings or []),
-        wall_time_s=time.time() - start,
-        replicate_columns=reduced.get("replicate_columns"),
-        replicate_rows=reduced.get("replicate_rows"),
+        wall_time_s=time.perf_counter() - start,
+        replicate_tr=reduced.get("replicate_tr"),
         plot=reduced.get("plot"),
     )
 
@@ -203,9 +203,9 @@ def emit_outputs(record: RunRecord, out_dir: str | Path,
         path = out_dir / f"{base}.csv"
         _write_csv(path, record.columns, record.rows)
         written.append(path)
-        if record.replicate_rows is not None:
+        if record.replicate_tr is not None:
             path = out_dir / f"{base}.replicates.csv"
-            _write_csv(path, record.replicate_columns, record.replicate_rows)
+            _write_replicates(path, record.config["checkpoints"], record.replicate_tr)
             written.append(path)
         if record.plot is not None:
             path = out_dir / f"{base}.plotdata.csv"
@@ -237,6 +237,20 @@ def _write_csv(path: Path, columns, rows) -> None:
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_format_cell(v) for v in row) + "\n")
+
+
+def _write_replicates(path: Path, steps, values: np.ndarray) -> None:
+    """One ``step,replicate,tr_squared`` row per entry of the (checkpoints,
+    replicates) array, step-major, each value in repr's shortest
+    round-trip form (the bytes ``_write_csv`` gives a float cell)."""
+    index = [str(i) for i in range(values.shape[1])]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("step,replicate,tr_squared\n")
+        for step, row in zip(steps, values):
+            line = f"{step},{{}},{{!r}}\n".format
+            for lo in range(0, len(index), _REPLICATE_CHUNK):
+                hi = lo + _REPLICATE_CHUNK
+                fh.write("".join(map(line, index[lo:hi], row[lo:hi].tolist())))
 
 
 def _jsonable(obj):

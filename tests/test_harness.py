@@ -2,7 +2,9 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conewalk import cone_linalg as cl
+from conewalk import harness
 from conewalk.errors import ConfigError
+from conewalk.experiments import EXPERIMENTS
 from conewalk.harness import (
     canonical_json,
     emit_outputs,
@@ -273,15 +277,46 @@ class TestDeterminism:
 
 class TestOutputs:
     def test_replicate_emission(self, tmp_path):
+        # several blocks, so reduction concatenates them and two workers fork
         cfg, _ = validate_config(tiny_walk_config(emit="replicates",
-                                                  replicates=100))
-        rec = run_experiment(cfg)
-        paths = emit_outputs(rec, tmp_path)
-        rep = tmp_path / "tiny-walk.replicates.csv"
+                                                  replicates=100, block_size=32))
+        paths = emit_outputs(run_experiment(cfg, workers=1), tmp_path / "w1")
+        rep = tmp_path / "w1" / "tiny-walk.replicates.csv"
         assert rep in paths
         lines = rep.read_text().splitlines()
         assert lines[0] == "step,replicate,tr_squared"
-        assert len(lines) == 1 + 2 * 100
+        fields = [line.split(",") for line in lines[1:]]
+        assert [(int(step), int(i)) for step, i, _ in fields] == \
+            [(step, i) for step in (2, 4) for i in range(100)]
+        values = np.array([float(x) for _, _, x in fields]).reshape(2, 100)
+        exp = EXPERIMENTS[cfg["experiment"]]
+        tr = np.concatenate([exp.run_block(cfg, task)["raw_tr"] for task in exp.plan(cfg)],
+                            axis=1)
+        assert values.dtype == tr.dtype and values.tobytes() == tr.tobytes()
+        emit_outputs(run_experiment(cfg, workers=2), tmp_path / "w2")
+        assert (tmp_path / "w2" / "tiny-walk.replicates.csv").read_bytes() == rep.read_bytes()
+
+    # repr switches to exponent form below 1e-4 and from 1e16 on
+    REPR_EDGES = [0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 0.0001, 0.1,
+                  9999999999999998.0, 1e16, sys.float_info.max]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(1, 10**6), min_size=1, max_size=4, unique=True),
+           st.integers(1, 9), st.integers(1, 4), st.data())
+    def test_replicate_writer_lines(self, steps, n, chunk, data):
+        steps = sorted(steps)
+        finite = st.floats(min_value=0.0, allow_infinity=False)
+        xs = data.draw(st.lists(st.sampled_from(self.REPR_EDGES) | finite,
+                                min_size=len(steps) * n, max_size=len(steps) * n))
+        values = np.array(xs, dtype=np.float64).reshape(len(steps), n)
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(harness, "_REPLICATE_CHUNK", chunk):
+            path = Path(tmp) / "r.csv"
+            harness._write_replicates(path, steps, values)
+            text = path.read_text()
+        expected = ["step,replicate,tr_squared"] + \
+            [f"{step},{i},{xs[k * n + i]!r}" for k, step in enumerate(steps) for i in range(n)]
+        assert text == "\n".join(expected) + "\n"
 
     def test_csv_only(self, tmp_path):
         cfg, _ = validate_config(tiny_walk_config())
@@ -484,6 +519,16 @@ class TestCli:
         res = self._run("walk-bessel", "--config", str(path))
         assert res.returncode == 2
         assert "law.scale" in res.stderr
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exit_two(self, tmp_path, workers):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_walk_config(replicates=32)))
+        res = self._run("walk-bessel", "--config", str(path), "--workers", workers,
+                        "--out", str(tmp_path / "out"))
+        assert res.returncode == 2
+        assert "config field '--workers'" in res.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_subcommand_mismatch_exit_two(self, tmp_path):
         path = tmp_path / "cfg.json"
