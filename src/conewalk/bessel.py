@@ -21,6 +21,8 @@ nu = 2 mu / d - q (Muirhead 1982, Thm 3.2.14 and Sec. 3.3; Roesler,
 Compositio Math. 143, 2007).  The sampler is exact and rejection-free
 over the whole existence range mu > rho - 1.  Close to mu = rho - 1 the
 density piles up at the boundary of D_q, and a draw may round onto it.
+The q = 1 walks read only Re v, whose law depends on mu alone; both
+engines draw it from :func:`orbit_sampler.radial_projection_coeff`.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .orbit_sampler import (
     checkpoint_tuple,
     drive_walk,
     haar_block,
+    radial_projection_coeff,
     square_radial,
     zero_radial,
 )
@@ -86,16 +89,17 @@ class BesselParam:
 
 
 def sample_contraction(param: BesselParam, rng: np.random.Generator,
-                       size=None) -> np.ndarray:
+                       size: int) -> np.ndarray:
     """Draw matrices from the contraction density on D_q, shape (size, q, q)."""
-    v = haar_block(param.nu, param.q, param.field, rng, 1 if size is None else int(size))
-    return v if size is not None else v[0]
+    return haar_block(param.nu, param.q, param.field, rng, size)
 
 
 def _sample_contraction_flat(param, rng, n):
-    """n contraction draws: (n,) scalars for q = 1, else (n, q, q)."""
-    v = haar_block(param.nu, param.q, param.field, rng, n)
-    return v.reshape(n) if param.q == 1 else v
+    """The v of n walk steps: at q = 1 the (n,) real parts Re v, all that
+    the q = 1 cone step reads, else (n, q, q) contraction draws."""
+    if param.q == 1:
+        return radial_projection_coeff(2.0 * param.mu, cl.REAL, rng, n)
+    return haar_block(param.nu, param.q, param.field, rng, n)
 
 
 def _propose(e, q, field, rng, k):
@@ -141,28 +145,12 @@ def _ball_stats(v, q):
 
 
 def convolve_points(r: np.ndarray, s: np.ndarray, param: BesselParam,
-                    rng: np.random.Generator, size=None) -> np.ndarray:
-    """One draw (or a batch) from the convolution of point masses at r, s."""
-    n = 1 if size is None else int(size)
+                    rng: np.random.Generator, size: int) -> np.ndarray:
+    """size draws, shape (size, q, q), from the convolution of point masses
+    at r and s."""
     r = np.asarray(r, dtype=cl.field_dtype(param.field))
     s = np.asarray(s, dtype=cl.field_dtype(param.field))
-    if r.ndim == 0:
-        r = r.reshape(1, 1)
-    if s.ndim == 0:
-        s = s.reshape(1, 1)
-    t = cl.cone_step(r, s, sample_contraction(param, rng, n))
-    return t if size is not None else t[0]
-
-
-def convolve_points_scalar(r, s, param: BesselParam, rng: np.random.Generator,
-                           size=None) -> np.ndarray:
-    """q = 1 fast path: t = sqrt(r^2 + s^2 + 2 r s Re v) on plain floats."""
-    if param.q != 1:
-        raise ValueError("scalar convolution requires q = 1")
-    n = 1 if size is None else int(size)
-    v = _sample_contraction_flat(param, rng, n)
-    t = cl.cone_step(np.asarray(r, dtype=np.float64), np.asarray(s, dtype=np.float64), v)
-    return t if size is not None else float(t[0])
+    return cl.cone_step(r, s, sample_contraction(param, rng, size))
 
 
 def kappa_mu(param: BesselParam, n_samples: int, rng: np.random.Generator) -> Moments:
@@ -304,10 +292,6 @@ class ClippedQuadraticForm:
 
     direction: np.ndarray
     cap: float
-
-    @property
-    def lipschitz(self) -> float:
-        return float(cl.frob_norm(self.direction))
 
     def value_from_square(self, x2: np.ndarray) -> np.ndarray:
         x2 = np.asarray(x2)

@@ -58,12 +58,12 @@ def main(argv=None) -> int:
         cfg, warnings = validate_config(raw)
         if args.workers is not None and args.workers < 1:
             raise ConfigError("--workers", "must be >= 1")
+        workers = args.workers if args.workers is not None else default_workers()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     for note in warnings:
         print(f"warning: {note}", file=sys.stderr)
-    workers = args.workers if args.workers is not None else default_workers()
     try:
         record = run_experiment(cfg, workers=workers, warnings=warnings)
     except NumericalFailureError as exc:

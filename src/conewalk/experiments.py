@@ -29,9 +29,9 @@ from .bessel import (
     BesselParam,
     BesselWalkConfig,
     ClippedQuadraticForm,
+    _sample_contraction_flat,
     bessel_character_1d,
     convolve_points,
-    convolve_points_scalar,
     kappa_exact,
     kappa_mu,
     paired_composition_diffs,
@@ -939,8 +939,8 @@ def _validate_character(spec):
 
 
 def _run_character(spec, k, stream):
-    param = BesselParam(spec["mu"], 1, 1)
-    t = convolve_points_scalar(spec["r1"], spec["r2"], param, stream(), k)
+    v = _sample_contraction_flat(BesselParam(spec["mu"], 1, 1), stream(), k)
+    t = cl.cone_step(spec["r1"], spec["r2"], v)
     return {"m": lab.Moments.of(bessel_character_1d(spec["mu"], t, spec["s"]))}
 
 

@@ -169,13 +169,17 @@ def run_experiment(cfg: dict, workers: int = 1,
 
 
 def default_workers() -> int:
-    """CONEWALK_WORKERS if set, else the number of CPUs this process may use."""
+    """CONEWALK_WORKERS if set and not empty, else the number of CPUs this
+    process may use.  A value that is not an integer >= 1 is a ConfigError."""
     env = os.environ.get("CONEWALK_WORKERS")
     if env:
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
-            return 1
+            workers = 0
+        if workers < 1:
+            raise ConfigError("CONEWALK_WORKERS", f"must be an integer >= 1, got {env!r}")
+        return workers
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask outside Linux

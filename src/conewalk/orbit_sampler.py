@@ -28,7 +28,7 @@ import numpy as np
 
 from . import cone_linalg as cl
 from .errors import NumericalFailureError
-from .radial_laws import RadialLaw, _std_entries
+from .radial_laws import RadialLaw, _bartlett_diag, _std_entries
 
 # "auto" walk method switches from the literal p x q accumulation to the
 # polar recursion above this dimension
@@ -36,8 +36,8 @@ DIRECT_P_LIMIT = 64
 
 
 def sample_stiefel_frame(p: int, q: int, field: str, rng: np.random.Generator,
-                         size=None) -> np.ndarray:
-    """Haar-distributed orthonormal q-frame(s) in F^p.
+                         size: int) -> np.ndarray:
+    """size Haar-distributed orthonormal q-frames in F^p, shape (size, p, q).
 
     Gaussian matrix followed by thin QR with the R-diagonal phase forced
     positive, which makes the factorization unique and the law exactly
@@ -45,20 +45,19 @@ def sample_stiefel_frame(p: int, q: int, field: str, rng: np.random.Generator,
     """
     if p < q:
         raise ValueError("stiefel frame requires p >= q")
-    n = 1 if size is None else int(size)
-    g = _std_entries(rng, (n, p, q), field)
+    g = _std_entries(rng, (size, p, q), field)
     qmat, r = np.linalg.qr(g)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     mod = np.abs(diag)
     safe = np.where(mod > 0, mod, 1.0)
     phase = np.where(mod > 0, diag / safe, 1.0)
-    qmat = qmat * np.conj(phase)[..., None, :]
-    return qmat if size is not None else qmat[0]
+    return qmat * np.conj(phase)[..., None, :]
 
 
 def stiefel_block(p: int, q: int, field: str, rng: np.random.Generator,
-                  size=None) -> np.ndarray:
-    """Exact law of the top q x q block of a Haar frame, in O(q^3) per draw.
+                  size: int) -> np.ndarray:
+    """size draws, shape (size, q, q), of the top q x q block of a Haar
+    frame, in O(q^3) per draw.
 
     With G = [G1; G2] Gaussian (G1 the top q x q block), the polar frame is
     G (G*G)^{-1/2} and its top block is V = G1 (G1*G1 + W)^{-1/2} where
@@ -70,8 +69,7 @@ def stiefel_block(p: int, q: int, field: str, rng: np.random.Generator,
     if p == q:
         # the block is the whole frame: a Haar unitary, best taken from QR
         return sample_stiefel_frame(p, q, field, rng, size)
-    v = haar_block(p - q, q, field, rng, 1 if size is None else int(size))
-    return v if size is not None else v[0]
+    return haar_block(p - q, q, field, rng, size)
 
 
 def haar_block(nu: float, q: int, field: str, rng: np.random.Generator,
@@ -132,11 +130,6 @@ def _abs2(x: np.ndarray) -> np.ndarray:
     return x * x if not np.iscomplexobj(x) else x.real * x.real + x.imag * x.imag
 
 
-def _bartlett_diag(dof: float, field: str, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Squared Bartlett diagonal: chi-square(dof) over R, gamma(dof) over C."""
-    return rng.chisquare(dof, n) if field == cl.REAL else rng.gamma(dof, 1.0, n)
-
-
 def _wishart_bartlett(q: int, dof: float, field: str, rng: np.random.Generator,
                       n: int) -> np.ndarray:
     """Wishart(I_q, dof) draws via the Bartlett factorization (dof > q - 1)."""
@@ -148,60 +141,49 @@ def _wishart_bartlett(q: int, dof: float, field: str, rng: np.random.Generator,
     return cl.herm_part(a @ np.swapaxes(np.conj(a), -1, -2))
 
 
-def radial_projection_coeff(p: int, field: str, rng: np.random.Generator,
+def radial_projection_coeff(p: float, field: str, rng: np.random.Generator,
                             size) -> np.ndarray:
-    """Real part of the q = 1 Haar block: the projection of a uniform unit
-    vector in F^p onto a fixed direction.
+    """Real part w of the q = 1 Haar block in F^p, all the q = 1 cone step reads.
 
-    Density proportional to (1 - w^2)^{(d p - 3)/2} on (-1, 1).  Real
-    p = 3 is exactly uniform, real p = 5 has the closed-form inverse CDF
-    w = 2 sin(arcsin(u)/3); the general case uses w = g / sqrt(g^2 + c)
-    with c chi-square (gamma over C) independent of the Gaussian g.
+    Its density (1 - w^2)^((m - 3)/2) on (-1, 1) depends only on the real
+    dimension m = d p, so the index-mu walk draws it too, at m = 2 mu.
+    m = 1 is a random sign, m = 3 is uniform, m = 5 is 2 sin(arcsin(u)/3),
+    and otherwise w = g / sqrt(g^2 + c) with c ~ chi-square(m - 1).
     """
-    if field == cl.REAL:
-        if p == 1:
-            return np.sign(rng.standard_normal(size))
-        if p == 3:
-            return rng.uniform(-1.0, 1.0, size)
-        if p == 5:
-            return 2.0 * np.sin(np.arcsin(rng.uniform(-1.0, 1.0, size)) / 3.0)
-        g = rng.standard_normal(size)
-        c = rng.chisquare(p - 1, size)
-        return g / np.sqrt(g * g + c)
-    # complex: only Re(V) enters the q = 1 radial recursion
-    re = rng.standard_normal(size)
-    im = rng.standard_normal(size)
-    g2 = 0.5 * (re * re + im * im)
-    c = rng.gamma(p - 1, 1.0, size) if p > 1 else 0.0
-    return (re / np.sqrt(2.0)) / np.sqrt(g2 + c)
+    m = cl.field_dim(field) * p
+    if m == 1:
+        return np.sign(rng.standard_normal(size))
+    if m == 3:
+        return rng.uniform(-1.0, 1.0, size)
+    if m == 5:
+        return 2.0 * np.sin(np.arcsin(rng.uniform(-1.0, 1.0, size)) / 3.0)
+    g = rng.standard_normal(size)
+    c = rng.chisquare(m - 1, size)
+    return g / np.sqrt(g * g + c)
 
 
 def sample_radial_matrix(law: RadialLaw, p: int, rng: np.random.Generator,
-                         size=None) -> np.ndarray:
-    """Radial random matrix X = Q s with Q Haar and s ~ law independent.
+                         size: int) -> np.ndarray:
+    """size radial random matrices X = Q s, shape (size, p, q), with Q Haar
+    and s ~ law independent; Q is drawn first.
 
     By construction (X*X)^{1/2} equals the drawn radial part exactly.
     """
     if p < law.q:
         raise ValueError("radial matrix requires p >= q")
-    n = 1 if size is None else int(size)
-    qmat = sample_stiefel_frame(p, law.q, law.field, rng, n)
-    s = law.sample(rng, n)
-    x = qmat @ s
-    return x if size is not None else x[0]
+    return sample_stiefel_frame(p, law.q, law.field, rng, size) @ law.sample(rng, size)
 
 
 def wishart_sample(p: int, q: int, field: str, rng: np.random.Generator,
-                   size=None) -> np.ndarray:
-    """G*G / p for a standard Gaussian p x q matrix G; mean is I_q.
+                   size: int) -> np.ndarray:
+    """size draws of G*G / p, shape (size, q, q), for a standard Gaussian
+    p x q matrix G; the mean is I_q.
 
     This is the p-degrees-of-freedom Wishart limit element appearing in
     the fixed-n, large-p analysis, normalized to unit mean.
     """
-    n = 1 if size is None else int(size)
-    g = _std_entries(rng, (n, p, q), field)
-    w = cl.herm_part(np.swapaxes(np.conj(g), -1, -2) @ g) / p
-    return w if size is not None else w[0]
+    g = _std_entries(rng, (size, p, q), field)
+    return cl.herm_part(np.swapaxes(np.conj(g), -1, -2) @ g) / p
 
 
 @dataclass(frozen=True)
@@ -330,7 +312,7 @@ def run_group_walks(cfg: GroupWalkConfig, rng: np.random.Generator,
                             lambda x: np.sum(np.abs(x) ** 2, axis=1), cfg.checkpoints)
     else:
         def step(x):
-            x += sample_stiefel_frame(p, q, field, rng, n) @ law.sample(rng, n)
+            x += sample_radial_matrix(law, p, rng, n)
             return x
 
         values = drive_walk(np.zeros((n, p, q), dtype=cl.field_dtype(field)), step,

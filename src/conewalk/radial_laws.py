@@ -12,6 +12,7 @@ the covariance of vec(s^2) in the orthonormal hermitian coordinates of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,16 +20,18 @@ import numpy as np
 from . import cone_linalg as cl
 from .errors import ConeViolationError, ConfigError
 
-KINDS = (
-    "point_mass",
-    "finite_mixture",
-    "two_point",
-    "log_normal",
-    "uniform",
-    "wishart_root",
-)
-
+# the parameters of each kind besides "kind", "q" and "field"
+_PARAMS = {
+    "point_mass": ("atom", "atom_squared"),
+    "finite_mixture": ("atoms", "atoms_squared", "weights"),
+    "two_point": ("a", "b", "p_a"),
+    "log_normal": ("log_mean", "log_sd"),
+    "uniform": ("lo", "hi"),
+    "wishart_root": ("scale", "scale_squared", "dof"),
+}
+KINDS = tuple(_PARAMS)
 _SCALAR_KINDS = ("two_point", "log_normal", "uniform")
+_NUMBER_KEYS = ("a", "b", "p_a", "log_mean", "log_sd", "lo", "hi", "weights")
 # the key of a matrix law's payload; "<key>_squared" gives its square
 _MATRIX_KEYS = {"point_mass": "atom", "finite_mixture": "atoms", "wishart_root": "scale"}
 
@@ -135,13 +138,12 @@ class RadialLaw:
 
     # -- sampling ----------------------------------------------------------
 
-    def sample_scalar(self, rng: np.random.Generator, size=None) -> np.ndarray | float:
-        """Draw radii as plain floats (q = 1 laws only)."""
+    def sample_scalar(self, rng: np.random.Generator, size) -> np.ndarray:
+        """Draw radii as a float array of shape size (q = 1 laws only)."""
         if self.q != 1:
             raise ValueError("scalar sampling requires q = 1")
         if self.kind == "point_mass":
-            val = float(self.atom[0, 0].real)
-            return val if size is None else np.full(size, val)
+            return np.full(size, float(self.atom[0, 0].real))
         if self.kind == "finite_mixture":
             vals = self.atoms[:, 0, 0].real.astype(np.float64)
             idx = rng.choice(len(vals), size=size, p=self.weights)
@@ -154,59 +156,27 @@ class RadialLaw:
         if self.kind == "uniform":
             return rng.uniform(self.lo, self.hi, size)
         if self.kind == "wishart_root":
-            s00 = float(self.scale[0, 0].real)
-            if self.field == cl.REAL:
-                g2 = rng.chisquare(self.dof, size)
-            else:
-                g2 = rng.gamma(self.dof, 1.0, size)
-            return np.sqrt(s00 * g2)
+            return np.sqrt(float(self.scale[0, 0].real)
+                           * _bartlett_diag(self.dof, self.field, rng, size))
         raise ValueError(f"unknown law kind {self.kind!r}")
 
-    def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
-        """Draw PSD matrices of shape (size, q, q) (or (q, q) for size None)."""
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draw PSD matrices of shape (size, q, q)."""
         if self.kind == "point_mass":
-            if size is None:
-                return self.atom.copy()
             return np.broadcast_to(self.atom, (size,) + self.atom.shape).copy()
         if self.kind == "finite_mixture":
             idx = rng.choice(len(self.weights), size=size, p=self.weights)
             return self.atoms[idx]
         if self.kind in _SCALAR_KINDS:
-            r = self.sample_scalar(rng, size)
-            out = np.asarray(r, dtype=np.float64).reshape(np.shape(r) + (1, 1))
-            if self.field == cl.COMPLEX:
-                out = out.astype(np.complex128)
-            return out if size is not None else out.reshape(1, 1)
+            out = self.sample_scalar(rng, size)[:, None, None]
+            return out if self.field == cl.REAL else out.astype(np.complex128)
         if self.kind == "wishart_root":
-            n = 1 if size is None else int(size)
             root = cl.psd_sqrt(self.scale)
-            g = _std_entries(rng, (n, self.dof, self.q), self.field)
+            g = _std_entries(rng, (size, self.dof, self.q), self.field)
             g = g @ root
             gram = cl.herm_part(np.swapaxes(np.conj(g), -1, -2) @ g)
-            out = cl.psd_sqrt(gram)
-            return out if size is not None else out[0]
+            return cl.psd_sqrt(gram)
         raise ValueError(f"unknown law kind {self.kind!r}")
-
-    # -- serialization ------------------------------------------------------
-
-    def to_spec(self) -> dict:
-        """JSON-able canonical description (inverse of from_spec)."""
-        spec: dict = {"kind": self.kind, "q": self.q, "field": self.field}
-        if self.kind == "point_mass":
-            spec["atom"] = _matrix_to_json(self.atom, self.field)
-        elif self.kind == "finite_mixture":
-            spec["atoms"] = [_matrix_to_json(s, self.field) for s in self.atoms]
-            spec["weights"] = [float(w) for w in self.weights]
-        elif self.kind == "two_point":
-            spec.update(a=self.a, b=self.b, p_a=self.p_a)
-        elif self.kind == "log_normal":
-            spec.update(log_mean=self.log_mean, log_sd=self.log_sd)
-        elif self.kind == "uniform":
-            spec.update(lo=self.lo, hi=self.hi)
-        elif self.kind == "wishart_root":
-            spec["scale"] = _matrix_to_json(self.scale, self.field)
-            spec["dof"] = self.dof
-        return spec
 
 
 def law_from_spec(spec: dict) -> RadialLaw:
@@ -221,8 +191,8 @@ def law_from_spec(spec: dict) -> RadialLaw:
     kind = spec.get("kind")
     if kind not in KINDS:
         raise ConfigError("law.kind", f"unknown law kind {kind!r}; expected one of {KINDS}")
+    _check_params(spec, kind)
     field = spec.get("field", cl.REAL)
-    cl.check_field(field)
     try:
         if kind == "point_mass":
             atom = _matrix_from_spec(spec, "atom", field)
@@ -270,25 +240,21 @@ def normalize_law_spec(spec: dict) -> dict:
     kind = spec["kind"]
     field = spec.get("field", cl.REAL)
     out = {"kind": kind, "q": law.q, "field": field}
-    if "q" in spec and int(spec["q"]) != law.q:
+    if spec.get("q", law.q) != law.q:
         raise ConfigError("law.q", f"declared q={spec['q']} but payload implies q={law.q}")
-    if kind == "point_mass":
-        key = _matrix_key(spec)
-        out[key] = normalize_matrix_spec(spec[key], field)
-    elif kind == "finite_mixture":
-        key = _matrix_key(spec)
-        out[key] = [normalize_matrix_spec(s, field) for s in spec[key]]
-        out["weights"] = [float(w) for w in spec["weights"]]
-    elif kind == "two_point":
-        out.update(a=float(spec["a"]), b=float(spec["b"]), p_a=float(spec["p_a"]))
-    elif kind == "log_normal":
-        out.update(log_mean=float(spec["log_mean"]), log_sd=float(spec["log_sd"]))
-    elif kind == "uniform":
-        out.update(lo=float(spec["lo"]), hi=float(spec["hi"]))
-    elif kind == "wishart_root":
-        key = _matrix_key(spec)
-        out[key] = normalize_matrix_spec(spec[key], field)
-        out["dof"] = int(spec["dof"])
+    for key in _PARAMS[kind]:
+        if key not in spec:
+            continue
+        if key == "weights":
+            out[key] = [float(w) for w in spec[key]]
+        elif key in _NUMBER_KEYS:
+            out[key] = float(spec[key])
+        elif key == "dof":
+            out[key] = spec[key]
+        elif kind == "finite_mixture":
+            out[key] = [normalize_matrix_spec(s, field) for s in spec[key]]
+        else:
+            out[key] = normalize_matrix_spec(spec[key], field)
     return out
 
 
@@ -313,6 +279,28 @@ def moments(law: RadialLaw) -> MomentData:
 # -- helpers ---------------------------------------------------------------
 
 
+def _check_params(spec: dict, kind: str) -> None:
+    """Refuse a key the kind does not take, a field outside FIELDS, a q or
+    dof that is not an integer and a number or weight that is not finite."""
+    for key, val in spec.items():
+        name = f"law.{key}"
+        if key not in ("kind", "q", "field", *_PARAMS[kind]):
+            raise ConfigError(name, "unknown field")
+        if f"{key}_squared" in spec:
+            raise ConfigError(name, f"give {key} or {key}_squared, not both")
+        if key == "field" and val not in cl.FIELDS:
+            raise ConfigError(name, f"expected one of {cl.FIELDS}, got {val!r}")
+        if key in ("q", "dof") and (isinstance(val, bool) or not isinstance(val, int)):
+            raise ConfigError(name, f"expected an integer, got {val!r}")
+        numbers = val if key == "weights" and isinstance(val, list) else [val]
+        if key in _NUMBER_KEYS and not all(map(_is_finite_number, numbers)):
+            raise ConfigError(name, f"expected finite numbers, got {val!r}")
+
+
+def _is_finite_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def _as_psd_atom(s, field: str) -> np.ndarray:
     mat = _to_matrix(s, field)
     return cl.clamp_psd(mat)
@@ -329,6 +317,8 @@ def _to_matrix(s, field: str) -> np.ndarray:
         if arr.ndim == 3 and arr.shape[-1] == 2:
             arr = arr[..., 0] + 1j * arr[..., 1]
     arr = arr.astype(cl.field_dtype(field))
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("matrix entries must be finite")
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -361,6 +351,11 @@ def _std_entries(rng: np.random.Generator, shape, field: str) -> np.ndarray:
     re = rng.standard_normal(shape)
     im = rng.standard_normal(shape)
     return (re + 1j * im) / np.sqrt(2.0)
+
+
+def _bartlett_diag(dof: float, field: str, rng: np.random.Generator, n) -> np.ndarray:
+    """Squared Bartlett diagonal: chi-square(dof) over R, gamma(dof) over C."""
+    return rng.chisquare(dof, n) if field == cl.REAL else rng.gamma(dof, 1.0, n)
 
 
 def _scalar_raw_moments(law: RadialLaw) -> dict[int, float]:

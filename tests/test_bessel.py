@@ -8,9 +8,9 @@ from conewalk.bessel import (
     BesselParam,
     BesselWalkConfig,
     ClippedQuadraticForm,
+    _sample_contraction_flat,
     bessel_character_1d,
     convolve_points,
-    convolve_points_scalar,
     kappa_exact,
     kappa_mu,
     paired_composition_diffs,
@@ -21,6 +21,7 @@ from conewalk.limit_lab import ks_2samp, ks_distance
 from conewalk.orbit_sampler import (
     GroupWalkConfig,
     haar_block,
+    radial_projection_coeff,
     run_group_walks,
     sample_stiefel_frame,
 )
@@ -134,6 +135,18 @@ class TestContractionSampler:
         tr = np.sum(np.abs(v) ** 2, axis=(-2, -1))
         assert abs(tr.mean() - q * q * d / (2 * mu)) <= 4 * tr.std() / np.sqrt(n)
 
+    @pytest.mark.parametrize("mu, d", [(0.75, 1), (1.5, 1), (2.5, 1), (3.3, 1),
+                                       (1.5, 2), (2.5, 2), (3.3, 2)])
+    def test_walk_draw_matches_contraction(self, mu, d):
+        # the q = 1 walks draw Re v at m = 2 mu, over R and C alike; m = 3
+        # and m = 5 take closed forms.  mu = 0.75 lies outside the complex
+        # existence range mu > 1
+        n = 20000
+        w = radial_projection_coeff(2 * mu, cl.REAL, np.random.default_rng(40), n)
+        v = sample_contraction(BesselParam(mu, 1, d), np.random.default_rng(41), n)
+        _, pvalue = ks_2samp(w, v[:, 0, 0].real)
+        assert pvalue >= 1e-3
+
     def test_gaussian_branch_boundary(self):
         rng = np.random.default_rng(6)
         v = sample_contraction(BesselParam(2.0, 1, 1), rng, 1000)
@@ -152,7 +165,7 @@ class TestConvolve:
         # E[t^2] = 2 exactly when r = s = 1, any index
         rng = np.random.default_rng(8)
         n = 100000
-        t = convolve_points_scalar(1.0, 1.0, BesselParam(4.0, 1, 1), rng, n)
+        t = cl.cone_step(1.0, 1.0, _sample_contraction_flat(BesselParam(4.0, 1, 1), rng, n))
         se = np.std(t**2) / np.sqrt(n)
         assert abs(np.mean(t**2) - 2.0) <= 3 * se
 
@@ -160,7 +173,7 @@ class TestConvolve:
         # p = 3 lift: |x + Y| for fixed unit x and Y uniform on the sphere
         rng = np.random.default_rng(9)
         n = 50000
-        t = convolve_points_scalar(1.0, 1.0, BesselParam(1.5, 1, 1), rng, n)
+        t = cl.cone_step(1.0, 1.0, _sample_contraction_flat(BesselParam(1.5, 1, 1), rng, n))
         g = np.random.default_rng(10).standard_normal((n, 3))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         ref = np.sqrt((1 + g[:, 0]) ** 2 + g[:, 1] ** 2 + g[:, 2] ** 2)
@@ -187,10 +200,7 @@ class TestConvolve:
         n = 50000
         s1 = law.sample_scalar(rng, n)
         s2 = law.sample_scalar(rng, n)
-        param = BesselParam(3.0, 1, 1)
-        from conewalk.bessel import _sample_contraction_flat
-
-        v = _sample_contraction_flat(param, rng, n)
+        v = _sample_contraction_flat(BesselParam(3.0, 1, 1), rng, n)
         t = np.sqrt(np.maximum(s1**2 + s2**2 + 2 * s1 * s2 * v, 0.0))
         se = np.std(t) / np.sqrt(n)
         assert np.mean(t) <= 2 * md.m1 + 4 * se
@@ -362,7 +372,7 @@ class TestCharacter:
         rng = np.random.default_rng(21)
         n = 30000
         mu, r1, r2, s = 4.0, 1.0, 2.0, 0.7
-        t = convolve_points_scalar(r1, r2, BesselParam(mu, 1, 1), rng, n)
+        t = cl.cone_step(r1, r2, _sample_contraction_flat(BesselParam(mu, 1, 1), rng, n))
         phi = bessel_character_1d(mu, t, s)
         target = (bessel_character_1d(mu, r1, s)
                   * bessel_character_1d(mu, r2, s))
@@ -391,10 +401,6 @@ class TestRootLipschitz:
         with pytest.raises(ValueError):
             paired_composition_diffs(RadialLaw.point_mass(1.0),
                                      BesselParam(2.0, 1, 1), 4, f, 100, rng)
-
-    def test_lipschitz_constant(self):
-        f = ClippedQuadraticForm(direction=np.diag([1.0, 2.0]), cap=3.0)
-        assert f.lipschitz == pytest.approx(np.sqrt(5.0))
 
     def test_matrix_path_matches_scalar_path(self):
         rng = np.random.default_rng(25)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -148,6 +149,25 @@ class TestValidation:
         # a wrong input, not a numerical failure of the program
         with pytest.raises(ConfigError, match="must be PSD") as info:
             validate_config(raw)
+        assert info.value.field == field
+
+    @pytest.mark.parametrize("law, field", [
+        (TWO_POINT | {"pa": 0.9}, "law.pa"),
+        ({"kind": "wishart_root", "scale": [[1.0]], "dof": 2.5}, "law.dof"),
+        ({"kind": "uniform", "lo": "0.5", "hi": 1.0}, "law.lo"),
+        ({"kind": "uniform", "lo": math.nan, "hi": 1.0}, "law.lo"),
+        ({"kind": "uniform", "lo": 0.0, "hi": math.inf}, "law.hi"),
+        ({"kind": "log_normal", "log_mean": 0.0, "log_sd": True}, "law.log_sd"),
+        ({"kind": "finite_mixture", "atoms": [[[1.0]], [[2.0]]], "weights": ["0.5", 0.5]},
+         "law.weights"),
+        (TWO_POINT | {"q": 1.0}, "law.q"),
+        (TWO_POINT | {"field": "quaternion"}, "law.field"),
+        ({"kind": "point_mass", "atom": [[math.nan]]}, "law"),
+    ], ids=["unknown-key", "fractional-dof", "string", "nan", "infinity", "bool",
+            "string-weight", "float-q", "field", "nan-matrix"])
+    def test_bad_law_parameter(self, law, field):
+        with pytest.raises(ConfigError) as info:
+            validate_config(tiny_walk_config(law=law))
         assert info.value.field == field
 
     def test_law_error_names_its_key(self):
@@ -530,6 +550,26 @@ class TestCli:
         assert "config field '--workers'" in res.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_string_law_parameter_exit_two(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        law = {"kind": "uniform", "lo": "0.5", "hi": 1.0}
+        path.write_text(json.dumps(tiny_walk_config(law=law)))
+        res = self._run("walk-bessel", "--config", str(path))
+        assert res.returncode == 2
+        assert "law.lo" in res.stderr
+
+    @pytest.mark.parametrize("env", ["0", "-3", "abc", "2.5"])
+    def test_bad_workers_env_exit_two(self, tmp_path, env):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_walk_config(replicates=32)))
+        res = subprocess.run([sys.executable, "-m", "conewalk.cli", "walk-bessel",
+                              "--config", str(path), "--out", str(tmp_path / "out")],
+                             capture_output=True, text=True,
+                             env=os.environ | {"CONEWALK_WORKERS": env})
+        assert res.returncode == 2
+        assert "config field 'CONEWALK_WORKERS'" in res.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_subcommand_mismatch_exit_two(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(tiny_walk_config()))
@@ -573,3 +613,20 @@ class TestCli:
         assert r1.returncode == 0 and r2.returncode == 0
         assert ((out1 / "tiny-walk.csv").read_bytes()
                 != (out2 / "tiny-walk.csv").read_bytes())
+
+
+class TestDefaultWorkers:
+    @pytest.mark.parametrize("env", ["0", "-3", "abc", "2.5"])
+    def test_malformed_env_is_config_error(self, env):
+        with mock.patch.dict(os.environ, {"CONEWALK_WORKERS": env}):
+            with pytest.raises(ConfigError) as info:
+                harness.default_workers()
+        assert info.value.field == "CONEWALK_WORKERS"
+
+    def test_env_value(self):
+        with mock.patch.dict(os.environ, {"CONEWALK_WORKERS": "3"}):
+            assert harness.default_workers() == 3
+
+    def test_empty_env_means_unset(self):
+        with mock.patch.dict(os.environ, {"CONEWALK_WORKERS": ""}):
+            assert harness.default_workers() == len(os.sched_getaffinity(0))

@@ -21,6 +21,8 @@ from conewalk.limit_lab import (
 )
 from conewalk.radial_laws import RadialLaw, moments
 
+TWO_POINT = {"kind": "two_point", "a": 1.0, "b": 2.0, "p_a": 0.5}
+
 
 class TestChi2Cdf:
     def test_at_zero(self):
@@ -270,27 +272,27 @@ class TestScan:
     @staticmethod
     def scan(law, n_grid, replicates, seed, **extra):
         cfg, _ = validate_config({"experiment": "berry-esseen-scan", "seed": seed,
-                                  "law": law.to_spec(), "p": 3, "n_grid": n_grid,
+                                  "law": law, "p": 3, "n_grid": n_grid,
                                   "replicates": replicates, **extra})
         return run_experiment(cfg).aggregates
 
     def test_noise_floor_path(self):
-        agg = self.scan(RadialLaw.two_point(1.0, 2.0, 0.5), [64, 128, 256, 512], 150, 12)
+        agg = self.scan(TWO_POINT, [64, 128, 256, 512], 150, 12)
         assert agg["slope"] is None
         assert agg["included_points"] == 0
 
     def test_skewed_law_has_negative_slope(self):
-        agg = self.scan(RadialLaw.log_normal(0.0, 1.0), [16, 64, 256, 1024], 20000, 13,
+        agg = self.scan({"kind": "log_normal", "log_mean": 0.0, "log_sd": 1.0},
+                        [16, 64, 256, 1024], 20000, 13,
                         method="polar")
         assert agg["slope"] is not None and agg["slope"] <= -0.3
 
     def test_grid_size_precondition(self):
         with pytest.raises(ConfigError, match="n_grid"):
-            self.scan(RadialLaw.two_point(1, 2, 0.5), [16, 32, 64], 100, 14)
+            self.scan(TWO_POINT, [16, 32, 64], 100, 14)
 
     def test_noise_floor_scales_with_replicates(self):
         # quadrupling the replicate count halves the 3/sqrt(reps) floor
-        law = RadialLaw.two_point(1.0, 2.0, 0.5)
-        f1 = self.scan(law, [8, 16, 32, 64], 100, 15)
-        f2 = self.scan(law, [8, 16, 32, 64], 400, 15)
+        f1 = self.scan(TWO_POINT, [8, 16, 32, 64], 100, 15)
+        f2 = self.scan(TWO_POINT, [8, 16, 32, 64], 400, 15)
         assert f2["noise_floor"] == pytest.approx(f1["noise_floor"] / 2)

@@ -64,13 +64,15 @@ class TestStiefelBlock:
         assert np.max(cl.frob_norm(gram - np.eye(3))) <= 1e-10
 
     def test_projection_coeff_matches_block(self):
+        # over C the one real draw at m = 2 p has the law of Re v
         rng = np.random.default_rng(6)
         n = 20000
-        for p in (3, 5, 9):
-            w = radial_projection_coeff(p, cl.REAL, rng, n)
-            v = stiefel_block(p, 1, cl.REAL, rng, n)[:, 0, 0]
+        for field, p in ((cl.REAL, 3), (cl.REAL, 5), (cl.REAL, 9),
+                         (cl.COMPLEX, 1), (cl.COMPLEX, 3), (cl.COMPLEX, 4)):
+            w = radial_projection_coeff(p, field, rng, n)
+            v = stiefel_block(p, 1, field, rng, n)[:, 0, 0].real
             _, pvalue = ks_2samp(w, v)
-            assert pvalue >= 1e-3, f"p={p}"
+            assert pvalue >= 1e-3, f"{field} p={p}"
 
 
 class TestRadialMatrix:

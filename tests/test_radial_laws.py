@@ -239,7 +239,7 @@ class TestSpecs:
     def test_scalar_shorthand(self):
         law = law_from_spec({"kind": "point_mass", "atom": 2.0})
         assert law.q == 1
-        assert law.sample_scalar(RNG(), None) == 2.0
+        assert law.sample_scalar(RNG(), 3).tolist() == [2.0, 2.0, 2.0]
 
     def test_bad_specs(self):
         with pytest.raises(ConfigError):

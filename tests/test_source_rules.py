@@ -101,3 +101,12 @@ def test_references_from_closed_forms():
              for lineno, name in _imported_names(ast.parse(path.read_text()))
              if name.split(".")[0] == "mpmath" or name.startswith("scipy.integrate")]
     assert found == []
+
+
+def test_one_batch_convention():
+    # every sampler takes a required batch size and returns the batch
+    found = [f"{path.relative_to(SRC)}:{i}"
+             for path in sorted(SRC.rglob("*.py"))
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if re.search(r"\bsize\b[^,()]*=\s*None\b|\bsize is (not )?None\b", line)]
+    assert found == []
