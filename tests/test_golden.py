@@ -164,13 +164,17 @@ CASES = {
 # kappa, moment-identity and the m2, m1, character and mu-scaling checks)
 # was recorded again once when the one-pass sums of x and x^2 gave way to
 # two-pass block moments merged pairwise (last bits of means and SEs).
+# group-q1-polar-complex, bessel-q1-complex and c03 were recorded again when
+# the q = 1 walks of both engines began to draw Re v from one real sampler
+# at m = d p or m = 2 mu (other random draws over C; c03's index-mu side at
+# mu = 3/2, m = 3, became a uniform draw).
 GOLDEN = {
     "axiom-extras": "c98620a9f981ac0094342a60766ad6b9fa0d156f271ea8249356105c61a6fd8a",
-    "bessel-q1-complex": "f3378e93d30fcd8eef27cd22f641766751ddfa354d2fa865420f03f75d8a36b7",
+    "bessel-q1-complex": "28d2ecd693275f2ad61bcca36ec0c3d0e7ce3f786f956e318ee02241f0961386",
     "bessel-q2-complex": "13690c28787c095d4e7da2e847aa9534c2cbdf66850fcab1afb84d4f2f98d3c6",
     "c01": "dab094f2da71e9a7e9721e2e381f5f0008bdec6db7223cfc0c00538d4baaa467",
     "c02": "f24586aa5b2e640b883e71374994ac78c34cf86c6ef9f0fe11fb7636dc27205c",
-    "c03": "078a907c3000a4f0213deab45c34aaa4509dd7cdf2861452d3fe457943ef4cc3",
+    "c03": "6ab4991a800642ec86dccaca2203d97b55f8d95d9c160a3936a46d4959fac73d",
     "c04": "0563cf30b71fc1a48423ed61c5a97b3a88f03ecd62fdcd2ffe14dae5dafbd25c",
     "c05": "ed664769e2763474530a34b4a6eb9f5f3a8470d8da4a7e2d5200bf4577b783b0",
     "c06": "70c64ad17cc4e0f6cee93b46ed0bb32bb68fbf3b26cffdf03f6a199c5ee0e878",
@@ -190,7 +194,7 @@ GOLDEN = {
     "extras-clt1": "8e02c9ea40b7de2ca4c568f985ef9fdc310cef714a335465b07882384b070bdf",
     "group-q1-direct-complex": "455eda430f5808f9da4a6b0e4bcbd03c76fd3f4dd66ed8880e36b5da191449c3",
     "group-q1-direct-real": "1e280046e4b3a9978fa50566efb04ebaa1406b3860b3be7bfbc856b07e668c4d",
-    "group-q1-polar-complex": "5f4336ea3d61bf5393e5801d5b4ff8894cc28fdbfa96ecb5e4c5855d6feb30e0",
+    "group-q1-polar-complex": "1f1eb261f0ce36ea43a0adb56db7c750a7ae6545e8055ab948c819fa60e7325b",
     "group-q2-direct-complex": "8ca486516669f1d93939e41c3894bfb29509b349bab01bfcc8aa0806b51b9a54",
     "group-q2-polar-complex": "057bccd0352c5828a13c7c3add34fca674add95f0667454b0f94ea1074f6f5cc",
     "group-q2-polar-real": "752bed75493acc54325e0d565069a2817f6fc187d0e637b148ced4dceaaac29b",
