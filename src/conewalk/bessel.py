@@ -311,7 +311,7 @@ def paired_composition_diffs(law: RadialLaw, param: BesselParam, n: int,
     q = param.q
     # every increment is drawn before any v
     if q == 1:
-        s = np.asarray(law.sample_scalar(rng, (reps, n)), dtype=np.float64)
+        s = law.sample_scalar(rng, (reps, n))
         bullet_sq = np.sum(s * s, axis=1)
     else:
         s = law.sample(rng, reps * n).reshape(reps, n, q, q)

@@ -168,9 +168,8 @@ def sample_radial_matrix(law: RadialLaw, p: int, rng: np.random.Generator,
     and s ~ law independent; Q is drawn first.
 
     By construction (X*X)^{1/2} equals the drawn radial part exactly.
+    :func:`sample_stiefel_frame` refuses p < q.
     """
-    if p < law.q:
-        raise ValueError("radial matrix requires p >= q")
     return sample_stiefel_frame(p, law.q, law.field, rng, size) @ law.sample(rng, size)
 
 

@@ -12,7 +12,7 @@ the covariance of vec(s^2) in the orthonormal hermitian coordinates of
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -298,7 +298,8 @@ def _check_params(spec: dict, kind: str) -> None:
 
 
 def _is_finite_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    # NaN compares false, and an int too large for a float compares exactly
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _as_psd_atom(s, field: str) -> np.ndarray:

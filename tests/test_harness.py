@@ -157,14 +157,16 @@ class TestValidation:
         ({"kind": "uniform", "lo": "0.5", "hi": 1.0}, "law.lo"),
         ({"kind": "uniform", "lo": math.nan, "hi": 1.0}, "law.lo"),
         ({"kind": "uniform", "lo": 0.0, "hi": math.inf}, "law.hi"),
+        ({"kind": "uniform", "lo": 0.0, "hi": 10**400}, "law.hi"),
         ({"kind": "log_normal", "log_mean": 0.0, "log_sd": True}, "law.log_sd"),
         ({"kind": "finite_mixture", "atoms": [[[1.0]], [[2.0]]], "weights": ["0.5", 0.5]},
          "law.weights"),
         (TWO_POINT | {"q": 1.0}, "law.q"),
         (TWO_POINT | {"field": "quaternion"}, "law.field"),
         ({"kind": "point_mass", "atom": [[math.nan]]}, "law"),
-    ], ids=["unknown-key", "fractional-dof", "string", "nan", "infinity", "bool",
-            "string-weight", "float-q", "field", "nan-matrix"])
+        ({"kind": "point_mass", "atom": [[1.0]], "atom_squared": [[1.0]]}, "law.atom"),
+    ], ids=["unknown-key", "fractional-dof", "string", "nan", "infinity", "huge-int", "bool",
+            "string-weight", "float-q", "field", "nan-matrix", "plain-and-squared"])
     def test_bad_law_parameter(self, law, field):
         with pytest.raises(ConfigError) as info:
             validate_config(tiny_walk_config(law=law))
