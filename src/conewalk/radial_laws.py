@@ -20,7 +20,8 @@ import numpy as np
 from . import cone_linalg as cl
 from .errors import ConeViolationError, ConfigError
 
-# the parameters of each kind besides "kind", "q" and "field"
+# the parameters of each kind besides "kind", "q" and "field"; a matrix
+# law's payload comes first, plain or squared under "<key>_squared"
 _PARAMS = {
     "point_mass": ("atom", "atom_squared"),
     "finite_mixture": ("atoms", "atoms_squared", "weights"),
@@ -32,8 +33,6 @@ _PARAMS = {
 KINDS = tuple(_PARAMS)
 _SCALAR_KINDS = ("two_point", "log_normal", "uniform")
 _NUMBER_KEYS = ("a", "b", "p_a", "log_mean", "log_sd", "lo", "hi", "weights")
-# the key of a matrix law's payload; "<key>_squared" gives its square
-_MATRIX_KEYS = {"point_mass": "atom", "finite_mixture": "atoms", "wishart_root": "scale"}
 
 # trapezoid nodes y = log u over [-40, 40] for the half-integer Wishart moments
 _HALF_STEP = 1.0 / 16.0
@@ -329,7 +328,7 @@ def _to_matrix(s, field: str) -> np.ndarray:
 
 def _matrix_key(spec: dict) -> str:
     """The key a matrix law's payload came under: the plain or the squared one."""
-    key = _MATRIX_KEYS[spec["kind"]]
+    key = _PARAMS[spec["kind"]][0]
     return f"{key}_squared" if f"{key}_squared" in spec else key
 
 
