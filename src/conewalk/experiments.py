@@ -42,6 +42,7 @@ from .errors import ConeViolationError, ConfigError
 from .orbit_sampler import GroupWalkConfig, run_group_walks, wishart_sample
 from .radial_laws import (
     RadialLaw,
+    _is_finite_number,
     _matrix_from_spec,
     law_from_spec,
     moments,
@@ -123,16 +124,26 @@ def _support_totals(parts):
 # -- validation helpers ------------------------------------------------------
 
 
+def _typed(field: str, val, kind):
+    """val read as kind, else ConfigError naming field: a float is a finite
+    int or float within float range, and an int is such an int that is not
+    a bool."""
+    if kind is int and isinstance(val, int) and _is_finite_number(val):
+        return val
+    if kind is float and _is_finite_number(val):
+        return float(val)
+    if kind in (int, float):
+        name = "an integer" if kind is int else "a finite number"
+        raise ConfigError(field, f"expected {name}, got {val!r}")
+    if not isinstance(val, kind):
+        raise ConfigError(field, f"expected {kind.__name__}, got {type(val).__name__}")
+    return val
+
+
 def _req(raw: dict, field: str, kind, cond=None, msg=""):
     if field not in raw:
         raise ConfigError(field, "missing required field")
-    val = raw[field]
-    if kind is int and isinstance(val, bool):
-        raise ConfigError(field, "expected an integer")
-    if kind is float and isinstance(val, (int, float)) and not isinstance(val, bool):
-        val = float(val)
-    elif not isinstance(val, kind):
-        raise ConfigError(field, f"expected {kind.__name__}, got {type(val).__name__}")
+    val = _typed(field, raw[field], kind)
     if cond is not None and not cond(val):
         raise ConfigError(field, msg or "invalid value")
     return val
@@ -205,11 +216,9 @@ def _common(raw: dict, experiment: str) -> dict:
 
 
 def _numbers(field: str, values: list, kind) -> list:
-    """List entries converted by kind (int or float); ConfigError on failure."""
-    try:
-        return [kind(v) for v in values]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(field, f"entries must be numbers ({exc})") from exc
+    """List entries read by kind (int or float), each error naming its
+    entry as field[i]."""
+    return [_typed(f"{field}[{i}]", v, kind) for i, v in enumerate(values)]
 
 
 def _checkpoints(raw, n_steps):
@@ -678,10 +687,10 @@ class MomentIdentityExperiment:
             raise ConfigError("law", "the moment identity is a q = 1 statement")
         grid = _req(raw, "grid", list, lambda v: len(v) >= 1, "must be nonempty")
         cfg["grid"] = []
-        for entry in grid:
+        for i, entry in enumerate(grid):
             if not (isinstance(entry, list) and len(entry) == 2):
-                raise ConfigError("grid", "entries must be [n, p] pairs")
-            cfg["grid"].append(_numbers("grid", entry, int))
+                raise ConfigError(f"grid[{i}]", "entries must be [n, p] pairs")
+            cfg["grid"].append(_numbers(f"grid[{i}]", entry, int))
         cfg["replicates"] = _req(raw, "replicates", int, lambda v: v >= 2)
         cfg["method"] = _opt(raw, "method", str, "auto", lambda v: v in _METHODS)
         cfg["max_se"] = _opt(raw, "max_se", float, 4.0, lambda v: v > 0)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conewalk import cone_linalg as cl
-from conewalk import harness
+from conewalk import cli, harness
 from conewalk.errors import ConfigError
 from conewalk.experiments import EXPERIMENTS
 from conewalk.harness import (
@@ -97,6 +98,31 @@ def _random_config(rng):
     return raw
 
 
+# valid configs, and the path to each number in them with the kind it takes
+_TYPED_CONFIGS = [
+    (tiny_walk_config(max_se=4.0),
+     {("seed",): int, ("mu",): float, ("n_steps",): int, ("checkpoints", 1): int,
+      ("replicates",): int, ("block_size",): int, ("max_se",): float}),
+    ({"experiment": "kappa", "seed": 1, "q": 1, "d": 1, "mu_grid": [2.0, 3.5],
+      "n_samples": 10},
+     {("q",): int, ("mu_grid", 1): float, ("n_samples",): int}),
+    ({"experiment": "moment-identity", "seed": 1, "law": TWO_POINT,
+      "grid": [[2, 3], [4, 5]], "replicates": 10},
+     {("grid", 1, 0): int, ("grid", 0, 1): int}),
+    ({"experiment": "axioms", "seed": 1, "checks": [
+        {"check": "character", "mu": 1.2, "r1": 1, "r2": 1.0, "s": 1, "draws": 10}]},
+     {("checks", 0, "mu"): float, ("checks", 0, "r1"): float, ("checks", 0, "draws"): int}),
+]
+
+
+def _mistyped(kind):
+    """Values that a field of kind int or float must refuse."""
+    huge = st.integers(2**1024, 2**1100) | st.integers(-2**1100, -2**1024)
+    bad = (st.booleans() | st.text(max_size=4) | st.lists(st.integers(0, 9), max_size=2)
+           | st.sampled_from([math.nan, math.inf, -math.inf]) | huge)
+    return bad | st.floats() if kind is int else bad
+
+
 class TestValidation:
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError):
@@ -122,18 +148,45 @@ class TestValidation:
             validate_config(tiny_walk_config(checkpoints=[4, 2]))
 
     @pytest.mark.parametrize("field, raw", [
-        ("checkpoints", tiny_walk_config(checkpoints=["x"])),
-        ("grid", {"experiment": "moment-identity", "seed": 1, "law": TWO_POINT,
-                  "grid": [["a", 2]], "replicates": 10}),
-        ("n_grid", {"experiment": "berry-esseen-scan", "seed": 1, "law": TWO_POINT,
-                    "p": 3, "n_grid": [4, 8, "y", 32], "replicates": 10}),
-        ("mu_grid", {"experiment": "kappa", "seed": 1, "q": 1, "d": 1,
-                     "mu_grid": ["z"], "n_samples": 10}),
-    ])
+        ("checkpoints[0]", tiny_walk_config(checkpoints=["x"])),
+        ("grid[0][0]", {"experiment": "moment-identity", "seed": 1, "law": TWO_POINT,
+                        "grid": [["a", 2]], "replicates": 10}),
+        ("n_grid[2]", {"experiment": "berry-esseen-scan", "seed": 1, "law": TWO_POINT,
+                       "p": 3, "n_grid": [4, 8, "y", 32], "replicates": 10}),
+        ("mu_grid[0]", {"experiment": "kappa", "seed": 1, "q": 1, "d": 1,
+                        "mu_grid": ["z"], "n_samples": 10}),
+    ], ids=["checkpoints-raw0", "grid-raw1", "n_grid-raw2", "mu_grid-raw3"])
     def test_non_numeric_list_entry(self, field, raw):
-        with pytest.raises(ConfigError, match=field) as info:
+        # the error names the entry
+        with pytest.raises(ConfigError, match=re.escape(field)) as info:
             validate_config(raw)
         assert info.value.field == field
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_mistyped_number_is_exit_two(self, data):
+        # an integer field takes only an int that is not a bool, and a float
+        # field only a finite int or float within float range; anything else
+        # is a config error (exit 2) that names the entry
+        raw, kinds = data.draw(st.sampled_from(_TYPED_CONFIGS))
+        path = data.draw(st.sampled_from(sorted(kinds, key=str)))
+        bad = data.draw(_mistyped(kinds[path]))
+        raw = json.loads(json.dumps(raw))
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = bad
+        name = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+        with pytest.raises(ConfigError) as info:
+            validate_config(raw)
+        assert info.value.field == name
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = Path(tmp) / "cfg.json"
+            cfg_path.write_text(json.dumps(raw))
+            with mock.patch("sys.stderr"):
+                code = cli.main([raw["experiment"], "--config", str(cfg_path),
+                                 "--out", str(Path(tmp) / "out")])
+        assert code == 2
 
     def test_law_errors_are_config_errors(self):
         with pytest.raises(ConfigError, match="law"):
