@@ -14,6 +14,9 @@ Conventions used throughout the package:
   phase convention (the result does not depend on the phases), and none
   at q = 2, where the square root and the inverse square root have a
   closed form in the trace and the discriminant;
+* products of stacked 2 x 2 matrices are written out (:func:`_mul2`),
+  since matmul makes one BLAS call per matrix; the cone step's products
+  take this form at q = 2;
 * :func:`vectorize_herm` maps hermitian matrices isometrically to real
   coordinate vectors: diagonal entries first, then off-diagonal real
   parts scaled by sqrt(2) (row-major upper triangle), then, over the
@@ -115,8 +118,24 @@ def cone_step(a, s, v):
     """
     if np.ndim(v) < 2:
         return np.sqrt(np.maximum(a * a + s * s + 2.0 * a * s * np.real(v), 0.0))
-    sva = s @ v @ a
-    return psd_sqrt(a @ a + s @ s + sva + np.swapaxes(np.conj(sva), -1, -2))
+    mul = _mul2 if np.shape(v)[-1] == 2 else np.matmul
+    sva = mul(mul(s, v), a)
+    return psd_sqrt(mul(a, a) + mul(s, s) + sva + np.swapaxes(np.conj(sva), -1, -2))
+
+
+def _mul2(x, y):
+    """x @ y over an inner axis of length 2, written out one output column
+    at a time; batched and unbatched operands broadcast as in matmul.
+
+    On stacks of 2 x 2 matrices matmul makes one BLAS call per matrix,
+    about 8x the cost of this over the complex field.
+    """
+    x, y = np.asarray(x), np.asarray(y)
+    shape = np.broadcast_shapes(x.shape[:-2], y.shape[:-2]) + (x.shape[-2], y.shape[-1])
+    out = np.empty(shape, dtype=np.result_type(x, y))
+    for j in range(y.shape[-1]):
+        out[..., j] = x[..., :, 0] * y[..., None, 0, j] + x[..., :, 1] * y[..., None, 1, j]
+    return out
 
 
 # eigenvalue floor of psd_inv_sqrt
@@ -132,8 +151,9 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_cone(wmin: np.ndarray, a: np.ndarray, tol: float) -> None:
     """Raise ConeViolationError where the smallest eigenvalue of a is below
-    -tol*(1+||a||_F)."""
-    if np.any(wmin < -tol * (1.0 + frob_norm(a))):
+    -tol*(1+||a||_F); the norm is taken only when some eigenvalue is
+    negative."""
+    if np.any(wmin < 0.0) and np.any(wmin < -tol * (1.0 + frob_norm(a))):
         raise ConeViolationError(
             f"eigenvalue {float(np.min(wmin)):.6e} below -tol*(1+||a||_F) with tol={tol:.1e}",
             payload=a,

@@ -39,19 +39,57 @@ def sample_stiefel_frame(p: int, q: int, field: str, rng: np.random.Generator,
                          size: int) -> np.ndarray:
     """size Haar-distributed orthonormal q-frames in F^p, shape (size, p, q).
 
-    Gaussian matrix followed by thin QR with the R-diagonal phase forced
+    Gaussian matrix G followed by thin QR with the R-diagonal phase forced
     positive, which makes the factorization unique and the law exactly
-    invariant under left multiplication by any fixed unitary.
+    invariant under left multiplication by any fixed unitary.  At
+    q = 2 < p that frame is taken as G R^-1 twice (CholeskyQR2), R the
+    Cholesky factor of G* G, whose diagonal is positive; it agrees with QR
+    up to rounding.  Square frames keep QR, as G* G may be numerically
+    singular there.
     """
     if p < q:
         raise ValueError("stiefel frame requires p >= q")
     g = _std_entries(rng, (size, p, q), field)
+    if q == 2 and p > 2:
+        return _cholesky_q(_cholesky_q(g))
     qmat, r = np.linalg.qr(g)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     mod = np.abs(diag)
     safe = np.where(mod > 0, mod, 1.0)
     phase = np.where(mod > 0, diag / safe, 1.0)
     return qmat * np.conj(phase)[..., None, :]
+
+
+def _cholesky_q(g: np.ndarray) -> np.ndarray:
+    """G R^-1 for a stack of p x 2 matrices G, with R the upper Cholesky
+    factor of G* G written out.
+
+    Both products are real matmuls on the real columns x of G (over C:
+    Re G0, Im G0, Re G1, Im G1), as matmul makes one slow call per complex
+    matrix.
+    """
+    complex_field = np.iscomplexobj(g)
+    x = g.view(np.float64)
+    m = np.swapaxes(x, -1, -2) @ x
+    if complex_field:
+        g00, g11 = m[:, 0, 0] + m[:, 1, 1], m[:, 2, 2] + m[:, 3, 3]
+        g01 = m[:, 0, 2] + m[:, 1, 3] + 1j * (m[:, 0, 3] - m[:, 1, 2])
+    else:
+        g00, g11, g01 = m[:, 0, 0], m[:, 1, 1], m[:, 0, 1]
+    r00 = np.sqrt(g00)
+    r01 = g01 / r00
+    r11 = np.sqrt(g11 - _abs2(r01))
+    # R^-1 = [[d0, e], [0, d1]] as the real matrix that acts on x
+    d0, e, d1 = 1.0 / r00, -r01 / (r00 * r11), 1.0 / r11
+    r_inv = np.zeros_like(m)
+    if complex_field:
+        r_inv[:, 0, 0] = r_inv[:, 1, 1] = d0
+        r_inv[:, 2, 2] = r_inv[:, 3, 3] = d1
+        r_inv[:, 0, 2] = r_inv[:, 1, 3] = e.real
+        r_inv[:, 0, 3], r_inv[:, 1, 2] = e.imag, -e.imag
+    else:
+        r_inv[:, 0, 0], r_inv[:, 0, 1], r_inv[:, 1, 1] = d0, e, d1
+    return (x @ r_inv).view(g.dtype)
 
 
 def stiefel_block(p: int, q: int, field: str, rng: np.random.Generator,
@@ -116,13 +154,7 @@ def haar_block(nu: float, q: int, field: str, rng: np.random.Generator,
             w = cl.herm_part(np.swapaxes(np.conj(g2), -1, -2) @ g2)
         gram = cl.herm_part(np.swapaxes(np.conj(g1), -1, -2) @ g1) + w
     r = cl.psd_inv_sqrt(gram)
-    if q != 2:
-        return g1 @ r
-    # written out: matmul on stacks of complex 2 x 2 matrices is ~10x slower
-    v = np.empty_like(g1)
-    v[:, :, 0] = g1[:, :, 0] * r[:, None, 0, 0] + g1[:, :, 1] * r[:, None, 1, 0]
-    v[:, :, 1] = g1[:, :, 0] * r[:, None, 0, 1] + g1[:, :, 1] * r[:, None, 1, 1]
-    return v
+    return cl._mul2(g1, r) if q == 2 else g1 @ r
 
 
 def _abs2(x: np.ndarray) -> np.ndarray:
@@ -273,7 +305,9 @@ def zero_radial(q: int, field: str, n: int) -> np.ndarray:
 
 def square_radial(a: np.ndarray) -> np.ndarray:
     """S_n* S_n from the radial part: a * a for q = 1 batches, else a @ a."""
-    return a * a if a.ndim == 1 else a @ a
+    if a.ndim == 1:
+        return a * a
+    return cl._mul2(a, a) if a.shape[-1] == 2 else a @ a
 
 
 def run_group_walks(cfg: GroupWalkConfig, rng: np.random.Generator,

@@ -112,20 +112,40 @@ class TestConeStep:
         assert np.array_equal(t, np.sqrt(np.maximum(a * a + s * s + 2 * a * s * v.real, 0)))
         assert t[1] == 0.0  # a = s and v = -1 cancel exactly
 
-    @pytest.mark.parametrize("field", cl.FIELDS)
-    def test_matrix_form_squares_to_the_update(self, field):
+    @pytest.mark.parametrize("q, field", [
+        pytest.param(q, field, id=field if q == 3 else f"q2-{field}")
+        for q in (3, 2) for field in cl.FIELDS])
+    def test_matrix_form_squares_to_the_update(self, q, field):
         rng = np.random.default_rng(606)
         for _ in range(20):
-            a = cl.psd_sqrt(rand_psd(rng, 3, field))
-            s = cl.psd_sqrt(rand_psd(rng, 3, field))
-            g = rand_herm(rng, 3, field) + 0.3 * rand_herm(rng, 3, field) @ rand_herm(
-                rng, 3, field)
+            a = cl.psd_sqrt(rand_psd(rng, q, field))
+            s = cl.psd_sqrt(rand_psd(rng, q, field))
+            g = rand_herm(rng, q, field) + 0.3 * rand_herm(rng, q, field) @ rand_herm(
+                rng, q, field)
             v = g / (1.0 + np.linalg.norm(g, 2))  # a strict contraction
             t = cl.cone_step(a, s, v)
             svr = s @ v @ a
             expect = a @ a + s @ s + svr + np.conj(svr.T)
             assert cl.frob_norm(t @ t - expect) <= 1e-10 * (1 + cl.frob_norm(expect))
             assert np.min(np.linalg.eigvalsh(t)) >= 0.0
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("field", cl.FIELDS)
+    def test_unbatched_points_with_batched_v(self, q, field):
+        # convolve_points and the axioms checks step one pair of points a, s
+        # with a batch of v
+        rng = np.random.default_rng(608)
+        a = cl.psd_sqrt(rand_psd(rng, q, field))
+        s = cl.psd_sqrt(rand_psd(rng, q, field))
+        g = np.stack([rand_herm(rng, q, field) @ rand_herm(rng, q, field)
+                      for _ in range(200)])
+        v = g / (1.0 + np.linalg.norm(g, 2, axis=(1, 2)))[:, None, None]
+        t = cl.cone_step(a, s, v)
+        sva = np.matmul(np.matmul(s, v), a)
+        expect = cl.psd_sqrt(np.matmul(a, a) + np.matmul(s, s) + sva
+                             + np.conj(np.swapaxes(sva, -1, -2)))
+        assert t.shape == (200, q, q)
+        assert np.max(cl.frob_norm(t - expect) / cl.frob_norm(expect)) <= 1e-13
 
     def test_one_by_one_matrices_match_the_scalar_form(self):
         rng = np.random.default_rng(607)

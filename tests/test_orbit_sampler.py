@@ -13,7 +13,7 @@ from conewalk.orbit_sampler import (
     stiefel_block,
     wishart_sample,
 )
-from conewalk.radial_laws import RadialLaw, moments
+from conewalk.radial_laws import RadialLaw, _std_entries, moments
 
 
 class TestStiefelFrame:
@@ -24,6 +24,29 @@ class TestStiefelFrame:
         gram = np.conj(np.swapaxes(q, -1, -2)) @ q
         err = np.max(cl.frob_norm(gram - np.eye(3)))
         assert err <= 1e-12
+
+    @pytest.mark.parametrize("field", cl.FIELDS)
+    @pytest.mark.parametrize("p", [3, 5, 50])
+    def test_cholesky_frame_is_the_qr_frame(self, p, field):
+        # at q = 2 < p the frame is G R^-1 taken twice, R the Cholesky factor
+        # of G* G; R's diagonal is positive, so this is the QR frame whose
+        # R-diagonal phase is forced positive
+        for chunk in range(10):
+            g = _std_entries(np.random.default_rng(chunk), (10_000, p, 2), field)
+            frame = sample_stiefel_frame(p, 2, field, np.random.default_rng(chunk), 10_000)
+            qmat, r = np.linalg.qr(g)
+            diag = np.diagonal(r, axis1=-2, axis2=-1)
+            ref = qmat * np.conj(diag / np.abs(diag))[..., None, :]
+            assert np.max(np.abs(frame - ref)) <= 1e-12
+            gram = np.conj(np.swapaxes(frame, -1, -2)) @ frame
+            assert np.max(np.abs(gram - np.eye(2))) <= 1e-14
+
+    @pytest.mark.parametrize("field", cl.FIELDS)
+    def test_square_frame_is_unitary(self, field):
+        # p == q keeps QR, where G* G can be numerically singular
+        v = sample_stiefel_frame(2, 2, field, np.random.default_rng(8), 100_000)
+        gram = np.conj(np.swapaxes(v, -1, -2)) @ v
+        assert np.max(np.abs(gram - np.eye(2))) <= 1e-14
 
     def test_sign_symmetry_p1(self):
         rng = np.random.default_rng(2)

@@ -58,6 +58,16 @@ def test_one_inverse_root_caller():
     assert found == ["orbit_sampler.py:haar_block"]
 
 
+def test_cone_step_has_no_matmul_operator():
+    # at q = 2 the cone step's products are written out, as matmul makes
+    # one BLAS call per 2 x 2 matrix; other q call np.matmul by name
+    tree = ast.parse((SRC / "cone_linalg.py").read_text())
+    step = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "cone_step")
+    found = [node.lineno for node in ast.walk(step) if isinstance(node, ast.MatMult)]
+    assert found == []
+
+
 def test_no_rejection_stall_error():
     # the contraction sampler is rejection-free; nothing can stall
     found = [path.name for path in sorted(SRC.rglob("*.py"))
