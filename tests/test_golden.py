@@ -167,20 +167,25 @@ CASES = {
 # group-q1-polar-complex, bessel-q1-complex and c03 were recorded again when
 # the q = 1 walks of both engines began to draw Re v from one real sampler
 # at m = d p or m = 2 mu (other random draws over C; c03's index-mu side at
-# mu = 3/2, m = 3, became a uniform draw).
+# mu = 3/2, m = 3, became a uniform draw).  The q = 2 walks that make the
+# cone step or draw direct-route frames (bessel-q2-complex, c07, c09,
+# demo-walk-bessel, demo-walk-group and the group-q2 cases) and the
+# cone-step-q2 and convolve-q2 draw cases were recorded again when the
+# q = 2 cone step's products were written out and the q = 2 < p Haar frames
+# became CholeskyQR2 in place of QR (last bits).
 GOLDEN = {
     "axiom-extras": "c98620a9f981ac0094342a60766ad6b9fa0d156f271ea8249356105c61a6fd8a",
     "bessel-q1-complex": "28d2ecd693275f2ad61bcca36ec0c3d0e7ce3f786f956e318ee02241f0961386",
-    "bessel-q2-complex": "13690c28787c095d4e7da2e847aa9534c2cbdf66850fcab1afb84d4f2f98d3c6",
+    "bessel-q2-complex": "d1265b1e966d4707f4b4ceb88c5aa2aa0df313a01b3d40b662b073aaff0dd61e",
     "c01": "dab094f2da71e9a7e9721e2e381f5f0008bdec6db7223cfc0c00538d4baaa467",
     "c02": "f24586aa5b2e640b883e71374994ac78c34cf86c6ef9f0fe11fb7636dc27205c",
     "c03": "6ab4991a800642ec86dccaca2203d97b55f8d95d9c160a3936a46d4959fac73d",
     "c04": "0563cf30b71fc1a48423ed61c5a97b3a88f03ecd62fdcd2ffe14dae5dafbd25c",
     "c05": "ed664769e2763474530a34b4a6eb9f5f3a8470d8da4a7e2d5200bf4577b783b0",
     "c06": "70c64ad17cc4e0f6cee93b46ed0bb32bb68fbf3b26cffdf03f6a199c5ee0e878",
-    "c07": "053381bc3cba23b5821d9389d4af831a48a602ed80606b31d5123b34233ebb04",
+    "c07": "fa6c60b3e438b4e72e2975dce922d62102a675b87a341af24f09a8b5f9ef6a39",
     "c08": "f241ce0ceec44f4c7f24a3cf1bf3d78199e3507389866f7e458c7a7487106c27",
-    "c09": "5b0e4df3f46c8ca86ed10131936da7c38f1ecc0ae42f65f20cbbb7b3b6491131",
+    "c09": "16e6616f598d9d48373b9f5dcb549c986e5dd50a06a34cc6d75a4867c8711f30",
     "c10": "69ad9462a399ab0aac34e68d476278147643bf164659ee3a0c1b3f2df5204519",
     "c11": "3434369133bc09b75de862309d4f7d20885b290c59fbcd158edae1b71dd6f7f8",
     "c12a": "a5109c2ee38cb97c4e08a860ea4ae19cb723dfbd31114b60c2095165275157ef",
@@ -189,15 +194,15 @@ GOLDEN = {
     "contraction-beta-mu0.52": "1d8c8ed2c6d98f85edaa1a0ea90063f47e619574facf1fe66255ab0526eb956f",
     "convolve-q1": "0a69f04045a73e11b54ce11152fb33e2a893cf90cce1c6477bbc82de6484fd6f",
     "demo-convolve": "8deb618e71b4fc505bee756e887df1e9410c6986bc8ac4f11e0a324bd13fc9f1",
-    "demo-walk-bessel": "efb974f8ee28b8d3e3c312856ada43d162773fd9826d53be56839256e9e551f4",
-    "demo-walk-group": "2acdfe2003b346e58b857de8928e3ccf5e215e8bbf4dfd09a5673d9719dd5b9b",
+    "demo-walk-bessel": "59313231a175d03ee7694c7ed09f47db1ab3b46c853b99a374595f9ca2608346",
+    "demo-walk-group": "e6c6f40c54aa8525dafd7563595a3ef51c46c8223b4957a681aa0bfdbc11d214",
     "extras-clt1": "8e02c9ea40b7de2ca4c568f985ef9fdc310cef714a335465b07882384b070bdf",
     "group-q1-direct-complex": "455eda430f5808f9da4a6b0e4bcbd03c76fd3f4dd66ed8880e36b5da191449c3",
     "group-q1-direct-real": "1e280046e4b3a9978fa50566efb04ebaa1406b3860b3be7bfbc856b07e668c4d",
     "group-q1-polar-complex": "1f1eb261f0ce36ea43a0adb56db7c750a7ae6545e8055ab948c819fa60e7325b",
-    "group-q2-direct-complex": "8ca486516669f1d93939e41c3894bfb29509b349bab01bfcc8aa0806b51b9a54",
-    "group-q2-polar-complex": "057bccd0352c5828a13c7c3add34fca674add95f0667454b0f94ea1074f6f5cc",
-    "group-q2-polar-real": "752bed75493acc54325e0d565069a2817f6fc187d0e637b148ced4dceaaac29b",
+    "group-q2-direct-complex": "3a89f1f036295b3bd5eebceae82af7460df0a710e11f98e596ee32d8676d5b41",
+    "group-q2-polar-complex": "0aae174e52e7309d4b65ee4f4bc3dadf2f1f0071a12abd05546aca2c87329913",
+    "group-q2-polar-real": "6a11480e2c323054022bb1422902e73ede21f450a2a96e86f54330fa99503cf9",
     "kappa-q2": "b83196a2e4726baa56dd40c800860082bc5aaf1f8e74edc4105d6d442a23b575",
 }
 
@@ -301,11 +306,11 @@ DRAW_CASES = {
 # digests of the per-draw arrays as recorded; never regenerate them to make a
 # refactor pass
 DRAW_GOLDEN = {
-    "cone-step-q2-complex": "5a8c47b500bc0269f53d1e32641bbc9eb82ff211fd99c02ddc796ed0ab18b8b1",
-    "cone-step-q2-real": "d9680f07fdb0c3644057014a4914b02b70f2e1675280b5f9fa7b038600fb110c",
+    "cone-step-q2-complex": "c8760feaa8d1351d0605b66bb41863d7571b0ada2b64d50502de40040cac8915",
+    "cone-step-q2-real": "969ddd4aee0a20e88d1a3518d3cb46f5000d83cc7372e871d29b843628acdafb",
     "convolve-q1-matrix": "a5df39495a64b98ccccf5b35d8aa741122fb21dbdea0da1139830b5f99ec8dce",
-    "convolve-q2-complex": "78dce275550c0599be549a7c309a8407c8543bd8bd7dc73fd392cf9b24fd620d",
-    "convolve-q2-real": "a3291e10049ddc5ec8a95131c7c0b0a097581a9305065711ed5c0333a7b26ef8",
+    "convolve-q2-complex": "d397af04112b5608cce687eb32fda5ebfafccff4eac912ddc8b3517b1e920520",
+    "convolve-q2-real": "5b3b6b50e5dacb1ddf7f5c4fd13dcd81c90de4dabcd435a13c1d977b076d91da",
     "stiefel-q2-complex-small-dof": "6c91dffafe9b50412fbaf40d43de9398cbe3f186c44104fdcb267982ab89c472",
     "stiefel-q2-real": "32e5e38c65e8bf2731ef0024c71c36376d7a92d8ee6d24c4a3ab0faf276ab215",
     "support-bound-q3-real": "e2ca14c3fab3c3ff414ef663f280963ed8d490eba69fb5937ddce7527c1ed7da",
