@@ -130,7 +130,6 @@ def _mul2(x, y):
     On stacks of 2 x 2 matrices matmul makes one BLAS call per matrix,
     about 8x the cost of this over the complex field.
     """
-    x, y = np.asarray(x), np.asarray(y)
     shape = np.broadcast_shapes(x.shape[:-2], y.shape[:-2]) + (x.shape[-2], y.shape[-1])
     out = np.empty(shape, dtype=np.result_type(x, y))
     for j in range(y.shape[-1]):
