@@ -78,6 +78,8 @@ class RadialLaw:
     atom: np.ndarray | None = None
     atoms: np.ndarray | None = None
     weights: np.ndarray | None = None
+    # normalized CDF of weights, built once: each draw is one searchsorted
+    cdf: np.ndarray | None = None
     a: float | None = None
     b: float | None = None
     p_a: float | None = None
@@ -103,8 +105,10 @@ class RadialLaw:
             raise ValueError("weights must match the number of atoms")
         if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
             raise ValueError("weights must be nonnegative and sum to 1 within 1e-12")
+        cdf = np.cumsum(weights)
+        cdf /= cdf[-1]
         return cls(kind="finite_mixture", q=atoms.shape[-1], field=field,
-                   atoms=atoms, weights=weights)
+                   atoms=atoms, weights=weights, cdf=cdf)
 
     @classmethod
     def two_point(cls, a: float, b: float, p_a: float, field: str = cl.REAL) -> "RadialLaw":
@@ -144,9 +148,7 @@ class RadialLaw:
         if self.kind == "point_mass":
             return np.full(size, float(self.atom[0, 0].real))
         if self.kind == "finite_mixture":
-            vals = self.atoms[:, 0, 0].real.astype(np.float64)
-            idx = rng.choice(len(vals), size=size, p=self.weights)
-            return vals[idx]
+            return self.atoms[:, 0, 0].real[self._mixture_index(rng, size)]
         if self.kind == "two_point":
             u = rng.random(size)
             return np.where(u < self.p_a, self.a, self.b)
@@ -159,13 +161,17 @@ class RadialLaw:
                            * _bartlett_diag(self.dof, self.field, rng, size))
         raise ValueError(f"unknown law kind {self.kind!r}")
 
+    def _mixture_index(self, rng: np.random.Generator, size) -> np.ndarray:
+        # the draws and stream state of rng.choice(len(w), size, p=w), which
+        # rebuilds and checks the CDF on every call
+        return self.cdf.searchsorted(rng.random(size), side="right")
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw PSD matrices of shape (size, q, q)."""
         if self.kind == "point_mass":
             return np.broadcast_to(self.atom, (size,) + self.atom.shape).copy()
         if self.kind == "finite_mixture":
-            idx = rng.choice(len(self.weights), size=size, p=self.weights)
-            return self.atoms[idx]
+            return self.atoms[self._mixture_index(rng, size)]
         if self.kind in _SCALAR_KINDS:
             out = self.sample_scalar(rng, size)[:, None, None]
             return out if self.field == cl.REAL else out.astype(np.complex128)
