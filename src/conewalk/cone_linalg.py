@@ -10,10 +10,11 @@ Conventions used throughout the package:
   (:func:`clamp_psd`, :func:`psd_sqrt`, :func:`psd_inv_sqrt`):
   eigenvalues below -tol*(1+||a||_F) raise :class:`ConeViolationError`,
   the other negative ones are clamped to zero;
-* a spectral function U f(w) U* costs one ``eigh`` with no eigenvector
-  phase convention (the result does not depend on the phases), and none
-  at q = 2, where the square root and the inverse square root have a
-  closed form in the trace and the discriminant;
+* a spectral function U f(w) U* costs one pass of :func:`_eigh`, a cyclic
+  Jacobi eigensolver that rotates a whole stack at once, with no
+  eigenvector phase convention (the result does not depend on the
+  phases); at q = 2 the square root and the inverse square root take none,
+  as they have a closed form in the trace and the discriminant;
 * products of stacked 2 x 2 matrices are written out (:func:`_mul2`),
   since matmul makes one BLAS call per matrix; the cone step's products
   take this form at q = 2;
@@ -83,7 +84,7 @@ def clamp_psd(a: np.ndarray, tol: float = EPS_PSD) -> np.ndarray:
     """
     a = herm_part(np.asarray(a))
     w, u = _eigh(a)
-    _check_cone(w[..., 0], a, tol)
+    _check_cone(np.min(w, axis=-1), a, tol)
     return _assemble(np.maximum(w, 0.0), u)
 
 
@@ -91,7 +92,11 @@ def psd_sqrt(a: np.ndarray, tol: float = EPS_PSD) -> np.ndarray:
     """PSD square root of a (stacked) hermitian array.
 
     Checks and clamps the spectrum like :func:`clamp_psd`, so the input
-    need only be PSD within tolerance; one ``eigh``, none at q = 2.
+    need only be PSD within tolerance.  The root is that of the hermitian
+    part (a + a*)/2, taken first: the cone step's square is hermitian only
+    up to rounding, since its entries (i, j) and (j, i) add the same terms
+    in different orders.  One Jacobi eigendecomposition of the stack, none
+    at q = 2.
     """
     return _psd_root(a, tol, inverse=False)
 
@@ -139,13 +144,118 @@ def _mul2(x, y):
 
 # eigenvalue floor of psd_inv_sqrt
 _INV_FLOOR = 1e-300
+# Jacobi sweeps after which a matrix that has not converged is a failure;
+# of 20,000 Gaussian draws no 3 x 3 matrix took more than 4, no 4 x 4 one
+# more than 6
+_MAX_SWEEPS = 12
+# a matrix has converged once its off-diagonal mass sum |a_ij|^2 (i < j) is
+# at most eps^2 times its squared Frobenius norm
+_OFF_TOL2 = np.finfo(np.float64).eps ** 2
+# floor of a rotation's denominator: with entries scaled into [-1, 1] only a
+# negligible off-diagonal entry meets it, and it keeps h^2 |x|^2 finite
+_TINY = 2.0**-500
 
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        return np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"hermitian eigensolver failed: {exc}", payload=a) from exc
+    """Eigenvalues w and eigenvectors u of a stack of hermitian arrays, with
+    a = u diag(w) u*; w is not sorted.
+
+    Cyclic Jacobi over the whole stack at once.  The real diagonal and the
+    upper triangle of a, the only entries read, are held one entry per
+    contiguous (n,) row, so rotation (p, r) reaches every matrix through a
+    few ufunc calls.  Each matrix is first scaled by a power of two, which
+    is exact, so that its largest entry lies in [1/2, 1).  A matrix whose
+    off-diagonal mass is at or below tolerance rotates by t = 0, exactly the
+    identity, so its result does not depend on the rest of the stack.
+    """
+    q = a.shape[-1]
+    flat = a.reshape((-1, q, q))
+    n = flat.shape[0]
+    pairs = [(i, j) for i in range(q) for j in range(i + 1, q)]
+    slot = {}
+    for m, (i, j) in enumerate(pairs):
+        slot[i, j] = slot[j, i] = m
+    diag = np.empty((q, n))
+    off = np.empty((len(pairs), n), dtype=a.dtype)
+    for i in range(q):
+        diag[i] = flat[:, i, i].real
+    for m, (i, j) in enumerate(pairs):
+        off[m] = flat[:, i, j]
+    cplx = np.iscomplexobj(off)
+    conj = np.conj if cplx else _same
+    entries = [diag, off.real, off.imag] if cplx else [diag, off]
+    big = np.abs(np.concatenate(entries)).max(axis=0)
+    if not np.all(np.isfinite(big)):
+        raise NumericalFailureError("hermitian eigensolver: input is not finite", payload=a)
+    # below 2^-1000 the scale stops at 2^1000, a finite factor
+    expo = np.maximum(np.frexp(big)[1], -1000)
+    scale = np.ldexp(1.0, -expo)
+    diag *= scale
+    off *= scale
+    u = np.zeros((q, q, n), dtype=a.dtype)
+    for i in range(q):
+        u[i, i] = 1.0
+    for sweep in range(_MAX_SWEEPS + 1):
+        mass = _abs2(off).sum(axis=0)
+        live = mass > _OFF_TOL2 * ((diag * diag).sum(axis=0) + 2.0 * mass)
+        if not np.any(live):
+            break
+        if sweep == _MAX_SWEEPS:
+            raise NumericalFailureError(
+                f"hermitian eigensolver: no convergence in {_MAX_SWEEPS} Jacobi sweeps",
+                payload=a)
+        for p, r in pairs:
+            x = off[slot[p, r]]
+            g2 = _abs2(x)
+            dif = diag[r] - diag[p]
+            # the rotation's tangent t = 2|x| sign(dif) / (|dif| + sqrt(dif^2 + 4|x|^2))
+            # is h |x|; a converged matrix takes h = 0
+            h = np.copysign(2.0 / np.maximum(np.abs(dif) + np.sqrt(dif * dif + 4.0 * g2), _TINY),
+                            dif)
+            h *= live
+            c = 1.0 / np.sqrt(1.0 + h * h * g2)
+            tx = h * g2
+            diag[p] -= tx
+            diag[r] += tx
+            # the rotation's (p, r) entry s x / |x|, and its (r, p) entry -conj(z)
+            z = (c * h) * x
+            zc = conj(z)
+            x[...] = 0.0
+            for k in range(q):
+                if k == p or k == r:
+                    continue
+                # off holds a[k, j] for k < j and its conjugate a[j, k] for k > j
+                xp, xr = off[slot[k, p]], off[slot[k, r]]
+                if k < p:
+                    new = c * xp - zc * xr
+                    xr *= c
+                    xr += z * xp
+                elif k > r:
+                    new = c * xp - z * xr
+                    xr *= c
+                    xr += zc * xp
+                else:
+                    new = c * xp - z * conj(xr)
+                    xr *= c
+                    xr += z * conj(xp)
+                xp[...] = new
+            for k in range(q):
+                up, ur = u[k, p], u[k, r]
+                new = c * up - zc * ur
+                ur *= c
+                ur += z * up
+                up[...] = new
+    w = np.ldexp(diag, expo).T.reshape(a.shape[:-1])
+    return w, np.moveaxis(u, -1, 0).reshape(a.shape)
+
+
+def _same(x: np.ndarray) -> np.ndarray:
+    return x
+
+
+def _abs2(x: np.ndarray) -> np.ndarray:
+    """|x|^2 elementwise, without the square root of np.abs."""
+    return x * x if not np.iscomplexobj(x) else x.real * x.real + x.imag * x.imag
 
 
 def _check_cone(wmin: np.ndarray, a: np.ndarray, tol: float) -> None:
@@ -167,7 +277,7 @@ def _psd_root(a: np.ndarray, tol: float, inverse: bool) -> np.ndarray:
     if a.shape[-1] == 2:
         return _psd_root_2x2(a, tol, inverse, floor)
     w, u = _eigh(a)
-    _check_cone(w[..., 0], a, tol)
+    _check_cone(np.min(w, axis=-1), a, tol)
     r = np.sqrt(np.maximum(w, floor))
     return _assemble(1.0 / r if inverse else r, u)
 

@@ -78,7 +78,7 @@ def _cholesky_q(g: np.ndarray) -> np.ndarray:
         g00, g11, g01 = m[:, 0, 0], m[:, 1, 1], m[:, 0, 1]
     r00 = np.sqrt(g00)
     r01 = g01 / r00
-    r11 = np.sqrt(g11 - _abs2(r01))
+    r11 = np.sqrt(g11 - cl._abs2(r01))
     # R^-1 = [[d0, e], [0, d1]] as the real matrix that acts on x
     d0, e, d1 = 1.0 / r00, -r01 / (r00 * r11), 1.0 / r11
     r_inv = np.zeros_like(m)
@@ -133,7 +133,7 @@ def haar_block(nu: float, q: int, field: str, rng: np.random.Generator,
     g1 = _std_entries(rng, (n, q, q), field)
     if q == 1:
         g = g1.reshape(n)
-        return (g / np.sqrt(_abs2(g) + _bartlett_diag(nu, field, rng, n))).reshape(n, 1, 1)
+        return (g / np.sqrt(cl._abs2(g) + _bartlett_diag(nu, field, rng, n))).reshape(n, 1, 1)
     if q == 2 and nu > 1:
         # Bartlett factor [[sqrt(c0), 0], [b, sqrt(c1)]], drawn in the order
         # of _wishart_bartlett; W = A A* and G1*G1 written out
@@ -142,8 +142,8 @@ def haar_block(nu: float, q: int, field: str, rng: np.random.Generator,
         b = _std_entries(rng, n, field)
         g00, g01, g10, g11 = g1[:, 0, 0], g1[:, 0, 1], g1[:, 1, 0], g1[:, 1, 1]
         gram = np.empty_like(g1)
-        gram[:, 0, 0] = _abs2(g00) + _abs2(g10) + c0
-        gram[:, 1, 1] = _abs2(g01) + _abs2(g11) + _abs2(b) + c1
+        gram[:, 0, 0] = cl._abs2(g00) + cl._abs2(g10) + c0
+        gram[:, 1, 1] = cl._abs2(g01) + cl._abs2(g11) + cl._abs2(b) + c1
         gram[:, 0, 1] = np.conj(g00) * g01 + np.conj(g10) * g11 + np.sqrt(c0) * np.conj(b)
         gram[:, 1, 0] = np.conj(gram[:, 0, 1])
     else:
@@ -155,11 +155,6 @@ def haar_block(nu: float, q: int, field: str, rng: np.random.Generator,
         gram = cl.herm_part(np.swapaxes(np.conj(g1), -1, -2) @ g1) + w
     r = cl.psd_inv_sqrt(gram)
     return cl._mul2(g1, r) if q == 2 else g1 @ r
-
-
-def _abs2(x: np.ndarray) -> np.ndarray:
-    """|x|^2 elementwise, without the square root of np.abs."""
-    return x * x if not np.iscomplexobj(x) else x.real * x.real + x.imag * x.imag
 
 
 def _wishart_bartlett(q: int, dof: float, field: str, rng: np.random.Generator,

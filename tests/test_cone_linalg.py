@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conewalk import cone_linalg as cl
-from conewalk.errors import ConeViolationError, UnsupportedFieldError
+from conewalk.errors import ConeViolationError, NumericalFailureError, UnsupportedFieldError
 
 
 def rand_herm(rng, q, field):
@@ -156,7 +156,8 @@ class TestConeStep:
 
 
 # -- property tests of the spectral kernel ------------------------------------
-# q = 2 runs the closed form, q = 1 and q = 3 the eigh route
+# q = 2 roots run the closed form; the other roots and clamp_psd at every q
+# run the Jacobi eigensolver
 
 
 def with_spectrum(seed, w, field):
@@ -178,7 +179,7 @@ def eigh_root(a, inverse=False):
 
 
 SEEDS = st.integers(0, 2**32 - 1)
-DIMS = st.sampled_from([1, 2, 3])
+DIMS = st.sampled_from([1, 2, 3, 4])
 FIELD = st.sampled_from(cl.FIELDS)
 # eigenvalues of well-conditioned input: within a factor 1e3 of each other
 WELL = st.floats(1e-3, 1.0)
@@ -190,7 +191,7 @@ PROPS = settings(max_examples=150, deadline=None, derandomize=True)
 
 class TestSpectralProperties:
     @PROPS
-    @given(SEEDS, DIMS, FIELD, st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+    @given(SEEDS, DIMS, FIELD, st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
            SCALES)
     def test_sqrt_squares_back(self, seed, q, field, w, scale):
         # near-singular input included: squaring back is the check there,
@@ -201,7 +202,7 @@ class TestSpectralProperties:
         assert np.min(np.linalg.eigvalsh(root)) >= -1e-14 * np.sqrt(scale)
 
     @PROPS
-    @given(SEEDS, DIMS, FIELD, st.lists(WELL, min_size=3, max_size=3), SCALES)
+    @given(SEEDS, DIMS, FIELD, st.lists(WELL, min_size=4, max_size=4), SCALES)
     def test_matches_eigh_on_well_conditioned_input(self, seed, q, field, w, scale):
         a = with_spectrum(seed, scale * np.array(w[:q]), field)
         for inverse, ours in ((False, cl.psd_sqrt), (True, cl.psd_inv_sqrt)):
@@ -209,14 +210,14 @@ class TestSpectralProperties:
             assert cl.frob_norm(ours(a) - ref) <= 1e-12 * cl.frob_norm(ref)
 
     @PROPS
-    @given(SEEDS, DIMS, FIELD, st.lists(WELL, min_size=3, max_size=3), SCALES)
+    @given(SEEDS, DIMS, FIELD, st.lists(WELL, min_size=4, max_size=4), SCALES)
     def test_inverse_root_inverts_the_root(self, seed, q, field, w, scale):
         a = with_spectrum(seed, scale * np.array(w[:q]), field)
         prod = cl.psd_inv_sqrt(a) @ cl.psd_sqrt(a)
         assert cl.frob_norm(prod - np.eye(q)) <= 1e-12
 
     @PROPS
-    @given(SEEDS, DIMS, FIELD, st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+    @given(SEEDS, DIMS, FIELD, st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
            st.floats(0.05, 0.95), SCALES)
     @example(seed=193, q=2, field=cl.REAL, w=[0.0, 0.0], frac=0.5, scale=1.0)
     def test_clamps_inside_tolerance(self, seed, q, field, w, frac, scale):
@@ -233,7 +234,7 @@ class TestSpectralProperties:
             1e-13 * cl.frob_norm(clamped) + 2.0 * abs(neg))
 
     @PROPS
-    @given(SEEDS, DIMS, FIELD, st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+    @given(SEEDS, DIMS, FIELD, st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
            st.floats(1.05, 100.0), SCALES)
     @example(seed=824, q=2, field=cl.COMPLEX, w=[0.0, 0.0], factor=1.06, scale=1.0)
     def test_rejects_outside_tolerance(self, seed, q, field, w, factor, scale):
@@ -273,3 +274,91 @@ class TestSpectralProperties:
         back = cl.devectorize_herm(vec, q, field)
         assert np.all(cl.frob_norm(back - a) <= 1e-15 * (1 + cl.frob_norm(a)))
         assert np.allclose(np.linalg.norm(vec, axis=-1), cl.frob_norm(a), rtol=1e-14)
+
+
+def eigensolver_inputs(q, field):
+    """Zero, I, rank 1, a repeated eigenvalue, eigenvalues spread over 1e-12
+    and over 1e12, an indefinite draw and a large Gaussian stack."""
+    spectra = [np.zeros(q), np.ones(q), np.eye(q)[0], np.append(np.full(q - 1, 2.0), 1.0),
+               np.geomspace(1.0, 1e-12, q), np.geomspace(1.0, 1e12, q),
+               np.linspace(-1.0, 2.0, q)]
+    fixed = np.stack([with_spectrum(900 + i, w, field) for i, w in enumerate(spectra)])
+    rng = np.random.default_rng(901)
+    drawn = np.stack([rand_herm(rng, q, field) for _ in range(500)])
+    return np.concatenate([fixed.astype(drawn.dtype), drawn])
+
+
+def composition_stack(q, field):
+    """150 nearly diagonal PD matrices, which converge in 2 Jacobi sweeps,
+    then 150 Gram matrices, which take 3 to 5."""
+    rng = np.random.default_rng(902)
+    near = [np.diag(np.arange(1.0, q + 1)) + 1e-6 * rand_herm(rng, q, field)
+            for _ in range(150)]
+    return np.stack(near + [rand_psd(rng, q, field) for _ in range(150)])
+
+
+class TestEigensolver:
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    @pytest.mark.parametrize("field", cl.FIELDS)
+    def test_decomposition(self, q, field):
+        a = eigensolver_inputs(q, field)
+        for batch in (a, a[1]):  # a stack, and one unbatched matrix
+            w, u = cl._eigh(batch)
+            assert w.shape == batch.shape[:-1] and u.shape == batch.shape
+            norm = cl.frob_norm(batch)
+            uh = np.conj(np.swapaxes(u, -1, -2))
+            assert np.all(cl.frob_norm((u * w[..., None, :]) @ uh - batch) <= 1e-14 * norm)
+            assert np.all(cl.frob_norm(uh @ u - np.eye(q)) <= 1e-14)
+            err = np.max(np.abs(np.sort(w, axis=-1) - np.linalg.eigvalsh(batch)), axis=-1)
+            assert np.all(err <= 1e-14 * norm)
+
+    @pytest.mark.parametrize("q", [3, 4])
+    @pytest.mark.parametrize("field", cl.FIELDS)
+    def test_result_does_not_depend_on_the_stack(self, q, field):
+        # a converged matrix rotates by exactly the identity while the rest
+        # of its stack converges, so its bits are its own; the first half
+        # alone stops two sweeps before the whole stack
+        a = composition_stack(q, field)
+        odd = np.stack([np.diag(np.arange(q, dtype=np.float64)).astype(a.dtype), 1e6 * a[0]])
+
+        def results(stack):
+            return cl._eigh(stack) + (cl.psd_sqrt(stack),)
+
+        def bits(arrays):
+            return [np.ascontiguousarray(x).tobytes() for x in arrays]
+
+        whole = bits(results(a))
+        assert bits(x[::-1] for x in results(a[::-1])) == whole
+        assert bits(np.concatenate(x) for x in zip(results(a[:150]), results(a[150:]))) == whole
+        assert bits(x[:300] for x in results(np.concatenate([a, odd]))) == whole
+        alone = [results(a[i]) for i in range(0, 300, 10)]
+        assert bits(np.stack(x) for x in zip(*alone)) == bits(x[::10] for x in results(a))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", cl.FIELDS)
+    def test_non_finite_input_raises(self, bad, field):
+        a = composition_stack(3, field)[:4].copy()
+        for i, j in ((0, 0), (0, 2), (1, 2)):
+            b = a.copy()
+            b[2, i, j] = b[2, j, i] = bad
+            with pytest.raises(NumericalFailureError):
+                cl._eigh(b)
+            for kernel in (cl.psd_sqrt, cl.psd_inv_sqrt, cl.clamp_psd):
+                with np.errstate(invalid="ignore"), pytest.raises(NumericalFailureError):
+                    kernel(b)
+
+    def test_no_convergence_within_the_sweep_cap_raises(self, monkeypatch):
+        a = composition_stack(3, cl.REAL)
+        monkeypatch.setattr(cl, "_MAX_SWEEPS", 1)
+        with pytest.raises(NumericalFailureError, match="no convergence"):
+            cl._eigh(a)
+
+    @pytest.mark.parametrize("field", cl.FIELDS)
+    def test_power_of_two_scale_is_exact(self, field):
+        # each matrix is scaled into [1/2, 1) before the sweeps, so its
+        # scale, even near the ends of the float range, changes no bit
+        a = eigensolver_inputs(3, field)
+        w, u = cl._eigh(a)
+        for k in (-900, -500, 500, 900):
+            wk, uk = cl._eigh(a * 2.0**k)
+            assert np.array_equal(wk, w * 2.0**k) and np.array_equal(uk, u)

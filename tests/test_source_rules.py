@@ -25,9 +25,11 @@ def _called_name(node):
 
 
 def test_eigh_only_in_cone_linalg():
-    # each PSD root costs one eigendecomposition, made in cone_linalg's kernel
+    # cone_linalg._eigh, a Jacobi solver over the whole stack, is the
+    # package's one eigensolver: no module, cone_linalg included, calls or
+    # imports an eigh (LAPACK makes one call per matrix)
     found = [f"{path.relative_to(SRC)}:{node.lineno}"
-             for path in sorted(SRC.rglob("*.py")) if path.name != "cone_linalg.py"
+             for path in sorted(SRC.rglob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if (isinstance(node, ast.Attribute) and node.attr == "eigh")
              or (isinstance(node, ast.ImportFrom)
