@@ -14,7 +14,7 @@ arrays (dtype, shape and bytes) of point convolutions, the support-bound
 ``t``, Haar blocks, cone steps and Wishart-root law samples.
 
 The digests depend on the floating-point results of numpy's BLAS/LAPACK
-(``eigh``, ``qr``, ``matmul``) and are specific to the machine that
+(``qr``, ``matmul``) and are specific to the machine that
 recorded them: x86-64, numpy 2.4 with its bundled OpenBLAS 0.3.31, whose
 kernels are chosen by CPU model.  On another BLAS/LAPACK build or CPU
 they may differ without any fault in the program; check such a case by
@@ -172,15 +172,20 @@ CASES = {
 # demo-walk-bessel, demo-walk-group and the group-q2 cases) and the
 # cone-step-q2 and convolve-q2 draw cases were recorded again when the
 # q = 2 cone step's products were written out and the q = 2 < p Haar frames
-# became CholeskyQR2 in place of QR (last bits).
+# became CholeskyQR2 in place of QR (last bits).  c04, axiom-extras,
+# bessel-q2-complex and the group-q2 cases, with the support-bound-q3-real
+# and wishart-root-q2 draw cases, were recorded again when the eigensolver
+# behind the q >= 3 roots and behind clamp_psd at every q went from LAPACK
+# to a Jacobi sweep over the whole stack (last bits; the q = 2 cases move
+# through clamp_psd of their atoms or scale at parse time).
 GOLDEN = {
-    "axiom-extras": "c98620a9f981ac0094342a60766ad6b9fa0d156f271ea8249356105c61a6fd8a",
+    "axiom-extras": "18195ddbe0f41617d4a7ff509d840c9c969c1473f17a223fe6bb31e932ff3bda",
     "bessel-q1-complex": "28d2ecd693275f2ad61bcca36ec0c3d0e7ce3f786f956e318ee02241f0961386",
-    "bessel-q2-complex": "d1265b1e966d4707f4b4ceb88c5aa2aa0df313a01b3d40b662b073aaff0dd61e",
+    "bessel-q2-complex": "c99d94615ef329f8a727e1e0d5b0bb30c958bd7b33942d839910a06dab321c1d",
     "c01": "dab094f2da71e9a7e9721e2e381f5f0008bdec6db7223cfc0c00538d4baaa467",
     "c02": "f24586aa5b2e640b883e71374994ac78c34cf86c6ef9f0fe11fb7636dc27205c",
     "c03": "6ab4991a800642ec86dccaca2203d97b55f8d95d9c160a3936a46d4959fac73d",
-    "c04": "0563cf30b71fc1a48423ed61c5a97b3a88f03ecd62fdcd2ffe14dae5dafbd25c",
+    "c04": "3a062547f5a08cdfd124f14bcc1499bfa41681b146ca6204a95a638390f285ed",
     "c05": "ed664769e2763474530a34b4a6eb9f5f3a8470d8da4a7e2d5200bf4577b783b0",
     "c06": "70c64ad17cc4e0f6cee93b46ed0bb32bb68fbf3b26cffdf03f6a199c5ee0e878",
     "c07": "fa6c60b3e438b4e72e2975dce922d62102a675b87a341af24f09a8b5f9ef6a39",
@@ -200,9 +205,9 @@ GOLDEN = {
     "group-q1-direct-complex": "455eda430f5808f9da4a6b0e4bcbd03c76fd3f4dd66ed8880e36b5da191449c3",
     "group-q1-direct-real": "1e280046e4b3a9978fa50566efb04ebaa1406b3860b3be7bfbc856b07e668c4d",
     "group-q1-polar-complex": "1f1eb261f0ce36ea43a0adb56db7c750a7ae6545e8055ab948c819fa60e7325b",
-    "group-q2-direct-complex": "3a89f1f036295b3bd5eebceae82af7460df0a710e11f98e596ee32d8676d5b41",
-    "group-q2-polar-complex": "0aae174e52e7309d4b65ee4f4bc3dadf2f1f0071a12abd05546aca2c87329913",
-    "group-q2-polar-real": "6a11480e2c323054022bb1422902e73ede21f450a2a96e86f54330fa99503cf9",
+    "group-q2-direct-complex": "bd5b9d95a868998c17a0b015c7884976d1575a15cb3e6152ec7030b5e037a760",
+    "group-q2-polar-complex": "d9879bc04f98c456337df52558ab7834e97d775f4da216703650d49edfa62c83",
+    "group-q2-polar-real": "69f5d0d9525d28163c2bb062270001167ec1eded06553b48707ccb53a617a338",
     "kappa-q2": "b83196a2e4726baa56dd40c800860082bc5aaf1f8e74edc4105d6d442a23b575",
 }
 
@@ -313,9 +318,9 @@ DRAW_GOLDEN = {
     "convolve-q2-real": "5b3b6b50e5dacb1ddf7f5c4fd13dcd81c90de4dabcd435a13c1d977b076d91da",
     "stiefel-q2-complex-small-dof": "6c91dffafe9b50412fbaf40d43de9398cbe3f186c44104fdcb267982ab89c472",
     "stiefel-q2-real": "32e5e38c65e8bf2731ef0024c71c36376d7a92d8ee6d24c4a3ab0faf276ab215",
-    "support-bound-q3-real": "e2ca14c3fab3c3ff414ef663f280963ed8d490eba69fb5937ddce7527c1ed7da",
-    "wishart-root-q2-complex": "415724bb0c5173906f8d933ec395ec853af223623d088ab86837a0eea1784f4f",
-    "wishart-root-q2-real": "0358355caddc8f8c760d4cf09214da1401b36ebe75d33c489e83dd5b4a3a4140",
+    "support-bound-q3-real": "fed5293165bcdbee553fec90a930cce2dbc59d9fcf3cb408a04a103ffbedacd6",
+    "wishart-root-q2-complex": "e4ddb54f4246c13beed3eb2c792149b6423606ef27e43b99b6e125c2b3b20744",
+    "wishart-root-q2-real": "30fa5012f82958e49c8617dd101501ca68c6cc5453db78ee1b4bb7b7ce7559d1",
 }
 
 
