@@ -221,30 +221,13 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             z = (c * h) * x
             zc = conj(z)
             x[...] = 0.0
-            for k in range(q):
-                if k == p or k == r:
-                    continue
+            for k in set(range(q)) - {p, r}:
                 # off holds a[k, j] for k < j and its conjugate a[j, k] for k > j
-                xp, xr = off[slot[k, p]], off[slot[k, r]]
-                if k < p:
-                    new = c * xp - zc * xr
-                    xr *= c
-                    xr += z * xp
-                elif k > r:
-                    new = c * xp - z * xr
-                    xr *= c
-                    xr += zc * xp
-                else:
-                    new = c * xp - z * conj(xr)
-                    xr *= c
-                    xr += z * conj(xp)
-                xp[...] = new
-            for k in range(q):
-                up, ur = u[k, p], u[k, r]
-                new = c * up - zc * ur
-                ur *= c
-                ur += z * up
-                up[...] = new
+                fp, fr = (_same if k < j else conj for j in (p, r))
+                akp, akr = fp(off[slot[k, p]]), fr(off[slot[k, r]])
+                off[slot[k, p]], off[slot[k, r]] = fp(c * akp - zc * akr), fr(z * akp + c * akr)
+            up, ur = u[:, p], u[:, r]
+            u[:, p], u[:, r] = c * up - zc * ur, z * up + c * ur
     w = np.ldexp(diag, expo).T.reshape(a.shape[:-1])
     return w, np.moveaxis(u, -1, 0).reshape(a.shape)
 
