@@ -170,17 +170,13 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     q = a.shape[-1]
     flat = a.reshape((-1, q, q))
-    n = flat.shape[0]
-    pairs = [(i, j) for i in range(q) for j in range(i + 1, q)]
+    rows, cols = _offdiag_pairs(q)
+    pairs = list(zip(rows.tolist(), cols.tolist()))
     slot = {}
     for m, (i, j) in enumerate(pairs):
         slot[i, j] = slot[j, i] = m
-    diag = np.empty((q, n))
-    off = np.empty((len(pairs), n), dtype=a.dtype)
-    for i in range(q):
-        diag[i] = flat[:, i, i].real
-    for m, (i, j) in enumerate(pairs):
-        off[m] = flat[:, i, j]
+    diag = np.array(np.diagonal(flat, axis1=1, axis2=2).real.T, order="C")
+    off = np.array(flat[:, rows, cols].T, order="C")
     cplx = np.iscomplexobj(off)
     conj = np.conj if cplx else _same
     entries = [diag, off.real, off.imag] if cplx else [diag, off]
@@ -192,7 +188,7 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scale = np.ldexp(1.0, -expo)
     diag *= scale
     off *= scale
-    u = np.zeros((q, q, n), dtype=a.dtype)
+    u = np.zeros((q, q, flat.shape[0]), dtype=a.dtype)
     for i in range(q):
         u[i, i] = 1.0
     for sweep in range(_MAX_SWEEPS + 1):
@@ -204,8 +200,8 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             raise NumericalFailureError(
                 f"hermitian eigensolver: no convergence in {_MAX_SWEEPS} Jacobi sweeps",
                 payload=a)
-        for p, r in pairs:
-            x = off[slot[p, r]]
+        for m, (p, r) in enumerate(pairs):
+            x = off[m]
             g2 = _abs2(x)
             dif = diag[r] - diag[p]
             # the rotation's tangent t = 2|x| sign(dif) / (|dif| + sqrt(dif^2 + 4|x|^2))
@@ -221,13 +217,31 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             z = (c * h) * x
             zc = conj(z)
             x[...] = 0.0
-            for k in set(range(q)) - {p, r}:
-                # off holds a[k, j] for k < j and its conjugate a[j, k] for k > j
-                fp, fr = (_same if k < j else conj for j in (p, r))
-                akp, akr = fp(off[slot[k, p]]), fr(off[slot[k, r]])
-                off[slot[k, p]], off[slot[k, r]] = fp(c * akp - zc * akr), fr(z * akp + c * akr)
-            up, ur = u[:, p], u[:, r]
-            u[:, p], u[:, r] = c * up - zc * ur, z * up + c * ur
+            for k in range(q):
+                if k == p or k == r:
+                    continue
+                # a[k, p], a[k, r] <- c a[k, p] - conj(z) a[k, r], z a[k, p] + c a[k, r],
+                # where off holds a[k, j] for k < j and its conjugate for k > j
+                xp, xr = off[slot[k, p]], off[slot[k, r]]
+                if k < p:
+                    new = c * xp - zc * xr
+                    xr *= c
+                    xr += z * xp
+                elif k > r:
+                    new = c * xp - z * xr
+                    xr *= c
+                    xr += zc * xp
+                else:
+                    new = c * xp - z * conj(xr)
+                    xr *= c
+                    xr += z * conj(xp)
+                xp[...] = new
+            for k in range(q):
+                up, ur = u[k, p], u[k, r]
+                new = c * up - zc * ur
+                ur *= c
+                ur += z * up
+                up[...] = new
     w = np.ldexp(diag, expo).T.reshape(a.shape[:-1])
     return w, np.moveaxis(u, -1, 0).reshape(a.shape)
 
