@@ -99,7 +99,8 @@ class RadialLaw:
 
     @classmethod
     def finite_mixture(cls, atoms, weights, field: str = cl.REAL) -> "RadialLaw":
-        atoms = np.stack([_as_psd_atom(s, field) for s in atoms])
+        # one clamp for the whole stack: each atom's bits are those of its own clamp
+        atoms = cl.clamp_psd(np.stack([_to_matrix(s, field) for s in atoms]))
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (atoms.shape[0],):
             raise ValueError("weights must match the number of atoms")
@@ -204,7 +205,8 @@ def law_from_spec(spec: dict) -> RadialLaw:
             return RadialLaw.point_mass(atom, field=field)
         if kind == "finite_mixture":
             if "atoms_squared" in spec:
-                atoms = [cl.psd_sqrt(_to_matrix(s, field)) for s in spec["atoms_squared"]]
+                atoms = cl.psd_sqrt(np.stack([_to_matrix(s, field)
+                                              for s in spec["atoms_squared"]]))
             elif "atoms" in spec:
                 atoms = [_to_matrix(s, field) for s in spec["atoms"]]
             else:
