@@ -88,6 +88,8 @@ class RadialLaw:
     lo: float | None = None
     hi: float | None = None
     scale: np.ndarray | None = None
+    # PSD root of scale, taken once: each draw multiplies by it
+    scale_root: np.ndarray | None = None
     dof: int | None = None
 
     # -- constructors ------------------------------------------------------
@@ -138,7 +140,8 @@ class RadialLaw:
         q = scale.shape[-1]
         if dof < q:
             raise ValueError("wishart_root requires dof >= q")
-        return cls(kind="wishart_root", q=q, field=field, scale=scale, dof=int(dof))
+        return cls(kind="wishart_root", q=q, field=field, scale=scale,
+                   scale_root=cl.psd_sqrt(scale), dof=int(dof))
 
     # -- sampling ----------------------------------------------------------
 
@@ -177,9 +180,8 @@ class RadialLaw:
             out = self.sample_scalar(rng, size)[:, None, None]
             return out if self.field == cl.REAL else out.astype(np.complex128)
         if self.kind == "wishart_root":
-            root = cl.psd_sqrt(self.scale)
             g = _std_entries(rng, (size, self.dof, self.q), self.field)
-            g = g @ root
+            g = g @ self.scale_root
             gram = cl.herm_part(np.swapaxes(np.conj(g), -1, -2) @ g)
             return cl.psd_sqrt(gram)
         raise ValueError(f"unknown law kind {self.kind!r}")
