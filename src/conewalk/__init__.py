@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .bessel import (
     BesselParam,
     BesselWalkConfig,
-    ClippedQuadraticForm,
     bessel_character_1d,
     convolve_points,
     kappa_exact,

@@ -282,31 +282,12 @@ def _hyp0f1_series(mu, z):
 # -- large-index comparison -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClippedQuadraticForm:
-    """Test function f(x) = min(Re tr(x^2 P), cap) for PSD direction P.
-
-    |f(sqrt(a)) - f(sqrt(b))| <= ||P||_F * ||a - b||, so the function is
-    root-Lipschitz with constant ||P||_F.
-    """
-
-    direction: np.ndarray
-    cap: float
-
-    def value_from_square(self, x2: np.ndarray) -> np.ndarray:
-        x2 = np.asarray(x2)
-        if x2.ndim == 0 or (x2.ndim == 1):
-            d00 = float(np.asarray(self.direction).reshape(-1)[0].real)
-            return np.minimum(d00 * x2, self.cap)
-        quad = np.einsum("...ij,ji->...", x2, self.direction).real
-        return np.minimum(quad, self.cap)
-
-
-def paired_composition_diffs(law: RadialLaw, param: BesselParam, n: int,
-                             f: ClippedQuadraticForm, reps: int,
-                             rng: np.random.Generator) -> np.ndarray:
+def paired_composition_diffs(law: RadialLaw, param: BesselParam, n: int, cap: float,
+                             reps: int, rng: np.random.Generator) -> np.ndarray:
     """Per-replicate f(S_n with index-mu composition) - f(S_n with the
-    semigroup composition), both walks fed the same increments."""
+    semigroup composition), both walks fed the same increments, for the
+    test function f(x) = min(tr x^2, cap).  f is root-Lipschitz:
+    |f(sqrt(a)) - f(sqrt(b))| <= sqrt(q) ||a - b||."""
     param.require_lemma_range()
     q = param.q
     # every increment is drawn before any v
@@ -324,6 +305,8 @@ def paired_composition_diffs(law: RadialLaw, param: BesselParam, n: int,
     def record(a):
         return a * a if q == 1 else cl.herm_part(a @ a)
 
+    def f(x2):
+        return np.minimum(x2 if q == 1 else cl.trace_herm(x2), cap)
+
     star_sq = drive_walk(zero_radial(q, param.field, reps), step, record, (n,))[0]
-    return np.asarray(f.value_from_square(star_sq) - f.value_from_square(bullet_sq),
-                      dtype=np.float64)
+    return np.asarray(f(star_sq) - f(bullet_sq), dtype=np.float64)

@@ -8,8 +8,9 @@ Conventions used throughout the package:
   (A <- (A + A*)/2), which makes diagonals exactly real;
 * PSD input is checked and clamped by whichever kernel reads it
   (:func:`clamp_psd`, :func:`psd_sqrt`, :func:`psd_inv_sqrt`):
-  eigenvalues below -tol*(1+||a||_F) raise :class:`ConeViolationError`,
-  the other negative ones are clamped to zero;
+  eigenvalues below -EPS_PSD*(1+||a||_F) raise
+  :class:`ConeViolationError`, the other negative ones are clamped to zero,
+  and non-finite input raises :class:`NumericalFailureError`;
 * a spectral function U f(w) U* costs one pass of :func:`_eigh`, a cyclic
   Jacobi eigensolver that rotates a whole stack at once, with no
   eigenvector phase convention (the result does not depend on the
@@ -76,19 +77,19 @@ def trace_herm(a: np.ndarray) -> np.ndarray | float:
     return float(out) if np.ndim(out) == 0 else out
 
 
-def clamp_psd(a: np.ndarray, tol: float = EPS_PSD) -> np.ndarray:
+def clamp_psd(a: np.ndarray) -> np.ndarray:
     """Project a hermitian array onto the PSD cone.
 
-    Eigenvalues in [-tol*(1+||a||_F), 0) are clamped to zero; anything
+    Eigenvalues in [-EPS_PSD*(1+||a||_F), 0) are clamped to zero; anything
     below that raises ConeViolationError.
     """
     a = herm_part(np.asarray(a))
     w, u = _eigh(a)
-    _check_cone(np.min(w, axis=-1), a, tol)
+    _check_cone(np.min(w, axis=-1), a)
     return _assemble(np.maximum(w, 0.0), u)
 
 
-def psd_sqrt(a: np.ndarray, tol: float = EPS_PSD) -> np.ndarray:
+def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """PSD square root of a (stacked) hermitian array.
 
     Checks and clamps the spectrum like :func:`clamp_psd`, so the input
@@ -98,17 +99,17 @@ def psd_sqrt(a: np.ndarray, tol: float = EPS_PSD) -> np.ndarray:
     in different orders.  One Jacobi eigendecomposition of the stack, none
     at q = 2.
     """
-    return _psd_root(a, tol, inverse=False)
+    return _psd_root(a, inverse=False)
 
 
 def psd_inv_sqrt(a: np.ndarray) -> np.ndarray:
     """Inverse square root of a (stacked) positive definite array.
 
-    Checks the spectrum like :func:`psd_sqrt` at the default tolerance;
-    eigenvalues below ``_INV_FLOOR`` are raised to it, which keeps a
-    numerically singular input finite.
+    Checks the spectrum like :func:`psd_sqrt`; eigenvalues below
+    ``_INV_FLOOR`` are raised to it, which keeps a numerically singular
+    input finite.
     """
-    return _psd_root(a, EPS_PSD, inverse=True)
+    return _psd_root(a, inverse=True)
 
 
 def cone_step(a, s, v):
@@ -255,31 +256,32 @@ def _abs2(x: np.ndarray) -> np.ndarray:
     return x * x if not np.iscomplexobj(x) else x.real * x.real + x.imag * x.imag
 
 
-def _check_cone(wmin: np.ndarray, a: np.ndarray, tol: float) -> None:
+def _check_cone(wmin: np.ndarray, a: np.ndarray) -> None:
     """Raise ConeViolationError where the smallest eigenvalue of a is below
-    -tol*(1+||a||_F); the norm is taken only when some eigenvalue is
+    -EPS_PSD*(1+||a||_F); the norm is taken only when some eigenvalue is
     negative."""
-    if np.any(wmin < 0.0) and np.any(wmin < -tol * (1.0 + frob_norm(a))):
+    if np.any(wmin < 0.0) and np.any(wmin < -EPS_PSD * (1.0 + frob_norm(a))):
         raise ConeViolationError(
-            f"eigenvalue {float(np.min(wmin)):.6e} below -tol*(1+||a||_F) with tol={tol:.1e}",
+            f"eigenvalue {float(np.min(wmin)):.6e} below -EPS_PSD*(1+||a||_F)"
+            f" with EPS_PSD={EPS_PSD:.1e}",
             payload=a,
         )
 
 
-def _psd_root(a: np.ndarray, tol: float, inverse: bool) -> np.ndarray:
+def _psd_root(a: np.ndarray, inverse: bool) -> np.ndarray:
     """U f(w) U* after the cone check, with f(w) = sqrt(max(w, 0)), or
     1/sqrt(max(w, _INV_FLOOR)) if inverse."""
     a = herm_part(np.asarray(a))
     floor = _INV_FLOOR if inverse else 0.0
     if a.shape[-1] == 2:
-        return _psd_root_2x2(a, tol, inverse, floor)
+        return _psd_root_2x2(a, inverse, floor)
     w, u = _eigh(a)
-    _check_cone(np.min(w, axis=-1), a, tol)
+    _check_cone(np.min(w, axis=-1), a)
     r = np.sqrt(np.maximum(w, floor))
     return _assemble(1.0 / r if inverse else r, u)
 
 
-def _psd_root_2x2(m: np.ndarray, tol: float, inverse: bool, floor: float) -> np.ndarray:
+def _psd_root_2x2(m: np.ndarray, inverse: bool, floor: float) -> np.ndarray:
     """Closed form of :func:`_psd_root` on hermitian 2 x 2 stacks.
 
     With eigenvalues lo <= hi from the trace and the discriminant,
@@ -294,6 +296,9 @@ def _psd_root_2x2(m: np.ndarray, tol: float, inverse: bool, floor: float) -> np.
     mid = 0.5 * (m00 + m11)
     rad = np.hypot(0.5 * (m00 - m11), m01)
     hi = mid + rad
+    # a NaN or infinite entry makes hi NaN or infinite
+    if not np.all(np.isfinite(hi)):
+        raise NumericalFailureError("2 x 2 PSD root: input is not finite", payload=m)
     # with a positive trace hi has no cancellation, and lo = det/hi (taken
     # as LAPACK's dlaev2 does) cancels only through a large off-diagonal
     # entry, unlike mid - rad: it keeps ill-conditioned, nearly diagonal
@@ -301,7 +306,7 @@ def _psd_root_2x2(m: np.ndarray, tol: float, inverse: bool, floor: float) -> np.
     pos = mid > 0
     safe_hi = np.where(pos, hi, 1.0)
     lo = np.where(pos, (m00 / safe_hi) * m11 - (m01 / safe_hi) * m01, mid - rad)
-    _check_cone(lo, m, tol)
+    _check_cone(lo, m)
     r_lo = np.sqrt(np.maximum(lo, floor))
     r_hi = np.sqrt(np.maximum(hi, floor))
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -28,7 +28,6 @@ from . import limit_lab as lab
 from .bessel import (
     BesselParam,
     BesselWalkConfig,
-    ClippedQuadraticForm,
     _sample_contraction_flat,
     bessel_character_1d,
     convolve_points,
@@ -42,8 +41,8 @@ from .errors import ConeViolationError, ConfigError
 from .orbit_sampler import GroupWalkConfig, run_group_walks, wishart_sample
 from .radial_laws import (
     RadialLaw,
-    _is_finite_number,
     _matrix_from_spec,
+    _typed,
     law_from_spec,
     moments,
     normalize_law_spec,
@@ -122,22 +121,6 @@ def _support_totals(parts):
 
 
 # -- validation helpers ------------------------------------------------------
-
-
-def _typed(field: str, val, kind):
-    """val read as kind, else ConfigError naming field: a float is a finite
-    int or float within float range, and an int is such an int that is not
-    a bool."""
-    if kind is int and isinstance(val, int) and _is_finite_number(val):
-        return val
-    if kind is float and _is_finite_number(val):
-        return float(val)
-    if kind in (int, float):
-        name = "an integer" if kind is int else "a finite number"
-        raise ConfigError(field, f"expected {name}, got {val!r}")
-    if not isinstance(val, kind):
-        raise ConfigError(field, f"expected {kind.__name__}, got {type(val).__name__}")
-    return val
 
 
 def _req(raw: dict, field: str, kind, cond=None, msg=""):
@@ -553,7 +536,7 @@ class CltCheckExperiment:
         else:
             limit_var = md.m4 - md.sigma4
         sd = math.sqrt(limit_var)
-        ks = lab.ks_distance(stat, lambda t: lab.normal_cdf(t, 0.0, sd))
+        ks = lab.ks_distance(stat, lambda t: lab.normal_cdf(t, sd))
         ok = ks <= cfg["ks_threshold"]
         index = cfg.get("p", cfg.get("mu"))
         rows = [[cfg["kind"], cfg["engine"], cfg["n_steps"], index, stat.size,
@@ -1003,11 +986,11 @@ def _validate_mu_scaling(spec):
 def _run_mu_scaling(spec, k, stream):
     law = law_from_spec(spec["law"])
     q = spec["q"]
-    f = ClippedQuadraticForm(direction=np.eye(q), cap=spec["cap"])
     out = {}
     for role, mu in ((0, spec["mu"]), (1, 4.0 * spec["mu"])):
         param = BesselParam(mu, q, spec["d"])
-        diffs = paired_composition_diffs(law, param, spec["n_steps"], f, k, stream(role))
+        diffs = paired_composition_diffs(law, param, spec["n_steps"], spec["cap"], k,
+                                         stream(role))
         out[f"m{role}"] = lab.Moments.of(diffs)
     return out
 

@@ -2,17 +2,19 @@
 execution over replicate blocks, and CSV/JSON persistence.
 
 Determinism contract: a validated config plus master seed fully determines
-every emitted data byte.  Work is split into fixed-size replicate blocks;
-each block draws from its own counter-based stream keyed by
-(cell, block, role) under the master seed, workers may execute blocks in
-any order, and reduction always runs in task order.  Worker count and
-scheduling therefore never change results.  The only nondeterministic
-output field is "wall_time_s" in the JSON summary.
+every emitted data byte.  Work is split into fixed-size replicate blocks,
+planned once; each block receives its planned task and draws from its own
+counter-based stream keyed by (cell, block, role) under the master seed,
+workers may execute blocks in any order, and reduction always runs in
+task order.  Worker count and scheduling therefore never change results.
+The only nondeterministic output field is "wall_time_s" in the JSON
+summary.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -118,41 +120,25 @@ class RunRecord:
         }
 
 
-_WORKER_CFG_CACHE: dict[str, dict] = {}
-
-
-def _run_task(payload: tuple[str, int]):
-    cfg_json, index = payload
-    cfg = _WORKER_CFG_CACHE.get(cfg_json)
-    if cfg is None:
-        cfg = json.loads(cfg_json)
-        _WORKER_CFG_CACHE[cfg_json] = cfg
-    exp = EXPERIMENTS[cfg["experiment"]]
-    task = exp.plan(cfg)[index]
-    return index, exp.run_block(cfg, task)
-
-
 def run_experiment(cfg: dict, workers: int = 1,
                    warnings: list[str] | None = None) -> RunRecord:
     """Execute a validated config and reduce block results.
 
-    Blocks run in a process pool when workers > 1; results are identical
-    to the single-process run by construction.
+    The config is planned once and each block receives its planned task;
+    blocks run in a process pool when workers > 1, whose map returns them
+    in task order, so results are identical to the single-process run.
     """
     start = time.perf_counter()
     exp = EXPERIMENTS[cfg["experiment"]]
     tasks = exp.plan(cfg)
-    cfg_json = canonical_json(cfg)
-    payloads = [(cfg_json, i) for i in range(len(tasks))]
+    run_block = functools.partial(exp.run_block, cfg)
     if workers <= 1 or len(tasks) <= 1:
-        results = [_run_task(p) for p in payloads]
+        partials = list(map(run_block, tasks))
     else:
         ctx = multiprocessing.get_context("fork")
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(workers, len(tasks)), mp_context=ctx) as pool:
-            results = list(pool.map(_run_task, payloads, chunksize=1))
-    results.sort(key=lambda item: item[0])
-    partials = [part for _, part in results]
+            partials = list(pool.map(run_block, tasks, chunksize=1))
     reduced = exp.reduce(cfg, partials)
     return RunRecord(
         config=cfg,

@@ -43,8 +43,9 @@ def chi2_cdf(p: int, x) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def normal_cdf(x, mean: float = 0.0, sd: float = 1.0) -> np.ndarray | float:
-    out = ndtr((np.asarray(x, dtype=np.float64) - mean) / sd)
+def normal_cdf(x, sd: float = 1.0) -> np.ndarray | float:
+    """The N(0, sd^2) distribution function at x."""
+    out = ndtr(np.asarray(x, dtype=np.float64) / sd)
     return float(out) if out.ndim == 0 else out
 
 

@@ -32,7 +32,7 @@ _PARAMS = {
 }
 KINDS = tuple(_PARAMS)
 _SCALAR_KINDS = ("two_point", "log_normal", "uniform")
-_NUMBER_KEYS = ("a", "b", "p_a", "log_mean", "log_sd", "lo", "hi", "weights")
+_NUMBER_KEYS = ("a", "b", "p_a", "log_mean", "log_sd", "lo", "hi")
 
 # trapezoid nodes y = log u over [-40, 40] for the half-integer Wishart moments
 _HALF_STEP = 1.0 / 16.0
@@ -299,16 +299,34 @@ def _check_params(spec: dict, kind: str) -> None:
             raise ConfigError(name, f"give {key} or {key}_squared, not both")
         if key == "field" and val not in cl.FIELDS:
             raise ConfigError(name, f"expected one of {cl.FIELDS}, got {val!r}")
-        if key in ("q", "dof") and (isinstance(val, bool) or not isinstance(val, int)):
-            raise ConfigError(name, f"expected an integer, got {val!r}")
-        numbers = val if key == "weights" and isinstance(val, list) else [val]
-        if key in _NUMBER_KEYS and not all(map(_is_finite_number, numbers)):
-            raise ConfigError(name, f"expected finite numbers, got {val!r}")
+        if key in ("q", "dof"):
+            _typed(name, val, int)
+        elif key == "weights":
+            for i, w in enumerate(_typed(name, val, list)):
+                _typed(f"{name}[{i}]", w, float)
+        elif key in _NUMBER_KEYS:
+            _typed(name, val, float)
 
 
 def _is_finite_number(x) -> bool:
     # NaN compares false, and an int too large for a float compares exactly
     return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
+def _typed(field: str, val, kind):
+    """val read as kind, else ConfigError naming field: a float is a finite
+    int or float within float range, and an int is such an int that is not
+    a bool."""
+    if kind is int and isinstance(val, int) and _is_finite_number(val):
+        return val
+    if kind is float and _is_finite_number(val):
+        return float(val)
+    if kind in (int, float):
+        name = "an integer" if kind is int else "a finite number"
+        raise ConfigError(field, f"expected {name}, got {val!r}")
+    if not isinstance(val, kind):
+        raise ConfigError(field, f"expected {kind.__name__}, got {type(val).__name__}")
+    return val
 
 
 def _as_psd_atom(s, field: str) -> np.ndarray:

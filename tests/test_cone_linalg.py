@@ -52,12 +52,12 @@ class TestPsdSqrt:
 
 class TestClamp:
     def test_clamps_tiny_negative(self):
-        out = cl.clamp_psd(np.diag([1.0, -1e-14]), tol=1e-10)
+        out = cl.clamp_psd(np.diag([1.0, -1e-14]))
         assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-13)
 
     def test_rejects_violation(self):
         with pytest.raises(ConeViolationError):
-            cl.clamp_psd(np.diag([1.0, -0.5]), tol=1e-10)
+            cl.clamp_psd(np.diag([1.0, -0.5]))
 
     def test_idempotent_on_psd(self):
         rng = np.random.default_rng(303)
@@ -221,16 +221,16 @@ class TestSpectralProperties:
            st.floats(0.05, 0.95), SCALES)
     @example(seed=193, q=2, field=cl.REAL, w=[0.0, 0.0], frac=0.5, scale=1.0)
     def test_clamps_inside_tolerance(self, seed, q, field, w, frac, scale):
-        tol = 1e-10
+        tol = cl.EPS_PSD
         pos = scale * np.array(w[:q - 1])
         neg = -frac * tol * (1.0 + np.linalg.norm(pos))
         a = with_spectrum(seed, np.append(pos, neg), field)
         clamped = with_spectrum(seed, np.append(pos, 0.0), field)
-        root = cl.psd_sqrt(a, tol)
+        root = cl.psd_sqrt(a)
         assert np.min(np.linalg.eigvalsh(root)) >= -1e-14 * (1.0 + np.sqrt(scale))
         err = cl.frob_norm(root @ root - clamped)
         assert err <= 1e-13 * cl.frob_norm(clamped) + 2.0 * abs(neg)
-        assert cl.frob_norm(cl.clamp_psd(a, tol) - clamped) <= (
+        assert cl.frob_norm(cl.clamp_psd(a) - clamped) <= (
             1e-13 * cl.frob_norm(clamped) + 2.0 * abs(neg))
 
     @PROPS
@@ -337,15 +337,17 @@ class TestEigensolver:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", cl.FIELDS)
     def test_non_finite_input_raises(self, bad, field):
-        a = composition_stack(3, field)[:4].copy()
-        for i, j in ((0, 0), (0, 2), (1, 2)):
-            b = a.copy()
-            b[2, i, j] = b[2, j, i] = bad
-            with pytest.raises(NumericalFailureError):
-                cl._eigh(b)
-            for kernel in (cl.psd_sqrt, cl.psd_inv_sqrt, cl.clamp_psd):
-                with np.errstate(invalid="ignore"), pytest.raises(NumericalFailureError):
-                    kernel(b)
+        # at q = 2 the roots take the closed form, which checks its own input
+        for q in (3, 2):
+            a = composition_stack(q, field)[:4].copy()
+            for i, j in ((0, 0), (0, q - 1), (1, q - 1)):
+                b = a.copy()
+                b[2, i, j] = b[2, j, i] = bad
+                with pytest.raises(NumericalFailureError):
+                    cl._eigh(b)
+                for kernel in (cl.psd_sqrt, cl.psd_inv_sqrt, cl.clamp_psd):
+                    with np.errstate(invalid="ignore"), pytest.raises(NumericalFailureError):
+                        kernel(b)
 
     def test_no_convergence_within_the_sweep_cap_raises(self, monkeypatch):
         a = composition_stack(3, cl.REAL)

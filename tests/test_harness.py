@@ -112,6 +112,14 @@ _TYPED_CONFIGS = [
     ({"experiment": "axioms", "seed": 1, "checks": [
         {"check": "character", "mu": 1.2, "r1": 1, "r2": 1.0, "s": 1, "draws": 10}]},
      {("checks", 0, "mu"): float, ("checks", 0, "r1"): float, ("checks", 0, "draws"): int}),
+    # law specs, read by the same reader as every other number
+    ({"experiment": "axioms", "seed": 1, "checks": [
+        {"check": "m2-additivity", "mu": 3.0, "n_steps": 2, "replicates": 10, "law": law}
+        for law in (TWO_POINT, {"kind": "wishart_root", "scale": [[1.0]], "dof": 2},
+                    {"kind": "finite_mixture", "atoms": [[[1.0]], [[2.0]]],
+                     "weights": [0.5, 0.5]})]},
+     {("checks", 0, "law", "a"): float, ("checks", 0, "law", "p_a"): float,
+      ("checks", 1, "law", "dof"): int, ("checks", 2, "law", "weights", 1): float}),
 ]
 
 
@@ -213,7 +221,7 @@ class TestValidation:
         ({"kind": "uniform", "lo": 0.0, "hi": 10**400}, "law.hi"),
         ({"kind": "log_normal", "log_mean": 0.0, "log_sd": True}, "law.log_sd"),
         ({"kind": "finite_mixture", "atoms": [[[1.0]], [[2.0]]], "weights": ["0.5", 0.5]},
-         "law.weights"),
+         "law.weights[0]"),
         (TWO_POINT | {"q": 1.0}, "law.q"),
         (TWO_POINT | {"field": "quaternion"}, "law.field"),
         ({"kind": "point_mass", "atom": [[math.nan]]}, "law"),
@@ -341,6 +349,16 @@ class TestDeterminism:
         s1.pop("wall_time_s")
         s4.pop("wall_time_s")
         assert s1 == s4
+
+    def test_plans_once(self):
+        # the harness hands each block its planned task, so a serial run of
+        # a multi-block config plans once, not once more per block
+        cfg, _ = validate_config(tiny_walk_config())
+        exp = EXPERIMENTS[cfg["experiment"]]
+        assert len(exp.plan(cfg)) > 1
+        with mock.patch.object(exp, "plan", wraps=exp.plan) as spy:
+            run_experiment(cfg, workers=1)
+        assert spy.call_count == 1
 
     def test_seed_changes_results(self):
         cfg1, _ = validate_config(tiny_walk_config())
