@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -52,6 +53,7 @@ from .radial_laws import (
 DEFAULT_BLOCK_SIZE = 8192
 MAX_REPLICATE_ROWS = 2_000_000
 _METHODS = ("auto", "direct", "polar")
+_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")  # output files are named after it
 
 
 def _task_rng(cfg, task, role=0) -> np.random.Generator:
@@ -80,10 +82,10 @@ def _pooled(parts, key="m") -> lab.Moments:
 
 def diff_over_se(diff, se):
     """A difference in standard errors; at se == 0 an exact match counts as
-    0 and any other difference as infinitely many."""
+    0 and any other difference as infinitely many, of the difference's sign."""
     if se > 0:
         return diff / se
-    return 0.0 if diff == 0 else math.inf
+    return 0.0 if diff == 0 else math.copysign(math.inf, diff)
 
 
 def law_moments(law: RadialLaw):
@@ -190,7 +192,8 @@ def _common(raw: dict, experiment: str) -> dict:
     cfg = {
         "experiment": experiment,
         "schema_version": 1,
-        "name": _opt(raw, "name", str, experiment),
+        "name": _opt(raw, "name", str, experiment, _NAME.fullmatch,
+                     "must be a plain file name: [A-Za-z0-9][A-Za-z0-9._-]*"),
         "seed": _req(raw, "seed", int, lambda v: 0 <= v < 2**64, "must be a 64-bit seed"),
         "block_size": _opt(raw, "block_size", int, DEFAULT_BLOCK_SIZE,
                            lambda v: v >= 1, "must be >= 1"),
@@ -254,7 +257,8 @@ class WalkGroupExperiment:
         wcfg = GroupWalkConfig(p=cfg["p"], q=cfg["q"], field=cfg["field"],
                                n_steps=cfg["n_steps"], law=law_from_spec(cfg["law"]),
                                checkpoints=tuple(cfg["checkpoints"]), method=cfg["method"])
-        return _walk_partial(cfg, run_group_walks(wcfg, _task_rng(cfg, task), task["size"]))
+        return _walk_partial(cfg, task,
+                             run_group_walks(wcfg, _task_rng(cfg, task), task["size"]))
 
     @staticmethod
     def reduce(cfg, partials):
@@ -284,7 +288,7 @@ class WalkGroupExperiment:
                      "rows": [[s, float(mean[k]), float(se[k])] for k, s in enumerate(cps)]},
         }
         if cfg["emit"] == "replicates":
-            out["replicate_tr"] = np.concatenate([p["raw_tr"] for p in partials], axis=1)
+            out["replicate_text"] = [p["rows"][k] for k in range(len(cps)) for p in partials]
         return out
 
 
@@ -307,17 +311,36 @@ class WalkBesselExperiment:
         wcfg = BesselWalkConfig(param=BesselParam(cfg["mu"], cfg["q"], cfg["d"]),
                                 law=law_from_spec(cfg["law"]), n_steps=cfg["n_steps"],
                                 checkpoints=tuple(cfg["checkpoints"]))
-        return _walk_partial(cfg, run_bessel_walks(wcfg, _task_rng(cfg, task), task["size"]))
+        return _walk_partial(cfg, task,
+                             run_bessel_walks(wcfg, _task_rng(cfg, task), task["size"]))
 
     reduce = WalkGroupExperiment.reduce
 
 
-def _walk_partial(cfg, traj):
+def _walk_partial(cfg, task, traj):
+    """A walk block's moments and, when it emits replicates, its rows of
+    the replicate CSV; the walk families plan one cell, so the block's
+    first replicate is block * block_size."""
     tr = traj.tr_squared()
     part = {"m": lab.Moments.of(tr)}
     if cfg["emit"] == "replicates":
-        part["raw_tr"] = tr
+        part["rows"] = _replicate_rows(cfg["checkpoints"], task["block"] * cfg["block_size"], tr)
     return part
+
+
+def _replicate_rows(steps, lo, tr) -> list[str]:
+    """The ``step,replicate,tr_squared`` lines of a (checkpoints, size)
+    block of tr S_n^2 whose first replicate is lo, one string per
+    checkpoint, each value in repr's shortest round-trip form (the bytes
+    a float cell gets in the CSV)."""
+    index = [f",{i}," for i in range(lo, lo + tr.shape[1])]
+    out = []
+    for step, row in zip(steps, tr):
+        pieces = [str(step), None, None, "\n"] * len(index)
+        pieces[1::4] = index
+        pieces[2::4] = map(repr, row.tolist())
+        out.append("".join(pieces))
+    return out
 
 
 # -- convolution family ------------------------------------------------------
@@ -892,7 +915,7 @@ def _reduce_m1_subadd(spec, parts):
     mean, se = m.mean, m.se
     bound = (law_moments(law_from_spec(spec["law"])).m1
              + law_moments(law_from_spec(spec["law2"])).m1)
-    ratio = (mean - bound) / se if se > 0 else -math.inf
+    ratio = diff_over_se(mean - bound, se)
     return (mean, bound, se, ratio, spec["max_se"]), \
         {"excess_over_se": ratio, "max_se": spec["max_se"],
          "pass": mean <= bound + spec["max_se"] * se}

@@ -17,6 +17,7 @@ import concurrent.futures
 import functools
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import time
@@ -29,7 +30,6 @@ from .errors import ConfigError
 from .experiments import EXPERIMENTS
 
 SCHEMA_VERSION = 1
-_REPLICATE_CHUNK = 65536  # rows joined per write, so memory does not grow with the file
 
 
 def validate_config(raw: dict) -> tuple[dict, list[str]]:
@@ -67,7 +67,7 @@ def load_config(path: str | Path) -> dict:
 
 
 def canonical_json(cfg: dict) -> str:
-    return json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    return json.dumps(cfg, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def config_hash(cfg: dict) -> str:
@@ -86,8 +86,9 @@ class RunRecord:
     checks: list[dict]
     warnings: list[str]
     wall_time_s: float
-    # a walk's (checkpoints, replicates) tr S_n^2 when it emits replicates
-    replicate_tr: np.ndarray | None = None
+    # a walk's replicate CSV rows, step-major text chunks formatted by the
+    # blocks that drew them, when it emits replicates
+    replicate_text: list[str] | None = None
     plot: dict | None = None
 
     @property
@@ -149,7 +150,7 @@ def run_experiment(cfg: dict, workers: int = 1,
         checks=reduced.get("checks", []),
         warnings=list(warnings or []),
         wall_time_s=time.perf_counter() - start,
-        replicate_tr=reduced.get("replicate_tr"),
+        replicate_text=reduced.get("replicate_text"),
         plot=reduced.get("plot"),
     )
 
@@ -193,9 +194,11 @@ def emit_outputs(record: RunRecord, out_dir: str | Path,
         path = out_dir / f"{base}.csv"
         _write_csv(path, record.columns, record.rows)
         written.append(path)
-        if record.replicate_tr is not None:
+        if record.replicate_text is not None:
             path = out_dir / f"{base}.replicates.csv"
-            _write_replicates(path, record.config["checkpoints"], record.replicate_tr)
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write("step,replicate,tr_squared\n")
+                fh.writelines(record.replicate_text)
             written.append(path)
         if record.plot is not None:
             path = out_dir / f"{base}.plotdata.csv"
@@ -204,7 +207,7 @@ def emit_outputs(record: RunRecord, out_dir: str | Path,
     if formats in ("json", "both"):
         path = out_dir / f"{base}.summary.json"
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(record.summary(), fh, sort_keys=True, indent=2)
+            json.dump(record.summary(), fh, sort_keys=True, indent=2, allow_nan=False)
             fh.write("\n")
         written.append(path)
     return written
@@ -229,20 +232,6 @@ def _write_csv(path: Path, columns, rows) -> None:
             fh.write(",".join(_format_cell(v) for v in row) + "\n")
 
 
-def _write_replicates(path: Path, steps, values: np.ndarray) -> None:
-    """One ``step,replicate,tr_squared`` row per entry of the (checkpoints,
-    replicates) array, step-major, each value in repr's shortest
-    round-trip form (the bytes ``_write_csv`` gives a float cell)."""
-    index = [str(i) for i in range(values.shape[1])]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("step,replicate,tr_squared\n")
-        for step, row in zip(steps, values):
-            line = f"{step},{{}},{{!r}}\n".format
-            for lo in range(0, len(index), _REPLICATE_CHUNK):
-                hi = lo + _REPLICATE_CHUNK
-                fh.write("".join(map(line, index[lo:hi], row[lo:hi].tolist())))
-
-
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
@@ -256,6 +245,6 @@ def _jsonable(obj):
         return int(obj)
     elif isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, float) and obj != obj:  # NaN is not valid JSON
+    if isinstance(obj, float) and not math.isfinite(obj):  # not valid JSON
         return None
     return obj

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conewalk import cone_linalg as cl
-from conewalk import cli, harness
+from conewalk import cli, experiments, harness
 from conewalk.errors import ConfigError
 from conewalk.experiments import EXPERIMENTS
 from conewalk.harness import (
@@ -150,6 +150,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match="unknown field") as info:
             validate_config({"experiment": "axioms", "seed": 1, "checks": [spec]})
         assert info.value.field == "checks[0].maxse"
+
+    @pytest.mark.parametrize("name", ["sub/dir", "", "../x", ".hidden", "a b", "-x"])
+    def test_name_must_be_plain_file_name(self, name):
+        with pytest.raises(ConfigError) as info:
+            validate_config(tiny_walk_config(name=name))
+        assert info.value.field == "name"
+        for ok in ("c08_clt1_sin_arcsin", "group-q2-polar-real", "run.v2"):
+            assert validate_config(tiny_walk_config(name=ok))[0]["name"] == ok
 
     def test_bad_checkpoints(self):
         with pytest.raises(ConfigError, match="checkpoints"):
@@ -370,7 +378,7 @@ class TestDeterminism:
 
 class TestOutputs:
     def test_replicate_emission(self, tmp_path):
-        # several blocks, so reduction concatenates them and two workers fork
+        # several blocks, so reduction joins them and two or three workers fork
         cfg, _ = validate_config(tiny_walk_config(emit="replicates",
                                                   replicates=100, block_size=32))
         paths = emit_outputs(run_experiment(cfg, workers=1), tmp_path / "w1")
@@ -382,12 +390,18 @@ class TestOutputs:
         assert [(int(step), int(i)) for step, i, _ in fields] == \
             [(step, i) for step in (2, 4) for i in range(100)]
         values = np.array([float(x) for _, _, x in fields]).reshape(2, 100)
+        # the reference is each block's own trajectory, drawn again
         exp = EXPERIMENTS[cfg["experiment"]]
-        tr = np.concatenate([exp.run_block(cfg, task)["raw_tr"] for task in exp.plan(cfg)],
-                            axis=1)
+        with mock.patch.object(experiments, "_walk_partial",
+                               wraps=experiments._walk_partial) as spy:
+            for task in exp.plan(cfg):
+                exp.run_block(cfg, task)
+        tr = np.concatenate([c.args[2].tr_squared() for c in spy.call_args_list], axis=1)
         assert values.dtype == tr.dtype and values.tobytes() == tr.tobytes()
-        emit_outputs(run_experiment(cfg, workers=2), tmp_path / "w2")
-        assert (tmp_path / "w2" / "tiny-walk.replicates.csv").read_bytes() == rep.read_bytes()
+        for workers in (2, 3):
+            out = tmp_path / f"w{workers}"
+            emit_outputs(run_experiment(cfg, workers=workers), out)
+            assert (out / "tiny-walk.replicates.csv").read_bytes() == rep.read_bytes()
 
     # repr switches to exponent form below 1e-4 and from 1e16 on
     REPR_EDGES = [0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 0.0001, 0.1,
@@ -395,21 +409,18 @@ class TestOutputs:
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.lists(st.integers(1, 10**6), min_size=1, max_size=4, unique=True),
-           st.integers(1, 9), st.integers(1, 4), st.data())
-    def test_replicate_writer_lines(self, steps, n, chunk, data):
+           st.integers(1, 9), st.integers(1, 10**6), st.data())
+    def test_replicate_writer_lines(self, steps, n, lo, data):
+        # a block's rows, one string per checkpoint, numbered from its offset lo
         steps = sorted(steps)
         finite = st.floats(min_value=0.0, allow_infinity=False)
         xs = data.draw(st.lists(st.sampled_from(self.REPR_EDGES) | finite,
                                 min_size=len(steps) * n, max_size=len(steps) * n))
         values = np.array(xs, dtype=np.float64).reshape(len(steps), n)
-        with tempfile.TemporaryDirectory() as tmp, \
-                mock.patch.object(harness, "_REPLICATE_CHUNK", chunk):
-            path = Path(tmp) / "r.csv"
-            harness._write_replicates(path, steps, values)
-            text = path.read_text()
-        expected = ["step,replicate,tr_squared"] + \
-            [f"{step},{i},{xs[k * n + i]!r}" for k, step in enumerate(steps) for i in range(n)]
-        assert text == "\n".join(expected) + "\n"
+        text = experiments._replicate_rows(steps, lo, values)
+        expected = ["".join(f"{step},{lo + i},{xs[k * n + i]!r}\n" for i in range(n))
+                    for k, step in enumerate(steps)]
+        assert text == expected
 
     def test_csv_only(self, tmp_path):
         cfg, _ = validate_config(tiny_walk_config())
@@ -482,6 +493,36 @@ class TestOutputs:
         summary = json.loads((tmp_path / "empty.summary.json").read_text())
         assert summary["n_rows"] == 0
 
+    def test_summary_is_strict_json(self, tmp_path):
+        # non-finite numbers are null in the summary; the CSV keeps them
+        def strict(const):
+            raise ValueError(f"not JSON: {const}")
+
+        zero = {"kind": "point_mass", "atom": 0.0}
+        raw = {"experiment": "axioms", "seed": 8, "checks": [
+            {"check": "m1-subadditivity", "q": 1, "d": 1, "mu": 3.0,
+             "law": zero, "law2": zero, "replicates": 100}]}
+        cfg, _ = validate_config(raw)
+        emit_outputs(run_experiment(cfg), tmp_path)
+        text = (tmp_path / "axioms.summary.json").read_text()
+        assert json.loads(text, parse_constant=strict)["checks"][0]["excess_over_se"] == 0.0
+
+        from conewalk.harness import RunRecord
+
+        rec = RunRecord(config={"experiment": "kappa", "name": "inf",
+                                "seed": 0, "block_size": 1},
+                        config_sha256="0" * 64, columns=["a", "b"],
+                        rows=[[math.inf, -math.inf]],
+                        aggregates={"x": [math.inf, -math.inf, math.nan, 1.5]},
+                        checks=[{"ratio": np.float64(-np.inf), "pass": False}],
+                        warnings=[], wall_time_s=0.0)
+        emit_outputs(rec, tmp_path)
+        summary = json.loads((tmp_path / "inf.summary.json").read_text(),
+                             parse_constant=strict)
+        assert summary["aggregates"]["x"] == [None, None, None, 1.5]
+        assert summary["checks"][0]["ratio"] is None
+        assert (tmp_path / "inf.csv").read_text() == "a,b\ninf,-inf\n"
+
     def test_kappa_exponent_zero_summary_value(self, tmp_path):
         raw = {"experiment": "kappa", "seed": 4, "q": 1, "d": 1,
                "mu_grid": [1.5], "n_samples": 5000}
@@ -548,6 +589,22 @@ class TestZeroStandardError:
         assert diff_over_se(1e-12, 0.0) == math.inf
         assert not diff_over_se(1e-12, 0.0) <= 4.0
         assert diff_over_se(0.3, 0.1) == pytest.approx(3.0)
+
+    def test_exact_m1_subadditivity_is_zero_standard_errors(self):
+        # with both laws at the zero atom every draw and the bound are 0;
+        # the excess is signed, so a mean below a constant bound reads -inf
+        from conewalk.experiments import diff_over_se
+
+        zero = {"kind": "point_mass", "atom": 0.0}
+        raw = {"experiment": "axioms", "seed": 33, "checks": [
+            {"check": "m1-subadditivity", "q": 1, "d": 1, "mu": 3.0,
+             "law": zero, "law2": zero, "replicates": 100}]}
+        cfg, _ = validate_config(raw)
+        rec = run_experiment(cfg)
+        assert rec.checks[0]["excess_over_se"] == 0.0
+        assert rec.passed
+        assert diff_over_se(-1e-12, 0.0) == -math.inf
+        assert diff_over_se(1e-12, 0.0) == math.inf
 
 
 class TestOtherFamilies:
@@ -622,6 +679,18 @@ class TestCli:
         assert res.returncode == 2
         assert "config field '--workers'" in res.stderr
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["sub/dir", "", "../x"])
+    def test_bad_name_exit_two(self, tmp_path, capsys, name):
+        # a name that is not a plain file name would be written under a
+        # missing directory, as a hidden file or outside --out
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_walk_config(replicates=32, name=name)))
+        code = cli.main(["walk-bessel", "--config", str(path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "config field 'name'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_string_law_parameter_exit_two(self, tmp_path):
         path = tmp_path / "cfg.json"

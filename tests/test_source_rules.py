@@ -122,3 +122,16 @@ def test_one_batch_convention():
              for i, line in enumerate(path.read_text().splitlines(), 1)
              if re.search(r"\bsize\b[^,()]*=\s*None\b|\bsize is (not )?None\b", line)]
     assert found == []
+
+
+def test_json_dumps_refuse_nan():
+    # JSON has no NaN or infinity: every dump passes allow_nan=False, so a
+    # non-finite number that was not mapped to null raises, not writes
+    # a token that strict parsers refuse
+    found = [f"{path.relative_to(SRC)}:{node.lineno}"
+             for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and _called_name(node) in ("dump", "dumps")
+             and not any(kw.arg == "allow_nan" and isinstance(kw.value, ast.Constant)
+                         and kw.value.value is False for kw in node.keywords)]
+    assert found == []
