@@ -39,7 +39,7 @@ from .bessel import (
     sample_contraction,
 )
 from .errors import ConeViolationError, ConfigError
-from .orbit_sampler import GroupWalkConfig, run_group_walks, wishart_sample
+from .orbit_sampler import METHODS, GroupWalkConfig, run_group_walks, wishart_sample
 from .radial_laws import (
     RadialLaw,
     _matrix_from_spec,
@@ -52,7 +52,6 @@ from .radial_laws import (
 
 DEFAULT_BLOCK_SIZE = 8192
 MAX_REPLICATE_ROWS = 2_000_000
-_METHODS = ("auto", "direct", "polar")
 _NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")  # output files are named after it
 
 
@@ -138,6 +137,12 @@ def _opt(raw: dict, field: str, kind, default, cond=None, msg=""):
     if field not in raw or raw[field] is None:
         return default
     return _req(raw, field, kind, cond, msg)
+
+
+def _method_field(raw: dict) -> str:
+    """The group walk's route, polar unless the config asks for direct."""
+    return _opt(raw, "method", str, "polar", lambda v: v in METHODS,
+                f"must be one of {METHODS}")
 
 
 def _law_field(raw: dict, key="law", q=None, field=None) -> dict:
@@ -243,7 +248,7 @@ class WalkGroupExperiment:
         cfg["p"] = _req(raw, "p", int, lambda v: v >= 1, "must be >= 1")
         cfg["q"] = _opt(raw, "q", int, 1, lambda v: v >= 1, "must be >= 1")
         cfg["field"] = _opt(raw, "field", str, cl.REAL, lambda v: v in cl.FIELDS)
-        cfg["method"] = _opt(raw, "method", str, "auto", lambda v: v in _METHODS)
+        cfg["method"] = _method_field(raw)
         if cfg["q"] > 1 and cfg["p"] < cfg["q"]:
             raise ConfigError("p", "matrix walks require p >= q")
         return _walk_fields(raw, cfg, cfg["field"]), []
@@ -488,7 +493,9 @@ class CltCheckExperiment:
         warnings = []
         if cfg["engine"] == "group":
             cfg["p"] = _req(raw, "p", int, lambda v: v >= 1)
-            cfg["method"] = _opt(raw, "method", str, "auto", lambda v: v in _METHODS)
+            if law.q > 1 and cfg["p"] < law.q:
+                raise ConfigError("p", "matrix walks require p >= q")
+            cfg["method"] = _method_field(raw)
             index = cfg["p"]
         else:
             d = 1 if law.field == cl.REAL else 2
@@ -502,16 +509,23 @@ class CltCheckExperiment:
                 raise ConfigError("engine", "the Wishart-route statistic needs the group walk")
             if law.field != cl.REAL:
                 raise ConfigError("law.field", "the T^2 covariance is real-field only")
+        if cfg["kind"] in ("CLT3", "CLT4") and law.q > 1:
+            dim = cl.herm_vec_dim(law.q, law.field)
+            if cfg["replicates"] <= 10 * dim * dim:
+                raise ConfigError("replicates", "the Mardia tests need more than "
+                                  f"10 dim^2 = {10 * dim * dim} replicates")
         n = cfg["n_steps"]
         if cfg["kind"] == "CLT1":
             if n / index**3 < 1.0:
                 warnings.append(f"regime: n/p^3 = {n / index**3:.3g} is small; "
                                 "the N(0,1) limit needs n >> p^3 with p growing")
-            gap = lab.chi2_normal_gap(index)
+            # over C the reference is chi-square(m) at the real dimension m = 2p
+            gap = lab.chi2_normal_gap(cl.field_dim(law.field) * index)
             if gap > cfg["ks_threshold"]:
+                dof = "p" if law.field == cl.REAL else "2p"
                 warnings.append(f"regime: chi-square gap D_p = {gap:.3g} > ks_threshold "
                                 f"= {cfg['ks_threshold']:.3g}; at fixed p = {index} the "
-                                "statistic tends to the standardized chi-square(p) law, "
+                                f"statistic tends to the standardized chi-square({dof}) law, "
                                 "so the N(0,1) check cannot pass for any n")
         if cfg["kind"] in ("CLT2", "CLT4") and n * n / index > 0.1:
             warnings.append(f"regime: n^2/index = {n * n / index:.3g} > 0.1; "
@@ -552,10 +566,12 @@ class CltCheckExperiment:
         if cfg["kind"] == "CLT1":
             limit_var = 1.0
             # the chi-square reference the statistic passes through before
-            # the normal limit: p ||S||^2 / (n s2) = sqrt(2p) z + p
-            p = cfg["p"]
-            x = math.sqrt(2.0 * p) * stat + p
-            sup_chi2 = lab.ks_distance(x, lambda t: lab.chi2_cdf(p, t))
+            # the normal limit: m ||S||^2 / (n s2) = sqrt(2m) z + m, m = d p
+            m = cl.field_dim(md.field) * cfg["p"]
+            x = math.sqrt(2.0 * m) * stat + m
+            sup_chi2 = lab.ks_distance(x, lambda t: lab.chi2_cdf(m, t))
+        elif cfg["kind"] == "CLT3":
+            limit_var = 2.0 * md.sigma4  # T2(sigma2) at q = 1
         else:
             limit_var = md.m4 - md.sigma4
         sd = math.sqrt(limit_var)
@@ -634,7 +650,7 @@ class BerryEsseenScanExperiment:
         if cfg["n_grid"] != sorted(set(cfg["n_grid"])) or cfg["n_grid"][0] < 1:
             raise ConfigError("n_grid", "must be sorted unique positive integers")
         cfg["replicates"] = _req(raw, "replicates", int, lambda v: v >= 4)
-        cfg["method"] = _opt(raw, "method", str, "auto", lambda v: v in _METHODS)
+        cfg["method"] = _method_field(raw)
         cfg["slope_threshold"] = _opt(raw, "slope_threshold", float, None)
         return cfg, []
 
@@ -648,15 +664,17 @@ class BerryEsseenScanExperiment:
         n = cfg["n_grid"][task["cell"]]
         traj = _group_walk_end(law, cfg["p"], n, cfg["method"], _task_rng(cfg, task),
                                task["size"])
-        return {"cell": task["cell"],
-                "x": traj.values[0] * (cfg["p"] / (n * law_moments(law).m2))}
+        # m ||S_n||^2 / (n s2) against chi-square(m), m = d p
+        m = cl.field_dim(law.field) * cfg["p"]
+        return {"cell": task["cell"], "x": traj.values[0] * (m / (n * law_moments(law).m2))}
 
     @staticmethod
     def reduce(cfg, partials):
+        m = cl.field_dim(law_from_spec(cfg["law"]).field) * cfg["p"]
         dists = []
         for cell, n in enumerate(cfg["n_grid"]):
             x = np.concatenate([p["x"] for p in partials if p["cell"] == cell])
-            dists.append(lab.ks_distance(x, lambda t: lab.chi2_cdf(cfg["p"], t)))
+            dists.append(lab.ks_distance(x, lambda t: lab.chi2_cdf(m, t)))
         fit = lab.fit_loglog(cfg["n_grid"], dists, 3.0 / math.sqrt(cfg["replicates"]))
         rows = [[n, cfg["replicates"], d, fit.noise_floor, inc]
                 for n, d, inc in zip(fit.ns, fit.distances, fit.included)]
@@ -698,7 +716,7 @@ class MomentIdentityExperiment:
                 raise ConfigError(f"grid[{i}]", "entries must be [n, p] pairs")
             cfg["grid"].append(_numbers(f"grid[{i}]", entry, int))
         cfg["replicates"] = _req(raw, "replicates", int, lambda v: v >= 2)
-        cfg["method"] = _opt(raw, "method", str, "auto", lambda v: v in _METHODS)
+        cfg["method"] = _method_field(raw)
         cfg["max_se"] = _opt(raw, "max_se", float, 4.0, lambda v: v > 0)
         return cfg, []
 

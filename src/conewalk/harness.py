@@ -57,13 +57,17 @@ def validate_config(raw: dict) -> tuple[dict, list[str]]:
 
 
 def load_config(path: str | Path) -> dict:
+    """The JSON object in the file at path; anything else is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError("<path>", f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("<path>", f"config is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("<root>", "config must be a JSON object")
+    return raw
 
 
 def canonical_json(cfg: dict) -> str:

@@ -3,19 +3,21 @@ empirical distances and convergence-rate fits.
 
 The four statistic kinds and their normal references:
 
-* CLT1  sqrt(p) / (n sigma2 sqrt(2)) * (||S_n||^2 - n sigma2) -> N(0, 1)
+* CLT1  sqrt(d p) / (n sigma2 sqrt(2)) * (||S_n||^2 - n sigma2) -> N(0, 1)
 * CLT2  (||S_n||^2 - n sigma2) / sqrt(n)                      -> N(0, m4 - sigma2^2)
 * CLT3  sqrt(p) / n * (phi(S_n)^2 - n sigma2)                 -> N(0, T2(sigma2))
 * CLT4  (phi(S_n)^2 - n sigma2) / sqrt(n)                     -> N(0, cov of vec(s^2))
 
 CLT1/CLT2 are scalar (q = 1); CLT3/CLT4 produce samples in the hermitian
 coordinates of :mod:`cone_linalg`.  For q = 1 the CLT4 transform agrees
-with CLT2 exactly.
+with CLT2 exactly.  A q = 1 walk in C^p is the real walk in R^(2p), so
+the q = 1 group references take the real dimension m = d p (d = 1 over R,
+2 over C).
 
 The CLT1 limit N(0, 1) needs p -> infinity with n >> p^3.  At fixed p and
-n -> infinity the statistic tends to the standardized chi-square(p) law
-(p ||S_n||^2 / (n sigma2) -> chi-square_p), whose sup-distance from
-N(0, 1) is D_p ~ 1 / (3 sqrt(pi p)); see :func:`chi2_normal_gap`.
+n -> infinity the statistic tends to the standardized chi-square(m) law
+(m ||S_n||^2 / (n sigma2) -> chi-square_m), whose sup-distance from
+N(0, 1) is D_m ~ 1 / (3 sqrt(pi m)); see :func:`chi2_normal_gap`.
 """
 
 from __future__ import annotations
@@ -139,7 +141,7 @@ def normalize_clt(kind: str, raw: np.ndarray, n: int, p_or_mu: float,
     if scalar_input:
         centered = raw.astype(np.float64) - n * s2
         if kind == "CLT1":
-            return np.sqrt(p_or_mu) / (n * s2 * math.sqrt(2.0)) * centered
+            return np.sqrt(cl.field_dim(md.field) * p_or_mu) / (n * s2 * math.sqrt(2.0)) * centered
         if kind == "CLT3":
             return np.sqrt(p_or_mu) / n * centered
         return centered / math.sqrt(n)
@@ -175,12 +177,12 @@ def t_squared_limit(sigma2: np.ndarray, field: str = cl.REAL) -> np.ndarray:
 
 
 def moment_identity_rhs(n: int, p: float, md: MomentData) -> float:
-    """Exact second moment of ||S_n||^2 - n sigma2 for q = 1 group walks:
-    n (m4 - sigma2^2) + 2 n (n - 1) sigma2^2 / p."""
+    """Exact second moment of ||S_n||^2 - n sigma2 for q = 1 group walks in
+    F^p: n (m4 - sigma2^2) + 2 n (n - 1) sigma2^2 / m, with m = d p."""
     if md.q != 1:
         raise ValueError("the moment identity is a q = 1 statement")
     s4 = md.sigma4
-    return n * (md.m4 - s4) + 2.0 * (n * (n - 1.0) / p) * s4
+    return n * (md.m4 - s4) + 2.0 * (n * (n - 1.0) / (cl.field_dim(md.field) * p)) * s4
 
 
 def empirical_cov(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

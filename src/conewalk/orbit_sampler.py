@@ -30,9 +30,8 @@ from . import cone_linalg as cl
 from .errors import NumericalFailureError
 from .radial_laws import RadialLaw, _bartlett_diag, _std_entries
 
-# "auto" walk method switches from the literal p x q accumulation to the
-# polar recursion above this dimension
-DIRECT_P_LIMIT = 64
+# the two walk routes; polar is the default at every p
+METHODS = ("direct", "polar")
 
 
 def sample_stiefel_frame(p: int, q: int, field: str, rng: np.random.Generator,
@@ -41,55 +40,17 @@ def sample_stiefel_frame(p: int, q: int, field: str, rng: np.random.Generator,
 
     Gaussian matrix G followed by thin QR with the R-diagonal phase forced
     positive, which makes the factorization unique and the law exactly
-    invariant under left multiplication by any fixed unitary.  At
-    q = 2 < p that frame is taken as G R^-1 twice (CholeskyQR2), R the
-    Cholesky factor of G* G, whose diagonal is positive; it agrees with QR
-    up to rounding.  Square frames keep QR, as G* G may be numerically
-    singular there.
+    invariant under left multiplication by any fixed unitary.
     """
     if p < q:
         raise ValueError("stiefel frame requires p >= q")
     g = _std_entries(rng, (size, p, q), field)
-    if q == 2 and p > 2:
-        return _cholesky_q(_cholesky_q(g))
     qmat, r = np.linalg.qr(g)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     mod = np.abs(diag)
     safe = np.where(mod > 0, mod, 1.0)
     phase = np.where(mod > 0, diag / safe, 1.0)
     return qmat * np.conj(phase)[..., None, :]
-
-
-def _cholesky_q(g: np.ndarray) -> np.ndarray:
-    """G R^-1 for a stack of p x 2 matrices G, with R the upper Cholesky
-    factor of G* G written out.
-
-    Both products are real matmuls on the real columns x of G (over C:
-    Re G0, Im G0, Re G1, Im G1), as matmul makes one slow call per complex
-    matrix.
-    """
-    complex_field = np.iscomplexobj(g)
-    x = g.view(np.float64)
-    m = np.swapaxes(x, -1, -2) @ x
-    if complex_field:
-        g00, g11 = m[:, 0, 0] + m[:, 1, 1], m[:, 2, 2] + m[:, 3, 3]
-        g01 = m[:, 0, 2] + m[:, 1, 3] + 1j * (m[:, 0, 3] - m[:, 1, 2])
-    else:
-        g00, g11, g01 = m[:, 0, 0], m[:, 1, 1], m[:, 0, 1]
-    r00 = np.sqrt(g00)
-    r01 = g01 / r00
-    r11 = np.sqrt(g11 - cl._abs2(r01))
-    # R^-1 = [[d0, e], [0, d1]] as the real matrix that acts on x
-    d0, e, d1 = 1.0 / r00, -r01 / (r00 * r11), 1.0 / r11
-    r_inv = np.zeros_like(m)
-    if complex_field:
-        r_inv[:, 0, 0] = r_inv[:, 1, 1] = d0
-        r_inv[:, 2, 2] = r_inv[:, 3, 3] = d1
-        r_inv[:, 0, 2] = r_inv[:, 1, 3] = e.real
-        r_inv[:, 0, 3], r_inv[:, 1, 2] = e.imag, -e.imag
-    else:
-        r_inv[:, 0, 0], r_inv[:, 0, 1], r_inv[:, 1, 1] = d0, e, d1
-    return (x @ r_inv).view(g.dtype)
 
 
 def stiefel_block(p: int, q: int, field: str, rng: np.random.Generator,
@@ -222,7 +183,7 @@ class GroupWalkConfig:
     n_steps: int
     law: RadialLaw
     checkpoints: tuple[int, ...]
-    method: str = "auto"
+    method: str = "polar"
 
     def __post_init__(self):
         cl.check_field(self.field)
@@ -233,14 +194,9 @@ class GroupWalkConfig:
         if self.law.q != self.q or self.law.field != self.field:
             raise ValueError("law dimensions do not match the walk")
         cps = checkpoint_tuple(self.checkpoints, self.n_steps)
-        if self.method not in ("auto", "direct", "polar"):
-            raise ValueError("method must be auto, direct or polar")
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}")
         object.__setattr__(self, "checkpoints", cps)
-
-    def resolved_method(self) -> str:
-        if self.method != "auto":
-            return self.method
-        return "direct" if self.p <= DIRECT_P_LIMIT else "polar"
 
 
 @dataclass(frozen=True)
@@ -315,7 +271,7 @@ def run_group_walks(cfg: GroupWalkConfig, rng: np.random.Generator,
     the direct route draws the frame (or Gaussian), then the radial part.
     """
     n, p, q, field, law = replicates, cfg.p, cfg.q, cfg.field, cfg.law
-    if cfg.resolved_method() == "polar":
+    if cfg.method == "polar":
         draw_s = law.sample_scalar if q == 1 else law.sample
 
         def step(a):

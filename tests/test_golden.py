@@ -111,6 +111,13 @@ CASES = {
                                        emit="replicates"),
     "group-q2-polar-complex": _walk_group("g2pc", 9, 2, "complex", MIX2C, "polar"),
     "group-q2-direct-complex": _walk_group("g2dc", 5, 2, "complex", MIX2C, "direct"),
+    # the q = 1 references over C, at the real dimension m = 2p
+    "moment-identity-complex": {"experiment": "moment-identity", "name": "mic", "seed": 4106,
+                                "law": dict(TWO_POINT, field="complex"),
+                                "grid": [[10, 2], [20, 5]], "replicates": 3000},
+    "clt1-complex": {"experiment": "clt-check", "name": "clt1c", "seed": 4107,
+                     "kind": "CLT1", "engine": "group", "p": 5, "n_steps": 200,
+                     "law": dict(TWO_POINT, field="complex"), "replicates": 2500},
     # the index-mu walk at q = 1 over C and at q = 2 over C
     "bessel-q1-complex": _walk_bessel("b1c", 3.0, 1, 2, {"kind": "point_mass",
                                                          "field": "complex", "atom": 1.0},
@@ -177,7 +184,16 @@ CASES = {
 # and wishart-root-q2 draw cases, were recorded again when the eigensolver
 # behind the q >= 3 roots and behind clamp_psd at every q went from LAPACK
 # to a Jacobi sweep over the whole stack (last bits; the q = 2 cases move
-# through clamp_psd of their atoms or scale at parse time).
+# through clamp_psd of their atoms or scale at parse time).  When polar
+# became the default route of every group walk (the "auto" method, which
+# took direct at p <= 64, was removed) and every Haar frame became QR again
+# (CholeskyQR2 at q = 2 < p was removed), demo-walk-group (now the polar
+# route, and "polar" in its config echo), group-q2-direct-complex and the
+# cone-step-q2 draw cases (QR frames) were recorded again; c03 and
+# axiom-extras draw direct q = 2 frames too, but their two-sample KS
+# p-values absorb the last bits.  moment-identity-complex and clt1-complex
+# were recorded when the q = 1 group references began to take the real
+# dimension m = d p.
 GOLDEN = {
     "axiom-extras": "18195ddbe0f41617d4a7ff509d840c9c969c1473f17a223fe6bb31e932ff3bda",
     "bessel-q1-complex": "28d2ecd693275f2ad61bcca36ec0c3d0e7ce3f786f956e318ee02241f0961386",
@@ -200,15 +216,18 @@ GOLDEN = {
     "convolve-q1": "0a69f04045a73e11b54ce11152fb33e2a893cf90cce1c6477bbc82de6484fd6f",
     "demo-convolve": "8deb618e71b4fc505bee756e887df1e9410c6986bc8ac4f11e0a324bd13fc9f1",
     "demo-walk-bessel": "59313231a175d03ee7694c7ed09f47db1ab3b46c853b99a374595f9ca2608346",
-    "demo-walk-group": "e6c6f40c54aa8525dafd7563595a3ef51c46c8223b4957a681aa0bfdbc11d214",
+    "demo-walk-group": "f689ee6a8d0935640b6ea613bb2b3332b27b21e6a644c44a113b66b0b669f780",
     "extras-clt1": "8e02c9ea40b7de2ca4c568f985ef9fdc310cef714a335465b07882384b070bdf",
     "group-q1-direct-complex": "455eda430f5808f9da4a6b0e4bcbd03c76fd3f4dd66ed8880e36b5da191449c3",
     "group-q1-direct-real": "1e280046e4b3a9978fa50566efb04ebaa1406b3860b3be7bfbc856b07e668c4d",
     "group-q1-polar-complex": "1f1eb261f0ce36ea43a0adb56db7c750a7ae6545e8055ab948c819fa60e7325b",
-    "group-q2-direct-complex": "bd5b9d95a868998c17a0b015c7884976d1575a15cb3e6152ec7030b5e037a760",
+    "group-q2-direct-complex": "6fcb9ed0dadccca948db0763d8dd4ee253b94c2acd2a9eea2c8565c2cf8e53e0",
     "group-q2-polar-complex": "d9879bc04f98c456337df52558ab7834e97d775f4da216703650d49edfa62c83",
     "group-q2-polar-real": "69f5d0d9525d28163c2bb062270001167ec1eded06553b48707ccb53a617a338",
     "kappa-q2": "b83196a2e4726baa56dd40c800860082bc5aaf1f8e74edc4105d6d442a23b575",
+    "moment-identity-complex":
+        "c07da019e884e0bfba51753b724431604f58dd46515a0ff25fa879a6523e7e8b",
+    "clt1-complex": "23f24ff6ec3f4e98b1e0e4b63419d3064ae45ad89a9e64c9de3ac286ebaf8cb4",
 }
 
 
@@ -311,8 +330,8 @@ DRAW_CASES = {
 # digests of the per-draw arrays as recorded; never regenerate them to make a
 # refactor pass
 DRAW_GOLDEN = {
-    "cone-step-q2-complex": "c8760feaa8d1351d0605b66bb41863d7571b0ada2b64d50502de40040cac8915",
-    "cone-step-q2-real": "969ddd4aee0a20e88d1a3518d3cb46f5000d83cc7372e871d29b843628acdafb",
+    "cone-step-q2-complex": "6874608b9399d797b1483e3edc0ccf8bea07bc28f34a8405a2c9aa65fb75e0c5",
+    "cone-step-q2-real": "1d65173f32874527f3220b107bea9dfecf74c222049977efafd349cb5b417f5d",
     "convolve-q1-matrix": "a5df39495a64b98ccccf5b35d8aa741122fb21dbdea0da1139830b5f99ec8dce",
     "convolve-q2-complex": "d397af04112b5608cce687eb32fda5ebfafccff4eac912ddc8b3517b1e920520",
     "convolve-q2-real": "5b3b6b50e5dacb1ddf7f5c4fd13dcd81c90de4dabcd435a13c1d977b076d91da",

@@ -68,17 +68,20 @@ def _random_config(rng):
         return {key + ("_squared" if rng.random() < 0.5 else ""): _matrix_json(rng, q, field)}
 
     law = {"kind": "point_mass", "field": field, **matrix("atom")}
+    scalar_law = {"kind": "two_point", "field": field, "a": float(rng.uniform(0, 2)), "b": 2,
+                  "p_a": float(rng.random())}
     if q == 1 and rng.random() < 0.5:
-        law = {"kind": "two_point", "field": field, "a": float(rng.uniform(0, 2)), "b": 2,
-               "p_a": float(rng.random())}
+        law = scalar_law
     n_steps = int(rng.integers(1, 20))
     walk = {"n_steps": n_steps, "law": law, "replicates": int(rng.integers(1, 10**4)),
             "checkpoints": sorted({int(c) for c in rng.integers(1, n_steps + 1, 3)})}
-    family = rng.choice(["walk-group", "walk-bessel", "convolve", "kappa", "axioms"])
+    p = q + int(rng.integers(0, 5))
+    method = str(rng.choice(["direct", "polar"]))
+    family = rng.choice(["walk-group", "walk-bessel", "convolve", "kappa", "axioms",
+                         "clt-check", "berry-esseen-scan", "moment-identity"])
     raw = {"experiment": str(family), "seed": int(rng.integers(0, 2**63))}
     if family == "walk-group":
-        raw |= walk | {"p": q + int(rng.integers(0, 5)), "q": q, "field": field,
-                       "method": str(rng.choice(["auto", "direct", "polar"]))}
+        raw |= walk | {"p": p, "q": q, "field": field, "method": method}
     elif family == "walk-bessel":
         raw |= walk | {"mu": mu, "q": q, "d": d}
     elif family == "convolve":
@@ -86,6 +89,21 @@ def _random_config(rng):
     elif family == "kappa":
         raw |= {"q": q, "d": d, "n_samples": 10,
                 "mu_grid": [rho + float(x) for x in rng.exponential(3.0, 3)]}
+    elif family == "clt-check":
+        kinds = ["CLT1", "CLT2", "CLT3", "CLT4"] if q == 1 else ["CLT3", "CLT4"]
+        kind = str(rng.choice(kinds if d == 1 else [k for k in kinds if k != "CLT3"]))
+        group = kind in ("CLT1", "CLT3") or rng.random() < 0.5
+        dim = cl.herm_vec_dim(q, field)
+        raw |= {"kind": kind, "law": law, "n_steps": n_steps, "ks_threshold": 0.05,
+                "replicates": 10 * dim * dim + int(rng.integers(1, 10**3)),
+                **({"engine": "group", "p": p, "method": method} if group
+                   else {"engine": "bessel", "mu": mu})}
+    elif family == "berry-esseen-scan":
+        raw |= {"law": scalar_law, "p": p, "method": method, "replicates": 100,
+                "n_grid": sorted({int(n) for n in rng.integers(1, 100, 6)} | {100, 200, 300})}
+    elif family == "moment-identity":
+        raw |= {"law": scalar_law, "method": method, "replicates": 100, "max_se": 5,
+                "grid": [[int(n), int(m)] for n, m in rng.integers(1, 50, (2, 2))]}
     else:
         raw["checks"] = [
             {"check": "commutativity", "q": q, "d": d, "mu": mu, "replicates": 100,
@@ -95,6 +113,44 @@ def _random_config(rng):
             {"check": "contraction-beta", "mu": float(rng.uniform(0.51, 9.0)),
              "draws": 10, "ks_max": 0.1},
         ]
+    return raw
+
+
+def _tiny_group_config(rng):
+    """A raw clt-check or q = 1 group-walk config of tiny size (n_steps <= 3,
+    replicates <= 120) that need not be valid: p may be below q, and a
+    matrix CLT may have too few replicates for its Mardia tests."""
+    q, d = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+    field = cl.REAL if d == 1 else cl.COMPLEX
+    family = str(rng.choice(["clt-check", "walk-group", "berry-esseen-scan",
+                             "moment-identity"]))
+    if family != "clt-check":
+        q = 1
+    law = {"kind": "two_point", "field": field, "a": float(rng.uniform(0, 2)), "b": 2,
+           "p_a": float(rng.uniform(0.05, 0.95))}
+    if q > 1:
+        atoms = [_matrix_json(rng, q, field) for _ in range(2)]
+        law = {"kind": "finite_mixture", "field": field, "atoms": atoms,
+               "weights": [0.5, 0.5]}
+    # a matrix statistic at n_steps = 1 takes one value per atom of the law,
+    # so its empirical covariance can be singular, which mardia_tests
+    # refuses with DegenerateDataError; that case is left out here
+    n_steps, p = int(rng.integers(2 if q > 1 else 1, 4)), int(rng.integers(1, 5))
+    raw = {"experiment": family, "seed": int(rng.integers(0, 2**63)), "law": law,
+           "replicates": int(rng.integers(2, 121))}
+    method = {"method": str(rng.choice(["direct", "polar"]))}
+    if family == "clt-check":
+        engine = str(rng.choice(["group", "bessel"]))
+        raw |= {"kind": str(rng.choice(["CLT1", "CLT2", "CLT3", "CLT4"])),
+                "engine": engine, "n_steps": n_steps,
+                **({"p": p} | method if engine == "group"
+                   else {"mu": d * (q - 0.5) + float(rng.exponential(3.0))})}
+    elif family == "walk-group":
+        raw |= {"p": p, "field": field, "n_steps": n_steps} | method
+    elif family == "berry-esseen-scan":
+        raw |= {"p": p, "n_grid": [1, 2, 3, 4]} | method
+    else:
+        raw |= {"grid": [[n_steps, p]]} | method
     return raw
 
 
@@ -306,6 +362,57 @@ class TestValidation:
         text = canonical_json(cfg)
         again, _ = validate_config(json.loads(text))
         assert canonical_json(again) == text
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1))
+    def test_validated_config_runs(self, seed):
+        # a config that validates runs to a record; what cannot run is a
+        # config error (exit 2) before anything runs
+        raw = _tiny_group_config(np.random.default_rng(seed))
+        try:
+            cfg, warnings = validate_config(raw)
+        except ConfigError:
+            return
+        with np.errstate(all="ignore"):
+            rec = run_experiment(cfg, warnings=warnings)
+        assert rec.rows
+
+    @pytest.mark.parametrize("raw", [
+        {"experiment": "walk-group", "seed": 1, "p": 3, "n_steps": 2, "law": TWO_POINT,
+         "replicates": 10},
+        {"experiment": "clt-check", "seed": 1, "kind": "CLT2", "law": TWO_POINT, "p": 3,
+         "n_steps": 4, "replicates": 10},
+        {"experiment": "berry-esseen-scan", "seed": 1, "law": TWO_POINT, "p": 3,
+         "n_grid": [1, 2, 3, 4], "replicates": 10},
+        {"experiment": "moment-identity", "seed": 1, "law": TWO_POINT, "grid": [[2, 3]],
+         "replicates": 10},
+    ], ids=["walk-group", "clt-check", "berry-esseen-scan", "moment-identity"])
+    def test_method_is_direct_or_polar(self, raw):
+        # polar is the default route at every p; "auto" is not a method
+        assert validate_config(raw)[0]["method"] == "polar"
+        assert validate_config(raw | {"method": "direct"})[0]["method"] == "direct"
+        with pytest.raises(ConfigError, match="direct.*polar") as info:
+            validate_config(raw | {"method": "auto"})
+        assert info.value.field == "method"
+
+    @pytest.mark.parametrize("raw, field, fix", [
+        ({"kind": "CLT4", "engine": "group", "p": 1, "replicates": 1000}, "p", {"p": 2}),
+        ({"kind": "CLT3", "engine": "group", "p": 4, "replicates": 90}, "replicates",
+         {"replicates": 91}),
+        ({"kind": "CLT4", "engine": "bessel", "mu": 4.0, "replicates": 160,
+          "law": {"kind": "point_mass", "field": "complex", "atom": [[1.0, 0.0], [0.0, 1.0]]}},
+         "replicates", {"replicates": 161}),
+    ], ids=["p-below-q", "clt3-mardia", "clt4-complex-mardia"])
+    def test_clt_check_refuses_what_cannot_run(self, raw, field, fix):
+        # a matrix walk needs p >= q, and the Mardia tests of a matrix
+        # statistic need more than 10 dim^2 replicates (dim 3 at q = 2 over
+        # R, 4 over C)
+        raw = {"experiment": "clt-check", "seed": 1, "n_steps": 3,
+               "law": {"kind": "point_mass", "atom": [[1.0, 0.0], [0.0, 1.0]]}} | raw
+        with pytest.raises(ConfigError) as info:
+            validate_config(raw)
+        assert info.value.field == field
+        validate_config(raw | fix)
 
     def test_regime_warning_clt2(self):
         raw = {
@@ -631,6 +738,36 @@ class TestOtherFamilies:
         assert rec.passed
         assert rec.rows[0][0] == 5 and rec.rows[0][1] == 10
 
+    def test_clt3_q1_limit_variance(self):
+        # at q = 1 the CLT3 statistic's limit variance is the T^2 covariance
+        # t_squared_limit([[s2]]) = 2 s2^2, not the CLT2 variance m4 - s2^2
+        raw = {"experiment": "clt-check", "seed": 5, "kind": "CLT3", "engine": "group",
+               "p": 200, "n_steps": 1000, "law": TWO_POINT, "replicates": 4000}
+        cfg, warnings = validate_config(raw)
+        rec = run_experiment(cfg, warnings=warnings)
+        assert rec.aggregates["limit_var"] == 2 * 2.5**2
+        assert rec.passed, rec.aggregates
+
+    def test_complex_q1_references_take_real_dimension(self):
+        # a q = 1 walk in C^p is the real walk in R^(2p): the moment
+        # identity, the CLT1 chi-square and the Berry-Esseen scan's
+        # chi-square all take m = 2p
+        law = TWO_POINT | {"field": "complex"}
+        runs = [
+            {"experiment": "moment-identity", "seed": 7, "law": law,
+             "grid": [[10, 2], [20, 5]], "replicates": 20000},
+            {"experiment": "clt-check", "seed": 7, "kind": "CLT1", "engine": "group",
+             "p": 5, "n_steps": 500, "law": law, "replicates": 4000},
+            {"experiment": "berry-esseen-scan", "seed": 7, "law": law, "p": 3,
+             "n_grid": [64, 128, 256, 512], "replicates": 4000},
+        ]
+        recs = [run_experiment(validate_config(raw)[0]) for raw in runs]
+        assert recs[0].passed
+        assert [r[5] for r in recs[0].rows] == pytest.approx([303.75, 520.0])
+        assert recs[1].aggregates["sup_chi2_distance"] <= 3 / math.sqrt(4000)
+        assert abs(recs[1].aggregates["sample_var"] - 1.0) <= 0.1
+        assert max(r[2] for r in recs[2].rows) <= 3 / math.sqrt(4000)
+
     def test_berry_esseen_family_plot(self, tmp_path):
         raw = {"experiment": "berry-esseen-scan", "seed": 8,
                "law": {"kind": "log_normal", "log_mean": 0.0, "log_sd": 1.0},
@@ -690,6 +827,24 @@ class TestCli:
                          "--out", str(tmp_path / "out")])
         assert code == 2
         assert "config field 'name'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("raw", [
+        {"experiment": "clt-check", "seed": 1, "kind": "CLT4", "engine": "group", "p": 1,
+         "law": {"kind": "point_mass", "atom": [[1.0, 0.0], [0.0, 1.0]]}, "n_steps": 3,
+         "replicates": 1000},
+        {"experiment": "clt-check", "seed": 1, "kind": "CLT3", "engine": "group", "p": 4,
+         "law": {"kind": "point_mass", "atom": [[1.0, 0.0], [0.0, 1.0]]}, "n_steps": 3,
+         "replicates": 90},
+        [1, 2],
+    ], ids=["p-below-q", "too-few-for-mardia", "top-level-list"])
+    def test_unrunnable_config_exit_two(self, tmp_path, capsys, raw):
+        # refused before anything runs or is written
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        code = cli.main(["clt-check", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_string_law_parameter_exit_two(self, tmp_path):

@@ -75,6 +75,13 @@ class TestNormalize:
         out = normalize_clt("CLT1", np.array([260.0]), 100, 4, self.MD)
         assert out[0] == pytest.approx(0.05656854249492375, abs=1e-12)
 
+    def test_clt1_complex_takes_real_dimension(self):
+        # a q = 1 walk in C^p is the real walk in R^(2p)
+        mdc = moments(RadialLaw.two_point(1.0, 2.0, 0.5, field=cl.COMPLEX))
+        raw = np.array([240.0, 250.0, 266.0])
+        assert np.array_equal(normalize_clt("CLT1", raw, 100, 5, mdc),
+                              normalize_clt("CLT1", raw, 100, 10, self.MD))
+
     def test_clt4_reduces_to_clt2_for_scalars(self):
         raw = np.array([240.0, 250.0, 266.0])
         a = normalize_clt("CLT2", raw, 100, 7.0, self.MD)
@@ -142,6 +149,12 @@ class TestMomentIdentity:
 
     def test_hand_value(self):
         assert moment_identity_rhs(20, 50, self.MD) == pytest.approx(140.0)
+
+    def test_complex_field_takes_real_dimension(self):
+        # over C the identity holds at the real dimension m = 2p
+        mdc = moments(RadialLaw.two_point(1.0, 2.0, 0.5, field=cl.COMPLEX))
+        assert moment_identity_rhs(10, 2, mdc) == pytest.approx(303.75)
+        assert moment_identity_rhs(20, 5, mdc) == moment_identity_rhs(20, 10, self.MD)
 
     def test_large_p_limit(self):
         val = moment_identity_rhs(20, 1e15, self.MD)

@@ -28,9 +28,9 @@ class TestStiefelFrame:
     @pytest.mark.parametrize("field", cl.FIELDS)
     @pytest.mark.parametrize("p", [3, 5, 50])
     def test_cholesky_frame_is_the_qr_frame(self, p, field):
-        # at q = 2 < p the frame is G R^-1 taken twice, R the Cholesky factor
-        # of G* G; R's diagonal is positive, so this is the QR frame whose
-        # R-diagonal phase is forced positive
+        # the frame is the QR frame of the same Gaussian draw with the
+        # R-diagonal phase forced positive, the convention that makes the
+        # factorization unique
         for chunk in range(10):
             g = _std_entries(np.random.default_rng(chunk), (10_000, p, 2), field)
             frame = sample_stiefel_frame(p, 2, field, np.random.default_rng(chunk), 10_000)
@@ -43,7 +43,7 @@ class TestStiefelFrame:
 
     @pytest.mark.parametrize("field", cl.FIELDS)
     def test_square_frame_is_unitary(self, field):
-        # p == q keeps QR, where G* G can be numerically singular
+        # at p == q the frame is a Haar unitary
         v = sample_stiefel_frame(2, 2, field, np.random.default_rng(8), 100_000)
         gram = np.conj(np.swapaxes(v, -1, -2)) @ v
         assert np.max(np.abs(gram - np.eye(2))) <= 1e-14
@@ -207,22 +207,24 @@ class TestGroupWalk:
         se = np.std(tr) / np.sqrt(tr.size)
         assert abs(np.mean(tr) - 6 * md.m2) <= 4 * se
 
-    @pytest.mark.parametrize("q,p", [(1, 5), (2, 6)])
+    # every branch polar serves: q = 1, the square QR block (p = q), the
+    # G2* G2 Wishart of integer nu = p - q <= q - 1 (q = 2, p = 3 and
+    # q = 3, p = 4), and the Bartlett Wishart (q = 2, p = 6 and q = 3, p = 8)
+    @pytest.mark.parametrize("q,p", [(1, 5), (2, 6), (2, 2), (2, 3), (3, 4), (3, 8)])
     def test_polar_equals_direct_in_law(self, q, p):
         rng = np.random.default_rng(17)
-        if q == 1:
-            law = RadialLaw.two_point(1.0, 2.0, 0.5)
-        else:
-            law = RadialLaw.finite_mixture(
-                [np.diag([1.0, 0.5]), np.diag([0.5, 1.0])], [0.5, 0.5])
         n = 10000
-        base = dict(p=p, q=q, field=cl.REAL, n_steps=4, checkpoints=(4,), law=law)
-        t_direct = run_group_walks(GroupWalkConfig(method="direct", **base),
-                                   rng, n)
-        t_polar = run_group_walks(GroupWalkConfig(method="polar", **base),
-                                  rng, n)
-        _, pvalue = ks_2samp(t_direct.tr_squared()[0], t_polar.tr_squared()[0])
-        assert pvalue >= 1e-3
+        for field in cl.FIELDS:
+            if q == 1:
+                law = RadialLaw.two_point(1.0, 2.0, 0.5, field=field)
+            else:
+                atoms = [np.diag(np.linspace(1.0, 0.5, q)), np.diag(np.linspace(0.5, 1.0, q))]
+                law = RadialLaw.finite_mixture(atoms, [0.5, 0.5], field=field)
+            base = dict(p=p, q=q, field=field, n_steps=4, checkpoints=(4,), law=law)
+            t_direct = run_group_walks(GroupWalkConfig(method="direct", **base), rng, n)
+            t_polar = run_group_walks(GroupWalkConfig(method="polar", **base), rng, n)
+            _, pvalue = ks_2samp(t_direct.tr_squared()[0], t_polar.tr_squared()[0])
+            assert pvalue >= 1e-3, field
 
     def test_fourth_moment_identity(self):
         # E[(||S_n||^2 - n s2)^2] = n (m4 - s2^2) + 2 n (n-1) s2^2 / p
@@ -266,3 +268,8 @@ class TestGroupWalk:
                             law=RadialLaw.point_mass(np.eye(2)))
         with pytest.raises(ValueError):
             self._cfg(law=RadialLaw.point_mass(np.eye(2)))
+        # polar is the default route at every p; there is no third method
+        assert GroupWalkConfig(p=3, q=1, field=cl.REAL, n_steps=2, checkpoints=(2,),
+                               law=RadialLaw.point_mass(1.0)).method == "polar"
+        with pytest.raises(ValueError, match="direct"):
+            self._cfg(method="auto")

@@ -60,6 +60,17 @@ def test_one_inverse_root_caller():
     assert found == ["orbit_sampler.py:haar_block"]
 
 
+def test_one_frame_construction():
+    # a Haar frame is QR with the R-diagonal phase made positive, built in
+    # one place: sample_stiefel_frame is the only caller of np.linalg.qr
+    found = [f"{path.name}:{getattr(top, 'name', top.lineno)}"
+             for path in sorted(SRC.rglob("*.py"))
+             for top in ast.parse(path.read_text()).body
+             for node in ast.walk(top)
+             if isinstance(node, ast.Call) and _called_name(node) == "qr"]
+    assert found == ["orbit_sampler.py:sample_stiefel_frame"]
+
+
 def test_cone_step_has_no_matmul_operator():
     # at q = 2 the cone step's products are written out, as matmul makes
     # one BLAS call per 2 x 2 matrix; other q call np.matmul by name
