@@ -6,12 +6,10 @@ __version__ = "0.1.0"
 
 from .bessel import (
     BesselParam,
-    BesselWalkConfig,
     bessel_character_1d,
     convolve_points,
     kappa_exact,
     kappa_mu,
-    run_bessel_walks,
     sample_contraction,
 )
 from .cone_linalg import (
@@ -44,10 +42,10 @@ from .orbit_sampler import (
     GroupWalkConfig,
     WalkTrajectory,
     haar_block,
+    run_cone_walks,
     run_group_walks,
     sample_radial_matrix,
     sample_stiefel_frame,
-    stiefel_block,
     wishart_sample,
 )
 from .radial_laws import MomentData, RadialLaw, law_from_spec, moments

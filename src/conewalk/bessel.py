@@ -1,4 +1,4 @@
-"""General-index engine on the PSD cone.
+"""General-index convolution on the PSD cone.
 
 The convolution of two point masses at r and s is the law of
 
@@ -10,19 +10,19 @@ index mu interpolates the group cases mu = p d / 2; as mu -> infinity the
 convolution degenerates to the deterministic semigroup rule
 t = sqrt(r^2 + s^2).
 
-The move itself is :func:`cone_linalg.cone_step`, and the index-mu walk
-runs through the checkpointed driver :func:`orbit_sampler.drive_walk`.
-The group walk of :mod:`orbit_sampler` makes the same move through the
-same driver, and both engines draw v from the one sampler
-:func:`orbit_sampler.haar_block`: the top block G1 (G1*G1 + W)^(-1/2) of
-a Gaussian frame with W ~ Wishart(I_q, nu).  The group walk takes the
-integer nu = p - q; the contraction density above is its law at the real
-nu = 2 mu / d - q (Muirhead 1982, Thm 3.2.14 and Sec. 3.3; Roesler,
-Compositio Math. 143, 2007).  The sampler is exact and rejection-free
-over the whole existence range mu > rho - 1.  Close to mu = rho - 1 the
-density piles up at the boundary of D_q, and a draw may round onto it.
-The q = 1 walks read only Re v, whose law depends on mu alone; both
-engines draw it from :func:`orbit_sampler.radial_projection_coeff`.
+The move itself is :func:`cone_linalg.cone_step`.  The density above is
+the law of the top block G1 (G1*G1 + W)^(-1/2) of a Gaussian frame with
+W ~ Wishart(I_q, nu) at the real nu = 2 mu / d - q (Muirhead 1982,
+Thm 3.2.14 and Sec. 3.3; Roesler, Compositio Math. 143, 2007), drawn by
+:func:`orbit_sampler.haar_block`; the group walk takes the integer
+nu = p - q.  So the index-mu walk is the walk engine
+:func:`orbit_sampler.run_cone_walks` at ``BesselParam.nu``, the group
+walk at p being its case mu = d p / 2.  The sampler is exact and
+rejection-free over the whole existence range mu > rho - 1.  Close to
+mu = rho - 1 the density piles up at the boundary of D_q, and a draw may
+round onto it.  The q = 1 walks read only Re v, whose law depends on mu
+alone; :func:`orbit_sampler.cone_block` draws it from
+:func:`orbit_sampler.radial_projection_coeff`.
 """
 
 from __future__ import annotations
@@ -35,15 +35,7 @@ from scipy import special
 
 from . import cone_linalg as cl
 from .limit_lab import Moments
-from .orbit_sampler import (
-    WalkTrajectory,
-    checkpoint_tuple,
-    drive_walk,
-    haar_block,
-    radial_projection_coeff,
-    square_radial,
-    zero_radial,
-)
+from .orbit_sampler import cone_block, drive_walk, haar_block, zero_radial
 from .radial_laws import RadialLaw
 
 
@@ -92,14 +84,6 @@ def sample_contraction(param: BesselParam, rng: np.random.Generator,
                        size: int) -> np.ndarray:
     """Draw matrices from the contraction density on D_q, shape (size, q, q)."""
     return haar_block(param.nu, param.q, param.field, rng, size)
-
-
-def _sample_contraction_flat(param, rng, n):
-    """The v of n walk steps: at q = 1 the (n,) real parts Re v, all that
-    the q = 1 cone step reads, else (n, q, q) contraction draws."""
-    if param.q == 1:
-        return radial_projection_coeff(2.0 * param.mu, cl.REAL, rng, n)
-    return haar_block(param.nu, param.q, param.field, rng, n)
 
 
 def _propose(e, q, field, rng, k):
@@ -205,38 +189,6 @@ def kappa_exact(param: BesselParam) -> float:
     return math.exp(log_kappa)
 
 
-@dataclass(frozen=True)
-class BesselWalkConfig:
-    """Parameters of a random walk under the index-mu convolution."""
-
-    param: BesselParam
-    law: RadialLaw
-    n_steps: int
-    checkpoints: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.law.q != self.param.q or self.law.field != self.param.field:
-            raise ValueError("law dimensions do not match the walk parameter")
-        object.__setattr__(self, "checkpoints",
-                           checkpoint_tuple(self.checkpoints, self.n_steps))
-
-
-def run_bessel_walks(cfg: BesselWalkConfig, rng: np.random.Generator,
-                     replicates: int) -> WalkTrajectory:
-    """Simulate a batch of walks: S_0 = 0 and each step convolves the
-    current state with a fresh increment from the law (drawn before v)."""
-    param, n = cfg.param, replicates
-    draw_s = cfg.law.sample_scalar if param.q == 1 else cfg.law.sample
-
-    def step(a):
-        s = draw_s(rng, n)
-        return cl.cone_step(a, s, _sample_contraction_flat(param, rng, n))
-
-    values = drive_walk(zero_radial(param.q, param.field, n), step, square_radial,
-                        cfg.checkpoints)
-    return WalkTrajectory(steps=cfg.checkpoints, q=param.q, values=values)
-
-
 # -- one-dimensional characters ---------------------------------------------
 
 
@@ -300,7 +252,7 @@ def paired_composition_diffs(law: RadialLaw, param: BesselParam, n: int, cap: fl
     increments = iter(np.moveaxis(s, 1, 0))
 
     def step(a):
-        return cl.cone_step(a, next(increments), _sample_contraction_flat(param, rng, reps))
+        return cl.cone_step(a, next(increments), cone_block(param.nu, q, param.field, rng, reps))
 
     def record(a):
         return a * a if q == 1 else cl.herm_part(a @ a)

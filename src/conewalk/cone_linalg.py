@@ -115,10 +115,11 @@ def psd_inv_sqrt(a: np.ndarray) -> np.ndarray:
 def cone_step(a, s, v):
     """One move of a cone walk: t = sqrt(a^2 + s^2 + s v a + a v* s).
 
-    Both engines make this move and differ only in how v is drawn: the top
-    block of a Haar frame for the group walk, the contraction density for
-    the index-mu walk.  When v has fewer than two axes this is the q = 1
-    form on scalars or (n,) batches, sqrt(max(a^2 + s^2 + 2 a s Re v, 0));
+    Every walk makes this move, with v the top block of a Haar frame at
+    Wishart index nu (:func:`orbit_sampler.cone_block`): an integer for
+    the group walk, a real one for the index-mu walk.  When v has fewer
+    than two axes this is the q = 1 form on scalars or (n,) batches,
+    sqrt(max(a^2 + s^2 + 2 a s Re v, 0));
     otherwise a, s and v are (stacked) q x q matrices and the square is
     hermitized and clamped into the PSD cone as its root is taken.
     """

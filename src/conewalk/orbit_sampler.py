@@ -1,27 +1,30 @@
-"""Group-case engine: radial random matrices on p x q space and their walks.
+"""Walk engine: radial random matrices on p x q space and walks on the PSD cone.
 
 A radial random matrix with radial part s is X = Q s, where Q is a Haar
-frame on the Stiefel manifold of orthonormal q-frames in F^p.  The walk
-S_n = X_1 + ... + X_n is tracked either
+frame on the Stiefel manifold of orthonormal q-frames in F^p.  The group
+walk S_n = X_1 + ... + X_n is tracked either
 
 * directly, accumulating the running p x q sum ("direct"), or
 * through its radial part alone ("polar"): conditionally on the past, the
   radial part a of S_{n-1} couples to the new increment only through
-  V = U* Q, the top q x q block of a Haar frame, giving the exact update
-  a^2 <- a^2 + s^2 + a V s + s V* a.  This is the cone step
-  :func:`cone_linalg.cone_step` that the index-mu walk of :mod:`bessel`
-  also makes; the two engines differ only in how they draw v.  It costs
-  O(q^3) per step regardless of p, which makes dimensions like p = 1e5
-  feasible.
+  v = U* Q, the top q x q block of a Haar frame, giving the exact update
+  a^2 <- a^2 + s^2 + a v s + s v* a, the cone step
+  :func:`cone_linalg.cone_step`.  It costs O(q^3) per step regardless of
+  p, which makes dimensions like p = 1e5 feasible.
 
-Both routes sample the same trajectory law; "direct" is the literal
-construction and serves as the oracle in equivalence tests.  Every walk
-of the package, of both engines and both routes, runs through the one
+The block v is G1 (G1*G1 + W)^(-1/2) with W ~ Wishart(I_q, nu) at
+nu = p - q (:func:`haar_block`), and at the real nu = 2 mu / d - q it is
+the contraction of the index-mu walk of :mod:`bessel`.  So the polar
+group walk at p is the index-mu walk at mu = d p / 2, and both run on one
+engine keyed by nu, :func:`run_cone_walks`, with v drawn by
+:func:`cone_block`.  "direct" is the literal construction and serves as
+the oracle in equivalence tests.  Every walk runs through the one
 checkpointed driver :func:`drive_walk`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,24 +54,6 @@ def sample_stiefel_frame(p: int, q: int, field: str, rng: np.random.Generator,
     safe = np.where(mod > 0, mod, 1.0)
     phase = np.where(mod > 0, diag / safe, 1.0)
     return qmat * np.conj(phase)[..., None, :]
-
-
-def stiefel_block(p: int, q: int, field: str, rng: np.random.Generator,
-                  size: int) -> np.ndarray:
-    """size draws, shape (size, q, q), of the top q x q block of a Haar
-    frame, in O(q^3) per draw.
-
-    With G = [G1; G2] Gaussian (G1 the top q x q block), the polar frame is
-    G (G*G)^{-1/2} and its top block is V = G1 (G1*G1 + W)^{-1/2} where
-    W = G2*G2 is Wishart with p - q degrees of freedom: :func:`haar_block`
-    at nu = p - q, so p never enters the matrix sizes.
-    """
-    if p < q:
-        raise ValueError("stiefel block requires p >= q")
-    if p == q:
-        # the block is the whole frame: a Haar unitary, best taken from QR
-        return sample_stiefel_frame(p, q, field, rng, size)
-    return haar_block(p - q, q, field, rng, size)
 
 
 def haar_block(nu: float, q: int, field: str, rng: np.random.Generator,
@@ -150,6 +135,19 @@ def radial_projection_coeff(p: float, field: str, rng: np.random.Generator,
     return g / np.sqrt(g * g + c)
 
 
+def cone_block(nu: float, q: int, field: str, rng: np.random.Generator,
+               n: int) -> np.ndarray:
+    """The v of n cone steps at Wishart index nu: at q = 1 the (n,) real
+    parts Re v, all that the q = 1 step reads, drawn at the real dimension
+    m = d (nu + 1); at nu = 0 (p = q) a Haar unitary from QR, the whole
+    frame; otherwise (n, q, q) draws of :func:`haar_block`."""
+    if q == 1:
+        return radial_projection_coeff(nu + 1, field, rng, n)
+    if nu == 0:
+        return sample_stiefel_frame(q, q, field, rng, n)
+    return haar_block(nu, q, field, rng, n)
+
+
 def sample_radial_matrix(law: RadialLaw, p: int, rng: np.random.Generator,
                          size: int) -> np.ndarray:
     """size radial random matrices X = Q s, shape (size, p, q), with Q Haar
@@ -229,7 +227,7 @@ def checkpoint_tuple(checkpoints, n_steps: int) -> tuple[int, ...]:
 
 
 def drive_walk(state, step, record, checkpoints: tuple[int, ...]) -> np.ndarray:
-    """Checkpointed walk driver shared by both engines and every route.
+    """Checkpointed walk driver shared by every walk.
 
     Applies ``state = step(state)`` up to the last checkpoint (no further,
     so nothing is drawn that no checkpoint reads) and stacks
@@ -261,31 +259,42 @@ def square_radial(a: np.ndarray) -> np.ndarray:
     return cl._mul2(a, a) if a.shape[-1] == 2 else a @ a
 
 
+def run_cone_walks(law: RadialLaw, nu: float, checkpoints, rng: np.random.Generator,
+                   replicates: int) -> WalkTrajectory:
+    """Simulate a batch of independent walks on the PSD cone, up to the
+    last checkpoint, with steps from law and v from :func:`cone_block` at
+    Wishart index nu: the polar group walk at nu = p - q and the index-mu
+    walk at nu = 2 mu / d - q.
+
+    S_0 = 0, and each step draws the increment's radial part s, then v,
+    and moves the radial part a to cone_step(s, a, v), whose square is
+    a^2 + s^2 + a v s + s v* a.
+    """
+    q, field, n = law.q, law.field, replicates
+    cps = checkpoint_tuple(checkpoints, math.inf)
+    draw_s = law.sample_scalar if q == 1 else law.sample
+
+    def step(a):
+        s = draw_s(rng, n)
+        return cl.cone_step(s, a, cone_block(nu, q, field, rng, n))
+
+    values = drive_walk(zero_radial(q, field, n), step, square_radial, cps)
+    return WalkTrajectory(steps=cps, q=q, values=values)
+
+
 def run_group_walks(cfg: GroupWalkConfig, rng: np.random.Generator,
                     replicates: int) -> WalkTrajectory:
     """Simulate a batch of independent group-case walks.
 
-    The accumulated state is a single running p x q sum (direct) or the
-    q x q radial part (polar); increments are never materialized as a
-    history.  The polar route draws the increment's radial part, then V;
-    the direct route draws the frame (or Gaussian), then the radial part.
+    The polar route is :func:`run_cone_walks` at nu = p - q.  The direct
+    route accumulates a single running p x q sum, drawing the frame (or
+    Gaussian), then the radial part; increments are never materialized as
+    a history.
     """
     n, p, q, field, law = replicates, cfg.p, cfg.q, cfg.field, cfg.law
     if cfg.method == "polar":
-        draw_s = law.sample_scalar if q == 1 else law.sample
-
-        def step(a):
-            s = draw_s(rng, n)
-            if q == 1:
-                v = radial_projection_coeff(p, field, rng, n)
-            else:
-                v = stiefel_block(p, q, field, rng, n)
-            # a V s + s V* a is cone_step with the roles of a and s swapped:
-            # the same law as the index-mu order s v a + a v* s, as V ~ V*
-            return cl.cone_step(s, a, v)
-
-        values = drive_walk(zero_radial(q, field, n), step, square_radial, cfg.checkpoints)
-    elif q == 1:
+        return run_cone_walks(law, p - q, cfg.checkpoints, rng, n)
+    if q == 1:
         def step(x):
             g = _std_entries(rng, (n, p), field)
             norm = np.sqrt(np.sum(np.abs(g) ** 2, axis=1))

@@ -6,21 +6,20 @@ import pytest
 from conewalk import cone_linalg as cl
 from conewalk.bessel import (
     BesselParam,
-    BesselWalkConfig,
-    _sample_contraction_flat,
     bessel_character_1d,
     convolve_points,
     kappa_exact,
     kappa_mu,
     paired_composition_diffs,
-    run_bessel_walks,
     sample_contraction,
 )
 from conewalk.limit_lab import ks_2samp, ks_distance
 from conewalk.orbit_sampler import (
     GroupWalkConfig,
+    cone_block,
     haar_block,
     radial_projection_coeff,
+    run_cone_walks,
     run_group_walks,
     sample_stiefel_frame,
 )
@@ -164,7 +163,7 @@ class TestConvolve:
         # E[t^2] = 2 exactly when r = s = 1, any index
         rng = np.random.default_rng(8)
         n = 100000
-        t = cl.cone_step(1.0, 1.0, _sample_contraction_flat(BesselParam(4.0, 1, 1), rng, n))
+        t = cl.cone_step(1.0, 1.0, cone_block(BesselParam(4.0, 1, 1).nu, 1, cl.REAL, rng, n))
         se = np.std(t**2) / np.sqrt(n)
         assert abs(np.mean(t**2) - 2.0) <= 3 * se
 
@@ -172,7 +171,7 @@ class TestConvolve:
         # p = 3 lift: |x + Y| for fixed unit x and Y uniform on the sphere
         rng = np.random.default_rng(9)
         n = 50000
-        t = cl.cone_step(1.0, 1.0, _sample_contraction_flat(BesselParam(1.5, 1, 1), rng, n))
+        t = cl.cone_step(1.0, 1.0, cone_block(BesselParam(1.5, 1, 1).nu, 1, cl.REAL, rng, n))
         g = np.random.default_rng(10).standard_normal((n, 3))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         ref = np.sqrt((1 + g[:, 0]) ** 2 + g[:, 1] ** 2 + g[:, 2] ** 2)
@@ -199,7 +198,7 @@ class TestConvolve:
         n = 50000
         s1 = law.sample_scalar(rng, n)
         s2 = law.sample_scalar(rng, n)
-        v = _sample_contraction_flat(BesselParam(3.0, 1, 1), rng, n)
+        v = cone_block(BesselParam(3.0, 1, 1).nu, 1, cl.REAL, rng, n)
         t = np.sqrt(np.maximum(s1**2 + s2**2 + 2 * s1 * s2 * v, 0.0))
         se = np.std(t) / np.sqrt(n)
         assert np.mean(t) <= 2 * md.m1 + 4 * se
@@ -255,22 +254,19 @@ class TestKappa:
 
 
 class TestBesselWalk:
+    # the index-mu walk is the walk engine at nu = BesselParam.nu
     def test_zero_law(self):
         rng = np.random.default_rng(16)
-        cfg = BesselWalkConfig(param=BesselParam(4.0, 1, 1),
-                               law=RadialLaw.point_mass(0.0),
-                               n_steps=6, checkpoints=(3, 6))
-        traj = run_bessel_walks(cfg, rng, 100)
+        traj = run_cone_walks(RadialLaw.point_mass(0.0), BesselParam(4.0, 1, 1).nu,
+                              (3, 6), rng, 100)
         assert np.all(traj.values == 0)
 
     def test_two_step_second_moment(self):
         # m2 additivity at n = 2 for the unit point law: E[S_2^2] = 2
         rng = np.random.default_rng(17)
         n = 100000
-        cfg = BesselWalkConfig(param=BesselParam(3.0, 1, 1),
-                               law=RadialLaw.point_mass(1.0),
-                               n_steps=2, checkpoints=(2,))
-        traj = run_bessel_walks(cfg, rng, n)
+        traj = run_cone_walks(RadialLaw.point_mass(1.0), BesselParam(3.0, 1, 1).nu,
+                              (2,), rng, n)
         vals = traj.values[0]
         se = np.std(vals) / np.sqrt(n)
         assert abs(np.mean(vals) - 2.0) <= 4 * se
@@ -280,31 +276,25 @@ class TestBesselWalk:
         rng = np.random.default_rng(18)
         law = RadialLaw.two_point(1.0, 2.0, 0.5) if q == 1 else MIX2
         n = 10000
-        bcfg = BesselWalkConfig(param=BesselParam(p / 2.0, q, 1), law=law,
-                                n_steps=5, checkpoints=(5,))
         gcfg = GroupWalkConfig(p=p, q=q, field=cl.REAL, n_steps=5,
                                checkpoints=(5,), law=law, method="direct")
-        bt = run_bessel_walks(bcfg, rng, n)
+        bt = run_cone_walks(law, BesselParam(p / 2.0, q, 1).nu, (5,), rng, n)
         gt = run_group_walks(gcfg, rng, n)
         _, pvalue = ks_2samp(bt.tr_squared()[0], gt.tr_squared()[0])
         assert pvalue >= 1e-3
 
     def test_single_walk(self):
         rng = np.random.default_rng(19)
-        cfg = BesselWalkConfig(param=BesselParam(5.0, 2, 1), law=MIX2,
-                               n_steps=3, checkpoints=(3,))
-        traj = run_bessel_walks(cfg, rng, 1)
+        traj = run_cone_walks(MIX2, BesselParam(5.0, 2, 1).nu, (3,), rng, 1)
         assert traj.values.shape == (1, 1, 2, 2)
 
     def test_checkpoint_validation(self):
-        with pytest.raises(ValueError):
-            BesselWalkConfig(param=BesselParam(3.0, 1, 1),
-                             law=RadialLaw.point_mass(1.0),
-                             n_steps=2, checkpoints=(3,))
-        with pytest.raises(ValueError):
-            BesselWalkConfig(param=BesselParam(3.0, 2, 1),
-                             law=RadialLaw.point_mass(1.0),
-                             n_steps=2, checkpoints=(2,))
+        # the engine reads q and field from the law, so only the
+        # checkpoints are left to refuse
+        for checkpoints in ((), (0,), (3, 2), (2, 2)):
+            with pytest.raises(ValueError):
+                run_cone_walks(RadialLaw.point_mass(1.0), BesselParam(3.0, 1, 1).nu,
+                               checkpoints, np.random.default_rng(20), 4)
 
 
 class TestCharacter:
@@ -371,7 +361,7 @@ class TestCharacter:
         rng = np.random.default_rng(21)
         n = 30000
         mu, r1, r2, s = 4.0, 1.0, 2.0, 0.7
-        t = cl.cone_step(r1, r2, _sample_contraction_flat(BesselParam(mu, 1, 1), rng, n))
+        t = cl.cone_step(r1, r2, cone_block(BesselParam(mu, 1, 1).nu, 1, cl.REAL, rng, n))
         phi = bessel_character_1d(mu, t, s)
         target = (bessel_character_1d(mu, r1, s)
                   * bessel_character_1d(mu, r2, s))
@@ -415,9 +405,7 @@ class TestDegeneration:
         n = 64
         x = np.diag([1.0, 0.5])
         law = RadialLaw.point_mass(x)
-        cfg = BesselWalkConfig(param=BesselParam(float(n**3), 2, 1), law=law,
-                               n_steps=n, checkpoints=(n,))
-        traj = run_bessel_walks(cfg, rng, 2000)
+        traj = run_cone_walks(law, BesselParam(float(n**3), 2, 1).nu, (n,), rng, 2000)
         dev = cl.frob_norm(traj.values[0] - n * (x @ x)) / n
         assert np.mean(dev > 0.1) <= 0.01
 
@@ -429,9 +417,7 @@ class TestDegeneration:
         law = RadialLaw.two_point(1.0, 2.0, 0.5)
         md = moments(law)
         n, reps = 100, 20000
-        cfg = BesselWalkConfig(param=BesselParam(1e5, 1, 1), law=law,
-                               n_steps=n, checkpoints=(n,))
-        traj = run_bessel_walks(cfg, rng, reps)
+        traj = run_cone_walks(law, BesselParam(1e5, 1, 1).nu, (n,), rng, reps)
         z = normalize_clt("CLT2", traj.values[0], n, 1e5, md)
         sd = math.sqrt(md.m4 - md.sigma4)
         assert ks_distance(z, lambda t: normal_cdf(t, sd)) <= 0.02

@@ -31,7 +31,7 @@ import pytest
 from conewalk import cone_linalg as cl
 from conewalk.bessel import BesselParam, convolve_points
 from conewalk.harness import emit_outputs, run_experiment, validate_config
-from conewalk.orbit_sampler import sample_stiefel_frame, stiefel_block
+from conewalk.orbit_sampler import cone_block, sample_stiefel_frame
 from conewalk.radial_laws import law_from_spec
 
 REPO = Path(__file__).resolve().parents[1]
@@ -193,18 +193,21 @@ CASES = {
 # axiom-extras draw direct q = 2 frames too, but their two-sample KS
 # p-values absorb the last bits.  moment-identity-complex and clt1-complex
 # were recorded when the q = 1 group references began to take the real
-# dimension m = d p.
+# dimension m = d p.  bessel-q2-complex, c02, c03, c07 and demo-walk-bessel
+# were recorded again when the index-mu walk became the polar group walk's
+# engine at nu = 2 mu / d - q, which makes the cone step in the group
+# walk's order cone_step(s, a, v) (other q >= 2 realizations, same law).
 GOLDEN = {
     "axiom-extras": "18195ddbe0f41617d4a7ff509d840c9c969c1473f17a223fe6bb31e932ff3bda",
     "bessel-q1-complex": "28d2ecd693275f2ad61bcca36ec0c3d0e7ce3f786f956e318ee02241f0961386",
-    "bessel-q2-complex": "c99d94615ef329f8a727e1e0d5b0bb30c958bd7b33942d839910a06dab321c1d",
+    "bessel-q2-complex": "b0ee6ff4e7c5761f9a776e830b4cd9c9a5ccf7afa661f1fa8fd182f2eb72145d",
     "c01": "dab094f2da71e9a7e9721e2e381f5f0008bdec6db7223cfc0c00538d4baaa467",
-    "c02": "f24586aa5b2e640b883e71374994ac78c34cf86c6ef9f0fe11fb7636dc27205c",
-    "c03": "6ab4991a800642ec86dccaca2203d97b55f8d95d9c160a3936a46d4959fac73d",
+    "c02": "727e4d21912b491d3d43c6819ed854d561150ce50bcd5e68e3acee4a4ca76e4f",
+    "c03": "69f47d50b0e641559865511c90a3110d0d677ce5083d3d7245e71890a8475498",
     "c04": "3a062547f5a08cdfd124f14bcc1499bfa41681b146ca6204a95a638390f285ed",
     "c05": "ed664769e2763474530a34b4a6eb9f5f3a8470d8da4a7e2d5200bf4577b783b0",
     "c06": "70c64ad17cc4e0f6cee93b46ed0bb32bb68fbf3b26cffdf03f6a199c5ee0e878",
-    "c07": "fa6c60b3e438b4e72e2975dce922d62102a675b87a341af24f09a8b5f9ef6a39",
+    "c07": "6474d26498576f31d45072dcbe0ecd9d291d8f6497844d4e3cc1b9c1b6394b9f",
     "c08": "f241ce0ceec44f4c7f24a3cf1bf3d78199e3507389866f7e458c7a7487106c27",
     "c09": "16e6616f598d9d48373b9f5dcb549c986e5dd50a06a34cc6d75a4867c8711f30",
     "c10": "69ad9462a399ab0aac34e68d476278147643bf164659ee3a0c1b3f2df5204519",
@@ -215,7 +218,7 @@ GOLDEN = {
     "contraction-beta-mu0.52": "1d8c8ed2c6d98f85edaa1a0ea90063f47e619574facf1fe66255ab0526eb956f",
     "convolve-q1": "0a69f04045a73e11b54ce11152fb33e2a893cf90cce1c6477bbc82de6484fd6f",
     "demo-convolve": "8deb618e71b4fc505bee756e887df1e9410c6986bc8ac4f11e0a324bd13fc9f1",
-    "demo-walk-bessel": "59313231a175d03ee7694c7ed09f47db1ab3b46c853b99a374595f9ca2608346",
+    "demo-walk-bessel": "4054d9ffcf04d4c14a14d4be0c45111c6b27d19d834feef82f62fd5d3e9486f3",
     "demo-walk-group": "f689ee6a8d0935640b6ea613bb2b3332b27b21e6a644c44a113b66b0b669f780",
     "extras-clt1": "8e02c9ea40b7de2ca4c568f985ef9fdc310cef714a335465b07882384b070bdf",
     "group-q1-direct-complex": "455eda430f5808f9da4a6b0e4bcbd03c76fd3f4dd66ed8880e36b5da191449c3",
@@ -290,7 +293,7 @@ def _draw_support_bound(q, d, mu, monkeypatch):
 
 
 def _draw_stiefel(p, q, field, seed):
-    return [stiefel_block(p, q, field, _rng(seed), DRAWS)]
+    return [cone_block(p - q, q, field, _rng(seed), DRAWS)]
 
 
 def _draw_cone_step(q, field, seed):

@@ -132,10 +132,7 @@ def _tiny_group_config(rng):
         atoms = [_matrix_json(rng, q, field) for _ in range(2)]
         law = {"kind": "finite_mixture", "field": field, "atoms": atoms,
                "weights": [0.5, 0.5]}
-    # a matrix statistic at n_steps = 1 takes one value per atom of the law,
-    # so its empirical covariance can be singular, which mardia_tests
-    # refuses with DegenerateDataError; that case is left out here
-    n_steps, p = int(rng.integers(2 if q > 1 else 1, 4)), int(rng.integers(1, 5))
+    n_steps, p = int(rng.integers(1, 4)), int(rng.integers(1, 5))
     raw = {"experiment": family, "seed": int(rng.integers(0, 2**63)), "law": law,
            "replicates": int(rng.integers(2, 121))}
     method = {"method": str(rng.choice(["direct", "polar"]))}
@@ -730,6 +727,24 @@ class TestOtherFamilies:
         rec = run_experiment(cfg)
         assert rec.passed
 
+    def test_walk_bessel_at_mu_dp_over_2_is_walk_group(self, tmp_path):
+        # one engine: the walk-bessel family at mu = d p / 2 writes the
+        # walk-group family's rows and replicates byte for byte
+        law = {"kind": "wishart_root", "field": "complex", "dof": 3,
+               "scale": [[[1.0, 0.0], [0.2, 0.1]], [[0.2, -0.1], [0.5, 0.0]]]}
+        walk = {"name": "w", "seed": 11, "n_steps": 3, "checkpoints": [1, 3], "law": law,
+                "replicates": 300, "block_size": 128, "emit": "replicates"}
+        group = {"experiment": "walk-group", "p": 4, "q": 2, "field": "complex"} | walk
+        bessel = {"experiment": "walk-bessel", "mu": 4.0, "q": 2, "d": 2} | walk
+        written = []
+        for raw, out in ((group, tmp_path / "group"), (bessel, tmp_path / "bessel")):
+            cfg, warnings = validate_config(raw)
+            paths = emit_outputs(run_experiment(cfg, warnings=warnings), out)
+            written.append({p.name: p.read_bytes() for p in paths
+                            if not p.name.endswith(".summary.json")})
+        assert sorted(written[0]) == ["w.csv", "w.plotdata.csv", "w.replicates.csv"]
+        assert written[0] == written[1]
+
     def test_moment_identity_family(self):
         raw = {"experiment": "moment-identity", "seed": 7, "law": TWO_POINT,
                "grid": [[5, 10]], "replicates": 20000, "method": "polar"}
@@ -897,6 +912,38 @@ class TestCli:
                         "--out", str(tmp_path / "out"))
         assert res.returncode == 4
         assert "FAIL" in res.stdout
+
+    @pytest.mark.parametrize("raw", [
+        {"kind": "CLT4", "engine": "bessel", "mu": 50.0,
+         "law": {"kind": "point_mass", "field": "real", "atom": [[1.0, 0.0], [0.0, 2.0]]}},
+        {"kind": "CLT3", "engine": "group", "p": 4,
+         "law": {"kind": "finite_mixture", "atoms": [[[1.0, 0.0], [0.0, 2.0]],
+                                                     [[0.5, 0.1], [0.1, 1.0]]],
+                 "weights": [0.5, 0.5]}},
+    ], ids=["bessel-point-mass", "group-two-atoms"])
+    def test_singular_mardia_exit_four(self, tmp_path, capsys, raw):
+        # one step of a law with one or two atoms takes one or two values,
+        # so the statistic's covariance is singular: the Mardia check fails
+        # with a reason and null p-values, and the run still ends in a verdict
+        raw = {"experiment": "clt-check", "name": "singular", "n_steps": 1,
+               "replicates": 100, "seed": 5} | raw
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        code = cli.main(["clt-check", "--config", str(path), "--out", str(tmp_path / "out"),
+                         "--workers", "1"])
+        assert code == 4
+        assert "singular: FAIL" in capsys.readouterr().out
+
+        def refuse(token):
+            raise ValueError(token)
+
+        summary = json.loads((tmp_path / "out" / "singular.summary.json").read_text(),
+                             parse_constant=refuse)
+        mardia = summary["checks"][1]
+        assert mardia["check"] == "mardia" and mardia["pass"] is False
+        assert mardia["reason"] == "singular empirical covariance"
+        assert mardia["skew_pvalue"] is None and mardia["kurt_pvalue"] is None
+        assert summary["aggregates"]["mardia_skew_pvalue"] is None
 
     def test_seed_override(self, tmp_path):
         cfg = tiny_walk_config(replicates=500)

@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 
 from conewalk import cone_linalg as cl
+from conewalk.bessel import BesselParam
 from conewalk.errors import NumericalFailureError
 from conewalk.limit_lab import ks_2samp, moment_identity_rhs
 from conewalk.orbit_sampler import (
     GroupWalkConfig,
+    cone_block,
+    haar_block,
     radial_projection_coeff,
+    run_cone_walks,
     run_group_walks,
     sample_radial_matrix,
     sample_stiefel_frame,
-    stiefel_block,
     wishart_sample,
 )
 from conewalk.radial_laws import RadialLaw, _std_entries, moments
@@ -67,11 +70,12 @@ class TestStiefelFrame:
 
 
 class TestStiefelBlock:
+    # the top q x q block of a Haar frame in F^p is cone_block at nu = p - q
     @pytest.mark.parametrize("field", cl.FIELDS)
     def test_matches_direct_qr_block(self, field):
         rng = np.random.default_rng(4)
         n = 20000
-        block = stiefel_block(7, 2, field, rng, n)
+        block = cone_block(7 - 2, 2, field, rng, n)
         frames = sample_stiefel_frame(7, 2, field, rng, n)
         direct = frames[:, :2, :]
         for stat in (lambda v: np.abs(v[:, 0, 0]),
@@ -82,7 +86,7 @@ class TestStiefelBlock:
 
     def test_square_case_is_unitary(self):
         rng = np.random.default_rng(5)
-        v = stiefel_block(3, 3, cl.REAL, rng, 100)
+        v = cone_block(0, 3, cl.REAL, rng, 100)
         gram = np.swapaxes(v, -1, -2) @ v
         assert np.max(cl.frob_norm(gram - np.eye(3))) <= 1e-10
 
@@ -93,8 +97,9 @@ class TestStiefelBlock:
         for field, p in ((cl.REAL, 3), (cl.REAL, 5), (cl.REAL, 9),
                          (cl.COMPLEX, 1), (cl.COMPLEX, 3), (cl.COMPLEX, 4)):
             w = radial_projection_coeff(p, field, rng, n)
-            v = stiefel_block(p, 1, field, rng, n)[:, 0, 0].real
-            _, pvalue = ks_2samp(w, v)
+            block = (haar_block(p - 1, 1, field, rng, n) if p > 1
+                     else sample_stiefel_frame(1, 1, field, rng, n))
+            _, pvalue = ks_2samp(w, block[:, 0, 0].real)
             assert pvalue >= 1e-3, f"{field} p={p}"
 
 
@@ -225,6 +230,24 @@ class TestGroupWalk:
             t_polar = run_group_walks(GroupWalkConfig(method="polar", **base), rng, n)
             _, pvalue = ks_2samp(t_direct.tr_squared()[0], t_polar.tr_squared()[0])
             assert pvalue >= 1e-3, field
+
+    @pytest.mark.parametrize("field", cl.FIELDS)
+    @pytest.mark.parametrize("q,p", [(1, 2), (1, 3), (1, 5), (2, 4), (2, 6), (3, 6)])
+    def test_polar_route_is_index_mu_walk(self, q, p, field):
+        # the polar group walk at p is the index-mu walk at mu = d p / 2:
+        # one engine at nu = p - q, the same draws in the same order
+        if q == 1:
+            law = RadialLaw.two_point(1.0, 2.0, 0.5, field=field)
+        else:
+            law = RadialLaw.wishart_root(np.eye(q), q + 1, field=field)
+        d = cl.field_dim(field)
+        cfg = GroupWalkConfig(p=p, q=q, field=field, n_steps=5, checkpoints=(2, 5),
+                              law=law, method="polar")
+        group = run_group_walks(cfg, np.random.default_rng(22), 400)
+        nu = BesselParam(d * p / 2.0, q, d).nu
+        index_mu = run_cone_walks(law, nu, (2, 5), np.random.default_rng(22), 400)
+        assert index_mu.steps == group.steps
+        assert index_mu.values.tobytes() == group.values.tobytes()
 
     def test_fourth_moment_identity(self):
         # E[(||S_n||^2 - n s2)^2] = n (m4 - s2^2) + 2 n (n-1) s2^2 / p

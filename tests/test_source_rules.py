@@ -50,7 +50,7 @@ def test_no_clamp_inside_psd_sqrt():
 
 
 def test_one_inverse_root_caller():
-    # both engines draw v through the one Haar-block sampler, the only
+    # every walk draws v through the one Haar-block sampler, the only
     # place an inverse square root is taken
     found = [f"{path.name}:{getattr(top, 'name', top.lineno)}"
              for path in sorted(SRC.rglob("*.py"))
@@ -58,6 +58,19 @@ def test_one_inverse_root_caller():
              for node in ast.walk(top)
              if isinstance(node, ast.Call) and _called_name(node) == "psd_inv_sqrt"]
     assert found == ["orbit_sampler.py:haar_block"]
+
+
+def test_one_walk_engine():
+    # the polar group walk and the index-mu walk are one engine keyed by
+    # nu: besides it, only the direct route and the paired composition
+    # gap (its own (a, s) order, every increment drawn first) drive a walk
+    found = {f"{path.stem}.{getattr(top, 'name', top.lineno)}"
+             for path in sorted(SRC.rglob("*.py"))
+             for top in ast.parse(path.read_text()).body
+             for node in ast.walk(top)
+             if isinstance(node, ast.Call) and _called_name(node) == "drive_walk"}
+    assert found == {"orbit_sampler.run_cone_walks", "orbit_sampler.run_group_walks",
+                     "bessel.paired_composition_diffs"}
 
 
 def test_one_frame_construction():
