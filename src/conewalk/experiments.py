@@ -56,6 +56,9 @@ from .radial_laws import (
 
 DEFAULT_BLOCK_SIZE = 8192
 MAX_REPLICATE_ROWS = 2_000_000
+# a q = 1 law whose limit variance m4 - s2^2 is at most this times m4 is
+# degenerate: over point masses rounding leaves up to 3e-16 m4 of either sign
+_LIMIT_VAR_RTOL = 1e-13
 _NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")  # output files are named after it
 
 
@@ -118,117 +121,170 @@ def _support_totals(parts):
     return sum(p["violations"] for p in parts), max(p["max_excess"] for p in parts)
 
 
-# -- validation helpers ------------------------------------------------------
+# -- config tables -----------------------------------------------------------
+#
+# Each family, and each axioms check, declares its fields once as a table of
+# _Row(name, kind, default, condition, message), and _read reads any table.
+# Rules that tie fields together stay as code in the family's validate.
 
 
-def _req(raw: dict, field: str, kind, cond=None, msg=""):
-    if field not in raw:
-        raise ConfigError(field, "missing required field")
-    val = _typed(field, raw[field], kind)
+_REQUIRED = object()  # the default of a field that must be given
+
+
+class _Row(NamedTuple):
+    """One config field.  kind is int, float, str or list (read by _typed),
+    a _List, or a reader kind(name, value, cfg) of a structured value;
+    default is _REQUIRED, a value, or a function of the fields read before
+    it; a value that fails cond is a ConfigError saying msg."""
+
+    name: str
+    kind: object
+    default: object = _REQUIRED
+    cond: Callable | None = None
+    msg: str = ""
+
+
+class _List(NamedTuple):
+    """The kind of a list whose entries are read by kind and each held to
+    cond, an error naming its entry name[i]."""
+
+    kind: object
+    cond: Callable | None = None
+    msg: str = ""
+
+
+def _read(raw: dict, rows, **cfg) -> dict:
+    """cfg with the field of each row read from raw, in order.  A field
+    that is absent or null takes its default; a matrix may be given as its
+    square under name_squared."""
+    for name, kind, default, cond, msg in rows:
+        if kind is _matrix and f"{name}_squared" in raw:
+            name += "_squared"
+        if raw.get(name) is not None:
+            cfg[name] = _value(name, raw[name], kind, cond, msg, cfg)
+        elif default is _REQUIRED:
+            raise ConfigError(name, "missing required field")
+        else:
+            cfg[name] = default(cfg) if callable(default) else default
+    return cfg
+
+
+def _value(name: str, val, kind, cond, msg: str, cfg: dict):
+    """val read by kind and held to cond, else a ConfigError naming name."""
+    if isinstance(kind, _List):
+        val = [_value(f"{name}[{i}]", v, *kind, cfg)
+               for i, v in enumerate(_typed(name, val, list))]
+    elif isinstance(kind, type):
+        val = _typed(name, val, kind)
+    else:
+        val = kind(name, val, cfg)
     if cond is not None and not cond(val):
-        raise ConfigError(field, msg or "invalid value")
+        raise ConfigError(name, msg)
     return val
 
 
-def _opt(raw: dict, field: str, kind, default, cond=None, msg=""):
-    if field not in raw or raw[field] is None:
-        return default
-    return _req(raw, field, kind, cond, msg)
+def _at_least(k):
+    return (lambda v: v >= k), f"must be >= {k}"
 
 
-def _method_field(raw: dict) -> str:
-    """The group walk's route, polar unless the config asks for direct."""
-    return _opt(raw, "method", str, "polar", lambda v: v in METHODS,
-                f"must be one of {METHODS}")
+def _one_of(options):
+    return (lambda v: v in options), f"must be one of {options}"
 
 
-def _law_field(raw: dict, key="law", q=None, field=None) -> dict:
-    """The canonical law spec under key; given q, its dimensions must be
-    (q, field)."""
-    if key not in raw:
-        raise ConfigError(key, "missing required field")
+_POSITIVE = (lambda v: v > 0), "must be positive"
+_NONEMPTY = bool, "must be nonempty"
+
+
+def _count(name: str, k: int) -> _Row:
+    """A required integer field of at least k."""
+    return _Row(name, int, _REQUIRED, *_at_least(k))
+
+
+def _dims(cfg: dict) -> tuple[int, str]:
+    """(q, field) of the fields read so far: their q with its field or d,
+    else their law's, else (1, real)."""
+    if "q" in cfg:
+        return cfg["q"], cfg["field"] if "field" in cfg else _field(cfg["d"])
+    if "law" in cfg:
+        return cfg["law"]["q"], cfg["law"]["field"]
+    return 1, cl.REAL
+
+
+def _law(name: str, val, cfg: dict) -> dict:
+    """The canonical law spec; after a q, its dimensions must match."""
     try:
-        spec = normalize_law_spec(raw[key])
+        spec = normalize_law_spec(val)
     except ConfigError as exc:  # law_from_spec names its fields law.*
-        raise ConfigError(key + exc.field.removeprefix("law"), exc.message) from exc
-    if q is not None:
-        law = law_from_spec(spec)
-        if law.q != q or law.field != field:
-            raise ConfigError(key, f"law dimensions must match q = {q}, field = {field}")
+        raise ConfigError(name + exc.field.removeprefix("law"), exc.message) from exc
+    q, field = _dims(cfg)
+    if "q" in cfg and (spec["q"], spec["field"]) != (q, field):
+        raise ConfigError(name, f"law dimensions must match q = {q}, field = {field}")
     return spec
 
 
-def _param_field(raw: dict, q: int, d: int, lemma=False) -> BesselParam:
-    """The index "mu" in the existence range, and with lemma in the
-    comparison-bound range mu >= 2 rho."""
-    mu = _req(raw, "mu", float, lambda v: v > 0, "must be positive")
+def _index(name: str, val, cfg: dict) -> float:
+    """The index mu: positive, and in the existence range mu > rho - 1 of
+    the dimensions read before it."""
+    mu = _value(name, val, float, *_POSITIVE, cfg)
+    q, field = _dims(cfg)
     try:
-        param = BesselParam(mu, q, d)
-        if lemma:
-            param.require_lemma_range()
+        BesselParam(mu, q, cl.field_dim(field))
     except ValueError as exc:
-        raise ConfigError("mu", str(exc)) from exc
-    return param
+        raise ConfigError(name, str(exc)) from exc
+    return mu
 
 
-def _point_matrices(raw: dict, out: dict, q: int, field: str) -> None:
-    """Echo the point matrices r and s into out under the names the input
-    used (key or key_squared); each must be a PSD q x q matrix."""
-    for key in ("r", "s"):
-        used = f"{key}_squared" if f"{key}_squared" in raw else key
-        if used not in raw:
-            raise ConfigError(key, "missing required matrix")
-        try:
-            out[used] = normalize_matrix_spec(raw[used], field)
-            mat = _matrix_from_spec(out, key, field)
-            cl.clamp_psd(mat)  # PSD validation only
-        except ValueError as exc:
-            raise ConfigError(used, str(exc)) from exc
-        except ConeViolationError as exc:
-            raise ConfigError(used, f"must be PSD: {exc}") from exc
-        if mat.shape != (q, q):
-            raise ConfigError(used, f"expected a {q}x{q} matrix")
+def _matrix(name: str, val, cfg: dict):
+    """The hermitized echo of a PSD q x q point matrix (its square under
+    name_squared)."""
+    q, field = _dims(cfg)
+    try:
+        spec = normalize_matrix_spec(val, field)
+        mat = _matrix_from_spec({name: spec}, name.removesuffix("_squared"), field)
+        cl.clamp_psd(mat)  # PSD validation only
+    except ValueError as exc:
+        raise ConfigError(name, str(exc)) from exc
+    except ConeViolationError as exc:
+        raise ConfigError(name, f"must be PSD: {exc}") from exc
+    if mat.shape != (q, q):
+        raise ConfigError(name, f"expected a {q}x{q} matrix")
+    return spec
 
 
-def _common(raw: dict, experiment: str) -> dict:
-    cfg = {
-        "experiment": experiment,
-        "schema_version": 1,
-        "name": _opt(raw, "name", str, experiment, _NAME.fullmatch,
-                     "must be a plain file name: [A-Za-z0-9][A-Za-z0-9._-]*"),
-        "seed": _req(raw, "seed", int, lambda v: 0 <= v < 2**64, "must be a 64-bit seed"),
-        "block_size": _opt(raw, "block_size", int, DEFAULT_BLOCK_SIZE,
-                           lambda v: v >= 1, "must be >= 1"),
-    }
-    return cfg
+_COMMON = (
+    _Row("name", str, lambda cfg: cfg["experiment"], _NAME.fullmatch,
+         "must be a plain file name: [A-Za-z0-9][A-Za-z0-9._-]*"),
+    _Row("seed", int, _REQUIRED, lambda v: 0 <= v < 2**64, "must be a 64-bit seed"),
+    _Row("block_size", int, DEFAULT_BLOCK_SIZE, *_at_least(1)),
+)
+_Q = _Row("q", int, 1, *_at_least(1))
+_D = _Row("d", int, 1, lambda v: v in (1, 2), "must be 1 or 2")
+_MU = _Row("mu", _index)
+_LAW = _Row("law", _law)
+_SCALAR_LAW = _Row("law", _law, _REQUIRED, lambda spec: spec["q"] == 1, "must be a q = 1 law")
+_POINTS = (_Row("r", _matrix), _Row("s", _matrix))
+_MAX_SE = _Row("max_se", float, 4.0, *_POSITIVE)
+_LEVEL = _Row("level", float, 1e-3, lambda v: 0 < v < 1, "must lie in (0, 1)")
+_SLACK = _Row("slack", float, 1e-8, *_at_least(0))
+_METHOD = _Row("method", str, "polar", *_one_of(METHODS))
+_WALK = (
+    _count("n_steps", 1),
+    _Row("checkpoints", _List(int), lambda cfg: [cfg["n_steps"]]),
+    _LAW,
+    _count("replicates", 1),
+    _Row("emit", str, "aggregate", *_one_of(("aggregate", "replicates"))),
+    _MAX_SE,
+)
 
 
-def _numbers(field: str, values: list, kind) -> list:
-    """List entries read by kind (int or float), each error naming its
-    entry as field[i]."""
-    return [_typed(f"{field}[{i}]", v, kind) for i, v in enumerate(values)]
-
-
-def _checkpoints(raw, n_steps):
-    cps = _numbers("checkpoints", _opt(raw, "checkpoints", list, [n_steps]), int)
-    if not cps or cps != sorted(set(cps)) or cps[0] < 1 or cps[-1] > n_steps:
+def _walk_rules(cfg: dict) -> None:
+    """The walk families' cross-field rules: checkpoints within n_steps,
+    and the cap on replicate emission."""
+    cps = cfg["checkpoints"]
+    if not cps or cps != sorted(set(cps)) or cps[0] < 1 or cps[-1] > cfg["n_steps"]:
         raise ConfigError("checkpoints", "must be sorted unique integers in [1, n_steps]")
-    return cps
-
-
-def _walk_fields(raw: dict, cfg: dict, field: str) -> dict:
-    """The fields both walk families share; the law must match (q, field)."""
-    cfg["n_steps"] = _req(raw, "n_steps", int, lambda v: v >= 1, "must be >= 1")
-    cfg["checkpoints"] = _checkpoints(raw, cfg["n_steps"])
-    cfg["law"] = _law_field(raw, "law", cfg["q"], field)
-    cfg["replicates"] = _req(raw, "replicates", int, lambda v: v >= 1, "must be >= 1")
-    cfg["emit"] = _opt(raw, "emit", str, "aggregate",
-                       lambda v: v in ("aggregate", "replicates"))
-    cfg["max_se"] = _opt(raw, "max_se", float, 4.0, lambda v: v > 0)
-    if cfg["emit"] == "replicates" and \
-            cfg["replicates"] * len(cfg["checkpoints"]) > MAX_REPLICATE_ROWS:
+    if cfg["emit"] == "replicates" and cfg["replicates"] * len(cps) > MAX_REPLICATE_ROWS:
         raise ConfigError("emit", f"replicate emission capped at {MAX_REPLICATE_ROWS} rows")
-    return cfg
 
 
 # -- walk families -----------------------------------------------------------
@@ -238,17 +294,16 @@ class WalkGroupExperiment:
     name = "walk-group"
     columns = ["step", "replicates", "mean_tr_sq", "se_mean", "expected_tr_sq",
                "abs_diff", "diff_over_se", "pass"]
+    fields = _COMMON + (_count("p", 1), _Q, _Row("field", str, cl.REAL, *_one_of(cl.FIELDS)),
+                        _METHOD) + _WALK
 
     @staticmethod
     def validate(raw):
-        cfg = _common(raw, "walk-group")
-        cfg["p"] = _req(raw, "p", int, lambda v: v >= 1, "must be >= 1")
-        cfg["q"] = _opt(raw, "q", int, 1, lambda v: v >= 1, "must be >= 1")
-        cfg["field"] = _opt(raw, "field", str, cl.REAL, lambda v: v in cl.FIELDS)
-        cfg["method"] = _method_field(raw)
+        cfg = _read(raw, WalkGroupExperiment.fields, experiment="walk-group", schema_version=1)
         if cfg["q"] > 1 and cfg["p"] < cfg["q"]:
             raise ConfigError("p", "matrix walks require p >= q")
-        return _walk_fields(raw, cfg, cfg["field"]), []
+        _walk_rules(cfg)
+        return cfg, []
 
     @staticmethod
     def plan(cfg):
@@ -297,14 +352,13 @@ class WalkGroupExperiment:
 class WalkBesselExperiment:
     name = "walk-bessel"
     columns = WalkGroupExperiment.columns
+    fields = _COMMON + (_Q, _D, _MU) + _WALK
 
     @staticmethod
     def validate(raw):
-        cfg = _common(raw, "walk-bessel")
-        cfg["q"] = _opt(raw, "q", int, 1, lambda v: v >= 1)
-        cfg["d"] = _opt(raw, "d", int, 1, lambda v: v in (1, 2), "must be 1 or 2")
-        cfg["mu"] = _param_field(raw, cfg["q"], cfg["d"]).mu
-        return _walk_fields(raw, cfg, _field(cfg["d"])), []
+        cfg = _read(raw, WalkBesselExperiment.fields, experiment="walk-bessel", schema_version=1)
+        _walk_rules(cfg)
+        return cfg, []
 
     plan = WalkGroupExperiment.plan
 
@@ -351,18 +405,11 @@ class ConvolveExperiment:
     name = "convolve"
     columns = ["replicates", "mean_tr_t2", "se_mean", "expected_tr_t2",
                "diff_over_se", "support_violations", "max_norm_excess", "pass"]
+    fields = _COMMON + (_Q, _D, _MU, *_POINTS, _count("replicates", 1), _SLACK, _MAX_SE)
 
     @staticmethod
     def validate(raw):
-        cfg = _common(raw, "convolve")
-        cfg["q"] = _opt(raw, "q", int, 1, lambda v: v >= 1)
-        cfg["d"] = _opt(raw, "d", int, 1, lambda v: v in (1, 2))
-        cfg["mu"] = _param_field(raw, cfg["q"], cfg["d"]).mu
-        _point_matrices(raw, cfg, cfg["q"], _field(cfg["d"]))
-        cfg["replicates"] = _req(raw, "replicates", int, lambda v: v >= 1)
-        cfg["slack"] = _opt(raw, "slack", float, 1e-8, lambda v: v >= 0)
-        cfg["max_se"] = _opt(raw, "max_se", float, 4.0, lambda v: v > 0)
-        return cfg, []
+        return _read(raw, ConvolveExperiment.fields, experiment="convolve", schema_version=1), []
 
     plan = WalkGroupExperiment.plan
 
@@ -405,16 +452,12 @@ class KappaExperiment:
     name = "kappa"
     columns = ["mu", "q", "d", "branch", "n_samples", "estimate", "std_error",
                "reference", "abs_diff", "diff_over_se", "pass"]
+    fields = _COMMON + (_Q, _D, _Row("mu_grid", _List(float), _REQUIRED, *_NONEMPTY),
+                        _count("n_samples", 1), _MAX_SE)
 
     @staticmethod
     def validate(raw):
-        cfg = _common(raw, "kappa")
-        cfg["q"] = _opt(raw, "q", int, 1, lambda v: v >= 1)
-        cfg["d"] = _opt(raw, "d", int, 1, lambda v: v in (1, 2))
-        grid = _req(raw, "mu_grid", list, lambda v: len(v) >= 1, "must be nonempty")
-        cfg["mu_grid"] = _numbers("mu_grid", grid, float)
-        cfg["n_samples"] = _req(raw, "n_samples", int, lambda v: v >= 1)
-        cfg["max_se"] = _opt(raw, "max_se", float, 4.0, lambda v: v > 0)
+        cfg = _read(raw, KappaExperiment.fields, experiment="kappa", schema_version=1)
         for m in cfg["mu_grid"]:
             try:
                 param = BesselParam(m, cfg["q"], cfg["d"])
@@ -470,32 +513,30 @@ class CltCheckExperiment:
                       "ks_distance", "ks_threshold", "pass"]
     matrix_columns = ["coord_i", "coord_j", "empirical", "target", "se",
                       "abs_diff", "diff_over_se", "pass"]
+    fields = _COMMON + (
+        _Row("kind", str, _REQUIRED, *_one_of(lab.CLT_KINDS)),
+        _Row("engine", str, "group", *_one_of(("group", "bessel"))),
+        _LAW,
+        _count("n_steps", 1),
+        _count("replicates", 2),
+        _MAX_SE,
+        _LEVEL._replace(name="mardia_level"),
+        _Row("ks_threshold", float, lambda cfg: 3.0 / math.sqrt(cfg["replicates"]), *_POSITIVE),
+    )
+    engine_fields = {"group": (_count("p", 1), _METHOD), "bessel": (_MU,)}
 
     @staticmethod
     def validate(raw):
-        cfg = _common(raw, "clt-check")
-        cfg["kind"] = _req(raw, "kind", str, lambda v: v in lab.CLT_KINDS,
-                           f"must be one of {lab.CLT_KINDS}")
-        cfg["engine"] = _opt(raw, "engine", str, "group",
-                             lambda v: v in ("group", "bessel"))
-        cfg["law"] = _law_field(raw)
+        cfg = _read(raw, CltCheckExperiment.fields, experiment="clt-check", schema_version=1)
+        cfg = _read(raw, CltCheckExperiment.engine_fields[cfg["engine"]], **cfg)
         law = law_from_spec(cfg["law"])
-        cfg["n_steps"] = _req(raw, "n_steps", int, lambda v: v >= 1)
-        cfg["replicates"] = _req(raw, "replicates", int, lambda v: v >= 2)
-        cfg["max_se"] = _opt(raw, "max_se", float, 4.0, lambda v: v > 0)
-        cfg["mardia_level"] = _opt(raw, "mardia_level", float, 1e-3, lambda v: 0 < v < 1)
-        ks_default = 3.0 / math.sqrt(cfg["replicates"])
-        cfg["ks_threshold"] = _opt(raw, "ks_threshold", float, ks_default, lambda v: v > 0)
         warnings = []
         if cfg["engine"] == "group":
-            cfg["p"] = _req(raw, "p", int, lambda v: v >= 1)
             if law.q > 1 and cfg["p"] < law.q:
                 raise ConfigError("p", "matrix walks require p >= q")
-            cfg["method"] = _method_field(raw)
             index = cfg["p"]
         else:
-            d = 1 if law.field == cl.REAL else 2
-            index = cfg["mu"] = _param_field(raw, law.q, d).mu
+            index = cfg["mu"]
         if cfg["kind"] in ("CLT1", "CLT2") and law.q != 1:
             raise ConfigError("kind", f"{cfg['kind']} is a q = 1 statistic")
         if cfg["kind"] == "CLT1" and cfg["engine"] != "group":
@@ -505,6 +546,11 @@ class CltCheckExperiment:
                 raise ConfigError("engine", "the Wishart-route statistic needs the group walk")
             if law.field != cl.REAL:
                 raise ConfigError("law.field", "the T^2 covariance is real-field only")
+        if cfg["kind"] in ("CLT2", "CLT4") and law.q == 1:
+            md = law_moments(law)
+            if md.m4 - md.sigma4 <= _LIMIT_VAR_RTOL * md.m4:
+                raise ConfigError("law", "the limit variance m4 - s2^2 is not positive: "
+                                  "|s|^2 takes one value, so there is no normal limit")
         if cfg["kind"] in ("CLT3", "CLT4") and law.q > 1:
             dim = cl.herm_vec_dim(law.q, law.field)
             if cfg["replicates"] <= 10 * dim * dim:
@@ -640,22 +686,20 @@ class CltCheckExperiment:
 class BerryEsseenScanExperiment:
     name = "berry-esseen-scan"
     columns = ["n", "replicates", "ks_distance", "noise_floor", "included"]
+    fields = _COMMON + (
+        _SCALAR_LAW,
+        _count("p", 1),
+        _Row("n_grid", _List(int, *_at_least(1)), _REQUIRED,
+             lambda v: len(v) >= 4 and v == sorted(set(v)), "needs >= 4 sorted unique points"),
+        _count("replicates", 4),
+        _METHOD,
+        _Row("slope_threshold", float, None),
+    )
 
     @staticmethod
     def validate(raw):
-        cfg = _common(raw, "berry-esseen-scan")
-        cfg["law"] = _law_field(raw)
-        if law_from_spec(cfg["law"]).q != 1:
-            raise ConfigError("law", "the scan is a q = 1 experiment")
-        cfg["p"] = _req(raw, "p", int, lambda v: v >= 1)
-        grid = _req(raw, "n_grid", list, lambda v: len(v) >= 4, "needs >= 4 points")
-        cfg["n_grid"] = _numbers("n_grid", grid, int)
-        if cfg["n_grid"] != sorted(set(cfg["n_grid"])) or cfg["n_grid"][0] < 1:
-            raise ConfigError("n_grid", "must be sorted unique positive integers")
-        cfg["replicates"] = _req(raw, "replicates", int, lambda v: v >= 4)
-        cfg["method"] = _method_field(raw)
-        cfg["slope_threshold"] = _opt(raw, "slope_threshold", float, None)
-        return cfg, []
+        return _read(raw, BerryEsseenScanExperiment.fields, experiment="berry-esseen-scan",
+                     schema_version=1), []
 
     @staticmethod
     def plan(cfg):
@@ -705,23 +749,19 @@ class MomentIdentityExperiment:
     name = "moment-identity"
     columns = ["n", "p", "replicates", "empirical", "se", "expected",
                "abs_diff", "diff_over_se", "pass"]
+    fields = _COMMON + (
+        _SCALAR_LAW,
+        _Row("grid", _List(_List(int), lambda v: len(v) == 2 and min(v) >= 1,
+                           "entries must be [n, p] pairs with n, p >= 1"), _REQUIRED, *_NONEMPTY),
+        _count("replicates", 2),
+        _METHOD,
+        _MAX_SE,
+    )
 
     @staticmethod
     def validate(raw):
-        cfg = _common(raw, "moment-identity")
-        cfg["law"] = _law_field(raw)
-        if law_from_spec(cfg["law"]).q != 1:
-            raise ConfigError("law", "the moment identity is a q = 1 statement")
-        grid = _req(raw, "grid", list, lambda v: len(v) >= 1, "must be nonempty")
-        cfg["grid"] = []
-        for i, entry in enumerate(grid):
-            if not (isinstance(entry, list) and len(entry) == 2):
-                raise ConfigError(f"grid[{i}]", "entries must be [n, p] pairs")
-            cfg["grid"].append(_numbers(f"grid[{i}]", entry, int))
-        cfg["replicates"] = _req(raw, "replicates", int, lambda v: v >= 2)
-        cfg["method"] = _method_field(raw)
-        cfg["max_se"] = _opt(raw, "max_se", float, 4.0, lambda v: v > 0)
-        return cfg, []
+        return _read(raw, MomentIdentityExperiment.fields, experiment="moment-identity",
+                     schema_version=1), []
 
     @staticmethod
     def plan(cfg):
@@ -761,92 +801,22 @@ class MomentIdentityExperiment:
 # -- axiom checks ------------------------------------------------------------
 
 
-class AxiomsExperiment:
-    name = "axioms"
-    columns = ["check", "cell", "params", "statistic", "reference", "se",
-               "diff_over_se", "threshold", "pass"]
-
-    @staticmethod
-    def validate(raw):
-        cfg = _common(raw, "axioms")
-        checks = _req(raw, "checks", list, lambda v: len(v) >= 1, "must be nonempty")
-        cfg["checks"] = []
-        for idx, spec in enumerate(checks):
-            where = f"checks[{idx}]"
-            if not isinstance(spec, dict) or "check" not in spec:
-                raise ConfigError(where, "each entry needs a 'check' name")
-            kind = spec["check"]
-            if not isinstance(kind, str) or kind not in _CHECKS:
-                raise ConfigError(f"{where}.check",
-                                  f"unknown check {kind!r}; expected one of {tuple(_CHECKS)}")
-            try:
-                out = {"check": kind, **_CHECKS[kind].validate(spec)}
-                unknown = sorted(set(spec) - set(out))
-                if unknown:
-                    raise ConfigError(unknown[0], "unknown field")
-            except ConfigError as exc:
-                raise ConfigError(f"{where}.{exc.field}", exc.message) from exc
-            cfg["checks"].append(out)
-        return cfg, []
-
-    @staticmethod
-    def plan(cfg):
-        return plan_blocks([spec.get("replicates", spec.get("draws")) for spec in cfg["checks"]],
-                           cfg["block_size"])
-
-    @staticmethod
-    def run_block(cfg, task):
-        spec = cfg["checks"][task["cell"]]
-        stream = functools.partial(_task_rng, cfg, task)
-        return {"cell": task["cell"], **_CHECKS[spec["check"]].run(spec, task["size"], stream)}
-
-    @staticmethod
-    def reduce(cfg, partials):
-        rows = []
-        checks = []
-        for cell, spec in enumerate(cfg["checks"]):
-            kind = spec["check"]
-            parts = [p for p in partials if p["cell"] == cell]
-            values, fields = _CHECKS[kind].reduce(spec, parts)
-            rows.append([kind, cell, _params_str(spec), *values, fields["pass"]])
-            checks.append({"check": kind, "cell": cell, **fields})
-        return {"columns": AxiomsExperiment.columns, "rows": rows,
-                "aggregates": {"checks_run": [s["check"] for s in cfg["checks"]]},
-                "checks": checks}
-
-
 class _Check(NamedTuple):
-    """One axioms check.  validate(spec) gives the canonical spec without
-    its name; run(spec, size, stream) gives a block partial, where
-    stream(role) is the block's random stream for that role; reduce(spec,
-    parts) gives the row's (statistic, reference, se, diff_over_se,
-    threshold) and the check's fields, "pass" among them."""
+    """One axioms check.  fields is its table; rules(spec), if any, checks
+    the canonical spec's cross-field rules; run(spec, size, stream) gives
+    a block partial, where stream(role) is the block's random stream for
+    that role; reduce(spec, parts) gives the row's (statistic, reference,
+    se, diff_over_se, threshold) and the check's fields, "pass" among
+    them."""
 
-    validate: Callable
+    fields: tuple
     run: Callable
     reduce: Callable
-
-
-def _v_dims(spec, *laws, index=True, lemma=False):
-    """q and d (default 1), the laws named, whose dimensions must match,
-    and unless index is False the index mu in the existence range."""
-    q = _opt(spec, "q", int, 1, lambda v: v >= 1)
-    d = _opt(spec, "d", int, 1, lambda v: v in (1, 2))
-    out = {"q": q, "d": d}
-    for key in laws:
-        out[key] = _law_field(spec, key, q, _field(d))
-    if index:
-        out["mu"] = _param_field(spec, q, d, lemma).mu
-    return out
+    rules: Callable | None = None
 
 
 def _param(spec):
     return BesselParam(spec["mu"], spec["q"], spec["d"])
-
-
-def _validate_support_bound(spec):
-    return _v_dims(spec) | {"draws": _req(spec, "draws", int, lambda v: v >= 1),
-                            "slack": _opt(spec, "slack", float, 1e-8, lambda v: v >= 0)}
 
 
 def _run_support_bound(spec, k, stream):
@@ -863,13 +833,6 @@ def _reduce_support_bound(spec, parts):
     violations, max_excess = _support_totals(parts)
     return (max_excess, 0.0, math.nan, math.nan, spec["slack"]), \
         {"violations": violations, "max_excess": max_excess, "pass": violations == 0}
-
-
-def _validate_commutativity(spec):
-    out = _v_dims(spec) | {"replicates": _req(spec, "replicates", int, lambda v: v >= 8),
-                           "level": _opt(spec, "level", float, 1e-3, lambda v: 0 < v < 1)}
-    _point_matrices(spec, out, out["q"], _field(out["d"]))
-    return out
 
 
 def _run_commutativity(spec, k, stream):
@@ -897,13 +860,6 @@ def _diff_over_se_row(spec, m, target):
         {"diff_over_se": ratio, "max_se": spec["max_se"], "pass": ratio <= spec["max_se"]}
 
 
-def _validate_m2_additivity(spec):
-    return _v_dims(spec, "law") | {
-        "n_steps": _req(spec, "n_steps", int, lambda v: v >= 1),
-        "replicates": _req(spec, "replicates", int, lambda v: v >= 2),
-        "max_se": _opt(spec, "max_se", float, 4.0, lambda v: v > 0)}
-
-
 def _run_m2_additivity(spec, k, stream):
     law = law_from_spec(spec["law"])
     traj = run_cone_walks(law, _param(spec).nu, (spec["n_steps"],), stream(), k)
@@ -913,14 +869,6 @@ def _run_m2_additivity(spec, k, stream):
 def _reduce_m2_additivity(spec, parts):
     m2 = law_moments(law_from_spec(spec["law"])).m2
     return _diff_over_se_row(spec, _pooled(parts), spec["n_steps"] * m2)
-
-
-def _validate_m1_subadd(spec):
-    laws = ("law", "law2") if "law2" in spec else ("law",)
-    out = _v_dims(spec, *laws)
-    out.setdefault("law2", out["law"])
-    return out | {"replicates": _req(spec, "replicates", int, lambda v: v >= 2),
-                  "max_se": _opt(spec, "max_se", float, 4.0, lambda v: v > 0)}
 
 
 def _run_m1_subadd(spec, k, stream):
@@ -942,21 +890,6 @@ def _reduce_m1_subadd(spec, parts):
          "pass": mean <= bound + spec["max_se"] * se}
 
 
-def _validate_group_consistency(spec):
-    out = _v_dims(spec, "law", index=False)
-    q, d = out["q"], out["d"]
-    p = out["p"] = _req(spec, "p", int, lambda v: v >= 1)
-    if q > 1 and p < q:
-        raise ConfigError("p", "needs p >= q")
-    try:
-        BesselParam(p * d / 2.0, q, d)
-    except ValueError as exc:
-        raise ConfigError("p", f"mu = p d/2 = {p * d / 2.0}: {exc}") from exc
-    return out | {"n_steps": _req(spec, "n_steps", int, lambda v: v >= 1),
-                  "replicates": _req(spec, "replicates", int, lambda v: v >= 8),
-                  "level": _opt(spec, "level", float, 1e-3, lambda v: 0 < v < 1)}
-
-
 def _run_group_consistency(spec, k, stream):
     law = law_from_spec(spec["law"])
     p, n = spec["p"], spec["n_steps"]
@@ -964,15 +897,6 @@ def _run_group_consistency(spec, k, stream):
     nu = BesselParam(p * spec["d"] / 2.0, spec["q"], spec["d"]).nu
     bessel = run_cone_walks(law, nu, (n,), stream(1), k)
     return {"a": group.tr_squared()[0], "b": bessel.tr_squared()[0]}
-
-
-def _validate_character(spec):
-    return {"mu": _param_field(spec, 1, 1).mu,
-            "r1": _req(spec, "r1", float, lambda v: v >= 0),
-            "r2": _req(spec, "r2", float, lambda v: v >= 0),
-            "s": _req(spec, "s", float, lambda v: v >= 0),
-            "draws": _req(spec, "draws", int, lambda v: v >= 2),
-            "max_se": _opt(spec, "max_se", float, 4.0, lambda v: v > 0)}
 
 
 def _run_character(spec, k, stream):
@@ -985,12 +909,6 @@ def _reduce_character(spec, parts):
     target = (bessel_character_1d(spec["mu"], spec["r1"], spec["s"])
               * bessel_character_1d(spec["mu"], spec["r2"], spec["s"]))
     return _diff_over_se_row(spec, _pooled(parts), target)
-
-
-def _validate_contraction_beta(spec):
-    return {"mu": _param_field(spec, 1, 1).mu,
-            "draws": _req(spec, "draws", int, lambda v: v >= 8),
-            "ks_max": _req(spec, "ks_max", float, lambda v: v > 0)}
 
 
 def _run_contraction_beta(spec, k, stream):
@@ -1019,15 +937,6 @@ def _reduce_contraction_beta(spec, parts):
         {"ks": ks, "ks_max": spec["ks_max"], "pass": ks <= spec["ks_max"]}
 
 
-def _validate_mu_scaling(spec):
-    return _v_dims(spec, "law", lemma=True) | {
-        "n_steps": _req(spec, "n_steps", int, lambda v: v >= 2),
-        "cap": _req(spec, "cap", float, lambda v: v > 0),
-        "replicates": _req(spec, "replicates", int, lambda v: v >= 2),
-        "ratio_lo": _opt(spec, "ratio_lo", float, 1.0),
-        "ratio_hi": _opt(spec, "ratio_hi", float, 4.0)}
-
-
 def _run_mu_scaling(spec, k, stream):
     law = law_from_spec(spec["law"])
     q = spec["q"]
@@ -1051,21 +960,108 @@ def _reduce_mu_scaling(spec, parts):
          "pass": spec["ratio_lo"] <= ratio <= spec["ratio_hi"]}
 
 
+def _group_consistency_rules(spec):
+    q, d, p = spec["q"], spec["d"], spec["p"]
+    if q > 1 and p < q:
+        raise ConfigError("p", "needs p >= q")
+    try:
+        BesselParam(p * d / 2.0, q, d)
+    except ValueError as exc:
+        raise ConfigError("p", f"mu = p d/2 = {p * d / 2.0}: {exc}") from exc
+
+
+def _mu_scaling_rules(spec):
+    try:
+        _param(spec).require_lemma_range()
+    except ValueError as exc:
+        raise ConfigError("mu", str(exc)) from exc
+    if spec["ratio_lo"] > spec["ratio_hi"]:
+        raise ConfigError("ratio_lo", "must be <= ratio_hi, or no ratio can pass")
+
+
 _CHECKS = {
-    "support-bound": _Check(_validate_support_bound, _run_support_bound,
-                            _reduce_support_bound),
-    "commutativity": _Check(_validate_commutativity, _run_commutativity,
-                            _reduce_two_sample_ks),
-    "m2-additivity": _Check(_validate_m2_additivity, _run_m2_additivity,
-                            _reduce_m2_additivity),
-    "m1-subadditivity": _Check(_validate_m1_subadd, _run_m1_subadd, _reduce_m1_subadd),
-    "group-consistency": _Check(_validate_group_consistency, _run_group_consistency,
-                                _reduce_two_sample_ks),
-    "character": _Check(_validate_character, _run_character, _reduce_character),
-    "contraction-beta": _Check(_validate_contraction_beta, _run_contraction_beta,
-                               _reduce_contraction_beta),
-    "mu-scaling": _Check(_validate_mu_scaling, _run_mu_scaling, _reduce_mu_scaling),
+    "support-bound": _Check((_Q, _D, _MU, _count("draws", 1), _SLACK),
+                            _run_support_bound, _reduce_support_bound),
+    "commutativity": _Check((_Q, _D, _MU, _count("replicates", 8), _LEVEL, *_POINTS),
+                            _run_commutativity, _reduce_two_sample_ks),
+    "m2-additivity": _Check((_Q, _D, _LAW, _MU, _count("n_steps", 1), _count("replicates", 2),
+                             _MAX_SE),
+                            _run_m2_additivity, _reduce_m2_additivity),
+    "m1-subadditivity": _Check((_Q, _D, _LAW, _Row("law2", _law, lambda spec: spec["law"]), _MU,
+                                _count("replicates", 2), _MAX_SE),
+                               _run_m1_subadd, _reduce_m1_subadd),
+    "group-consistency": _Check((_Q, _D, _LAW, _count("p", 1), _count("n_steps", 1),
+                                 _count("replicates", 8), _LEVEL),
+                                _run_group_consistency, _reduce_two_sample_ks,
+                                _group_consistency_rules),
+    "character": _Check((_MU, *[_Row(x, float, _REQUIRED, *_at_least(0))
+                                for x in ("r1", "r2", "s")],
+                         _count("draws", 2), _MAX_SE),
+                        _run_character, _reduce_character),
+    "contraction-beta": _Check((_MU, _count("draws", 8),
+                                _Row("ks_max", float, _REQUIRED, *_POSITIVE)),
+                               _run_contraction_beta, _reduce_contraction_beta),
+    "mu-scaling": _Check((_Q, _D, _LAW, _MU, _count("n_steps", 2),
+                          _Row("cap", float, _REQUIRED, *_POSITIVE), _count("replicates", 2),
+                          _Row("ratio_lo", float, 1.0), _Row("ratio_hi", float, 4.0)),
+                         _run_mu_scaling, _reduce_mu_scaling, _mu_scaling_rules),
 }
+_CHECK = _Row("check", str, _REQUIRED, *_one_of(tuple(_CHECKS)))
+
+
+def _check_spec(name: str, val, cfg: dict) -> dict:
+    """An axioms check: its name, then its check's table and rules, with
+    no field left over; errors name their field under name."""
+    raw = _typed(name, val, dict)
+    try:
+        kind = _read(raw, (_CHECK,))["check"]
+        spec = _read(raw, _CHECKS[kind].fields, check=kind)
+        if _CHECKS[kind].rules is not None:
+            _CHECKS[kind].rules(spec)
+        unknown = sorted(set(raw) - set(spec))
+        if unknown:
+            raise ConfigError(unknown[0], "unknown field")
+    except ConfigError as exc:
+        raise ConfigError(f"{name}.{exc.field}", exc.message) from exc
+    return spec
+
+
+class AxiomsExperiment:
+    name = "axioms"
+    columns = ["check", "cell", "params", "statistic", "reference", "se",
+               "diff_over_se", "threshold", "pass"]
+
+    fields = _COMMON + (_Row("checks", _List(_check_spec), _REQUIRED, *_NONEMPTY),)
+
+    @staticmethod
+    def validate(raw):
+        return _read(raw, AxiomsExperiment.fields, experiment="axioms", schema_version=1), []
+
+    @staticmethod
+    def plan(cfg):
+        return plan_blocks([spec.get("replicates", spec.get("draws")) for spec in cfg["checks"]],
+                           cfg["block_size"])
+
+    @staticmethod
+    def run_block(cfg, task):
+        spec = cfg["checks"][task["cell"]]
+        stream = functools.partial(_task_rng, cfg, task)
+        return {"cell": task["cell"], **_CHECKS[spec["check"]].run(spec, task["size"], stream)}
+
+    @staticmethod
+    def reduce(cfg, partials):
+        rows = []
+        checks = []
+        for cell, spec in enumerate(cfg["checks"]):
+            kind = spec["check"]
+            parts = [p for p in partials if p["cell"] == cell]
+            values, fields = _CHECKS[kind].reduce(spec, parts)
+            rows.append([kind, cell, _params_str(spec), *values, fields["pass"]])
+            checks.append({"check": kind, "cell": cell, **fields})
+        return {"columns": AxiomsExperiment.columns, "rows": rows,
+                "aggregates": {"checks_run": [s["check"] for s in cfg["checks"]]},
+                "checks": checks}
+
 
 
 def _params_str(spec) -> str:

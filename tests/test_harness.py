@@ -58,7 +58,8 @@ def _matrix_json(rng, q, field):
 
 def _random_config(rng):
     """A valid raw config of a random family, with floats, integers given
-    for floats, and matrices in either their plain or their squared key."""
+    for floats, and matrices in either their plain or their squared key.
+    An axioms config runs each of the eight checks once."""
     q, d = int(rng.integers(1, 4)), int(rng.integers(1, 3))
     field = cl.REAL if d == 1 else cl.COMPLEX
     rho = d * (q - 0.5) + 1
@@ -92,6 +93,9 @@ def _random_config(rng):
     elif family == "clt-check":
         kinds = ["CLT1", "CLT2", "CLT3", "CLT4"] if q == 1 else ["CLT3", "CLT4"]
         kind = str(rng.choice(kinds if d == 1 else [k for k in kinds if k != "CLT3"]))
+        if q == 1 and kind in ("CLT2", "CLT4"):
+            # |s|^2 must not take one value: its variance is the limit's
+            law = scalar_law | {"p_a": float(rng.uniform(0.05, 0.95))}
         group = kind in ("CLT1", "CLT3") or rng.random() < 0.5
         dim = cl.herm_vec_dim(q, field)
         raw |= {"kind": kind, "law": law, "n_steps": n_steps, "ks_threshold": 0.05,
@@ -105,9 +109,20 @@ def _random_config(rng):
         raw |= {"law": scalar_law, "method": method, "replicates": 100, "max_se": 5,
                 "grid": [[int(n), int(m)] for n, m in rng.integers(1, 50, (2, 2))]}
     else:
+        dims = {"q": q, "d": d}
         raw["checks"] = [
-            {"check": "commutativity", "q": q, "d": d, "mu": mu, "replicates": 100,
+            {"check": "support-bound", **dims, "mu": mu, "draws": 10, "slack": 1e-8},
+            {"check": "commutativity", **dims, "mu": mu, "replicates": 100,
              **matrix("r"), **matrix("s")},
+            {"check": "m2-additivity", **dims, "mu": mu, "law": law, "n_steps": n_steps,
+             "replicates": 10},
+            {"check": "m1-subadditivity", **dims, "mu": mu, "law": law, "law2": law,
+             "replicates": 10},
+            # the group walk at mu = p d / 2 needs p >= 2q for mu > rho - 1
+            {"check": "group-consistency", **dims, "p": 2 * q + int(rng.integers(0, 3)),
+             "law": law, "n_steps": n_steps, "replicates": 10},
+            {"check": "mu-scaling", **dims, "mu": 2 * rho + float(rng.exponential(5.0)),
+             "law": law, "n_steps": int(rng.integers(2, 5)), "cap": 6, "replicates": 10},
             {"check": "character", "mu": 0.5 + float(rng.exponential(3.0)) + 1e-3,
              "r1": float(rng.random()), "r2": 1, "s": float(rng.random()), "draws": 10},
             {"check": "contraction-beta", "mu": float(rng.uniform(0.51, 9.0)),
@@ -151,21 +166,63 @@ def _tiny_group_config(rng):
     return raw
 
 
-# valid configs, and the path to each number in them with the kind it takes
-_TYPED_CONFIGS = [
-    (tiny_walk_config(max_se=4.0),
-     {("seed",): int, ("mu",): float, ("n_steps",): int, ("checkpoints", 1): int,
-      ("replicates",): int, ("block_size",): int, ("max_se",): float}),
-    ({"experiment": "kappa", "seed": 1, "q": 1, "d": 1, "mu_grid": [2.0, 3.5],
-      "n_samples": 10},
-     {("q",): int, ("mu_grid", 1): float, ("n_samples",): int}),
-    ({"experiment": "moment-identity", "seed": 1, "law": TWO_POINT,
-      "grid": [[2, 3], [4, 5]], "replicates": 10},
-     {("grid", 1, 0): int, ("grid", 0, 1): int}),
-    ({"experiment": "axioms", "seed": 1, "checks": [
-        {"check": "character", "mu": 1.2, "r1": 1, "r2": 1.0, "s": 1, "draws": 10}]},
-     {("checks", 0, "mu"): float, ("checks", 0, "r1"): float, ("checks", 0, "draws"): int}),
-    # law specs, read by the same reader as every other number
+def _tiny(raw):
+    """The valid config raw with its replicates, draws and n_samples capped
+    at 50, or at clt-check's Mardia floor where that is higher."""
+    cap = 50
+    if raw["experiment"] == "clt-check":
+        law = validate_config(raw)[0]["law"]
+        dim = cl.herm_vec_dim(law["q"], law["field"])
+        cap = max(cap, 10 * dim * dim + 1)
+    for spec in (raw, *raw.get("checks", [])):
+        for key in ("replicates", "draws", "n_samples"):
+            if key in spec:
+                spec[key] = min(spec[key], cap)
+    return raw
+
+
+def _tables(raw):
+    """(path prefix, rows) of each field table that validating the valid
+    config raw reads."""
+    exp = EXPERIMENTS[raw["experiment"]]
+    yield (), exp.fields
+    if raw["experiment"] == "clt-check":
+        yield (), exp.engine_fields[raw.get("engine", "group")]
+    if raw["experiment"] == "axioms":
+        for i, spec in enumerate(raw["checks"]):
+            yield ("checks", i), (experiments._CHECK, *experiments._CHECKS[spec["check"]].fields)
+
+
+def _all_tables():
+    """Every field table: each family's, clt-check's engine tables and
+    each axioms check's, after its check name."""
+    return ({exp.fields for exp in EXPERIMENTS.values()}
+            | set(EXPERIMENTS["clt-check"].engine_fields.values())
+            | {(experiments._CHECK, *check.fields) for check in experiments._CHECKS.values()})
+
+
+def _number_paths(raw):
+    """The path to each integer and float that the tables read from the
+    valid config raw, with the kind it takes; a list's path is to its
+    first entry."""
+    for prefix, rows in _tables(raw):
+        for row in rows:
+            path, kind = (*prefix, row.name), row.kind
+            while isinstance(kind, experiments._List):
+                path, kind = (*path, 0), kind.kind
+            kind = float if kind is experiments._index else kind
+            if kind in (int, float):
+                yield path, kind
+
+
+def _path_name(path):
+    """The field name of a path into a config, as errors give it."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+
+
+# law specs, read by the same reader as every other number: valid configs,
+# and the path to each number in their laws with the kind it takes
+_TYPED_LAWS = [
     ({"experiment": "axioms", "seed": 1, "checks": [
         {"check": "m2-additivity", "mu": 3.0, "n_steps": 2, "replicates": 10, "law": law}
         for law in (TWO_POINT, {"kind": "wishart_root", "scale": [[1.0]], "dof": 2},
@@ -231,13 +288,16 @@ class TestValidation:
             validate_config(raw)
         assert info.value.field == field
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.data())
     def test_mistyped_number_is_exit_two(self, data):
         # an integer field takes only an int that is not a bool, and a float
         # field only a finite int or float within float range; anything else
-        # is a config error (exit 2) that names the entry
-        raw, kinds = data.draw(st.sampled_from(_TYPED_CONFIGS))
+        # is a config error (exit 2) that names the entry.  The paths are
+        # every int and float row of the config's tables, or a law's numbers
+        raw = _random_config(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+        sources = [(raw, dict(_number_paths(raw)))] * 3 + _TYPED_LAWS
+        raw, kinds = data.draw(st.sampled_from(sources))
         path = data.draw(st.sampled_from(sorted(kinds, key=str)))
         bad = data.draw(_mistyped(kinds[path]))
         raw = json.loads(json.dumps(raw))
@@ -245,10 +305,9 @@ class TestValidation:
         for key in path[:-1]:
             parent = parent[key]
         parent[path[-1]] = bad
-        name = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
         with pytest.raises(ConfigError) as info:
             validate_config(raw)
-        assert info.value.field == name
+        assert info.value.field == _path_name(path)
         with tempfile.TemporaryDirectory() as tmp:
             cfg_path = Path(tmp) / "cfg.json"
             cfg_path.write_text(json.dumps(raw))
@@ -256,6 +315,28 @@ class TestValidation:
                 code = cli.main([raw["experiment"], "--config", str(cfg_path),
                                  "--out", str(Path(tmp) / "out")])
         assert code == 2
+
+    def test_missing_required_field_is_named(self):
+        # dropping any required field of any table is a config error that
+        # names it; the generator's configs reach every table
+        seen = set()
+        for seed in range(100):
+            raw = _random_config(np.random.default_rng(seed))
+            for prefix, rows in _tables(raw):
+                seen.add(rows)
+                for row in rows:
+                    if row.default is not experiments._REQUIRED:
+                        continue
+                    bad = json.loads(json.dumps(raw))
+                    parent = bad
+                    for key in prefix:
+                        parent = parent[key]
+                    for key in (row.name, f"{row.name}_squared"):
+                        parent.pop(key, None)
+                    with pytest.raises(ConfigError, match="missing required field") as info:
+                        validate_config(bad)
+                    assert info.value.field == _path_name((*prefix, row.name))
+        assert seen == _all_tables()
 
     def test_law_errors_are_config_errors(self):
         with pytest.raises(ConfigError, match="law"):
@@ -363,16 +444,18 @@ class TestValidation:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.integers(0, 2**32 - 1))
     def test_validated_config_runs(self, seed):
-        # a config that validates runs to a record; what cannot run is a
-        # config error (exit 2) before anything runs
-        raw = _tiny_group_config(np.random.default_rng(seed))
+        # a config that validates runs to a record, in every family; what
+        # cannot run is a config error (exit 2) before anything runs
+        rng = np.random.default_rng(seed)
         try:
-            cfg, warnings = validate_config(raw)
+            runs = [validate_config(_tiny_group_config(rng))]
         except ConfigError:
-            return
-        with np.errstate(all="ignore"):
-            rec = run_experiment(cfg, warnings=warnings)
-        assert rec.rows
+            runs = []
+        runs.append(validate_config(_tiny(_random_config(rng))))
+        for cfg, warnings in runs:
+            with np.errstate(all="ignore"):
+                rec = run_experiment(cfg, warnings=warnings)
+            assert rec.rows
 
     @pytest.mark.parametrize("raw", [
         {"experiment": "walk-group", "seed": 1, "p": 3, "n_steps": 2, "law": TWO_POINT,
@@ -399,17 +482,44 @@ class TestValidation:
         ({"kind": "CLT4", "engine": "bessel", "mu": 4.0, "replicates": 160,
           "law": {"kind": "point_mass", "field": "complex", "atom": [[1.0, 0.0], [0.0, 1.0]]}},
          "replicates", {"replicates": 161}),
-    ], ids=["p-below-q", "clt3-mardia", "clt4-complex-mardia"])
+        ({"kind": "CLT2", "engine": "group", "p": 3, "replicates": 10,
+          "law": {"kind": "point_mass", "atom": [[0.1]]}}, "law", {"law": TWO_POINT}),
+        ({"kind": "CLT4", "engine": "bessel", "mu": 3.0, "replicates": 10,
+          "law": TWO_POINT | {"b": 1.0}}, "law", {"law": TWO_POINT}),
+    ], ids=["p-below-q", "clt3-mardia", "clt4-complex-mardia", "clt2-point-mass",
+            "clt4-equal-two-point"])
     def test_clt_check_refuses_what_cannot_run(self, raw, field, fix):
-        # a matrix walk needs p >= q, and the Mardia tests of a matrix
+        # a matrix walk needs p >= q, the Mardia tests of a matrix
         # statistic need more than 10 dim^2 replicates (dim 3 at q = 2 over
-        # R, 4 over C)
+        # R, 4 over C), and a q = 1 CLT2 or CLT4 a positive limit variance
         raw = {"experiment": "clt-check", "seed": 1, "n_steps": 3,
                "law": {"kind": "point_mass", "atom": [[1.0, 0.0], [0.0, 1.0]]}} | raw
         with pytest.raises(ConfigError) as info:
             validate_config(raw)
         assert info.value.field == field
         validate_config(raw | fix)
+
+    @pytest.mark.parametrize("kind", ["CLT2", "CLT4"])
+    def test_degenerate_scalar_law_refused(self, kind):
+        # the limit N(0, m4 - s2^2) needs |s|^2 not to take one value.  Over
+        # the atoms 0.10, 0.11, ..., 5.00 rounding leaves m4 - s2^2 within
+        # 3e-16 m4 of 0, and below 0 for 128 of them; at a relative variance
+        # of 1e-13 m4 or less the law is refused, above it the config runs
+        raw = {"experiment": "clt-check", "seed": 1, "kind": kind, "n_steps": 4,
+               "replicates": 10}
+        laws = [{"kind": "point_mass", "atom": [[float(a)]]} for a in np.arange(10, 501) / 100]
+        laws += [{"kind": "two_point", "a": a, "b": a, "p_a": 0.3, "field": field}
+                 for a in (0.1, 1.0, 3.7) for field in cl.FIELDS]
+        laws += [{"kind": "point_mass", "atom": [[0.0]]},
+                 {"kind": "two_point", "a": 1.0, "b": 1.0 + 1e-7, "p_a": 0.5}]  # 1e-14 m4
+        for law in laws:
+            for engine in ({"engine": "group", "p": 3}, {"engine": "bessel", "mu": 3.0}):
+                with pytest.raises(ConfigError, match="limit variance") as info:
+                    validate_config(raw | engine | {"law": law})
+                assert info.value.field == "law"
+        near = {"kind": "two_point", "a": 1.0, "b": 1.0 + 1e-6, "p_a": 0.5}  # 1e-12 m4
+        cfg, _ = validate_config(raw | {"p": 3, "law": near})
+        assert run_experiment(cfg).rows
 
     def test_regime_warning_clt2(self):
         raw = {
@@ -844,22 +954,35 @@ class TestCli:
         assert "config field 'name'" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
-    @pytest.mark.parametrize("raw", [
-        {"experiment": "clt-check", "seed": 1, "kind": "CLT4", "engine": "group", "p": 1,
-         "law": {"kind": "point_mass", "atom": [[1.0, 0.0], [0.0, 1.0]]}, "n_steps": 3,
-         "replicates": 1000},
-        {"experiment": "clt-check", "seed": 1, "kind": "CLT3", "engine": "group", "p": 4,
-         "law": {"kind": "point_mass", "atom": [[1.0, 0.0], [0.0, 1.0]]}, "n_steps": 3,
-         "replicates": 90},
-        [1, 2],
-    ], ids=["p-below-q", "too-few-for-mardia", "top-level-list"])
-    def test_unrunnable_config_exit_two(self, tmp_path, capsys, raw):
+    @pytest.mark.parametrize("raw, field", [
+        ({"experiment": "clt-check", "seed": 1, "kind": "CLT4", "engine": "group", "p": 1,
+          "law": {"kind": "point_mass", "atom": [[1.0, 0.0], [0.0, 1.0]]}, "n_steps": 3,
+          "replicates": 1000}, "p"),
+        ({"experiment": "clt-check", "seed": 1, "kind": "CLT3", "engine": "group", "p": 4,
+          "law": {"kind": "point_mass", "atom": [[1.0, 0.0], [0.0, 1.0]]}, "n_steps": 3,
+          "replicates": 90}, "replicates"),
+        ([1, 2], "<root>"),
+        ({"experiment": "moment-identity", "seed": 1, "law": TWO_POINT, "grid": [[2, 0]],
+          "replicates": 10}, "grid[0]"),
+        ({"experiment": "moment-identity", "seed": 1, "law": TWO_POINT,
+          "grid": [[2, 3], [0, 3]], "replicates": 10}, "grid[1]"),
+        ({"experiment": "axioms", "seed": 1, "checks": [
+            {"check": "mu-scaling", "mu": 40.0, "law": TWO_POINT, "n_steps": 4, "cap": 6.0,
+             "replicates": 10, "ratio_lo": 5.0}]}, "checks[0].ratio_lo"),
+        ({"experiment": "clt-check", "seed": 1, "kind": "CLT2", "engine": "group", "p": 3,
+          "n_steps": 4, "replicates": 10, "law": {"kind": "point_mass", "atom": [[0.1]]}},
+         "law"),
+    ], ids=["p-below-q", "too-few-for-mardia", "top-level-list", "grid-p-zero", "grid-n-zero",
+            "mu-scaling-ratio-bounds", "clt2-point-mass"])
+    def test_unrunnable_config_exit_two(self, tmp_path, capsys, raw, field):
         # refused before anything runs or is written
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
-        code = cli.main(["clt-check", "--config", str(path), "--out", str(tmp_path / "out")])
+        command = raw["experiment"] if isinstance(raw, dict) else "clt-check"
+        code = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and f"config field '{field}'" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_string_law_parameter_exit_two(self, tmp_path):

@@ -159,3 +159,80 @@ def test_json_dumps_refuse_nan():
              and not any(kw.arg == "allow_nan" and isinstance(kw.value, ast.Constant)
                          and kw.value.value is False for kw in node.keywords)]
     assert found == []
+
+
+def test_one_field_reader():
+    # configs are read through the field tables: no _req or _opt helper
+    # is left, and outside experiments._read a raw config is only handed
+    # to _read or listed by set() for the unknown-field check
+    found = [f"{path.relative_to(SRC)}:{node.lineno}"
+             for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, ast.Call) and _called_name(node) in ("_req", "_opt"))
+             or (isinstance(node, ast.FunctionDef) and node.name in ("_req", "_opt"))]
+    tree = ast.parse((SRC / "experiments.py").read_text())
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    reader = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_read")
+    in_reader = set(ast.walk(reader))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "raw" and node not in in_reader \
+                and isinstance(node.ctx, ast.Load):
+            call = parents[node]
+            if not (isinstance(call, ast.Call) and call.args[:1] == [node]
+                    and _called_name(call) in ("_read", "set")):
+                found.append(f"experiments.py:{node.lineno}")
+    assert found == []
+
+
+# the README's text of each default that is a function of other fields
+_DEPENDENT_DEFAULTS = {"name": "experiment", "checkpoints": "[n_steps]",
+                       "ks_threshold": "3/sqrt(replicates)", "law2": "law"}
+
+
+def _shown(row, experiments):
+    """A table row as the README's fields tables give it: its name, and in
+    parentheses its default if it has one."""
+    if row.default is experiments._REQUIRED:
+        return row.name
+    if callable(row.default):
+        default = _DEPENDENT_DEFAULTS[row.name]
+    elif row.default is None:
+        default = "null"
+    elif isinstance(row.default, str):
+        default = row.default
+    else:
+        default = f"{row.default:g}".replace("e-0", "e-")
+    return f"{row.name} ({default})"
+
+
+def _readme_table(header):
+    """{first cell: the backquoted list in the second} of the README table
+    whose first two header cells are header."""
+    lines = (SRC.parents[1] / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if [c.strip() for c in line.strip().strip("|").split("|")][:2] == header)
+    table = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        table[cells[0]] = re.fullmatch(r"`([^`]*)`", cells[1]).group(1).split(", ")
+    return table
+
+
+def test_readme_lists_every_field():
+    # README's fields tables give every field of every table, and its
+    # default, in the tables' order
+    from conewalk import experiments
+
+    common = experiments._COMMON
+    families = {"every family": [_shown(row, experiments) for row in common]}
+    for name, exp in experiments.EXPERIMENTS.items():
+        rows = [row for row in exp.fields if row not in common]
+        rows += [row for table in getattr(exp, "engine_fields", {}).values() for row in table]
+        families[name] = [_shown(row, experiments) for row in rows]
+    assert _readme_table(["experiment", "fields (default)"]) == families
+    checks = {name: [_shown(row, experiments) for row in check.fields]
+              for name, check in experiments._CHECKS.items()}
+    assert _readme_table(["check", "fields (default)"]) == checks
