@@ -35,7 +35,7 @@ from .bessel import (
     paired_composition_diffs,
     sample_contraction,
 )
-from .errors import ConeViolationError, ConfigError, DegenerateDataError
+from .errors import ConfigError, DegenerateDataError
 from .orbit_sampler import (
     METHODS,
     GroupWalkConfig,
@@ -45,13 +45,25 @@ from .orbit_sampler import (
     wishart_sample,
 )
 from .radial_laws import (
+    _FIELD,
+    _NONEMPTY,
+    _POSITIVE,
+    _REQUIRED,
     RadialLaw,
+    _at_least,
+    _dims,
+    _field,
+    _law_spec,
+    _List,
+    _matrix,
     _matrix_from_spec,
-    _typed,
+    _nested,
+    _one_of,
+    _read,
+    _Row,
+    _value,
     law_from_spec,
     moments,
-    normalize_law_spec,
-    normalize_matrix_spec,
 )
 
 DEFAULT_BLOCK_SIZE = 8192
@@ -99,10 +111,6 @@ def law_moments(law: RadialLaw):
     return moments(law)
 
 
-def _field(d: int) -> str:
-    return cl.REAL if d == 1 else cl.COMPLEX
-
-
 def _group_walk_end(law, p, n, method, rng, size):
     """A batch of group walks of n steps, recorded at step n only."""
     wcfg = GroupWalkConfig(p=p, q=law.q, field=law.field, n_steps=n, law=law,
@@ -124,75 +132,8 @@ def _support_totals(parts):
 # -- config tables -----------------------------------------------------------
 #
 # Each family, and each axioms check, declares its fields once as a table of
-# _Row(name, kind, default, condition, message), and _read reads any table.
+# _Row(name, kind, default, condition, message), read by radial_laws._read.
 # Rules that tie fields together stay as code in the family's validate.
-
-
-_REQUIRED = object()  # the default of a field that must be given
-
-
-class _Row(NamedTuple):
-    """One config field.  kind is int, float, str or list (read by _typed),
-    a _List, or a reader kind(name, value, cfg) of a structured value;
-    default is _REQUIRED, a value, or a function of the fields read before
-    it; a value that fails cond is a ConfigError saying msg."""
-
-    name: str
-    kind: object
-    default: object = _REQUIRED
-    cond: Callable | None = None
-    msg: str = ""
-
-
-class _List(NamedTuple):
-    """The kind of a list whose entries are read by kind and each held to
-    cond, an error naming its entry name[i]."""
-
-    kind: object
-    cond: Callable | None = None
-    msg: str = ""
-
-
-def _read(raw: dict, rows, **cfg) -> dict:
-    """cfg with the field of each row read from raw, in order.  A field
-    that is absent or null takes its default; a matrix may be given as its
-    square under name_squared."""
-    for name, kind, default, cond, msg in rows:
-        if kind is _matrix and f"{name}_squared" in raw:
-            name += "_squared"
-        if raw.get(name) is not None:
-            cfg[name] = _value(name, raw[name], kind, cond, msg, cfg)
-        elif default is _REQUIRED:
-            raise ConfigError(name, "missing required field")
-        else:
-            cfg[name] = default(cfg) if callable(default) else default
-    return cfg
-
-
-def _value(name: str, val, kind, cond, msg: str, cfg: dict):
-    """val read by kind and held to cond, else a ConfigError naming name."""
-    if isinstance(kind, _List):
-        val = [_value(f"{name}[{i}]", v, *kind, cfg)
-               for i, v in enumerate(_typed(name, val, list))]
-    elif isinstance(kind, type):
-        val = _typed(name, val, kind)
-    else:
-        val = kind(name, val, cfg)
-    if cond is not None and not cond(val):
-        raise ConfigError(name, msg)
-    return val
-
-
-def _at_least(k):
-    return (lambda v: v >= k), f"must be >= {k}"
-
-
-def _one_of(options):
-    return (lambda v: v in options), f"must be one of {options}"
-
-
-_POSITIVE = (lambda v: v > 0), "must be positive"
-_NONEMPTY = bool, "must be nonempty"
 
 
 def _count(name: str, k: int) -> _Row:
@@ -200,22 +141,9 @@ def _count(name: str, k: int) -> _Row:
     return _Row(name, int, _REQUIRED, *_at_least(k))
 
 
-def _dims(cfg: dict) -> tuple[int, str]:
-    """(q, field) of the fields read so far: their q with its field or d,
-    else their law's, else (1, real)."""
-    if "q" in cfg:
-        return cfg["q"], cfg["field"] if "field" in cfg else _field(cfg["d"])
-    if "law" in cfg:
-        return cfg["law"]["q"], cfg["law"]["field"]
-    return 1, cl.REAL
-
-
 def _law(name: str, val, cfg: dict) -> dict:
     """The canonical law spec; after a q, its dimensions must match."""
-    try:
-        spec = normalize_law_spec(val)
-    except ConfigError as exc:  # law_from_spec names its fields law.*
-        raise ConfigError(name + exc.field.removeprefix("law"), exc.message) from exc
+    spec = _law_spec(name, val)[0]
     q, field = _dims(cfg)
     if "q" in cfg and (spec["q"], spec["field"]) != (q, field):
         raise ConfigError(name, f"law dimensions must match q = {q}, field = {field}")
@@ -232,23 +160,6 @@ def _index(name: str, val, cfg: dict) -> float:
     except ValueError as exc:
         raise ConfigError(name, str(exc)) from exc
     return mu
-
-
-def _matrix(name: str, val, cfg: dict):
-    """The hermitized echo of a PSD q x q point matrix (its square under
-    name_squared)."""
-    q, field = _dims(cfg)
-    try:
-        spec = normalize_matrix_spec(val, field)
-        mat = _matrix_from_spec({name: spec}, name.removesuffix("_squared"), field)
-        cl.clamp_psd(mat)  # PSD validation only
-    except ValueError as exc:
-        raise ConfigError(name, str(exc)) from exc
-    except ConeViolationError as exc:
-        raise ConfigError(name, f"must be PSD: {exc}") from exc
-    if mat.shape != (q, q):
-        raise ConfigError(name, f"expected a {q}x{q} matrix")
-    return spec
 
 
 _COMMON = (
@@ -294,8 +205,7 @@ class WalkGroupExperiment:
     name = "walk-group"
     columns = ["step", "replicates", "mean_tr_sq", "se_mean", "expected_tr_sq",
                "abs_diff", "diff_over_se", "pass"]
-    fields = _COMMON + (_count("p", 1), _Q, _Row("field", str, cl.REAL, *_one_of(cl.FIELDS)),
-                        _METHOD) + _WALK
+    fields = _COMMON + (_count("p", 1), _Q, _FIELD, _METHOD) + _WALK
 
     @staticmethod
     def validate(raw):
@@ -557,6 +467,17 @@ class CltCheckExperiment:
                 raise ConfigError("replicates", "the Mardia tests need more than "
                                   f"10 dim^2 = {10 * dim * dim} replicates")
         n = cfg["n_steps"]
+        if cfg["kind"] in ("CLT1", "CLT3") and law.q == 1:
+            # CLT1 divides by n s2, and CLT3 is held to N(0, 2 s2^2)
+            s2 = np.float64(law_moments(law).m2)
+            with np.errstate(all="ignore"):
+                if cfg["kind"] == "CLT1":
+                    value, what = 1.0 / (n * s2), "scale 1/(n s2)"
+                else:
+                    value, what = 2.0 * s2 * s2, "limit variance 2 s2^2"
+            if not 0.0 < value < math.inf:
+                raise ConfigError("law", f"{cfg['kind']}'s {what} = {value:.3g} is not a "
+                                  "positive finite number")
         if cfg["kind"] == "CLT1":
             if n / index**3 < 1.0:
                 warnings.append(f"regime: n/p^3 = {n / index**3:.3g} is small; "
@@ -802,8 +723,8 @@ class MomentIdentityExperiment:
 
 
 class _Check(NamedTuple):
-    """One axioms check.  fields is its table; rules(spec), if any, checks
-    the canonical spec's cross-field rules; run(spec, size, stream) gives
+    """One axioms check.  fields is its table; rules(spec) checks the
+    canonical spec's cross-field rules; run(spec, size, stream) gives
     a block partial, where stream(role) is the block's random stream for
     that role; reduce(spec, parts) gives the row's (statistic, reference,
     se, diff_over_se, threshold) and the check's fields, "pass" among
@@ -812,7 +733,7 @@ class _Check(NamedTuple):
     fields: tuple
     run: Callable
     reduce: Callable
-    rules: Callable | None = None
+    rules: Callable = lambda spec: None
 
 
 def _param(spec):
@@ -1010,20 +931,9 @@ _CHECK = _Row("check", str, _REQUIRED, *_one_of(tuple(_CHECKS)))
 
 
 def _check_spec(name: str, val, cfg: dict) -> dict:
-    """An axioms check: its name, then its check's table and rules, with
-    no field left over; errors name their field under name."""
-    raw = _typed(name, val, dict)
-    try:
-        kind = _read(raw, (_CHECK,))["check"]
-        spec = _read(raw, _CHECKS[kind].fields, check=kind)
-        if _CHECKS[kind].rules is not None:
-            _CHECKS[kind].rules(spec)
-        unknown = sorted(set(raw) - set(spec))
-        if unknown:
-            raise ConfigError(unknown[0], "unknown field")
-    except ConfigError as exc:
-        raise ConfigError(f"{name}.{exc.field}", exc.message) from exc
-    return spec
+    """An axioms check: its name, then its check's table and rules."""
+    return _nested(name, val, _CHECK, {kind: check.fields for kind, check in _CHECKS.items()},
+                   lambda spec: _CHECKS[spec["check"]].rules(spec))[0]
 
 
 class AxiomsExperiment:

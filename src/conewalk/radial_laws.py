@@ -14,25 +14,14 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import cone_linalg as cl
 from .errors import ConeViolationError, ConfigError
 
-# the parameters of each kind besides "kind", "q" and "field"; a matrix
-# law's payload comes first, plain or squared under "<key>_squared"
-_PARAMS = {
-    "point_mass": ("atom", "atom_squared"),
-    "finite_mixture": ("atoms", "atoms_squared", "weights"),
-    "two_point": ("a", "b", "p_a"),
-    "log_normal": ("log_mean", "log_sd"),
-    "uniform": ("lo", "hi"),
-    "wishart_root": ("scale", "scale_squared", "dof"),
-}
-KINDS = tuple(_PARAMS)
 _SCALAR_KINDS = ("two_point", "log_normal", "uniform")
-_NUMBER_KEYS = ("a", "b", "p_a", "log_mean", "log_sd", "lo", "hi")
 
 # trapezoid nodes y = log u over [-40, 40] for the half-integer Wishart moments
 _HALF_STEP = 1.0 / 16.0
@@ -96,7 +85,7 @@ class RadialLaw:
 
     @classmethod
     def point_mass(cls, atom, field: str = cl.REAL) -> "RadialLaw":
-        atom = _as_psd_atom(atom, field)
+        atom = cl.clamp_psd(_to_matrix(atom, field))
         return cls(kind="point_mass", q=atom.shape[-1], field=field, atom=atom)
 
     @classmethod
@@ -136,7 +125,7 @@ class RadialLaw:
 
     @classmethod
     def wishart_root(cls, scale, dof: int, field: str = cl.REAL) -> "RadialLaw":
-        scale = _as_psd_atom(scale, field)
+        scale = cl.clamp_psd(_to_matrix(scale, field))
         q = scale.shape[-1]
         if dof < q:
             raise ValueError("wishart_root requires dof >= q")
@@ -188,83 +177,17 @@ class RadialLaw:
 
 
 def law_from_spec(spec: dict) -> RadialLaw:
-    """Build a law from its JSON description (the harness law sub-schema).
-
-    Matrix-valued entries accept either "atom"/"atoms"/"scale" (the matrix
-    itself) or the squared variants "atom_squared"/"atoms_squared" (the PSD
-    square root is taken at parse time).  Scalars are accepted for q = 1.
-    """
-    if not isinstance(spec, dict):
-        raise ConfigError("law", "law spec must be an object")
-    kind = spec.get("kind")
-    if kind not in KINDS:
-        raise ConfigError("law.kind", f"unknown law kind {kind!r}; expected one of {KINDS}")
-    _check_params(spec, kind)
-    field = spec.get("field", cl.REAL)
-    try:
-        if kind == "point_mass":
-            atom = _matrix_from_spec(spec, "atom", field)
-            return RadialLaw.point_mass(atom, field=field)
-        if kind == "finite_mixture":
-            if "atoms_squared" in spec:
-                atoms = cl.psd_sqrt(np.stack([_to_matrix(s, field)
-                                              for s in spec["atoms_squared"]]))
-            elif "atoms" in spec:
-                atoms = [_to_matrix(s, field) for s in spec["atoms"]]
-            else:
-                raise ConfigError("law.atoms", "finite_mixture needs 'atoms' or 'atoms_squared'")
-            return RadialLaw.finite_mixture(atoms, spec["weights"], field=field)
-        if kind == "two_point":
-            return RadialLaw.two_point(spec["a"], spec["b"], spec["p_a"], field=field)
-        if kind == "log_normal":
-            return RadialLaw.log_normal(spec["log_mean"], spec["log_sd"], field=field)
-        if kind == "uniform":
-            return RadialLaw.uniform(spec["lo"], spec["hi"], field=field)
-        if kind == "wishart_root":
-            scale = _matrix_from_spec(spec, "scale", field)
-            return RadialLaw.wishart_root(scale, spec["dof"], field=field)
-    except KeyError as exc:
-        raise ConfigError(f"law.{exc.args[0]}", "missing required law parameter") from exc
-    except ValueError as exc:
-        raise ConfigError("law", str(exc)) from exc
-    except ConeViolationError as exc:
-        raise ConfigError(f"law.{_matrix_key(spec)}", f"must be PSD: {exc}") from exc
-    raise ConfigError("law.kind", f"unhandled law kind {kind!r}")
-
-
-def normalize_matrix_spec(value, field: str):
-    """Validated, hermitized echo of a matrix config entry.
-
-    Idempotent (hermitizing a hermitian matrix is exact), so canonical
-    configs containing matrices round-trip byte-identically.
-    """
-    return _matrix_to_json(_to_matrix(value, field), field)
+    """The law of a JSON law spec (the harness law sub-schema), read as
+    normalize_law_spec reads it."""
+    return _law_spec("law", spec)[1]
 
 
 def normalize_law_spec(spec: dict) -> dict:
-    """Canonical JSON form of a law spec: validated, defaults filled,
-    matrix payloads hermitized but never reconstructed through an
-    eigenbasis (so canonicalization is idempotent)."""
-    law = law_from_spec(spec)  # full validation
-    kind = spec["kind"]
-    field = spec.get("field", cl.REAL)
-    out = {"kind": kind, "q": law.q, "field": field}
-    if spec.get("q", law.q) != law.q:
-        raise ConfigError("law.q", f"declared q={spec['q']} but payload implies q={law.q}")
-    for key in _PARAMS[kind]:
-        if key not in spec:
-            continue
-        if key == "weights":
-            out[key] = [float(w) for w in spec[key]]
-        elif key in _NUMBER_KEYS:
-            out[key] = float(spec[key])
-        elif key == "dof":
-            out[key] = spec[key]
-        elif kind == "finite_mixture":
-            out[key] = [normalize_matrix_spec(s, field) for s in spec[key]]
-        else:
-            out[key] = normalize_matrix_spec(spec[key], field)
-    return out
+    """Canonical JSON form of a law spec, read by its kind's table in
+    _LAWS: validated, defaults filled, matrix payloads hermitized but
+    never reconstructed through an eigenbasis (so canonicalization is
+    idempotent).  A refusal is a ConfigError naming law or law.<field>."""
+    return _law_spec("law", spec)[0]
 
 
 def moments(law: RadialLaw) -> MomentData:
@@ -288,52 +211,6 @@ def moments(law: RadialLaw) -> MomentData:
 # -- helpers ---------------------------------------------------------------
 
 
-def _check_params(spec: dict, kind: str) -> None:
-    """Refuse a key the kind does not take, a field outside FIELDS, a q or
-    dof that is not an integer and a number or weight that is not finite."""
-    for key, val in spec.items():
-        name = f"law.{key}"
-        if key not in ("kind", "q", "field", *_PARAMS[kind]):
-            raise ConfigError(name, "unknown field")
-        if f"{key}_squared" in spec:
-            raise ConfigError(name, f"give {key} or {key}_squared, not both")
-        if key == "field" and val not in cl.FIELDS:
-            raise ConfigError(name, f"expected one of {cl.FIELDS}, got {val!r}")
-        if key in ("q", "dof"):
-            _typed(name, val, int)
-        elif key == "weights":
-            for i, w in enumerate(_typed(name, val, list)):
-                _typed(f"{name}[{i}]", w, float)
-        elif key in _NUMBER_KEYS:
-            _typed(name, val, float)
-
-
-def _is_finite_number(x) -> bool:
-    # NaN compares false, and an int too large for a float compares exactly
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
-
-
-def _typed(field: str, val, kind):
-    """val read as kind, else ConfigError naming field: a float is a finite
-    int or float within float range, and an int is such an int that is not
-    a bool."""
-    if kind is int and isinstance(val, int) and _is_finite_number(val):
-        return val
-    if kind is float and _is_finite_number(val):
-        return float(val)
-    if kind in (int, float):
-        name = "an integer" if kind is int else "a finite number"
-        raise ConfigError(field, f"expected {name}, got {val!r}")
-    if not isinstance(val, kind):
-        raise ConfigError(field, f"expected {kind.__name__}, got {type(val).__name__}")
-    return val
-
-
-def _as_psd_atom(s, field: str) -> np.ndarray:
-    mat = _to_matrix(s, field)
-    return cl.clamp_psd(mat)
-
-
 def _to_matrix(s, field: str) -> np.ndarray:
     arr = np.asarray(s)
     if np.iscomplexobj(arr):
@@ -354,22 +231,10 @@ def _to_matrix(s, field: str) -> np.ndarray:
     return cl.herm_part(arr)
 
 
-def _matrix_key(spec: dict) -> str:
-    """The key a matrix law's payload came under: the plain or the squared one."""
-    key = _PARAMS[spec["kind"]][0]
-    return f"{key}_squared" if f"{key}_squared" in spec else key
-
-
 def _matrix_from_spec(spec: dict, key: str, field: str) -> np.ndarray:
     if f"{key}_squared" in spec:
         return cl.psd_sqrt(_to_matrix(spec[f"{key}_squared"], field))
     return _to_matrix(spec[key], field)
-
-
-def _matrix_to_json(mat: np.ndarray, field: str):
-    if field == cl.REAL:
-        return [[float(x) for x in row] for row in np.asarray(mat).real]
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(mat)]
 
 
 def _std_entries(rng: np.random.Generator, shape, field: str) -> np.ndarray:
@@ -444,3 +309,223 @@ def _half_moments(theta: np.ndarray, k: float, mean: float) -> tuple[float, floa
     s2 = k * (w * w).sum(axis=1)
     weight = np.exp(y - k * np.log1p(tu).sum(axis=1)) * (2.0 / np.sqrt(np.pi) * _HALF_STEP)
     return float(weight @ s1), float(weight @ (s1 * s1 + s2))
+
+
+# -- config reader -----------------------------------------------------------
+#
+# Every config field is declared once, as a _Row(name, kind, default,
+# condition, message) of a table, and _read reads any table: each family's
+# and each axioms check's in experiments.py, and each law kind's in _LAWS,
+# matrix entries included.  Rules that tie fields together stay as code.
+
+
+_REQUIRED = object()  # the default of a field that must be given
+
+
+def _is_finite_number(x) -> bool:
+    # NaN compares false, and an int too large for a float compares exactly
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
+def _typed(field: str, val, kind):
+    """val read as kind, else ConfigError naming field: a float is a finite
+    int or float within float range, and an int is such an int that is not
+    a bool."""
+    if kind is int and isinstance(val, int) and _is_finite_number(val):
+        return val
+    if kind is float and _is_finite_number(val):
+        return float(val)
+    if kind in (int, float):
+        name = "an integer" if kind is int else "a finite number"
+        raise ConfigError(field, f"expected {name}, got {val!r}")
+    if not isinstance(val, kind):
+        raise ConfigError(field, f"expected {kind.__name__}, got {type(val).__name__}")
+    return val
+
+
+class _Row(NamedTuple):
+    """One config field.  kind is int, float, str, list or dict (read by
+    _typed), a _List, or a reader kind(name, value, cfg) of a structured
+    value; default is _REQUIRED, a value, or a function of the fields read
+    before it; a value that fails cond is a ConfigError saying msg."""
+
+    name: str
+    kind: object
+    default: object = _REQUIRED
+    cond: Callable | None = None
+    msg: str = ""
+
+
+class _List(NamedTuple):
+    """The kind of a list whose entries are read by kind and each held to
+    cond, an error naming its entry name[i]."""
+
+    kind: object
+    cond: Callable | None = None
+    msg: str = ""
+
+
+def _read(raw: dict, rows, **cfg) -> dict:
+    """cfg with the field of each row read from raw, in order.  A field
+    that is absent or null takes its default; a matrix, or a list of
+    them, may be given as its square under name_squared, but not both."""
+    for name, kind, default, cond, msg in rows:
+        if _matrix in (kind, getattr(kind, "kind", None)) \
+                and raw.get(f"{name}_squared") is not None:
+            if raw.get(name) is not None:
+                raise ConfigError(name, f"give {name} or {name}_squared, not both")
+            name += "_squared"
+        if raw.get(name) is not None:
+            cfg[name] = _value(name, raw[name], kind, cond, msg, cfg)
+        elif default is _REQUIRED:
+            raise ConfigError(name, "missing required field")
+        else:
+            cfg[name] = default(cfg) if callable(default) else default
+    return cfg
+
+
+def _value(name: str, val, kind, cond, msg: str, cfg: dict):
+    """val read by kind and held to cond, else a ConfigError naming name."""
+    if isinstance(kind, _List):
+        val = [_value(f"{name}[{i}]", v, *kind, cfg)
+               for i, v in enumerate(_typed(name, val, list))]
+    elif isinstance(kind, type):
+        val = _typed(name, val, kind)
+    else:
+        val = kind(name, val, cfg)
+    if cond is not None and not cond(val):
+        raise ConfigError(name, msg)
+    return val
+
+
+def _nested(name: str, val, selector: _Row, tables: dict, rules: Callable) -> tuple:
+    """(spec, rules(spec)) of the object val: spec is its selector field,
+    then the fields of the table that the selector's value names in
+    tables, with no field left over; rules holds spec to its cross-field
+    rules.  Errors name their field under name, as name.field; a
+    ValueError of rules that is not a ConfigError names name itself."""
+    raw = _typed(name, val, dict)
+    try:
+        spec = _read(raw, (selector,))
+        spec = _read(raw, tables[spec[selector.name]], **spec)
+        unknown = sorted(set(raw) - set(spec))
+        if unknown:
+            raise ConfigError(unknown[0], "unknown field")
+        checked = rules(spec)
+    except ConfigError as exc:
+        raise ConfigError(f"{name}.{exc.field}", exc.message) from exc
+    except ValueError as exc:  # a RadialLaw constructor's range check
+        raise ConfigError(name, str(exc)) from exc
+    return spec, checked
+
+
+def _at_least(k):
+    return (lambda v: v >= k), f"must be >= {k}"
+
+
+def _one_of(options):
+    return (lambda v: v in options), f"must be one of {options}"
+
+
+_POSITIVE = (lambda v: v > 0), "must be positive"
+_NONEMPTY = bool, "must be nonempty"
+
+
+def _field(d: int) -> str:
+    return cl.REAL if d == 1 else cl.COMPLEX
+
+
+def _dims(cfg: dict) -> tuple[int, str]:
+    """(q, field) of the fields read so far: their q with its field or d,
+    else their law's, else 1 with their field (a law's) or real."""
+    if "q" in cfg:
+        return cfg["q"], cfg["field"] if "field" in cfg else _field(cfg["d"])
+    if "law" in cfg:
+        return cfg["law"]["q"], cfg["law"]["field"]
+    return 1, cfg.get("field", cl.REAL)
+
+
+def _matrix(name: str, val, cfg: dict) -> list:
+    """The JSON echo of the hermitian part of a PSD matrix over the field
+    of the fields read so far: a list of rows of finite numbers, over C of
+    numbers or of [re, im] pairs, or at q = 1 the one number alone; after
+    a q it is q x q.  Read under name_squared it is the square of a PSD
+    matrix, and its root is taken to check it."""
+    q, field = _dims(cfg)
+    rows = (_value(name, val, _List(_List(_entry)), None, "", cfg) if isinstance(val, list)
+            else [[_typed(name, val, float)]])
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise ConfigError(name, "expected a square matrix")
+    if "q" in cfg and len(rows) != q:
+        raise ConfigError(name, f"expected a {q}x{q} matrix")
+    if len({isinstance(x, list) for row in rows for x in row}) > 1:
+        raise ConfigError(name, "entries must be all numbers or all [re, im] pairs")
+    mat = _to_matrix(rows, field)
+    if not np.all(np.isfinite(mat)):
+        raise ConfigError(name, "entries too large: the hermitian part overflows")
+    squared = name.split("[")[0].endswith("_squared")
+    try:
+        (cl.psd_sqrt if squared else cl.clamp_psd)(mat)
+    except ConeViolationError as exc:
+        raise ConfigError(name, f"must be PSD: {exc}") from exc
+    return (mat.real if field == cl.REAL else np.stack([mat.real, mat.imag], -1)).tolist()
+
+
+def _entry(name: str, val, cfg: dict):
+    """A matrix entry: a finite number, or over C an [re, im] pair."""
+    if isinstance(val, list) and _dims(cfg)[1] == cl.COMPLEX:
+        return _value(name, val, _List(float), lambda v: len(v) == 2,
+                      "must be an [re, im] pair", cfg)
+    return _typed(name, val, float)
+
+
+def _payload_q(cfg: dict) -> int:
+    """The size of the payload of a law read so far, its first field after
+    kind and field: a square matrix or a list of them, so the length of
+    its first entry is the size either way; 1 at a scalar law."""
+    payload = list(cfg.values())[2]
+    return len(payload[0]) if isinstance(payload, list) else 1
+
+
+_FIELD = _Row("field", str, cl.REAL, *_one_of(cl.FIELDS))
+# each law kind's fields, between kind and field and a last q that defaults
+# to the size of the payload (_build holds a declared q to it); a matrix
+# payload may be given squared
+_LAWS = {kind: (_FIELD, *rows, _Row("q", int, _payload_q)) for kind, rows in {
+    "point_mass": (_Row("atom", _matrix),),
+    "finite_mixture": (_Row("atoms", _List(_matrix), _REQUIRED,
+                            lambda atoms: len({len(a) for a in atoms}) == 1,
+                            "must be a nonempty list of matrices of one size"),
+                       _Row("weights", _List(float))),
+    "two_point": (_Row("a", float), _Row("b", float), _Row("p_a", float)),
+    "log_normal": (_Row("log_mean", float), _Row("log_sd", float)),
+    "uniform": (_Row("lo", float), _Row("hi", float)),
+    "wishart_root": (_Row("scale", _matrix), _Row("dof", int)),
+}.items()}
+KINDS = tuple(_LAWS)
+_KIND = _Row("kind", str, _REQUIRED, lambda v: v in KINDS,
+             f"unknown law kind: must be one of {KINDS}")
+
+
+def _law_spec(name: str, val) -> tuple[dict, RadialLaw]:
+    """The canonical law spec val, read by its kind's table, and its law,
+    built to hold the spec to the RadialLaw constructors' range checks."""
+    return _nested(name, val, _KIND, _LAWS, _build)
+
+
+def _build(spec: dict) -> RadialLaw:
+    """The law of a spec read by its kind's table: each parameter passed by
+    name, and a payload given squared as its PSD root (a list of atoms as
+    one stack).  A declared q must be the payload's size."""
+    field, args = spec["field"], {}
+    for key, val in spec.items():
+        if key == "atoms_squared":
+            args["atoms"] = cl.psd_sqrt(np.stack([_to_matrix(s, field) for s in val]))
+        elif key.endswith("_squared"):
+            args[key.removesuffix("_squared")] = cl.psd_sqrt(_to_matrix(val, field))
+        elif key not in ("kind", "field", "q"):
+            args[key] = val
+    law = getattr(RadialLaw, spec["kind"])(**args, field=field)
+    if law.q != spec["q"]:
+        raise ConfigError("q", f"declared q={spec['q']} but payload implies q={law.q}")
+    return law

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conewalk import cone_linalg as cl
-from conewalk import cli, experiments, harness
+from conewalk import cli, experiments, harness, radial_laws
 from conewalk.errors import ConfigError
 from conewalk.experiments import EXPERIMENTS
 from conewalk.harness import (
@@ -56,10 +56,35 @@ def _matrix_json(rng, q, field):
     return m.tolist() if field == cl.REAL else np.stack([m.real, m.imag], -1).tolist()
 
 
+def _law_json(rng, q, field):
+    """A valid law spec at q over the field: of any kind at q = 1, of a
+    matrix kind above it, with its matrix payload under its plain or its
+    squared key."""
+    def key(name):
+        return name + ("_squared" if rng.random() < 0.5 else "")
+
+    kinds = ["point_mass", "finite_mixture", "wishart_root"]
+    kind = str(rng.choice(kinds + ["two_point", "log_normal", "uniform"] if q == 1 else kinds))
+    law = {"kind": kind, "field": field}
+    if kind == "point_mass":
+        return law | {key("atom"): _matrix_json(rng, q, field)}
+    if kind == "finite_mixture":
+        return law | {key("atoms"): [_matrix_json(rng, q, field) for _ in range(2)],
+                      "weights": [0.25, 0.75]}
+    if kind == "wishart_root":
+        return law | {key("scale"): _matrix_json(rng, q, field), "dof": q + int(rng.integers(3))}
+    if kind == "two_point":
+        return law | {"a": float(rng.uniform(0, 2)), "b": 2, "p_a": float(rng.random())}
+    if kind == "log_normal":
+        return law | {"log_mean": float(rng.normal()), "log_sd": float(rng.uniform(0.1, 1))}
+    return law | {"lo": float(rng.uniform(0, 1)), "hi": 2}
+
+
 def _random_config(rng):
     """A valid raw config of a random family, with floats, integers given
-    for floats, and matrices in either their plain or their squared key.
-    An axioms config runs each of the eight checks once."""
+    for floats, matrices in either their plain or their squared key, and
+    laws of every kind.  An axioms config runs each of the eight checks
+    once."""
     q, d = int(rng.integers(1, 4)), int(rng.integers(1, 3))
     field = cl.REAL if d == 1 else cl.COMPLEX
     rho = d * (q - 0.5) + 1
@@ -68,11 +93,9 @@ def _random_config(rng):
     def matrix(key):
         return {key + ("_squared" if rng.random() < 0.5 else ""): _matrix_json(rng, q, field)}
 
-    law = {"kind": "point_mass", "field": field, **matrix("atom")}
+    law = _law_json(rng, q, field)
     scalar_law = {"kind": "two_point", "field": field, "a": float(rng.uniform(0, 2)), "b": 2,
                   "p_a": float(rng.random())}
-    if q == 1 and rng.random() < 0.5:
-        law = scalar_law
     n_steps = int(rng.integers(1, 20))
     walk = {"n_steps": n_steps, "law": law, "replicates": int(rng.integers(1, 10**4)),
             "checkpoints": sorted({int(c) for c in rng.integers(1, n_steps + 1, 3)})}
@@ -181,35 +204,57 @@ def _tiny(raw):
     return raw
 
 
+def _at(raw, path):
+    """The value at path in the config raw."""
+    for key in path:
+        raw = raw[key]
+    return raw
+
+
 def _tables(raw):
     """(path prefix, rows) of each field table that validating the valid
-    config raw reads."""
+    config raw reads, each law's table after the table that reads it."""
     exp = EXPERIMENTS[raw["experiment"]]
-    yield (), exp.fields
+    tables = [((), exp.fields)]
     if raw["experiment"] == "clt-check":
-        yield (), exp.engine_fields[raw.get("engine", "group")]
+        tables.append(((), exp.engine_fields[raw.get("engine", "group")]))
     if raw["experiment"] == "axioms":
-        for i, spec in enumerate(raw["checks"]):
-            yield ("checks", i), (experiments._CHECK, *experiments._CHECKS[spec["check"]].fields)
+        tables += [(("checks", i), (experiments._CHECK, *experiments._CHECKS[spec["check"]].fields))
+                   for i, spec in enumerate(raw["checks"])]
+    for prefix, rows in tables:
+        yield prefix, rows
+        for row in rows:
+            law = _at(raw, prefix).get(row.name)
+            if row.kind is experiments._law and law is not None:
+                yield (*prefix, row.name), (radial_laws._KIND, *radial_laws._LAWS[law["kind"]])
 
 
 def _all_tables():
-    """Every field table: each family's, clt-check's engine tables and
-    each axioms check's, after its check name."""
+    """Every field table: each family's, clt-check's engine tables, each
+    axioms check's after its check name and each law kind's after kind."""
     return ({exp.fields for exp in EXPERIMENTS.values()}
             | set(EXPERIMENTS["clt-check"].engine_fields.values())
-            | {(experiments._CHECK, *check.fields) for check in experiments._CHECKS.values()})
+            | {(experiments._CHECK, *check.fields) for check in experiments._CHECKS.values()}
+            | {(radial_laws._KIND, *rows) for rows in radial_laws._LAWS.values()})
 
 
 def _number_paths(raw):
     """The path to each integer and float that the tables read from the
     valid config raw, with the kind it takes; a list's path is to its
-    first entry."""
+    first entry, and a matrix's to its first number, in its plain or its
+    squared key."""
     for prefix, rows in _tables(raw):
         for row in rows:
-            path, kind = (*prefix, row.name), row.kind
-            while isinstance(kind, experiments._List):
+            name = row.name
+            if f"{name}_squared" in _at(raw, prefix):
+                name += "_squared"
+            path, kind = (*prefix, name), row.kind
+            while isinstance(kind, radial_laws._List):
                 path, kind = (*path, 0), kind.kind
+            if kind is radial_laws._matrix:
+                path, kind = (*path, 0, 0), float
+                if isinstance(_at(raw, path), list):  # an [re, im] pair
+                    path = (*path, 0)
             kind = float if kind is experiments._index else kind
             if kind in (int, float):
                 yield path, kind
@@ -220,17 +265,16 @@ def _path_name(path):
     return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
 
 
-# law specs, read by the same reader as every other number: valid configs,
-# and the path to each number in their laws with the kind it takes
-_TYPED_LAWS = [
-    ({"experiment": "axioms", "seed": 1, "checks": [
-        {"check": "m2-additivity", "mu": 3.0, "n_steps": 2, "replicates": 10, "law": law}
-        for law in (TWO_POINT, {"kind": "wishart_root", "scale": [[1.0]], "dof": 2},
-                    {"kind": "finite_mixture", "atoms": [[[1.0]], [[2.0]]],
-                     "weights": [0.5, 0.5]})]},
-     {("checks", 0, "law", "a"): float, ("checks", 0, "law", "p_a"): float,
-      ("checks", 1, "law", "dof"): int, ("checks", 2, "law", "weights", 1): float}),
-]
+def _assert_exit_two(tmp_path, capsys, raw, field):
+    """The CLI refuses the config raw with exit 2, naming field, and
+    writes nothing."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    code = cli.main([raw["experiment"], "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"config field '{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _mistyped(kind):
@@ -294,17 +338,14 @@ class TestValidation:
         # an integer field takes only an int that is not a bool, and a float
         # field only a finite int or float within float range; anything else
         # is a config error (exit 2) that names the entry.  The paths are
-        # every int and float row of the config's tables, or a law's numbers
+        # every int and float row of the config's tables, its laws' tables
+        # included, and the first entry of each matrix
         raw = _random_config(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
-        sources = [(raw, dict(_number_paths(raw)))] * 3 + _TYPED_LAWS
-        raw, kinds = data.draw(st.sampled_from(sources))
+        kinds = dict(_number_paths(raw))
         path = data.draw(st.sampled_from(sorted(kinds, key=str)))
         bad = data.draw(_mistyped(kinds[path]))
         raw = json.loads(json.dumps(raw))
-        parent = raw
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = bad
+        _at(raw, path[:-1])[path[-1]] = bad
         with pytest.raises(ConfigError) as info:
             validate_config(raw)
         assert info.value.field == _path_name(path)
@@ -318,21 +359,19 @@ class TestValidation:
 
     def test_missing_required_field_is_named(self):
         # dropping any required field of any table is a config error that
-        # names it; the generator's configs reach every table
+        # names it; the generator's configs reach every table, each law
+        # kind's among them
         seen = set()
         for seed in range(100):
             raw = _random_config(np.random.default_rng(seed))
             for prefix, rows in _tables(raw):
                 seen.add(rows)
                 for row in rows:
-                    if row.default is not experiments._REQUIRED:
+                    if row.default is not radial_laws._REQUIRED:
                         continue
                     bad = json.loads(json.dumps(raw))
-                    parent = bad
-                    for key in prefix:
-                        parent = parent[key]
                     for key in (row.name, f"{row.name}_squared"):
-                        parent.pop(key, None)
+                        _at(bad, prefix).pop(key, None)
                     with pytest.raises(ConfigError, match="missing required field") as info:
                         validate_config(bad)
                     assert info.value.field == _path_name((*prefix, row.name))
@@ -366,14 +405,45 @@ class TestValidation:
          "law.weights[0]"),
         (TWO_POINT | {"q": 1.0}, "law.q"),
         (TWO_POINT | {"field": "quaternion"}, "law.field"),
-        ({"kind": "point_mass", "atom": [[math.nan]]}, "law"),
+        ({"kind": "point_mass", "atom": [[math.nan]]}, "law.atom[0][0]"),
         ({"kind": "point_mass", "atom": [[1.0]], "atom_squared": [[1.0]]}, "law.atom"),
+        ({"kind": "finite_mixture", "atoms": None, "weights": [1.0]}, "law.atoms"),
+        ({"kind": "finite_mixture", "atoms": 2.5, "weights": [1.0]}, "law.atoms"),
+        ({"kind": "finite_mixture", "atoms": True, "weights": [1.0]}, "law.atoms"),
+        ({"kind": "finite_mixture", "weights": [1.0]}, "law.atoms"),
+        ({"kind": "point_mass", "atom": {}}, "law.atom"),
+        ({"kind": "point_mass", "atom": [[10**400]]}, "law.atom[0][0]"),
+        ({"kind": "point_mass", "atom": [["1"]]}, "law.atom[0][0]"),
+        ({"kind": "point_mass", "atom": [[True]]}, "law.atom[0][0]"),
     ], ids=["unknown-key", "fractional-dof", "string", "nan", "infinity", "huge-int", "bool",
-            "string-weight", "float-q", "field", "nan-matrix", "plain-and-squared"])
-    def test_bad_law_parameter(self, law, field):
+            "string-weight", "float-q", "field", "nan-matrix", "plain-and-squared",
+            "null-atoms", "number-atoms", "bool-atoms", "no-atoms", "object-matrix",
+            "huge-entry", "string-entry", "bool-entry"])
+    def test_bad_law_parameter(self, tmp_path, capsys, law, field):
+        # a config error (exit 2) that names the law's field, never a
+        # traceback or a silently accepted value
         with pytest.raises(ConfigError) as info:
             validate_config(tiny_walk_config(law=law))
         assert info.value.field == field
+        _assert_exit_two(tmp_path, capsys, tiny_walk_config(law=law), field)
+
+    @pytest.mark.parametrize("points, field, message", [
+        ({"r": {}}, "r", "expected a finite number"),
+        ({"r": [[10**400]]}, "r[0][0]", "expected a finite number"),
+        ({"r_squared": [["1"]]}, "r_squared[0][0]", "expected a finite number"),
+        ({"r": [[True]]}, "r[0][0]", "expected a finite number"),
+        ({"r": [[1.0, 0.0]]}, "r", "expected a square matrix"),
+        ({"r": [[1.0]], "r_squared": [[1.0]]}, "r", "give r or r_squared, not both"),
+    ], ids=["object-matrix", "huge-entry", "string-entry", "bool-entry", "not-square",
+            "plain-and-squared"])
+    def test_bad_family_matrix(self, tmp_path, capsys, points, field, message):
+        # a family's matrix is read as a law's is, by the same reader
+        raw = {"experiment": "convolve", "seed": 1, "q": 1, "d": 1, "mu": 3.0,
+               "replicates": 10, "s": [[1.0]], **points}
+        with pytest.raises(ConfigError, match=re.escape(message)) as info:
+            validate_config(raw)
+        assert info.value.field == field
+        _assert_exit_two(tmp_path, capsys, raw, field)
 
     def test_law_error_names_its_key(self):
         spec = {"check": "m1-subadditivity", "mu": 3.0, "replicates": 10,
@@ -486,12 +556,21 @@ class TestValidation:
           "law": {"kind": "point_mass", "atom": [[0.1]]}}, "law", {"law": TWO_POINT}),
         ({"kind": "CLT4", "engine": "bessel", "mu": 3.0, "replicates": 10,
           "law": TWO_POINT | {"b": 1.0}}, "law", {"law": TWO_POINT}),
+        *[({"kind": kind, "engine": "group", "p": 3, "replicates": 10,
+            "law": {"kind": "point_mass", "atom": atom}}, "law",
+           {"law": {"kind": "point_mass", "atom": fix}})
+          for kind, atom, fix in [("CLT1", 0.0, 1e-100), ("CLT1", 1e-200, 1e-100),
+                                  ("CLT3", 0.0, 1e-50), ("CLT3", 1e-200, 1e-50),
+                                  ("CLT3", 1e-100, 1e-50)]],
     ], ids=["p-below-q", "clt3-mardia", "clt4-complex-mardia", "clt2-point-mass",
-            "clt4-equal-two-point"])
+            "clt4-equal-two-point", "clt1-atom-0", "clt1-atom-1e-200", "clt3-atom-0",
+            "clt3-atom-1e-200", "clt3-atom-1e-100"])
     def test_clt_check_refuses_what_cannot_run(self, raw, field, fix):
         # a matrix walk needs p >= q, the Mardia tests of a matrix
         # statistic need more than 10 dim^2 replicates (dim 3 at q = 2 over
-        # R, 4 over C), and a q = 1 CLT2 or CLT4 a positive limit variance
+        # R, 4 over C), a q = 1 CLT2 or CLT4 a positive limit variance, a
+        # q = 1 CLT1 a positive finite scale 1/(n s2) and a q = 1 CLT3 a
+        # positive finite limit variance 2 s2^2
         raw = {"experiment": "clt-check", "seed": 1, "n_steps": 3,
                "law": {"kind": "point_mass", "atom": [[1.0, 0.0], [0.0, 1.0]]}} | raw
         with pytest.raises(ConfigError) as info:
@@ -520,6 +599,19 @@ class TestValidation:
         near = {"kind": "two_point", "a": 1.0, "b": 1.0 + 1e-6, "p_a": 0.5}  # 1e-12 m4
         cfg, _ = validate_config(raw | {"p": 3, "law": near})
         assert run_experiment(cfg).rows
+
+    def test_tiny_scalar_law_keeps_its_verdict(self):
+        # a point mass at a tiny atom scales ||S_n||^2 by the atom squared,
+        # which CLT1 and CLT3 divide out: where 1/(n s2) and 2 s2^2 are still
+        # positive and finite (CLT1 at 1e-100, CLT3 at 1e-50) the run passes
+        # at the unit atom's KS distance
+        raw = {"experiment": "clt-check", "seed": 1, "engine": "group", "p": 20, "n_steps": 4,
+               "replicates": 400}
+        for kind, atom in (("CLT1", 1e-100), ("CLT3", 1e-50)):
+            checks = [run_experiment(validate_config(
+                raw | {"kind": kind, "law": {"kind": "point_mass", "atom": a}})[0]).checks[0]
+                for a in (1.0, atom)]
+            assert checks[1]["pass"] and checks[1]["ks"] == pytest.approx(checks[0]["ks"])
 
     def test_regime_warning_clt2(self):
         raw = {
@@ -972,8 +1064,14 @@ class TestCli:
         ({"experiment": "clt-check", "seed": 1, "kind": "CLT2", "engine": "group", "p": 3,
           "n_steps": 4, "replicates": 10, "law": {"kind": "point_mass", "atom": [[0.1]]}},
          "law"),
+        ({"experiment": "clt-check", "seed": 1, "kind": "CLT1", "engine": "group", "p": 3,
+          "n_steps": 4, "replicates": 10, "law": {"kind": "point_mass", "atom": [[0.0]]}},
+         "law"),
+        ({"experiment": "clt-check", "seed": 1, "kind": "CLT3", "engine": "group", "p": 3,
+          "n_steps": 4, "replicates": 10, "law": {"kind": "point_mass", "atom": [[1e-100]]}},
+         "law"),
     ], ids=["p-below-q", "too-few-for-mardia", "top-level-list", "grid-p-zero", "grid-n-zero",
-            "mu-scaling-ratio-bounds", "clt2-point-mass"])
+            "mu-scaling-ratio-bounds", "clt2-point-mass", "clt1-zero-law", "clt3-atom-1e-100"])
     def test_unrunnable_config_exit_two(self, tmp_path, capsys, raw, field):
         # refused before anything runs or is written
         path = tmp_path / "cfg.json"

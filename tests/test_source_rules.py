@@ -162,32 +162,47 @@ def test_json_dumps_refuse_nan():
 
 
 def test_one_field_reader():
-    # configs are read through the field tables: no _req or _opt helper
-    # is left, and outside experiments._read a raw config is only handed
-    # to _read or listed by set() for the unknown-field check
+    # configs are read through the field tables: no _req or _opt helper is
+    # left, and the one reader is radial_laws._read.  In experiments.py and
+    # radial_laws.py a raw config, axioms check or law spec is only handed
+    # to _read or listed by set() for the unknown-field check outside _read,
+    # and law_from_spec and normalize_law_spec hand their spec straight on
     found = [f"{path.relative_to(SRC)}:{node.lineno}"
              for path in sorted(SRC.rglob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if (isinstance(node, ast.Call) and _called_name(node) in ("_req", "_opt"))
              or (isinstance(node, ast.FunctionDef) and node.name in ("_req", "_opt"))]
-    tree = ast.parse((SRC / "experiments.py").read_text())
-    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
-    reader = next(node for node in tree.body
-                  if isinstance(node, ast.FunctionDef) and node.name == "_read")
-    in_reader = set(ast.walk(reader))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id == "raw" and node not in in_reader \
-                and isinstance(node.ctx, ast.Load):
-            call = parents[node]
-            if not (isinstance(call, ast.Call) and call.args[:1] == [node]
-                    and _called_name(call) in ("_read", "set")):
-                found.append(f"experiments.py:{node.lineno}")
+    readers = [path.name for path in sorted(SRC.rglob("*.py"))
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.FunctionDef) and node.name == "_read"]
+    assert readers == ["radial_laws.py"]
+    for name in ("experiments.py", "radial_laws.py"):
+        tree = ast.parse((SRC / name).read_text())
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        tops = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        in_reader = set(ast.walk(tops["_read"])) if "_read" in tops else set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == "raw" and node not in in_reader \
+                    and isinstance(node.ctx, ast.Load):
+                call = parents[node]
+                if not (isinstance(call, ast.Call) and call.args[:1] == [node]
+                        and _called_name(call) in ("_read", "set")):
+                    found.append(f"{name}:{node.lineno}")
+        entries = [tops[f] for f in ("law_from_spec", "normalize_law_spec") if f in tops]
+        for entry in entries:
+            for node in ast.walk(entry):
+                if isinstance(node, ast.Name) and node.id == "spec" \
+                        and isinstance(node.ctx, ast.Load) \
+                        and not (isinstance(parents[node], ast.Call)
+                                 and node in parents[node].args):
+                    found.append(f"{name}:{node.lineno}")
     assert found == []
 
 
 # the README's text of each default that is a function of other fields
 _DEPENDENT_DEFAULTS = {"name": "experiment", "checkpoints": "[n_steps]",
-                       "ks_threshold": "3/sqrt(replicates)", "law2": "law"}
+                       "ks_threshold": "3/sqrt(replicates)", "law2": "law",
+                       "q": "payload size"}
 
 
 def _shown(row, experiments):
@@ -223,8 +238,9 @@ def _readme_table(header):
 
 def test_readme_lists_every_field():
     # README's fields tables give every field of every table, and its
-    # default, in the tables' order
-    from conewalk import experiments
+    # default, in the tables' order: the families', the axioms checks' and
+    # the law kinds'
+    from conewalk import experiments, radial_laws
 
     common = experiments._COMMON
     families = {"every family": [_shown(row, experiments) for row in common]}
@@ -236,3 +252,6 @@ def test_readme_lists_every_field():
     checks = {name: [_shown(row, experiments) for row in check.fields]
               for name, check in experiments._CHECKS.items()}
     assert _readme_table(["check", "fields (default)"]) == checks
+    laws = {kind: [_shown(row, experiments) for row in rows]
+            for kind, rows in radial_laws._LAWS.items()}
+    assert _readme_table(["law kind", "fields (default)"]) == laws
