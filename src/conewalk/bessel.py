@@ -11,9 +11,9 @@ convolution degenerates to the deterministic semigroup rule
 t = sqrt(r^2 + s^2).
 
 The move itself is :func:`cone_linalg.cone_step`.  The density above is
-the law of the top block G1 (G1*G1 + W)^(-1/2) of a Gaussian frame with
-W ~ Wishart(I_q, nu) at the real nu = 2 mu / d - q (Muirhead 1982,
-Thm 3.2.14 and Sec. 3.3; Roesler, Compositio Math. 143, 2007), drawn by
+the law of G1 R^(-1), R the Cholesky factor of G1*G1 + W, for a Gaussian
+block G1 and W ~ Wishart(I_q, nu) at the real nu = 2 mu / d - q
+(Muirhead 1982, Thm 3.2.14; Roesler, Compositio Math. 143, 2007), drawn by
 :func:`orbit_sampler.haar_block`; the group walk takes the integer
 nu = p - q.  So the index-mu walk is the walk engine
 :func:`orbit_sampler.run_cone_walks` at ``BesselParam.nu``, the group
@@ -92,24 +92,17 @@ def _propose(e, q, field, rng, k):
     ball of radius sqrt(q), which encloses D_q; (k,) for q = 1."""
     dim = (1 if field == cl.REAL else 2) * q * q
     if e >= 0.5:
-        scale = 1.0 / math.sqrt(2.0 * e)
-        if q == 1:
-            if field == cl.REAL:
-                return scale * rng.standard_normal(k)
-            return scale * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
-        if field == cl.REAL:
-            return scale * rng.standard_normal((k, q, q))
-        return scale * (rng.standard_normal((k, q, q))
-                        + 1j * rng.standard_normal((k, q, q)))
+        shape = k if q == 1 else (k, q, q)
+        x = rng.standard_normal(shape)
+        if field != cl.REAL:
+            x = x + 1j * rng.standard_normal(shape)
+        return 1.0 / math.sqrt(2.0 * e) * x
     # uniform on the Frobenius ball of radius sqrt(q) enclosing D_q
     x = rng.standard_normal((k, dim))
     radius = math.sqrt(q) * rng.random(k) ** (1.0 / dim)
     x *= (radius / np.sqrt(np.sum(x * x, axis=1)))[:, None]
-    if q == 1:
-        return x[:, 0] if field == cl.REAL else x[:, 0] + 1j * x[:, 1]
-    if field == cl.REAL:
-        return x.reshape(k, q, q)
-    return x[:, :q * q].reshape(k, q, q) + 1j * x[:, q * q:].reshape(k, q, q)
+    z = x[:, :q * q] if field == cl.REAL else x[:, :q * q] + 1j * x[:, q * q:]
+    return z[:, 0] if q == 1 else z.reshape(k, q, q)
 
 
 def _ball_stats(v, q):

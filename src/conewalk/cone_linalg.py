@@ -7,15 +7,15 @@ Conventions used throughout the package:
 * hermitian arrays are kept exactly hermitian via :func:`herm_part`
   (A <- (A + A*)/2), which makes diagonals exactly real;
 * PSD input is checked and clamped by whichever kernel reads it
-  (:func:`clamp_psd`, :func:`psd_sqrt`, :func:`psd_inv_sqrt`):
+  (:func:`clamp_psd`, :func:`psd_sqrt`):
   eigenvalues below -EPS_PSD*(1+||a||_F) raise
   :class:`ConeViolationError`, the other negative ones are clamped to zero,
   and non-finite input raises :class:`NumericalFailureError`;
 * a spectral function U f(w) U* costs one pass of :func:`_eigh`, a cyclic
   Jacobi eigensolver that rotates a whole stack at once, with no
   eigenvector phase convention (the result does not depend on the
-  phases); at q = 2 the square root and the inverse square root take none,
-  as they have a closed form in the trace and the discriminant;
+  phases); at q = 2 the square root takes none, as it has a closed form
+  in the trace and the discriminant (the Haar block takes no root at all);
 * products of stacked 2 x 2 matrices are written out (:func:`_mul2`),
   since matmul makes one BLAS call per matrix; the cone step's products
   take this form at q = 2;
@@ -99,17 +99,12 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     in different orders.  One Jacobi eigendecomposition of the stack, none
     at q = 2.
     """
-    return _psd_root(a, inverse=False)
-
-
-def psd_inv_sqrt(a: np.ndarray) -> np.ndarray:
-    """Inverse square root of a (stacked) positive definite array.
-
-    Checks the spectrum like :func:`psd_sqrt`; eigenvalues below
-    ``_INV_FLOOR`` are raised to it, which keeps a numerically singular
-    input finite.
-    """
-    return _psd_root(a, inverse=True)
+    a = herm_part(np.asarray(a))
+    if a.shape[-1] == 2:
+        return _psd_sqrt_2x2(a)
+    w, u = _eigh(a)
+    _check_cone(np.min(w, axis=-1), a)
+    return _assemble(np.sqrt(np.maximum(w, 0.0)), u)
 
 
 def cone_step(a, s, v):
@@ -144,8 +139,6 @@ def _mul2(x, y):
     return out
 
 
-# eigenvalue floor of psd_inv_sqrt
-_INV_FLOOR = 1e-300
 # Jacobi sweeps after which a matrix that has not converged is a failure;
 # of 20,000 Gaussian draws no 3 x 3 matrix took more than 4, no 4 x 4 one
 # more than 6
@@ -172,7 +165,7 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     q = a.shape[-1]
     flat = a.reshape((-1, q, q))
-    rows, cols = _offdiag_pairs(q)
+    rows, cols = np.triu_indices(q, 1)
     pairs = list(zip(rows.tolist(), cols.tolist()))
     slot = {}
     for m, (i, j) in enumerate(pairs):
@@ -269,29 +262,14 @@ def _check_cone(wmin: np.ndarray, a: np.ndarray) -> None:
         )
 
 
-def _psd_root(a: np.ndarray, inverse: bool) -> np.ndarray:
-    """U f(w) U* after the cone check, with f(w) = sqrt(max(w, 0)), or
-    1/sqrt(max(w, _INV_FLOOR)) if inverse."""
-    a = herm_part(np.asarray(a))
-    floor = _INV_FLOOR if inverse else 0.0
-    if a.shape[-1] == 2:
-        return _psd_root_2x2(a, inverse, floor)
-    w, u = _eigh(a)
-    _check_cone(np.min(w, axis=-1), a)
-    r = np.sqrt(np.maximum(w, floor))
-    return _assemble(1.0 / r if inverse else r, u)
-
-
-def _psd_root_2x2(m: np.ndarray, inverse: bool, floor: float) -> np.ndarray:
-    """Closed form of :func:`_psd_root` on hermitian 2 x 2 stacks.
+def _psd_sqrt_2x2(m: np.ndarray) -> np.ndarray:
+    """Closed form of :func:`psd_sqrt` on hermitian 2 x 2 stacks.
 
     With eigenvalues lo <= hi from the trace and the discriminant,
-    f(M) = f(lo) I + k (M - lo I) where k = (f(hi) - f(lo)) / (hi - lo)
-    is the divided difference of f.  Where lo is at or above the floor it
-    is taken in a form free of cancellation: 1/(r_hi + r_lo) for the root
-    and -1/(r_hi r_lo (r_hi + r_lo)) for the inverse root, r = sqrt(w).
-    Below the floor f(lo) is the floor value and the plain quotient has
-    no cancellation.  At hi == lo, M is a multiple of I and k is unused.
+    sqrt(M) = r_lo I + k (M - lo I), r = sqrt(max(w, 0)), with the divided
+    difference k = (r_hi - r_lo) / (hi - lo) taken as 1/(r_hi + r_lo) where
+    lo >= 0, free of cancellation; below 0, where r_lo = 0, the plain
+    quotient has none.  At hi == lo, M is a multiple of I and k is unused.
     """
     m00, m11, m01 = m[..., 0, 0].real, m[..., 1, 1].real, np.abs(m[..., 0, 1])
     mid = 0.5 * (m00 + m11)
@@ -308,18 +286,13 @@ def _psd_root_2x2(m: np.ndarray, inverse: bool, floor: float) -> np.ndarray:
     safe_hi = np.where(pos, hi, 1.0)
     lo = np.where(pos, (m00 / safe_hi) * m11 - (m01 / safe_hi) * m01, mid - rad)
     _check_cone(lo, m)
-    r_lo = np.sqrt(np.maximum(lo, floor))
-    r_hi = np.sqrt(np.maximum(hi, floor))
+    r_lo = np.sqrt(np.maximum(lo, 0.0))
+    r_hi = np.sqrt(np.maximum(hi, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        if inverse:
-            f_lo, f_hi = 1.0 / r_lo, 1.0 / r_hi
-            smooth = -1.0 / (r_hi * r_lo * (r_hi + r_lo))
-        else:
-            f_lo, f_hi, smooth = r_lo, r_hi, 1.0 / (r_hi + r_lo)
-        k = np.where(lo >= floor, smooth, (f_hi - f_lo) / (hi - lo))
+        k = np.where(lo >= 0.0, 1.0 / (r_hi + r_lo), (r_hi - r_lo) / (hi - lo))
     k = np.where(np.isfinite(k), k, 0.0)
     out = k[..., None, None] * m
-    shift = f_lo - k * lo
+    shift = r_lo - k * lo
     out[..., 0, 0] += shift
     out[..., 1, 1] += shift
     return out
@@ -335,11 +308,6 @@ def herm_vec_dim(q: int, field: str) -> int:
     return q + field_dim(field) * (q * (q - 1)) // 2
 
 
-def _offdiag_pairs(q: int) -> tuple[np.ndarray, np.ndarray]:
-    iu = np.triu_indices(q, k=1)
-    return iu[0], iu[1]
-
-
 def vectorize_herm(a: np.ndarray, field: str) -> np.ndarray:
     """Isometric real coordinates of a (stacked) hermitian array.
 
@@ -348,7 +316,7 @@ def vectorize_herm(a: np.ndarray, field: str) -> np.ndarray:
     check_field(field)
     a = np.asarray(a)
     q = a.shape[-1]
-    rows, cols = _offdiag_pairs(q)
+    rows, cols = np.triu_indices(q, 1)
     parts = [np.diagonal(a, axis1=-2, axis2=-1).real]
     if q > 1:
         off = a[..., rows, cols]
@@ -362,18 +330,15 @@ def devectorize_herm(vec: np.ndarray, q: int, field: str) -> np.ndarray:
     """Inverse of :func:`vectorize_herm`."""
     check_field(field)
     vec = np.asarray(vec, dtype=np.float64)
-    rows, cols = _offdiag_pairs(q)
+    rows, cols = np.triu_indices(q, 1)
     noff = len(rows)
     out = np.zeros(vec.shape[:-1] + (q, q), dtype=field_dtype(field))
     idx = np.arange(q)
     out[..., idx, idx] = vec[..., :q]
     if q > 1:
-        re = vec[..., q:q + noff] / np.sqrt(2.0)
+        upper = vec[..., q:q + noff] / np.sqrt(2.0)
         if field == COMPLEX:
-            im = vec[..., q + noff:q + 2 * noff] / np.sqrt(2.0)
-            upper = re + 1j * im
-        else:
-            upper = re
+            upper = upper + 1j * (vec[..., q + noff:q + 2 * noff] / np.sqrt(2.0))
         out[..., rows, cols] = upper
         out[..., cols, rows] = np.conj(upper)
     return out
@@ -381,6 +346,4 @@ def devectorize_herm(vec: np.ndarray, q: int, field: str) -> np.ndarray:
 
 def herm_basis(q: int, field: str) -> np.ndarray:
     """Stack of the orthonormal basis matrices matching the vec ordering."""
-    dim = herm_vec_dim(q, field)
-    eye = np.eye(dim)
-    return devectorize_herm(eye, q, field)
+    return devectorize_herm(np.eye(herm_vec_dim(q, field)), q, field)

@@ -224,7 +224,9 @@ def mardia_tests(samples: np.ndarray) -> MardiaResult:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise DegenerateDataError("singular empirical covariance") from exc
-    z = _solve_lower(chol, xc)
+    from scipy.linalg import solve_triangular
+
+    z = solve_triangular(chol, xc.T, lower=True).T
     third = np.einsum("na,nb,nc->abc", z, z, z) / n
     b1 = float(np.sum(third * third))
     skew_stat = n * b1 / 6.0
@@ -237,12 +239,6 @@ def mardia_tests(samples: np.ndarray) -> MardiaResult:
     kurt_p = float(2.0 * ndtr(-abs(zscore)))
     return MardiaResult(n=n, dim=dim, skew_stat=skew_stat, kurt_stat=b2,
                         skew_pvalue=skew_p, kurt_pvalue=kurt_p, skew_df=skew_df)
-
-
-def _solve_lower(chol: np.ndarray, xc: np.ndarray) -> np.ndarray:
-    from scipy.linalg import solve_triangular
-
-    return solve_triangular(chol, xc.T, lower=True).T
 
 
 @dataclass(frozen=True)

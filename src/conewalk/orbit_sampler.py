@@ -12,8 +12,9 @@ walk S_n = X_1 + ... + X_n is tracked either
   :func:`cone_linalg.cone_step`.  It costs O(q^3) per step regardless of
   p, which makes dimensions like p = 1e5 feasible.
 
-The block v is G1 (G1*G1 + W)^(-1/2) with W ~ Wishart(I_q, nu) at
-nu = p - q (:func:`haar_block`), and at the real nu = 2 mu / d - q it is
+The block v is G1 R^(-1), with R the Cholesky factor of G1*G1 + W and
+W ~ Wishart(I_q, nu) at nu = p - q (:func:`haar_block`): a closed form in
+O(q^3), with no eigensolver.  At the real nu = 2 mu / d - q it is
 the contraction of the index-mu walk of :mod:`bessel`.  So the polar
 group walk at p is the index-mu walk at mu = d p / 2, and both run on one
 engine keyed by nu, :func:`run_cone_walks`, with v drawn by
@@ -58,20 +59,24 @@ def sample_stiefel_frame(p: int, q: int, field: str, rng: np.random.Generator,
 
 def haar_block(nu: float, q: int, field: str, rng: np.random.Generator,
                n: int) -> np.ndarray:
-    """n draws, shape (n, q, q), of v = G1 (G1*G1 + W)^{-1/2} with G1 a
-    standard Gaussian q x q block and W ~ Wishart(I_q, nu) independent.
-
-    At an integer nu = p - q this is the top block of a Haar q-frame in
-    F^p.  For every real nu > q - 1 its density on the contraction ball
-    is proportional to det(I - v v*)^(d (nu - q + 1) / 2 - 1) (Muirhead,
-    Aspects of Multivariate Statistical Theory, 1982, Thm 3.2.14 and
-    Sec. 3.3), which is the index-mu contraction density at
-    nu = 2 mu / d - q.  There W is drawn by the Bartlett factorization,
-    whose chi-square (gamma over C) degrees of freedom need not be
-    integers; at an integer 0 < nu <= q - 1, where W is singular, it is
-    G2*G2 for a Gaussian nu x q block G2.  q = 1 is v = g / sqrt(|g|^2 + c)
-    with c ~ W, and q = 2 assembles the Gram matrix G1*G1 + W and the
-    product elementwise.
+    """n draws, shape (n, q, q), of v = G1 R^{-1}: G1 a standard Gaussian
+    q x q block, R the upper Cholesky factor (positive real diagonal) of
+    M = G1*G1 + W, W ~ Wishart(I_q, nu) independent.  At nu = p - q, v is
+    the top block of a Haar q-frame in F^p; at a real nu > q - 1 its density
+    on the contraction ball is proportional to det(I - v*v)^(d (nu-q+1)/2 - 1)
+    (Muirhead, Aspects of Multivariate Statistical Theory, 1982, Thm 3.2.14),
+    the index-mu contraction density at nu = 2 mu / d - q.  Any R = f(M)
+    with R*R = M gives v that law:
+    * (G1, M) has density proportional to etr(-M/2) det(M - G1*G1)^(...);
+    * under G1 = v R, det(M - G1*G1) = det(M) det(I - v*v), with Jacobian
+      det(M)^(d q / 2), so v is independent of M with the density above,
+      for the symmetric root and the Cholesky factor alike;
+    * at an integer 0 < nu <= q - 1, W = G2*G2 for a Gaussian nu x q block
+      G2, and v is the top block of the positive-diagonal QR frame of
+      [G1; G2], which is Haar.
+    Otherwise W = A A* for the lower Bartlett factor A, drawn row by row,
+    A[i, i]^2 ~ chi-square(nu - i) (gamma over C).  q = 1 is
+    v = g / sqrt(|g|^2 + c), c ~ W.
     """
     if not (nu > q - 1 or (nu == int(nu) and nu >= 1)):
         raise ValueError(f"Wishart degrees of freedom nu={nu} need nu > q - 1 = {q - 1} "
@@ -80,38 +85,41 @@ def haar_block(nu: float, q: int, field: str, rng: np.random.Generator,
     if q == 1:
         g = g1.reshape(n)
         return (g / np.sqrt(cl._abs2(g) + _bartlett_diag(nu, field, rng, n))).reshape(n, 1, 1)
-    if q == 2 and nu > 1:
-        # Bartlett factor [[sqrt(c0), 0], [b, sqrt(c1)]], drawn in the order
-        # of _wishart_bartlett; W = A A* and G1*G1 written out
-        c0 = _bartlett_diag(nu, field, rng, n)
-        c1 = _bartlett_diag(nu - 1, field, rng, n)
-        b = _std_entries(rng, n, field)
-        g00, g01, g10, g11 = g1[:, 0, 0], g1[:, 0, 1], g1[:, 1, 0], g1[:, 1, 1]
-        gram = np.empty_like(g1)
-        gram[:, 0, 0] = cl._abs2(g00) + cl._abs2(g10) + c0
-        gram[:, 1, 1] = cl._abs2(g01) + cl._abs2(g11) + cl._abs2(b) + c1
-        gram[:, 0, 1] = np.conj(g00) * g01 + np.conj(g10) * g11 + np.sqrt(c0) * np.conj(b)
-        gram[:, 1, 0] = np.conj(gram[:, 0, 1])
+    if nu > q - 1:
+        # column i of A*, with W = (A*)* A*: conj(A[i, :i]) above A[i, i]
+        cols = []
+        for i in range(q):
+            diag = np.sqrt(_bartlett_diag(nu - i, field, rng, n))
+            cols.append([*np.conj(_std_entries(rng, (n, i), field)).T, diag])
     else:
-        if nu > q - 1:
-            w = _wishart_bartlett(q, nu, field, rng, n)
-        else:
-            g2 = _std_entries(rng, (n, int(nu), q), field)
-            w = cl.herm_part(np.swapaxes(np.conj(g2), -1, -2) @ g2)
-        gram = cl.herm_part(np.swapaxes(np.conj(g1), -1, -2) @ g1) + w
-    r = cl.psd_inv_sqrt(gram)
-    return cl._mul2(g1, r) if q == 2 else g1 @ r
+        g2 = _std_entries(rng, (n, int(nu), q), field)
+        cols = [list(g2[:, :, i].T) for i in range(q)]
+    return _cholesky_solve(g1, cols)
 
 
-def _wishart_bartlett(q: int, dof: float, field: str, rng: np.random.Generator,
-                      n: int) -> np.ndarray:
-    """Wishart(I_q, dof) draws via the Bartlett factorization (dof > q - 1)."""
-    a = np.zeros((n, q, q), dtype=cl.field_dtype(field))
-    for i in range(q):
-        a[:, i, i] = np.sqrt(_bartlett_diag(dof - i, field, rng, n))
-        if i > 0:
-            a[:, i, :i] = _std_entries(rng, (n, i), field)
-    return cl.herm_part(a @ np.swapaxes(np.conj(a), -1, -2))
+def _cholesky_solve(g: np.ndarray, cols: list) -> np.ndarray:
+    """g R^{-1} for the upper Cholesky factor R of M = g*g + h*h, over
+    (n, q, q) stacks; cols[i] holds the leading (n,) rows of column i of h,
+    zero below and no more than in column i + 1.  Step j reads row j of M
+    (its real diagonal and upper triangle only), makes the pivot R[j, j]
+    (NumericalFailureError unless finite and above 0) and row j of R, then
+    column j of v by forward substitution in v R = g."""
+    q = g.shape[-1]
+    conj = np.conj if np.iscomplexobj(g) else cl._same
+    rows = [[*g[:, :, j].T, *cols[j]] for j in range(q)]
+    r, v = {}, np.empty_like(g)
+    for j in range(q):
+        piv = sum(map(cl._abs2, rows[j])) - sum(cl._abs2(r[k, j]) for k in range(j))
+        if not np.all((piv > 0.0) & (piv < np.inf)):
+            raise NumericalFailureError("Haar block: G1*G1 + W is not positive definite",
+                                        payload=g)
+        inv = 1.0 / np.sqrt(piv)
+        for m in range(j + 1, q):
+            r[j, m] = inv * (sum(conj(a) * b for a, b in zip(rows[j], rows[m]))
+                             - sum(conj(r[k, j]) * r[k, m] for k in range(j)))
+        v[:, :, j] = inv[:, None] * (g[:, :, j] - sum(v[:, :, k] * r[k, j][:, None]
+                                                      for k in range(j)))
+    return v
 
 
 def radial_projection_coeff(p: float, field: str, rng: np.random.Generator,

@@ -172,10 +172,9 @@ def with_spectrum(seed, w, field):
     return cl.herm_part((u * np.asarray(w, dtype=np.float64)) @ np.conj(u.T))
 
 
-def eigh_root(a, inverse=False):
+def eigh_root(a):
     w, u = np.linalg.eigh(cl.herm_part(a))
-    f = 1.0 / np.sqrt(w) if inverse else np.sqrt(np.maximum(w, 0.0))
-    return (u * f) @ np.conj(u.T)
+    return (u * np.sqrt(np.maximum(w, 0.0))) @ np.conj(u.T)
 
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -205,16 +204,8 @@ class TestSpectralProperties:
     @given(SEEDS, DIMS, FIELD, st.lists(WELL, min_size=4, max_size=4), SCALES)
     def test_matches_eigh_on_well_conditioned_input(self, seed, q, field, w, scale):
         a = with_spectrum(seed, scale * np.array(w[:q]), field)
-        for inverse, ours in ((False, cl.psd_sqrt), (True, cl.psd_inv_sqrt)):
-            ref = eigh_root(a, inverse)
-            assert cl.frob_norm(ours(a) - ref) <= 1e-12 * cl.frob_norm(ref)
-
-    @PROPS
-    @given(SEEDS, DIMS, FIELD, st.lists(WELL, min_size=4, max_size=4), SCALES)
-    def test_inverse_root_inverts_the_root(self, seed, q, field, w, scale):
-        a = with_spectrum(seed, scale * np.array(w[:q]), field)
-        prod = cl.psd_inv_sqrt(a) @ cl.psd_sqrt(a)
-        assert cl.frob_norm(prod - np.eye(q)) <= 1e-12
+        ref = eigh_root(a)
+        assert cl.frob_norm(cl.psd_sqrt(a) - ref) <= 1e-12 * cl.frob_norm(ref)
 
     @PROPS
     @given(SEEDS, DIMS, FIELD, st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
@@ -238,13 +229,12 @@ class TestSpectralProperties:
            st.floats(1.05, 100.0), SCALES)
     @example(seed=824, q=2, field=cl.COMPLEX, w=[0.0, 0.0], factor=1.06, scale=1.0)
     def test_rejects_outside_tolerance(self, seed, q, field, w, factor, scale):
-        # ||a||_F <= ||pos|| + |neg|, so |neg| is past the threshold; the
-        # inverse root checks at the default tolerance, so test at that one
+        # ||a||_F <= ||pos|| + |neg|, so |neg| is past the threshold
         tol = cl.EPS_PSD
         pos = scale * np.array(w[:q - 1])
         neg = -factor * tol * (1.0 + np.linalg.norm(pos)) / (1.0 - factor * tol)
         a = with_spectrum(seed, np.append(pos, neg), field)
-        for kernel in (cl.psd_sqrt, cl.psd_inv_sqrt, cl.clamp_psd):
+        for kernel in (cl.psd_sqrt, cl.clamp_psd):
             with pytest.raises(ConeViolationError):
                 kernel(a)
 
@@ -257,8 +247,6 @@ class TestSpectralProperties:
             a = a.astype(dtype)
             assert cl.frob_norm(cl.psd_sqrt(a) - eigh_root(a)) <= 1e-15 * (1 + cl.frob_norm(a))
         assert np.array_equal(cl.psd_sqrt(np.zeros((2, 2), dtype)), np.zeros((2, 2)))
-        assert np.allclose(cl.psd_inv_sqrt(4.0 * np.eye(2, dtype=dtype)), 0.5 * np.eye(2),
-                           rtol=1e-15, atol=0)
 
     @PROPS
     @given(SEEDS, DIMS, FIELD, st.integers(0, 4))
@@ -337,7 +325,7 @@ class TestEigensolver:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", cl.FIELDS)
     def test_non_finite_input_raises(self, bad, field):
-        # at q = 2 the roots take the closed form, which checks its own input
+        # at q = 2 the root takes the closed form, which checks its own input
         for q in (3, 2):
             a = composition_stack(q, field)[:4].copy()
             for i, j in ((0, 0), (0, q - 1), (1, q - 1)):
@@ -345,7 +333,7 @@ class TestEigensolver:
                 b[2, i, j] = b[2, j, i] = bad
                 with pytest.raises(NumericalFailureError):
                     cl._eigh(b)
-                for kernel in (cl.psd_sqrt, cl.psd_inv_sqrt, cl.clamp_psd):
+                for kernel in (cl.psd_sqrt, cl.clamp_psd):
                     with np.errstate(invalid="ignore"), pytest.raises(NumericalFailureError):
                         kernel(b)
 

@@ -197,19 +197,25 @@ CASES = {
 # were recorded again when the index-mu walk became the polar group walk's
 # engine at nu = 2 mu / d - q, which makes the cone step in the group
 # walk's order cone_step(s, a, v) (other q >= 2 realizations, same law).
+# Every case that draws a q >= 2 Haar block (axiom-extras,
+# bessel-q2-complex, c02, c03, c04, c07, c09, demo-convolve,
+# demo-walk-bessel, demo-walk-group and the group-q2-polar cases, with the
+# convolve-q2, stiefel-q2 and support-bound-q3-real draw cases) was
+# recorded again when v = G1 (G1*G1 + W)^(-1/2) gave way to v = G1 R^(-1)
+# with R the Cholesky factor of G1*G1 + W (other realizations, same law).
 GOLDEN = {
-    "axiom-extras": "18195ddbe0f41617d4a7ff509d840c9c969c1473f17a223fe6bb31e932ff3bda",
+    "axiom-extras": "44d33b40b3a3ee70d164d6c65a4ec8fda2a60bff9b8374995130ef5727bbb672",
     "bessel-q1-complex": "28d2ecd693275f2ad61bcca36ec0c3d0e7ce3f786f956e318ee02241f0961386",
-    "bessel-q2-complex": "b0ee6ff4e7c5761f9a776e830b4cd9c9a5ccf7afa661f1fa8fd182f2eb72145d",
+    "bessel-q2-complex": "4bdf0fa585549c96540c1de8882c4c6018dbfacc953a3b0e6b69bb654b6ad3a9",
     "c01": "dab094f2da71e9a7e9721e2e381f5f0008bdec6db7223cfc0c00538d4baaa467",
-    "c02": "727e4d21912b491d3d43c6819ed854d561150ce50bcd5e68e3acee4a4ca76e4f",
-    "c03": "69f47d50b0e641559865511c90a3110d0d677ce5083d3d7245e71890a8475498",
-    "c04": "3a062547f5a08cdfd124f14bcc1499bfa41681b146ca6204a95a638390f285ed",
+    "c02": "51882ec7e904f5196a34c8b1b9b2f5e0350670d2c9e175a21ced63b53fc4a175",
+    "c03": "8da823cc01a1f61f3668dac1abe4c9f7b64f07ee861d8238eb253970891e8165",
+    "c04": "3faa969af96c32b668679fd97d30724f1211b4a463ebadba2b21bb4f4ec7b4f3",
     "c05": "ed664769e2763474530a34b4a6eb9f5f3a8470d8da4a7e2d5200bf4577b783b0",
     "c06": "70c64ad17cc4e0f6cee93b46ed0bb32bb68fbf3b26cffdf03f6a199c5ee0e878",
-    "c07": "6474d26498576f31d45072dcbe0ecd9d291d8f6497844d4e3cc1b9c1b6394b9f",
+    "c07": "b4d1bfa0446510af17cf87f3eb8928ac2d7a626a77a40230b96719b51a9fb8cf",
     "c08": "f241ce0ceec44f4c7f24a3cf1bf3d78199e3507389866f7e458c7a7487106c27",
-    "c09": "16e6616f598d9d48373b9f5dcb549c986e5dd50a06a34cc6d75a4867c8711f30",
+    "c09": "72f4078b26854983074475319b384787679c73d1289bbb45c7d1c537bd815b0b",
     "c10": "69ad9462a399ab0aac34e68d476278147643bf164659ee3a0c1b3f2df5204519",
     "c11": "3434369133bc09b75de862309d4f7d20885b290c59fbcd158edae1b71dd6f7f8",
     "c12a": "a5109c2ee38cb97c4e08a860ea4ae19cb723dfbd31114b60c2095165275157ef",
@@ -217,16 +223,16 @@ GOLDEN = {
     "character-mu0.52": "84598dd63a9f28638377c28a5a7e1376b7d554308f5c4a075c76eb32593ed1d3",
     "contraction-beta-mu0.52": "1d8c8ed2c6d98f85edaa1a0ea90063f47e619574facf1fe66255ab0526eb956f",
     "convolve-q1": "0a69f04045a73e11b54ce11152fb33e2a893cf90cce1c6477bbc82de6484fd6f",
-    "demo-convolve": "8deb618e71b4fc505bee756e887df1e9410c6986bc8ac4f11e0a324bd13fc9f1",
-    "demo-walk-bessel": "4054d9ffcf04d4c14a14d4be0c45111c6b27d19d834feef82f62fd5d3e9486f3",
-    "demo-walk-group": "f689ee6a8d0935640b6ea613bb2b3332b27b21e6a644c44a113b66b0b669f780",
+    "demo-convolve": "15db326395de7a6174ec8cf69a1c65f78284c3636c25840567adb3365ae79d10",
+    "demo-walk-bessel": "fbb80cbb9514970fcfb9c4223d24ebe37592bb325fd7f94c32a9f70222e228e5",
+    "demo-walk-group": "2d768b056aa18a91bee25f1668d262d18ac752c38bfd490b0489730b51c2dbe6",
     "extras-clt1": "8e02c9ea40b7de2ca4c568f985ef9fdc310cef714a335465b07882384b070bdf",
     "group-q1-direct-complex": "455eda430f5808f9da4a6b0e4bcbd03c76fd3f4dd66ed8880e36b5da191449c3",
     "group-q1-direct-real": "1e280046e4b3a9978fa50566efb04ebaa1406b3860b3be7bfbc856b07e668c4d",
     "group-q1-polar-complex": "1f1eb261f0ce36ea43a0adb56db7c750a7ae6545e8055ab948c819fa60e7325b",
     "group-q2-direct-complex": "6fcb9ed0dadccca948db0763d8dd4ee253b94c2acd2a9eea2c8565c2cf8e53e0",
-    "group-q2-polar-complex": "d9879bc04f98c456337df52558ab7834e97d775f4da216703650d49edfa62c83",
-    "group-q2-polar-real": "69f5d0d9525d28163c2bb062270001167ec1eded06553b48707ccb53a617a338",
+    "group-q2-polar-complex": "796800b28b888f2be4db060dbf5066c9616ce2e3b95941e61f7b3088ed2947e6",
+    "group-q2-polar-real": "e13e0726cbcce531c0ce24c8208ff67e5d480c77aadb370ab9f829148add9a79",
     "kappa-q2": "b83196a2e4726baa56dd40c800860082bc5aaf1f8e74edc4105d6d442a23b575",
     "moment-identity-complex":
         "c07da019e884e0bfba51753b724431604f58dd46515a0ff25fa879a6523e7e8b",
@@ -336,11 +342,11 @@ DRAW_GOLDEN = {
     "cone-step-q2-complex": "6874608b9399d797b1483e3edc0ccf8bea07bc28f34a8405a2c9aa65fb75e0c5",
     "cone-step-q2-real": "1d65173f32874527f3220b107bea9dfecf74c222049977efafd349cb5b417f5d",
     "convolve-q1-matrix": "a5df39495a64b98ccccf5b35d8aa741122fb21dbdea0da1139830b5f99ec8dce",
-    "convolve-q2-complex": "d397af04112b5608cce687eb32fda5ebfafccff4eac912ddc8b3517b1e920520",
-    "convolve-q2-real": "5b3b6b50e5dacb1ddf7f5c4fd13dcd81c90de4dabcd435a13c1d977b076d91da",
-    "stiefel-q2-complex-small-dof": "6c91dffafe9b50412fbaf40d43de9398cbe3f186c44104fdcb267982ab89c472",
-    "stiefel-q2-real": "32e5e38c65e8bf2731ef0024c71c36376d7a92d8ee6d24c4a3ab0faf276ab215",
-    "support-bound-q3-real": "fed5293165bcdbee553fec90a930cce2dbc59d9fcf3cb408a04a103ffbedacd6",
+    "convolve-q2-complex": "b00354ee947c6f0d35c0de0c8b5a83524a381988bed03bb0ee2a441ae9690451",
+    "convolve-q2-real": "767af2fb4d13992d9ee573f88ca3820b13cd21d5eabc0649764b36198a3f02ae",
+    "stiefel-q2-complex-small-dof": "2450ba25ac3fae56e3b1cf4289ca166bcf8a46b7f160bdebf5b49db11abd6743",
+    "stiefel-q2-real": "be879c951dc097a48ac9fb525fba8626e8767b1e9f0bfbc7fa8379d3903feec8",
+    "support-bound-q3-real": "58ad11835140535a43f1eaff2384d96880062f161e64dce61f4ee6705224980b",
     "wishart-root-q2-complex": "e4ddb54f4246c13beed3eb2c792149b6423606ef27e43b99b6e125c2b3b20744",
     "wishart-root-q2-real": "30fa5012f82958e49c8617dd101501ca68c6cc5453db78ee1b4bb7b7ce7559d1",
 }

@@ -7,6 +7,7 @@ from conewalk.errors import NumericalFailureError
 from conewalk.limit_lab import ks_2samp, moment_identity_rhs
 from conewalk.orbit_sampler import (
     GroupWalkConfig,
+    _cholesky_solve,
     cone_block,
     haar_block,
     radial_projection_coeff,
@@ -101,6 +102,82 @@ class TestStiefelBlock:
                      else sample_stiefel_frame(1, 1, field, rng, n))
             _, pvalue = ks_2samp(w, block[:, 0, 0].real)
             assert pvalue >= 1e-3, f"{field} p={p}"
+
+
+# q, field and nu of the Haar-block law checks: an integer nu <= q - 1
+# (W = G2*G2), a real nu near q - 1 and an integer nu > q - 1 (Bartlett W)
+HAAR_CASES = [(q, field, nu) for q in (2, 3) for field in cl.FIELDS
+              for nu in (1, q - 0.5, q + 3)]
+
+
+def _haar(nu, q, field, seed, n=50_000):
+    return haar_block(nu, q, field, np.random.Generator(np.random.Philox(seed)), n)
+
+
+def _sq_norms(x):
+    return np.sum(np.abs(x) ** 2, axis=-1)
+
+
+class TestHaarBlock:
+    # v = G1 R^-1 takes the columns of G1 in order through the Cholesky
+    # factor R, but its law is that of G1 (G1*G1 + W)^(-1/2): exchangeable
+    # columns and rows, invariant under v -> v O, with E v*v = q/(q + nu) I
+    @pytest.mark.parametrize("q, field, nu", HAAR_CASES)
+    def test_columns_and_rows_are_exchangeable(self, q, field, nu):
+        a, b = _haar(nu, q, field, 31), _haar(nu, q, field, 32)
+        for first, last in ((a[:, :, 0], b[:, :, -1]), (a[:, 0, :], b[:, -1, :])):
+            _, pvalue = ks_2samp(_sq_norms(first), _sq_norms(last))
+            assert pvalue >= 1e-3
+
+    @pytest.mark.parametrize("q, field, nu", HAAR_CASES)
+    def test_right_unitary_invariance(self, q, field, nu):
+        g = _std_entries(np.random.default_rng(33), (q, q), field)
+        o, r = np.linalg.qr(g)
+        a, b = _haar(nu, q, field, 34), _haar(nu, q, field, 35) @ o
+        for stat in (lambda v: np.abs(v[:, 0, 0]) ** 2, lambda v: v[:, q - 1, 0].real,
+                     lambda v: _sq_norms(v[:, :, q - 1])):
+            _, pvalue = ks_2samp(stat(a), stat(b))
+            assert pvalue >= 1e-3
+
+    @pytest.mark.parametrize("q, field, nu", HAAR_CASES)
+    def test_mean_gram(self, q, field, nu):
+        v = _haar(nu, q, field, 36, 100_000)
+        x = (np.conj(np.swapaxes(v, -1, -2)) @ v).reshape(len(v), -1)
+        target = (q / (q + nu) * np.eye(q)).ravel()
+        for part in (np.real, np.imag):
+            se = np.std(part(x), axis=0) / np.sqrt(len(v))
+            diff = np.abs(np.mean(part(x), axis=0) - part(target))
+            assert np.all(diff <= 4.5 * se + 1e-15)
+
+    @pytest.mark.parametrize("field", cl.FIELDS)
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_contraction_near_the_edge(self, q, field):
+        # at nu = 1 and as nu -> q - 1 the Wishart part is (nearly) singular
+        for nu in (1, q - 1 + 1e-3):
+            v = _haar(nu, q, field, 37, 100_000)
+            assert np.max(np.linalg.norm(v, 2, axis=(1, 2))) <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gram_raises(self, bad):
+        # one entry of one matrix of the stack: of G1, or of W off the diagonal
+        for where in ("g", "w"):
+            g = _std_entries(np.random.default_rng(38), (4, 2, 2), cl.COMPLEX)
+            cols = [[np.ones(4)], [np.zeros(4, complex), np.ones(4)]]
+            if where == "g":
+                g[2, 0, 1] = bad
+            else:
+                cols[1][0][2] = bad
+            with np.errstate(invalid="ignore"), pytest.raises(NumericalFailureError):
+                _cholesky_solve(g, cols)
+
+    def test_singular_gram_raises(self):
+        g = _std_entries(np.random.default_rng(39), (4, 2, 2), cl.REAL)
+        cols = [[np.ones(4)], [np.zeros(4), np.ones(4)]]
+        assert np.all(np.isfinite(_cholesky_solve(g, cols)))
+        g[1] = 0.0
+        cols[0][0][1] = cols[1][1][1] = 0.0
+        with pytest.raises(NumericalFailureError):
+            _cholesky_solve(g, cols)
 
 
 class TestRadialMatrix:

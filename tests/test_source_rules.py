@@ -49,15 +49,25 @@ def test_no_clamp_inside_psd_sqrt():
     assert found == []
 
 
-def test_one_inverse_root_caller():
-    # every walk draws v through the one Haar-block sampler, the only
-    # place an inverse square root is taken
-    found = [f"{path.name}:{getattr(top, 'name', top.lineno)}"
-             for path in sorted(SRC.rglob("*.py"))
-             for top in ast.parse(path.read_text()).body
-             for node in ast.walk(top)
-             if isinstance(node, ast.Call) and _called_name(node) == "psd_inv_sqrt"]
-    assert found == ["orbit_sampler.py:haar_block"]
+def test_haar_block_takes_no_root():
+    # the Haar block is v = G1 R^-1 for the Cholesky factor R of its Gram
+    # matrix: neither haar_block nor any function of its module that it
+    # calls decomposes a spectrum or takes a matrix root or inverse
+    tops = {node.name: node
+            for node in ast.parse((SRC / "orbit_sampler.py").read_text()).body
+            if isinstance(node, ast.FunctionDef)}
+    reached, todo, called = set(), ["haar_block"], set()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        names = {_called_name(node) for node in ast.walk(tops[name])
+                 if isinstance(node, ast.Call)}
+        called |= names
+        todo += sorted(names & set(tops) - reached)
+    assert "_cholesky_solve" in reached
+    roots = {"_eigh", "eigh", "eigvalsh", "eig", "svd", "qr", "inv", "solve", "sqrtm",
+             "psd_sqrt", "clamp_psd", "_assemble", "psd_inv_sqrt"}
+    assert called & roots == set()
 
 
 def test_one_walk_engine():
