@@ -17,6 +17,7 @@ in task order, which pins floating-point summation order.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import re
 from typing import Callable, NamedTuple
@@ -104,6 +105,17 @@ def diff_over_se(diff, se):
     if se > 0:
         return diff / se
     return 0.0 if diff == 0 else math.copysign(math.inf, diff)
+
+
+_BUILT_LAWS: dict[str, RadialLaw] = {}
+
+
+def _law_of(spec: dict) -> RadialLaw:
+    """The law of a canonical spec, built once per process and shared."""
+    key = json.dumps(spec, sort_keys=True, allow_nan=False)
+    if key not in _BUILT_LAWS:
+        _BUILT_LAWS[key] = law_from_spec(spec)
+    return _BUILT_LAWS[key]
 
 
 def law_moments(law: RadialLaw):
@@ -222,14 +234,14 @@ class WalkGroupExperiment:
     @staticmethod
     def run_block(cfg, task):
         wcfg = GroupWalkConfig(p=cfg["p"], q=cfg["q"], field=cfg["field"],
-                               n_steps=cfg["n_steps"], law=law_from_spec(cfg["law"]),
+                               n_steps=cfg["n_steps"], law=_law_of(cfg["law"]),
                                checkpoints=tuple(cfg["checkpoints"]), method=cfg["method"])
         return _walk_partial(cfg, task,
                              run_group_walks(wcfg, _task_rng(cfg, task), task["size"]))
 
     @staticmethod
     def reduce(cfg, partials):
-        md = law_moments(law_from_spec(cfg["law"]))
+        md = law_moments(_law_of(cfg["law"]))
         cps = cfg["checkpoints"]
         m = _pooled(partials)
         count, mean, se = m.count, m.mean, m.se
@@ -275,7 +287,7 @@ class WalkBesselExperiment:
     @staticmethod
     def run_block(cfg, task):
         nu = BesselParam(cfg["mu"], cfg["q"], cfg["d"]).nu
-        traj = run_cone_walks(law_from_spec(cfg["law"]), nu, cfg["checkpoints"],
+        traj = run_cone_walks(_law_of(cfg["law"]), nu, cfg["checkpoints"],
                               _task_rng(cfg, task), task["size"])
         return _walk_partial(cfg, task, traj)
 
@@ -439,7 +451,14 @@ class CltCheckExperiment:
     def validate(raw):
         cfg = _read(raw, CltCheckExperiment.fields, experiment="clt-check", schema_version=1)
         cfg = _read(raw, CltCheckExperiment.engine_fields[cfg["engine"]], **cfg)
-        law = law_from_spec(cfg["law"])
+        law = _law_of(cfg["law"])
+        try:  # the statistics and their limits read m1..m4 and s2^2 = m2^2
+            with np.errstate(all="ignore"):
+                md = law_moments(law)
+            if not all(map(math.isfinite, (md.m1, md.m2, md.m3, md.m4, md.sigma4))):
+                raise ValueError("not finite")
+        except (OverflowError, ValueError) as exc:  # a float power, or MomentData's checks
+            raise ConfigError("law", "its moments m1..m4 or m2^2 overflow float64") from exc
         warnings = []
         if cfg["engine"] == "group":
             if law.q > 1 and cfg["p"] < law.q:
@@ -457,7 +476,6 @@ class CltCheckExperiment:
             if law.field != cl.REAL:
                 raise ConfigError("law.field", "the T^2 covariance is real-field only")
         if cfg["kind"] in ("CLT2", "CLT4") and law.q == 1:
-            md = law_moments(law)
             if md.m4 - md.sigma4 <= _LIMIT_VAR_RTOL * md.m4:
                 raise ConfigError("law", "the limit variance m4 - s2^2 is not positive: "
                                   "|s|^2 takes one value, so there is no normal limit")
@@ -469,7 +487,7 @@ class CltCheckExperiment:
         n = cfg["n_steps"]
         if cfg["kind"] in ("CLT1", "CLT3") and law.q == 1:
             # CLT1 divides by n s2, and CLT3 is held to N(0, 2 s2^2)
-            s2 = np.float64(law_moments(law).m2)
+            s2 = np.float64(md.m2)
             with np.errstate(all="ignore"):
                 if cfg["kind"] == "CLT1":
                     value, what = 1.0 / (n * s2), "scale 1/(n s2)"
@@ -503,7 +521,7 @@ class CltCheckExperiment:
     @staticmethod
     def run_block(cfg, task):
         rng = _task_rng(cfg, task)
-        law = law_from_spec(cfg["law"])
+        law = _law_of(cfg["law"])
         n = cfg["n_steps"]
         if cfg["engine"] == "group":
             index = cfg["p"]
@@ -517,8 +535,7 @@ class CltCheckExperiment:
 
     @staticmethod
     def reduce(cfg, partials):
-        law = law_from_spec(cfg["law"])
-        md = law_moments(law)
+        md = law_moments(_law_of(cfg["law"]))
         stat = np.concatenate([p["stat"] for p in partials], axis=0)
         if stat.ndim == 1:
             return CltCheckExperiment._reduce_scalar(cfg, md, stat)
@@ -628,7 +645,7 @@ class BerryEsseenScanExperiment:
 
     @staticmethod
     def run_block(cfg, task):
-        law = law_from_spec(cfg["law"])
+        law = _law_of(cfg["law"])
         n = cfg["n_grid"][task["cell"]]
         traj = _group_walk_end(law, cfg["p"], n, cfg["method"], _task_rng(cfg, task),
                                task["size"])
@@ -638,7 +655,7 @@ class BerryEsseenScanExperiment:
 
     @staticmethod
     def reduce(cfg, partials):
-        m = cl.field_dim(law_from_spec(cfg["law"]).field) * cfg["p"]
+        m = cl.field_dim(_law_of(cfg["law"]).field) * cfg["p"]
         dists = []
         for cell, n in enumerate(cfg["n_grid"]):
             x = np.concatenate([p["x"] for p in partials if p["cell"] == cell])
@@ -690,7 +707,7 @@ class MomentIdentityExperiment:
 
     @staticmethod
     def run_block(cfg, task):
-        law = law_from_spec(cfg["law"])
+        law = _law_of(cfg["law"])
         n, p = cfg["grid"][task["cell"]]
         traj = _group_walk_end(law, p, n, cfg["method"], _task_rng(cfg, task), task["size"])
         y = (traj.values[0] - n * law_moments(law).m2) ** 2
@@ -698,8 +715,7 @@ class MomentIdentityExperiment:
 
     @staticmethod
     def reduce(cfg, partials):
-        law = law_from_spec(cfg["law"])
-        md = law_moments(law)
+        md = law_moments(_law_of(cfg["law"]))
         rows = []
         checks = []
         for cell, (n, p) in enumerate(cfg["grid"]):
@@ -782,20 +798,20 @@ def _diff_over_se_row(spec, m, target):
 
 
 def _run_m2_additivity(spec, k, stream):
-    law = law_from_spec(spec["law"])
+    law = _law_of(spec["law"])
     traj = run_cone_walks(law, _param(spec).nu, (spec["n_steps"],), stream(), k)
     return {"m": lab.Moments.of(traj.tr_squared()[0])}
 
 
 def _reduce_m2_additivity(spec, parts):
-    m2 = law_moments(law_from_spec(spec["law"])).m2
+    m2 = law_moments(_law_of(spec["law"])).m2
     return _diff_over_se_row(spec, _pooled(parts), spec["n_steps"] * m2)
 
 
 def _run_m1_subadd(spec, k, stream):
     rng = stream()
-    s1 = law_from_spec(spec["law"]).sample(rng, k)
-    s2 = law_from_spec(spec["law2"]).sample(rng, k)
+    s1 = _law_of(spec["law"]).sample(rng, k)
+    s2 = _law_of(spec["law2"]).sample(rng, k)
     h = cl.frob_norm(cl.cone_step(s1, s2, sample_contraction(_param(spec), rng, k)))
     return {"m": lab.Moments.of(h)}
 
@@ -803,8 +819,8 @@ def _run_m1_subadd(spec, k, stream):
 def _reduce_m1_subadd(spec, parts):
     m = _pooled(parts)
     mean, se = m.mean, m.se
-    bound = (law_moments(law_from_spec(spec["law"])).m1
-             + law_moments(law_from_spec(spec["law2"])).m1)
+    bound = (law_moments(_law_of(spec["law"])).m1
+             + law_moments(_law_of(spec["law2"])).m1)
     ratio = diff_over_se(mean - bound, se)
     return (mean, bound, se, ratio, spec["max_se"]), \
         {"excess_over_se": ratio, "max_se": spec["max_se"],
@@ -812,7 +828,7 @@ def _reduce_m1_subadd(spec, parts):
 
 
 def _run_group_consistency(spec, k, stream):
-    law = law_from_spec(spec["law"])
+    law = _law_of(spec["law"])
     p, n = spec["p"], spec["n_steps"]
     group = _group_walk_end(law, p, n, "direct", stream(0), k)
     nu = BesselParam(p * spec["d"] / 2.0, spec["q"], spec["d"]).nu
@@ -859,7 +875,7 @@ def _reduce_contraction_beta(spec, parts):
 
 
 def _run_mu_scaling(spec, k, stream):
-    law = law_from_spec(spec["law"])
+    law = _law_of(spec["law"])
     q = spec["q"]
     out = {}
     for role, mu in ((0, spec["mu"]), (1, 4.0 * spec["mu"])):
@@ -891,6 +907,19 @@ def _group_consistency_rules(spec):
         raise ConfigError("p", f"mu = p d/2 = {p * d / 2.0}: {exc}") from exc
 
 
+def _character_rules(spec):
+    # the run's character at t s, t in [|r1 - r2|, r1 + r2], and the reference's
+    r1, r2 = spec["r1"], spec["r2"]
+    try:
+        with np.errstate(all="ignore"):
+            t = np.append(np.linspace(abs(r1 - r2), r1 + r2, 257), [r1, r2])
+            if np.all(np.isfinite(bessel_character_1d(spec["mu"], t, spec["s"]))):
+                return
+        raise ValueError("the character is not finite")
+    except ValueError as exc:
+        raise ConfigError("mu", f"over t s, t in [|r1 - r2|, r1 + r2]: {exc}") from exc
+
+
 def _mu_scaling_rules(spec):
     try:
         _param(spec).require_lemma_range()
@@ -918,7 +947,7 @@ _CHECKS = {
     "character": _Check((_MU, *[_Row(x, float, _REQUIRED, *_at_least(0))
                                 for x in ("r1", "r2", "s")],
                          _count("draws", 2), _MAX_SE),
-                        _run_character, _reduce_character),
+                        _run_character, _reduce_character, _character_rules),
     "contraction-beta": _Check((_MU, _count("draws", 8),
                                 _Row("ks_max", float, _REQUIRED, *_POSITIVE)),
                                _run_contraction_beta, _reduce_contraction_beta),

@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .experiments import EXPERIMENTS
+from .radial_laws import _declared
 
 SCHEMA_VERSION = 1
 
@@ -45,12 +46,12 @@ def validate_config(raw: dict) -> tuple[dict, list[str]]:
         raise ConfigError("experiment",
                           f"unknown experiment {experiment!r}; "
                           f"expected one of {sorted(EXPERIMENTS)}")
-    known = {"experiment", "schema_version"}
     version = raw.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError("schema_version", f"unsupported version {version!r}")
     cfg, warnings = EXPERIMENTS[experiment].validate(raw)
-    unknown = set(raw) - known - set(cfg)
+    # every field of the family's table is read, and a matrix's null twin is absent
+    unknown = set(raw) - set(cfg) - _declared(EXPERIMENTS[experiment].fields)
     if unknown:
         raise ConfigError(sorted(unknown)[0], "unknown field")
     return cfg, warnings

@@ -81,6 +81,11 @@ class RadialLaw:
     scale_root: np.ndarray | None = None
     dof: int | None = None
 
+    def __post_init__(self):  # shared by every block of its configs: read-only
+        for val in vars(self).values():
+            if isinstance(val, np.ndarray):
+                val.flags.writeable = False
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -92,7 +97,7 @@ class RadialLaw:
     def finite_mixture(cls, atoms, weights, field: str = cl.REAL) -> "RadialLaw":
         # one clamp for the whole stack: each atom's bits are those of its own clamp
         atoms = cl.clamp_psd(np.stack([_to_matrix(s, field) for s in atoms]))
-        weights = np.asarray(weights, dtype=np.float64)
+        weights = np.array(weights, dtype=np.float64)
         if weights.shape != (atoms.shape[0],):
             raise ValueError("weights must match the number of atoms")
         if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
@@ -143,8 +148,7 @@ class RadialLaw:
         if self.kind == "finite_mixture":
             return self.atoms[:, 0, 0].real[self._mixture_index(rng, size)]
         if self.kind == "two_point":
-            u = rng.random(size)
-            return np.where(u < self.p_a, self.a, self.b)
+            return np.where(rng.random(size) < self.p_a, self.a, self.b)
         if self.kind == "log_normal":
             return np.exp(rng.normal(self.log_mean, self.log_sd, size))
         if self.kind == "uniform":
@@ -169,10 +173,8 @@ class RadialLaw:
             out = self.sample_scalar(rng, size)[:, None, None]
             return out if self.field == cl.REAL else out.astype(np.complex128)
         if self.kind == "wishart_root":
-            g = _std_entries(rng, (size, self.dof, self.q), self.field)
-            g = g @ self.scale_root
-            gram = cl.herm_part(np.swapaxes(np.conj(g), -1, -2) @ g)
-            return cl.psd_sqrt(gram)
+            g = _std_entries(rng, (size, self.dof, self.q), self.field) @ self.scale_root
+            return cl.psd_sqrt(cl.herm_part(np.swapaxes(np.conj(g), -1, -2) @ g))
         raise ValueError(f"unknown law kind {self.kind!r}")
 
 
@@ -242,8 +244,7 @@ def _std_entries(rng: np.random.Generator, shape, field: str) -> np.ndarray:
     if field == cl.REAL:
         return rng.standard_normal(shape)
     re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) / np.sqrt(2.0)
+    return (re + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
 def _bartlett_diag(dof: float, field: str, rng: np.random.Generator, n) -> np.ndarray:
@@ -384,6 +385,13 @@ def _read(raw: dict, rows, **cfg) -> dict:
     return cfg
 
 
+def _declared(rows) -> set:
+    """Each row's name, and name_squared of a matrix row (or list of them):
+    _read leaves the twin it does not read absent or null."""
+    return {r.name for r in rows} | {f"{r.name}_squared" for r in rows
+                                     if _matrix in (r.kind, getattr(r.kind, "kind", None))}
+
+
 def _value(name: str, val, kind, cond, msg: str, cfg: dict):
     """val read by kind and held to cond, else a ConfigError naming name."""
     if isinstance(kind, _List):
@@ -408,7 +416,7 @@ def _nested(name: str, val, selector: _Row, tables: dict, rules: Callable) -> tu
     try:
         spec = _read(raw, (selector,))
         spec = _read(raw, tables[spec[selector.name]], **spec)
-        unknown = sorted(set(raw) - set(spec))
+        unknown = sorted(set(raw) - _declared((selector, *tables[spec[selector.name]])))
         if unknown:
             raise ConfigError(unknown[0], "unknown field")
         checked = rules(spec)

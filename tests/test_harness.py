@@ -26,6 +26,7 @@ from conewalk.harness import (
 
 REPO = Path(__file__).resolve().parents[1]
 TWO_POINT = {"kind": "two_point", "a": 1.0, "b": 2.0, "p_a": 0.5}
+HUGE_TWO_POINT = {"kind": "two_point", "a": 1e80, "b": 2e80, "p_a": 0.5}
 
 
 def tiny_walk_config(**overrides):
@@ -304,6 +305,26 @@ class TestValidation:
         with pytest.raises(ConfigError, match="unknown field") as info:
             validate_config({"experiment": "axioms", "seed": 1, "checks": [spec]})
         assert info.value.field == "checks[0].maxse"
+
+    def test_null_matrix_twin_is_absent(self):
+        # a null field counts as absent, the twin of a matrix too; a null key
+        # that no table declares is still unknown
+        conv = {"experiment": "convolve", "seed": 1, "q": 1, "d": 1, "mu": 2.5,
+                "r": [[1.0]], "s": [[0.6]], "replicates": 10}
+        assert validate_config(conv | {"r_squared": None}) == validate_config(conv)
+        law = {"kind": "point_mass", "atom": [[1.0]]}
+        walk = tiny_walk_config(law=law)
+        assert validate_config(tiny_walk_config(law=law | {"atom_squared": None})) == \
+            validate_config(walk)
+        spec = {"check": "commutativity", "q": 1, "d": 1, "mu": 2.5, "r_squared": [[1.0]],
+                "r": None, "s": [[0.6]], "replicates": 10}
+        validate_config({"experiment": "axioms", "seed": 1, "checks": [spec]})
+        for raw, field in ((conv | {"replicates_squared": None}, "replicates_squared"),
+                           (conv | {"bogus": None}, "bogus"),
+                           (tiny_walk_config(law=law | {"a_squared": None}), "law.a_squared")):
+            with pytest.raises(ConfigError, match="unknown field") as info:
+                validate_config(raw)
+            assert info.value.field == field
 
     @pytest.mark.parametrize("name", ["sub/dir", "", "../x", ".hidden", "a b", "-x"])
     def test_name_must_be_plain_file_name(self, name):
@@ -1070,8 +1091,27 @@ class TestCli:
         ({"experiment": "clt-check", "seed": 1, "kind": "CLT3", "engine": "group", "p": 3,
           "n_steps": 4, "replicates": 10, "law": {"kind": "point_mass", "atom": [[1e-100]]}},
          "law"),
+        # moments past float64: a Python float power overflows, numpy's exp gives inf
+        ({"experiment": "clt-check", "seed": 1, "kind": "CLT1", "engine": "group", "p": 3,
+          "n_steps": 4, "replicates": 10, "law": HUGE_TWO_POINT}, "law"),
+        ({"experiment": "clt-check", "seed": 1, "kind": "CLT2", "engine": "group", "p": 3,
+          "n_steps": 4, "replicates": 10, "law": HUGE_TWO_POINT}, "law"),
+        ({"experiment": "clt-check", "seed": 1, "kind": "CLT4", "engine": "bessel", "mu": 3.0,
+          "n_steps": 4, "replicates": 10,
+          "law": {"kind": "log_normal", "log_mean": 200.0, "log_sd": 1.0}}, "law"),
+        # the character beyond float64: at the reference, and only at the top
+        # (r1 + r2) s of the run's range
+        ({"experiment": "axioms", "seed": 1, "checks": [
+            {"check": "character", "mu": 400, "r1": 30, "r2": 30, "s": 30, "draws": 10}]},
+         "checks[0].mu"),
+        ({"experiment": "axioms", "seed": 1, "checks": [
+            {"check": "character", "mu": 400, "r1": 2, "r2": 2, "s": 35, "draws": 10}]},
+         "checks[0].mu"),
     ], ids=["p-below-q", "too-few-for-mardia", "top-level-list", "grid-p-zero", "grid-n-zero",
-            "mu-scaling-ratio-bounds", "clt2-point-mass", "clt1-zero-law", "clt3-atom-1e-100"])
+            "mu-scaling-ratio-bounds", "clt2-point-mass", "clt1-zero-law", "clt3-atom-1e-100",
+            "clt1-moments-overflow", "clt2-moments-overflow", "clt4-log-normal-moments-overflow",
+            "character-reference-beyond-float64",
+            "character-run-beyond-float64"])
     def test_unrunnable_config_exit_two(self, tmp_path, capsys, raw, field):
         # refused before anything runs or is written
         path = tmp_path / "cfg.json"

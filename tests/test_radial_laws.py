@@ -1,3 +1,5 @@
+import json
+
 import mpmath
 import numpy as np
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conewalk import cone_linalg as cl
+from conewalk import experiments
 from conewalk.errors import ConfigError
 from conewalk.radial_laws import (
     MomentData,
@@ -251,6 +254,22 @@ class TestSpecs:
         with pytest.raises(ConfigError):
             law_from_spec({"kind": "finite_mixture",
                            "atoms": [[[1.0]]], "weights": [0.5]})
+
+    def test_laws_are_built_once_and_read_only(self):
+        # every block of a config shares one law per process and spec
+        spec = normalize_law_spec(MIX6_SPEC)
+        law = experiments._law_of(spec)
+        assert experiments._law_of(json.loads(json.dumps(spec))) is law
+        for arr in (law.atoms, law.weights, law.cdf):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        weights = np.array([0.25, 0.75])
+        RadialLaw.finite_mixture([np.eye(1), 2 * np.eye(1)], weights)
+        weights[0] = 0.5  # the caller's array is copied, not frozen
+        for drawn in (law.sample(RNG(), 4),
+                      experiments._law_of({"kind": "point_mass", "field": "real",
+                                           "atom": [[1.0]], "q": 1}).sample(RNG(), 4)):
+            drawn[0] = 0.0
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
