@@ -455,10 +455,11 @@ class CltCheckExperiment:
         try:  # the statistics and their limits read m1..m4 and s2^2 = m2^2
             with np.errstate(all="ignore"):
                 md = law_moments(law)
-            if not all(map(math.isfinite, (md.m1, md.m2, md.m3, md.m4, md.sigma4))):
-                raise ValueError("not finite")
-        except (OverflowError, ValueError) as exc:  # a float power, or MomentData's checks
-            raise ConfigError("law", "its moments m1..m4 or m2^2 overflow float64") from exc
+            finite = all(map(math.isfinite, (md.m1, md.m2, md.m3, md.m4, md.sigma4)))
+        except (OverflowError, ValueError):  # a float power, or MomentData's checks
+            finite = False
+        if not finite:
+            raise ConfigError("law", "its moments m1..m4 or m2^2 overflow float64")
         warnings = []
         if cfg["engine"] == "group":
             if law.q > 1 and cfg["p"] < law.q:
@@ -910,14 +911,14 @@ def _group_consistency_rules(spec):
 def _character_rules(spec):
     # the run's character at t s, t in [|r1 - r2|, r1 + r2], and the reference's
     r1, r2 = spec["r1"], spec["r2"]
-    try:
-        with np.errstate(all="ignore"):
-            t = np.append(np.linspace(abs(r1 - r2), r1 + r2, 257), [r1, r2])
-            if np.all(np.isfinite(bessel_character_1d(spec["mu"], t, spec["s"]))):
-                return
-        raise ValueError("the character is not finite")
-    except ValueError as exc:
-        raise ConfigError("mu", f"over t s, t in [|r1 - r2|, r1 + r2]: {exc}") from exc
+    with np.errstate(all="ignore"):
+        t = np.append(np.linspace(abs(r1 - r2), r1 + r2, 257), [r1, r2])
+        try:
+            chars = bessel_character_1d(spec["mu"], t, spec["s"])
+        except ValueError as exc:
+            raise ConfigError("mu", f"over t s, t in [|r1 - r2|, r1 + r2]: {exc}") from exc
+    if not np.all(np.isfinite(chars)):
+        raise ConfigError("mu", "the character is not finite over t s, t in [|r1 - r2|, r1 + r2]")
 
 
 def _mu_scaling_rules(spec):

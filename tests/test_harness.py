@@ -1107,11 +1107,15 @@ class TestCli:
         ({"experiment": "axioms", "seed": 1, "checks": [
             {"check": "character", "mu": 400, "r1": 2, "r2": 2, "s": 35, "draws": 10}]},
          "checks[0].mu"),
+        # r1 + r2 overflows, and t s = inf * 0 is NaN
+        ({"experiment": "axioms", "seed": 1, "checks": [
+            {"check": "character", "mu": 3.0, "r1": 1e308, "r2": 1e308, "s": 0.0, "draws": 10}]},
+         "checks[0].mu"),
     ], ids=["p-below-q", "too-few-for-mardia", "top-level-list", "grid-p-zero", "grid-n-zero",
             "mu-scaling-ratio-bounds", "clt2-point-mass", "clt1-zero-law", "clt3-atom-1e-100",
             "clt1-moments-overflow", "clt2-moments-overflow", "clt4-log-normal-moments-overflow",
             "character-reference-beyond-float64",
-            "character-run-beyond-float64"])
+            "character-run-beyond-float64", "character-run-overflows"])
     def test_unrunnable_config_exit_two(self, tmp_path, capsys, raw, field):
         # refused before anything runs or is written
         path = tmp_path / "cfg.json"
