@@ -67,7 +67,7 @@ def haar_block(nu: float, q: int, field: str, rng: np.random.Generator,
     (Muirhead, Aspects of Multivariate Statistical Theory, 1982, Thm 3.2.14),
     the index-mu contraction density at nu = 2 mu / d - q.  Any R = f(M)
     with R*R = M gives v that law:
-    * (G1, M) has density proportional to etr(-M/2) det(M - G1*G1)^(...);
+    * (G1, M) has density proportional to etr(-M/2) det(M - G1*G1)^(d (nu-q+1)/2 - 1);
     * under G1 = v R, det(M - G1*G1) = det(M) det(I - v*v), with Jacobian
       det(M)^(d q / 2), so v is independent of M with the density above,
       for the symmetric root and the Cholesky factor alike;
@@ -111,7 +111,7 @@ def _cholesky_solve(g: np.ndarray, cols: list) -> np.ndarray:
     for j in range(q):
         piv = sum(map(cl._abs2, rows[j])) - sum(cl._abs2(r[k, j]) for k in range(j))
         if not np.all((piv > 0.0) & (piv < np.inf)):
-            raise NumericalFailureError("Haar block: G1*G1 + W is not positive definite",
+            raise NumericalFailureError("Haar block: G1*G1 + W is not finite positive definite",
                                         payload=g)
         inv = 1.0 / np.sqrt(piv)
         for m in range(j + 1, q):
