@@ -123,10 +123,15 @@ def law_moments(law: RadialLaw):
     return moments(law)
 
 
-def _group_walk_end(law, p, n, method, rng, size):
-    """A batch of group walks of n steps, recorded at step n only."""
-    wcfg = GroupWalkConfig(p=p, q=law.q, field=law.field, n_steps=n, law=law,
-                           checkpoints=(n,), method=method)
+def _walks(spec, law, checkpoints, rng, size):
+    """A batch of walks of law recorded at checkpoints, the one place a
+    config becomes a walk: the index-mu walk of a spec with a mu, else
+    the group walk at its p by its method."""
+    if "mu" in spec:
+        nu = BesselParam(spec["mu"], law.q, cl.field_dim(law.field)).nu
+        return run_cone_walks(law, nu, checkpoints, rng, size)
+    wcfg = GroupWalkConfig(p=spec["p"], q=law.q, field=law.field, n_steps=checkpoints[-1],
+                           law=law, checkpoints=tuple(checkpoints), method=spec["method"])
     return run_group_walks(wcfg, rng, size)
 
 
@@ -233,11 +238,9 @@ class WalkGroupExperiment:
 
     @staticmethod
     def run_block(cfg, task):
-        wcfg = GroupWalkConfig(p=cfg["p"], q=cfg["q"], field=cfg["field"],
-                               n_steps=cfg["n_steps"], law=_law_of(cfg["law"]),
-                               checkpoints=tuple(cfg["checkpoints"]), method=cfg["method"])
-        return _walk_partial(cfg, task,
-                             run_group_walks(wcfg, _task_rng(cfg, task), task["size"]))
+        traj = _walks(cfg, _law_of(cfg["law"]), cfg["checkpoints"], _task_rng(cfg, task),
+                      task["size"])
+        return _walk_partial(cfg, task, traj)
 
     @staticmethod
     def reduce(cfg, partials):
@@ -283,14 +286,7 @@ class WalkBesselExperiment:
         return cfg, []
 
     plan = WalkGroupExperiment.plan
-
-    @staticmethod
-    def run_block(cfg, task):
-        nu = BesselParam(cfg["mu"], cfg["q"], cfg["d"]).nu
-        traj = run_cone_walks(_law_of(cfg["law"]), nu, cfg["checkpoints"],
-                              _task_rng(cfg, task), task["size"])
-        return _walk_partial(cfg, task, traj)
-
+    run_block = WalkGroupExperiment.run_block
     reduce = WalkGroupExperiment.reduce
 
 
@@ -521,18 +517,12 @@ class CltCheckExperiment:
 
     @staticmethod
     def run_block(cfg, task):
-        rng = _task_rng(cfg, task)
         law = _law_of(cfg["law"])
         n = cfg["n_steps"]
-        if cfg["engine"] == "group":
-            index = cfg["p"]
-            traj = _group_walk_end(law, index, n, cfg["method"], rng, task["size"])
-        else:
-            index = cfg["mu"]
-            nu = BesselParam(index, law.q, cl.field_dim(law.field)).nu
-            traj = run_cone_walks(law, nu, (n,), rng, task["size"])
-        stat = lab.normalize_clt(cfg["kind"], traj.values[0], n, index, law_moments(law))
-        return {"stat": stat}
+        traj = _walks(cfg, law, (n,), _task_rng(cfg, task), task["size"])
+        index = cfg.get("p", cfg.get("mu"))
+        return {"stat": lab.normalize_clt(cfg["kind"], traj.values[0], n, index,
+                                          law_moments(law))}
 
     @staticmethod
     def reduce(cfg, partials):
@@ -648,8 +638,7 @@ class BerryEsseenScanExperiment:
     def run_block(cfg, task):
         law = _law_of(cfg["law"])
         n = cfg["n_grid"][task["cell"]]
-        traj = _group_walk_end(law, cfg["p"], n, cfg["method"], _task_rng(cfg, task),
-                               task["size"])
+        traj = _walks(cfg, law, (n,), _task_rng(cfg, task), task["size"])
         # m ||S_n||^2 / (n s2) against chi-square(m), m = d p
         m = cl.field_dim(law.field) * cfg["p"]
         return {"cell": task["cell"], "x": traj.values[0] * (m / (n * law_moments(law).m2))}
@@ -710,7 +699,7 @@ class MomentIdentityExperiment:
     def run_block(cfg, task):
         law = _law_of(cfg["law"])
         n, p = cfg["grid"][task["cell"]]
-        traj = _group_walk_end(law, p, n, cfg["method"], _task_rng(cfg, task), task["size"])
+        traj = _walks({**cfg, "p": p}, law, (n,), _task_rng(cfg, task), task["size"])
         y = (traj.values[0] - n * law_moments(law).m2) ** 2
         return {"cell": task["cell"], "m": lab.Moments.of(y)}
 
@@ -799,8 +788,7 @@ def _diff_over_se_row(spec, m, target):
 
 
 def _run_m2_additivity(spec, k, stream):
-    law = _law_of(spec["law"])
-    traj = run_cone_walks(law, _param(spec).nu, (spec["n_steps"],), stream(), k)
+    traj = _walks(spec, _law_of(spec["law"]), (spec["n_steps"],), stream(), k)
     return {"m": lab.Moments.of(traj.tr_squared()[0])}
 
 
@@ -829,11 +817,9 @@ def _reduce_m1_subadd(spec, parts):
 
 
 def _run_group_consistency(spec, k, stream):
-    law = _law_of(spec["law"])
-    p, n = spec["p"], spec["n_steps"]
-    group = _group_walk_end(law, p, n, "direct", stream(0), k)
-    nu = BesselParam(p * spec["d"] / 2.0, spec["q"], spec["d"]).nu
-    bessel = run_cone_walks(law, nu, (n,), stream(1), k)
+    law, p, cps = _law_of(spec["law"]), spec["p"], (spec["n_steps"],)
+    group = _walks({"p": p, "method": "direct"}, law, cps, stream(0), k)
+    bessel = _walks({"mu": p * spec["d"] / 2.0}, law, cps, stream(1), k)
     return {"a": group.tr_squared()[0], "b": bessel.tr_squared()[0]}
 
 

@@ -83,6 +83,18 @@ def test_one_walk_engine():
                      "bessel.paired_composition_diffs"}
 
 
+def test_one_walk_route():
+    # every config becomes a walk in one helper of experiments.py: no other
+    # function there starts an engine or builds a group-walk config
+    tree = ast.parse((SRC / "experiments.py").read_text())
+    found = {getattr(top, "name", top.lineno)
+             for top in tree.body
+             for node in ast.walk(top)
+             if isinstance(node, ast.Call) and _called_name(node) in
+             ("run_cone_walks", "run_group_walks", "GroupWalkConfig")}
+    assert found == {"_walks"}
+
+
 def test_one_frame_construction():
     # a Haar frame is QR with the R-diagonal phase made positive, built in
     # one place: sample_stiefel_frame is the only caller of np.linalg.qr
