@@ -991,11 +991,12 @@ class AxiomsExperiment:
 
 
 def _params_str(spec) -> str:
-    skip = {"check", "law", "law2", "r", "s", "r_squared", "s_squared",
-            "replicates", "draws", "max_se", "level", "ks_max",
+    """The check's scalar parameters; laws, matrices, sizes and thresholds
+    are left out."""
+    skip = {"check", "replicates", "draws", "max_se", "level", "ks_max",
             "ratio_lo", "ratio_hi", "slack", "cap"}
-    parts = [f"{k}={spec[k]}" for k in sorted(spec) if k not in skip]
-    return " ".join(parts)
+    return " ".join(f"{k}={v}" for k, v in sorted(spec.items())
+                    if k not in skip and not isinstance(v, (list, dict)))
 
 
 EXPERIMENTS = {

@@ -203,6 +203,8 @@ CASES = {
 # convolve-q2, stiefel-q2 and support-bound-q3-real draw cases) was
 # recorded again when v = G1 (G1*G1 + W)^(-1/2) gave way to v = G1 R^(-1)
 # with R the Cholesky factor of G1*G1 + W (other realizations, same law).
+# c05 and character-mu0.52 were recorded again when the axioms params
+# column began to show the character check's s (the CSV's params cell).
 GOLDEN = {
     "axiom-extras": "44d33b40b3a3ee70d164d6c65a4ec8fda2a60bff9b8374995130ef5727bbb672",
     "bessel-q1-complex": "28d2ecd693275f2ad61bcca36ec0c3d0e7ce3f786f956e318ee02241f0961386",
@@ -211,7 +213,7 @@ GOLDEN = {
     "c02": "51882ec7e904f5196a34c8b1b9b2f5e0350670d2c9e175a21ced63b53fc4a175",
     "c03": "8da823cc01a1f61f3668dac1abe4c9f7b64f07ee861d8238eb253970891e8165",
     "c04": "3faa969af96c32b668679fd97d30724f1211b4a463ebadba2b21bb4f4ec7b4f3",
-    "c05": "ed664769e2763474530a34b4a6eb9f5f3a8470d8da4a7e2d5200bf4577b783b0",
+    "c05": "01a4ba48903ca952bc91bbe212643d7aba90ceaff8cbb61b6ab53cb2382ca0c6",
     "c06": "70c64ad17cc4e0f6cee93b46ed0bb32bb68fbf3b26cffdf03f6a199c5ee0e878",
     "c07": "b4d1bfa0446510af17cf87f3eb8928ac2d7a626a77a40230b96719b51a9fb8cf",
     "c08": "f241ce0ceec44f4c7f24a3cf1bf3d78199e3507389866f7e458c7a7487106c27",
@@ -220,7 +222,7 @@ GOLDEN = {
     "c11": "3434369133bc09b75de862309d4f7d20885b290c59fbcd158edae1b71dd6f7f8",
     "c12a": "a5109c2ee38cb97c4e08a860ea4ae19cb723dfbd31114b60c2095165275157ef",
     "c12b": "9fcdecc1ccf91c6e99d70627a8dd905c96e9053396aabe10f8f404f7f37042f4",
-    "character-mu0.52": "84598dd63a9f28638377c28a5a7e1376b7d554308f5c4a075c76eb32593ed1d3",
+    "character-mu0.52": "9b1e763098247c40fcacd5e30c96fce159003060b92fbc65d4854d4f590f193b",
     "contraction-beta-mu0.52": "1d8c8ed2c6d98f85edaa1a0ea90063f47e619574facf1fe66255ab0526eb956f",
     "convolve-q1": "0a69f04045a73e11b54ce11152fb33e2a893cf90cce1c6477bbc82de6484fd6f",
     "demo-convolve": "15db326395de7a6174ec8cf69a1c65f78284c3636c25840567adb3365ae79d10",

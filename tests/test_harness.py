@@ -950,6 +950,17 @@ class TestOtherFamilies:
         rec = run_experiment(cfg)
         assert rec.passed
 
+    def test_axioms_params_column(self):
+        # scalar parameters are shown, the character's s among them; laws
+        # and matrices, the commutativity check's r and s among them, are not
+        cfg, _ = validate_config({"experiment": "axioms", "seed": 1, "checks": [
+            {"check": "character", "mu": 4.0, "r1": 1.0, "r2": 2.0, "s": 0.7, "draws": 10},
+            {"check": "commutativity", "mu": 4.0, "q": 1, "r": 1.0, "s_squared": 4.0,
+             "replicates": 8},
+            {"check": "m1-subadditivity", "mu": 4.0, "law": TWO_POINT, "replicates": 2}]})
+        assert [experiments._params_str(spec) for spec in cfg["checks"]] == \
+            ["mu=4.0 r1=1.0 r2=2.0 s=0.7", "d=1 mu=4.0 q=1", "d=1 mu=4.0 q=1"]
+
     def test_walk_bessel_at_mu_dp_over_2_is_walk_group(self, tmp_path):
         # one engine: the walk-bessel family at mu = d p / 2 writes the
         # walk-group family's rows and replicates byte for byte
