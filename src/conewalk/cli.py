@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .errors import ConfigError, NumericalFailureError
 from .experiments import EXPERIMENTS
@@ -59,6 +60,11 @@ def main(argv=None) -> int:
         if args.workers is not None and args.workers < 1:
             raise ConfigError("--workers", "must be >= 1")
         workers = args.workers if args.workers is not None else default_workers()
+        # the outputs go under --out: its nearest existing ancestor must be a directory
+        out = Path(args.out).absolute()
+        found = next(p for p in (out, *out.parents) if p.exists())
+        if not found.is_dir():
+            raise ConfigError("--out", f"{found} exists and is not a directory")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

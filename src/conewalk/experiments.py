@@ -167,6 +167,21 @@ def _law(name: str, val, cfg: dict) -> dict:
     return spec
 
 
+def _moment_law(name: str, val, cfg: dict) -> dict:
+    """A law whose run reads its moments: m1..m4 and m2^2 must be finite
+    float64 numbers."""
+    spec = _law(name, val, cfg)
+    try:
+        with np.errstate(all="ignore"):
+            md = law_moments(_law_of(spec))
+        finite = all(map(math.isfinite, (md.m1, md.m2, md.m3, md.m4, md.sigma4)))
+    except (OverflowError, ValueError):  # a float power, or MomentData's checks
+        finite = False
+    if not finite:
+        raise ConfigError(name, "its moments m1..m4 or m2^2 overflow float64")
+    return spec
+
+
 def _index(name: str, val, cfg: dict) -> float:
     """The index mu: positive, and in the existence range mu > rho - 1 of
     the dimensions read before it."""
@@ -189,7 +204,9 @@ _Q = _Row("q", int, 1, *_at_least(1))
 _D = _Row("d", int, 1, lambda v: v in (1, 2), "must be 1 or 2")
 _MU = _Row("mu", _index)
 _LAW = _Row("law", _law)
-_SCALAR_LAW = _Row("law", _law, _REQUIRED, lambda spec: spec["q"] == 1, "must be a q = 1 law")
+_MOMENT_LAW = _Row("law", _moment_law)
+_SCALAR_LAW = _Row("law", _moment_law, _REQUIRED, lambda spec: spec["q"] == 1,
+                   "must be a q = 1 law")
 _POINTS = (_Row("r", _matrix), _Row("s", _matrix))
 _MAX_SE = _Row("max_se", float, 4.0, *_POSITIVE)
 _LEVEL = _Row("level", float, 1e-3, lambda v: 0 < v < 1, "must lie in (0, 1)")
@@ -198,7 +215,7 @@ _METHOD = _Row("method", str, "polar", *_one_of(METHODS))
 _WALK = (
     _count("n_steps", 1),
     _Row("checkpoints", _List(int), lambda cfg: [cfg["n_steps"]]),
-    _LAW,
+    _MOMENT_LAW,
     _count("replicates", 1),
     _Row("emit", str, "aggregate", *_one_of(("aggregate", "replicates"))),
     _MAX_SE,
@@ -434,7 +451,7 @@ class CltCheckExperiment:
     fields = _COMMON + (
         _Row("kind", str, _REQUIRED, *_one_of(lab.CLT_KINDS)),
         _Row("engine", str, "group", *_one_of(("group", "bessel"))),
-        _LAW,
+        _MOMENT_LAW,
         _count("n_steps", 1),
         _count("replicates", 2),
         _MAX_SE,
@@ -448,14 +465,7 @@ class CltCheckExperiment:
         cfg = _read(raw, CltCheckExperiment.fields, experiment="clt-check", schema_version=1)
         cfg = _read(raw, CltCheckExperiment.engine_fields[cfg["engine"]], **cfg)
         law = _law_of(cfg["law"])
-        try:  # the statistics and their limits read m1..m4 and s2^2 = m2^2
-            with np.errstate(all="ignore"):
-                md = law_moments(law)
-            finite = all(map(math.isfinite, (md.m1, md.m2, md.m3, md.m4, md.sigma4)))
-        except (OverflowError, ValueError):  # a float power, or MomentData's checks
-            finite = False
-        if not finite:
-            raise ConfigError("law", "its moments m1..m4 or m2^2 overflow float64")
+        md = law_moments(law)
         warnings = []
         if cfg["engine"] == "group":
             if law.q > 1 and cfg["p"] < law.q:
@@ -921,10 +931,11 @@ _CHECKS = {
                             _run_support_bound, _reduce_support_bound),
     "commutativity": _Check((_Q, _D, _MU, _count("replicates", 8), _LEVEL, *_POINTS),
                             _run_commutativity, _reduce_two_sample_ks),
-    "m2-additivity": _Check((_Q, _D, _LAW, _MU, _count("n_steps", 1), _count("replicates", 2),
-                             _MAX_SE),
+    "m2-additivity": _Check((_Q, _D, _MOMENT_LAW, _MU, _count("n_steps", 1),
+                             _count("replicates", 2), _MAX_SE),
                             _run_m2_additivity, _reduce_m2_additivity),
-    "m1-subadditivity": _Check((_Q, _D, _LAW, _Row("law2", _law, lambda spec: spec["law"]), _MU,
+    "m1-subadditivity": _Check((_Q, _D, _MOMENT_LAW,
+                                _Row("law2", _moment_law, lambda spec: spec["law"]), _MU,
                                 _count("replicates", 2), _MAX_SE),
                                _run_m1_subadd, _reduce_m1_subadd),
     "group-consistency": _Check((_Q, _D, _LAW, _count("p", 1), _count("n_steps", 1),

@@ -62,10 +62,10 @@ def load_config(path: str | Path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError("<path>", f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError("<path>", f"config is not valid JSON: {exc}") from exc
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError("<path>", f"cannot read config file {path}: {exc}") from exc
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ConfigError("<path>", f"config is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "config must be a JSON object")
     return raw

@@ -27,6 +27,8 @@ from conewalk.harness import (
 REPO = Path(__file__).resolve().parents[1]
 TWO_POINT = {"kind": "two_point", "a": 1.0, "b": 2.0, "p_a": 0.5}
 HUGE_TWO_POINT = {"kind": "two_point", "a": 1e80, "b": 2e80, "p_a": 0.5}
+HUGE_LOG_NORMAL = {"kind": "log_normal", "log_mean": 200.0, "log_sd": 1.0}
+HUGE_UNIFORM = {"kind": "uniform", "lo": 0.0, "hi": 1e80}
 
 
 def tiny_walk_config(**overrides):
@@ -226,7 +228,7 @@ def _tables(raw):
         yield prefix, rows
         for row in rows:
             law = _at(raw, prefix).get(row.name)
-            if row.kind is experiments._law and law is not None:
+            if row.kind in (experiments._law, experiments._moment_law) and law is not None:
                 yield (*prefix, row.name), (radial_laws._KIND, *radial_laws._LAWS[law["kind"]])
 
 
@@ -1108,8 +1110,23 @@ class TestCli:
         ({"experiment": "clt-check", "seed": 1, "kind": "CLT2", "engine": "group", "p": 3,
           "n_steps": 4, "replicates": 10, "law": HUGE_TWO_POINT}, "law"),
         ({"experiment": "clt-check", "seed": 1, "kind": "CLT4", "engine": "bessel", "mu": 3.0,
-          "n_steps": 4, "replicates": 10,
-          "law": {"kind": "log_normal", "log_mean": 200.0, "log_sd": 1.0}}, "law"),
+          "n_steps": 4, "replicates": 10, "law": HUGE_LOG_NORMAL}, "law"),
+        # every other family and check that reads its law's moments
+        ({"experiment": "walk-group", "seed": 1, "p": 3, "n_steps": 4, "replicates": 10,
+          "law": HUGE_TWO_POINT}, "law"),
+        ({"experiment": "walk-bessel", "seed": 1, "mu": 3.0, "n_steps": 4, "replicates": 10,
+          "law": HUGE_LOG_NORMAL}, "law"),
+        ({"experiment": "moment-identity", "seed": 1, "grid": [[2, 3]], "replicates": 10,
+          "law": HUGE_UNIFORM}, "law"),
+        ({"experiment": "berry-esseen-scan", "seed": 1, "p": 3, "n_grid": [1, 2, 3, 4],
+          "replicates": 10, "law": HUGE_TWO_POINT}, "law"),
+        ({"experiment": "axioms", "seed": 1, "checks": [
+            {"check": "character", "mu": 3.0, "r1": 1, "r2": 1, "s": 1, "draws": 10},
+            {"check": "m2-additivity", "mu": 3.0, "n_steps": 4, "replicates": 10,
+             "law": HUGE_LOG_NORMAL}]}, "checks[1].law"),
+        ({"experiment": "axioms", "seed": 1, "checks": [
+            {"check": "m1-subadditivity", "mu": 3.0, "replicates": 10, "law": TWO_POINT,
+             "law2": HUGE_UNIFORM}]}, "checks[0].law2"),
         # the character beyond float64: at the reference, and only at the top
         # (r1 + r2) s of the run's range
         ({"experiment": "axioms", "seed": 1, "checks": [
@@ -1125,6 +1142,9 @@ class TestCli:
     ], ids=["p-below-q", "too-few-for-mardia", "top-level-list", "grid-p-zero", "grid-n-zero",
             "mu-scaling-ratio-bounds", "clt2-point-mass", "clt1-zero-law", "clt3-atom-1e-100",
             "clt1-moments-overflow", "clt2-moments-overflow", "clt4-log-normal-moments-overflow",
+            "walk-group-moments-overflow", "walk-bessel-moments-overflow",
+            "moment-identity-moments-overflow", "berry-esseen-moments-overflow",
+            "m2-additivity-moments-overflow", "m1-subadditivity-law2-moments-overflow",
             "character-reference-beyond-float64",
             "character-run-beyond-float64", "character-run-overflows"])
     def test_unrunnable_config_exit_two(self, tmp_path, capsys, raw, field):
@@ -1137,6 +1157,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and f"config field '{field}'" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("config, out, field", [
+        ("missing.json", "out", "<path>"),
+        ("bad.json", "out", "<path>"),
+        ("latin1.json", "out", "<path>"),
+        ("a_dir", "out", "<path>"),
+        ("array.json", "out", "<root>"),
+        ("cfg.json", "a_file", "--out"),
+        ("cfg.json", "a_file/sub", "--out"),
+    ], ids=["missing-file", "invalid-json", "not-utf8", "directory", "json-array",
+            "out-is-a-file", "out-under-a-file"])
+    def test_unreadable_input_exit_two(self, tmp_path, capsys, config, out, field):
+        # refused as config errors before anything runs or is written
+        (tmp_path / "cfg.json").write_text(json.dumps(tiny_walk_config(replicates=32)))
+        (tmp_path / "bad.json").write_text('{"experiment": ')
+        (tmp_path / "latin1.json").write_bytes('{"name": "café"}'.encode("latin-1"))
+        (tmp_path / "array.json").write_text("[1, 2]")
+        (tmp_path / "a_dir").mkdir()
+        (tmp_path / "a_file").write_text("keep")
+        before = sorted(tmp_path.rglob("*"))
+        code = cli.main(["walk-bessel", "--config", str(tmp_path / config),
+                         "--out", str(tmp_path / out)])
+        assert code == 2
+        assert f"config error: config field '{field}'" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "a_file").read_text() == "keep"
 
     def test_string_law_parameter_exit_two(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -1165,16 +1211,28 @@ class TestCli:
         assert res.returncode == 2
 
     def test_numerical_failure_exit_three(self, tmp_path):
-        cfg = tiny_walk_config()
-        cfg["experiment"] = "walk-group"
-        del cfg["mu"], cfg["d"]
-        cfg.update(p=4, law={"kind": "point_mass", "atom": 1e200},
-                   replicates=32)
+        # group-consistency reads no moments, so it takes a law whose walk
+        # overflows float64 at its first step
+        cfg = {"experiment": "axioms", "seed": 1, "checks": [
+            {"check": "group-consistency", "p": 4, "n_steps": 2, "replicates": 32,
+             "law": {"kind": "point_mass", "atom": 1e200}}]}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        res = self._run("walk-group", "--config", str(path))
+        res = self._run("axioms", "--config", str(path), "--out", str(tmp_path / "out"))
         assert res.returncode == 3
-        assert "numerical failure" in res.stderr
+        assert "numerical failure: walk accumulation overflowed" in res.stderr
+
+    def test_moment_free_checks_accept_huge_laws(self, tmp_path, capsys):
+        # group-consistency reads no moments: a law whose moments overflow
+        # float64 but whose walks stay finite runs
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "axioms", "seed": 1, "name": "huge",
+                                    "checks": [{"check": "group-consistency", "p": 4,
+                                                "n_steps": 2, "replicates": 200,
+                                                "law": HUGE_LOG_NORMAL}]}))
+        code = cli.main(["axioms", "--config", str(path), "--out", str(tmp_path / "out"),
+                         "--workers", "1"])
+        assert code == 0, capsys.readouterr().err
 
     def test_threshold_failure_exit_four(self, tmp_path):
         cfg = {
