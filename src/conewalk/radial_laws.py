@@ -179,17 +179,10 @@ class RadialLaw:
 
 
 def law_from_spec(spec: dict) -> RadialLaw:
-    """The law of a JSON law spec (the harness law sub-schema), read as
-    normalize_law_spec reads it."""
+    """The law of a JSON law spec (the harness law sub-schema), read by
+    its kind's table in _LAWS.  A refusal is a ConfigError naming law or
+    law.<field>."""
     return _law_spec("law", spec)[1]
-
-
-def normalize_law_spec(spec: dict) -> dict:
-    """Canonical JSON form of a law spec, read by its kind's table in
-    _LAWS: validated, defaults filled, matrix payloads hermitized but
-    never reconstructed through an eigenbasis (so canonicalization is
-    idempotent).  A refusal is a ConfigError naming law or law.<field>."""
-    return _law_spec("law", spec)[0]
 
 
 def moments(law: RadialLaw) -> MomentData:
@@ -517,7 +510,9 @@ _KIND = _Row("kind", str, _REQUIRED, lambda v: v in KINDS,
 
 def _law_spec(name: str, val) -> tuple[dict, RadialLaw]:
     """The canonical law spec val, read by its kind's table, and its law,
-    built to hold the spec to the RadialLaw constructors' range checks."""
+    built to hold the spec to the RadialLaw constructors' range checks.
+    Matrices are hermitized, never rebuilt through an eigenbasis, so the
+    spec read again is itself."""
     return _nested(name, val, _KIND, _LAWS, _build)
 
 

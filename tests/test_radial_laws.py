@@ -12,9 +12,9 @@ from conewalk.errors import ConfigError
 from conewalk.radial_laws import (
     MomentData,
     RadialLaw,
+    _law_spec,
     law_from_spec,
     moments,
-    normalize_law_spec,
 )
 
 RNG = lambda seed=0: np.random.default_rng(seed)  # noqa: E731
@@ -234,8 +234,9 @@ class TestWishartClosedForms:
 
 class TestSpecs:
     def test_round_trip(self):
-        spec = normalize_law_spec(MIX6_SPEC)
-        assert normalize_law_spec(spec) == spec
+        # the canonical spec is read back unchanged
+        spec = _law_spec("law", MIX6_SPEC)[0]
+        assert _law_spec("law", spec)[0] == spec
         law = law_from_spec(spec)
         assert law.q == 2
 
@@ -257,7 +258,7 @@ class TestSpecs:
 
     def test_laws_are_built_once_and_read_only(self):
         # every block of a config shares one law per process and spec
-        spec = normalize_law_spec(MIX6_SPEC)
+        spec = _law_spec("law", MIX6_SPEC)[0]
         law = experiments._law_of(spec)
         assert experiments._law_of(json.loads(json.dumps(spec))) is law
         for arr in (law.atoms, law.weights, law.cdf):

@@ -188,7 +188,7 @@ def test_one_field_reader():
     # left, and the one reader is radial_laws._read.  In experiments.py and
     # radial_laws.py a raw config, axioms check or law spec is only handed
     # to _read or listed by set() for the unknown-field check outside _read,
-    # and law_from_spec and normalize_law_spec hand their spec straight on
+    # and law_from_spec hands its spec straight on
     found = [f"{path.relative_to(SRC)}:{node.lineno}"
              for path in sorted(SRC.rglob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
@@ -210,7 +210,7 @@ def test_one_field_reader():
                 if not (isinstance(call, ast.Call) and call.args[:1] == [node]
                         and _called_name(call) in ("_read", "set")):
                     found.append(f"{name}:{node.lineno}")
-        entries = [tops[f] for f in ("law_from_spec", "normalize_law_spec") if f in tops]
+        entries = [tops[f] for f in ("law_from_spec",) if f in tops]
         for entry in entries:
             for node in ast.walk(entry):
                 if isinstance(node, ast.Name) and node.id == "spec" \
