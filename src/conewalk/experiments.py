@@ -467,12 +467,9 @@ class CltCheckExperiment:
         law = _law_of(cfg["law"])
         md = law_moments(law)
         warnings = []
-        if cfg["engine"] == "group":
-            if law.q > 1 and cfg["p"] < law.q:
-                raise ConfigError("p", "matrix walks require p >= q")
-            index = cfg["p"]
-        else:
-            index = cfg["mu"]
+        index = cfg.get("p", cfg.get("mu"))
+        if cfg["engine"] == "group" and law.q > 1 and index < law.q:
+            raise ConfigError("p", "matrix walks require p >= q")
         if cfg["kind"] in ("CLT1", "CLT2") and law.q != 1:
             raise ConfigError("kind", f"{cfg['kind']} is a q = 1 statistic")
         if cfg["kind"] == "CLT1" and cfg["engine"] != "group":
