@@ -111,7 +111,8 @@ _BUILT_LAWS: dict[str, RadialLaw] = {}
 
 
 def _law_of(spec: dict) -> RadialLaw:
-    """The law of a canonical spec, built once per process and shared."""
+    """The law of a canonical spec, built once per process and shared; a
+    law field's reader keeps the law it built to check the spec."""
     key = json.dumps(spec, sort_keys=True, allow_nan=False)
     if key not in _BUILT_LAWS:
         _BUILT_LAWS[key] = law_from_spec(spec)
@@ -160,10 +161,11 @@ def _count(name: str, k: int) -> _Row:
 
 def _law(name: str, val, cfg: dict) -> dict:
     """The canonical law spec; after a q, its dimensions must match."""
-    spec = _law_spec(name, val)[0]
+    spec, law = _law_spec(name, val)
     q, field = _dims(cfg)
     if "q" in cfg and (spec["q"], spec["field"]) != (q, field):
         raise ConfigError(name, f"law dimensions must match q = {q}, field = {field}")
+    _BUILT_LAWS.setdefault(json.dumps(spec, sort_keys=True, allow_nan=False), law)
     return spec
 
 
