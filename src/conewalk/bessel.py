@@ -10,10 +10,14 @@ index mu interpolates the group cases mu = p d / 2; as mu -> infinity the
 convolution degenerates to the deterministic semigroup rule
 t = sqrt(r^2 + s^2).
 
-The move itself is :func:`cone_linalg.cone_step`.  The density above is
-the law of G1 R^(-1), R the Cholesky factor of G1*G1 + W, for a Gaussian
-block G1 and W ~ Wishart(I_q, nu) at the real nu = 2 mu / d - q
-(Muirhead 1982, Thm 3.2.14; Roesler, Compositio Math. 143, 2007), drawn by
+The move itself is :func:`cone_linalg.cone_step`, which takes factors of
+r^2 and s^2 (r and s themselves among them) and returns a factor R of
+t^2 = R*R, its pivoted Cholesky factor: the law of v is invariant under
+v -> W1 v W2 for unitaries W1, W2, so any factors give t^2 its law, and
+no square root is taken.  The density above is the law of G1 R^(-1), R
+the Cholesky factor of G1*G1 + W, for a Gaussian block G1 and
+W ~ Wishart(I_q, nu) at the real nu = 2 mu / d - q (Muirhead 1982,
+Thm 3.2.14; Roesler, Compositio Math. 143, 2007), drawn by
 :func:`orbit_sampler.haar_block`; the group walk takes the integer
 nu = p - q.  So the index-mu walk is the walk engine
 :func:`orbit_sampler.run_cone_walks` at ``BesselParam.nu``, the group
@@ -35,7 +39,7 @@ from scipy import special
 
 from . import cone_linalg as cl
 from .limit_lab import Moments
-from .orbit_sampler import cone_block, drive_walk, haar_block, zero_radial
+from .orbit_sampler import cone_block, drive_walk, haar_block, square_radial, zero_radial
 from .radial_laws import RadialLaw
 
 
@@ -124,7 +128,8 @@ def _ball_stats(v, q):
 def convolve_points(r: np.ndarray, s: np.ndarray, param: BesselParam,
                     rng: np.random.Generator, size: int) -> np.ndarray:
     """size draws, shape (size, q, q), from the convolution of point masses
-    at r and s."""
+    at r and s, each as a factor R of t^2 = R*R; r and s may be given as
+    any factors of r^2 and s^2."""
     r = np.asarray(r, dtype=cl.field_dtype(param.field))
     s = np.asarray(s, dtype=cl.field_dtype(param.field))
     return cl.cone_step(r, s, sample_contraction(param, rng, size))
@@ -232,7 +237,9 @@ def paired_composition_diffs(law: RadialLaw, param: BesselParam, n: int, cap: fl
     """Per-replicate f(S_n with index-mu composition) - f(S_n with the
     semigroup composition), both walks fed the same increments, for the
     test function f(x) = min(tr x^2, cap).  f is root-Lipschitz:
-    |f(sqrt(a)) - f(sqrt(b))| <= sqrt(q) ||a - b||."""
+    |f(sqrt(a)) - f(sqrt(b))| <= sqrt(q) ||a - b||.  The increments are
+    the law's factors L, and each walk records x^2 = L*L summed (the
+    semigroup walk) or R*R of its state's factor R."""
     param.require_lemma_range()
     q = param.q
     # every increment is drawn before any v
@@ -241,17 +248,14 @@ def paired_composition_diffs(law: RadialLaw, param: BesselParam, n: int, cap: fl
         bullet_sq = np.sum(s * s, axis=1)
     else:
         s = law.sample(rng, reps * n).reshape(reps, n, q, q)
-        bullet_sq = cl.herm_part(np.einsum("rnij,rnjk->rik", s, s))
+        bullet_sq = cl.herm_part(np.einsum("rnki,rnkj->rij", np.conj(s), s))
     increments = iter(np.moveaxis(s, 1, 0))
 
     def step(a):
         return cl.cone_step(a, next(increments), cone_block(param.nu, q, param.field, rng, reps))
 
-    def record(a):
-        return a * a if q == 1 else cl.herm_part(a @ a)
-
     def f(x2):
         return np.minimum(x2 if q == 1 else cl.trace_herm(x2), cap)
 
-    star_sq = drive_walk(zero_radial(q, param.field, reps), step, record, (n,))[0]
+    star_sq = drive_walk(zero_radial(q, param.field, reps), step, square_radial, (n,))[0]
     return np.asarray(f(star_sq) - f(bullet_sq), dtype=np.float64)

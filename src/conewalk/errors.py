@@ -13,9 +13,9 @@ class NumericalFailureError(RuntimeError):
 
 
 class ConeViolationError(NumericalFailureError):
-    """A matrix that should lie in the PSD cone has an eigenvalue below
-    the clamping tolerance.  This signals an implementation bug in the
-    caller, not a recoverable state."""
+    """A matrix that should lie in the PSD cone has an eigenvalue or a
+    Cholesky pivot below the clamping tolerance.  This signals an
+    implementation bug in the caller, not a recoverable state."""
 
 
 class UnsupportedFieldError(ValueError):

@@ -40,6 +40,7 @@ from .errors import ConfigError, DegenerateDataError
 from .orbit_sampler import (
     METHODS,
     GroupWalkConfig,
+    checkpoint_tuple,
     cone_block,
     run_cone_walks,
     run_group_walks,
@@ -50,6 +51,7 @@ from .radial_laws import (
     _NONEMPTY,
     _POSITIVE,
     _REQUIRED,
+    MomentData,
     RadialLaw,
     _at_least,
     _dims,
@@ -107,20 +109,36 @@ def diff_over_se(diff, se):
     return 0.0 if diff == 0 else math.copysign(math.inf, diff)
 
 
+# the law and the moments of each canonical spec, keyed by its JSON
 _BUILT_LAWS: dict[str, RadialLaw] = {}
+_LAW_MOMENTS: dict[str, MomentData] = {}
+
+
+def _spec_key(spec: dict) -> str:
+    return json.dumps(spec, sort_keys=True, allow_nan=False)
 
 
 def _law_of(spec: dict) -> RadialLaw:
     """The law of a canonical spec, built once per process and shared; a
     law field's reader keeps the law it built to check the spec."""
-    key = json.dumps(spec, sort_keys=True, allow_nan=False)
+    key = _spec_key(spec)
     if key not in _BUILT_LAWS:
         _BUILT_LAWS[key] = law_from_spec(spec)
     return _BUILT_LAWS[key]
 
 
-def law_moments(law: RadialLaw):
-    """The law's exact moments; cheap enough to compute at each use."""
+def _moments_of(spec: dict) -> MomentData:
+    """The exact moments of a canonical spec's law, computed once per
+    process and shared."""
+    key = _spec_key(spec)
+    if key not in _LAW_MOMENTS:
+        _LAW_MOMENTS[key] = law_moments(_law_of(spec))
+    return _LAW_MOMENTS[key]
+
+
+def law_moments(law: RadialLaw) -> MomentData:
+    """The law's exact moments, computed afresh; the families read them
+    once per spec through _moments_of."""
     return moments(law)
 
 
@@ -165,7 +183,7 @@ def _law(name: str, val, cfg: dict) -> dict:
     q, field = _dims(cfg)
     if "q" in cfg and (spec["q"], spec["field"]) != (q, field):
         raise ConfigError(name, f"law dimensions must match q = {q}, field = {field}")
-    _BUILT_LAWS.setdefault(json.dumps(spec, sort_keys=True, allow_nan=False), law)
+    _BUILT_LAWS.setdefault(_spec_key(spec), law)
     return spec
 
 
@@ -175,7 +193,7 @@ def _moment_law(name: str, val, cfg: dict) -> dict:
     spec = _law(name, val, cfg)
     try:
         with np.errstate(all="ignore"):
-            md = law_moments(_law_of(spec))
+            md = _moments_of(spec)
         finite = all(map(math.isfinite, (md.m1, md.m2, md.m3, md.m4, md.sigma4)))
     except (OverflowError, ValueError):  # a float power, or MomentData's checks
         finite = False
@@ -227,9 +245,11 @@ _WALK = (
 def _walk_rules(cfg: dict) -> None:
     """The walk families' cross-field rules: checkpoints within n_steps,
     and the cap on replicate emission."""
-    cps = cfg["checkpoints"]
-    if not cps or cps != sorted(set(cps)) or cps[0] < 1 or cps[-1] > cfg["n_steps"]:
-        raise ConfigError("checkpoints", "must be sorted unique integers in [1, n_steps]")
+    try:
+        cps = checkpoint_tuple(cfg["checkpoints"], cfg["n_steps"])
+    except ValueError as exc:
+        raise ConfigError("checkpoints",
+                          "must be sorted unique integers in [1, n_steps]") from exc
     if cfg["emit"] == "replicates" and cfg["replicates"] * len(cps) > MAX_REPLICATE_ROWS:
         raise ConfigError("emit", f"replicate emission capped at {MAX_REPLICATE_ROWS} rows")
 
@@ -263,7 +283,7 @@ class WalkGroupExperiment:
 
     @staticmethod
     def reduce(cfg, partials):
-        md = law_moments(_law_of(cfg["law"]))
+        md = _moments_of(cfg["law"])
         cps = cfg["checkpoints"]
         m = _pooled(partials)
         count, mean, se = m.count, m.mean, m.se
@@ -356,7 +376,7 @@ class ConvolveExperiment:
         s = _matrix_from_spec(cfg, "s", _field(cfg["d"]))
         param = BesselParam(cfg["mu"], cfg["q"], cfg["d"])
         t = convolve_points(r, s, param, _task_rng(cfg, task), task["size"])
-        return {"m": lab.Moments.of(cl.trace_herm(t @ t)),
+        return {"m": lab.Moments.of(cl.frob_norm(t) ** 2),
                 **_support_partial(t, r, s, cfg["slack"])}
 
     @staticmethod
@@ -467,7 +487,7 @@ class CltCheckExperiment:
         cfg = _read(raw, CltCheckExperiment.fields, experiment="clt-check", schema_version=1)
         cfg = _read(raw, CltCheckExperiment.engine_fields[cfg["engine"]], **cfg)
         law = _law_of(cfg["law"])
-        md = law_moments(law)
+        md = _moments_of(cfg["law"])
         warnings = []
         index = cfg.get("p", cfg.get("mu"))
         if cfg["engine"] == "group" and law.q > 1 and index < law.q:
@@ -531,11 +551,11 @@ class CltCheckExperiment:
         traj = _walks(cfg, law, (n,), _task_rng(cfg, task), task["size"])
         index = cfg.get("p", cfg.get("mu"))
         return {"stat": lab.normalize_clt(cfg["kind"], traj.values[0], n, index,
-                                          law_moments(law))}
+                                          _moments_of(cfg["law"]))}
 
     @staticmethod
     def reduce(cfg, partials):
-        md = law_moments(_law_of(cfg["law"]))
+        md = _moments_of(cfg["law"])
         stat = np.concatenate([p["stat"] for p in partials], axis=0)
         if stat.ndim == 1:
             return CltCheckExperiment._reduce_scalar(cfg, md, stat)
@@ -650,7 +670,8 @@ class BerryEsseenScanExperiment:
         traj = _walks(cfg, law, (n,), _task_rng(cfg, task), task["size"])
         # m ||S_n||^2 / (n s2) against chi-square(m), m = d p
         m = cl.field_dim(law.field) * cfg["p"]
-        return {"cell": task["cell"], "x": traj.values[0] * (m / (n * law_moments(law).m2))}
+        return {"cell": task["cell"],
+                "x": traj.values[0] * (m / (n * _moments_of(cfg["law"]).m2))}
 
     @staticmethod
     def reduce(cfg, partials):
@@ -709,12 +730,12 @@ class MomentIdentityExperiment:
         law = _law_of(cfg["law"])
         n, p = cfg["grid"][task["cell"]]
         traj = _walks({**cfg, "p": p}, law, (n,), _task_rng(cfg, task), task["size"])
-        y = (traj.values[0] - n * law_moments(law).m2) ** 2
+        y = (traj.values[0] - n * _moments_of(cfg["law"]).m2) ** 2
         return {"cell": task["cell"], "m": lab.Moments.of(y)}
 
     @staticmethod
     def reduce(cfg, partials):
-        md = law_moments(_law_of(cfg["law"]))
+        md = _moments_of(cfg["law"])
         rows = []
         checks = []
         for cell, (n, p) in enumerate(cfg["grid"]):
@@ -758,9 +779,9 @@ def _param(spec):
 def _run_support_bound(spec, k, stream):
     rng = stream()
     q, field = spec["q"], _field(spec["d"])
-    # varied cone geometry: random scaled Wishart draws for r and s
-    r = cl.psd_sqrt(wishart_sample(q + 2, q, field, rng, k) * 1.5)
-    s = cl.psd_sqrt(wishart_sample(q + 2, q, field, rng, k) * 0.8)
+    # varied cone geometry: factors of random scaled Wishart draws for r and s
+    r = cl.psd_factor(wishart_sample(q + 2, q, field, rng, k) * 1.5)
+    s = cl.psd_factor(wishart_sample(q + 2, q, field, rng, k) * 0.8)
     t = cl.cone_step(r, s, sample_contraction(_param(spec), rng, k))
     return _support_partial(t, r, s, spec["slack"])
 
@@ -777,7 +798,7 @@ def _run_commutativity(spec, k, stream):
     s = _matrix_from_spec(spec, "s", param.field)
     t_rs = convolve_points(r, s, param, stream(0), k)
     t_sr = convolve_points(s, r, param, stream(1), k)
-    return {"a": cl.trace_herm(t_rs @ t_rs), "b": cl.trace_herm(t_sr @ t_sr)}
+    return {"a": cl.frob_norm(t_rs) ** 2, "b": cl.frob_norm(t_sr) ** 2}
 
 
 def _reduce_two_sample_ks(spec, parts):
@@ -802,7 +823,7 @@ def _run_m2_additivity(spec, k, stream):
 
 
 def _reduce_m2_additivity(spec, parts):
-    m2 = law_moments(_law_of(spec["law"])).m2
+    m2 = _moments_of(spec["law"]).m2
     return _diff_over_se_row(spec, _pooled(parts), spec["n_steps"] * m2)
 
 
@@ -817,8 +838,7 @@ def _run_m1_subadd(spec, k, stream):
 def _reduce_m1_subadd(spec, parts):
     m = _pooled(parts)
     mean, se = m.mean, m.se
-    bound = (law_moments(_law_of(spec["law"])).m1
-             + law_moments(_law_of(spec["law2"])).m1)
+    bound = _moments_of(spec["law"]).m1 + _moments_of(spec["law2"]).m1
     ratio = diff_over_se(mean - bound, se)
     return (mean, bound, se, ratio, spec["max_se"]), \
         {"excess_over_se": ratio, "max_se": spec["max_se"],

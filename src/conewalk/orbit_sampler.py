@@ -8,9 +8,12 @@ walk S_n = X_1 + ... + X_n is tracked either
 * through its radial part alone ("polar"): conditionally on the past, the
   radial part a of S_{n-1} couples to the new increment only through
   v = U* Q, the top q x q block of a Haar frame, giving the exact update
-  a^2 <- a^2 + s^2 + a v s + s v* a, the cone step
-  :func:`cone_linalg.cone_step`.  It costs O(q^3) per step regardless of
-  p, which makes dimensions like p = 1e5 feasible.
+  a^2 <- a^2 + s^2 + a v s + s v* a.  The walk carries a factor R of
+  S_n* S_n = R*R, not the root a, and the increment's factor L from
+  :meth:`RadialLaw.sample`: the law of v is bi-unitarily invariant, so
+  the update on factors, the cone step :func:`cone_linalg.cone_step`, has
+  the same law and needs one Cholesky step, no root.  It costs O(q^3)
+  per step regardless of p, which makes dimensions like p = 1e5 feasible.
 
 The block v is G1 R^(-1), with R the Cholesky factor of G1*G1 + W and
 W ~ Wishart(I_q, nu) at nu = p - q (:func:`haar_block`): a closed form in
@@ -32,7 +35,7 @@ import numpy as np
 
 from . import cone_linalg as cl
 from .errors import NumericalFailureError
-from .radial_laws import RadialLaw, _bartlett_diag, _std_entries
+from .radial_laws import RadialLaw, _bartlett_columns, _bartlett_diag, _std_entries
 
 # the two walk routes; polar is the default at every p
 METHODS = ("direct", "polar")
@@ -87,10 +90,7 @@ def haar_block(nu: float, q: int, field: str, rng: np.random.Generator,
         return (g / np.sqrt(cl._abs2(g) + _bartlett_diag(nu, field, rng, n))).reshape(n, 1, 1)
     if nu > q - 1:
         # column i of A*, with W = (A*)* A*: conj(A[i, :i]) above A[i, i]
-        cols = []
-        for i in range(q):
-            diag = np.sqrt(_bartlett_diag(nu - i, field, rng, n))
-            cols.append([*np.conj(_std_entries(rng, (n, i), field)).T, diag])
+        cols = _bartlett_columns(nu, q, field, rng, n)
     else:
         g2 = _std_entries(rng, (n, int(nu), q), field)
         cols = [list(g2[:, :, i].T) for i in range(q)]
@@ -158,11 +158,13 @@ def cone_block(nu: float, q: int, field: str, rng: np.random.Generator,
 
 def sample_radial_matrix(law: RadialLaw, p: int, rng: np.random.Generator,
                          size: int) -> np.ndarray:
-    """size radial random matrices X = Q s, shape (size, p, q), with Q Haar
-    and s ~ law independent; Q is drawn first.
+    """size radial random matrices X = Q L, shape (size, p, q), with Q Haar
+    and L independent, the factor :meth:`RadialLaw.sample` draws; Q is
+    drawn first.
 
-    By construction (X*X)^{1/2} equals the drawn radial part exactly.
-    :func:`sample_stiefel_frame` refuses p < q.
+    By construction X*X equals L*L, the drawn Gram matrix s^2, exactly;
+    X = (Q W) s for the unitary W of L's polar decomposition L = W s, and
+    Q W is Haar.  :func:`sample_stiefel_frame` refuses p < q.
     """
     return sample_stiefel_frame(p, law.q, law.field, rng, size) @ law.sample(rng, size)
 
@@ -256,15 +258,16 @@ def drive_walk(state, step, record, checkpoints: tuple[int, ...]) -> np.ndarray:
 
 
 def zero_radial(q: int, field: str, n: int) -> np.ndarray:
-    """Radial part of n walks at S_0 = 0: (n,) reals for q = 1, else (n, q, q)."""
+    """State of n walks at S_0 = 0: (n,) reals for q = 1, else (n, q, q)."""
     return np.zeros(n) if q == 1 else np.zeros((n, q, q), dtype=cl.field_dtype(field))
 
 
 def square_radial(a: np.ndarray) -> np.ndarray:
-    """S_n* S_n from the radial part: a * a for q = 1 batches, else a @ a."""
+    """S_n* S_n from the walk's state: a * a for q = 1 batches, else a*a
+    of the factor a, made exactly hermitian."""
     if a.ndim == 1:
         return a * a
-    return cl._mul2(a, a) if a.shape[-1] == 2 else a @ a
+    return cl.herm_part(np.einsum("...ki,...kj->...ij", np.conj(a), a))
 
 
 def run_cone_walks(law: RadialLaw, nu: float, checkpoints, rng: np.random.Generator,
@@ -274,9 +277,9 @@ def run_cone_walks(law: RadialLaw, nu: float, checkpoints, rng: np.random.Genera
     Wishart index nu: the polar group walk at nu = p - q and the index-mu
     walk at nu = 2 mu / d - q.
 
-    S_0 = 0, and each step draws the increment's radial part s, then v,
-    and moves the radial part a to cone_step(s, a, v), whose square is
-    a^2 + s^2 + a v s + s v* a.
+    S_0 = 0, and each step draws the increment's factor s (its radial
+    part at q = 1), then v, and moves the state's factor a to
+    cone_step(s, a, v), a factor of s*s + a*a + a* v s + s* v* a.
     """
     q, field, n = law.q, law.field, replicates
     cps = checkpoint_tuple(checkpoints, math.inf)

@@ -77,8 +77,9 @@ class RadialLaw:
     lo: float | None = None
     hi: float | None = None
     scale: np.ndarray | None = None
-    # PSD root of scale, taken once: each draw multiplies by it
-    scale_root: np.ndarray | None = None
+    # factor C of scale (C*C = scale), taken once: each draw's Bartlett
+    # factor is multiplied by it
+    scale_factor: np.ndarray | None = None
     dof: int | None = None
 
     def __post_init__(self):  # shared by every block of its configs: read-only
@@ -135,7 +136,7 @@ class RadialLaw:
         if dof < q:
             raise ValueError("wishart_root requires dof >= q")
         return cls(kind="wishart_root", q=q, field=field, scale=scale,
-                   scale_root=cl.psd_sqrt(scale), dof=int(dof))
+                   scale_factor=cl.psd_factor(scale), dof=int(dof))
 
     # -- sampling ----------------------------------------------------------
 
@@ -164,7 +165,13 @@ class RadialLaw:
         return self.cdf.searchsorted(rng.random(size), side="right")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw PSD matrices of shape (size, q, q)."""
+        """Draw factors L of the increments' Gram matrices, shape
+        (size, q, q): L*L = s^2 for a draw s of the law.  For the atom and
+        scalar kinds L is s itself; for wishart_root it is the upper
+        Bartlett factor of a Wishart(I_q, dof) draw times the scale's
+        factor, with no root per draw.  Every walk and check reads only
+        L*L, whose law does not depend on the factor (see
+        :func:`cone_linalg.cone_step`)."""
         if self.kind == "point_mass":
             return np.broadcast_to(self.atom, (size,) + self.atom.shape).copy()
         if self.kind == "finite_mixture":
@@ -173,8 +180,10 @@ class RadialLaw:
             out = self.sample_scalar(rng, size)[:, None, None]
             return out if self.field == cl.REAL else out.astype(np.complex128)
         if self.kind == "wishart_root":
-            g = _std_entries(rng, (size, self.dof, self.q), self.field) @ self.scale_root
-            return cl.psd_sqrt(cl.herm_part(np.swapaxes(np.conj(g), -1, -2) @ g))
+            u = np.zeros((size, self.q, self.q), dtype=cl.field_dtype(self.field))
+            for i, col in enumerate(_bartlett_columns(self.dof, self.q, self.field, rng, size)):
+                u[:, :i + 1, i] = np.stack(col, axis=-1)
+            return (u.reshape(-1, self.q) @ self.scale_factor).reshape(u.shape)
         raise ValueError(f"unknown law kind {self.kind!r}")
 
 
@@ -243,6 +252,19 @@ def _std_entries(rng: np.random.Generator, shape, field: str) -> np.ndarray:
 def _bartlett_diag(dof: float, field: str, rng: np.random.Generator, n) -> np.ndarray:
     """Squared Bartlett diagonal: chi-square(dof) over R, gamma(dof) over C."""
     return rng.chisquare(dof, n) if field == cl.REAL else rng.gamma(dof, 1.0, n)
+
+
+def _bartlett_columns(dof: float, q: int, field: str, rng: np.random.Generator,
+                      n: int) -> list:
+    """The columns of an upper Bartlett factor U of W ~ Wishart(I_q, dof),
+    W = U*U, drawn one at a time: column i is i standard entries, taken
+    conjugate, above U[i, i] = sqrt(_bartlett_diag(dof - i)), each a (n,)
+    row."""
+    cols = []
+    for i in range(q):
+        diag = np.sqrt(_bartlett_diag(dof - i, field, rng, n))
+        cols.append([*np.conj(_std_entries(rng, (n, i), field)).T, diag])
+    return cols
 
 
 def _scalar_raw_moments(law: RadialLaw) -> dict[int, float]:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from conewalk import cone_linalg as cl
 from conewalk.errors import ConeViolationError, NumericalFailureError, UnsupportedFieldError
+from conewalk.orbit_sampler import cone_block
 
 
 def rand_herm(rng, q, field):
@@ -19,6 +22,24 @@ def rand_psd(rng, q, field):
     if field == cl.COMPLEX:
         g = (g + 1j * rng.standard_normal((q + 2, q))) / np.sqrt(2)
     return cl.herm_part(np.conj(g.T) @ g)
+
+
+def gram(r):
+    """R*R of a (stacked) factor R."""
+    return np.conj(np.swapaxes(r, -1, -2)) @ r
+
+
+def pivoted_triangular(r):
+    """Whether every matrix of the stack is U P* for a permutation P and an
+    upper triangular U with a real diagonal of at least 0."""
+    q = r.shape[-1]
+    for mat in r.reshape(-1, q, q):
+        if not any(np.all(np.tril(mat[:, perm], -1) == 0)
+                   and np.all(np.diagonal(mat[:, perm]).imag == 0)
+                   and np.all(np.diagonal(mat[:, perm]).real >= 0)
+                   for perm in map(list, itertools.permutations(range(q)))):
+            return False
+    return True
 
 
 class TestPsdSqrt:
@@ -126,8 +147,8 @@ class TestConeStep:
             t = cl.cone_step(a, s, v)
             svr = s @ v @ a
             expect = a @ a + s @ s + svr + np.conj(svr.T)
-            assert cl.frob_norm(t @ t - expect) <= 1e-10 * (1 + cl.frob_norm(expect))
-            assert np.min(np.linalg.eigvalsh(t)) >= 0.0
+            assert cl.frob_norm(gram(t) - expect) <= 1e-10 * (1 + cl.frob_norm(expect))
+            assert pivoted_triangular(t)
 
     @pytest.mark.parametrize("q", [2, 3])
     @pytest.mark.parametrize("field", cl.FIELDS)
@@ -142,10 +163,24 @@ class TestConeStep:
         v = g / (1.0 + np.linalg.norm(g, 2, axis=(1, 2)))[:, None, None]
         t = cl.cone_step(a, s, v)
         sva = np.matmul(np.matmul(s, v), a)
-        expect = cl.psd_sqrt(np.matmul(a, a) + np.matmul(s, s) + sva
-                             + np.conj(np.swapaxes(sva, -1, -2)))
+        expect = np.matmul(a, a) + np.matmul(s, s) + sva + np.conj(np.swapaxes(sva, -1, -2))
         assert t.shape == (200, q, q)
-        assert np.max(cl.frob_norm(t - expect) / cl.frob_norm(expect)) <= 1e-13
+        assert np.max(cl.frob_norm(gram(t) - expect) / cl.frob_norm(expect)) <= 1e-13
+
+    def test_unitary_v_takes_nearly_singular_steps(self):
+        # at p = q the block v is a Haar unitary and T = (v a + s)*(v a + s)
+        # is often close to singular; the pivoted factor keeps R*R = T
+        rng = np.random.default_rng(609)
+        for field in cl.FIELDS:
+            a = cl.psd_sqrt(rand_psd(rng, 2, field))
+            s = a @ np.diag([1.0, -1.0 + 1e-9]) if field == cl.REAL else a
+            v = cone_block(0, 2, field, rng, 4000)
+            v[0] = -np.eye(2)
+            t = cl.cone_step(a, s, v)
+            sva = np.conj(np.swapaxes(s, -1, -2)) @ v @ a
+            expect = gram(a) + gram(s) + sva + np.conj(np.swapaxes(sva, -1, -2))
+            err = cl.frob_norm(gram(t) - expect) / (1 + cl.frob_norm(expect))
+            assert np.max(err) <= 1e-14
 
     def test_one_by_one_matrices_match_the_scalar_form(self):
         rng = np.random.default_rng(607)
@@ -155,9 +190,9 @@ class TestConeStep:
         assert np.allclose(t[:, 0, 0], cl.cone_step(a, s, v), rtol=1e-12, atol=1e-12)
 
 
-# -- property tests of the spectral kernel ------------------------------------
-# q = 2 roots run the closed form; the other roots and clamp_psd at every q
-# run the Jacobi eigensolver
+# -- property tests of the spectral kernels -----------------------------------
+# psd_sqrt and clamp_psd take one LAPACK eigendecomposition per matrix;
+# psd_factor, the cone step's factor, takes none
 
 
 def with_spectrum(seed, w, field):
@@ -264,21 +299,8 @@ class TestSpectralProperties:
         assert np.allclose(np.linalg.norm(vec, axis=-1), cl.frob_norm(a), rtol=1e-14)
 
 
-def eigensolver_inputs(q, field):
-    """Zero, I, rank 1, a repeated eigenvalue, eigenvalues spread over 1e-12
-    and over 1e12, an indefinite spectrum, then 500 Gaussian draws."""
-    spectra = [np.zeros(q), np.ones(q), np.eye(q)[0], np.append(np.full(q - 1, 2.0), 1.0),
-               np.geomspace(1.0, 1e-12, q), np.geomspace(1.0, 1e12, q),
-               np.linspace(-1.0, 2.0, q)]
-    fixed = np.stack([with_spectrum(900 + i, w, field) for i, w in enumerate(spectra)])
-    rng = np.random.default_rng(901)
-    drawn = np.stack([rand_herm(rng, q, field) for _ in range(500)])
-    return np.concatenate([fixed.astype(drawn.dtype), drawn])
-
-
 def composition_stack(q, field):
-    """150 nearly diagonal PD matrices, which converge in 2 Jacobi sweeps,
-    then 150 Gram matrices, which take 3 to 5."""
+    """150 nearly diagonal PD matrices, then 150 Gram matrices."""
     rng = np.random.default_rng(902)
     near = [np.diag(np.arange(1.0, q + 1)) + 1e-6 * rand_herm(rng, q, field)
             for _ in range(150)]
@@ -286,31 +308,18 @@ def composition_stack(q, field):
 
 
 class TestEigensolver:
-    @pytest.mark.parametrize("q", [1, 2, 3, 4])
-    @pytest.mark.parametrize("field", cl.FIELDS)
-    def test_decomposition(self, q, field):
-        a = eigensolver_inputs(q, field)
-        for batch in (a, a[-1]):  # a stack, and one unbatched matrix
-            w, u = cl._eigh(batch)
-            assert w.shape == batch.shape[:-1] and u.shape == batch.shape
-            norm = cl.frob_norm(batch)
-            uh = np.conj(np.swapaxes(u, -1, -2))
-            assert np.all(cl.frob_norm((u * w[..., None, :]) @ uh - batch) <= 1e-14 * norm)
-            assert np.all(cl.frob_norm(uh @ u - np.eye(q)) <= 1e-14)
-            err = np.max(np.abs(np.sort(w, axis=-1) - np.linalg.eigvalsh(batch)), axis=-1)
-            assert np.all(err <= 1e-14 * norm)
+    # psd_sqrt and clamp_psd take LAPACK's eigh, psd_factor no eigensolver
 
     @pytest.mark.parametrize("q", [3, 4])
     @pytest.mark.parametrize("field", cl.FIELDS)
     def test_result_does_not_depend_on_the_stack(self, q, field):
-        # a converged matrix rotates by exactly the identity while the rest
-        # of its stack converges, so its bits are its own; the first half
-        # alone stops two sweeps before the whole stack
+        # each matrix's root and factor are its own bits, whatever else
+        # its stack holds and in whatever order
         a = composition_stack(q, field)
         odd = np.stack([np.diag(np.arange(q, dtype=np.float64)).astype(a.dtype), 1e6 * a[0]])
 
         def results(stack):
-            return cl._eigh(stack) + (cl.psd_sqrt(stack),)
+            return cl.psd_sqrt(stack), cl.psd_factor(stack)
 
         def bits(arrays):
             return [np.ascontiguousarray(x).tobytes() for x in arrays]
@@ -319,36 +328,126 @@ class TestEigensolver:
         assert bits(x[::-1] for x in results(a[::-1])) == whole
         assert bits(np.concatenate(x) for x in zip(results(a[:150]), results(a[150:]))) == whole
         assert bits(x[:300] for x in results(np.concatenate([a, odd]))) == whole
-        alone = [results(a[i]) for i in range(0, 300, 10)]
-        assert bits(np.stack(x) for x in zip(*alone)) == bits(x[::10] for x in results(a))
+        alone = [results(a[i:i + 1]) for i in range(0, 300, 10)]
+        assert bits(np.concatenate(x) for x in zip(*alone)) == bits(x[::10] for x in results(a))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", cl.FIELDS)
     def test_non_finite_input_raises(self, bad, field):
-        # at q = 2 the root takes the closed form, which checks its own input
         for q in (3, 2):
             a = composition_stack(q, field)[:4].copy()
             for i, j in ((0, 0), (0, q - 1), (1, q - 1)):
                 b = a.copy()
                 b[2, i, j] = b[2, j, i] = bad
-                with pytest.raises(NumericalFailureError):
-                    cl._eigh(b)
-                for kernel in (cl.psd_sqrt, cl.clamp_psd):
+                for kernel in (cl.psd_sqrt, cl.clamp_psd, cl.psd_factor):
                     with np.errstate(invalid="ignore"), pytest.raises(NumericalFailureError):
                         kernel(b)
+                with np.errstate(invalid="ignore"), pytest.raises(NumericalFailureError):
+                    cl.cone_step(b, a, np.zeros_like(a))
 
-    def test_no_convergence_within_the_sweep_cap_raises(self, monkeypatch):
-        a = composition_stack(3, cl.REAL)
-        monkeypatch.setattr(cl, "_MAX_SWEEPS", 1)
-        with pytest.raises(NumericalFailureError, match="no convergence"):
-            cl._eigh(a)
+
+# -- property tests of the factor step ----------------------------------------
+
+
+def rand_factor(rng, q, field, rank, scale):
+    """A q x q factor of rank ``rank``: a Gaussian q x rank block times a
+    Gaussian rank x q block."""
+    def gauss(shape):
+        g = rng.standard_normal(shape)
+        return g + 1j * rng.standard_normal(shape) if field == cl.COMPLEX else g
+    return scale * (gauss((q, rank)) @ gauss((rank, q)))
+
+
+SINGULAR = st.sampled_from(["drawn", "diag10", "zero"])
+
+
+def factor_of(kind, rng, q, field, rank, scale):
+    """A drawn factor of the given rank, the singular atom diag(1, 0, ...),
+    or zero."""
+    if kind == "diag10":
+        return np.diag(np.eye(q)[0]).astype(cl.field_dtype(field))
+    if kind == "zero":
+        return np.zeros((q, q), dtype=cl.field_dtype(field))
+    return rand_factor(rng, q, field, rank, scale)
+
+
+def step_gram(a, s, v):
+    """T = a*a + s*s + s* v a + (s* v a)* by matmul."""
+    sva = np.conj(np.swapaxes(s, -1, -2)) @ v @ a
+    return gram(a) + gram(s) + sva + np.conj(np.swapaxes(sva, -1, -2))
+
+
+class TestFactorStep:
+    @PROPS
+    @given(SEEDS, st.sampled_from([2, 3]), FIELD, SINGULAR, SINGULAR,
+           st.integers(0, 3), st.integers(0, 3), st.sampled_from([0, 0.5, 1.0, 2.5, 6.0]),
+           SCALES)
+    @example(seed=0, q=2, field=cl.REAL, kind_a="diag10", kind_s="diag10", rank_a=2,
+             rank_s=2, excess=0, scale=1.0)
+    @example(seed=0, q=3, field=cl.COMPLEX, kind_a="zero", kind_s="diag10", rank_a=3,
+             rank_s=3, excess=1.0, scale=1.0)
+    def test_factor_squares_to_the_update(self, seed, q, field, kind_a, kind_s, rank_a,
+                                          rank_s, excess, scale):
+        # factors of any rank, the singular atom and zero among them, with
+        # v from the walks' sampler: a Haar unitary at nu = 0 (p = q), else
+        # a contraction at nu = q - 1 + excess
+        rng = np.random.default_rng(seed)
+        a = factor_of(kind_a, rng, q, field, min(rank_a, q), scale)
+        s = factor_of(kind_s, rng, q, field, min(rank_s, q), scale)
+        v = cone_block(q - 1 + excess if excess else 0, q, field, rng, 64)
+        t = cl.cone_step(a, s, v)
+        expect = step_gram(a, s, v)
+        assert t.shape == (64, q, q) and t.dtype == cl.field_dtype(field)
+        assert pivoted_triangular(t)
+        tol = q * cl.EPS_PSD * (1.0 + cl.frob_norm(expect))
+        assert np.all(cl.frob_norm(gram(t) - expect) <= tol)
+
+    @PROPS
+    @given(SEEDS, st.sampled_from([2, 3]), FIELD, SINGULAR, SINGULAR, st.integers(0, 3),
+           SCALES)
+    def test_zero_v_adds_the_grams(self, seed, q, field, kind_a, kind_s, rank, scale):
+        rng = np.random.default_rng(seed)
+        a = factor_of(kind_a, rng, q, field, min(rank, q), scale)
+        s = factor_of(kind_s, rng, q, field, q, scale)
+        t = cl.cone_step(a, s, np.zeros((5, q, q), dtype=cl.field_dtype(field)))
+        expect = gram(a) + gram(s)
+        tol = q * cl.EPS_PSD * (1.0 + cl.frob_norm(expect))
+        assert np.all(cl.frob_norm(gram(t) - expect) <= tol)
+        assert pivoted_triangular(t)
+
+    @PROPS
+    @given(SEEDS, st.sampled_from([2, 3]), FIELD,
+           st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2), st.floats(10.0, 100.0),
+           SCALES)
+    @example(seed=0, q=2, field=cl.REAL, w=[0.0, 0.0], factor=10.0, scale=1.0)
+    def test_rejects_well_outside_tolerance(self, seed, q, field, w, factor, scale):
+        # an eigenvalue of T well below -EPS_PSD (1 + ||T||_F) raises, in
+        # psd_factor and in a step whose v is no contraction
+        pos = scale * np.array(w[:q - 1])
+        neg = -factor * cl.EPS_PSD * (1.0 + np.linalg.norm(pos)) / (1.0 - factor * cl.EPS_PSD)
+        with pytest.raises(ConeViolationError):
+            cl.psd_factor(with_spectrum(seed, np.append(pos, neg), field))
+        # T = -a*a, far below the tolerance at a scale of at least 1e-2
+        a = rand_factor(np.random.default_rng(seed), q, field, 1, max(scale, 1e-2))
+        with pytest.raises(ConeViolationError):
+            cl.cone_step(a, a, -1.5 * np.eye(q)[None])
+
+    def test_off_diagonal_in_a_zero_row_raises(self):
+        # [[0, 1], [1, 0]] has zero pivots but is not PSD
+        with pytest.raises(ConeViolationError):
+            cl.psd_factor(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert np.array_equal(cl.psd_factor(np.diag([0.0, 4.0])), [[0.0, 2.0], [0.0, 0.0]])
 
     @pytest.mark.parametrize("field", cl.FIELDS)
-    def test_power_of_two_scale_is_exact(self, field):
-        # each matrix is scaled into [1/2, 1) before the sweeps, so its
-        # scale, even near the ends of the float range, changes no bit
-        a = eigensolver_inputs(3, field)
-        w, u = cl._eigh(a)
-        for k in (-900, -500, 500, 900):
-            wk, uk = cl._eigh(a * 2.0**k)
-            assert np.array_equal(wk, w * 2.0**k) and np.array_equal(uk, u)
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_non_finite_factors_raise(self, q, field):
+        rng = np.random.default_rng(903)
+        a = np.stack([rand_factor(rng, q, field, q, 1.0) for _ in range(3)])
+        v = cone_block(2.0, q, field, rng, 3)
+        for bad in (np.nan, np.inf):
+            for which in range(3):
+                args = [a.copy(), a.copy(), v.copy()]
+                args[which][1, 0, q - 1] = bad
+                with np.errstate(invalid="ignore", over="ignore"), \
+                        pytest.raises(NumericalFailureError):
+                    cl.cone_step(*args)

@@ -14,7 +14,7 @@ arrays (dtype, shape and bytes) of point convolutions, the support-bound
 ``t``, Haar blocks, cone steps and Wishart-root law samples.
 
 The digests depend on the floating-point results of numpy's BLAS/LAPACK
-(``qr``, ``matmul``) and are specific to the machine that
+(``qr``, ``matmul``, ``eigh``) and are specific to the machine that
 recorded them: x86-64, numpy 2.4 with its bundled OpenBLAS 0.3.31, whose
 kernels are chosen by CPU model.  On another BLAS/LAPACK build or CPU
 they may differ without any fault in the program; check such a case by
@@ -205,19 +205,28 @@ CASES = {
 # with R the Cholesky factor of G1*G1 + W (other realizations, same law).
 # c05 and character-mu0.52 were recorded again when the axioms params
 # column began to show the character check's s (the CSV's params cell).
+# When the walks began to carry a factor R of the Gram matrix (R*R = S*S)
+# in place of the PSD root, with each step one pivoted Cholesky factor of
+# T and each wishart_root draw a Bartlett factor, the q >= 2 cases
+# (axiom-extras, bessel-q2-complex, c02, c03, c04, c07, c09,
+# demo-convolve, demo-walk-bessel, demo-walk-group and the group-q2
+# cases, with the cone-step-q2, convolve-q2, support-bound-q3-real and
+# wishart-root-q2 draw cases) were recorded again (other realizations of
+# the same law; config-time roots now come from LAPACK's eigh); every
+# q = 1 case held.
 GOLDEN = {
-    "axiom-extras": "44d33b40b3a3ee70d164d6c65a4ec8fda2a60bff9b8374995130ef5727bbb672",
+    "axiom-extras": "9a156131cb03a9d758e2c94c1e69b469cdd0db1ee6f48c320ed2ecf53d574e72",
     "bessel-q1-complex": "28d2ecd693275f2ad61bcca36ec0c3d0e7ce3f786f956e318ee02241f0961386",
-    "bessel-q2-complex": "4bdf0fa585549c96540c1de8882c4c6018dbfacc953a3b0e6b69bb654b6ad3a9",
+    "bessel-q2-complex": "eea3047ad11793981342712e0afb0310047da7be5009f452d16738ac9c45fa1d",
     "c01": "dab094f2da71e9a7e9721e2e381f5f0008bdec6db7223cfc0c00538d4baaa467",
-    "c02": "51882ec7e904f5196a34c8b1b9b2f5e0350670d2c9e175a21ced63b53fc4a175",
-    "c03": "8da823cc01a1f61f3668dac1abe4c9f7b64f07ee861d8238eb253970891e8165",
-    "c04": "3faa969af96c32b668679fd97d30724f1211b4a463ebadba2b21bb4f4ec7b4f3",
+    "c02": "c9e18a90254adab8860aa7c43621e85b2e1838eb535b6efae6327681e3c0353b",
+    "c03": "4c01b41c328028e3e965b90e193f33c5ba6a2319bd86c9f1f71dfbc34c6c790b",
+    "c04": "627a5c7280115ed72bf92e8a17a84693ef8d407428fea36d532a88ebfe7e0312",
     "c05": "01a4ba48903ca952bc91bbe212643d7aba90ceaff8cbb61b6ab53cb2382ca0c6",
     "c06": "70c64ad17cc4e0f6cee93b46ed0bb32bb68fbf3b26cffdf03f6a199c5ee0e878",
-    "c07": "b4d1bfa0446510af17cf87f3eb8928ac2d7a626a77a40230b96719b51a9fb8cf",
+    "c07": "37b600df46cc04786ff7bb6173820f42a73754ae661524cf33400bede4466af3",
     "c08": "f241ce0ceec44f4c7f24a3cf1bf3d78199e3507389866f7e458c7a7487106c27",
-    "c09": "72f4078b26854983074475319b384787679c73d1289bbb45c7d1c537bd815b0b",
+    "c09": "9f92042655cf4aa26dfa39e82fadb50e076f88c7681cda4993d6111b82898c5d",
     "c10": "69ad9462a399ab0aac34e68d476278147643bf164659ee3a0c1b3f2df5204519",
     "c11": "3434369133bc09b75de862309d4f7d20885b290c59fbcd158edae1b71dd6f7f8",
     "c12a": "a5109c2ee38cb97c4e08a860ea4ae19cb723dfbd31114b60c2095165275157ef",
@@ -225,16 +234,16 @@ GOLDEN = {
     "character-mu0.52": "9b1e763098247c40fcacd5e30c96fce159003060b92fbc65d4854d4f590f193b",
     "contraction-beta-mu0.52": "1d8c8ed2c6d98f85edaa1a0ea90063f47e619574facf1fe66255ab0526eb956f",
     "convolve-q1": "0a69f04045a73e11b54ce11152fb33e2a893cf90cce1c6477bbc82de6484fd6f",
-    "demo-convolve": "15db326395de7a6174ec8cf69a1c65f78284c3636c25840567adb3365ae79d10",
-    "demo-walk-bessel": "fbb80cbb9514970fcfb9c4223d24ebe37592bb325fd7f94c32a9f70222e228e5",
-    "demo-walk-group": "2d768b056aa18a91bee25f1668d262d18ac752c38bfd490b0489730b51c2dbe6",
+    "demo-convolve": "c2d513f8e62d2bd0e01d69745a163545eb8fcd905e6ad8e808a339b989759882",
+    "demo-walk-bessel": "cb8fa76742fa0e88c78ad10f050b40ebd385a40745c634bb4d8088a64fd5676e",
+    "demo-walk-group": "e724731984a1d8bd4e016cea1c44825a812c19d8437d524088dfbc64c49014fa",
     "extras-clt1": "8e02c9ea40b7de2ca4c568f985ef9fdc310cef714a335465b07882384b070bdf",
     "group-q1-direct-complex": "455eda430f5808f9da4a6b0e4bcbd03c76fd3f4dd66ed8880e36b5da191449c3",
     "group-q1-direct-real": "1e280046e4b3a9978fa50566efb04ebaa1406b3860b3be7bfbc856b07e668c4d",
     "group-q1-polar-complex": "1f1eb261f0ce36ea43a0adb56db7c750a7ae6545e8055ab948c819fa60e7325b",
-    "group-q2-direct-complex": "6fcb9ed0dadccca948db0763d8dd4ee253b94c2acd2a9eea2c8565c2cf8e53e0",
-    "group-q2-polar-complex": "796800b28b888f2be4db060dbf5066c9616ce2e3b95941e61f7b3088ed2947e6",
-    "group-q2-polar-real": "e13e0726cbcce531c0ce24c8208ff67e5d480c77aadb370ab9f829148add9a79",
+    "group-q2-direct-complex": "02e19fdf9f638a67e8458b67a31e1a05426f6ab2597e21bc7951fa8dd9acb063",
+    "group-q2-polar-complex": "b6b842547f1d81ec1aec40d30c163e1dc9ae4c9319c62dc24caf487969dd12f4",
+    "group-q2-polar-real": "9c453adbeaf59b90774e2c73d635c65c6fc79d127381c942a6e38c9095cf464d",
     "kappa-q2": "b83196a2e4726baa56dd40c800860082bc5aaf1f8e74edc4105d6d442a23b575",
     "moment-identity-complex":
         "c07da019e884e0bfba51753b724431604f58dd46515a0ff25fa879a6523e7e8b",
@@ -341,16 +350,16 @@ DRAW_CASES = {
 # digests of the per-draw arrays as recorded; never regenerate them to make a
 # refactor pass
 DRAW_GOLDEN = {
-    "cone-step-q2-complex": "6874608b9399d797b1483e3edc0ccf8bea07bc28f34a8405a2c9aa65fb75e0c5",
-    "cone-step-q2-real": "1d65173f32874527f3220b107bea9dfecf74c222049977efafd349cb5b417f5d",
+    "cone-step-q2-complex": "2fdbdc649dab64623d3555ed283133fa4f74111f7ac21ac40c04c9197508d644",
+    "cone-step-q2-real": "4207a23c8bb671297903600957b0cf88bc8808577ecffb06eaff2a3bff9b5cda",
     "convolve-q1-matrix": "a5df39495a64b98ccccf5b35d8aa741122fb21dbdea0da1139830b5f99ec8dce",
-    "convolve-q2-complex": "b00354ee947c6f0d35c0de0c8b5a83524a381988bed03bb0ee2a441ae9690451",
-    "convolve-q2-real": "767af2fb4d13992d9ee573f88ca3820b13cd21d5eabc0649764b36198a3f02ae",
+    "convolve-q2-complex": "4f9fcd359bdeab5db49ebac561dd056417b9f0609348debc72664ab9b9d45402",
+    "convolve-q2-real": "a057d424f867c4a874d7a398db222a018ca813b7fd4fab690db8e1e4bb62a8f4",
     "stiefel-q2-complex-small-dof": "2450ba25ac3fae56e3b1cf4289ca166bcf8a46b7f160bdebf5b49db11abd6743",
     "stiefel-q2-real": "be879c951dc097a48ac9fb525fba8626e8767b1e9f0bfbc7fa8379d3903feec8",
-    "support-bound-q3-real": "58ad11835140535a43f1eaff2384d96880062f161e64dce61f4ee6705224980b",
-    "wishart-root-q2-complex": "e4ddb54f4246c13beed3eb2c792149b6423606ef27e43b99b6e125c2b3b20744",
-    "wishart-root-q2-real": "30fa5012f82958e49c8617dd101501ca68c6cc5453db78ee1b4bb7b7ce7559d1",
+    "support-bound-q3-real": "747d85a33971022a3783b70ce0bbbb86d52261a40e63b2b44e1a3113c268ee1d",
+    "wishart-root-q2-complex": "f98d8b15945bbb57ba31d95785258add8a561492c7ee36df9e539c2c1fec1163",
+    "wishart-root-q2-real": "765bf0e32aabebbe9e6fedb7885795178e3695f6354e81e6118b29f5cdde9766",
 }
 
 

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from conewalk import cone_linalg as cl
 from conewalk import experiments
 from conewalk.errors import ConfigError
+from conewalk.limit_lab import ks_2samp
 from conewalk.radial_laws import (
     MomentData,
     RadialLaw,
     _law_spec,
+    _std_entries,
     law_from_spec,
     moments,
 )
@@ -33,6 +35,11 @@ MIX6_SPEC = {
 SCALE_Q3 = [[0.5, 0.1, 0.0], [0.1, 0.4, 0.0], [0.0, 0.0, 0.3]]
 
 
+def gram_of(s):
+    """L*L of each drawn factor L: the squared radial part s^2."""
+    return np.einsum("nki,nkj->nij", np.conj(s), s)
+
+
 class TestSampling:
     def test_point_mass_constant(self):
         law = RadialLaw.point_mass(np.diag([2.0]))
@@ -47,11 +54,13 @@ class TestSampling:
         assert abs(freq - 0.5) <= 3 * np.sqrt(0.25 / n)
 
     def test_wishart_root_mean_identity(self):
-        # brute-force check: mean of sample^2 is dof * scale
+        # brute-force check: the mean of the drawn Gram matrix L*L = s^2 is
+        # dof * scale
         law = RadialLaw.wishart_root(np.eye(2), dof=5)
         s = law.sample(RNG(2), 20000)
-        mean_sq = np.mean(s @ s, axis=0)
-        se = 3 * np.std((s @ s)[:, 0, 0]) / np.sqrt(20000)
+        gram = gram_of(s)
+        mean_sq = np.mean(gram, axis=0)
+        se = 3 * np.std(gram[:, 0, 0]) / np.sqrt(20000)
         assert np.allclose(mean_sq, 5 * np.eye(2), atol=4 * se)
 
     def test_all_samples_psd(self):
@@ -65,13 +74,36 @@ class TestSampling:
         ]
         for law in laws:
             s = law.sample(rng, 500)
-            wmin = np.min(np.linalg.eigvalsh(s))
-            assert wmin >= -1e-10 * (1 + float(np.max(np.abs(s))))
+            # a wishart_root draw is a factor L of s^2; the others are s
+            for mat in (gram_of(s),) if law.kind == "wishart_root" else (s, gram_of(s)):
+                wmin = np.min(np.linalg.eigvalsh(mat))
+                assert wmin >= -1e-10 * (1 + float(np.max(np.abs(mat))))
 
     def test_scalar_requires_q1(self):
         law = law_from_spec(MIX6_SPEC)
         with pytest.raises(ValueError):
             law.sample_scalar(RNG(), 3)
+
+
+class TestWishartFactor:
+    @pytest.mark.parametrize("field", cl.FIELDS)
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_gram_has_the_wishart_law(self, q, field):
+        # the Gram matrix L*L of the Bartlett factor times the scale's
+        # factor against G*G for an independent dof x q Gaussian block G
+        # whose rows have covariance scale
+        scale = np.array(SCALE_Q3)[:q, :q] + (0.1j * np.triu(np.ones((q, q)), 1)
+                                             if field == cl.COMPLEX else 0.0)
+        scale = cl.herm_part(scale)
+        law = RadialLaw.wishart_root(scale, q + 1, field=field)
+        n = 6000
+        w = gram_of(law.sample(RNG(61), n))
+        g = _std_entries(RNG(62), (n, q + 1, q), field) @ cl.psd_sqrt(scale)
+        ref = gram_of(g)
+        for stat in (cl.trace_herm, lambda x: cl.trace_herm(x @ x),
+                     lambda x: np.linalg.det(x).real):
+            _, pvalue = ks_2samp(stat(w), stat(ref))
+            assert pvalue >= 1e-3
 
 
 class TestMoments:
@@ -125,8 +157,7 @@ class TestMoments:
             est = np.mean(h**k)
             se = np.std(h**k) / np.sqrt(n)
             assert abs(est - val) <= 4 * se + 1e-12
-        vec = cl.vectorize_herm(
-            np.einsum("nij,njk->nik", s, s), law.field)
+        vec = cl.vectorize_herm(gram_of(s), law.field)
         cov = np.cov(vec.T).reshape(vec.shape[1], vec.shape[1])
         se_cov = 4 * np.max(np.std(vec, axis=0))**2 / np.sqrt(n) + 1e-4
         assert np.max(np.abs(cov - md.sigma2_image_cov)) <= 4 * se_cov
@@ -271,6 +302,23 @@ class TestSpecs:
                       experiments._law_of({"kind": "point_mass", "field": "real",
                                            "atom": [[1.0]], "q": 1}).sample(RNG(), 4)):
             drawn[0] = 0.0
+
+    def test_moments_are_computed_once_per_spec(self, monkeypatch):
+        # validate, every block and reduce read one MomentData per spec
+        from conewalk.harness import run_experiment, validate_config
+
+        calls = []
+        monkeypatch.setattr(experiments, "_BUILT_LAWS", {})
+        monkeypatch.setattr(experiments, "_LAW_MOMENTS", {})
+        monkeypatch.setattr(experiments, "moments", lambda law: calls.append(law) or moments(law))
+        raw = {"experiment": "clt-check", "name": "once", "seed": 5, "kind": "CLT4",
+               "engine": "bessel", "mu": 50.0, "n_steps": 2, "law": MIX6_SPEC,
+               "replicates": 400, "block_size": 100}
+        cfg, warnings = validate_config(raw)
+        run_experiment(cfg, workers=1, warnings=warnings)
+        assert len(calls) == 1
+        assert experiments._moments_of(cfg["law"]) is experiments._moments_of(
+            json.loads(json.dumps(cfg["law"])))
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):

@@ -24,17 +24,31 @@ def _called_name(node):
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
-def test_eigh_only_in_cone_linalg():
-    # cone_linalg._eigh, a Jacobi solver over the whole stack, is the
-    # package's one eigensolver: no module, cone_linalg included, calls or
-    # imports an eigh (LAPACK makes one call per matrix)
-    found = [f"{path.relative_to(SRC)}:{node.lineno}"
-             for path in sorted(SRC.rglob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))
-             if (isinstance(node, ast.Attribute) and node.attr == "eigh")
-             or (isinstance(node, ast.ImportFrom)
-                 and any(alias.name == "eigh" for alias in node.names))]
-    assert found == []
+def test_steps_and_draws_take_no_root():
+    # the walks carry factors of their Gram matrices: no function reached
+    # from the cone step, the walk engine, the paired composition gap or a
+    # law's draw calls an eigensolver or takes a matrix root.  A function
+    # is reached when a reached one calls or names it; names resolve to
+    # every function or method of the package that has them
+    defs = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                defs.setdefault(node.name, []).append(node)
+    reached, todo, named = set(), ["cone_step", "run_cone_walks", "paired_composition_diffs",
+                                   "sample"], set()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        names = {getattr(node, "id", getattr(node, "attr", None))
+                 for fn in defs[name] for node in ast.walk(fn)
+                 if isinstance(node, (ast.Name, ast.Attribute))}
+        named |= names
+        todo += sorted(names & set(defs) - reached - set(todo))
+    roots = {"eigh", "eigvalsh", "eig", "eigvals", "svd", "sqrtm", "psd_sqrt", "clamp_psd"}
+    assert named & roots == set()
+    assert {"_factor", "haar_block", "_cholesky_solve", "_bartlett_columns",
+            "square_radial", "sample_scalar"} <= reached
 
 
 def test_no_clamp_inside_psd_sqrt():
