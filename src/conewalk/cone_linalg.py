@@ -15,7 +15,7 @@ Conventions used throughout the package:
 * PSD input is checked by whichever kernel reads it: a Cholesky pivot or
   an eigenvalue below -EPS_PSD*(1+||a||_F) raises
   :class:`ConeViolationError`, smaller violations are clamped (a pivot at
-  or below the tolerance gives a zero row), and non-finite input raises
+  or below EPS_PSD*||a||_F gives a zero row), and non-finite input raises
   :class:`NumericalFailureError`;
 * :func:`psd_sqrt` and :func:`clamp_psd` take one ``np.linalg.eigh``
   pass; only config-time matrices go through them;
@@ -160,10 +160,10 @@ def psd_factor(m: np.ndarray) -> np.ndarray:
     complement (Higham, Accuracy and Stability of Numerical Algorithms,
     2002, Sec. 10.3), so that a nearly singular m, as where v is unitary
     (p = q), loses no accuracy to a small early pivot.  A pivot below
-    -EPS_PSD*(1+||m||_F) raises ConeViolationError; a pivot at or below
-    EPS_PSD*(1+||m||_F) gives U a zero row, unless the rest of its row
-    is larger than that, which raises too (so [[0, 1], [1, 0]] does).
-    Non-finite input raises NumericalFailureError.
+    -EPS_PSD*(1+||m||_F) raises ConeViolationError; one at or below
+    EPS_PSD*||m||_F gives U a zero row, unless the rest of its row is larger
+    than EPS_PSD*(1+||m||_F), which raises too (so [[0, 1], [1, 0]] does).
+    Non-finite input raises NumericalFailureError; large finite input runs.
     """
     m = np.asarray(m)
     return _factor(_entries(m), m.shape, m.dtype)
@@ -183,10 +183,15 @@ def _factor(t: list, shape: tuple, dtype) -> np.ndarray:
     def entry(i, m):
         return t[i][m] if i <= m else conj(t[m][i])
 
-    norm = np.sqrt(sum(_abs2(entry(i, m)) for i in range(q) for m in range(q)))
-    if not np.all(np.isfinite(norm)):
-        raise NumericalFailureError("PSD factor: input is not finite", payload=None)
-    tol = EPS_PSD * (1.0 + norm)
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(sum(_abs2(entry(i, m)) for i in range(q) for m in range(q)))
+    if not np.all(np.isfinite(norm)):  # non-finite entries, or |t_ij|^2 past the float range
+        e = np.abs([entry(i, m) for i in range(q) for m in range(q)])
+        big = np.max(e, axis=0)
+        if not np.all(np.isfinite(big)):
+            raise NumericalFailureError("PSD factor: input is not finite", payload=None)
+        norm = big * np.sqrt(np.sum((e / np.where(big > 0.0, big, 1.0)) ** 2, axis=0))
+    tol = EPS_PSD * (1.0 + norm)  # a pivot below -tol, or a zero row's entry past tol, raises
     r = np.zeros((q, q) + shape[:-2], dtype)
     free = [True] * q
     for j in range(q):
@@ -204,7 +209,7 @@ def _factor(t: list, shape: tuple, dtype) -> np.ndarray:
             for m in range(q):
                 r[j, m] = np.where(pick[m], root, 0.0)
             break
-        low = piv <= tol
+        low = piv <= EPS_PSD * norm  # relative to T's scale: a zero row
         any_low = np.any(low)
         with np.errstate(divide="ignore"):
             inv = np.where(low, 0.0, 1.0 / root)
@@ -214,8 +219,8 @@ def _factor(t: list, shape: tuple, dtype) -> np.ndarray:
                 row = np.where(pick[k], entry(k, m), row)
             row = np.where(free[m], row, 0.0)
             if any_low and np.any(low & (np.abs(row) > tol)):
-                raise ConeViolationError("a pivot at or below EPS_PSD*(1+||T||_F) leaves more"
-                                         " than that in its row: T is not PSD", payload=None)
+                raise ConeViolationError("a zero pivot's row holds more than"
+                                         " EPS_PSD*(1+||T||_F): T is not PSD", payload=None)
             r[j, m] = np.where(pick[m], root, row * inv)
         free = [free[m] & ~pick[m] for m in range(q)]
         for i in range(q):

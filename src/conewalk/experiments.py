@@ -109,31 +109,33 @@ def diff_over_se(diff, se):
     return 0.0 if diff == 0 else math.copysign(math.inf, diff)
 
 
-# the law and the moments of each canonical spec, keyed by its JSON
-_BUILT_LAWS: dict[str, RadialLaw] = {}
-_LAW_MOMENTS: dict[str, MomentData] = {}
+# each canonical spec's [law, moments or None until read], keyed by its JSON
+_BUILT_LAWS: dict[str, list] = {}
 
 
 def _spec_key(spec: dict) -> str:
     return json.dumps(spec, sort_keys=True, allow_nan=False)
 
 
-def _law_of(spec: dict) -> RadialLaw:
-    """The law of a canonical spec, built once per process and shared; a
-    law field's reader keeps the law it built to check the spec."""
+def _built(spec: dict) -> list:
+    """[law, moments or None] of a canonical spec, built once per process;
+    a law field's reader keeps the law it built to check the spec."""
     key = _spec_key(spec)
     if key not in _BUILT_LAWS:
-        _BUILT_LAWS[key] = law_from_spec(spec)
+        _BUILT_LAWS[key] = [law_from_spec(spec), None]
     return _BUILT_LAWS[key]
 
 
+def _law_of(spec: dict) -> RadialLaw:
+    return _built(spec)[0]
+
+
 def _moments_of(spec: dict) -> MomentData:
-    """The exact moments of a canonical spec's law, computed once per
-    process and shared."""
-    key = _spec_key(spec)
-    if key not in _LAW_MOMENTS:
-        _LAW_MOMENTS[key] = law_moments(_law_of(spec))
-    return _LAW_MOMENTS[key]
+    """The exact moments of a canonical spec's law, computed once per process."""
+    entry = _built(spec)
+    if entry[1] is None:
+        entry[1] = law_moments(entry[0])
+    return entry[1]
 
 
 def law_moments(law: RadialLaw) -> MomentData:
@@ -183,7 +185,7 @@ def _law(name: str, val, cfg: dict) -> dict:
     q, field = _dims(cfg)
     if "q" in cfg and (spec["q"], spec["field"]) != (q, field):
         raise ConfigError(name, f"law dimensions must match q = {q}, field = {field}")
-    _BUILT_LAWS.setdefault(_spec_key(spec), law)
+    _BUILT_LAWS.setdefault(_spec_key(spec), [law, None])
     return spec
 
 

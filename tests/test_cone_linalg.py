@@ -319,7 +319,7 @@ class TestEigensolver:
         odd = np.stack([np.diag(np.arange(q, dtype=np.float64)).astype(a.dtype), 1e6 * a[0]])
 
         def results(stack):
-            return cl.psd_sqrt(stack), cl.psd_factor(stack)
+            return cl.psd_sqrt(stack), cl.clamp_psd(stack), cl.psd_factor(stack)
 
         def bits(arrays):
             return [np.ascontiguousarray(x).tobytes() for x in arrays]
@@ -328,8 +328,12 @@ class TestEigensolver:
         assert bits(x[::-1] for x in results(a[::-1])) == whole
         assert bits(np.concatenate(x) for x in zip(results(a[:150]), results(a[150:]))) == whole
         assert bits(x[:300] for x in results(np.concatenate([a, odd]))) == whole
-        alone = [results(a[i:i + 1]) for i in range(0, 300, 10)]
-        assert bits(np.concatenate(x) for x in zip(*alone)) == bits(x[::10] for x in results(a))
+        # a lone matrix: unbatched for the eigh kernels; a stack of one for
+        # psd_factor, as an unbatched complex matrix takes numpy's scalar
+        # arithmetic, whose last bits differ
+        alone = [(cl.psd_sqrt(a[i]), cl.clamp_psd(a[i]), cl.psd_factor(a[i:i + 1])[0])
+                 for i in range(0, 300, 10)]
+        assert bits(np.stack(x) for x in zip(*alone)) == bits(x[::10] for x in results(a))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", cl.FIELDS)
@@ -431,6 +435,34 @@ class TestFactorStep:
         a = rand_factor(np.random.default_rng(seed), q, field, 1, max(scale, 1e-2))
         with pytest.raises(ConeViolationError):
             cl.cone_step(a, a, -1.5 * np.eye(q)[None])
+
+    @PROPS
+    @given(SEEDS, st.sampled_from([2, 3]), FIELD, st.integers(1, 3), st.integers(1, 3),
+           st.sampled_from([0, 0.5, 1.0, 2.5, 6.0]), st.floats(1e-8, 1e-6))
+    def test_small_scales_keep_relative_accuracy(self, seed, q, field, rank_a, rank_s,
+                                                 excess, scale):
+        # the zero-row bound is relative to ||T||_F: radii of 1e-8 to 1e-6
+        # give ||T||_F far inside the absolute tolerance EPS_PSD (1 + ||T||_F),
+        # and R*R still matches T to rounding
+        rng = np.random.default_rng(seed)
+        a = rand_factor(rng, q, field, min(rank_a, q), scale)
+        s = rand_factor(rng, q, field, min(rank_s, q), scale)
+        v = cone_block(q - 1 + excess if excess else 0, q, field, rng, 64)
+        t = cl.cone_step(a, s, v)
+        bound = 1e-12 * (cl.frob_norm(a) + cl.frob_norm(s)) ** 2
+        assert np.all(cl.frob_norm(gram(t) - step_gram(a, s, v)) <= bound)
+
+    @pytest.mark.parametrize("field", cl.FIELDS)
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-16, 1e-12, 1.0, 1e200, 1e300])
+    def test_any_scale_squares_back(self, q, field, scale):
+        # neither a small ||T||_F nor one whose square overflows float64
+        # costs R*R its relative accuracy
+        m = scale * np.stack([0.1 * np.eye(q) + 0.9 * np.ones((q, q))]
+                             + [with_spectrum(seed, [1.0, 0.5, 0.1][:q], field)
+                                for seed in range(8)])
+        r = cl.psd_factor(m)
+        assert np.all(cl.frob_norm(gram(r / np.sqrt(scale)) - m / scale) <= 1e-14)
 
     def test_off_diagonal_in_a_zero_row_raises(self):
         # [[0, 1], [1, 0]] has zero pivots but is not PSD

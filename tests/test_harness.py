@@ -1234,6 +1234,19 @@ class TestCli:
                          "--workers", "1"])
         assert code == 0, capsys.readouterr().err
 
+    def test_huge_matrix_laws_run(self, tmp_path, capsys):
+        # a q = 2 walk at radii 1e100 has Gram entries near 1e200, whose
+        # squares overflow float64: the factor step still runs it
+        path = tmp_path / "cfg.json"
+        law = {"kind": "point_mass", "atom": [[1e100, 0.0], [0.0, 1e100]]}
+        path.write_text(json.dumps({"experiment": "axioms", "seed": 1, "name": "big",
+                                    "checks": [{"check": "group-consistency", "q": 2, "p": 4,
+                                                "n_steps": 2, "replicates": 200,
+                                                "law": law}]}))
+        code = cli.main(["axioms", "--config", str(path), "--out", str(tmp_path / "out"),
+                         "--workers", "1"])
+        assert code == 0, capsys.readouterr().err
+
     def test_threshold_failure_exit_four(self, tmp_path):
         cfg = {
             "experiment": "axioms", "seed": 10, "name": "impossible",

@@ -309,7 +309,6 @@ class TestSpecs:
 
         calls = []
         monkeypatch.setattr(experiments, "_BUILT_LAWS", {})
-        monkeypatch.setattr(experiments, "_LAW_MOMENTS", {})
         monkeypatch.setattr(experiments, "moments", lambda law: calls.append(law) or moments(law))
         raw = {"experiment": "clt-check", "name": "once", "seed": 5, "kind": "CLT4",
                "engine": "bessel", "mu": 50.0, "n_steps": 2, "law": MIX6_SPEC,
