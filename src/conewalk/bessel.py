@@ -24,9 +24,9 @@ nu = p - q.  So the index-mu walk is the walk engine
 walk at p being its case mu = d p / 2.  The sampler is exact and
 rejection-free over the whole existence range mu > rho - 1.  Close to
 mu = rho - 1 the density piles up at the boundary of D_q, and a draw may
-round onto it.  The q = 1 walks read only Re v, whose law depends on mu
-alone; :func:`orbit_sampler.cone_block` draws it from
-:func:`orbit_sampler.radial_projection_coeff`.
+round onto it.  Every walk and check draws v by
+:func:`orbit_sampler.cone_block`, which at q = 1 draws only Re v, all a
+q = 1 step reads, from :func:`orbit_sampler.radial_projection_coeff`.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from scipy import special
 
 from . import cone_linalg as cl
 from .limit_lab import Moments
-from .orbit_sampler import cone_block, drive_walk, haar_block, square_radial, zero_radial
+from .orbit_sampler import cone_block, drive_walk, square_radial, zero_radial
 from .radial_laws import RadialLaw
 
 
@@ -64,6 +64,9 @@ class BesselParam:
         if not self.mu > self.rho - 1:
             raise ValueError(
                 f"mu={self.mu} outside the existence range mu > rho-1 = {self.rho - 1}")
+        if not math.isfinite(self.nu):
+            raise ValueError(f"mu={self.mu} too large: the sampler's index "
+                             "nu = 2 mu / d - q is not a finite float64 number")
 
     @property
     def rho(self) -> float:
@@ -86,8 +89,8 @@ class BesselParam:
 
 def sample_contraction(param: BesselParam, rng: np.random.Generator,
                        size: int) -> np.ndarray:
-    """Draw matrices from the contraction density on D_q, shape (size, q, q)."""
-    return haar_block(param.nu, param.q, param.field, rng, size)
+    """size draws of v by the walks' cone_block at param.nu; (size,) Re v at q = 1."""
+    return cone_block(param.nu, param.q, param.field, rng, size)
 
 
 def _propose(e, q, field, rng, k):
@@ -129,10 +132,12 @@ def convolve_points(r: np.ndarray, s: np.ndarray, param: BesselParam,
                     rng: np.random.Generator, size: int) -> np.ndarray:
     """size draws, shape (size, q, q), from the convolution of point masses
     at r and s, each as a factor R of t^2 = R*R; r and s may be given as
-    any factors of r^2 and s^2."""
-    r = np.asarray(r, dtype=cl.field_dtype(param.field))
-    s = np.asarray(s, dtype=cl.field_dtype(param.field))
-    return cl.cone_step(r, s, sample_contraction(param, rng, size))
+    any factors of r^2 and s^2; at q = 1 the walks' scalar step reads |r|, |s|."""
+    r, s = (np.asarray(x, dtype=cl.field_dtype(param.field)) for x in (r, s))
+    v = sample_contraction(param, rng, size)
+    if param.q > 1:
+        return cl.cone_step(r, s, v)
+    return cl.cone_step(np.abs(r[..., 0, 0]), np.abs(s[..., 0, 0]), v)[:, None, None]
 
 
 def kappa_mu(param: BesselParam, n_samples: int, rng: np.random.Generator) -> Moments:
@@ -152,11 +157,11 @@ def kappa_mu(param: BesselParam, n_samples: int, rng: np.random.Generator) -> Mo
     if e >= 0.5:
         const = (math.pi / e) ** (dim / 2.0)
     else:
-        # the volume of the Frobenius ball of radius sqrt(q), through lgamma
+        # the volume of the Frobenius ball of radius sqrt(q), through poch
         # as in kappa_exact: at q = 1 that ball is D_1, every weight at
         # mu = rho is 1, and the estimate equals the closed form to the bit
-        const = math.exp(dim / 2.0 * math.log(math.pi) + dim * math.log(math.sqrt(q))
-                         - math.lgamma(dim / 2.0 + 1.0))
+        const = (math.pi ** (dim / 2.0) * q ** (dim / 2.0)
+                 * special.poch(dim / 2.0 + 1.0, -dim / 2.0))
 
     def weights(k):
         v = _propose(e, q, field, rng, k)
@@ -179,12 +184,12 @@ def kappa_exact(param: BesselParam) -> float:
 
     by Hua's integral (Faraut & Koranyi, Analysis on Symmetric Cones, 1994).
     Every Gamma argument is positive over the existence range mu > rho - 1.
+    Each ratio is the Pochhammer symbol (mu - j d/2)_(-d q/2), which keeps
+    its accuracy at large mu, where the two log-gammas would cancel.
     """
     mu, q, d = param.mu, param.q, param.d
-    log_kappa = 0.5 * d * q * q * math.log(math.pi)
-    for j in range(q):
-        log_kappa += math.lgamma(mu - 0.5 * d * q - 0.5 * j * d) - math.lgamma(mu - 0.5 * j * d)
-    return math.exp(log_kappa)
+    return float(math.pi ** (0.5 * d * q * q) * math.prod(
+        special.poch(mu - 0.5 * j * d, -0.5 * d * q) for j in range(q)))
 
 
 # -- one-dimensional characters ---------------------------------------------

@@ -41,7 +41,6 @@ from .orbit_sampler import (
     METHODS,
     GroupWalkConfig,
     checkpoint_tuple,
-    cone_block,
     run_cone_walks,
     run_group_walks,
     wishart_sample,
@@ -784,7 +783,7 @@ def _run_support_bound(spec, k, stream):
     # varied cone geometry: factors of random scaled Wishart draws for r and s
     r = cl.psd_factor(wishart_sample(q + 2, q, field, rng, k) * 1.5)
     s = cl.psd_factor(wishart_sample(q + 2, q, field, rng, k) * 0.8)
-    t = cl.cone_step(r, s, sample_contraction(_param(spec), rng, k))
+    t = convolve_points(r, s, _param(spec), rng, k)
     return _support_partial(t, r, s, spec["slack"])
 
 
@@ -833,7 +832,7 @@ def _run_m1_subadd(spec, k, stream):
     rng = stream()
     s1 = _law_of(spec["law"]).sample(rng, k)
     s2 = _law_of(spec["law2"]).sample(rng, k)
-    h = cl.frob_norm(cl.cone_step(s1, s2, sample_contraction(_param(spec), rng, k)))
+    h = cl.frob_norm(convolve_points(s1, s2, _param(spec), rng, k))
     return {"m": lab.Moments.of(h)}
 
 
@@ -850,13 +849,13 @@ def _reduce_m1_subadd(spec, parts):
 def _run_group_consistency(spec, k, stream):
     law, p, cps = _law_of(spec["law"]), spec["p"], (spec["n_steps"],)
     group = _walks({"p": p, "method": "direct"}, law, cps, stream(0), k)
-    bessel = _walks({"mu": p * spec["d"] / 2.0}, law, cps, stream(1), k)
+    bessel = _walks({"mu": 0.5 * spec["d"] * p}, law, cps, stream(1), k)
     return {"a": group.tr_squared()[0], "b": bessel.tr_squared()[0]}
 
 
 def _run_character(spec, k, stream):
-    v = cone_block(BesselParam(spec["mu"], 1, 1).nu, 1, cl.REAL, stream(), k)
-    t = cl.cone_step(spec["r1"], spec["r2"], v)
+    param = BesselParam(spec["mu"], 1, 1)
+    t = convolve_points([[spec["r1"]]], [[spec["r2"]]], param, stream(), k)[:, 0, 0]
     return {"m": lab.Moments.of(bessel_character_1d(spec["mu"], t, spec["s"]))}
 
 
@@ -867,7 +866,7 @@ def _reduce_character(spec, parts):
 
 
 def _run_contraction_beta(spec, k, stream):
-    v = sample_contraction(BesselParam(spec["mu"], 1, 1), stream(), k)[:, 0, 0].real
+    v = sample_contraction(BesselParam(spec["mu"], 1, 1), stream(), k)
     return {"u": v * v}
 
 
@@ -920,9 +919,9 @@ def _group_consistency_rules(spec):
     if q > 1 and p < q:
         raise ConfigError("p", "needs p >= q")
     try:
-        BesselParam(p * d / 2.0, q, d)
+        BesselParam(0.5 * d * p, q, d)
     except ValueError as exc:
-        raise ConfigError("p", f"mu = p d/2 = {p * d / 2.0}: {exc}") from exc
+        raise ConfigError("p", f"mu = p d/2 = {0.5 * d * p}: {exc}") from exc
 
 
 def _character_rules(spec):
@@ -941,8 +940,9 @@ def _character_rules(spec):
 def _mu_scaling_rules(spec):
     try:
         _param(spec).require_lemma_range()
+        BesselParam(4.0 * spec["mu"], spec["q"], spec["d"])
     except ValueError as exc:
-        raise ConfigError("mu", str(exc)) from exc
+        raise ConfigError("mu", f"{exc} (the check runs at mu and at 4 mu)") from exc
     if spec["ratio_lo"] > spec["ratio_hi"]:
         raise ConfigError("ratio_lo", "must be <= ratio_hi, or no ratio can pass")
 

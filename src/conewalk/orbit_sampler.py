@@ -21,9 +21,9 @@ O(q^3), with no eigensolver.  At the real nu = 2 mu / d - q it is
 the contraction of the index-mu walk of :mod:`bessel`.  So the polar
 group walk at p is the index-mu walk at mu = d p / 2, and both run on one
 engine keyed by nu, :func:`run_cone_walks`, with v drawn by
-:func:`cone_block`.  "direct" is the literal construction and serves as
-the oracle in equivalence tests.  Every walk runs through the one
-checkpointed driver :func:`drive_walk`.
+:func:`cone_block`, as in every check.  "direct" is the literal
+construction and serves as the oracle in equivalence tests.  Every walk
+runs through the one checkpointed driver :func:`drive_walk`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import cone_linalg as cl
 from .errors import NumericalFailureError
-from .radial_laws import RadialLaw, _bartlett_columns, _bartlett_diag, _std_entries
+from .radial_laws import RadialLaw, _bartlett_columns, _std_entries
 
 # the two walk routes; polar is the default at every p
 METHODS = ("direct", "polar")
@@ -78,16 +78,13 @@ def haar_block(nu: float, q: int, field: str, rng: np.random.Generator,
       G2, and v is the top block of the positive-diagonal QR frame of
       [G1; G2], which is Haar.
     Otherwise W = A A* for the lower Bartlett factor A, drawn row by row,
-    A[i, i]^2 ~ chi-square(nu - i) (gamma over C).  q = 1 is
-    v = g / sqrt(|g|^2 + c), c ~ W.
+    A[i, i]^2 ~ chi-square(nu - i) (gamma over C).  :func:`cone_block` calls
+    this at q >= 2 only; at q = 1 it is the oracle of the walks' sampler.
     """
     if not (nu > q - 1 or (nu == int(nu) and nu >= 1)):
         raise ValueError(f"Wishart degrees of freedom nu={nu} need nu > q - 1 = {q - 1} "
                          "or a positive integer")
     g1 = _std_entries(rng, (n, q, q), field)
-    if q == 1:
-        g = g1.reshape(n)
-        return (g / np.sqrt(cl._abs2(g) + _bartlett_diag(nu, field, rng, n))).reshape(n, 1, 1)
     if nu > q - 1:
         # column i of A*, with W = (A*)* A*: conj(A[i, :i]) above A[i, i]
         cols = _bartlett_columns(nu, q, field, rng, n)
@@ -145,10 +142,10 @@ def radial_projection_coeff(p: float, field: str, rng: np.random.Generator,
 
 def cone_block(nu: float, q: int, field: str, rng: np.random.Generator,
                n: int) -> np.ndarray:
-    """The v of n cone steps at Wishart index nu: at q = 1 the (n,) real
-    parts Re v, all that the q = 1 step reads, drawn at the real dimension
-    m = d (nu + 1); at nu = 0 (p = q) a Haar unitary from QR, the whole
-    frame; otherwise (n, q, q) draws of :func:`haar_block`."""
+    """The v of n cone steps at Wishart index nu, for every walk and check:
+    at q = 1 the (n,) real parts Re v, all that the q = 1 step reads, drawn
+    at the real dimension m = d (nu + 1); at nu = 0 (p = q) a Haar unitary
+    from QR, the whole frame; otherwise (n, q, q) draws of :func:`haar_block`."""
     if q == 1:
         return radial_projection_coeff(nu + 1, field, rng, n)
     if nu == 0:

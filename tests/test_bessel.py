@@ -18,7 +18,6 @@ from conewalk.orbit_sampler import (
     GroupWalkConfig,
     cone_block,
     haar_block,
-    radial_projection_coeff,
     run_cone_walks,
     run_group_walks,
     sample_stiefel_frame,
@@ -47,13 +46,22 @@ class TestParam:
         with pytest.raises(ValueError):
             BesselParam(2.9, 1, 1).require_lemma_range()
 
+    @pytest.mark.parametrize("q, d", [(1, 1), (1, 2), (2, 1), (3, 2)])
+    def test_index_must_be_finite(self, q, d):
+        # mu -> inf has one meaning: from about 9e307 on nu = 2 mu / d - q
+        # is inf, and such an index is refused at every q
+        BesselParam(1e307, q, d)
+        for mu in (1e308, math.inf):
+            with pytest.raises(ValueError, match="not a finite"):
+                BesselParam(mu, q, d)
+
 
 class TestContractionSampler:
     def test_uniform_case(self):
         # mu = rho makes the density flat on (-1, 1)
         rng = np.random.default_rng(1)
         n = 100000
-        v = sample_contraction(BesselParam(1.5, 1, 1), rng, n)[:, 0, 0]
+        v = sample_contraction(BesselParam(1.5, 1, 1), rng, n)
         assert np.all(np.abs(v) < 1)
         assert abs(v.mean()) <= 3 * np.sqrt(1 / 3 / n)
         var_se = np.std(v**2) / np.sqrt(n)
@@ -72,7 +80,7 @@ class TestContractionSampler:
 
         rng = np.random.default_rng(3)
         n = 30000
-        v = sample_contraction(BesselParam(5.0, 1, 1), rng, n)[:, 0, 0]
+        v = sample_contraction(BesselParam(5.0, 1, 1), rng, n)
         ks = ks_distance(v**2, beta(0.5, 4.5).cdf)
         assert ks <= 0.011
 
@@ -88,7 +96,7 @@ class TestContractionSampler:
 
         rng = np.random.default_rng(5)
         n = 30000
-        v = sample_contraction(BesselParam(1.2, 1, 1), rng, n)[:, 0, 0]
+        v = sample_contraction(BesselParam(1.2, 1, 1), rng, n)
         assert ks_distance(v**2, beta(0.5, 0.7).cdf) <= 0.011
 
     def test_near_boundary_draws_inside_ball(self):
@@ -133,18 +141,6 @@ class TestContractionSampler:
         tr = np.sum(np.abs(v) ** 2, axis=(-2, -1))
         assert abs(tr.mean() - q * q * d / (2 * mu)) <= 4 * tr.std() / np.sqrt(n)
 
-    @pytest.mark.parametrize("mu, d", [(0.75, 1), (1.5, 1), (2.5, 1), (3.3, 1),
-                                       (1.5, 2), (2.5, 2), (3.3, 2)])
-    def test_walk_draw_matches_contraction(self, mu, d):
-        # the q = 1 walks draw Re v at m = 2 mu, over R and C alike; m = 3
-        # and m = 5 take closed forms.  mu = 0.75 lies outside the complex
-        # existence range mu > 1
-        n = 20000
-        w = radial_projection_coeff(2 * mu, cl.REAL, np.random.default_rng(40), n)
-        v = sample_contraction(BesselParam(mu, 1, d), np.random.default_rng(41), n)
-        _, pvalue = ks_2samp(w, v[:, 0, 0].real)
-        assert pvalue >= 1e-3
-
     def test_gaussian_branch_boundary(self):
         rng = np.random.default_rng(6)
         v = sample_contraction(BesselParam(2.0, 1, 1), rng, 1000)
@@ -158,6 +154,23 @@ class TestConvolve:
         s = np.array([[1.0, 0.3], [0.3, 0.7]])
         t = convolve_points(np.zeros((2, 2)), s, param, rng, 200)
         assert np.max(cl.frob_norm(np.conj(np.swapaxes(t, -1, -2)) @ t - s @ s)) <= 1e-9
+
+    def test_q1_reads_only_radii(self):
+        # at q = 1 the step reads |r| and |s| alone: any phase of a factor
+        # gives the same bits, and the draws are real
+        param = BesselParam(3.0, 1, 2)
+        t = [convolve_points(r, [[0.5]], param, np.random.default_rng(21), 500)
+             for r in ([[0.8j]], [[0.8]], [[-0.8]])]
+        assert t[0].shape == (500, 1, 1) and t[0].dtype == np.float64
+        assert np.array_equal(t[0], t[1]) and np.array_equal(t[0], t[2])
+
+    def test_q1_stacked_points(self):
+        # a (size, 1, 1) stack of factors steps point by point
+        param = BesselParam(2.5, 1, 1)
+        r = np.array([0.3, 1.0, 2.0])[:, None, None]
+        t = convolve_points(r, np.ones((3, 1, 1)), param, np.random.default_rng(22), 3)
+        v = sample_contraction(param, np.random.default_rng(22), 3)
+        assert np.array_equal(t[:, 0, 0], cl.cone_step(r[:, 0, 0], 1.0, v))
 
     def test_unit_points_second_moment(self):
         # E[t^2] = 2 exactly when r = s = 1, any index
@@ -243,6 +256,19 @@ class TestKappa:
         # integral of (1 - t^2) over (-1, 1); the unit disc's area at d = 2
         assert kappa_exact(BesselParam(2.5, 1, 1)) == pytest.approx(4.0 / 3.0, rel=1e-14)
         assert kappa_exact(BesselParam(2.0, 1, 2)) == pytest.approx(math.pi, rel=1e-14)
+
+    @pytest.mark.parametrize("mu", [1e8, 1e12])
+    @pytest.mark.parametrize("q, d", [(1, 1), (1, 2), (2, 1), (3, 2)])
+    def test_exact_at_large_index(self, mu, q, d):
+        # each Gamma ratio is a Pochhammer symbol: two log-gammas near
+        # mu log mu would cancel and lose about 1e-7 of it at mu = 1e8
+        import mpmath as mp
+
+        with mp.workdps(40):
+            half = mp.mpf(d) / 2
+            ref = mp.pi ** (half * q * q) * mp.fprod(
+                mp.gamma(mu - half * (q + j)) / mp.gamma(mu - half * j) for j in range(q))
+        assert abs(kappa_exact(BesselParam(mu, q, d)) / float(ref) - 1.0) <= 1e-12
 
     def test_against_exact(self):
         # Hua's closed form against the importance-sampling estimate, at

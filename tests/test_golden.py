@@ -213,15 +213,22 @@ CASES = {
 # cases, with the cone-step-q2, convolve-q2, support-bound-q3-real and
 # wishart-root-q2 draw cases) were recorded again (other realizations of
 # the same law; config-time roots now come from LAPACK's eigh); every
-# q = 1 case held.
+# q = 1 case held.  c04, axiom-extras and convolve-q1, with the
+# convolve-q1-matrix draw case, were recorded again when the q = 1 checks
+# began to draw Re v through cone_block, the walks' sampler, and to step
+# the radii with the walks' scalar cone step (other draws over C and at
+# m = 2 mu = 3; last bits elsewhere; c05, c12b and the mu0.52 cases held).
+# c12a and kappa-q2 were recorded again when kappa_exact began to take each
+# Gamma ratio as a Pochhammer symbol (last bits of the reference, and of
+# kappa-q2's ball-branch estimate, whose constant takes the same form).
 GOLDEN = {
-    "axiom-extras": "9a156131cb03a9d758e2c94c1e69b469cdd0db1ee6f48c320ed2ecf53d574e72",
+    "axiom-extras": "e4237f7f0769648aeabae69c05f1b730325d7239d58a70362bf548aab738c225",
     "bessel-q1-complex": "28d2ecd693275f2ad61bcca36ec0c3d0e7ce3f786f956e318ee02241f0961386",
     "bessel-q2-complex": "eea3047ad11793981342712e0afb0310047da7be5009f452d16738ac9c45fa1d",
     "c01": "dab094f2da71e9a7e9721e2e381f5f0008bdec6db7223cfc0c00538d4baaa467",
     "c02": "c9e18a90254adab8860aa7c43621e85b2e1838eb535b6efae6327681e3c0353b",
     "c03": "4c01b41c328028e3e965b90e193f33c5ba6a2319bd86c9f1f71dfbc34c6c790b",
-    "c04": "627a5c7280115ed72bf92e8a17a84693ef8d407428fea36d532a88ebfe7e0312",
+    "c04": "3386335d1e1bad57fbc21220e939bac642a73a14743753a903b32e33ed127a82",
     "c05": "01a4ba48903ca952bc91bbe212643d7aba90ceaff8cbb61b6ab53cb2382ca0c6",
     "c06": "70c64ad17cc4e0f6cee93b46ed0bb32bb68fbf3b26cffdf03f6a199c5ee0e878",
     "c07": "37b600df46cc04786ff7bb6173820f42a73754ae661524cf33400bede4466af3",
@@ -229,11 +236,11 @@ GOLDEN = {
     "c09": "9f92042655cf4aa26dfa39e82fadb50e076f88c7681cda4993d6111b82898c5d",
     "c10": "69ad9462a399ab0aac34e68d476278147643bf164659ee3a0c1b3f2df5204519",
     "c11": "3434369133bc09b75de862309d4f7d20885b290c59fbcd158edae1b71dd6f7f8",
-    "c12a": "a5109c2ee38cb97c4e08a860ea4ae19cb723dfbd31114b60c2095165275157ef",
+    "c12a": "92dbd873af8eb3061978e9a71b1c1b4cf4cedfc90e154af4c37660043b87145b",
     "c12b": "9fcdecc1ccf91c6e99d70627a8dd905c96e9053396aabe10f8f404f7f37042f4",
     "character-mu0.52": "9b1e763098247c40fcacd5e30c96fce159003060b92fbc65d4854d4f590f193b",
     "contraction-beta-mu0.52": "1d8c8ed2c6d98f85edaa1a0ea90063f47e619574facf1fe66255ab0526eb956f",
-    "convolve-q1": "0a69f04045a73e11b54ce11152fb33e2a893cf90cce1c6477bbc82de6484fd6f",
+    "convolve-q1": "7b078dfe890a63d4adde258f166d8a741f1d175db206d6536a80546939c85bcb",
     "demo-convolve": "c2d513f8e62d2bd0e01d69745a163545eb8fcd905e6ad8e808a339b989759882",
     "demo-walk-bessel": "cb8fa76742fa0e88c78ad10f050b40ebd385a40745c634bb4d8088a64fd5676e",
     "demo-walk-group": "e724731984a1d8bd4e016cea1c44825a812c19d8437d524088dfbc64c49014fa",
@@ -244,7 +251,7 @@ GOLDEN = {
     "group-q2-direct-complex": "02e19fdf9f638a67e8458b67a31e1a05426f6ab2597e21bc7951fa8dd9acb063",
     "group-q2-polar-complex": "b6b842547f1d81ec1aec40d30c163e1dc9ae4c9319c62dc24caf487969dd12f4",
     "group-q2-polar-real": "9c453adbeaf59b90774e2c73d635c65c6fc79d127381c942a6e38c9095cf464d",
-    "kappa-q2": "b83196a2e4726baa56dd40c800860082bc5aaf1f8e74edc4105d6d442a23b575",
+    "kappa-q2": "ea97a5d7c2411249344d4c9ca86599788cb406e2c5fc3b883849b7e550237d65",
     "moment-identity-complex":
         "c07da019e884e0bfba51753b724431604f58dd46515a0ff25fa879a6523e7e8b",
     "clt1-complex": "23f24ff6ec3f4e98b1e0e4b63419d3064ae45ad89a9e64c9de3ac286ebaf8cb4",
@@ -352,7 +359,7 @@ DRAW_CASES = {
 DRAW_GOLDEN = {
     "cone-step-q2-complex": "2fdbdc649dab64623d3555ed283133fa4f74111f7ac21ac40c04c9197508d644",
     "cone-step-q2-real": "4207a23c8bb671297903600957b0cf88bc8808577ecffb06eaff2a3bff9b5cda",
-    "convolve-q1-matrix": "a5df39495a64b98ccccf5b35d8aa741122fb21dbdea0da1139830b5f99ec8dce",
+    "convolve-q1-matrix": "a0b0fc96699be0ed25d751b9da6599ab3c18fa6e650a7ae58bae7d33f3dbcb4e",
     "convolve-q2-complex": "4f9fcd359bdeab5db49ebac561dd056417b9f0609348debc72664ab9b9d45402",
     "convolve-q2-real": "a057d424f867c4a874d7a398db222a018ca813b7fd4fab690db8e1e4bb62a8f4",
     "stiefel-q2-complex-small-dof": "2450ba25ac3fae56e3b1cf4289ca166bcf8a46b7f160bdebf5b49db11abd6743",

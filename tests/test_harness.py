@@ -852,6 +852,15 @@ class TestOutputs:
         assert summary["checks"][0]["ratio"] is None
         assert (tmp_path / "inf.csv").read_text() == "a,b\ninf,-inf\n"
 
+    @pytest.mark.parametrize("q, d", [(1, 1), (2, 2)])
+    def test_kappa_at_large_index(self, q, d):
+        # the reference keeps its accuracy where two log-gammas would cancel
+        raw = {"experiment": "kappa", "seed": 5, "q": q, "d": d,
+               "mu_grid": [1e8, 1e12], "n_samples": 20000}
+        cfg, _ = validate_config(raw)
+        rec = run_experiment(cfg)
+        assert rec.passed and [c["pass"] for c in rec.checks] == [True, True]
+
     def test_kappa_exponent_zero_summary_value(self, tmp_path):
         raw = {"experiment": "kappa", "seed": 4, "q": 1, "d": 1,
                "mu_grid": [1.5], "n_samples": 5000}
@@ -1139,6 +1148,24 @@ class TestCli:
         ({"experiment": "axioms", "seed": 1, "checks": [
             {"check": "character", "mu": 3.0, "r1": 1e308, "r2": 1e308, "s": 0.0, "draws": 10}]},
          "checks[0].mu"),
+        # an index whose nu = 2 mu / d - q is not a finite float64 number: a
+        # q = 2 walk exited 3, a q = 1 walk ran, and the Beta test failed
+        # on draws that were all exactly 0
+        ({"experiment": "walk-bessel", "seed": 1, "mu": 1e308, "q": 2, "n_steps": 2,
+          "replicates": 10, "law": {"kind": "point_mass", "atom": [[1.0, 0.0], [0.0, 1.0]]}},
+         "mu"),
+        ({"experiment": "kappa", "seed": 1, "mu_grid": [3.0, 1e308], "n_samples": 10},
+         "mu_grid"),
+        ({"experiment": "axioms", "seed": 1, "checks": [
+            {"check": "group-consistency", "q": 1, "d": 2, "p": 10**308,
+             "law": {"kind": "point_mass", "field": "complex", "atom": 1.0},
+             "n_steps": 2, "replicates": 10}]}, "checks[0].p"),
+        ({"experiment": "axioms", "seed": 1, "checks": [
+            {"check": "mu-scaling", "mu": 5e307, "law": TWO_POINT, "n_steps": 2, "cap": 1.0,
+             "replicates": 10}]}, "checks[0].mu"),
+        ({"experiment": "axioms", "seed": 1, "checks": [
+            {"check": "contraction-beta", "mu": 1e308, "draws": 10, "ks_max": 0.1}]},
+         "checks[0].mu"),
     ], ids=["p-below-q", "too-few-for-mardia", "top-level-list", "grid-p-zero", "grid-n-zero",
             "mu-scaling-ratio-bounds", "clt2-point-mass", "clt1-zero-law", "clt3-atom-1e-100",
             "clt1-moments-overflow", "clt2-moments-overflow", "clt4-log-normal-moments-overflow",
@@ -1146,7 +1173,9 @@ class TestCli:
             "moment-identity-moments-overflow", "berry-esseen-moments-overflow",
             "m2-additivity-moments-overflow", "m1-subadditivity-law2-moments-overflow",
             "character-reference-beyond-float64",
-            "character-run-beyond-float64", "character-run-overflows"])
+            "character-run-beyond-float64", "character-run-overflows",
+            "walk-bessel-nu-inf", "kappa-nu-inf", "group-consistency-nu-inf",
+            "mu-scaling-4mu-nu-inf", "contraction-beta-nu-inf"])
     def test_unrunnable_config_exit_two(self, tmp_path, capsys, raw, field):
         # refused before anything runs or is written
         path = tmp_path / "cfg.json"

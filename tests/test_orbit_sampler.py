@@ -10,7 +10,6 @@ from conewalk.orbit_sampler import (
     _cholesky_solve,
     cone_block,
     haar_block,
-    radial_projection_coeff,
     run_cone_walks,
     run_group_walks,
     sample_radial_matrix,
@@ -92,12 +91,19 @@ class TestStiefelBlock:
         assert np.max(cl.frob_norm(gram - np.eye(3))) <= 1e-10
 
     def test_projection_coeff_matches_block(self):
-        # over C the one real draw at m = 2 p has the law of Re v
+        # the one q = 1 sampler: cone_block draws Re v at the real dimension
+        # m = d p (one real draw over C too; m = 3 and m = 5 take closed
+        # forms) against the whole v of haar_block's general path.  The
+        # integer p are group walks; p = 2 mu / d are index-mu walks and
+        # checks at mu = 0.75, 3.3 over R and mu = 1.5, 2.5, 3.3 over C
+        # (mu = 0.75 lies outside the complex existence range mu > 1)
         rng = np.random.default_rng(6)
         n = 20000
-        for field, p in ((cl.REAL, 3), (cl.REAL, 5), (cl.REAL, 9),
-                         (cl.COMPLEX, 1), (cl.COMPLEX, 3), (cl.COMPLEX, 4)):
-            w = radial_projection_coeff(p, field, rng, n)
+        for field, p in ((cl.REAL, 3), (cl.REAL, 5), (cl.REAL, 9), (cl.REAL, 1.5),
+                         (cl.REAL, 6.6), (cl.COMPLEX, 1), (cl.COMPLEX, 3), (cl.COMPLEX, 4),
+                         (cl.COMPLEX, 1.5), (cl.COMPLEX, 2.5), (cl.COMPLEX, 3.3)):
+            w = cone_block(p - 1, 1, field, rng, n)
+            assert w.shape == (n,) and w.dtype == np.float64
             block = (haar_block(p - 1, 1, field, rng, n) if p > 1
                      else sample_stiefel_frame(1, 1, field, rng, n))
             _, pvalue = ks_2samp(w, block[:, 0, 0].real)

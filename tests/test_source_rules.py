@@ -36,7 +36,7 @@ def test_steps_and_draws_take_no_root():
             if isinstance(node, ast.FunctionDef):
                 defs.setdefault(node.name, []).append(node)
     reached, todo, named = set(), ["cone_step", "run_cone_walks", "paired_composition_diffs",
-                                   "sample"], set()
+                                   "convolve_points", "sample_contraction", "sample"], set()
     while todo:
         name = todo.pop()
         reached.add(name)
@@ -107,6 +107,31 @@ def test_one_walk_route():
              if isinstance(node, ast.Call) and _called_name(node) in
              ("run_cone_walks", "run_group_walks", "GroupWalkConfig")}
     assert found == {"_walks"}
+
+
+def test_one_contraction_sampler():
+    # v has one sampler per q: only cone_block draws it, through
+    # radial_projection_coeff at q = 1 and haar_block otherwise
+    found = {f"{path.stem}.{getattr(top, 'name', top.lineno)}:{_called_name(node)}"
+             for path in sorted(SRC.rglob("*.py"))
+             for top in ast.parse(path.read_text()).body
+             for node in ast.walk(top)
+             if isinstance(node, ast.Call)
+             and _called_name(node) in ("haar_block", "radial_projection_coeff")}
+    assert found == {"orbit_sampler.cone_block:haar_block",
+                     "orbit_sampler.cone_block:radial_projection_coeff"}
+
+
+def test_checks_step_through_convolve_points():
+    # the checks draw v and step points through bessel.sample_contraction
+    # and convolve_points: no function of experiments.py draws v or makes
+    # the cone step itself
+    tree = ast.parse((SRC / "experiments.py").read_text())
+    found = {getattr(top, "name", top.lineno)
+             for top in tree.body
+             for node in ast.walk(top)
+             if isinstance(node, ast.Call) and _called_name(node) in ("cone_step", "cone_block")}
+    assert found == set()
 
 
 def test_one_frame_construction():
