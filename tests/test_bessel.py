@@ -141,6 +141,22 @@ class TestContractionSampler:
         tr = np.sum(np.abs(v) ** 2, axis=(-2, -1))
         assert abs(tr.mean() - q * q * d / (2 * mu)) <= 4 * tr.std() / np.sqrt(n)
 
+    @pytest.mark.parametrize("mu, d", [(0.75, 1), (1.5, 1), (2.5, 1), (3.3, 1),
+                                       (1.5, 2), (2.5, 2), (3.3, 2)])
+    def test_walk_draw_matches_contraction(self, mu, d):
+        # the q = 1 draw of every walk and check is Re v at the real
+        # dimension m = 2 mu, over R and C alike (m = 3 and m = 5 take closed
+        # forms), against the whole v of haar_block's general path at
+        # nu = 2 mu / d - 1.  mu = 0.75 lies outside the complex existence
+        # range mu > 1
+        n = 20000
+        param = BesselParam(mu, 1, d)
+        w = sample_contraction(param, np.random.default_rng(41), n)
+        assert w.shape == (n,) and w.dtype == np.float64
+        block = haar_block(param.nu, 1, param.field, np.random.default_rng(40), n)
+        _, pvalue = ks_2samp(w, block[:, 0, 0].real)
+        assert pvalue >= 1e-3
+
     def test_gaussian_branch_boundary(self):
         rng = np.random.default_rng(6)
         v = sample_contraction(BesselParam(2.0, 1, 1), rng, 1000)
