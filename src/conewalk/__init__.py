@@ -46,6 +46,5 @@ from .orbit_sampler import (
     run_group_walks,
     sample_radial_matrix,
     sample_stiefel_frame,
-    wishart_sample,
 )
 from .radial_laws import MomentData, RadialLaw, law_from_spec, moments

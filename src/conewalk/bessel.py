@@ -163,16 +163,9 @@ def kappa_mu(param: BesselParam, n_samples: int, rng: np.random.Generator) -> Mo
         const = (math.pi ** (dim / 2.0) * q ** (dim / 2.0)
                  * special.poch(dim / 2.0 + 1.0, -dim / 2.0))
 
-    def weights(k):
-        v = _propose(e, q, field, rng, k)
-        in_ball, logdet, tr = _ball_stats(v, q)
-        if e >= 0.5:
-            return Moments.of(np.where(in_ball, np.exp(e * (logdet + tr)), 0.0))
-        return Moments.of(np.where(in_ball, np.exp(e * logdet), 0.0))
-
-    chunk = 1_000_000
-    m = Moments.pooled(weights(min(chunk, n_samples - done))
-                       for done in range(0, n_samples, chunk))
+    in_ball, logdet, tr = _ball_stats(_propose(e, q, field, rng, n_samples), q)
+    log_w = e * (logdet + tr) if e >= 0.5 else e * logdet
+    m = Moments.of(np.where(in_ball, np.exp(log_w), 0.0))
     # scaled once, so weights that are all exactly 1 (mu = rho) give const
     return Moments(m.count, const * m.mean, const * const * m.M2)
 

@@ -20,6 +20,7 @@ import functools
 import json
 import math
 import re
+import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -43,7 +44,6 @@ from .orbit_sampler import (
     checkpoint_tuple,
     run_cone_walks,
     run_group_walks,
-    wishart_sample,
 )
 from .radial_laws import (
     _FIELD,
@@ -410,27 +410,26 @@ class KappaExperiment:
     name = "kappa"
     columns = ["mu", "q", "d", "branch", "n_samples", "estimate", "std_error",
                "reference", "abs_diff", "diff_over_se", "pass"]
-    fields = _COMMON + (_Q, _D, _Row("mu_grid", _List(float), _REQUIRED, *_NONEMPTY),
+    fields = _COMMON + (_Q, _D, _Row("mu_grid", _List(_index), _REQUIRED, *_NONEMPTY),
                         _count("n_samples", 1), _MAX_SE)
 
     @staticmethod
     def validate(raw):
         cfg = _read(raw, KappaExperiment.fields, experiment="kappa", schema_version=1)
-        for m in cfg["mu_grid"]:
-            try:
-                param = BesselParam(m, cfg["q"], cfg["d"])
-            except ValueError as exc:
-                raise ConfigError("mu_grid", str(exc)) from exc
+        for i, m in enumerate(cfg["mu_grid"]):
+            param = BesselParam(m, cfg["q"], cfg["d"])
             if m < param.rho:
-                raise ConfigError("mu_grid", f"mu={m} below rho={param.rho}: the kappa "
+                raise ConfigError(f"mu_grid[{i}]", f"mu={m} below rho={param.rho}: the kappa "
                                   "importance sampler's weights det(I - v*v)^(mu - rho) "
                                   "are unbounded there; it needs mu >= rho")
+            if kappa_exact(param) < sys.float_info.min:
+                raise ConfigError(f"mu_grid[{i}]", f"kappa at mu={m} underflows float64, "
+                                  "where an estimate of 0 would match it vacuously")
         return cfg, []
 
     @staticmethod
     def plan(cfg):
-        return plan_blocks([cfg["n_samples"]] * len(cfg["mu_grid"]),
-                           max(cfg["block_size"], 10**5))
+        return plan_blocks([cfg["n_samples"]] * len(cfg["mu_grid"]), cfg["block_size"])
 
     @staticmethod
     def run_block(cfg, task):
@@ -448,7 +447,9 @@ class KappaExperiment:
             branch = "gaussian-is" if mu - param.rho >= 0.5 else "ball-is"
             ref = kappa_exact(param)
             diff = abs(mean - ref)
-            ratio = diff_over_se(diff, se)
+            # at large mu the weights differ from 1 by rounding alone, and se
+            # can fall below the estimate's own float64 rounding
+            ratio = diff_over_se(diff, max(se, 2 * cfg["q"] * math.ulp(ref)))
             ok = ratio <= cfg["max_se"]
             checks.append({"check": "kappa-quadrature", "mu": mu,
                            "diff_over_se": ratio, "max_se": cfg["max_se"], "pass": ok})
@@ -780,9 +781,9 @@ def _param(spec):
 def _run_support_bound(spec, k, stream):
     rng = stream()
     q, field = spec["q"], _field(spec["d"])
-    # varied cone geometry: factors of random scaled Wishart draws for r and s
-    r = cl.psd_factor(wishart_sample(q + 2, q, field, rng, k) * 1.5)
-    s = cl.psd_factor(wishart_sample(q + 2, q, field, rng, k) * 0.8)
+    # varied cone geometry: Bartlett factors of Wishart draws of mean 1.5 I and 0.8 I
+    r, s = (RadialLaw.wishart_root(c * np.eye(q) / (q + 2), q + 2, field).sample(rng, k)
+            for c in (1.5, 0.8))
     t = convolve_points(r, s, _param(spec), rng, k)
     return _support_partial(t, r, s, spec["slack"])
 

@@ -166,18 +166,6 @@ def sample_radial_matrix(law: RadialLaw, p: int, rng: np.random.Generator,
     return sample_stiefel_frame(p, law.q, law.field, rng, size) @ law.sample(rng, size)
 
 
-def wishart_sample(p: int, q: int, field: str, rng: np.random.Generator,
-                   size: int) -> np.ndarray:
-    """size draws of G*G / p, shape (size, q, q), for a standard Gaussian
-    p x q matrix G; the mean is I_q.
-
-    This is the p-degrees-of-freedom Wishart limit element appearing in
-    the fixed-n, large-p analysis, normalized to unit mean.
-    """
-    g = _std_entries(rng, (size, p, q), field)
-    return cl.herm_part(np.swapaxes(np.conj(g), -1, -2) @ g) / p
-
-
 @dataclass(frozen=True)
 class GroupWalkConfig:
     """Parameters of a group-case radial walk."""

@@ -353,6 +353,9 @@ def _typed(field: str, val, kind):
         return float(val)
     if kind in (int, float):
         name = "an integer" if kind is int else "a finite number"
+        if isinstance(val, int) and not isinstance(val, bool):  # too long to echo
+            raise ConfigError(field, f"expected {name}, got an integer of "
+                                     f"{len(str(abs(val)))} digits, past the float64 range")
         raise ConfigError(field, f"expected {name}, got {val!r}")
     if not isinstance(val, kind):
         raise ConfigError(field, f"expected {kind.__name__}, got {type(val).__name__}")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conewalk import bessel
 from conewalk import cone_linalg as cl
 from conewalk.bessel import (
     BesselParam,
@@ -13,6 +14,8 @@ from conewalk.bessel import (
     paired_composition_diffs,
     sample_contraction,
 )
+from conewalk.experiments import EXPERIMENTS
+from conewalk.harness import validate_config
 from conewalk.limit_lab import ks_2samp, ks_distance
 from conewalk.orbit_sampler import (
     GroupWalkConfig,
@@ -252,6 +255,30 @@ class TestSemigroup:
 
 
 class TestKappa:
+    def test_plan_takes_block_size(self):
+        # kappa blocks as every family does, at the config's block_size
+        cfg, _ = validate_config({"experiment": "kappa", "seed": 1, "mu_grid": [2.5, 6.0],
+                                  "n_samples": 20000, "block_size": 8192})
+        plan = EXPERIMENTS["kappa"].plan(cfg)
+        assert [(t["cell"], t["size"]) for t in plan] == [
+            (cell, size) for cell in (0, 1) for size in (8192, 8192, 3616)]
+
+    @pytest.mark.parametrize("mu, q, d, n", [(6.0, 1, 1, 10**6 + 1), (1.5, 1, 1, 1234),
+                                             (2.7, 2, 1, 1234), (8.0, 2, 2, 1234)])
+    def test_one_batch_of_proposals(self, monkeypatch, mu, q, d, n):
+        # a block's weights come from one call of the proposal sampler, in
+        # both branches and past the 1e6 draws at which it used to split
+        calls = []
+        propose = bessel._propose
+
+        def spy(e, q_, field, rng, k):
+            calls.append(k)
+            return propose(e, q_, field, rng, k)
+
+        monkeypatch.setattr(bessel, "_propose", spy)
+        assert kappa_mu(BesselParam(mu, q, d), n, np.random.default_rng(0)).count == n
+        assert calls == [n]
+
     def test_below_rho_refused(self):
         # the importance weights det(I - v*v)^(mu - rho) are unbounded there
         with pytest.raises(ValueError, match="kappa"):

@@ -221,6 +221,10 @@ CASES = {
 # c12a and kappa-q2 were recorded again when kappa_exact began to take each
 # Gamma ratio as a Pochhammer symbol (last bits of the reference, and of
 # kappa-q2's ball-branch estimate, whose constant takes the same form).
+# c12a and kappa-q2 were recorded again when kappa began to block at the
+# config's block_size (1000 here, where it had kept blocks of 1e5), and c04
+# with the support-bound-q3-real draw case when the check's r and s became
+# Bartlett factors drawn by the wishart_root law (other draws, same law).
 GOLDEN = {
     "axiom-extras": "e4237f7f0769648aeabae69c05f1b730325d7239d58a70362bf548aab738c225",
     "bessel-q1-complex": "28d2ecd693275f2ad61bcca36ec0c3d0e7ce3f786f956e318ee02241f0961386",
@@ -228,7 +232,7 @@ GOLDEN = {
     "c01": "dab094f2da71e9a7e9721e2e381f5f0008bdec6db7223cfc0c00538d4baaa467",
     "c02": "c9e18a90254adab8860aa7c43621e85b2e1838eb535b6efae6327681e3c0353b",
     "c03": "4c01b41c328028e3e965b90e193f33c5ba6a2319bd86c9f1f71dfbc34c6c790b",
-    "c04": "3386335d1e1bad57fbc21220e939bac642a73a14743753a903b32e33ed127a82",
+    "c04": "50b7e336b319efd3461ee255e2f413e109c71ec22134df5399c5ae9af9208504",
     "c05": "01a4ba48903ca952bc91bbe212643d7aba90ceaff8cbb61b6ab53cb2382ca0c6",
     "c06": "70c64ad17cc4e0f6cee93b46ed0bb32bb68fbf3b26cffdf03f6a199c5ee0e878",
     "c07": "37b600df46cc04786ff7bb6173820f42a73754ae661524cf33400bede4466af3",
@@ -236,7 +240,7 @@ GOLDEN = {
     "c09": "9f92042655cf4aa26dfa39e82fadb50e076f88c7681cda4993d6111b82898c5d",
     "c10": "69ad9462a399ab0aac34e68d476278147643bf164659ee3a0c1b3f2df5204519",
     "c11": "3434369133bc09b75de862309d4f7d20885b290c59fbcd158edae1b71dd6f7f8",
-    "c12a": "92dbd873af8eb3061978e9a71b1c1b4cf4cedfc90e154af4c37660043b87145b",
+    "c12a": "191aa222a43951d93ea39c093b820b2d330aceb3e9a5c8b26f97f479a8d1acca",
     "c12b": "9fcdecc1ccf91c6e99d70627a8dd905c96e9053396aabe10f8f404f7f37042f4",
     "character-mu0.52": "9b1e763098247c40fcacd5e30c96fce159003060b92fbc65d4854d4f590f193b",
     "contraction-beta-mu0.52": "1d8c8ed2c6d98f85edaa1a0ea90063f47e619574facf1fe66255ab0526eb956f",
@@ -251,7 +255,7 @@ GOLDEN = {
     "group-q2-direct-complex": "02e19fdf9f638a67e8458b67a31e1a05426f6ab2597e21bc7951fa8dd9acb063",
     "group-q2-polar-complex": "b6b842547f1d81ec1aec40d30c163e1dc9ae4c9319c62dc24caf487969dd12f4",
     "group-q2-polar-real": "9c453adbeaf59b90774e2c73d635c65c6fc79d127381c942a6e38c9095cf464d",
-    "kappa-q2": "ea97a5d7c2411249344d4c9ca86599788cb406e2c5fc3b883849b7e550237d65",
+    "kappa-q2": "055326a124e8f01579d4a59bd51fa862330e9902cbbde267750a0c791c6edcab",
     "moment-identity-complex":
         "c07da019e884e0bfba51753b724431604f58dd46515a0ff25fa879a6523e7e8b",
     "clt1-complex": "23f24ff6ec3f4e98b1e0e4b63419d3064ae45ad89a9e64c9de3ac286ebaf8cb4",
@@ -364,7 +368,7 @@ DRAW_GOLDEN = {
     "convolve-q2-real": "a057d424f867c4a874d7a398db222a018ca813b7fd4fab690db8e1e4bb62a8f4",
     "stiefel-q2-complex-small-dof": "2450ba25ac3fae56e3b1cf4289ca166bcf8a46b7f160bdebf5b49db11abd6743",
     "stiefel-q2-real": "be879c951dc097a48ac9fb525fba8626e8767b1e9f0bfbc7fa8379d3903feec8",
-    "support-bound-q3-real": "747d85a33971022a3783b70ce0bbbb86d52261a40e63b2b44e1a3113c268ee1d",
+    "support-bound-q3-real": "ea33662c9cdb34e38a6681bac11fa0b7f662ca131b15e9f93580a9e968f3bdb2",
     "wishart-root-q2-complex": "f98d8b15945bbb57ba31d95785258add8a561492c7ee36df9e539c2c1fec1163",
     "wishart-root-q2-real": "765bf0e32aabebbe9e6fedb7885795178e3695f6354e81e6118b29f5cdde9766",
 }

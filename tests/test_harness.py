@@ -468,6 +468,20 @@ class TestValidation:
         assert info.value.field == field
         _assert_exit_two(tmp_path, capsys, raw, field)
 
+    @pytest.mark.parametrize("key, val, digits", [("p", 10**309, 310),
+                                                  ("replicates", 10**400, 401)],
+                             ids=["p", "replicates"])
+    def test_integer_past_float64_gives_its_digit_count(self, key, val, digits):
+        # the integer is not echoed: its 310 digits made a 363-character message
+        spec = {"check": "group-consistency", "q": 1, "d": 2, "p": 4, "n_steps": 2,
+                "law": {"kind": "point_mass", "field": "complex", "atom": 1.0},
+                "replicates": 10, key: val}
+        with pytest.raises(ConfigError, match=f"of {digits} digits, past the float64 range"
+                           ) as info:
+            validate_config({"experiment": "axioms", "seed": 1, "checks": [spec]})
+        assert info.value.field == f"checks[0].{key}"
+        assert f"'checks[0].{key}'" in str(info.value) and len(str(info.value)) < 120
+
     def test_law_error_names_its_key(self):
         spec = {"check": "m1-subadditivity", "mu": 3.0, "replicates": 10,
                 "law": TWO_POINT, "law2": {"kind": "nope"}}
@@ -920,6 +934,32 @@ class TestZeroStandardError:
         assert rec.rows[0][3] > 0
         assert rec.passed, rec.checks
 
+    @pytest.mark.parametrize("q, d, mu_grid", [
+        (1, 1, [1e16]), (1, 2, [1e16, 1e306]), (2, 1, [1e16, 1e20]), (3, 1, [1e26, 1e40, 1e47])])
+    def test_kappa_at_rounding_level_passes(self, q, d, mu_grid):
+        # from about mu = 1e15 the importance weights differ from 1 by
+        # rounding alone, and se falls below the estimate's float64 rounding
+        # or to 0; the verdict's floor of 2 q ulps of the reference holds it
+        # to the bits the estimate can resolve, and std_error stays the SE
+        raw = {"experiment": "kappa", "seed": 5, "q": q, "d": d, "mu_grid": mu_grid,
+               "n_samples": 1000}
+        cfg, _ = validate_config(raw)
+        rec = run_experiment(cfg)
+        assert rec.passed, rec.rows
+        assert all(row[6] < 2 * q * math.ulp(row[7]) for row in rec.rows)
+
+    @pytest.mark.parametrize("q, d", [(1, 1), (2, 2)])
+    def test_kappa_floor_keeps_its_power(self, monkeypatch, q, d):
+        # the floor acts only below float64 rounding: a reference off by
+        # 1e-8 still fails where the SE resolves it
+        exact = experiments.kappa_exact
+        monkeypatch.setattr(experiments, "kappa_exact", lambda param: exact(param) * (1 + 1e-8))
+        raw = {"experiment": "kappa", "seed": 5, "q": q, "d": d, "mu_grid": [1e8, 1e12],
+               "n_samples": 20000}
+        cfg, _ = validate_config(raw)
+        rec = run_experiment(cfg)
+        assert [c["pass"] for c in rec.checks] == [False, False]
+
     def test_nonzero_difference_fails(self):
         from conewalk.experiments import diff_over_se
 
@@ -971,6 +1011,29 @@ class TestOtherFamilies:
             {"check": "m1-subadditivity", "mu": 4.0, "law": TWO_POINT, "replicates": 2}]})
         assert [experiments._params_str(spec) for spec in cfg["checks"]] == \
             ["mu=4.0 r1=1.0 r2=2.0 s=0.7", "d=1 mu=4.0 q=1", "d=1 mu=4.0 q=1"]
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_support_bound_points_keep_their_law(self, monkeypatch, d):
+        # r and s are factors of Wishart draws of mean 1.5 I and 0.8 I
+        seen = []
+        convolve = experiments.convolve_points
+
+        def spy(r, s, param, rng, size):
+            seen.append((r, s))
+            return convolve(r, s, param, rng, size)
+
+        monkeypatch.setattr(experiments, "convolve_points", spy)
+        n = 20000
+        cfg, _ = validate_config({"experiment": "axioms", "seed": 12, "block_size": n,
+                                  "checks": [{"check": "support-bound", "q": 2, "d": d,
+                                              "mu": 5.0, "draws": n}]})
+        experiments.AxiomsExperiment.run_block(cfg, experiments.AxiomsExperiment.plan(cfg)[0])
+        [(r, s)] = seen
+        for factor, c in ((r, 1.5), (s, 0.8)):
+            gram = np.conj(np.swapaxes(factor, -1, -2)) @ factor
+            dev = np.abs(gram.mean(axis=0) - c * np.eye(2))
+            assert factor.shape == (n, 2, 2)
+            assert np.all(dev <= 4 * np.std(gram, axis=0) / np.sqrt(n)), (c, dev)
 
     def test_walk_bessel_at_mu_dp_over_2_is_walk_group(self, tmp_path):
         # one engine: the walk-bessel family at mu = d p / 2 writes the
@@ -1155,7 +1218,12 @@ class TestCli:
           "replicates": 10, "law": {"kind": "point_mass", "atom": [[1.0, 0.0], [0.0, 1.0]]}},
          "mu"),
         ({"experiment": "kappa", "seed": 1, "mu_grid": [3.0, 1e308], "n_samples": 10},
-         "mu_grid"),
+         "mu_grid[1]"),
+        # a kappa that underflows float64: an estimate of 0 matched it and passed
+        ({"experiment": "kappa", "seed": 1, "q": 2, "d": 2, "mu_grid": [5.0, 1e100],
+          "n_samples": 10}, "mu_grid[1]"),
+        ({"experiment": "kappa", "seed": 1, "q": 2, "d": 1, "mu_grid": [1e306],
+          "n_samples": 10}, "mu_grid[0]"),
         ({"experiment": "axioms", "seed": 1, "checks": [
             {"check": "group-consistency", "q": 1, "d": 2, "p": 10**308,
              "law": {"kind": "point_mass", "field": "complex", "atom": 1.0},
@@ -1174,7 +1242,8 @@ class TestCli:
             "m2-additivity-moments-overflow", "m1-subadditivity-law2-moments-overflow",
             "character-reference-beyond-float64",
             "character-run-beyond-float64", "character-run-overflows",
-            "walk-bessel-nu-inf", "kappa-nu-inf", "group-consistency-nu-inf",
+            "walk-bessel-nu-inf", "kappa-nu-inf", "kappa-complex-underflow",
+            "kappa-real-underflow", "group-consistency-nu-inf",
             "mu-scaling-4mu-nu-inf", "contraction-beta-nu-inf"])
     def test_unrunnable_config_exit_two(self, tmp_path, capsys, raw, field):
         # refused before anything runs or is written

@@ -14,7 +14,6 @@ from conewalk.orbit_sampler import (
     run_group_walks,
     sample_radial_matrix,
     sample_stiefel_frame,
-    wishart_sample,
 )
 from conewalk.radial_laws import RadialLaw, _std_entries, moments
 
@@ -217,30 +216,6 @@ class TestRadialMatrix:
         dist = np.minimum(cl.frob_norm(radial - atoms[0]),
                           cl.frob_norm(radial - atoms[1]))
         assert np.max(dist) <= 1e-10
-
-
-class TestWishart:
-    def test_q1_chi_square_mean(self):
-        rng = np.random.default_rng(10)
-        n = 50000
-        w = wishart_sample(7, 1, cl.REAL, rng, n)[:, 0, 0]
-        se = np.std(w) / np.sqrt(n)
-        assert abs(np.mean(w) - 1.0) <= 3 * se
-
-    def test_mean_is_identity(self):
-        rng = np.random.default_rng(11)
-        n = 100000
-        w = wishart_sample(10, 2, cl.REAL, rng, n)
-        mean = w.mean(axis=0)
-        se = np.max(np.std(w, axis=0)) / np.sqrt(n)
-        assert np.max(np.abs(mean - np.eye(2))) <= 4 * se
-
-    def test_variance_shrinks_like_one_over_p(self):
-        rng = np.random.default_rng(12)
-        n = 20000
-        v100 = np.var(wishart_sample(100, 1, cl.REAL, rng, n)[:, 0, 0])
-        v400 = np.var(wishart_sample(400, 1, cl.REAL, rng, n)[:, 0, 0])
-        assert 4 * 0.7 <= v100 / v400 <= 4 * 1.3
 
 
 class TestGroupWalk:

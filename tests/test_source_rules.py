@@ -134,6 +134,16 @@ def test_checks_step_through_convolve_points():
     assert found == set()
 
 
+def test_one_block_policy():
+    # every family splits its cells into blocks of the config's block_size,
+    # as README says: each plan_blocks call passes cfg["block_size"] unchanged
+    tree = ast.parse((SRC / "experiments.py").read_text())
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and _called_name(node) == "plan_blocks"]
+    assert len(calls) >= 5
+    assert [ast.unparse(node.args[1]) for node in calls] == ["cfg['block_size']"] * len(calls)
+
+
 def test_one_frame_construction():
     # a Haar frame is QR with the R-diagonal phase made positive, built in
     # one place: sample_stiefel_frame is the only caller of np.linalg.qr
