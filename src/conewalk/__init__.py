@@ -40,7 +40,6 @@ from .limit_lab import (
 )
 from .orbit_sampler import (
     GroupWalkConfig,
-    WalkTrajectory,
     haar_block,
     run_cone_walks,
     run_group_walks,

@@ -44,6 +44,7 @@ from .orbit_sampler import (
     checkpoint_tuple,
     run_cone_walks,
     run_group_walks,
+    tr_squared,
 )
 from .radial_laws import (
     _FIELD,
@@ -334,7 +335,7 @@ def _walk_partial(cfg, task, traj):
     """A walk block's moments and, when it emits replicates, its rows of
     the replicate CSV; the walk families plan one cell, so the block's
     first replicate is block * block_size."""
-    tr = traj.tr_squared()
+    tr = tr_squared(traj)
     part = {"m": lab.Moments.of(tr)}
     if cfg["emit"] == "replicates":
         part["rows"] = _replicate_rows(cfg["checkpoints"], task["block"] * cfg["block_size"], tr)
@@ -552,7 +553,7 @@ class CltCheckExperiment:
         n = cfg["n_steps"]
         traj = _walks(cfg, law, (n,), _task_rng(cfg, task), task["size"])
         index = cfg.get("p", cfg.get("mu"))
-        return {"stat": lab.normalize_clt(cfg["kind"], traj.values[0], n, index,
+        return {"stat": lab.normalize_clt(cfg["kind"], traj[0], n, index,
                                           _moments_of(cfg["law"]))}
 
     @staticmethod
@@ -673,7 +674,7 @@ class BerryEsseenScanExperiment:
         # m ||S_n||^2 / (n s2) against chi-square(m), m = d p
         m = cl.field_dim(law.field) * cfg["p"]
         return {"cell": task["cell"],
-                "x": traj.values[0] * (m / (n * _moments_of(cfg["law"]).m2))}
+                "x": traj[0] * (m / (n * _moments_of(cfg["law"]).m2))}
 
     @staticmethod
     def reduce(cfg, partials):
@@ -732,7 +733,7 @@ class MomentIdentityExperiment:
         law = _law_of(cfg["law"])
         n, p = cfg["grid"][task["cell"]]
         traj = _walks({**cfg, "p": p}, law, (n,), _task_rng(cfg, task), task["size"])
-        y = (traj.values[0] - n * _moments_of(cfg["law"]).m2) ** 2
+        y = (traj[0] - n * _moments_of(cfg["law"]).m2) ** 2
         return {"cell": task["cell"], "m": lab.Moments.of(y)}
 
     @staticmethod
@@ -821,7 +822,7 @@ def _diff_over_se_row(spec, m, target):
 
 def _run_m2_additivity(spec, k, stream):
     traj = _walks(spec, _law_of(spec["law"]), (spec["n_steps"],), stream(), k)
-    return {"m": lab.Moments.of(traj.tr_squared()[0])}
+    return {"m": lab.Moments.of(tr_squared(traj)[0])}
 
 
 def _reduce_m2_additivity(spec, parts):
@@ -851,7 +852,7 @@ def _run_group_consistency(spec, k, stream):
     law, p, cps = _law_of(spec["law"]), spec["p"], (spec["n_steps"],)
     group = _walks({"p": p, "method": "direct"}, law, cps, stream(0), k)
     bessel = _walks({"mu": 0.5 * spec["d"] * p}, law, cps, stream(1), k)
-    return {"a": group.tr_squared()[0], "b": bessel.tr_squared()[0]}
+    return {"a": tr_squared(group)[0], "b": tr_squared(bessel)[0]}
 
 
 def _run_character(spec, k, stream):

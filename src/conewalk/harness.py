@@ -28,9 +28,14 @@ import numpy as np
 
 from .errors import ConfigError
 from .experiments import EXPERIMENTS
-from .radial_laws import _declared
+from .radial_laws import _REQUIRED, _declared, _read, _Row
 
 SCHEMA_VERSION = 1
+# the fields that pick a family's table, read before it
+_HEAD = (_Row("experiment", str, _REQUIRED, EXPERIMENTS.__contains__,
+              f"unknown experiment; expected one of {sorted(EXPERIMENTS)}"),
+         _Row("schema_version", int, SCHEMA_VERSION, lambda v: v == SCHEMA_VERSION,
+              f"unsupported version; expected {SCHEMA_VERSION}"))
 
 
 def validate_config(raw: dict) -> tuple[dict, list[str]]:
@@ -41,14 +46,7 @@ def validate_config(raw: dict) -> tuple[dict, list[str]]:
     """
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "config must be a JSON object")
-    experiment = raw.get("experiment")
-    if experiment not in EXPERIMENTS:
-        raise ConfigError("experiment",
-                          f"unknown experiment {experiment!r}; "
-                          f"expected one of {sorted(EXPERIMENTS)}")
-    version = raw.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ConfigError("schema_version", f"unsupported version {version!r}")
+    experiment = _read(raw, _HEAD)["experiment"]
     cfg, warnings = EXPERIMENTS[experiment].validate(raw)
     # every field of the family's table is read, and a matrix's null twin is absent
     unknown = set(raw) - set(cfg) - _declared(EXPERIMENTS[experiment].fields)

@@ -150,10 +150,8 @@ def normalize_clt(kind: str, raw: np.ndarray, n: int, p_or_mu: float,
     diff = raw - n * np.asarray(md.sigma2)
     if kind == "CLT3":
         scaled = np.sqrt(p_or_mu) / n * diff
-    elif kind in ("CLT2", "CLT4"):
+    else:  # CLT4: CLT1 and CLT2 refused matrix samples above
         scaled = diff / math.sqrt(n)
-    else:
-        raise ValueError("CLT1 is a scalar statistic; got matrix samples")
     return cl.vectorize_herm(scaled, md.field)
 
 

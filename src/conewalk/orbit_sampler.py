@@ -180,35 +180,14 @@ class GroupWalkConfig:
 
     def __post_init__(self):
         cl.check_field(self.field)
-        if self.q < 1 or self.p < 1:
-            raise ValueError("p and q must be positive")
-        if self.q > 1 and self.p < self.q:
-            raise ValueError("matrix walks require p >= q")
+        if self.q < 1 or self.p < self.q:
+            raise ValueError("walks require p >= q >= 1")
         if self.law.q != self.q or self.law.field != self.field:
             raise ValueError("law dimensions do not match the walk")
         cps = checkpoint_tuple(self.checkpoints, self.n_steps)
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
         object.__setattr__(self, "checkpoints", cps)
-
-
-@dataclass(frozen=True)
-class WalkTrajectory:
-    """Checkpointed squared radial parts of a batch of walks.
-
-    values has shape (checkpoints, replicates) holding ||S_n||^2 when
-    q = 1, else (checkpoints, replicates, q, q) holding S_n* S_n.
-    """
-
-    steps: tuple[int, ...]
-    q: int
-    values: np.ndarray
-
-    def tr_squared(self) -> np.ndarray:
-        """tr(S_n* S_n) per checkpoint and replicate, always real."""
-        if self.q == 1:
-            return self.values
-        return np.trace(self.values, axis1=-2, axis2=-1).real
 
 
 def checkpoint_tuple(checkpoints, n_steps: int) -> tuple[int, ...]:
@@ -255,12 +234,20 @@ def square_radial(a: np.ndarray) -> np.ndarray:
     return cl.herm_part(np.einsum("...ki,...kj->...ij", np.conj(a), a))
 
 
+def tr_squared(values: np.ndarray) -> np.ndarray:
+    """tr(S_n* S_n) per checkpoint and replicate of a walk's record, always
+    real: a q = 1 record, of shape (checkpoints, replicates), is ||S_n||^2."""
+    if values.ndim == 2:
+        return values
+    return np.trace(values, axis1=-2, axis2=-1).real
+
+
 def run_cone_walks(law: RadialLaw, nu: float, checkpoints, rng: np.random.Generator,
-                   replicates: int) -> WalkTrajectory:
+                   replicates: int) -> np.ndarray:
     """Simulate a batch of independent walks on the PSD cone, up to the
     last checkpoint, with steps from law and v from :func:`cone_block` at
     Wishart index nu: the polar group walk at nu = p - q and the index-mu
-    walk at nu = 2 mu / d - q.
+    walk at nu = 2 mu / d - q; the record is :func:`square_radial`'s.
 
     S_0 = 0, and each step draws the increment's factor s (its radial
     part at q = 1), then v, and moves the state's factor a to
@@ -274,37 +261,27 @@ def run_cone_walks(law: RadialLaw, nu: float, checkpoints, rng: np.random.Genera
         s = draw_s(rng, n)
         return cl.cone_step(s, a, cone_block(nu, q, field, rng, n))
 
-    values = drive_walk(zero_radial(q, field, n), step, square_radial, cps)
-    return WalkTrajectory(steps=cps, q=q, values=values)
+    return drive_walk(zero_radial(q, field, n), step, square_radial, cps)
 
 
 def run_group_walks(cfg: GroupWalkConfig, rng: np.random.Generator,
-                    replicates: int) -> WalkTrajectory:
-    """Simulate a batch of independent group-case walks.
-
-    The polar route is :func:`run_cone_walks` at nu = p - q.  The direct
-    route accumulates a single running p x q sum, drawing the frame (or
-    Gaussian), then the radial part; increments are never materialized as
-    a history.
+                    replicates: int) -> np.ndarray:
+    """Simulate a batch of independent group-case walks, with the record of
+    :func:`run_cone_walks`: the polar route is that engine at nu = p - q,
+    and the direct route keeps one running p x q sum of radial matrices
+    X = Q L from :func:`sample_radial_matrix`, at every q.
     """
     n, p, q, field, law = replicates, cfg.p, cfg.q, cfg.field, cfg.law
     if cfg.method == "polar":
         return run_cone_walks(law, p - q, cfg.checkpoints, rng, n)
-    if q == 1:
-        def step(x):
-            g = _std_entries(rng, (n, p), field)
-            norm = np.sqrt(np.sum(np.abs(g) ** 2, axis=1))
-            x += g * (law.sample_scalar(rng, n) / norm)[:, None]
-            return x
 
-        values = drive_walk(np.zeros((n, p), dtype=cl.field_dtype(field)), step,
-                            lambda x: np.sum(np.abs(x) ** 2, axis=1), cfg.checkpoints)
-    else:
-        def step(x):
-            x += sample_radial_matrix(law, p, rng, n)
-            return x
+    def step(x):
+        x += sample_radial_matrix(law, p, rng, n)
+        return x
 
-        values = drive_walk(np.zeros((n, p, q), dtype=cl.field_dtype(field)), step,
-                            lambda x: cl.herm_part(np.swapaxes(np.conj(x), -1, -2) @ x),
-                            cfg.checkpoints)
-    return WalkTrajectory(steps=cfg.checkpoints, q=q, values=values)
+    def record(x):
+        gram = cl.herm_part(np.swapaxes(np.conj(x), -1, -2) @ x)
+        return gram[:, 0, 0].real if q == 1 else gram
+
+    return drive_walk(np.zeros((n, p, q), dtype=cl.field_dtype(field)), step, record,
+                      cfg.checkpoints)

@@ -12,6 +12,7 @@ the covariance of vec(s^2) in the orthonormal hermitian coordinates of
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -354,8 +355,11 @@ def _typed(field: str, val, kind):
     if kind in (int, float):
         name = "an integer" if kind is int else "a finite number"
         if isinstance(val, int) and not isinstance(val, bool):  # too long to echo
+            # digits without str, which refuses 4,300: the bit length gives them or one less
+            digits = int(math.log10(2) * (abs(val).bit_length() - 1)) + 1
+            digits += abs(val) >= 10**digits
             raise ConfigError(field, f"expected {name}, got an integer of "
-                                     f"{len(str(abs(val)))} digits, past the float64 range")
+                                     f"{digits} digits, past the float64 range")
         raise ConfigError(field, f"expected {name}, got {val!r}")
     if not isinstance(val, kind):
         raise ConfigError(field, f"expected {kind.__name__}, got {type(val).__name__}")

@@ -24,6 +24,7 @@ from conewalk.orbit_sampler import (
     run_cone_walks,
     run_group_walks,
     sample_stiefel_frame,
+    tr_squared,
 )
 from conewalk.radial_laws import RadialLaw, law_from_spec, moments
 
@@ -329,7 +330,7 @@ class TestBesselWalk:
         rng = np.random.default_rng(16)
         traj = run_cone_walks(RadialLaw.point_mass(0.0), BesselParam(4.0, 1, 1).nu,
                               (3, 6), rng, 100)
-        assert np.all(traj.values == 0)
+        assert np.all(traj == 0)
 
     def test_two_step_second_moment(self):
         # m2 additivity at n = 2 for the unit point law: E[S_2^2] = 2
@@ -337,7 +338,7 @@ class TestBesselWalk:
         n = 100000
         traj = run_cone_walks(RadialLaw.point_mass(1.0), BesselParam(3.0, 1, 1).nu,
                               (2,), rng, n)
-        vals = traj.values[0]
+        vals = traj[0]
         se = np.std(vals) / np.sqrt(n)
         assert abs(np.mean(vals) - 2.0) <= 4 * se
 
@@ -350,13 +351,13 @@ class TestBesselWalk:
                                checkpoints=(5,), law=law, method="direct")
         bt = run_cone_walks(law, BesselParam(p / 2.0, q, 1).nu, (5,), rng, n)
         gt = run_group_walks(gcfg, rng, n)
-        _, pvalue = ks_2samp(bt.tr_squared()[0], gt.tr_squared()[0])
+        _, pvalue = ks_2samp(tr_squared(bt)[0], tr_squared(gt)[0])
         assert pvalue >= 1e-3
 
     def test_single_walk(self):
         rng = np.random.default_rng(19)
         traj = run_cone_walks(MIX2, BesselParam(5.0, 2, 1).nu, (3,), rng, 1)
-        assert traj.values.shape == (1, 1, 2, 2)
+        assert traj.shape == (1, 1, 2, 2)
 
     def test_checkpoint_validation(self):
         # the engine reads q and field from the law, so only the
@@ -476,7 +477,7 @@ class TestDegeneration:
         x = np.diag([1.0, 0.5])
         law = RadialLaw.point_mass(x)
         traj = run_cone_walks(law, BesselParam(float(n**3), 2, 1).nu, (n,), rng, 2000)
-        dev = cl.frob_norm(traj.values[0] - n * (x @ x)) / n
+        dev = cl.frob_norm(traj[0] - n * (x @ x)) / n
         assert np.mean(dev > 0.1) <= 0.01
 
     def test_clt2_acceptance_holds_for_large_index_walks(self):
@@ -488,6 +489,6 @@ class TestDegeneration:
         md = moments(law)
         n, reps = 100, 20000
         traj = run_cone_walks(law, BesselParam(1e5, 1, 1).nu, (n,), rng, reps)
-        z = normalize_clt("CLT2", traj.values[0], n, 1e5, md)
+        z = normalize_clt("CLT2", traj[0], n, 1e5, md)
         sd = math.sqrt(md.m4 - md.sigma4)
         assert ks_distance(z, lambda t: normal_cdf(t, sd)) <= 0.02

@@ -225,6 +225,10 @@ CASES = {
 # config's block_size (1000 here, where it had kept blocks of 1e5), and c04
 # with the support-bound-q3-real draw case when the check's r and s became
 # Bartlett factors drawn by the wishart_root law (other draws, same law).
+# group-q1-direct-real and group-q1-direct-complex were recorded again when
+# the q = 1 direct route began to sum radial matrices X = Q L, with the QR
+# frame in place of g / |g| (the same draws; last bits); c03 walks that
+# route too, and its two-sample KS p-value absorbs the last bits.
 GOLDEN = {
     "axiom-extras": "e4237f7f0769648aeabae69c05f1b730325d7239d58a70362bf548aab738c225",
     "bessel-q1-complex": "28d2ecd693275f2ad61bcca36ec0c3d0e7ce3f786f956e318ee02241f0961386",
@@ -249,8 +253,8 @@ GOLDEN = {
     "demo-walk-bessel": "cb8fa76742fa0e88c78ad10f050b40ebd385a40745c634bb4d8088a64fd5676e",
     "demo-walk-group": "e724731984a1d8bd4e016cea1c44825a812c19d8437d524088dfbc64c49014fa",
     "extras-clt1": "8e02c9ea40b7de2ca4c568f985ef9fdc310cef714a335465b07882384b070bdf",
-    "group-q1-direct-complex": "455eda430f5808f9da4a6b0e4bcbd03c76fd3f4dd66ed8880e36b5da191449c3",
-    "group-q1-direct-real": "1e280046e4b3a9978fa50566efb04ebaa1406b3860b3be7bfbc856b07e668c4d",
+    "group-q1-direct-complex": "c5ebfa1090bd09b5980acc615b858e0c5c1f16340af22ce9f10242b72be75230",
+    "group-q1-direct-real": "70f469e09c856e76608a9bed312869b7f83338e704a6349a5036646a06ee4097",
     "group-q1-polar-complex": "1f1eb261f0ce36ea43a0adb56db7c750a7ae6545e8055ab948c819fa60e7325b",
     "group-q2-direct-complex": "02e19fdf9f638a67e8458b67a31e1a05426f6ab2597e21bc7951fa8dd9acb063",
     "group-q2-polar-complex": "b6b842547f1d81ec1aec40d30c163e1dc9ae4c9319c62dc24caf487969dd12f4",

@@ -23,6 +23,7 @@ from conewalk.harness import (
     run_experiment,
     validate_config,
 )
+from conewalk.orbit_sampler import tr_squared
 
 REPO = Path(__file__).resolve().parents[1]
 TWO_POINT = {"kind": "two_point", "a": 1.0, "b": 2.0, "p_a": 0.5}
@@ -293,6 +294,18 @@ class TestValidation:
         with pytest.raises(ConfigError):
             validate_config({"experiment": "nope", "seed": 1})
 
+    @pytest.mark.parametrize("field, val", [("experiment", []), ("experiment", {}),
+                                            ("schema_version", True),
+                                            ("schema_version", 1.0)],
+                             ids=["experiment-list", "experiment-dict", "version-bool",
+                                  "version-float"])
+    def test_head_fields_are_typed(self, field, val):
+        # experiment and schema_version are read like every other field: an
+        # unhashable experiment is no TypeError, and a version is an integer
+        with pytest.raises(ConfigError, match="expected") as info:
+            validate_config(tiny_walk_config() | {field: val})
+        assert info.value.field == field
+
     def test_missing_seed(self):
         with pytest.raises(ConfigError, match="seed"):
             validate_config(tiny_walk_config() | {"seed": None})
@@ -469,10 +482,17 @@ class TestValidation:
         _assert_exit_two(tmp_path, capsys, raw, field)
 
     @pytest.mark.parametrize("key, val, digits", [("p", 10**309, 310),
-                                                  ("replicates", 10**400, 401)],
-                             ids=["p", "replicates"])
+                                                  ("replicates", 10**400, 401),
+                                                  ("p", 10**512, 513),
+                                                  ("replicates", 10**5000 - 1, 5000),
+                                                  ("replicates", 10**5000, 5001)],
+                             ids=["p", "replicates", "p-513", "replicates-5000",
+                                  "replicates-5001"])
     def test_integer_past_float64_gives_its_digit_count(self, key, val, digits):
-        # the integer is not echoed: its 310 digits made a 363-character message
+        # the integer is not echoed: its 310 digits made a 363-character
+        # message.  Its digits are not counted by str, which Python refuses
+        # past 4,300 of them, nor by log10 alone, which over-counts
+        # 10**k - 1 and under-counts 10**512
         spec = {"check": "group-consistency", "q": 1, "d": 2, "p": 4, "n_steps": 2,
                 "law": {"kind": "point_mass", "field": "complex", "atom": 1.0},
                 "replicates": 10, key: val}
@@ -739,7 +759,7 @@ class TestOutputs:
                                wraps=experiments._walk_partial) as spy:
             for task in exp.plan(cfg):
                 exp.run_block(cfg, task)
-        tr = np.concatenate([c.args[2].tr_squared() for c in spy.call_args_list], axis=1)
+        tr = np.concatenate([tr_squared(c.args[2]) for c in spy.call_args_list], axis=1)
         assert values.dtype == tr.dtype and values.tobytes() == tr.tobytes()
         for workers in (2, 3):
             out = tmp_path / f"w{workers}"

@@ -14,6 +14,7 @@ from conewalk.orbit_sampler import (
     run_group_walks,
     sample_radial_matrix,
     sample_stiefel_frame,
+    tr_squared,
 )
 from conewalk.radial_laws import RadialLaw, _std_entries, moments
 
@@ -229,7 +230,7 @@ class TestGroupWalk:
         rng = np.random.default_rng(13)
         cfg = self._cfg(law=RadialLaw.point_mass(0.0), method="direct")
         traj = run_group_walks(cfg, rng, 50)
-        assert np.all(traj.values == 0)
+        assert np.all(traj == 0)
 
     @pytest.mark.parametrize("method", ["direct", "polar"])
     def test_simple_walk_exact_enumeration(self, method):
@@ -239,7 +240,7 @@ class TestGroupWalk:
         n = 40000
         cfg = self._cfg(p=1, method=method)
         traj = run_group_walks(cfg, rng, n)
-        norms = np.sqrt(traj.values[0])
+        norms = np.sqrt(traj[0])
         for value, prob in ((0.0, 6 / 16), (2.0, 8 / 16), (4.0, 2 / 16)):
             freq = np.mean(np.abs(norms - value) < 1e-9)
             se = np.sqrt(prob * (1 - prob) / n)
@@ -252,7 +253,7 @@ class TestGroupWalk:
         law = RadialLaw.two_point(1.0, 2.0, 0.5)
         cfg = self._cfg(p=7, n_steps=20, checkpoints=(20,), law=law, method="polar")
         traj = run_group_walks(cfg, rng, n)
-        vals = traj.values[0]
+        vals = traj[0]
         se = np.std(vals) / np.sqrt(n)
         assert abs(np.mean(vals) - 50.0) <= 3 * se
 
@@ -264,7 +265,7 @@ class TestGroupWalk:
         cfg = GroupWalkConfig(p=9, q=2, field=cl.REAL, n_steps=6,
                               checkpoints=(6,), law=law, method="polar")
         traj = run_group_walks(cfg, rng, 50000)
-        tr = traj.tr_squared()[0]
+        tr = tr_squared(traj)[0]
         se = np.std(tr) / np.sqrt(tr.size)
         assert abs(np.mean(tr) - 6 * md.m2) <= 4 * se
 
@@ -284,7 +285,7 @@ class TestGroupWalk:
             base = dict(p=p, q=q, field=field, n_steps=4, checkpoints=(4,), law=law)
             t_direct = run_group_walks(GroupWalkConfig(method="direct", **base), rng, n)
             t_polar = run_group_walks(GroupWalkConfig(method="polar", **base), rng, n)
-            _, pvalue = ks_2samp(t_direct.tr_squared()[0], t_polar.tr_squared()[0])
+            _, pvalue = ks_2samp(tr_squared(t_direct)[0], tr_squared(t_polar)[0])
             assert pvalue >= 1e-3, field
 
     @pytest.mark.parametrize("field", cl.FIELDS)
@@ -302,8 +303,7 @@ class TestGroupWalk:
         group = run_group_walks(cfg, np.random.default_rng(22), 400)
         nu = BesselParam(d * p / 2.0, q, d).nu
         index_mu = run_cone_walks(law, nu, (2, 5), np.random.default_rng(22), 400)
-        assert index_mu.steps == group.steps
-        assert index_mu.values.tobytes() == group.values.tobytes()
+        assert index_mu.tobytes() == group.tobytes()
 
     def test_fourth_moment_identity(self):
         # E[(||S_n||^2 - n s2)^2] = n (m4 - s2^2) + 2 n (n-1) s2^2 / p
@@ -314,21 +314,25 @@ class TestGroupWalk:
         cfg = self._cfg(p=p, n_steps=n_steps, checkpoints=(n_steps,), law=law,
                         method="polar")
         traj = run_group_walks(cfg, rng, reps)
-        y = (traj.values[0] - n_steps * md.m2) ** 2
+        y = (traj[0] - n_steps * md.m2) ** 2
         se = np.std(y) / np.sqrt(reps)
         assert abs(np.mean(y) - moment_identity_rhs(n_steps, p, md)) <= 4 * se
 
     def test_multiple_checkpoints(self):
-        rng = np.random.default_rng(19)
+        # row k is the walk stopped at checkpoint k: a fresh walk run to it
+        # at the same seed draws the same steps
         cfg = self._cfg(n_steps=6, checkpoints=(2, 4, 6))
-        traj = run_group_walks(cfg, rng, 100)
-        assert traj.values.shape == (3, 100)
-        assert traj.steps == (2, 4, 6)
+        traj = run_group_walks(cfg, np.random.default_rng(19), 100)
+        assert traj.shape == (3, 100)
+        for row, step in zip(traj, cfg.checkpoints):
+            fresh = run_group_walks(self._cfg(n_steps=step, checkpoints=(step,)),
+                                    np.random.default_rng(19), 100)
+            assert row.tobytes() == fresh[0].tobytes()
 
     def test_single_walk_wrapper(self):
         rng = np.random.default_rng(20)
         traj = run_group_walks(self._cfg(), rng, 1)
-        assert traj.values.shape == (1, 1)
+        assert traj.shape == (1, 1)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflow_raises(self):

@@ -155,6 +155,16 @@ def test_one_frame_construction():
     assert found == ["orbit_sampler.py:sample_stiefel_frame"]
 
 
+def test_one_radial_matrix_construction():
+    # every walk's increment is X = Q L from a Haar frame: in the walk
+    # module, Gaussian entries are drawn only for a frame or a Haar block
+    found = {getattr(top, "name", top.lineno)
+             for top in ast.parse((SRC / "orbit_sampler.py").read_text()).body
+             for node in ast.walk(top)
+             if isinstance(node, ast.Call) and _called_name(node) == "_std_entries"}
+    assert found == {"sample_stiefel_frame", "haar_block"}
+
+
 def test_cone_step_has_no_matmul_operator():
     # at q = 2 the cone step's products are written out, as matmul makes
     # one BLAS call per 2 x 2 matrix; other q call np.matmul by name
