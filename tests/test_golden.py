@@ -118,6 +118,14 @@ CASES = {
     "clt1-complex": {"experiment": "clt-check", "name": "clt1c", "seed": 4107,
                      "kind": "CLT1", "engine": "group", "p": 5, "n_steps": 200,
                      "law": dict(TWO_POINT, field="complex"), "replicates": 2500},
+    # the scalar clt-check reductions that no shipped config reaches: CLT3 at
+    # q = 1, held to N(0, 2 s2^2), and CLT2 on the index-mu engine
+    "clt3-q1-group": {"experiment": "clt-check", "name": "clt3q1", "seed": 4110,
+                      "kind": "CLT3", "engine": "group", "p": 40, "n_steps": 8,
+                      "law": TWO_POINT, "replicates": 2500},
+    "clt2-q1-bessel": {"experiment": "clt-check", "name": "clt2q1b", "seed": 4111,
+                       "kind": "CLT2", "engine": "bessel", "mu": 5000.0, "n_steps": 10,
+                       "law": TWO_POINT, "replicates": 2500},
     # the index-mu walk at q = 1 over C and at q = 2 over C
     "bessel-q1-complex": _walk_bessel("b1c", 3.0, 1, 2, {"kind": "point_mass",
                                                          "field": "complex", "atom": 1.0},
@@ -229,6 +237,9 @@ CASES = {
 # the q = 1 direct route began to sum radial matrices X = Q L, with the QR
 # frame in place of g / |g| (the same draws; last bits); c03 walks that
 # route too, and its two-sample KS p-value absorbs the last bits.
+# clt3-q1-group and clt2-q1-bessel were recorded before the harness took
+# over the families' table read, cell grouping and within-max_se verdict,
+# so that refactor is held to the two scalar clt-check branches as well.
 GOLDEN = {
     "axiom-extras": "e4237f7f0769648aeabae69c05f1b730325d7239d58a70362bf548aab738c225",
     "bessel-q1-complex": "28d2ecd693275f2ad61bcca36ec0c3d0e7ce3f786f956e318ee02241f0961386",
@@ -263,6 +274,8 @@ GOLDEN = {
     "moment-identity-complex":
         "c07da019e884e0bfba51753b724431604f58dd46515a0ff25fa879a6523e7e8b",
     "clt1-complex": "23f24ff6ec3f4e98b1e0e4b63419d3064ae45ad89a9e64c9de3ac286ebaf8cb4",
+    "clt2-q1-bessel": "003f346fb227cf4e7b0a6756794c487b72500d4e31c4347c2762637f4d2a26cb",
+    "clt3-q1-group": "a6dfec851e464d78d452a58a2b54817f254d71ff2f5166cfa77208f5eb776c51",
 }
 
 
