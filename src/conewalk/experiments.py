@@ -2,11 +2,13 @@
 
 Every family implements the same four hooks:
 
-* validate(raw)      -> (canonical config dict, list of warnings)
+* validate(raw, cfg) -> (cfg, list of warnings): cfg is raw read through the
+                        family's fields table, held here to its cross-field rules
 * plan(cfg)          -> list of block tasks (pure function of the config)
 * run_block(cfg, t)  -> picklable partial result
-* reduce(cfg, parts) -> dict with columns, rows, aggregates, checks
-                        and an optional plot table
+* reduce(cfg, cells) -> dict with columns, rows, aggregates, checks and an
+                        optional plot table and replicate text; cells[c]
+                        lists the partials of cell c in task order
 
 Replicates are grouped into fixed-size blocks; block i draws from the
 random stream keyed by (cell, block, role) under the master seed, so
@@ -107,6 +109,19 @@ def diff_over_se(diff, se):
     if se > 0:
         return diff / se
     return 0.0 if diff == 0 else math.copysign(math.inf, diff)
+
+
+def _held(mean, target, se, max_se, **where):
+    """|mean - target| and the check fields of a mean held to its target
+    within max_se standard errors se; where names the check."""
+    diff = abs(mean - target)
+    ratio = diff_over_se(diff, se)
+    return diff, {**where, "diff_over_se": ratio, "max_se": max_se, "pass": ratio <= max_se}
+
+
+def _no_rules(raw, cfg):
+    """The validate hook of a family with no cross-field rules."""
+    return cfg, []
 
 
 # each canonical spec's [law, moments or None until read], keyed by its JSON
@@ -244,9 +259,11 @@ _WALK = (
 )
 
 
-def _walk_rules(cfg: dict) -> None:
-    """The walk families' cross-field rules: checkpoints within n_steps,
-    and the cap on replicate emission."""
+def _walk_rules(raw, cfg):
+    """The walk families' cross-field rules: a group walk's p >= q,
+    checkpoints within n_steps, and the cap on replicate emission."""
+    if "p" in cfg and cfg["p"] < cfg["q"]:
+        raise ConfigError("p", "matrix walks require p >= q")
     try:
         cps = checkpoint_tuple(cfg["checkpoints"], cfg["n_steps"])
     except ValueError as exc:
@@ -254,6 +271,7 @@ def _walk_rules(cfg: dict) -> None:
                           "must be sorted unique integers in [1, n_steps]") from exc
     if cfg["emit"] == "replicates" and cfg["replicates"] * len(cps) > MAX_REPLICATE_ROWS:
         raise ConfigError("emit", f"replicate emission capped at {MAX_REPLICATE_ROWS} rows")
+    return cfg, []
 
 
 # -- walk families -----------------------------------------------------------
@@ -265,13 +283,7 @@ class WalkGroupExperiment:
                "abs_diff", "diff_over_se", "pass"]
     fields = _COMMON + (_count("p", 1), _Q, _FIELD, _METHOD) + _WALK
 
-    @staticmethod
-    def validate(raw):
-        cfg = _read(raw, WalkGroupExperiment.fields, experiment="walk-group", schema_version=1)
-        if cfg["q"] > 1 and cfg["p"] < cfg["q"]:
-            raise ConfigError("p", "matrix walks require p >= q")
-        _walk_rules(cfg)
-        return cfg, []
+    validate = staticmethod(_walk_rules)
 
     @staticmethod
     def plan(cfg):
@@ -284,22 +296,21 @@ class WalkGroupExperiment:
         return _walk_partial(cfg, task, traj)
 
     @staticmethod
-    def reduce(cfg, partials):
+    def reduce(cfg, cells):
         md = _moments_of(cfg["law"])
         cps = cfg["checkpoints"]
+        [partials] = cells
         m = _pooled(partials)
         count, mean, se = m.count, m.mean, m.se
         rows = []
         checks = []
         for k, step in enumerate(cps):
             expected = step * md.m2
-            diff = abs(mean[k] - expected)
-            ratio = diff_over_se(diff, se[k])
-            ok = ratio <= cfg["max_se"]
+            diff, check = _held(mean[k], expected, se[k], cfg["max_se"],
+                                check="m2-additivity", step=step)
             rows.append([step, count, float(mean[k]), float(se[k]), float(expected),
-                         float(diff), float(ratio), ok])
-            checks.append({"check": "m2-additivity", "step": step,
-                           "diff_over_se": float(ratio), "max_se": cfg["max_se"], "pass": ok})
+                         float(diff), float(check["diff_over_se"]), check["pass"]])
+            checks.append(check)
         out = {
             "columns": WalkGroupExperiment.columns,
             "rows": rows,
@@ -320,12 +331,7 @@ class WalkBesselExperiment:
     columns = WalkGroupExperiment.columns
     fields = _COMMON + (_Q, _D, _MU) + _WALK
 
-    @staticmethod
-    def validate(raw):
-        cfg = _read(raw, WalkBesselExperiment.fields, experiment="walk-bessel", schema_version=1)
-        _walk_rules(cfg)
-        return cfg, []
-
+    validate = staticmethod(_walk_rules)
     plan = WalkGroupExperiment.plan
     run_block = WalkGroupExperiment.run_block
     reduce = WalkGroupExperiment.reduce
@@ -366,10 +372,7 @@ class ConvolveExperiment:
                "diff_over_se", "support_violations", "max_norm_excess", "pass"]
     fields = _COMMON + (_Q, _D, _MU, *_POINTS, _count("replicates", 1), _SLACK, _MAX_SE)
 
-    @staticmethod
-    def validate(raw):
-        return _read(raw, ConvolveExperiment.fields, experiment="convolve", schema_version=1), []
-
+    validate = staticmethod(_no_rules)
     plan = WalkGroupExperiment.plan
 
     @staticmethod
@@ -382,19 +385,19 @@ class ConvolveExperiment:
                 **_support_partial(t, r, s, cfg["slack"])}
 
     @staticmethod
-    def reduce(cfg, partials):
+    def reduce(cfg, cells):
         r = _matrix_from_spec(cfg, "r", _field(cfg["d"]))
         s = _matrix_from_spec(cfg, "s", _field(cfg["d"]))
+        [partials] = cells
         m = _pooled(partials)
         count, mean, se = m.count, m.mean, m.se
         expected = float(cl.trace_herm(r @ r) + cl.trace_herm(s @ s))
-        ratio = diff_over_se(abs(mean - expected), se)
+        _, held = _held(mean, expected, se, cfg["max_se"], check="m2-point-additivity")
         violations, max_excess = _support_totals(partials)
-        ok = ratio <= cfg["max_se"] and violations == 0
-        rows = [[count, mean, se, expected, ratio, violations, max_excess, ok]]
+        ok = held["pass"] and violations == 0
+        rows = [[count, mean, se, expected, held["diff_over_se"], violations, max_excess, ok]]
         checks = [
-            {"check": "m2-point-additivity", "diff_over_se": ratio,
-             "max_se": cfg["max_se"], "pass": ratio <= cfg["max_se"]},
+            held,
             {"check": "support-bound", "violations": violations,
              "max_excess": max_excess, "pass": violations == 0},
         ]
@@ -415,8 +418,7 @@ class KappaExperiment:
                         _count("n_samples", 1), _MAX_SE)
 
     @staticmethod
-    def validate(raw):
-        cfg = _read(raw, KappaExperiment.fields, experiment="kappa", schema_version=1)
+    def validate(raw, cfg):
         for i, m in enumerate(cfg["mu_grid"]):
             param = BesselParam(m, cfg["q"], cfg["d"])
             if m < param.rho:
@@ -435,27 +437,25 @@ class KappaExperiment:
     @staticmethod
     def run_block(cfg, task):
         param = BesselParam(cfg["mu_grid"][task["cell"]], cfg["q"], cfg["d"])
-        return {"cell": task["cell"], "m": kappa_mu(param, task["size"], _task_rng(cfg, task))}
+        return kappa_mu(param, task["size"], _task_rng(cfg, task))
 
     @staticmethod
-    def reduce(cfg, partials):
+    def reduce(cfg, cells):
         rows = []
         checks = []
-        for cell, mu in enumerate(cfg["mu_grid"]):
-            m = _pooled(p for p in partials if p["cell"] == cell)
+        for mu, parts in zip(cfg["mu_grid"], cells):
+            m = lab.Moments.pooled(parts)
             count, mean, se = m.count, m.mean, m.se
             param = BesselParam(mu, cfg["q"], cfg["d"])
             branch = "gaussian-is" if mu - param.rho >= 0.5 else "ball-is"
             ref = kappa_exact(param)
-            diff = abs(mean - ref)
             # at large mu the weights differ from 1 by rounding alone, and se
             # can fall below the estimate's own float64 rounding
-            ratio = diff_over_se(diff, max(se, 2 * cfg["q"] * math.ulp(ref)))
-            ok = ratio <= cfg["max_se"]
-            checks.append({"check": "kappa-quadrature", "mu": mu,
-                           "diff_over_se": ratio, "max_se": cfg["max_se"], "pass": ok})
+            diff, check = _held(mean, ref, max(se, 2 * cfg["q"] * math.ulp(ref)), cfg["max_se"],
+                                check="kappa-quadrature", mu=mu)
+            checks.append(check)
             rows.append([mu, cfg["q"], cfg["d"], branch, count, mean, se,
-                         ref, diff, ratio, ok])
+                         ref, diff, check["diff_over_se"], check["pass"]])
         return {"columns": KappaExperiment.columns, "rows": rows,
                 "aggregates": {"estimates": [r[5] for r in rows]},
                 "checks": checks,
@@ -486,8 +486,7 @@ class CltCheckExperiment:
     engine_fields = {"group": (_count("p", 1), _METHOD), "bessel": (_MU,)}
 
     @staticmethod
-    def validate(raw):
-        cfg = _read(raw, CltCheckExperiment.fields, experiment="clt-check", schema_version=1)
+    def validate(raw, cfg):
         cfg = _read(raw, CltCheckExperiment.engine_fields[cfg["engine"]], **cfg)
         law = _law_of(cfg["law"])
         md = _moments_of(cfg["law"])
@@ -553,13 +552,13 @@ class CltCheckExperiment:
         n = cfg["n_steps"]
         traj = _walks(cfg, law, (n,), _task_rng(cfg, task), task["size"])
         index = cfg.get("p", cfg.get("mu"))
-        return {"stat": lab.normalize_clt(cfg["kind"], traj[0], n, index,
-                                          _moments_of(cfg["law"]))}
+        return lab.normalize_clt(cfg["kind"], traj[0], n, index, _moments_of(cfg["law"]))
 
     @staticmethod
-    def reduce(cfg, partials):
+    def reduce(cfg, cells):
         md = _moments_of(cfg["law"])
-        stat = np.concatenate([p["stat"] for p in partials], axis=0)
+        [partials] = cells
+        stat = np.concatenate(partials, axis=0)
         if stat.ndim == 1:
             return CltCheckExperiment._reduce_scalar(cfg, md, stat)
         return CltCheckExperiment._reduce_matrix(cfg, md, stat)
@@ -610,13 +609,11 @@ class CltCheckExperiment:
             for j in range(i, stat.shape[1]):
                 prod = centered[:, i] * centered[:, j]
                 se = float(np.std(prod, ddof=1) / math.sqrt(n))
-                diff = abs(float(cov[i, j] - target[i, j]))
-                ratio = diff_over_se(diff, se)
-                ok = ratio <= cfg["max_se"]
-                worst = max(worst, ratio)
-                all_ok &= ok
+                diff, held = _held(float(cov[i, j]), float(target[i, j]), se, cfg["max_se"])
+                worst = max(worst, held["diff_over_se"])
+                all_ok &= held["pass"]
                 rows.append([i, j, float(cov[i, j]), float(target[i, j]),
-                             se, diff, float(ratio), ok])
+                             se, diff, float(held["diff_over_se"]), held["pass"]])
         mardia = {"check": "mardia", "skew_pvalue": None, "kurt_pvalue": None,
                   "level": cfg["mardia_level"], "pass": False}
         try:
@@ -657,10 +654,7 @@ class BerryEsseenScanExperiment:
         _Row("slope_threshold", float, None),
     )
 
-    @staticmethod
-    def validate(raw):
-        return _read(raw, BerryEsseenScanExperiment.fields, experiment="berry-esseen-scan",
-                     schema_version=1), []
+    validate = staticmethod(_no_rules)
 
     @staticmethod
     def plan(cfg):
@@ -673,16 +667,13 @@ class BerryEsseenScanExperiment:
         traj = _walks(cfg, law, (n,), _task_rng(cfg, task), task["size"])
         # m ||S_n||^2 / (n s2) against chi-square(m), m = d p
         m = cl.field_dim(law.field) * cfg["p"]
-        return {"cell": task["cell"],
-                "x": traj[0] * (m / (n * _moments_of(cfg["law"]).m2))}
+        return traj[0] * (m / (n * _moments_of(cfg["law"]).m2))
 
     @staticmethod
-    def reduce(cfg, partials):
+    def reduce(cfg, cells):
         m = cl.field_dim(_law_of(cfg["law"]).field) * cfg["p"]
-        dists = []
-        for cell, n in enumerate(cfg["n_grid"]):
-            x = np.concatenate([p["x"] for p in partials if p["cell"] == cell])
-            dists.append(lab.ks_distance(x, lambda t: lab.chi2_cdf(m, t)))
+        dists = [lab.ks_distance(np.concatenate(parts), lambda t: lab.chi2_cdf(m, t))
+                 for parts in cells]
         fit = lab.fit_loglog(cfg["n_grid"], dists, 3.0 / math.sqrt(cfg["replicates"]))
         rows = [[n, cfg["replicates"], d, fit.noise_floor, inc]
                 for n, d, inc in zip(fit.ns, fit.distances, fit.included)]
@@ -719,10 +710,7 @@ class MomentIdentityExperiment:
         _MAX_SE,
     )
 
-    @staticmethod
-    def validate(raw):
-        return _read(raw, MomentIdentityExperiment.fields, experiment="moment-identity",
-                     schema_version=1), []
+    validate = staticmethod(_no_rules)
 
     @staticmethod
     def plan(cfg):
@@ -734,23 +722,22 @@ class MomentIdentityExperiment:
         n, p = cfg["grid"][task["cell"]]
         traj = _walks({**cfg, "p": p}, law, (n,), _task_rng(cfg, task), task["size"])
         y = (traj[0] - n * _moments_of(cfg["law"]).m2) ** 2
-        return {"cell": task["cell"], "m": lab.Moments.of(y)}
+        return lab.Moments.of(y)
 
     @staticmethod
-    def reduce(cfg, partials):
+    def reduce(cfg, cells):
         md = _moments_of(cfg["law"])
         rows = []
         checks = []
-        for cell, (n, p) in enumerate(cfg["grid"]):
-            m = _pooled(part for part in partials if part["cell"] == cell)
+        for (n, p), parts in zip(cfg["grid"], cells):
+            m = lab.Moments.pooled(parts)
             count, mean, se = m.count, m.mean, m.se
             expected = lab.moment_identity_rhs(n, p, md)
-            diff = abs(mean - expected)
-            ratio = diff_over_se(diff, se)
-            ok = ratio <= cfg["max_se"]
-            rows.append([n, p, count, mean, se, expected, diff, ratio, ok])
-            checks.append({"check": "moment-identity", "n": n, "p": p,
-                           "diff_over_se": ratio, "max_se": cfg["max_se"], "pass": ok})
+            diff, check = _held(mean, expected, se, cfg["max_se"],
+                                check="moment-identity", n=n, p=p)
+            rows.append([n, p, count, mean, se, expected, diff, check["diff_over_se"],
+                         check["pass"]])
+            checks.append(check)
         return {"columns": MomentIdentityExperiment.columns, "rows": rows,
                 "aggregates": {"grid": cfg["grid"],
                                "empirical": [r[3] for r in rows],
@@ -815,9 +802,8 @@ def _reduce_two_sample_ks(spec, parts):
 def _diff_over_se_row(spec, m, target):
     """Row values and check fields of a mean held to its target within
     max_se standard errors."""
-    ratio = diff_over_se(abs(m.mean - target), m.se)
-    return (m.mean, target, m.se, ratio, spec["max_se"]), \
-        {"diff_over_se": ratio, "max_se": spec["max_se"], "pass": ratio <= spec["max_se"]}
+    _, held = _held(m.mean, target, m.se, spec["max_se"])
+    return (m.mean, target, m.se, held["diff_over_se"], spec["max_se"]), held
 
 
 def _run_m2_additivity(spec, k, stream):
@@ -993,9 +979,7 @@ class AxiomsExperiment:
 
     fields = _COMMON + (_Row("checks", _List(_check_spec), _REQUIRED, *_NONEMPTY),)
 
-    @staticmethod
-    def validate(raw):
-        return _read(raw, AxiomsExperiment.fields, experiment="axioms", schema_version=1), []
+    validate = staticmethod(_no_rules)
 
     @staticmethod
     def plan(cfg):
@@ -1006,15 +990,14 @@ class AxiomsExperiment:
     def run_block(cfg, task):
         spec = cfg["checks"][task["cell"]]
         stream = functools.partial(_task_rng, cfg, task)
-        return {"cell": task["cell"], **_CHECKS[spec["check"]].run(spec, task["size"], stream)}
+        return _CHECKS[spec["check"]].run(spec, task["size"], stream)
 
     @staticmethod
-    def reduce(cfg, partials):
+    def reduce(cfg, cells):
         rows = []
         checks = []
-        for cell, spec in enumerate(cfg["checks"]):
+        for cell, (spec, parts) in enumerate(zip(cfg["checks"], cells)):
             kind = spec["check"]
-            parts = [p for p in partials if p["cell"] == cell]
             values, fields = _CHECKS[kind].reduce(spec, parts)
             rows.append([kind, cell, _params_str(spec), *values, fields["pass"]])
             checks.append({"check": kind, "cell": cell, **fields})

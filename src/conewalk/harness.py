@@ -46,10 +46,11 @@ def validate_config(raw: dict) -> tuple[dict, list[str]]:
     """
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "config must be a JSON object")
-    experiment = _read(raw, _HEAD)["experiment"]
-    cfg, warnings = EXPERIMENTS[experiment].validate(raw)
+    head = _read(raw, _HEAD)
+    exp = EXPERIMENTS[head["experiment"]]
+    cfg, warnings = exp.validate(raw, _read(raw, exp.fields, **head))
     # every field of the family's table is read, and a matrix's null twin is absent
-    unknown = set(raw) - set(cfg) - _declared(EXPERIMENTS[experiment].fields)
+    unknown = set(raw) - set(cfg) - _declared(exp.fields)
     if unknown:
         raise ConfigError(sorted(unknown)[0], "unknown field")
     return cfg, warnings
@@ -131,6 +132,8 @@ def run_experiment(cfg: dict, workers: int = 1,
     The config is planned once and each block receives its planned task;
     blocks run in a process pool when workers > 1, whose map returns them
     in task order, so results are identical to the single-process run.
+    The family reduces the partials grouped by their task's cell, each
+    cell's in task order.
     """
     start = time.perf_counter()
     exp = EXPERIMENTS[cfg["experiment"]]
@@ -143,19 +146,12 @@ def run_experiment(cfg: dict, workers: int = 1,
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(workers, len(tasks)), mp_context=ctx) as pool:
             partials = list(pool.map(run_block, tasks, chunksize=1))
-    reduced = exp.reduce(cfg, partials)
-    return RunRecord(
-        config=cfg,
-        config_sha256=config_hash(cfg),
-        columns=reduced["columns"],
-        rows=reduced["rows"],
-        aggregates=reduced.get("aggregates", {}),
-        checks=reduced.get("checks", []),
-        warnings=list(warnings or []),
-        wall_time_s=time.perf_counter() - start,
-        replicate_text=reduced.get("replicate_text"),
-        plot=reduced.get("plot"),
-    )
+    cells: dict[int, list] = {}
+    for task, part in zip(tasks, partials):
+        cells.setdefault(task["cell"], []).append(part)
+    reduced = exp.reduce(cfg, list(cells.values()))
+    return RunRecord(config=cfg, config_sha256=config_hash(cfg), warnings=list(warnings or []),
+                     wall_time_s=time.perf_counter() - start, **reduced)
 
 
 def default_workers() -> int:
