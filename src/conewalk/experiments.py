@@ -654,7 +654,16 @@ class BerryEsseenScanExperiment:
         _Row("slope_threshold", float, None),
     )
 
-    validate = staticmethod(_no_rules)
+    @staticmethod
+    def validate(raw, cfg):
+        # the run scales ||S_n||^2 by m / (n m2), m = d p, at every n
+        with np.errstate(all="ignore"):
+            scales = cl.field_dim(cfg["law"]["field"]) * float(cfg["p"]) / (
+                np.asarray(cfg["n_grid"], dtype=float) * _moments_of(cfg["law"]).m2)
+        if not np.all((scales > 0) & (scales < math.inf)):
+            raise ConfigError("law", "the scale m/(n m2), m = d p, is not a positive finite "
+                              "number at every n of n_grid")
+        return cfg, []
 
     @staticmethod
     def plan(cfg):
@@ -933,6 +942,13 @@ def _mu_scaling_rules(spec):
         raise ConfigError("mu", f"{exc} (the check runs at mu and at 4 mu)") from exc
     if spec["ratio_lo"] > spec["ratio_hi"]:
         raise ConfigError("ratio_lo", "must be <= ratio_hi, or no ratio can pass")
+    try:
+        with np.errstate(all="ignore"):
+            zero = _moments_of(spec["law"]).m2 == 0
+    except (OverflowError, ValueError):  # moments past float64: the check runs as before
+        zero = False
+    if zero:
+        raise ConfigError("law", "m2 = 0: both gaps are exactly 0, so their ratio says nothing")
 
 
 _CHECKS = {
@@ -1004,7 +1020,6 @@ class AxiomsExperiment:
         return {"columns": AxiomsExperiment.columns, "rows": rows,
                 "aggregates": {"checks_run": [s["check"] for s in cfg["checks"]]},
                 "checks": checks}
-
 
 
 def _params_str(spec) -> str:

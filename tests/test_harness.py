@@ -1254,6 +1254,26 @@ class TestCli:
         ({"experiment": "axioms", "seed": 1, "checks": [
             {"check": "contraction-beta", "mu": 1e308, "draws": 10, "ks_max": 0.1}]},
          "checks[0].mu"),
+        # a berry-esseen-scan law whose scale m / (n m2) is 0 / 0 or past
+        # float64: the run divided by zero, or every KS distance read 1.0
+        ({"experiment": "berry-esseen-scan", "seed": 1, "p": 3, "n_grid": [1, 2, 3, 4],
+          "replicates": 10, "law": {"kind": "point_mass", "atom": 0.0}}, "law"),
+        ({"experiment": "berry-esseen-scan", "seed": 1, "p": 3, "n_grid": [1, 2, 3, 4],
+          "replicates": 10, "law": {"kind": "point_mass", "atom": 1e-170}}, "law"),
+        ({"experiment": "berry-esseen-scan", "seed": 1, "p": 3, "n_grid": [1, 2, 3, 4],
+          "replicates": 10, "law": {"kind": "two_point", "a": 0.0, "b": 0.0, "p_a": 0.5}},
+         "law"),
+        ({"experiment": "berry-esseen-scan", "seed": 1, "p": 3, "n_grid": [1, 2, 3, 4],
+          "replicates": 10, "law": {"kind": "point_mass", "atom": 1e-160}}, "law"),
+        # a zero law's gaps at mu and 4 mu are both exactly 0, and their
+        # ratio failed the check vacuously
+        ({"experiment": "axioms", "seed": 1, "checks": [
+            {"check": "mu-scaling", "mu": 40.0, "law": {"kind": "point_mass", "atom": 0.0},
+             "n_steps": 4, "cap": 6.0, "replicates": 10}]}, "checks[0].law"),
+        ({"experiment": "axioms", "seed": 1, "checks": [
+            {"check": "mu-scaling", "q": 2, "mu": 40.0, "n_steps": 4, "cap": 6.0,
+             "law": {"kind": "point_mass", "atom": [[0.0, 0.0], [0.0, 0.0]]},
+             "replicates": 10}]}, "checks[0].law"),
     ], ids=["p-below-q", "too-few-for-mardia", "top-level-list", "grid-p-zero", "grid-n-zero",
             "mu-scaling-ratio-bounds", "clt2-point-mass", "clt1-zero-law", "clt3-atom-1e-100",
             "clt1-moments-overflow", "clt2-moments-overflow", "clt4-log-normal-moments-overflow",
@@ -1264,7 +1284,9 @@ class TestCli:
             "character-run-beyond-float64", "character-run-overflows",
             "walk-bessel-nu-inf", "kappa-nu-inf", "kappa-complex-underflow",
             "kappa-real-underflow", "group-consistency-nu-inf",
-            "mu-scaling-4mu-nu-inf", "contraction-beta-nu-inf"])
+            "mu-scaling-4mu-nu-inf", "contraction-beta-nu-inf",
+            "berry-esseen-zero-atom", "berry-esseen-atom-1e-170", "berry-esseen-zero-two-point",
+            "berry-esseen-atom-1e-160", "mu-scaling-zero-law", "mu-scaling-q2-zero-law"])
     def test_unrunnable_config_exit_two(self, tmp_path, capsys, raw, field):
         # refused before anything runs or is written
         path = tmp_path / "cfg.json"
@@ -1275,6 +1297,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and f"config field '{field}'" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("law", [HUGE_TWO_POINT, HUGE_LOG_NORMAL])
+    def test_mu_scaling_reads_no_moments_past_float64(self, law):
+        # the zero-law rule reads the law's m2, but the check itself needs no
+        # moments, so a law whose moments overflow float64 is still accepted
+        cfg, _ = validate_config({"experiment": "axioms", "seed": 1, "checks": [
+            {"check": "mu-scaling", "mu": 40.0, "law": law, "n_steps": 4, "cap": 6.0,
+             "replicates": 10}]})
+        assert cfg["checks"][0]["law"]["kind"] == law["kind"]
 
     @pytest.mark.parametrize("config, out, field", [
         ("missing.json", "out", "<path>"),

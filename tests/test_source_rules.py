@@ -336,3 +336,36 @@ def test_readme_lists_every_field():
     laws = {kind: [_shown(row, experiments) for row in rows]
             for kind, rows in radial_laws._LAWS.items()}
     assert _readme_table(["law kind", "fields (default)"]) == laws
+
+
+def test_harness_reads_each_family_table():
+    # harness.validate_config reads the family's fields table and hands the
+    # result to the family's validate: no function of experiments.py reads a
+    # family table itself or restates the schema version
+    source = (SRC / "experiments.py").read_text()
+    found = [node.lineno for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call) and _called_name(node) == "_read"
+             and any(isinstance(arg, ast.Attribute) and arg.attr == "fields"
+                     for arg in node.args)]
+    assert found == []
+    assert "schema_version" not in source
+
+
+def test_partials_carry_no_cell():
+    # run_experiment groups the partials by their task's cell: in
+    # experiments.py only a task is subscripted with "cell"
+    found = [node.lineno for node in ast.walk(ast.parse((SRC / "experiments.py").read_text()))
+             if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+             and node.slice.value == "cell"
+             and not (isinstance(node.value, ast.Name) and node.value.id == "task")]
+    assert found == []
+
+
+def test_one_within_max_se_verdict():
+    # every two-sided within-max_se verdict is made by _held; only the
+    # one-sided m1-subadditivity bound counts standard errors itself
+    found = {getattr(top, "name", top.lineno)
+             for top in ast.parse((SRC / "experiments.py").read_text()).body
+             for node in ast.walk(top)
+             if isinstance(node, ast.Call) and _called_name(node) == "diff_over_se"}
+    assert found == {"_held", "_reduce_m1_subadd"}
