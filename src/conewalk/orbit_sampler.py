@@ -134,10 +134,17 @@ def radial_projection_coeff(p: float, field: str, rng: np.random.Generator,
     if m == 3:
         return rng.uniform(-1.0, 1.0, size)
     if m == 5:
-        return 2.0 * np.sin(np.arcsin(rng.uniform(-1.0, 1.0, size)) / 3.0)
+        w = rng.uniform(-1.0, 1.0, size)
+        np.arcsin(w, out=w)
+        w /= 3.0
+        np.sin(w, out=w)
+        w *= 2.0
+        return w
     g = rng.standard_normal(size)
     c = rng.chisquare(m - 1, size)
-    return g / np.sqrt(g * g + c)
+    c += g * g
+    g /= np.sqrt(c, out=c)
+    return g
 
 
 def cone_block(nu: float, q: int, field: str, rng: np.random.Generator,

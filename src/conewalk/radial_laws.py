@@ -150,7 +150,10 @@ class RadialLaw:
         if self.kind == "finite_mixture":
             return self.atoms[:, 0, 0].real[self._mixture_index(rng, size)]
         if self.kind == "two_point":
-            return np.where(rng.random(size) < self.p_a, self.a, self.b)
+            # the table (b, a) read at the bytes of u < p_a: np.where on a
+            # random mask mispredicts a branch on every other draw
+            hit = np.less(rng.random(size), self.p_a)
+            return np.array((self.b, self.a)).take(hit.view(np.uint8))
         if self.kind == "log_normal":
             return np.exp(rng.normal(self.log_mean, self.log_sd, size))
         if self.kind == "uniform":

@@ -53,6 +53,18 @@ class TestSampling:
         freq = np.mean(x == 1.0)
         assert abs(freq - 0.5) <= 3 * np.sqrt(0.25 / n)
 
+    @pytest.mark.parametrize("p_a", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("size", [None, 0, 1, 8192, (3, 4)], ids=str)
+    def test_two_point_draw_matches_where(self, size, p_a):
+        # the table lookup gives the bits, dtype and shape of np.where on
+        # the same uniforms, and leaves the generator in the same state
+        law = RadialLaw.two_point(0.7, 1.9, p_a)
+        rng, ref_rng = (np.random.Generator(np.random.Philox(7)) for _ in range(2))
+        out = law.sample_scalar(rng, size)
+        ref = np.where(ref_rng.random(size) < p_a, 0.7, 1.9)
+        assert (out.dtype, out.shape, out.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
+        np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
+
     def test_wishart_root_mean_identity(self):
         # brute-force check: the mean of the drawn Gram matrix L*L = s^2 is
         # dof * scale
