@@ -125,7 +125,8 @@ def radial_projection_coeff(p: float, field: str, rng: np.random.Generator,
 
     Its density (1 - w^2)^((m - 3)/2) on (-1, 1) depends only on the real
     dimension m = d p, so the index-mu walk draws it too, at m = 2 mu.
-    m = 1 is a random sign, m = 3 is uniform, m = 5 is 2 sin(arcsin(u)/3),
+    m = 1 is a random sign, m = 3 is uniform, m = 5 is the inverse CDF
+    2 sin(arcsin(u)/3), taken as 4 h / (1 + h^2) at h = tan(arcsin(u)/6),
     and otherwise w = g / sqrt(g^2 + c) with c ~ chi-square(m - 1).
     """
     m = cl.field_dim(field) * p
@@ -134,12 +135,17 @@ def radial_projection_coeff(p: float, field: str, rng: np.random.Generator,
     if m == 3:
         return rng.uniform(-1.0, 1.0, size)
     if m == 5:
-        w = rng.uniform(-1.0, 1.0, size)
-        np.arcsin(w, out=w)
-        w /= 3.0
-        np.sin(w, out=w)
-        w *= 2.0
-        return w
+        # the tangent form: numpy has SIMD loops for float64 tan and arcsin,
+        # not for sin
+        h = rng.uniform(-1.0, 1.0, size)
+        np.arcsin(h, out=h)
+        h /= 6.0
+        np.tan(h, out=h)
+        den = h * h
+        den += 1.0
+        h *= 4.0
+        h /= den
+        return h
     g = rng.standard_normal(size)
     c = rng.chisquare(m - 1, size)
     c += g * g

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from conewalk import cone_linalg as cl
 from conewalk.bessel import BesselParam
@@ -10,6 +11,7 @@ from conewalk.orbit_sampler import (
     _cholesky_solve,
     cone_block,
     haar_block,
+    radial_projection_coeff,
     run_cone_walks,
     run_group_walks,
     sample_radial_matrix,
@@ -106,6 +108,75 @@ class TestStiefelBlock:
                      else sample_stiefel_frame(1, 1, field, rng, n))
             _, pvalue = ks_2samp(w, block[:, 0, 0].real)
             assert pvalue >= 1e-3, f"{field} p={p}"
+
+
+def _projection_cdf(m):
+    """Exact CDF of w = Re v at q = 1 and real dimension m: the density
+    (1 - w^2)^((m - 3)/2) on (-1, 1), and the atoms -1 and 1 at m = 1."""
+    if m == 1:
+        return lambda w: np.where(w < -1.0, 0.0, np.where(w < 1.0, 0.5, 1.0))
+    if m == 3:
+        return lambda w: (1.0 + w) / 2.0
+    if m == 5:
+        return lambda w: (2.0 + 3.0 * w - w**3) / 4.0
+    return lambda w: 0.5 + np.sign(w) / 2.0 * special.betainc(0.5, (m - 1) / 2.0, w * w)
+
+
+def _ks_pvalue(sample, cdf):
+    """One-sample KS p-value of sample against cdf.  The distance is taken
+    at both one-sided limits of each sample point, so the atoms of the
+    m = 1 law count; there the continuous law's p-value is conservative."""
+    x = np.sort(sample)
+    after = np.searchsorted(x, x, side="right") / x.size
+    before = np.searchsorted(x, x, side="left") / x.size
+    dist = max(np.max(np.abs(after - cdf(x))),
+               np.max(np.abs(before - cdf(np.nextafter(x, -np.inf)))))
+    return stats.kstwo.sf(dist, x.size)
+
+
+class _FixedUniforms:
+    """Stands in for a generator whose uniform draws are the given values."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def uniform(self, low, high, size):
+        return self.u.copy()
+
+
+class TestProjectionCoeff:
+    # every q = 1 closed form of radial_projection_coeff against the exact
+    # law at its real dimension m = d p: the sign at m = 1, the uniform at
+    # m = 3, the inverse CDF at m = 5 (p = 5 over R and 5/2 over C) and the
+    # chi-square form elsewhere, at integer and real m
+    @pytest.mark.parametrize("field, p", [(cl.REAL, 1), (cl.REAL, 3), (cl.REAL, 5),
+                                          (cl.COMPLEX, 2.5), (cl.COMPLEX, 1), (cl.REAL, 4),
+                                          (cl.REAL, 7.4), (cl.COMPLEX, 5)])
+    def test_exact_law(self, field, p):
+        m = cl.field_dim(field) * p
+        w = radial_projection_coeff(p, field, np.random.Generator(np.random.Philox(31)), 200_000)
+        assert w.dtype == np.float64 and np.all(np.abs(w) <= 1.0)
+        assert _ks_pvalue(w, _projection_cdf(m)) >= 1e-3
+
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_closed_cdfs_are_the_beta_form(self, m):
+        w = np.linspace(-1.0, 1.0, 401)
+        general = 0.5 + np.sign(w) / 2.0 * special.betainc(0.5, (m - 1) / 2.0, w * w)
+        assert np.max(np.abs(_projection_cdf(m)(w) - general)) <= 1e-14
+
+    def test_m5_tangent_form_is_the_sine_form(self):
+        # 4 h / (1 + h^2) at h = tan(arcsin(u)/6) is 2 sin(arcsin(u)/3) up
+        # to rounding: within 4 ulp on a Philox batch and at the ends and
+        # centre of (-1, 1), and never past |w| = 1
+        n = 2_000_000
+        u = np.random.Generator(np.random.Philox(32)).uniform(-1.0, 1.0, n)
+        w = radial_projection_coeff(5, cl.REAL, np.random.Generator(np.random.Philox(32)), n)
+        edges = [-1.0, -0.5, 0.0, 1e-300, -1e-300, np.nextafter(1.0, 0.0)]
+        u = np.concatenate([u, edges])
+        w = np.concatenate([w, radial_projection_coeff(5, cl.REAL, _FixedUniforms(edges), 6)])
+        ref = 2.0 * np.sin(np.arcsin(u) / 3.0)
+        assert np.all(np.abs(w - ref) <= 4 * np.spacing(np.abs(ref)))
+        assert np.all(np.abs(w) <= 1.0)
 
 
 # q, field and nu of the Haar-block law checks: an integer nu <= q - 1
