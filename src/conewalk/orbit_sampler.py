@@ -47,11 +47,19 @@ def sample_stiefel_frame(p: int, q: int, field: str, rng: np.random.Generator,
 
     Gaussian matrix G followed by thin QR with the R-diagonal phase forced
     positive, which makes the factorization unique and the law exactly
-    invariant under left multiplication by any fixed unitary.
+    invariant under left multiplication by any fixed unitary.  At q = 1
+    that frame is g / ||g||, taken without QR; a zero column gives e_1, as
+    in QR.
     """
     if p < q:
         raise ValueError("stiefel frame requires p >= q")
     g = _std_entries(rng, (size, p, q), field)
+    if q == 1:
+        norm = np.linalg.norm(g, axis=1, keepdims=True)
+        zero = norm[:, 0, 0] == 0.0
+        g[zero, 0, 0] = norm[zero] = 1.0
+        g /= norm
+        return g
     qmat, r = np.linalg.qr(g)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     mod = np.abs(diag)

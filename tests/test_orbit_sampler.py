@@ -47,6 +47,33 @@ class TestStiefelFrame:
             assert np.max(np.abs(gram - np.eye(2))) <= 1e-14
 
     @pytest.mark.parametrize("field", cl.FIELDS)
+    @pytest.mark.parametrize("p", [1, 2, 7, 64])
+    def test_q1_frame_is_the_qr_frame(self, p, field):
+        # at q = 1 the frame is g / ||g||, the positive-phase QR frame of
+        # the same draw up to rounding, and a unit column
+        g = _std_entries(np.random.default_rng(p), (5000, p, 1), field)
+        frame = sample_stiefel_frame(p, 1, field, np.random.default_rng(p), 5000)
+        qmat, r = np.linalg.qr(g)
+        ref = qmat * np.conj(r / np.abs(r))
+        assert frame.dtype == g.dtype and frame.shape == g.shape
+        assert np.max(np.abs(frame - ref)) <= 1e-14
+        assert np.max(np.abs(np.linalg.norm(frame, axis=1) - 1.0)) <= 1e-15
+
+    @pytest.mark.parametrize("field", cl.FIELDS)
+    def test_zero_column_gives_the_qr_frame(self, field):
+        # QR takes a zero column to e_1 (no reflection, phase 1); so does
+        # the q = 1 frame
+        class Zeros:
+            def standard_normal(self, shape):
+                return np.zeros(shape)
+
+        frame = sample_stiefel_frame(3, 1, field, Zeros(), 2)
+        assert frame.dtype == cl.field_dtype(field)
+        assert frame[:, :, 0].tolist() == [[1.0, 0.0, 0.0]] * 2
+        qmat, r = np.linalg.qr(np.zeros((1, 3, 1), dtype=cl.field_dtype(field)))
+        assert r[0, 0, 0] == 0.0 and np.array_equal(qmat[0, :, 0], frame[0, :, 0])
+
+    @pytest.mark.parametrize("field", cl.FIELDS)
     def test_square_frame_is_unitary(self, field):
         # at p == q the frame is a Haar unitary
         v = sample_stiefel_frame(2, 2, field, np.random.default_rng(8), 100_000)
