@@ -129,7 +129,8 @@ def _cholesky_solve(g: np.ndarray, cols: list) -> np.ndarray:
 
 def radial_projection_coeff(p: float, field: str, rng: np.random.Generator,
                             size) -> np.ndarray:
-    """Real part w of the q = 1 Haar block in F^p, all the q = 1 cone step reads.
+    """Real part w of the q = 1 Haar block in F^p, all the q = 1 cone step
+    reads, as an array of size draws (a count or a shape).
 
     Its density (1 - w^2)^((m - 3)/2) on (-1, 1) depends only on the real
     dimension m = d p, so the index-mu walk draws it too, at m = 2 mu.

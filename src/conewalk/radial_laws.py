@@ -151,7 +151,7 @@ class RadialLaw:
             return self.atoms[:, 0, 0].real[self._mixture_index(rng, size)]
         if self.kind == "two_point":
             # the table (b, a) read at the bytes of u < p_a: np.where on a
-            # random mask mispredicts a branch on every other draw
+            # random mask mispredicts its branches
             hit = np.less(rng.random(size), self.p_a)
             return np.array((self.b, self.a)).take(hit.view(np.uint8))
         if self.kind == "log_normal":

@@ -185,12 +185,6 @@ class TestProjectionCoeff:
         assert w.dtype == np.float64 and np.all(np.abs(w) <= 1.0)
         assert _ks_pvalue(w, _projection_cdf(m)) >= 1e-3
 
-    @pytest.mark.parametrize("m", [3, 5])
-    def test_closed_cdfs_are_the_beta_form(self, m):
-        w = np.linspace(-1.0, 1.0, 401)
-        general = 0.5 + np.sign(w) / 2.0 * special.betainc(0.5, (m - 1) / 2.0, w * w)
-        assert np.max(np.abs(_projection_cdf(m)(w) - general)) <= 1e-14
-
     def test_m5_tangent_form_is_the_sine_form(self):
         # 4 h / (1 + h^2) at h = tan(arcsin(u)/6) is 2 sin(arcsin(u)/3) up
         # to rounding: within 4 ulp on a Philox batch and at the ends and

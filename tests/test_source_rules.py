@@ -369,3 +369,18 @@ def test_one_within_max_se_verdict():
              for node in ast.walk(top)
              if isinstance(node, ast.Call) and _called_name(node) == "diff_over_se"}
     assert found == {"_held", "_reduce_m1_subadd"}
+
+
+def test_q1_draws_take_no_select_or_sine():
+    # the q = 1 step's draws run at the speed of the generator: np.where on
+    # a random mask mispredicts branches, and numpy has no SIMD loop for
+    # float64 sin (it has one for tan and arcsin), so the law's scalar draw
+    # and the projection coefficient's call neither
+    fns = [node for path in (SRC / "radial_laws.py", SRC / "orbit_sampler.py")
+           for node in ast.walk(ast.parse(path.read_text()))
+           if isinstance(node, ast.FunctionDef)
+           and node.name in ("sample_scalar", "radial_projection_coeff")]
+    assert sorted(fn.name for fn in fns) == ["radial_projection_coeff", "sample_scalar"]
+    found = [f"{fn.name}:{node.lineno}" for fn in fns for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and _called_name(node) in ("where", "sin")]
+    assert found == []
