@@ -74,7 +74,7 @@ class BesselParam:
 
     @property
     def field(self) -> str:
-        return cl.REAL if self.d == 1 else cl.COMPLEX
+        return cl.field_of_dim(self.d)
 
     @property
     def nu(self) -> float:
@@ -97,7 +97,7 @@ def _propose(e, q, field, rng, k):
     """k importance-sampling proposals for :func:`kappa_mu`: Gaussian with
     coordinate variance 1/(2e) for e >= 1/2, else uniform on the Frobenius
     ball of radius sqrt(q), which encloses D_q; (k,) for q = 1."""
-    dim = (1 if field == cl.REAL else 2) * q * q
+    dim = cl.field_dim(field) * q * q
     if e >= 0.5:
         shape = k if q == 1 else (k, q, q)
         x = rng.standard_normal(shape)
@@ -153,7 +153,7 @@ def kappa_mu(param: BesselParam, n_samples: int, rng: np.random.Generator) -> Mo
     if e < 0:
         raise ValueError(f"kappa estimation requires mu >= rho (mu={param.mu}, rho={param.rho})")
     q, field = param.q, param.field
-    dim = (1 if field == cl.REAL else 2) * q * q
+    dim = cl.field_dim(field) * q * q
     if e >= 0.5:
         const = (math.pi / e) ** (dim / 2.0)
     else:

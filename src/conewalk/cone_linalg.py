@@ -47,6 +47,11 @@ def field_dim(field: str) -> int:
     return 1 if field == REAL else 2
 
 
+def field_of_dim(d: int) -> str:
+    """The base field of real dimension d, the inverse of :func:`field_dim`."""
+    return REAL if d == 1 else COMPLEX
+
+
 def field_dtype(field: str):
     check_field(field)
     return np.float64 if field == REAL else np.complex128
@@ -140,7 +145,7 @@ def cone_step(a, s, v):
     dtype = np.result_type(a, s, v)
     a, s, v = (_entries(x) for x in (a, s, v))
     q = len(v)
-    conj = np.conj if np.issubdtype(dtype, np.complexfloating) else _same
+    conj = np.conj if np.issubdtype(dtype, np.complexfloating) else same
     ah, sh = ([[conj(m[k][i]) for k in range(q)] for i in range(q)] for m in (a, s))
     z = [[_dot(sh[i], v[:, m]) for m in range(q)] for i in range(q)]  # s* v
     x = [[_dot(z[i], a[:, j]) for j in range(q)] for i in range(q)]  # s* v a
@@ -178,13 +183,13 @@ def _factor(t: list, shape: tuple, dtype) -> np.ndarray:
     product from the Schur complement t."""
     q = len(t)
     t = [[np.real(t[i][m]) if i == m else t[i][m] for m in range(q)] for i in range(q)]
-    conj = np.conj if np.issubdtype(dtype, np.complexfloating) else _same
+    conj = np.conj if np.issubdtype(dtype, np.complexfloating) else same
 
     def entry(i, m):
         return t[i][m] if i <= m else conj(t[m][i])
 
     with np.errstate(over="ignore"):
-        norm = np.sqrt(sum(_abs2(entry(i, m)) for i in range(q) for m in range(q)))
+        norm = np.sqrt(sum(abs2(entry(i, m)) for i in range(q) for m in range(q)))
     if not np.all(np.isfinite(norm)):  # non-finite entries, or |t_ij|^2 past the float range
         e = np.abs([entry(i, m) for i in range(q) for m in range(q)])
         big = np.max(e, axis=0)
@@ -224,7 +229,7 @@ def _factor(t: list, shape: tuple, dtype) -> np.ndarray:
             r[j, m] = np.where(pick[m], root, row * inv)
         free = [free[m] & ~pick[m] for m in range(q)]
         for i in range(q):
-            t[i][i] = t[i][i] - _abs2(r[j, i])
+            t[i][i] = t[i][i] - abs2(r[j, i])
             for m in range(i + 1, q):
                 t[i][m] = t[i][m] - conj(r[j, i]) * r[j, m]
     return np.moveaxis(r, (0, 1), (-2, -1))
@@ -242,11 +247,12 @@ def _dot(xs, ys):
     return sum(prods[1:], prods[0])
 
 
-def _same(x: np.ndarray) -> np.ndarray:
+def same(x: np.ndarray) -> np.ndarray:
+    """x itself: the conjugate over R."""
     return x
 
 
-def _abs2(x: np.ndarray) -> np.ndarray:
+def abs2(x: np.ndarray) -> np.ndarray:
     """|x|^2 elementwise, without the square root of np.abs."""
     return x * x if not np.iscomplexobj(x) else x.real * x.real + x.imag * x.imag
 

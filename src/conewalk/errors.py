@@ -2,7 +2,10 @@
 
 
 class NumericalFailureError(RuntimeError):
-    """An eigensolver or a walk accumulation produced garbage.
+    """A kernel met numbers it cannot work with: non-finite input to
+    :func:`cone_linalg.psd_factor` or to the eigensolver of a config-time
+    matrix, a Haar-block Cholesky pivot that is not finite and positive,
+    or a walk accumulation that overflowed.
 
     Carries the offending array (when available) in ``payload``.
     """

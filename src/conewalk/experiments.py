@@ -2,8 +2,8 @@
 
 Every family implements the same four hooks:
 
-* validate(raw, cfg) -> (cfg, list of warnings): cfg is raw read through the
-                        family's fields table, held here to its cross-field rules
+* validate(raw, cfg) -> (cfg, list of warnings): cfg is raw read by :mod:`config`
+                        through the family's fields table, held here to its cross-field rules
 * plan(cfg)          -> list of block tasks (pure function of the config)
 * run_block(cfg, t)  -> picklable partial result
 * reduce(cfg, cells) -> dict with columns, rows, aggregates, checks and an
@@ -39,6 +39,22 @@ from .bessel import (
     paired_composition_diffs,
     sample_contraction,
 )
+from .config import (
+    FIELD,
+    NONEMPTY,
+    POSITIVE,
+    REQUIRED,
+    List,
+    Row,
+    at_least,
+    dims,
+    matrix,
+    matrix_from_spec,
+    nested,
+    one_of,
+    read,
+    value,
+)
 from .errors import ConfigError, DegenerateDataError
 from .orbit_sampler import (
     METHODS,
@@ -48,28 +64,7 @@ from .orbit_sampler import (
     run_group_walks,
     tr_squared,
 )
-from .radial_laws import (
-    _FIELD,
-    _NONEMPTY,
-    _POSITIVE,
-    _REQUIRED,
-    MomentData,
-    RadialLaw,
-    _at_least,
-    _dims,
-    _field,
-    _law_spec,
-    _List,
-    _matrix,
-    _matrix_from_spec,
-    _nested,
-    _one_of,
-    _read,
-    _Row,
-    _value,
-    law_from_spec,
-    moments,
-)
+from .radial_laws import MomentData, RadialLaw, law_from_spec, law_spec, moments
 
 DEFAULT_BLOCK_SIZE = 8192
 MAX_REPLICATE_ROWS = 2_000_000
@@ -185,19 +180,19 @@ def _support_totals(parts):
 # -- config tables -----------------------------------------------------------
 #
 # Each family, and each axioms check, declares its fields once as a table of
-# _Row(name, kind, default, condition, message), read by radial_laws._read.
+# Row(name, kind, default, condition, message), read by config.read.
 # Rules that tie fields together stay as code in the family's validate.
 
 
-def _count(name: str, k: int) -> _Row:
+def _count(name: str, k: int) -> Row:
     """A required integer field of at least k."""
-    return _Row(name, int, _REQUIRED, *_at_least(k))
+    return Row(name, int, REQUIRED, *at_least(k))
 
 
 def _law(name: str, val, cfg: dict) -> dict:
     """The canonical law spec; after a q, its dimensions must match."""
-    spec, law = _law_spec(name, val)
-    q, field = _dims(cfg)
+    spec, law = law_spec(name, val)
+    q, field = dims(cfg)
     if "q" in cfg and (spec["q"], spec["field"]) != (q, field):
         raise ConfigError(name, f"law dimensions must match q = {q}, field = {field}")
     _BUILT_LAWS.setdefault(_spec_key(spec), [law, None])
@@ -222,8 +217,8 @@ def _moment_law(name: str, val, cfg: dict) -> dict:
 def _index(name: str, val, cfg: dict) -> float:
     """The index mu: positive, and in the existence range mu > rho - 1 of
     the dimensions read before it."""
-    mu = _value(name, val, float, *_POSITIVE, cfg)
-    q, field = _dims(cfg)
+    mu = value(name, val, float, *POSITIVE, cfg)
+    q, field = dims(cfg)
     try:
         BesselParam(mu, q, cl.field_dim(field))
     except ValueError as exc:
@@ -232,29 +227,29 @@ def _index(name: str, val, cfg: dict) -> float:
 
 
 _COMMON = (
-    _Row("name", str, lambda cfg: cfg["experiment"], _NAME.fullmatch,
-         "must be a plain file name: [A-Za-z0-9][A-Za-z0-9._-]*"),
-    _Row("seed", int, _REQUIRED, lambda v: 0 <= v < 2**64, "must be a 64-bit seed"),
-    _Row("block_size", int, DEFAULT_BLOCK_SIZE, *_at_least(1)),
+    Row("name", str, lambda cfg: cfg["experiment"], _NAME.fullmatch,
+        "must be a plain file name: [A-Za-z0-9][A-Za-z0-9._-]*"),
+    Row("seed", int, REQUIRED, lambda v: 0 <= v < 2**64, "must be a 64-bit seed"),
+    Row("block_size", int, DEFAULT_BLOCK_SIZE, *at_least(1)),
 )
-_Q = _Row("q", int, 1, *_at_least(1))
-_D = _Row("d", int, 1, lambda v: v in (1, 2), "must be 1 or 2")
-_MU = _Row("mu", _index)
-_LAW = _Row("law", _law)
-_MOMENT_LAW = _Row("law", _moment_law)
-_SCALAR_LAW = _Row("law", _moment_law, _REQUIRED, lambda spec: spec["q"] == 1,
-                   "must be a q = 1 law")
-_POINTS = (_Row("r", _matrix), _Row("s", _matrix))
-_MAX_SE = _Row("max_se", float, 4.0, *_POSITIVE)
-_LEVEL = _Row("level", float, 1e-3, lambda v: 0 < v < 1, "must lie in (0, 1)")
-_SLACK = _Row("slack", float, 1e-8, *_at_least(0))
-_METHOD = _Row("method", str, "polar", *_one_of(METHODS))
+_Q = Row("q", int, 1, *at_least(1))
+_D = Row("d", int, 1, lambda v: v in (1, 2), "must be 1 or 2")
+_MU = Row("mu", _index)
+_LAW = Row("law", _law)
+_MOMENT_LAW = Row("law", _moment_law)
+_SCALAR_LAW = Row("law", _moment_law, REQUIRED, lambda spec: spec["q"] == 1,
+                  "must be a q = 1 law")
+_POINTS = (Row("r", matrix), Row("s", matrix))
+_MAX_SE = Row("max_se", float, 4.0, *POSITIVE)
+_LEVEL = Row("level", float, 1e-3, lambda v: 0 < v < 1, "must lie in (0, 1)")
+_SLACK = Row("slack", float, 1e-8, *at_least(0))
+_METHOD = Row("method", str, "polar", *one_of(METHODS))
 _WALK = (
     _count("n_steps", 1),
-    _Row("checkpoints", _List(int), lambda cfg: [cfg["n_steps"]]),
+    Row("checkpoints", List(int), lambda cfg: [cfg["n_steps"]]),
     _MOMENT_LAW,
     _count("replicates", 1),
-    _Row("emit", str, "aggregate", *_one_of(("aggregate", "replicates"))),
+    Row("emit", str, "aggregate", *one_of(("aggregate", "replicates"))),
     _MAX_SE,
 )
 
@@ -281,7 +276,7 @@ class WalkGroupExperiment:
     name = "walk-group"
     columns = ["step", "replicates", "mean_tr_sq", "se_mean", "expected_tr_sq",
                "abs_diff", "diff_over_se", "pass"]
-    fields = _COMMON + (_count("p", 1), _Q, _FIELD, _METHOD) + _WALK
+    fields = _COMMON + (_count("p", 1), _Q, FIELD, _METHOD) + _WALK
 
     validate = staticmethod(_walk_rules)
 
@@ -377,8 +372,8 @@ class ConvolveExperiment:
 
     @staticmethod
     def run_block(cfg, task):
-        r = _matrix_from_spec(cfg, "r", _field(cfg["d"]))
-        s = _matrix_from_spec(cfg, "s", _field(cfg["d"]))
+        r = matrix_from_spec(cfg, "r", cl.field_of_dim(cfg["d"]))
+        s = matrix_from_spec(cfg, "s", cl.field_of_dim(cfg["d"]))
         param = BesselParam(cfg["mu"], cfg["q"], cfg["d"])
         t = convolve_points(r, s, param, _task_rng(cfg, task), task["size"])
         return {"m": lab.Moments.of(cl.frob_norm(t) ** 2),
@@ -386,8 +381,8 @@ class ConvolveExperiment:
 
     @staticmethod
     def reduce(cfg, cells):
-        r = _matrix_from_spec(cfg, "r", _field(cfg["d"]))
-        s = _matrix_from_spec(cfg, "s", _field(cfg["d"]))
+        r = matrix_from_spec(cfg, "r", cl.field_of_dim(cfg["d"]))
+        s = matrix_from_spec(cfg, "s", cl.field_of_dim(cfg["d"]))
         [partials] = cells
         m = _pooled(partials)
         count, mean, se = m.count, m.mean, m.se
@@ -414,7 +409,7 @@ class KappaExperiment:
     name = "kappa"
     columns = ["mu", "q", "d", "branch", "n_samples", "estimate", "std_error",
                "reference", "abs_diff", "diff_over_se", "pass"]
-    fields = _COMMON + (_Q, _D, _Row("mu_grid", _List(_index), _REQUIRED, *_NONEMPTY),
+    fields = _COMMON + (_Q, _D, Row("mu_grid", List(_index), REQUIRED, *NONEMPTY),
                         _count("n_samples", 1), _MAX_SE)
 
     @staticmethod
@@ -474,20 +469,20 @@ class CltCheckExperiment:
     matrix_columns = ["coord_i", "coord_j", "empirical", "target", "se",
                       "abs_diff", "diff_over_se", "pass"]
     fields = _COMMON + (
-        _Row("kind", str, _REQUIRED, *_one_of(lab.CLT_KINDS)),
-        _Row("engine", str, "group", *_one_of(("group", "bessel"))),
+        Row("kind", str, REQUIRED, *one_of(lab.CLT_KINDS)),
+        Row("engine", str, "group", *one_of(("group", "bessel"))),
         _MOMENT_LAW,
         _count("n_steps", 1),
         _count("replicates", 2),
         _MAX_SE,
         _LEVEL._replace(name="mardia_level"),
-        _Row("ks_threshold", float, lambda cfg: 3.0 / math.sqrt(cfg["replicates"]), *_POSITIVE),
+        Row("ks_threshold", float, lambda cfg: 3.0 / math.sqrt(cfg["replicates"]), *POSITIVE),
     )
     engine_fields = {"group": (_count("p", 1), _METHOD), "bessel": (_MU,)}
 
     @staticmethod
     def validate(raw, cfg):
-        cfg = _read(raw, CltCheckExperiment.engine_fields[cfg["engine"]], **cfg)
+        cfg = read(raw, CltCheckExperiment.engine_fields[cfg["engine"]], **cfg)
         law = _law_of(cfg["law"])
         md = _moments_of(cfg["law"])
         warnings = []
@@ -518,11 +513,11 @@ class CltCheckExperiment:
             s2 = np.float64(md.m2)
             with np.errstate(all="ignore"):
                 if cfg["kind"] == "CLT1":
-                    value, what = 1.0 / (n * s2), "scale 1/(n s2)"
+                    number, what = 1.0 / (n * s2), "scale 1/(n s2)"
                 else:
-                    value, what = 2.0 * s2 * s2, "limit variance 2 s2^2"
-            if not 0.0 < value < math.inf:
-                raise ConfigError("law", f"{cfg['kind']}'s {what} = {value:.3g} is not a "
+                    number, what = 2.0 * s2 * s2, "limit variance 2 s2^2"
+            if not 0.0 < number < math.inf:
+                raise ConfigError("law", f"{cfg['kind']}'s {what} = {number:.3g} is not a "
                                   "positive finite number")
         if cfg["kind"] == "CLT1":
             if n / index**3 < 1.0:
@@ -647,11 +642,11 @@ class BerryEsseenScanExperiment:
     fields = _COMMON + (
         _SCALAR_LAW,
         _count("p", 1),
-        _Row("n_grid", _List(int, *_at_least(1)), _REQUIRED,
-             lambda v: len(v) >= 4 and v == sorted(set(v)), "needs >= 4 sorted unique points"),
+        Row("n_grid", List(int, *at_least(1)), REQUIRED,
+            lambda v: len(v) >= 4 and v == sorted(set(v)), "needs >= 4 sorted unique points"),
         _count("replicates", 4),
         _METHOD,
-        _Row("slope_threshold", float, None),
+        Row("slope_threshold", float, None),
     )
 
     @staticmethod
@@ -712,8 +707,8 @@ class MomentIdentityExperiment:
                "abs_diff", "diff_over_se", "pass"]
     fields = _COMMON + (
         _SCALAR_LAW,
-        _Row("grid", _List(_List(int), lambda v: len(v) == 2 and min(v) >= 1,
-                           "entries must be [n, p] pairs with n, p >= 1"), _REQUIRED, *_NONEMPTY),
+        Row("grid", List(List(int), lambda v: len(v) == 2 and min(v) >= 1,
+                         "entries must be [n, p] pairs with n, p >= 1"), REQUIRED, *NONEMPTY),
         _count("replicates", 2),
         _METHOD,
         _MAX_SE,
@@ -777,7 +772,7 @@ def _param(spec):
 
 def _run_support_bound(spec, k, stream):
     rng = stream()
-    q, field = spec["q"], _field(spec["d"])
+    q, field = spec["q"], cl.field_of_dim(spec["d"])
     # varied cone geometry: Bartlett factors of Wishart draws of mean 1.5 I and 0.8 I
     r, s = (RadialLaw.wishart_root(c * np.eye(q) / (q + 2), q + 2, field).sample(rng, k)
             for c in (1.5, 0.8))
@@ -793,8 +788,8 @@ def _reduce_support_bound(spec, parts):
 
 def _run_commutativity(spec, k, stream):
     param = _param(spec)
-    r = _matrix_from_spec(spec, "r", param.field)
-    s = _matrix_from_spec(spec, "s", param.field)
+    r = matrix_from_spec(spec, "r", param.field)
+    s = matrix_from_spec(spec, "s", param.field)
     t_rs = convolve_points(r, s, param, stream(0), k)
     t_sr = convolve_points(s, r, param, stream(1), k)
     return {"a": cl.frob_norm(t_rs) ** 2, "b": cl.frob_norm(t_sr) ** 2}
@@ -960,32 +955,32 @@ _CHECKS = {
                              _count("replicates", 2), _MAX_SE),
                             _run_m2_additivity, _reduce_m2_additivity),
     "m1-subadditivity": _Check((_Q, _D, _MOMENT_LAW,
-                                _Row("law2", _moment_law, lambda spec: spec["law"]), _MU,
+                                Row("law2", _moment_law, lambda spec: spec["law"]), _MU,
                                 _count("replicates", 2), _MAX_SE),
                                _run_m1_subadd, _reduce_m1_subadd),
     "group-consistency": _Check((_Q, _D, _LAW, _count("p", 1), _count("n_steps", 1),
                                  _count("replicates", 8), _LEVEL),
                                 _run_group_consistency, _reduce_two_sample_ks,
                                 _group_consistency_rules),
-    "character": _Check((_MU, *[_Row(x, float, _REQUIRED, *_at_least(0))
+    "character": _Check((_MU, *[Row(x, float, REQUIRED, *at_least(0))
                                 for x in ("r1", "r2", "s")],
                          _count("draws", 2), _MAX_SE),
                         _run_character, _reduce_character, _character_rules),
     "contraction-beta": _Check((_MU, _count("draws", 8),
-                                _Row("ks_max", float, _REQUIRED, *_POSITIVE)),
+                                Row("ks_max", float, REQUIRED, *POSITIVE)),
                                _run_contraction_beta, _reduce_contraction_beta),
     "mu-scaling": _Check((_Q, _D, _LAW, _MU, _count("n_steps", 2),
-                          _Row("cap", float, _REQUIRED, *_POSITIVE), _count("replicates", 2),
-                          _Row("ratio_lo", float, 1.0), _Row("ratio_hi", float, 4.0)),
+                          Row("cap", float, REQUIRED, *POSITIVE), _count("replicates", 2),
+                          Row("ratio_lo", float, 1.0), Row("ratio_hi", float, 4.0)),
                          _run_mu_scaling, _reduce_mu_scaling, _mu_scaling_rules),
 }
-_CHECK = _Row("check", str, _REQUIRED, *_one_of(tuple(_CHECKS)))
+_CHECK = Row("check", str, REQUIRED, *one_of(tuple(_CHECKS)))
 
 
 def _check_spec(name: str, val, cfg: dict) -> dict:
     """An axioms check: its name, then its check's table and rules."""
-    return _nested(name, val, _CHECK, {kind: check.fields for kind, check in _CHECKS.items()},
-                   lambda spec: _CHECKS[spec["check"]].rules(spec))[0]
+    return nested(name, val, _CHECK, {kind: check.fields for kind, check in _CHECKS.items()},
+                  lambda spec: _CHECKS[spec["check"]].rules(spec))[0]
 
 
 class AxiomsExperiment:
@@ -993,7 +988,7 @@ class AxiomsExperiment:
     columns = ["check", "cell", "params", "statistic", "reference", "se",
                "diff_over_se", "threshold", "pass"]
 
-    fields = _COMMON + (_Row("checks", _List(_check_spec), _REQUIRED, *_NONEMPTY),)
+    fields = _COMMON + (Row("checks", List(_check_spec), REQUIRED, *NONEMPTY),)
 
     validate = staticmethod(_no_rules)
 

@@ -26,16 +26,16 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import REQUIRED, Row, declared, read
 from .errors import ConfigError
 from .experiments import EXPERIMENTS
-from .radial_laws import _REQUIRED, _declared, _read, _Row
 
 SCHEMA_VERSION = 1
 # the fields that pick a family's table, read before it
-_HEAD = (_Row("experiment", str, _REQUIRED, EXPERIMENTS.__contains__,
-              f"unknown experiment; expected one of {sorted(EXPERIMENTS)}"),
-         _Row("schema_version", int, SCHEMA_VERSION, lambda v: v == SCHEMA_VERSION,
-              f"unsupported version; expected {SCHEMA_VERSION}"))
+_HEAD = (Row("experiment", str, REQUIRED, EXPERIMENTS.__contains__,
+             f"unknown experiment; expected one of {sorted(EXPERIMENTS)}"),
+         Row("schema_version", int, SCHEMA_VERSION, lambda v: v == SCHEMA_VERSION,
+             f"unsupported version; expected {SCHEMA_VERSION}"))
 
 
 def validate_config(raw: dict) -> tuple[dict, list[str]]:
@@ -46,11 +46,11 @@ def validate_config(raw: dict) -> tuple[dict, list[str]]:
     """
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "config must be a JSON object")
-    head = _read(raw, _HEAD)
+    head = read(raw, _HEAD)
     exp = EXPERIMENTS[head["experiment"]]
-    cfg, warnings = exp.validate(raw, _read(raw, exp.fields, **head))
+    cfg, warnings = exp.validate(raw, read(raw, exp.fields, **head))
     # every field of the family's table is read, and a matrix's null twin is absent
-    unknown = set(raw) - set(cfg) - _declared(exp.fields)
+    unknown = set(raw) - set(cfg) - declared(exp.fields)
     if unknown:
         raise ConfigError(sorted(unknown)[0], "unknown field")
     return cfg, warnings

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import cone_linalg as cl
 from .errors import NumericalFailureError
-from .radial_laws import RadialLaw, _bartlett_columns, _std_entries
+from .radial_laws import RadialLaw, bartlett_columns, std_entries
 
 # the two walk routes; polar is the default at every p
 METHODS = ("direct", "polar")
@@ -53,7 +53,7 @@ def sample_stiefel_frame(p: int, q: int, field: str, rng: np.random.Generator,
     """
     if p < q:
         raise ValueError("stiefel frame requires p >= q")
-    g = _std_entries(rng, (size, p, q), field)
+    g = std_entries(rng, (size, p, q), field)
     if q == 1:
         norm = np.linalg.norm(g, axis=1, keepdims=True)
         zero = norm[:, 0, 0] == 0.0
@@ -92,12 +92,12 @@ def haar_block(nu: float, q: int, field: str, rng: np.random.Generator,
     if not (nu > q - 1 or (nu == int(nu) and nu >= 1)):
         raise ValueError(f"Wishart degrees of freedom nu={nu} need nu > q - 1 = {q - 1} "
                          "or a positive integer")
-    g1 = _std_entries(rng, (n, q, q), field)
+    g1 = std_entries(rng, (n, q, q), field)
     if nu > q - 1:
         # column i of A*, with W = (A*)* A*: conj(A[i, :i]) above A[i, i]
-        cols = _bartlett_columns(nu, q, field, rng, n)
+        cols = bartlett_columns(nu, q, field, rng, n)
     else:
-        g2 = _std_entries(rng, (n, int(nu), q), field)
+        g2 = std_entries(rng, (n, int(nu), q), field)
         cols = [list(g2[:, :, i].T) for i in range(q)]
     return _cholesky_solve(g1, cols)
 
@@ -110,11 +110,11 @@ def _cholesky_solve(g: np.ndarray, cols: list) -> np.ndarray:
     (NumericalFailureError unless finite and above 0) and row j of R, then
     column j of v by forward substitution in v R = g."""
     q = g.shape[-1]
-    conj = np.conj if np.iscomplexobj(g) else cl._same
+    conj = np.conj if np.iscomplexobj(g) else cl.same
     rows = [[*g[:, :, j].T, *cols[j]] for j in range(q)]
     r, v = {}, np.empty_like(g)
     for j in range(q):
-        piv = sum(map(cl._abs2, rows[j])) - sum(cl._abs2(r[k, j]) for k in range(j))
+        piv = sum(map(cl.abs2, rows[j])) - sum(cl.abs2(r[k, j]) for k in range(j))
         if not np.all((piv > 0.0) & (piv < np.inf)):
             raise NumericalFailureError("Haar block: G1*G1 + W is not finite positive definite",
                                         payload=g)

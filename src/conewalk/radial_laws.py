@@ -8,19 +8,19 @@ Moment conventions: m_k is the k-th moment of the Hilbert-Schmidt norm,
 sigma2 is the matrix-valued second moment E[s^2], and sigma2_image_cov is
 the covariance of vec(s^2) in the orthonormal hermitian coordinates of
 :mod:`cone_linalg` (the limit covariance of the large-index CLTs).
+
+Each law kind's config fields are a table here, read by :mod:`config`.
 """
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import cone_linalg as cl
-from .errors import ConeViolationError, ConfigError
+from .config import FIELD, REQUIRED, List, Row, matrix, nested, to_matrix
+from .errors import ConfigError
 
 _SCALAR_KINDS = ("two_point", "log_normal", "uniform")
 
@@ -92,13 +92,13 @@ class RadialLaw:
 
     @classmethod
     def point_mass(cls, atom, field: str = cl.REAL) -> "RadialLaw":
-        atom = cl.clamp_psd(_to_matrix(atom, field))
+        atom = cl.clamp_psd(to_matrix(atom, field))
         return cls(kind="point_mass", q=atom.shape[-1], field=field, atom=atom)
 
     @classmethod
     def finite_mixture(cls, atoms, weights, field: str = cl.REAL) -> "RadialLaw":
         # one clamp for the whole stack: each atom's bits are those of its own clamp
-        atoms = cl.clamp_psd(np.stack([_to_matrix(s, field) for s in atoms]))
+        atoms = cl.clamp_psd(np.stack([to_matrix(s, field) for s in atoms]))
         weights = np.array(weights, dtype=np.float64)
         if weights.shape != (atoms.shape[0],):
             raise ValueError("weights must match the number of atoms")
@@ -132,7 +132,7 @@ class RadialLaw:
 
     @classmethod
     def wishart_root(cls, scale, dof: int, field: str = cl.REAL) -> "RadialLaw":
-        scale = cl.clamp_psd(_to_matrix(scale, field))
+        scale = cl.clamp_psd(to_matrix(scale, field))
         q = scale.shape[-1]
         if dof < q:
             raise ValueError("wishart_root requires dof >= q")
@@ -185,7 +185,7 @@ class RadialLaw:
             return out if self.field == cl.REAL else out.astype(np.complex128)
         if self.kind == "wishart_root":
             u = np.zeros((size, self.q, self.q), dtype=cl.field_dtype(self.field))
-            for i, col in enumerate(_bartlett_columns(self.dof, self.q, self.field, rng, size)):
+            for i, col in enumerate(bartlett_columns(self.dof, self.q, self.field, rng, size)):
                 u[:, :i + 1, i] = np.stack(col, axis=-1)
             return (u.reshape(-1, self.q) @ self.scale_factor).reshape(u.shape)
         raise ValueError(f"unknown law kind {self.kind!r}")
@@ -195,7 +195,7 @@ def law_from_spec(spec: dict) -> RadialLaw:
     """The law of a JSON law spec (the harness law sub-schema), read by
     its kind's table in _LAWS.  A refusal is a ConfigError naming law or
     law.<field>."""
-    return _law_spec("law", spec)[1]
+    return law_spec("law", spec)[1]
 
 
 def moments(law: RadialLaw) -> MomentData:
@@ -219,33 +219,7 @@ def moments(law: RadialLaw) -> MomentData:
 # -- helpers ---------------------------------------------------------------
 
 
-def _to_matrix(s, field: str) -> np.ndarray:
-    arr = np.asarray(s)
-    if np.iscomplexobj(arr):
-        if field == cl.REAL:
-            raise ValueError("complex entries in a real-field matrix")
-    elif field == cl.COMPLEX:
-        arr = np.asarray(arr, dtype=np.float64)
-        # JSON form of complex matrices: entries as [re, im] pairs
-        if arr.ndim == 3 and arr.shape[-1] == 2:
-            arr = arr[..., 0] + 1j * arr[..., 1]
-    arr = arr.astype(cl.field_dtype(field))
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix entries must be finite")
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    return cl.herm_part(arr)
-
-
-def _matrix_from_spec(spec: dict, key: str, field: str) -> np.ndarray:
-    if f"{key}_squared" in spec:
-        return cl.psd_sqrt(_to_matrix(spec[f"{key}_squared"], field))
-    return _to_matrix(spec[key], field)
-
-
-def _std_entries(rng: np.random.Generator, shape, field: str) -> np.ndarray:
+def std_entries(rng: np.random.Generator, shape, field: str) -> np.ndarray:
     """I.i.d. standard entries with E|g|^2 = 1 over the given field."""
     if field == cl.REAL:
         return rng.standard_normal(shape)
@@ -258,8 +232,8 @@ def _bartlett_diag(dof: float, field: str, rng: np.random.Generator, n) -> np.nd
     return rng.chisquare(dof, n) if field == cl.REAL else rng.gamma(dof, 1.0, n)
 
 
-def _bartlett_columns(dof: float, q: int, field: str, rng: np.random.Generator,
-                      n: int) -> list:
+def bartlett_columns(dof: float, q: int, field: str, rng: np.random.Generator,
+                     n: int) -> list:
     """The columns of an upper Bartlett factor U of W ~ Wishart(I_q, dof),
     W = U*U, drawn one at a time: column i is i standard entries, taken
     conjugate, above U[i, i] = sqrt(_bartlett_diag(dof - i)), each a (n,)
@@ -267,7 +241,7 @@ def _bartlett_columns(dof: float, q: int, field: str, rng: np.random.Generator,
     cols = []
     for i in range(q):
         diag = np.sqrt(_bartlett_diag(dof - i, field, rng, n))
-        cols.append([*np.conj(_std_entries(rng, (n, i), field)).T, diag])
+        cols.append([*np.conj(std_entries(rng, (n, i), field)).T, diag])
     return cols
 
 
@@ -331,185 +305,7 @@ def _half_moments(theta: np.ndarray, k: float, mean: float) -> tuple[float, floa
     return float(weight @ s1), float(weight @ (s1 * s1 + s2))
 
 
-# -- config reader -----------------------------------------------------------
-#
-# Every config field is declared once, as a _Row(name, kind, default,
-# condition, message) of a table, and _read reads any table: each family's
-# and each axioms check's in experiments.py, and each law kind's in _LAWS,
-# matrix entries included.  Rules that tie fields together stay as code.
-
-
-_REQUIRED = object()  # the default of a field that must be given
-
-
-def _is_finite_number(x) -> bool:
-    # NaN compares false, and an int too large for a float compares exactly
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
-
-
-def _typed(field: str, val, kind):
-    """val read as kind, else ConfigError naming field: a float is a finite
-    int or float within float range, and an int is such an int that is not
-    a bool."""
-    if kind is int and isinstance(val, int) and _is_finite_number(val):
-        return val
-    if kind is float and _is_finite_number(val):
-        return float(val)
-    if kind in (int, float):
-        name = "an integer" if kind is int else "a finite number"
-        if isinstance(val, int) and not isinstance(val, bool):  # too long to echo
-            # digits without str, which refuses 4,300: the bit length gives them or one less
-            digits = int(math.log10(2) * (abs(val).bit_length() - 1)) + 1
-            digits += abs(val) >= 10**digits
-            raise ConfigError(field, f"expected {name}, got an integer of "
-                                     f"{digits} digits, past the float64 range")
-        raise ConfigError(field, f"expected {name}, got {val!r}")
-    if not isinstance(val, kind):
-        raise ConfigError(field, f"expected {kind.__name__}, got {type(val).__name__}")
-    return val
-
-
-class _Row(NamedTuple):
-    """One config field.  kind is int, float, str, list or dict (read by
-    _typed), a _List, or a reader kind(name, value, cfg) of a structured
-    value; default is _REQUIRED, a value, or a function of the fields read
-    before it; a value that fails cond is a ConfigError saying msg."""
-
-    name: str
-    kind: object
-    default: object = _REQUIRED
-    cond: Callable | None = None
-    msg: str = ""
-
-
-class _List(NamedTuple):
-    """The kind of a list whose entries are read by kind and each held to
-    cond, an error naming its entry name[i]."""
-
-    kind: object
-    cond: Callable | None = None
-    msg: str = ""
-
-
-def _read(raw: dict, rows, **cfg) -> dict:
-    """cfg with the field of each row read from raw, in order.  A field
-    that is absent or null takes its default; a matrix, or a list of
-    them, may be given as its square under name_squared, but not both."""
-    for name, kind, default, cond, msg in rows:
-        if _matrix in (kind, getattr(kind, "kind", None)) \
-                and raw.get(f"{name}_squared") is not None:
-            if raw.get(name) is not None:
-                raise ConfigError(name, f"give {name} or {name}_squared, not both")
-            name += "_squared"
-        if raw.get(name) is not None:
-            cfg[name] = _value(name, raw[name], kind, cond, msg, cfg)
-        elif default is _REQUIRED:
-            raise ConfigError(name, "missing required field")
-        else:
-            cfg[name] = default(cfg) if callable(default) else default
-    return cfg
-
-
-def _declared(rows) -> set:
-    """Each row's name, and name_squared of a matrix row (or list of them):
-    _read leaves the twin it does not read absent or null."""
-    return {r.name for r in rows} | {f"{r.name}_squared" for r in rows
-                                     if _matrix in (r.kind, getattr(r.kind, "kind", None))}
-
-
-def _value(name: str, val, kind, cond, msg: str, cfg: dict):
-    """val read by kind and held to cond, else a ConfigError naming name."""
-    if isinstance(kind, _List):
-        val = [_value(f"{name}[{i}]", v, *kind, cfg)
-               for i, v in enumerate(_typed(name, val, list))]
-    elif isinstance(kind, type):
-        val = _typed(name, val, kind)
-    else:
-        val = kind(name, val, cfg)
-    if cond is not None and not cond(val):
-        raise ConfigError(name, msg)
-    return val
-
-
-def _nested(name: str, val, selector: _Row, tables: dict, rules: Callable) -> tuple:
-    """(spec, rules(spec)) of the object val: spec is its selector field,
-    then the fields of the table that the selector's value names in
-    tables, with no field left over; rules holds spec to its cross-field
-    rules.  Errors name their field under name, as name.field; a
-    ValueError of rules that is not a ConfigError names name itself."""
-    raw = _typed(name, val, dict)
-    try:
-        spec = _read(raw, (selector,))
-        spec = _read(raw, tables[spec[selector.name]], **spec)
-        unknown = sorted(set(raw) - _declared((selector, *tables[spec[selector.name]])))
-        if unknown:
-            raise ConfigError(unknown[0], "unknown field")
-        checked = rules(spec)
-    except ConfigError as exc:
-        raise ConfigError(f"{name}.{exc.field}", exc.message) from exc
-    except ValueError as exc:  # a RadialLaw constructor's range check
-        raise ConfigError(name, str(exc)) from exc
-    return spec, checked
-
-
-def _at_least(k):
-    return (lambda v: v >= k), f"must be >= {k}"
-
-
-def _one_of(options):
-    return (lambda v: v in options), f"must be one of {options}"
-
-
-_POSITIVE = (lambda v: v > 0), "must be positive"
-_NONEMPTY = bool, "must be nonempty"
-
-
-def _field(d: int) -> str:
-    return cl.REAL if d == 1 else cl.COMPLEX
-
-
-def _dims(cfg: dict) -> tuple[int, str]:
-    """(q, field) of the fields read so far: their q with its field or d,
-    else their law's, else 1 with their field (a law's) or real."""
-    if "q" in cfg:
-        return cfg["q"], cfg["field"] if "field" in cfg else _field(cfg["d"])
-    if "law" in cfg:
-        return cfg["law"]["q"], cfg["law"]["field"]
-    return 1, cfg.get("field", cl.REAL)
-
-
-def _matrix(name: str, val, cfg: dict) -> list:
-    """The JSON echo of the hermitian part of a PSD matrix over the field
-    of the fields read so far: a list of rows of finite numbers, over C of
-    numbers or of [re, im] pairs, or at q = 1 the one number alone; after
-    a q it is q x q.  Read under name_squared it is the square of a PSD
-    matrix, and its root is taken to check it."""
-    q, field = _dims(cfg)
-    rows = (_value(name, val, _List(_List(_entry)), None, "", cfg) if isinstance(val, list)
-            else [[_typed(name, val, float)]])
-    if not rows or any(len(row) != len(rows) for row in rows):
-        raise ConfigError(name, "expected a square matrix")
-    if "q" in cfg and len(rows) != q:
-        raise ConfigError(name, f"expected a {q}x{q} matrix")
-    if len({isinstance(x, list) for row in rows for x in row}) > 1:
-        raise ConfigError(name, "entries must be all numbers or all [re, im] pairs")
-    mat = _to_matrix(rows, field)
-    if not np.all(np.isfinite(mat)):
-        raise ConfigError(name, "entries too large: the hermitian part overflows")
-    squared = name.split("[")[0].endswith("_squared")
-    try:
-        (cl.psd_sqrt if squared else cl.clamp_psd)(mat)
-    except ConeViolationError as exc:
-        raise ConfigError(name, f"must be PSD: {exc}") from exc
-    return (mat.real if field == cl.REAL else np.stack([mat.real, mat.imag], -1)).tolist()
-
-
-def _entry(name: str, val, cfg: dict):
-    """A matrix entry: a finite number, or over C an [re, im] pair."""
-    if isinstance(val, list) and _dims(cfg)[1] == cl.COMPLEX:
-        return _value(name, val, _List(float), lambda v: len(v) == 2,
-                      "must be an [re, im] pair", cfg)
-    return _typed(name, val, float)
+# -- law-kind tables -------------------------------------------------------
 
 
 def _payload_q(cfg: dict) -> int:
@@ -520,32 +316,31 @@ def _payload_q(cfg: dict) -> int:
     return len(payload[0]) if isinstance(payload, list) else 1
 
 
-_FIELD = _Row("field", str, cl.REAL, *_one_of(cl.FIELDS))
 # each law kind's fields, between kind and field and a last q that defaults
 # to the size of the payload (_build holds a declared q to it); a matrix
 # payload may be given squared
-_LAWS = {kind: (_FIELD, *rows, _Row("q", int, _payload_q)) for kind, rows in {
-    "point_mass": (_Row("atom", _matrix),),
-    "finite_mixture": (_Row("atoms", _List(_matrix), _REQUIRED,
-                            lambda atoms: len({len(a) for a in atoms}) == 1,
-                            "must be a nonempty list of matrices of one size"),
-                       _Row("weights", _List(float))),
-    "two_point": (_Row("a", float), _Row("b", float), _Row("p_a", float)),
-    "log_normal": (_Row("log_mean", float), _Row("log_sd", float)),
-    "uniform": (_Row("lo", float), _Row("hi", float)),
-    "wishart_root": (_Row("scale", _matrix), _Row("dof", int)),
+_LAWS = {kind: (FIELD, *rows, Row("q", int, _payload_q)) for kind, rows in {
+    "point_mass": (Row("atom", matrix),),
+    "finite_mixture": (Row("atoms", List(matrix), REQUIRED,
+                           lambda atoms: len({len(a) for a in atoms}) == 1,
+                           "must be a nonempty list of matrices of one size"),
+                       Row("weights", List(float))),
+    "two_point": (Row("a", float), Row("b", float), Row("p_a", float)),
+    "log_normal": (Row("log_mean", float), Row("log_sd", float)),
+    "uniform": (Row("lo", float), Row("hi", float)),
+    "wishart_root": (Row("scale", matrix), Row("dof", int)),
 }.items()}
 KINDS = tuple(_LAWS)
-_KIND = _Row("kind", str, _REQUIRED, lambda v: v in KINDS,
-             f"unknown law kind: must be one of {KINDS}")
+_KIND = Row("kind", str, REQUIRED, lambda v: v in KINDS,
+            f"unknown law kind: must be one of {KINDS}")
 
 
-def _law_spec(name: str, val) -> tuple[dict, RadialLaw]:
+def law_spec(name: str, val) -> tuple[dict, RadialLaw]:
     """The canonical law spec val, read by its kind's table, and its law,
     built to hold the spec to the RadialLaw constructors' range checks.
     Matrices are hermitized, never rebuilt through an eigenbasis, so the
     spec read again is itself."""
-    return _nested(name, val, _KIND, _LAWS, _build)
+    return nested(name, val, _KIND, _LAWS, _build)
 
 
 def _build(spec: dict) -> RadialLaw:
@@ -555,9 +350,9 @@ def _build(spec: dict) -> RadialLaw:
     field, args = spec["field"], {}
     for key, val in spec.items():
         if key == "atoms_squared":
-            args["atoms"] = cl.psd_sqrt(np.stack([_to_matrix(s, field) for s in val]))
+            args["atoms"] = cl.psd_sqrt(np.stack([to_matrix(s, field) for s in val]))
         elif key.endswith("_squared"):
-            args[key.removesuffix("_squared")] = cl.psd_sqrt(_to_matrix(val, field))
+            args[key.removesuffix("_squared")] = cl.psd_sqrt(to_matrix(val, field))
         elif key not in ("kind", "field", "q"):
             args[key] = val
     law = getattr(RadialLaw, spec["kind"])(**args, field=field)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conewalk import cone_linalg as cl
-from conewalk import cli, experiments, harness, radial_laws
+from conewalk import cli, config, experiments, harness, radial_laws
 from conewalk.errors import ConfigError
 from conewalk.experiments import EXPERIMENTS
 from conewalk.harness import (
@@ -253,9 +253,9 @@ def _number_paths(raw):
             if f"{name}_squared" in _at(raw, prefix):
                 name += "_squared"
             path, kind = (*prefix, name), row.kind
-            while isinstance(kind, radial_laws._List):
+            while isinstance(kind, config.List):
                 path, kind = (*path, 0), kind.kind
-            if kind is radial_laws._matrix:
+            if kind is config.matrix:
                 path, kind = (*path, 0, 0), float
                 if isinstance(_at(raw, path), list):  # an [re, im] pair
                     path = (*path, 0)
@@ -403,7 +403,7 @@ class TestValidation:
             for prefix, rows in _tables(raw):
                 seen.add(rows)
                 for row in rows:
-                    if row.default is not radial_laws._REQUIRED:
+                    if row.default is not config.REQUIRED:
                         continue
                     bad = json.loads(json.dumps(raw))
                     for key in (row.name, f"{row.name}_squared"):

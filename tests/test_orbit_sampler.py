@@ -18,7 +18,7 @@ from conewalk.orbit_sampler import (
     sample_stiefel_frame,
     tr_squared,
 )
-from conewalk.radial_laws import RadialLaw, _std_entries, moments
+from conewalk.radial_laws import RadialLaw, moments, std_entries
 
 
 class TestStiefelFrame:
@@ -37,7 +37,7 @@ class TestStiefelFrame:
         # R-diagonal phase forced positive, the convention that makes the
         # factorization unique
         for chunk in range(10):
-            g = _std_entries(np.random.default_rng(chunk), (10_000, p, 2), field)
+            g = std_entries(np.random.default_rng(chunk), (10_000, p, 2), field)
             frame = sample_stiefel_frame(p, 2, field, np.random.default_rng(chunk), 10_000)
             qmat, r = np.linalg.qr(g)
             diag = np.diagonal(r, axis1=-2, axis2=-1)
@@ -51,7 +51,7 @@ class TestStiefelFrame:
     def test_q1_frame_is_the_qr_frame(self, p, field):
         # at q = 1 the frame is g / ||g||, the positive-phase QR frame of
         # the same draw up to rounding, and a unit column
-        g = _std_entries(np.random.default_rng(p), (5000, p, 1), field)
+        g = std_entries(np.random.default_rng(p), (5000, p, 1), field)
         frame = sample_stiefel_frame(p, 1, field, np.random.default_rng(p), 5000)
         qmat, r = np.linalg.qr(g)
         ref = qmat * np.conj(r / np.abs(r))
@@ -227,7 +227,7 @@ class TestHaarBlock:
 
     @pytest.mark.parametrize("q, field, nu", HAAR_CASES)
     def test_right_unitary_invariance(self, q, field, nu):
-        g = _std_entries(np.random.default_rng(33), (q, q), field)
+        g = std_entries(np.random.default_rng(33), (q, q), field)
         o, r = np.linalg.qr(g)
         a, b = _haar(nu, q, field, 34), _haar(nu, q, field, 35) @ o
         for stat in (lambda v: np.abs(v[:, 0, 0]) ** 2, lambda v: v[:, q - 1, 0].real,
@@ -257,7 +257,7 @@ class TestHaarBlock:
     def test_non_finite_gram_raises(self, bad):
         # one entry of one matrix of the stack: of G1, or of W off the diagonal
         for where in ("g", "w"):
-            g = _std_entries(np.random.default_rng(38), (4, 2, 2), cl.COMPLEX)
+            g = std_entries(np.random.default_rng(38), (4, 2, 2), cl.COMPLEX)
             cols = [[np.ones(4)], [np.zeros(4, complex), np.ones(4)]]
             if where == "g":
                 g[2, 0, 1] = bad
@@ -267,7 +267,7 @@ class TestHaarBlock:
                 _cholesky_solve(g, cols)
 
     def test_singular_gram_raises(self):
-        g = _std_entries(np.random.default_rng(39), (4, 2, 2), cl.REAL)
+        g = std_entries(np.random.default_rng(39), (4, 2, 2), cl.REAL)
         cols = [[np.ones(4)], [np.zeros(4), np.ones(4)]]
         assert np.all(np.isfinite(_cholesky_solve(g, cols)))
         g[1] = 0.0

@@ -13,10 +13,10 @@ from conewalk.limit_lab import ks_2samp
 from conewalk.radial_laws import (
     MomentData,
     RadialLaw,
-    _law_spec,
-    _std_entries,
     law_from_spec,
+    law_spec,
     moments,
+    std_entries,
 )
 
 RNG = lambda seed=0: np.random.default_rng(seed)  # noqa: E731
@@ -110,7 +110,7 @@ class TestWishartFactor:
         law = RadialLaw.wishart_root(scale, q + 1, field=field)
         n = 6000
         w = gram_of(law.sample(RNG(61), n))
-        g = _std_entries(RNG(62), (n, q + 1, q), field) @ cl.psd_sqrt(scale)
+        g = std_entries(RNG(62), (n, q + 1, q), field) @ cl.psd_sqrt(scale)
         ref = gram_of(g)
         for stat in (cl.trace_herm, lambda x: cl.trace_herm(x @ x),
                      lambda x: np.linalg.det(x).real):
@@ -278,8 +278,8 @@ class TestWishartClosedForms:
 class TestSpecs:
     def test_round_trip(self):
         # the canonical spec is read back unchanged
-        spec = _law_spec("law", MIX6_SPEC)[0]
-        assert _law_spec("law", spec)[0] == spec
+        spec = law_spec("law", MIX6_SPEC)[0]
+        assert law_spec("law", spec)[0] == spec
         law = law_from_spec(spec)
         assert law.q == 2
 
@@ -301,7 +301,7 @@ class TestSpecs:
 
     def test_laws_are_built_once_and_read_only(self):
         # every block of a config shares one law per process and spec
-        spec = _law_spec("law", MIX6_SPEC)[0]
+        spec = law_spec("law", MIX6_SPEC)[0]
         law = experiments._law_of(spec)
         assert experiments._law_of(json.loads(json.dumps(spec))) is law
         for arr in (law.atoms, law.weights, law.cdf):

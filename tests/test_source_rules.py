@@ -47,7 +47,7 @@ def test_steps_and_draws_take_no_root():
         todo += sorted(names & set(defs) - reached - set(todo))
     roots = {"eigh", "eigvalsh", "eig", "eigvals", "svd", "sqrtm", "psd_sqrt", "clamp_psd"}
     assert named & roots == set()
-    assert {"_factor", "haar_block", "_cholesky_solve", "_bartlett_columns",
+    assert {"_factor", "haar_block", "_cholesky_solve", "bartlett_columns",
             "square_radial", "sample_scalar"} <= reached
 
 
@@ -161,7 +161,7 @@ def test_one_radial_matrix_construction():
     found = {getattr(top, "name", top.lineno)
              for top in ast.parse((SRC / "orbit_sampler.py").read_text()).body
              for node in ast.walk(top)
-             if isinstance(node, ast.Call) and _called_name(node) == "_std_entries"}
+             if isinstance(node, ast.Call) and _called_name(node) == "std_entries"}
     assert found == {"sample_stiefel_frame", "haar_block"}
 
 
@@ -244,10 +244,10 @@ def test_json_dumps_refuse_nan():
 
 def test_one_field_reader():
     # configs are read through the field tables: no _req or _opt helper is
-    # left, and the one reader is radial_laws._read.  In experiments.py and
-    # radial_laws.py a raw config, axioms check or law spec is only handed
-    # to _read or listed by set() for the unknown-field check outside _read,
-    # and law_from_spec hands its spec straight on
+    # left, and the one reader is config.read.  In experiments.py,
+    # radial_laws.py and config.py a raw config, axioms check or law spec is
+    # only handed to read or listed by set() for the unknown-field check
+    # outside read, and law_from_spec hands its spec straight on
     found = [f"{path.relative_to(SRC)}:{node.lineno}"
              for path in sorted(SRC.rglob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
@@ -255,19 +255,19 @@ def test_one_field_reader():
              or (isinstance(node, ast.FunctionDef) and node.name in ("_req", "_opt"))]
     readers = [path.name for path in sorted(SRC.rglob("*.py"))
                for node in ast.parse(path.read_text()).body
-               if isinstance(node, ast.FunctionDef) and node.name == "_read"]
-    assert readers == ["radial_laws.py"]
-    for name in ("experiments.py", "radial_laws.py"):
+               if isinstance(node, ast.FunctionDef) and node.name == "read"]
+    assert readers == ["config.py"]
+    for name in ("experiments.py", "radial_laws.py", "config.py"):
         tree = ast.parse((SRC / name).read_text())
         parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
         tops = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-        in_reader = set(ast.walk(tops["_read"])) if "_read" in tops else set()
+        in_reader = set(ast.walk(tops["read"])) if "read" in tops else set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and node.id == "raw" and node not in in_reader \
                     and isinstance(node.ctx, ast.Load):
                 call = parents[node]
                 if not (isinstance(call, ast.Call) and call.args[:1] == [node]
-                        and _called_name(call) in ("_read", "set")):
+                        and _called_name(call) in ("read", "set")):
                     found.append(f"{name}:{node.lineno}")
         entries = [tops[f] for f in ("law_from_spec",) if f in tops]
         for entry in entries:
@@ -280,16 +280,51 @@ def test_one_field_reader():
     assert found == []
 
 
+def test_no_private_names_across_modules():
+    # a module's underscore names are its own: no module imports one from
+    # another conewalk module or reads one as module._name.  config.py
+    # imports no conewalk module but cone_linalg and errors, so the modules
+    # whose tables it reads depend on it in one direction, and no other
+    # module defines one of its functions or classes again
+    found, config_imports = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()  # the names that bind conewalk modules here
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "conewalk"):
+                names = [alias.name for alias in node.names]
+                if node.module in (None, "conewalk"):
+                    modules |= {alias.asname or alias.name for alias in node.names}
+                found += [f"{path.name}:{node.lineno}:{name}" for name in names
+                          if name.startswith("_")]
+                if path.name == "config.py":
+                    config_imports |= set(names) if node.module is None else {node.module}
+        found += [f"{path.name}:{node.lineno}:{node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and node.attr.startswith("_")]
+    assert found == []
+    assert config_imports == {"cone_linalg", "errors"}
+    tops = {path.name: {node.name for node in ast.parse(path.read_text()).body
+                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+            for path in sorted(SRC.rglob("*.py"))}
+    reader = tops.pop("config.py")
+    assert {"read", "Row", "List", "matrix", "to_matrix"} <= reader
+    copies = {f"{name}:{top}" for name, defs in tops.items() for top in defs
+              if top.lstrip("_") in reader}
+    assert copies == set()
+
+
 # the README's text of each default that is a function of other fields
 _DEPENDENT_DEFAULTS = {"name": "experiment", "checkpoints": "[n_steps]",
                        "ks_threshold": "3/sqrt(replicates)", "law2": "law",
                        "q": "payload size"}
 
 
-def _shown(row, experiments):
+def _shown(row, config):
     """A table row as the README's fields tables give it: its name, and in
     parentheses its default if it has one."""
-    if row.default is experiments._REQUIRED:
+    if row.default is config.REQUIRED:
         return row.name
     if callable(row.default):
         default = _DEPENDENT_DEFAULTS[row.name]
@@ -321,19 +356,19 @@ def test_readme_lists_every_field():
     # README's fields tables give every field of every table, and its
     # default, in the tables' order: the families', the axioms checks' and
     # the law kinds'
-    from conewalk import experiments, radial_laws
+    from conewalk import config, experiments, radial_laws
 
     common = experiments._COMMON
-    families = {"every family": [_shown(row, experiments) for row in common]}
+    families = {"every family": [_shown(row, config) for row in common]}
     for name, exp in experiments.EXPERIMENTS.items():
         rows = [row for row in exp.fields if row not in common]
         rows += [row for table in getattr(exp, "engine_fields", {}).values() for row in table]
-        families[name] = [_shown(row, experiments) for row in rows]
+        families[name] = [_shown(row, config) for row in rows]
     assert _readme_table(["experiment", "fields (default)"]) == families
-    checks = {name: [_shown(row, experiments) for row in check.fields]
+    checks = {name: [_shown(row, config) for row in check.fields]
               for name, check in experiments._CHECKS.items()}
     assert _readme_table(["check", "fields (default)"]) == checks
-    laws = {kind: [_shown(row, experiments) for row in rows]
+    laws = {kind: [_shown(row, config) for row in rows]
             for kind, rows in radial_laws._LAWS.items()}
     assert _readme_table(["law kind", "fields (default)"]) == laws
 
@@ -344,7 +379,7 @@ def test_harness_reads_each_family_table():
     # family table itself or restates the schema version
     source = (SRC / "experiments.py").read_text()
     found = [node.lineno for node in ast.walk(ast.parse(source))
-             if isinstance(node, ast.Call) and _called_name(node) == "_read"
+             if isinstance(node, ast.Call) and _called_name(node) == "read"
              and any(isinstance(arg, ast.Attribute) and arg.attr == "fields"
                      for arg in node.args)]
     assert found == []
