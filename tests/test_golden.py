@@ -126,6 +126,14 @@ CASES = {
     "clt2-q1-bessel": {"experiment": "clt-check", "name": "clt2q1b", "seed": 4111,
                        "kind": "CLT2", "engine": "bessel", "mu": 5000.0, "n_steps": 10,
                        "law": TWO_POINT, "replicates": 2500},
+    # CLT4 on the scalar path at q = 1, and CLT4 as a complex matrix
+    # statistic (q = 2 over C on the group engine), in their regime
+    "clt4-q1-group": {"experiment": "clt-check", "name": "clt4q1", "seed": 4112,
+                      "kind": "CLT4", "engine": "group", "p": 5000, "n_steps": 10,
+                      "law": TWO_POINT, "replicates": 2500},
+    "clt4-q2-complex-group": {"experiment": "clt-check", "name": "clt4q2c", "seed": 4113,
+                              "kind": "CLT4", "engine": "group", "p": 2000, "n_steps": 8,
+                              "law": MIX2C, "replicates": 2500},
     # the index-mu walk at q = 1 over C and at q = 2 over C
     "bessel-q1-complex": _walk_bessel("b1c", 3.0, 1, 2, {"kind": "point_mass",
                                                          "field": "complex", "atom": 1.0},
@@ -246,6 +254,10 @@ CASES = {
 # group-q1-direct-complex was recorded again when the q = 1 frames became
 # g / ||g|| without QR (last bits; back to its digest before the QR frame);
 # group-q1-direct-real and c03 held.
+# clt4-q1-group and clt4-q2-complex-group were recorded before the
+# statistics' scope, normalization, limit and regime moved into one record
+# per statistic, so that refactor is held to CLT4's scalar path and to a
+# complex matrix statistic as well.
 GOLDEN = {
     "axiom-extras": "e4237f7f0769648aeabae69c05f1b730325d7239d58a70362bf548aab738c225",
     "bessel-q1-complex": "28d2ecd693275f2ad61bcca36ec0c3d0e7ce3f786f956e318ee02241f0961386",
@@ -282,6 +294,9 @@ GOLDEN = {
     "clt1-complex": "23f24ff6ec3f4e98b1e0e4b63419d3064ae45ad89a9e64c9de3ac286ebaf8cb4",
     "clt2-q1-bessel": "003f346fb227cf4e7b0a6756794c487b72500d4e31c4347c2762637f4d2a26cb",
     "clt3-q1-group": "a6dfec851e464d78d452a58a2b54817f254d71ff2f5166cfa77208f5eb776c51",
+    "clt4-q1-group": "a5f2a3d38954cca528fdf8e63f12e7efe1cffcde545e0a968c149423fccba2ef",
+    "clt4-q2-complex-group":
+        "65b8d545d5862afba48e2f2672298b9c2c2087c16aaadbda599cc310947d8421",
 }
 
 
