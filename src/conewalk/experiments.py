@@ -68,9 +68,6 @@ from .radial_laws import MomentData, RadialLaw, law_from_spec, law_spec, moments
 
 DEFAULT_BLOCK_SIZE = 8192
 MAX_REPLICATE_ROWS = 2_000_000
-# a q = 1 law whose limit variance m4 - s2^2 is at most this times m4 is
-# degenerate: over point masses rounding leaves up to 3e-16 m4 of either sign
-_LIMIT_VAR_RTOL = 1e-13
 _NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")  # output files are named after it
 
 
@@ -469,7 +466,7 @@ class CltCheckExperiment:
     matrix_columns = ["coord_i", "coord_j", "empirical", "target", "se",
                       "abs_diff", "diff_over_se", "pass"]
     fields = _COMMON + (
-        Row("kind", str, REQUIRED, *one_of(lab.CLT_KINDS)),
+        Row("kind", str, REQUIRED, *one_of(tuple(lab.CLT))),
         Row("engine", str, "group", *one_of(("group", "bessel"))),
         _MOMENT_LAW,
         _count("n_steps", 1),
@@ -483,69 +480,46 @@ class CltCheckExperiment:
     @staticmethod
     def validate(raw, cfg):
         cfg = read(raw, CltCheckExperiment.engine_fields[cfg["engine"]], **cfg)
-        law = _law_of(cfg["law"])
         md = _moments_of(cfg["law"])
-        warnings = []
-        index = cfg.get("p", cfg.get("mu"))
-        if cfg["engine"] == "group" and law.q > 1 and index < law.q:
+        kind, clt = cfg["kind"], lab.CLT[cfg["kind"]]
+        n, index = cfg["n_steps"], cfg.get("p", cfg.get("mu"))
+        if cfg["engine"] == "group" and md.q > 1 and index < md.q:
             raise ConfigError("p", "matrix walks require p >= q")
-        if cfg["kind"] in ("CLT1", "CLT2") and law.q != 1:
-            raise ConfigError("kind", f"{cfg['kind']} is a q = 1 statistic")
-        if cfg["kind"] == "CLT1" and cfg["engine"] != "group":
-            raise ConfigError("engine", "CLT1 is stated for the group walk")
-        if cfg["kind"] == "CLT3":
-            if cfg["engine"] != "group":
-                raise ConfigError("engine", "the Wishart-route statistic needs the group walk")
-            if law.field != cl.REAL:
-                raise ConfigError("law.field", "the T^2 covariance is real-field only")
-        if cfg["kind"] in ("CLT2", "CLT4") and law.q == 1:
-            if md.m4 - md.sigma4 <= _LIMIT_VAR_RTOL * md.m4:
-                raise ConfigError("law", "the limit variance m4 - s2^2 is not positive: "
-                                  "|s|^2 takes one value, so there is no normal limit")
-        if cfg["kind"] in ("CLT3", "CLT4") and law.q > 1:
-            dim = cl.herm_vec_dim(law.q, law.field)
+        if clt.cov is None and md.q != 1:
+            raise ConfigError("kind", f"{kind} is a q = 1 statistic")
+        if clt.group_only and cfg["engine"] != "group":
+            raise ConfigError("engine", f"{kind} is stated for the group walk")
+        if clt.real_only and md.field != cl.REAL:
+            raise ConfigError("law.field", f"{kind} is stated for the real field")
+        if md.q > 1:
+            dim = cl.herm_vec_dim(md.q, md.field)
             if cfg["replicates"] <= 10 * dim * dim:
                 raise ConfigError("replicates", "the Mardia tests need more than "
                                   f"10 dim^2 = {10 * dim * dim} replicates")
-        n = cfg["n_steps"]
-        if cfg["kind"] in ("CLT1", "CLT3") and law.q == 1:
-            # CLT1 divides by n s2, and CLT3 is held to N(0, 2 s2^2)
-            s2 = np.float64(md.m2)
+        else:
+            # the statistic of a unit deviation, and the variance it is held to
             with np.errstate(all="ignore"):
-                if cfg["kind"] == "CLT1":
-                    number, what = 1.0 / (n * s2), "scale 1/(n s2)"
-                else:
-                    number, what = 2.0 * s2 * s2, "limit variance 2 s2^2"
-            if not 0.0 < number < math.inf:
-                raise ConfigError("law", f"{cfg['kind']}'s {what} = {number:.3g} is not a "
-                                  "positive finite number")
-        if cfg["kind"] == "CLT1":
-            if n / index**3 < 1.0:
-                warnings.append(f"regime: n/p^3 = {n / index**3:.3g} is small; "
-                                "the N(0,1) limit needs n >> p^3 with p growing")
-            # over C the reference is chi-square(m) at the real dimension m = 2p
-            gap = lab.chi2_normal_gap(cl.field_dim(law.field) * index)
+                scale, var = clt.normalize(1.0, n, index, md), clt.var(md)
+            if not (0.0 < scale < math.inf and 0.0 < var < math.inf):
+                raise ConfigError("law", f"{kind}'s scale {scale:.3g} and limit variance "
+                                  f"{var:.3g} must be positive finite float64 numbers")
+        warnings = clt.regime(n, index)
+        if clt.fixed_index_dof is not None:
+            gap = lab.chi2_normal_gap(clt.fixed_index_dof(index, md))
             if gap > cfg["ks_threshold"]:
-                dof = "p" if law.field == cl.REAL else "2p"
+                dof = "p" if md.field == cl.REAL else "2p"
                 warnings.append(f"regime: chi-square gap D_p = {gap:.3g} > ks_threshold "
                                 f"= {cfg['ks_threshold']:.3g}; at fixed p = {index} the "
                                 f"statistic tends to the standardized chi-square({dof}) law, "
                                 "so the N(0,1) check cannot pass for any n")
-        if cfg["kind"] in ("CLT2", "CLT4") and n * n / index > 0.1:
-            warnings.append(f"regime: n^2/index = {n * n / index:.3g} > 0.1; "
-                            "the limit needs n^2/index -> 0")
-        if cfg["kind"] == "CLT3" and n / index**4 < 1.0:
-            warnings.append(f"regime: n/p^4 = {n / index**4:.3g} is small; "
-                            "the normality claim needs n >> p^4")
         return cfg, warnings
 
     plan = WalkGroupExperiment.plan
 
     @staticmethod
     def run_block(cfg, task):
-        law = _law_of(cfg["law"])
         n = cfg["n_steps"]
-        traj = _walks(cfg, law, (n,), _task_rng(cfg, task), task["size"])
+        traj = _walks(cfg, _law_of(cfg["law"]), (n,), _task_rng(cfg, task), task["size"])
         index = cfg.get("p", cfg.get("mu"))
         return lab.normalize_clt(cfg["kind"], traj[0], n, index, _moments_of(cfg["law"]))
 
@@ -560,20 +534,9 @@ class CltCheckExperiment:
 
     @staticmethod
     def _reduce_scalar(cfg, md, stat):
-        sup_chi2 = None
-        if cfg["kind"] == "CLT1":
-            limit_var = 1.0
-            # the chi-square reference the statistic passes through before
-            # the normal limit: m ||S||^2 / (n s2) = sqrt(2m) z + m, m = d p
-            m = cl.field_dim(md.field) * cfg["p"]
-            x = math.sqrt(2.0 * m) * stat + m
-            sup_chi2 = lab.ks_distance(x, lambda t: lab.chi2_cdf(m, t))
-        elif cfg["kind"] == "CLT3":
-            limit_var = 2.0 * md.sigma4  # T2(sigma2) at q = 1
-        else:
-            limit_var = md.m4 - md.sigma4
-        sd = math.sqrt(limit_var)
-        ks = lab.ks_distance(stat, lambda t: lab.normal_cdf(t, sd))
+        clt = lab.CLT[cfg["kind"]]
+        limit_var = clt.var(md)
+        ks = lab.ks_distance(stat, lambda t: lab.normal_cdf(t, math.sqrt(limit_var)))
         ok = ks <= cfg["ks_threshold"]
         index = cfg.get("p", cfg.get("mu"))
         rows = [[cfg["kind"], cfg["engine"], cfg["n_steps"], index, stat.size,
@@ -583,18 +546,17 @@ class CltCheckExperiment:
                    "threshold": cfg["ks_threshold"], "pass": ok}]
         aggregates = {"ks_distance": ks, "limit_var": limit_var,
                       "sample_var": float(stat.var())}
-        if sup_chi2 is not None:
-            aggregates["sup_chi2_distance"] = sup_chi2
+        if clt.fixed_index_dof is not None:
+            m = clt.fixed_index_dof(index, md)
+            aggregates["sup_chi2_distance"] = lab.ks_distance(
+                stat, lambda t: lab.standardized_chi2_cdf(m, t))
         return {"columns": CltCheckExperiment.scalar_columns, "rows": rows,
                 "aggregates": aggregates, "checks": checks}
 
     @staticmethod
     def _reduce_matrix(cfg, md, stat):
         mean, cov = lab.empirical_cov(stat)
-        if cfg["kind"] == "CLT3":
-            target = lab.t_squared_limit(np.asarray(md.sigma2).real)
-        else:
-            target = np.asarray(md.sigma2_image_cov)
+        target = lab.CLT[cfg["kind"]].cov(md)
         centered = stat - mean
         n = stat.shape[0]
         rows = []

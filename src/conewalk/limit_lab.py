@@ -1,30 +1,28 @@
 """Statistics engine: normalized limit statistics, reference laws,
 empirical distances and convergence-rate fits.
 
-The four statistic kinds and their normal references:
+:data:`CLT` holds one record per statistic of the paper's four limit
+theorems, with s2 the law's second moment (a matrix at q >= 2):
 
-* CLT1  sqrt(d p) / (n sigma2 sqrt(2)) * (||S_n||^2 - n sigma2) -> N(0, 1)
-* CLT2  (||S_n||^2 - n sigma2) / sqrt(n)                      -> N(0, m4 - sigma2^2)
-* CLT3  sqrt(p) / n * (phi(S_n)^2 - n sigma2)                 -> N(0, T2(sigma2))
-* CLT4  (phi(S_n)^2 - n sigma2) / sqrt(n)                     -> N(0, cov of vec(s^2))
+* CLT1  sqrt(d p) / (n s2 sqrt(2)) * (||S_n||^2 - n s2) -> N(0, 1)
+* CLT2  (||S_n||^2 - n s2) / sqrt(n)                      -> N(0, m4 - s2^2)
+* CLT3  sqrt(p) / n * (phi(S_n)^2 - n s2)                 -> N(0, T2(s2))
+* CLT4  (phi(S_n)^2 - n s2) / sqrt(n)                     -> N(0, cov of vec(s^2))
 
-CLT1/CLT2 are scalar (q = 1); CLT3/CLT4 produce samples in the hermitian
-coordinates of :mod:`cone_linalg`.  For q = 1 the CLT4 transform agrees
-with CLT2 exactly.  A q = 1 walk in C^p is the real walk in R^(2p), so
-the q = 1 group references take the real dimension m = d p (d = 1 over R,
-2 over C).
-
-The CLT1 limit N(0, 1) needs p -> infinity with n >> p^3.  At fixed p and
-n -> infinity the statistic tends to the standardized chi-square(m) law
-(m ||S_n||^2 / (n sigma2) -> chi-square_m), whose sup-distance from
-N(0, 1) is D_m ~ 1 / (3 sqrt(pi m)); see :func:`chi2_normal_gap`.
+CLT1/CLT2 are scalar (q = 1); CLT3/CLT4 give hermitian coordinates
+(:mod:`cone_linalg`) at q >= 2 and are held to 2 s2^2 and m4 - s2^2 at
+q = 1.  A q = 1 walk in C^p is the real walk in R^(2p), so the q = 1
+group references take the real dimension m = d p.  At fixed p the CLT1
+statistic tends to the standardized chi-square(m) law, at KS distance
+D_m ~ 1 / (3 sqrt(pi m)) from N(0, 1); see :func:`chi2_normal_gap`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 from scipy.special import gammainc, gammaincc, ndtr
@@ -32,9 +30,6 @@ from scipy.special import gammainc, gammaincc, ndtr
 from . import cone_linalg as cl
 from .errors import DegenerateDataError, UnsupportedFieldError
 from .radial_laws import MomentData
-
-CLT_KINDS = ("CLT1", "CLT2", "CLT3", "CLT4")
-
 
 def chi2_cdf(p: int, x) -> np.ndarray | float:
     """Distribution function of chi-square with p degrees of freedom."""
@@ -51,8 +46,13 @@ def normal_cdf(x, sd: float = 1.0) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
+def standardized_chi2_cdf(m: int, z) -> np.ndarray | float:
+    """Distribution function of (X - m) / sqrt(2 m), X ~ chi-square(m)."""
+    return chi2_cdf(m, m + math.sqrt(2.0 * m) * z)
+
+
 def chi2_normal_gap(p: int) -> float:
-    """D_p = sup_x |chi2_cdf(p, p + sqrt(2p) x) - Phi(x)|: the KS distance
+    """D_p = sup_x |standardized_chi2_cdf(p, x) - Phi(x)|: the KS distance
     between the standardized chi-square(p) law and N(0, 1).
 
     Taken on a 4001-point grid over [-12, 12], which agrees with a
@@ -60,7 +60,7 @@ def chi2_normal_gap(p: int) -> float:
     1 / (3 sqrt(pi)) as p grows (the Edgeworth skewness term).
     """
     x = np.linspace(-12.0, 12.0, 4001)
-    gap = np.abs(chi2_cdf(p, p + math.sqrt(2.0 * p) * x) - normal_cdf(x))
+    gap = np.abs(standardized_chi2_cdf(p, x) - normal_cdf(x))
     return float(gap.max())
 
 
@@ -122,39 +122,6 @@ def ks_2samp(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(res.statistic), float(res.pvalue)
 
 
-def normalize_clt(kind: str, raw: np.ndarray, n: int, p_or_mu: float,
-                  md: MomentData) -> np.ndarray:
-    """Apply the statistic normalization exactly once.
-
-    raw is a vector of ||S_n||^2 values (scalar kinds / q = 1) or a stack
-    of phi(S_n)^2 matrices; matrix kinds return vectorized coordinates.
-    """
-    if kind not in CLT_KINDS:
-        raise ValueError(f"unknown statistic kind {kind!r}")
-    raw = np.asarray(raw)
-    scalar_input = raw.ndim <= 1
-    if kind in ("CLT1", "CLT2") and not scalar_input:
-        raise ValueError(f"{kind} expects scalar ||S||^2 samples (q = 1)")
-    if kind == "CLT3" and scalar_input and md.q != 1:
-        raise ValueError("CLT3 expects matrix samples for q > 1")
-    s2 = md.m2  # q = 1 scalar second moment
-    if scalar_input:
-        centered = raw.astype(np.float64) - n * s2
-        if kind == "CLT1":
-            return np.sqrt(cl.field_dim(md.field) * p_or_mu) / (n * s2 * math.sqrt(2.0)) * centered
-        if kind == "CLT3":
-            return np.sqrt(p_or_mu) / n * centered
-        return centered / math.sqrt(n)
-    if raw.shape[-1] != md.q or raw.shape[-2] != md.q:
-        raise ValueError("sample shape does not match the law dimension")
-    diff = raw - n * np.asarray(md.sigma2)
-    if kind == "CLT3":
-        scaled = np.sqrt(p_or_mu) / n * diff
-    else:  # CLT4: CLT1 and CLT2 refused matrix samples above
-        scaled = diff / math.sqrt(n)
-    return cl.vectorize_herm(scaled, md.field)
-
-
 def t_squared_limit(sigma2: np.ndarray, field: str = cl.REAL) -> np.ndarray:
     """Limit covariance of the Wishart-route statistic, in vec coordinates.
 
@@ -165,13 +132,84 @@ def t_squared_limit(sigma2: np.ndarray, field: str = cl.REAL) -> np.ndarray:
     if field != cl.REAL:
         raise UnsupportedFieldError("T^2 covariance is implemented for the real field only")
     s = np.asarray(sigma2, dtype=np.float64)
-    if s.ndim == 0:
-        s = s.reshape(1, 1)
     q = s.shape[0]
     basis = cl.herm_basis(q, cl.REAL)
     # sum_{ijkl} Ba_ij Bb_kl (s_ik s_jl + s_il s_jk) = 2 tr(Ba s Bb s)
     out = 2.0 * np.einsum("aij,jk,bkl,li->ab", basis, s, basis, s)
     return 0.5 * (out + out.T)
+
+
+# a q = 1 law whose limit variance m4 - s2^2 is at most this times m4 is
+# degenerate: over point masses rounding leaves up to 3e-16 m4 of either sign
+_LIMIT_VAR_RTOL = 1e-13
+
+
+def _fourth_moment_var(md: MomentData) -> float:
+    """m4 - s2^2 at q = 1 (CLT2, CLT4), or 0 where rounding cannot tell it from 0."""
+    var = md.m4 - md.sigma4
+    return var if var > _LIMIT_VAR_RTOL * md.m4 else 0.0
+
+
+def _real_dim(p, md: MomentData) -> int:
+    """m = d p: a q = 1 walk in C^p is the real walk in R^(2p)."""
+    return cl.field_dim(md.field) * p
+
+
+@dataclass(frozen=True)
+class Statistic:
+    """One limit theorem's statistic: normalize(x, n, index, md) scales the
+    centered walk x, scalar or matrix, to a limit N(0, var(md)) at q = 1 or
+    N(0, cov(md)) in vec coordinates at q >= 2 (no cov: stated for q = 1
+    only); regime(n, index) lists its regime warnings; where given, its law
+    at a fixed index p is the standardized chi-square(fixed_index_dof(p, md))."""
+
+    normalize: Callable
+    var: Callable
+    cov: Callable | None
+    regime: Callable
+    group_only: bool = False
+    real_only: bool = False
+    fixed_index_dof: Callable | None = None
+
+
+# CLT2 is CLT4 at q = 1
+_CLT4 = Statistic(
+    lambda x, n, index, md: x / math.sqrt(n), _fourth_moment_var,
+    lambda md: np.asarray(md.sigma2_image_cov),
+    lambda n, index: [f"regime: n^2/index = {n * n / index:.3g} > 0.1; the limit needs "
+                      "n^2/index -> 0"] if n * n / index > 0.1 else [])
+CLT = {
+    "CLT1": Statistic(
+        lambda x, n, p, md: np.sqrt(_real_dim(p, md)) / (n * md.m2 * math.sqrt(2.0)) * x,
+        lambda md: 1.0, None,
+        lambda n, p: [f"regime: n/p^3 = {n / p**3:.3g} is small; the N(0,1) limit needs "
+                      "n >> p^3 with p growing"] if n / p**3 < 1.0 else [],
+        group_only=True, fixed_index_dof=_real_dim),
+    "CLT2": replace(_CLT4, cov=None),
+    "CLT3": Statistic(
+        lambda x, n, p, md: np.sqrt(p) / n * x,
+        lambda md: 2.0 * md.sigma4, lambda md: t_squared_limit(np.asarray(md.sigma2).real),
+        lambda n, p: [f"regime: n/p^4 = {n / p**4:.3g} is small; "
+                      "the normality claim needs n >> p^4"] if n / p**4 < 1.0 else [],
+        group_only=True, real_only=True),
+    "CLT4": _CLT4,
+}
+
+
+def normalize_clt(kind: str, raw: np.ndarray, n: int, p_or_mu: float,
+                  md: MomentData) -> np.ndarray:
+    """Apply the statistic normalization exactly once: raw is ||S_n||^2 at
+    q = 1, or a stack of phi(S_n)^2 matrices, returned in vec coordinates."""
+    if kind not in CLT:
+        raise ValueError(f"unknown statistic kind {kind!r}")
+    if raw.shape[1:] != ((md.q, md.q) if md.q > 1 else ()):
+        raise ValueError(f"sample shape {raw.shape} does not match the law's q = {md.q}")
+    if md.q == 1:
+        return CLT[kind].normalize(raw - n * md.m2, n, p_or_mu, md)
+    if CLT[kind].cov is None:
+        raise ValueError(f"{kind} is a q = 1 statistic")
+    scaled = CLT[kind].normalize(raw - n * np.asarray(md.sigma2), n, p_or_mu, md)
+    return cl.vectorize_herm(scaled, md.field)
 
 
 def moment_identity_rhs(n: int, p: float, md: MomentData) -> float:
@@ -180,7 +218,7 @@ def moment_identity_rhs(n: int, p: float, md: MomentData) -> float:
     if md.q != 1:
         raise ValueError("the moment identity is a q = 1 statement")
     s4 = md.sigma4
-    return n * (md.m4 - s4) + 2.0 * (n * (n - 1.0) / (cl.field_dim(md.field) * p)) * s4
+    return n * (md.m4 - s4) + 2.0 * (n * (n - 1.0) / _real_dim(p, md)) * s4
 
 
 def empirical_cov(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

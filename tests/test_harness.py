@@ -625,9 +625,10 @@ class TestValidation:
     def test_clt_check_refuses_what_cannot_run(self, raw, field, fix):
         # a matrix walk needs p >= q, the Mardia tests of a matrix
         # statistic need more than 10 dim^2 replicates (dim 3 at q = 2 over
-        # R, 4 over C), a q = 1 CLT2 or CLT4 a positive limit variance, a
-        # q = 1 CLT1 a positive finite scale 1/(n s2) and a q = 1 CLT3 a
-        # positive finite limit variance 2 s2^2
+        # R, 4 over C), and a q = 1 statistic a positive finite scale and
+        # limit variance: CLT2 and CLT4 a limit variance m4 - s2^2 above
+        # rounding, CLT1 the scale sqrt(d p) / (n s2 sqrt(2)) and CLT3 the
+        # limit variance 2 s2^2
         raw = {"experiment": "clt-check", "seed": 1, "n_steps": 3,
                "law": {"kind": "point_mass", "atom": [[1.0, 0.0], [0.0, 1.0]]}} | raw
         with pytest.raises(ConfigError) as info:
@@ -659,9 +660,9 @@ class TestValidation:
 
     def test_tiny_scalar_law_keeps_its_verdict(self):
         # a point mass at a tiny atom scales ||S_n||^2 by the atom squared,
-        # which CLT1 and CLT3 divide out: where 1/(n s2) and 2 s2^2 are still
-        # positive and finite (CLT1 at 1e-100, CLT3 at 1e-50) the run passes
-        # at the unit atom's KS distance
+        # which CLT1 and CLT3 divide out: where CLT1's scale and CLT3's
+        # 2 s2^2 are still positive and finite (CLT1 at 1e-100, CLT3 at
+        # 1e-50) the run passes at the unit atom's KS distance
         raw = {"experiment": "clt-check", "seed": 1, "engine": "group", "p": 20, "n_steps": 4,
                "replicates": 400}
         for kind, atom in (("CLT1", 1e-100), ("CLT3", 1e-50)):

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conewalk import cone_linalg as cl
 from conewalk.errors import ConfigError, DegenerateDataError, UnsupportedFieldError
 from conewalk.harness import run_experiment, validate_config
 from conewalk.limit_lab import (
+    CLT,
     Moments,
     chi2_cdf,
     empirical_cov,
@@ -102,8 +105,46 @@ class TestNormalize:
         law = RadialLaw.point_mass(np.eye(2))
         with pytest.raises(ValueError):
             normalize_clt("CLT3", np.zeros(5), 10, 5, moments(law))
+        for kind in ("CLT1", "CLT2", "CLT4"):
+            for raw in (np.full(3, 2.0), np.full(2, 2.0)):  # (2,) broadcasts against 2 x 2
+                with pytest.raises(ValueError):
+                    normalize_clt(kind, raw, 10, 5, moments(law))
+        for kind in ("CLT1", "CLT2"):
+            with pytest.raises(ValueError):
+                normalize_clt(kind, np.zeros((3, 2, 2)), 10, 5, moments(law))
         with pytest.raises(ValueError):
             normalize_clt("CLT9", np.zeros(5), 10, 5, self.MD)
+
+
+FIELD = st.sampled_from(cl.FIELDS)
+SIZE = st.floats(1e-3, 1e3)
+# q = 1 laws of every kind, over both fields
+Q1_LAWS = st.one_of(
+    st.builds(RadialLaw.point_mass, SIZE, FIELD),
+    st.builds(lambda atoms, w, field: RadialLaw.finite_mixture(atoms, np.divide(w, sum(w)),
+                                                               field),
+              st.lists(SIZE, min_size=2, max_size=2), st.lists(SIZE, min_size=2, max_size=2),
+              FIELD),
+    st.builds(RadialLaw.two_point, SIZE, SIZE, st.floats(0.0, 1.0), FIELD),
+    st.builds(RadialLaw.log_normal, st.floats(-3.0, 3.0), st.floats(0.01, 2.0), FIELD),
+    st.builds(lambda lo, width, field: RadialLaw.uniform(lo, lo + width, field),
+              st.floats(0.0, 10.0), SIZE, FIELD),
+    st.builds(lambda c, dof, field: RadialLaw.wishart_root([[c]], dof, field),
+              SIZE, st.integers(1, 10), FIELD),
+)
+
+
+class TestCltRecords:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(Q1_LAWS)
+    def test_q1_limits_are_the_matrix_limits_at_q1(self, law):
+        # CLT2 and CLT4 share m4 - s2^2, the covariance of vec(s^2) at q = 1,
+        # and CLT3's 2 s2^2 is T2(s2) at q = 1
+        md = moments(law)
+        assert abs(CLT["CLT4"].var(md) - md.sigma2_image_cov[0, 0]) <= 1e-12 * md.m4
+        assert CLT["CLT2"].var(md) == CLT["CLT4"].var(md)
+        assert CLT["CLT3"].var(md) == pytest.approx(t_squared_limit([[md.m2]])[0, 0],
+                                                    rel=1e-15, abs=0.0)
 
 
 class TestTSquared:

@@ -406,6 +406,24 @@ def test_one_within_max_se_verdict():
     assert found == {"_held", "_reduce_m1_subadd"}
 
 
+def test_clt_kinds_named_only_in_limit_lab():
+    # each statistic's scope, normalization, limit and regime is its record
+    # in limit_lab.CLT: no other module names a kind in a string constant,
+    # so none can branch on one; docstrings are prose and are not counted
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "limit_lab.py":
+            continue
+        tree = ast.parse(path.read_text())
+        docs = {id(node.body[0].value) for node in ast.walk(tree)
+                if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                and ast.get_docstring(node, clean=False) is not None}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and re.search(r"CLT[1-4]", node.value) and id(node) not in docs]
+    assert found == []
+
+
 def test_q1_draws_take_no_select_or_sine():
     # the q = 1 step's draws run at the speed of the generator: np.where on
     # a random mask mispredicts branches, and numpy has no SIMD loop for
