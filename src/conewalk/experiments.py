@@ -69,11 +69,12 @@ from .radial_laws import MomentData, RadialLaw, law_from_spec, law_spec, moments
 DEFAULT_BLOCK_SIZE = 8192
 MAX_REPLICATE_ROWS = 2_000_000
 _NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")  # output files are named after it
+SEED_STREAM = "Philox(SeedSequence(master_seed, spawn_key=(cell, block, role)))"
 
 
 def _task_rng(cfg, task, role=0) -> np.random.Generator:
-    """Counter-based stream of one block task: the config's master seed
-    plus a (cell, block, role) key."""
+    """The counter-based stream SEED_STREAM of one block task: the config's
+    master seed plus a (cell, block, role) key."""
     seq = np.random.SeedSequence(entropy=int(cfg["seed"]),
                                  spawn_key=(int(task["cell"]), int(task["block"]), int(role)))
     return np.random.Generator(np.random.Philox(seq))
@@ -116,33 +117,28 @@ def _no_rules(raw, cfg):
     return cfg, []
 
 
-# each canonical spec's [law, moments or None until read], keyed by its JSON
-_BUILT_LAWS: dict[str, list] = {}
-
-
 def _spec_key(spec: dict) -> str:
     return json.dumps(spec, sort_keys=True, allow_nan=False)
 
 
-def _built(spec: dict) -> list:
-    """[law, moments or None] of a canonical spec, built once per process;
-    a law field's reader keeps the law it built to check the spec."""
-    key = _spec_key(spec)
-    if key not in _BUILT_LAWS:
-        _BUILT_LAWS[key] = [law_from_spec(spec), None]
-    return _BUILT_LAWS[key]
+@functools.cache
+def _law_at(key: str) -> RadialLaw:
+    """The law of a canonical spec's JSON, built once per process."""
+    return law_from_spec(json.loads(key))
+
+
+@functools.cache
+def _moments_at(key: str) -> MomentData:
+    """The exact moments of a canonical spec's law, computed once per process."""
+    return law_moments(_law_at(key))
 
 
 def _law_of(spec: dict) -> RadialLaw:
-    return _built(spec)[0]
+    return _law_at(_spec_key(spec))
 
 
 def _moments_of(spec: dict) -> MomentData:
-    """The exact moments of a canonical spec's law, computed once per process."""
-    entry = _built(spec)
-    if entry[1] is None:
-        entry[1] = law_moments(entry[0])
-    return entry[1]
+    return _moments_at(_spec_key(spec))
 
 
 def law_moments(law: RadialLaw) -> MomentData:
@@ -188,11 +184,10 @@ def _count(name: str, k: int) -> Row:
 
 def _law(name: str, val, cfg: dict) -> dict:
     """The canonical law spec; after a q, its dimensions must match."""
-    spec, law = law_spec(name, val)
+    spec = law_spec(name, val)[0]
     q, field = dims(cfg)
     if "q" in cfg and (spec["q"], spec["field"]) != (q, field):
         raise ConfigError(name, f"law dimensions must match q = {q}, field = {field}")
-    _BUILT_LAWS.setdefault(_spec_key(spec), [law, None])
     return spec
 
 
@@ -223,6 +218,14 @@ def _index(name: str, val, cfg: dict) -> float:
     return mu
 
 
+def _walk_p(name: str, val, cfg: dict) -> int:
+    """The walk dimension p: at least 1, and at least the q read before it."""
+    p = value(name, val, int, *at_least(1), cfg)
+    if p < dims(cfg)[0]:
+        raise ConfigError(name, "matrix walks require p >= q")
+    return p
+
+
 _COMMON = (
     Row("name", str, lambda cfg: cfg["experiment"], _NAME.fullmatch,
         "must be a plain file name: [A-Za-z0-9][A-Za-z0-9._-]*"),
@@ -232,6 +235,7 @@ _COMMON = (
 _Q = Row("q", int, 1, *at_least(1))
 _D = Row("d", int, 1, lambda v: v in (1, 2), "must be 1 or 2")
 _MU = Row("mu", _index)
+_P = Row("p", _walk_p)
 _LAW = Row("law", _law)
 _MOMENT_LAW = Row("law", _moment_law)
 _SCALAR_LAW = Row("law", _moment_law, REQUIRED, lambda spec: spec["q"] == 1,
@@ -252,10 +256,7 @@ _WALK = (
 
 
 def _walk_rules(raw, cfg):
-    """The walk families' cross-field rules: a group walk's p >= q,
-    checkpoints within n_steps, and the cap on replicate emission."""
-    if "p" in cfg and cfg["p"] < cfg["q"]:
-        raise ConfigError("p", "matrix walks require p >= q")
+    """The walk families' cross-field rules: checkpoints within n_steps, and the emission cap."""
     try:
         cps = checkpoint_tuple(cfg["checkpoints"], cfg["n_steps"])
     except ValueError as exc:
@@ -273,7 +274,7 @@ class WalkGroupExperiment:
     name = "walk-group"
     columns = ["step", "replicates", "mean_tr_sq", "se_mean", "expected_tr_sq",
                "abs_diff", "diff_over_se", "pass"]
-    fields = _COMMON + (_count("p", 1), _Q, FIELD, _METHOD) + _WALK
+    fields = _COMMON + (_Q, FIELD, _P, _METHOD) + _WALK
 
     validate = staticmethod(_walk_rules)
 
@@ -475,7 +476,7 @@ class CltCheckExperiment:
         _LEVEL._replace(name="mardia_level"),
         Row("ks_threshold", float, lambda cfg: 3.0 / math.sqrt(cfg["replicates"]), *POSITIVE),
     )
-    engine_fields = {"group": (_count("p", 1), _METHOD), "bessel": (_MU,)}
+    engine_fields = {"group": (_P, _METHOD), "bessel": (_MU,)}
 
     @staticmethod
     def validate(raw, cfg):
@@ -483,26 +484,24 @@ class CltCheckExperiment:
         md = _moments_of(cfg["law"])
         kind, clt = cfg["kind"], lab.CLT[cfg["kind"]]
         n, index = cfg["n_steps"], cfg.get("p", cfg.get("mu"))
-        if cfg["engine"] == "group" and md.q > 1 and index < md.q:
-            raise ConfigError("p", "matrix walks require p >= q")
         if clt.cov is None and md.q != 1:
             raise ConfigError("kind", f"{kind} is a q = 1 statistic")
         if clt.group_only and cfg["engine"] != "group":
             raise ConfigError("engine", f"{kind} is stated for the group walk")
         if clt.real_only and md.field != cl.REAL:
             raise ConfigError("law.field", f"{kind} is stated for the real field")
-        if md.q > 1:
-            dim = cl.herm_vec_dim(md.q, md.field)
-            if cfg["replicates"] <= 10 * dim * dim:
-                raise ConfigError("replicates", "the Mardia tests need more than "
-                                  f"10 dim^2 = {10 * dim * dim} replicates")
-        else:
-            # the statistic of a unit deviation, and the variance it is held to
-            with np.errstate(all="ignore"):
-                scale, var = clt.normalize(1.0, n, index, md), clt.var(md)
-            if not (0.0 < scale < math.inf and 0.0 < var < math.inf):
-                raise ConfigError("law", f"{kind}'s scale {scale:.3g} and limit variance "
-                                  f"{var:.3g} must be positive finite float64 numbers")
+        floor = lab.mardia_floor(cl.herm_vec_dim(md.q, md.field))
+        if md.q > 1 and cfg["replicates"] <= floor:
+            raise ConfigError("replicates", f"the Mardia tests need more than 10 dim^2 = {floor} "
+                              "replicates")
+        # the statistic of a unit deviation, and each variance it is held to
+        with np.errstate(all="ignore"):
+            scale = clt.normalize(1.0, n, index, md)
+            var = np.diag(clt.cov(md)) if md.q > 1 else np.array([clt.var(md)])
+        ok = (var > 0) & (var < math.inf)
+        if not (0.0 < scale < math.inf and ok.all()):
+            raise ConfigError("law", f"{kind}'s scale {scale:.3g} and limit variance "
+                              f"{var[ok.argmin()]:.3g} must be positive finite float64 numbers")
         warnings = clt.regime(n, index)
         if clt.fixed_index_dof is not None:
             gap = lab.chi2_normal_gap(clt.fixed_index_dof(index, md))
@@ -603,7 +602,7 @@ class BerryEsseenScanExperiment:
     columns = ["n", "replicates", "ks_distance", "noise_floor", "included"]
     fields = _COMMON + (
         _SCALAR_LAW,
-        _count("p", 1),
+        _P,
         Row("n_grid", List(int, *at_least(1)), REQUIRED,
             lambda v: len(v) >= 4 and v == sorted(set(v)), "needs >= 4 sorted unique points"),
         _count("replicates", 4),
@@ -613,10 +612,8 @@ class BerryEsseenScanExperiment:
 
     @staticmethod
     def validate(raw, cfg):
-        # the run scales ||S_n||^2 by m / (n m2), m = d p, at every n
         with np.errstate(all="ignore"):
-            scales = cl.field_dim(cfg["law"]["field"]) * float(cfg["p"]) / (
-                np.asarray(cfg["n_grid"], dtype=float) * _moments_of(cfg["law"]).m2)
+            scales = np.array([_scan_scale(cfg, n) for n in cfg["n_grid"]])
         if not np.all((scales > 0) & (scales < math.inf)):
             raise ConfigError("law", "the scale m/(n m2), m = d p, is not a positive finite "
                               "number at every n of n_grid")
@@ -628,16 +625,13 @@ class BerryEsseenScanExperiment:
 
     @staticmethod
     def run_block(cfg, task):
-        law = _law_of(cfg["law"])
         n = cfg["n_grid"][task["cell"]]
-        traj = _walks(cfg, law, (n,), _task_rng(cfg, task), task["size"])
-        # m ||S_n||^2 / (n s2) against chi-square(m), m = d p
-        m = cl.field_dim(law.field) * cfg["p"]
-        return traj[0] * (m / (n * _moments_of(cfg["law"]).m2))
+        traj = _walks(cfg, _law_of(cfg["law"]), (n,), _task_rng(cfg, task), task["size"])
+        return traj[0] * _scan_scale(cfg, n)
 
     @staticmethod
     def reduce(cfg, cells):
-        m = cl.field_dim(_law_of(cfg["law"]).field) * cfg["p"]
+        m = lab.real_dim(cfg["p"], _moments_of(cfg["law"]))
         dists = [lab.ks_distance(np.concatenate(parts), lambda t: lab.chi2_cdf(m, t))
                  for parts in cells]
         fit = lab.fit_loglog(cfg["n_grid"], dists, 3.0 / math.sqrt(cfg["replicates"]))
@@ -658,6 +652,12 @@ class BerryEsseenScanExperiment:
                 "checks": checks,
                 "plot": {"columns": ["log_n", "log_ks", "log_ks_err"],
                          "rows": plot_rows}}
+
+
+def _scan_scale(cfg, n):
+    """m / (n m2), m = d p: the scan holds m ||S_n||^2 / (n m2) to chi-square(m)."""
+    md = _moments_of(cfg["law"])
+    return np.divide(lab.real_dim(cfg["p"], md), n * md.m2)
 
 
 # -- moment identity ---------------------------------------------------------
@@ -870,8 +870,6 @@ def _reduce_mu_scaling(spec, parts):
 
 def _group_consistency_rules(spec):
     q, d, p = spec["q"], spec["d"], spec["p"]
-    if q > 1 and p < q:
-        raise ConfigError("p", "needs p >= q")
     try:
         BesselParam(0.5 * d * p, q, d)
     except ValueError as exc:
@@ -920,7 +918,7 @@ _CHECKS = {
                                 Row("law2", _moment_law, lambda spec: spec["law"]), _MU,
                                 _count("replicates", 2), _MAX_SE),
                                _run_m1_subadd, _reduce_m1_subadd),
-    "group-consistency": _Check((_Q, _D, _LAW, _count("p", 1), _count("n_steps", 1),
+    "group-consistency": _Check((_Q, _D, _LAW, _P, _count("n_steps", 1),
                                  _count("replicates", 8), _LEVEL),
                                 _run_group_consistency, _reduce_two_sample_ks,
                                 _group_consistency_rules),

@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import REQUIRED, Row, declared, read
 from .errors import ConfigError
-from .experiments import EXPERIMENTS
+from .experiments import EXPERIMENTS, SEED_STREAM
 
 SCHEMA_VERSION = 1
 # the fields that pick a family's table, read before it
@@ -110,11 +110,8 @@ class RunRecord:
             "name": self.name,
             "config": self.config,
             "config_sha256": self.config_sha256,
-            "seed_scheme": {
-                "master_seed": self.config["seed"],
-                "block_size": self.config["block_size"],
-                "stream": "Philox(SeedSequence(master_seed, spawn_key=(cell, block, role)))",
-            },
+            "seed_scheme": {"master_seed": self.config["seed"],
+                            "block_size": self.config["block_size"], "stream": SEED_STREAM},
             "columns": self.columns,
             "n_rows": len(self.rows),
             "aggregates": _jsonable(self.aggregates),

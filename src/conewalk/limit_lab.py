@@ -150,7 +150,7 @@ def _fourth_moment_var(md: MomentData) -> float:
     return var if var > _LIMIT_VAR_RTOL * md.m4 else 0.0
 
 
-def _real_dim(p, md: MomentData) -> int:
+def real_dim(p, md: MomentData) -> int:
     """m = d p: a q = 1 walk in C^p is the real walk in R^(2p)."""
     return cl.field_dim(md.field) * p
 
@@ -180,11 +180,11 @@ _CLT4 = Statistic(
                       "n^2/index -> 0"] if n * n / index > 0.1 else [])
 CLT = {
     "CLT1": Statistic(
-        lambda x, n, p, md: np.sqrt(_real_dim(p, md)) / (n * md.m2 * math.sqrt(2.0)) * x,
+        lambda x, n, p, md: np.sqrt(real_dim(p, md)) / (n * md.m2 * math.sqrt(2.0)) * x,
         lambda md: 1.0, None,
         lambda n, p: [f"regime: n/p^3 = {n / p**3:.3g} is small; the N(0,1) limit needs "
                       "n >> p^3 with p growing"] if n / p**3 < 1.0 else [],
-        group_only=True, fixed_index_dof=_real_dim),
+        group_only=True, fixed_index_dof=real_dim),
     "CLT2": replace(_CLT4, cov=None),
     "CLT3": Statistic(
         lambda x, n, p, md: np.sqrt(p) / n * x,
@@ -217,8 +217,7 @@ def moment_identity_rhs(n: int, p: float, md: MomentData) -> float:
     F^p: n (m4 - sigma2^2) + 2 n (n - 1) sigma2^2 / m, with m = d p."""
     if md.q != 1:
         raise ValueError("the moment identity is a q = 1 statement")
-    s4 = md.sigma4
-    return n * (md.m4 - s4) + 2.0 * (n * (n - 1.0) / _real_dim(p, md)) * s4
+    return n * (md.m4 - md.sigma4) + 2.0 * (n * (n - 1.0) / real_dim(p, md)) * md.sigma4
 
 
 def empirical_cov(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,6 +229,11 @@ def empirical_cov(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     xc = x - mean
     cov = xc.T @ xc / (x.shape[0] - 1)
     return mean, 0.5 * (cov + cov.T)
+
+
+def mardia_floor(dim: int) -> int:
+    """10 dim^2: the Mardia tests in dim coordinates need more samples than this."""
+    return 10 * dim * dim
 
 
 @dataclass(frozen=True)
@@ -252,8 +256,8 @@ def mardia_tests(samples: np.ndarray) -> MardiaResult:
     """
     x = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     n, dim = x.shape
-    if n <= 10 * dim * dim:
-        raise ValueError(f"need more than 10*dim^2 = {10 * dim * dim} samples, got {n}")
+    if n <= mardia_floor(dim):
+        raise ValueError(f"need more than 10*dim^2 = {mardia_floor(dim)} samples, got {n}")
     xc = x - x.mean(axis=0)
     cov = xc.T @ xc / n
     try:

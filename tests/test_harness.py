@@ -30,6 +30,15 @@ TWO_POINT = {"kind": "two_point", "a": 1.0, "b": 2.0, "p_a": 0.5}
 HUGE_TWO_POINT = {"kind": "two_point", "a": 1e80, "b": 2e80, "p_a": 0.5}
 HUGE_LOG_NORMAL = {"kind": "log_normal", "log_mean": 200.0, "log_sd": 1.0}
 HUGE_UNIFORM = {"kind": "uniform", "lo": 0.0, "hi": 1e80}
+# q = 2 laws whose s^2 varies in every coordinate
+MIX2 = {"kind": "finite_mixture", "atoms": [[[1.0, 0.0], [0.0, 2.0]], [[0.5, 0.1], [0.1, 1.0]]],
+        "weights": [0.5, 0.5]}
+MIX2C = {"kind": "finite_mixture", "field": "complex", "weights": [0.5, 0.5],
+         "atoms": [[[1.0, 0.0], [0.0, 2.0]], [[[0.5, 0.0], [0.1, 0.2]], [[0.1, -0.2], [1.0, 0.0]]]]}
+# atoms at 1e-100 I and 2e-100 I: the limit covariances underflow to 0
+TINY_MIX2 = {"kind": "finite_mixture", "atoms": [[[1e-100, 0.0], [0.0, 1e-100]],
+                                                 [[2e-100, 0.0], [0.0, 2e-100]]],
+             "weights": [0.5, 0.5]}
 
 
 def tiny_walk_config(**overrides):
@@ -123,6 +132,10 @@ def _random_config(rng):
         if q == 1 and kind in ("CLT2", "CLT4"):
             # |s|^2 must not take one value: its variance is the limit's
             law = scalar_law | {"p_a": float(rng.uniform(0.05, 0.95))}
+        elif kind == "CLT4" and law["kind"] == "point_mass":
+            # s^2 must vary in every coordinate: its covariance is the limit's
+            law = {"kind": "finite_mixture", "field": field, "weights": [0.25, 0.75],
+                   "atoms": [_matrix_json(rng, q, field) for _ in range(2)]}
         group = kind in ("CLT1", "CLT3") or rng.random() < 0.5
         dim = cl.herm_vec_dim(q, field)
         raw |= {"kind": kind, "law": law, "n_steps": n_steps, "ks_threshold": 0.05,
@@ -603,12 +616,13 @@ class TestValidation:
         assert info.value.field == "method"
 
     @pytest.mark.parametrize("raw, field, fix", [
-        ({"kind": "CLT4", "engine": "group", "p": 1, "replicates": 1000}, "p", {"p": 2}),
+        ({"kind": "CLT4", "engine": "group", "p": 1, "replicates": 1000}, "p",
+         {"p": 2, "law": MIX2}),
         ({"kind": "CLT3", "engine": "group", "p": 4, "replicates": 90}, "replicates",
          {"replicates": 91}),
         ({"kind": "CLT4", "engine": "bessel", "mu": 4.0, "replicates": 160,
           "law": {"kind": "point_mass", "field": "complex", "atom": [[1.0, 0.0], [0.0, 1.0]]}},
-         "replicates", {"replicates": 161}),
+         "replicates", {"replicates": 161, "law": MIX2C}),
         ({"kind": "CLT2", "engine": "group", "p": 3, "replicates": 10,
           "law": {"kind": "point_mass", "atom": [[0.1]]}}, "law", {"law": TWO_POINT}),
         ({"kind": "CLT4", "engine": "bessel", "mu": 3.0, "replicates": 10,
@@ -619,16 +633,28 @@ class TestValidation:
           for kind, atom, fix in [("CLT1", 0.0, 1e-100), ("CLT1", 1e-200, 1e-100),
                                   ("CLT3", 0.0, 1e-50), ("CLT3", 1e-200, 1e-50),
                                   ("CLT3", 1e-100, 1e-50)]],
+        *[({"kind": kind, "replicates": 400, "law": law} | engine, "law", {"law": MIX2})
+          for kind, engine, law in [
+              ("CLT3", {"engine": "group", "p": 20000}, TINY_MIX2),
+              ("CLT4", {"engine": "group", "p": 20000}, TINY_MIX2),
+              ("CLT4", {"engine": "bessel", "mu": 20000.0}, TINY_MIX2),
+              ("CLT4", {"engine": "group", "p": 4}, {"kind": "point_mass",
+                                                     "atom": [[1.0, 0.0], [0.0, 1.0]]})]],
     ], ids=["p-below-q", "clt3-mardia", "clt4-complex-mardia", "clt2-point-mass",
             "clt4-equal-two-point", "clt1-atom-0", "clt1-atom-1e-200", "clt3-atom-0",
-            "clt3-atom-1e-200", "clt3-atom-1e-100"])
+            "clt3-atom-1e-200", "clt3-atom-1e-100", "clt3-group-tiny-q2", "clt4-group-tiny-q2",
+            "clt4-bessel-tiny-q2", "clt4-point-mass-q2"])
     def test_clt_check_refuses_what_cannot_run(self, raw, field, fix):
         # a matrix walk needs p >= q, the Mardia tests of a matrix
         # statistic need more than 10 dim^2 replicates (dim 3 at q = 2 over
-        # R, 4 over C), and a q = 1 statistic a positive finite scale and
-        # limit variance: CLT2 and CLT4 a limit variance m4 - s2^2 above
-        # rounding, CLT1 the scale sqrt(d p) / (n s2 sqrt(2)) and CLT3 the
-        # limit variance 2 s2^2
+        # R, 4 over C), and at every q a statistic needs a positive finite
+        # scale and each limit variance positive and finite: at q = 1 CLT2
+        # and CLT4 a limit variance m4 - s2^2 above rounding, CLT1 the scale
+        # sqrt(d p) / (n s2 sqrt(2)) and CLT3 the limit variance 2 s2^2; at
+        # q = 2 each diagonal entry of CLT3's T2(s2) and of CLT4's
+        # Cov vec(s^2), which underflow at atoms of 1e-100 I and vanish at a
+        # point mass.  CLT3 is stated for the group walk only, so its
+        # index-mu run is refused for its engine before its law
         raw = {"experiment": "clt-check", "seed": 1, "n_steps": 3,
                "law": {"kind": "point_mass", "atom": [[1.0, 0.0], [0.0, 1.0]]}} | raw
         with pytest.raises(ConfigError) as info:
@@ -1411,15 +1437,11 @@ class TestCli:
         assert "FAIL" in res.stdout
 
     @pytest.mark.parametrize("raw", [
-        {"kind": "CLT4", "engine": "bessel", "mu": 50.0,
-         "law": {"kind": "point_mass", "field": "real", "atom": [[1.0, 0.0], [0.0, 2.0]]}},
-        {"kind": "CLT3", "engine": "group", "p": 4,
-         "law": {"kind": "finite_mixture", "atoms": [[[1.0, 0.0], [0.0, 2.0]],
-                                                     [[0.5, 0.1], [0.1, 1.0]]],
-                 "weights": [0.5, 0.5]}},
-    ], ids=["bessel-point-mass", "group-two-atoms"])
+        {"kind": "CLT4", "engine": "bessel", "mu": 50.0, "law": MIX2},
+        {"kind": "CLT3", "engine": "group", "p": 4, "law": MIX2},
+    ], ids=["bessel-two-atoms", "group-two-atoms"])
     def test_singular_mardia_exit_four(self, tmp_path, capsys, raw):
-        # one step of a law with one or two atoms takes one or two values,
+        # one step of a law with two atoms takes two values,
         # so the statistic's covariance is singular: the Mardia check fails
         # with a reason and null p-values, and the run still ends in a verdict
         raw = {"experiment": "clt-check", "name": "singular", "n_steps": 1,

@@ -40,3 +40,39 @@ def test_perfbench_imports_resolve():
     missing = [f"{where}: from {module} import {name}" for where, module, name in imports
                if not _resolves(module, name)]
     assert missing == []
+
+
+def test_tracer_installs_and_restores(tmp_path):
+    # perfbench's --trace 1 wraps the package's public functions, each
+    # family's four hooks, RadialLaw.sample and sample_scalar and
+    # bessel._propose; a run sees them, and uninstall restores every
+    # attribute it patched
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    from conewalk import experiments, harness, radial_laws
+
+    owners = [importlib.import_module("conewalk"),
+              *(importlib.import_module(f"conewalk.{name}") for name in spans.MODULES),
+              radial_laws.RadialLaw, *experiments.EXPERIMENTS.values()]
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = spans.Tracer(tmp_path)
+    tracer.install()
+    try:
+        assert experiments.law_moments is not before[owners.index(experiments)]["law_moments"]
+        law = {"kind": "finite_mixture", "atoms": [[[1.0, 0.0], [0.0, 2.0]],
+                                                   [[0.5, 0.1], [0.1, 1.0]]],
+               "weights": [0.5, 0.5]}
+        cfg, warnings = harness.validate_config(
+            {"experiment": "clt-check", "seed": 1, "kind": "CLT4", "engine": "bessel",
+             "mu": 50.0, "n_steps": 2, "replicates": 100, "law": law})
+        harness.run_experiment(cfg, workers=1, warnings=warnings)
+    finally:
+        tracer.uninstall()
+    changed = [f"{owner.__name__}.{name}" for owner, old in zip(owners, before)
+               for name in old.keys() | vars(owner).keys()
+               if old.get(name) is not vars(owner).get(name)]
+    assert changed == []
+    layers = set(spans.layer_totals(tracer.spans))
+    assert {"harness.run_experiment", "radial_laws.sample", "limit_lab.normalize_clt",
+            *(f"experiments.{hook}" for hook in spans.EXPERIMENT_HOOKS)} <= layers

@@ -320,7 +320,7 @@ class TestSpecs:
         from conewalk.harness import run_experiment, validate_config
 
         calls = []
-        monkeypatch.setattr(experiments, "_BUILT_LAWS", {})
+        experiments._moments_at.cache_clear()
         monkeypatch.setattr(experiments, "moments", lambda law: calls.append(law) or moments(law))
         raw = {"experiment": "clt-check", "name": "once", "seed": 5, "kind": "CLT4",
                "engine": "bessel", "mu": 50.0, "n_steps": 2, "law": MIX6_SPEC,

@@ -437,3 +437,29 @@ def test_q1_draws_take_no_select_or_sine():
     found = [f"{fn.name}:{node.lineno}" for fn in fns for node in ast.walk(fn)
              if isinstance(node, ast.Call) and _called_name(node) in ("where", "sin")]
     assert found == []
+
+
+def test_each_config_rule_written_once():
+    # a config's p >= q refusal is raised by the p reader alone (the
+    # walks' own ValueErrors guard direct calls), and the Mardia floor
+    # 10 dim^2 and the q = 1 real dimension m = d p are each written in one
+    # function of limit_lab, which every other site calls; the one other
+    # m = d p is the q = 1 Haar block's own parameter, in the walk sampler
+    p_rule, floor, real_dim = set(), set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = f"{path.stem}.{getattr(top, 'name', top.lineno)}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) \
+                        and _called_name(node.exc) == "ConfigError" \
+                        and "p >= q" in ast.unparse(node.exc):
+                    p_rule.add(where)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                    if ast.unparse(node) == "10 * dim * dim":
+                        floor.add(where)
+                    if isinstance(node.left, ast.Call) and _called_name(node.left) == "field_dim" \
+                            and re.search(r"\bp\b", ast.unparse(node.right)):
+                        real_dim.add(where)
+    assert p_rule == {"experiments._walk_p"}
+    assert floor == {"limit_lab.mardia_floor"}
+    assert real_dim == {"limit_lab.real_dim", "orbit_sampler.radial_projection_coeff"}
