@@ -93,12 +93,19 @@ def sample_contraction(param: BesselParam, rng: np.random.Generator,
     return cone_block(param.nu, param.q, param.field, rng, size)
 
 
+def gaussian_proposal(e: float) -> bool:
+    """Whether :func:`kappa_mu` proposes from a Gaussian at e = mu - rho,
+    as it does from e = 1/2 on; below, it proposes uniformly on a ball
+    enclosing D_q.  The kappa family's branch column reads it too."""
+    return e >= 0.5
+
+
 def _propose(e, q, field, rng, k):
     """k importance-sampling proposals for :func:`kappa_mu`: Gaussian with
-    coordinate variance 1/(2e) for e >= 1/2, else uniform on the Frobenius
-    ball of radius sqrt(q), which encloses D_q; (k,) for q = 1."""
+    coordinate variance 1/(2e) where gaussian_proposal(e), else uniform on
+    the Frobenius ball of radius sqrt(q), which encloses D_q; (k,) for q = 1."""
     dim = cl.field_dim(field) * q * q
-    if e >= 0.5:
+    if gaussian_proposal(e):
         shape = k if q == 1 else (k, q, q)
         x = rng.standard_normal(shape)
         if field != cl.REAL:
@@ -154,7 +161,8 @@ def kappa_mu(param: BesselParam, n_samples: int, rng: np.random.Generator) -> Mo
         raise ValueError(f"kappa estimation requires mu >= rho (mu={param.mu}, rho={param.rho})")
     q, field = param.q, param.field
     dim = cl.field_dim(field) * q * q
-    if e >= 0.5:
+    gaussian = gaussian_proposal(e)
+    if gaussian:
         const = (math.pi / e) ** (dim / 2.0)
     else:
         # the volume of the Frobenius ball of radius sqrt(q), through poch
@@ -164,7 +172,7 @@ def kappa_mu(param: BesselParam, n_samples: int, rng: np.random.Generator) -> Mo
                  * special.poch(dim / 2.0 + 1.0, -dim / 2.0))
 
     in_ball, logdet, tr = _ball_stats(_propose(e, q, field, rng, n_samples), q)
-    log_w = e * (logdet + tr) if e >= 0.5 else e * logdet
+    log_w = e * (logdet + tr) if gaussian else e * logdet
     m = Moments.of(np.where(in_ball, np.exp(log_w), 0.0))
     # scaled once, so weights that are all exactly 1 (mu = rho) give const
     return Moments(m.count, const * m.mean, const * const * m.M2)

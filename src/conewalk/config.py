@@ -11,6 +11,7 @@ its field.
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from typing import Callable, NamedTuple
@@ -21,6 +22,12 @@ from . import cone_linalg as cl
 from .errors import ConeViolationError, ConfigError
 
 REQUIRED = object()  # the default of a field that must be given
+
+
+def canonical_json(cfg: dict) -> str:
+    """cfg's one JSON text: compact, keys sorted, no NaN.  It is hashed
+    into a run's config_sha256 and keys the law cache."""
+    return json.dumps(cfg, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _is_finite_number(x) -> bool:

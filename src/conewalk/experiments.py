@@ -34,6 +34,7 @@ from .bessel import (
     BesselParam,
     bessel_character_1d,
     convolve_points,
+    gaussian_proposal,
     kappa_exact,
     kappa_mu,
     paired_composition_diffs,
@@ -47,6 +48,7 @@ from .config import (
     List,
     Row,
     at_least,
+    canonical_json,
     dims,
     matrix,
     matrix_from_spec,
@@ -117,10 +119,6 @@ def _no_rules(raw, cfg):
     return cfg, []
 
 
-def _spec_key(spec: dict) -> str:
-    return json.dumps(spec, sort_keys=True, allow_nan=False)
-
-
 @functools.cache
 def _law_at(key: str) -> RadialLaw:
     """The law of a canonical spec's JSON, built once per process."""
@@ -134,11 +132,11 @@ def _moments_at(key: str) -> MomentData:
 
 
 def _law_of(spec: dict) -> RadialLaw:
-    return _law_at(_spec_key(spec))
+    return _law_at(canonical_json(spec))
 
 
 def _moments_of(spec: dict) -> MomentData:
-    return _moments_at(_spec_key(spec))
+    return _moments_at(canonical_json(spec))
 
 
 def law_moments(law: RadialLaw) -> MomentData:
@@ -191,17 +189,24 @@ def _law(name: str, val, cfg: dict) -> dict:
     return spec
 
 
+def _float64_moments(spec: dict) -> MomentData | None:
+    """The moments of a spec's law, or None where computing them leaves
+    float64: a float power overflows, or MomentData's checks (which square
+    m1 and m2) refuse what overflowed.  Infinite moments are returned: a
+    law can have m2 = 0 and m4 = inf in float64."""
+    try:
+        with np.errstate(all="ignore"):
+            return _moments_of(spec)
+    except (OverflowError, ValueError):
+        return None
+
+
 def _moment_law(name: str, val, cfg: dict) -> dict:
     """A law whose run reads its moments: m1..m4 and m2^2 must be finite
     float64 numbers."""
     spec = _law(name, val, cfg)
-    try:
-        with np.errstate(all="ignore"):
-            md = _moments_of(spec)
-        finite = all(map(math.isfinite, (md.m1, md.m2, md.m3, md.m4, md.sigma4)))
-    except (OverflowError, ValueError):  # a float power, or MomentData's checks
-        finite = False
-    if not finite:
+    md = _float64_moments(spec)
+    if md is None or not all(map(math.isfinite, (md.m1, md.m2, md.m3, md.m4, md.sigma4))):
         raise ConfigError(name, "its moments m1..m4 or m2^2 overflow float64")
     return spec
 
@@ -440,7 +445,7 @@ class KappaExperiment:
             m = lab.Moments.pooled(parts)
             count, mean, se = m.count, m.mean, m.se
             param = BesselParam(mu, cfg["q"], cfg["d"])
-            branch = "gaussian-is" if mu - param.rho >= 0.5 else "ball-is"
+            branch = "gaussian-is" if gaussian_proposal(mu - param.rho) else "ball-is"
             ref = kappa_exact(param)
             # at large mu the weights differ from 1 by rounding alone, and se
             # can fall below the estimate's own float64 rounding
@@ -897,12 +902,8 @@ def _mu_scaling_rules(spec):
         raise ConfigError("mu", f"{exc} (the check runs at mu and at 4 mu)") from exc
     if spec["ratio_lo"] > spec["ratio_hi"]:
         raise ConfigError("ratio_lo", "must be <= ratio_hi, or no ratio can pass")
-    try:
-        with np.errstate(all="ignore"):
-            zero = _moments_of(spec["law"]).m2 == 0
-    except (OverflowError, ValueError):  # moments past float64: the check runs as before
-        zero = False
-    if zero:
+    md = _float64_moments(spec["law"])  # moments past float64: the check runs as before
+    if md is not None and md.m2 == 0:
         raise ConfigError("law", "m2 = 0: both gaps are exactly 0, so their ratio says nothing")
 
 

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import REQUIRED, Row, declared, read
+from .config import REQUIRED, Row, canonical_json, declared, read
 from .errors import ConfigError
 from .experiments import EXPERIMENTS, SEED_STREAM
 
@@ -68,10 +68,6 @@ def load_config(path: str | Path) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "config must be a JSON object")
     return raw
-
-
-def canonical_json(cfg: dict) -> str:
-    return json.dumps(cfg, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def config_hash(cfg: dict) -> str:

@@ -65,7 +65,6 @@ class RadialLaw:
     kind: str
     q: int
     field: str
-    atom: np.ndarray | None = None
     atoms: np.ndarray | None = None
     weights: np.ndarray | None = None
     # normalized CDF of weights, built once: each draw is one searchsorted
@@ -92,8 +91,7 @@ class RadialLaw:
 
     @classmethod
     def point_mass(cls, atom, field: str = cl.REAL) -> "RadialLaw":
-        atom = cl.clamp_psd(to_matrix(atom, field))
-        return cls(kind="point_mass", q=atom.shape[-1], field=field, atom=atom)
+        return cls.finite_mixture([atom], [1.0], field)
 
     @classmethod
     def finite_mixture(cls, atoms, weights, field: str = cl.REAL) -> "RadialLaw":
@@ -145,8 +143,6 @@ class RadialLaw:
         """Draw radii as a float array of shape size (q = 1 laws only)."""
         if self.q != 1:
             raise ValueError("scalar sampling requires q = 1")
-        if self.kind == "point_mass":
-            return np.full(size, float(self.atom[0, 0].real))
         if self.kind == "finite_mixture":
             return self.atoms[:, 0, 0].real[self._mixture_index(rng, size)]
         if self.kind == "two_point":
@@ -165,19 +161,20 @@ class RadialLaw:
 
     def _mixture_index(self, rng: np.random.Generator, size) -> np.ndarray:
         # the draws and stream state of rng.choice(len(w), size, p=w), which
-        # rebuilds and checks the CDF on every call
+        # rebuilds and checks the CDF on every call, but one atom (a point
+        # mass) draws nothing
+        if self.cdf.size == 1:
+            return np.zeros(size, dtype=np.intp)
         return self.cdf.searchsorted(rng.random(size), side="right")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw factors L of the increments' Gram matrices, shape
-        (size, q, q): L*L = s^2 for a draw s of the law.  For the atom and
-        scalar kinds L is s itself; for wishart_root it is the upper
+        (size, q, q): L*L = s^2 for a draw s of the law.  For a mixture of
+        atoms and the scalar kinds L is s itself; for wishart_root it is the upper
         Bartlett factor of a Wishart(I_q, dof) draw times the scale's
         factor, with no root per draw.  Every walk and check reads only
         L*L, whose law does not depend on the factor (see
         :func:`cone_linalg.cone_step`)."""
-        if self.kind == "point_mass":
-            return np.broadcast_to(self.atom, (size,) + self.atom.shape).copy()
         if self.kind == "finite_mixture":
             return self.atoms[self._mixture_index(rng, size)]
         if self.kind in _SCALAR_KINDS:
@@ -200,10 +197,8 @@ def law_from_spec(spec: dict) -> RadialLaw:
 
 def moments(law: RadialLaw) -> MomentData:
     """Exact moment metadata of every law in the catalogue."""
-    if law.kind == "point_mass":
-        return _atomic_moments(law, law.atom[None, ...], np.array([1.0]))
     if law.kind == "finite_mixture":
-        return _atomic_moments(law, law.atoms, law.weights)
+        return _atomic_moments(law)
     if law.kind in _SCALAR_KINDS:
         mk = _scalar_raw_moments(law)
         sigma2 = np.array([[mk[2]]])
@@ -257,7 +252,8 @@ def _scalar_raw_moments(law: RadialLaw) -> dict[int, float]:
     raise ValueError(law.kind)
 
 
-def _atomic_moments(law: RadialLaw, atoms: np.ndarray, weights: np.ndarray) -> MomentData:
+def _atomic_moments(law: RadialLaw) -> MomentData:
+    atoms, weights = law.atoms, law.weights
     sq = np.einsum("nij,njk->nik", atoms, atoms)
     norms = cl.frob_norm(atoms)
     mk = [float(np.sum(weights * norms**k)) for k in (1, 2, 3, 4)]

@@ -17,12 +17,8 @@ from conewalk import cone_linalg as cl
 from conewalk import cli, config, experiments, harness, radial_laws
 from conewalk.errors import ConfigError
 from conewalk.experiments import EXPERIMENTS
-from conewalk.harness import (
-    canonical_json,
-    emit_outputs,
-    run_experiment,
-    validate_config,
-)
+from conewalk.config import canonical_json
+from conewalk.harness import emit_outputs, run_experiment, validate_config
 from conewalk.orbit_sampler import tr_squared
 
 REPO = Path(__file__).resolve().parents[1]

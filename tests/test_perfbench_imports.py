@@ -3,7 +3,8 @@
 perfbench/ imports conewalk's functions by name, at module level and
 inside functions.  A change that moves or deletes one of them fails here,
 not in the benchmark run.  The layer names that perfbench/spans.py traces
-are strings, not imports, and are not checked here.
+are strings, not imports: test_traced_names_resolve holds them to a list
+of the names already gone.
 """
 
 import ast
@@ -76,3 +77,32 @@ def test_tracer_installs_and_restores(tmp_path):
     layers = set(spans.layer_totals(tracer.spans))
     assert {"harness.run_experiment", "radial_laws.sample", "limit_lab.normalize_clt",
             *(f"experiments.{hook}" for hook in spans.EXPERIMENT_HOOKS)} <= layers
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+def test_traced_names_resolve():
+    # every layer, counted layer and alias that perfbench/spans.py names
+    # resolves to a module attribute, a RadialLaw method (radial_laws) or a
+    # family hook (experiments), but for the five names whose functions
+    # are gone already.  A change that deletes another traced function
+    # fails here, where the benchmark would read its layer as 0
+    spans = _load_spans()
+    from conewalk import experiments, radial_laws
+
+    def resolves(name):
+        module, attr = name.split(".", 1)
+        return (hasattr(importlib.import_module(f"conewalk.{module}"), attr)
+                or (module == "radial_laws" and callable(vars(radial_laws.RadialLaw).get(attr)))
+                or (module == "experiments" and attr in spans.EXPERIMENT_HOOKS
+                    and all(hasattr(exp, attr) for exp in experiments.EXPERIMENTS.values())))
+
+    names = {*spans.LAYERS, *spans.COUNT_KEYS, *spans._ALIASES, *spans._ALIASES.values()}
+    assert sorted(name for name in names if not resolves(name)) == [
+        "bessel._sample_contraction_flat", "bessel.convolve_points_scalar",
+        "bessel.run_bessel_walks", "cone_linalg.eig_herm", "orbit_sampler.stiefel_block"]

@@ -463,3 +463,34 @@ def test_each_config_rule_written_once():
     assert p_rule == {"experiments._walk_p"}
     assert floor == {"limit_lab.mardia_floor"}
     assert real_dim == {"limit_lab.real_dim", "orbit_sampler.radial_projection_coeff"}
+
+
+def test_one_way_to_write_each_thing():
+    # each public name has one import path, its module's: the package root
+    # imports nothing.  A point mass is a one-atom finite_mixture, so no
+    # module branches on the point_mass kind.  Compact JSON with sorted keys
+    # is written once, config.canonical_json, which hashes a config and
+    # keys the law cache.  Moments past float64 are caught once, in
+    # experiments._float64_moments
+    init = ast.parse((SRC / "__init__.py").read_text())
+    assert [node.lineno for node in ast.walk(init)
+            if isinstance(node, (ast.Import, ast.ImportFrom))] == []
+    assert [ast.unparse(node) for node in init.body[1:]] == ["__version__ = '0.1.0'"]
+    point_mass, compact, overflow = [], set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = f"{path.stem}.{getattr(top, 'name', top.lineno)}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Compare) and any(
+                        isinstance(c, ast.Constant) and c.value == "point_mass"
+                        for c in ast.walk(node)):
+                    point_mass.append(f"{where}:{node.lineno}")
+                if isinstance(node, ast.Call) and _called_name(node) == "dumps" \
+                        and any(kw.arg == "separators" for kw in node.keywords):
+                    compact.add(where)
+                if isinstance(node, ast.ExceptHandler) and node.type is not None \
+                        and "OverflowError" in ast.unparse(node.type):
+                    overflow.add(where)
+    assert point_mass == []
+    assert compact == {"config.canonical_json"}
+    assert overflow == {"experiments._float64_moments"}
