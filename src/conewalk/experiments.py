@@ -499,15 +499,22 @@ class CltCheckExperiment:
         if md.q > 1 and cfg["replicates"] <= floor:
             raise ConfigError("replicates", f"the Mardia tests need more than 10 dim^2 = {floor} "
                               "replicates")
-        # the statistic of a unit deviation, and each variance it is held to
+        # the statistic of a unit deviation, and the covariance it is held to
         with np.errstate(all="ignore"):
             scale = clt.normalize(1.0, n, index, md)
-            var = np.diag(clt.cov(md)) if md.q > 1 else np.array([clt.var(md)])
+            cov = clt.cov(md) if md.q > 1 else np.array([[clt.var(md)]])
+        var = np.diag(cov)
         ok = (var > 0) & (var < math.inf)
         if not (0.0 < scale < math.inf and ok.all()):
             raise ConfigError("law", f"{kind}'s scale {scale:.3g} and limit variance "
                               f"{var[ok.argmin()]:.3g} must be positive finite float64 numbers")
         warnings = clt.regime(n, index)
+        # singular where its smallest eigenvalue is at most dim eps times its
+        # largest (numpy's matrix_rank tolerance)
+        rank = np.linalg.matrix_rank(cov, hermitian=True)
+        if rank < len(cov):
+            warnings.append(f"singular limit: {kind}'s limit covariance has rank {rank} of "
+                            f"{len(cov)}, so the Mardia check cannot pass")
         if clt.fixed_index_dof is not None:
             gap = lab.chi2_normal_gap(clt.fixed_index_dof(index, md))
             if gap > cfg["ks_threshold"]:

@@ -702,6 +702,21 @@ class TestValidation:
         _, warnings = validate_config(raw)
         assert any("n^2/index" in w for w in warnings)
 
+    def test_singular_limit_warning(self):
+        # a two-atom law's s^2 takes two values, so CLT4's limit covariance
+        # has rank 1 and the Mardia check cannot pass: validation says so.
+        # c07's six-atom law has a full-rank limit and stays silent
+        raw = {"experiment": "clt-check", "seed": 3, "kind": "CLT4", "engine": "bessel",
+               "mu": 1e4, "n_steps": 4, "replicates": 2000}
+        for law, dim in ((MIX2, 3), (MIX2C, 4)):
+            _, warnings = validate_config(raw | {"law": law})
+            assert [w for w in warnings if w.startswith("singular limit")] == [
+                f"singular limit: CLT4's limit covariance has rank 1 of {dim}, so the "
+                "Mardia check cannot pass"]
+        c07 = json.loads((REPO / "configs" / "acceptance" / "c07_cov_bessel.json").read_text())
+        _, warnings = validate_config(c07)
+        assert not any(w.startswith("singular limit") for w in warnings)
+
     def test_regime_warning_clt1_chi2_gap(self):
         raw = json.loads((REPO / "configs" / "acceptance" / "c08_clt1_group.json").read_text())
         _, warnings = validate_config(raw)
