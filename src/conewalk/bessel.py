@@ -94,9 +94,7 @@ def sample_contraction(param: BesselParam, rng: np.random.Generator,
 
 
 def gaussian_proposal(e: float) -> bool:
-    """Whether :func:`kappa_mu` proposes from a Gaussian at e = mu - rho,
-    as it does from e = 1/2 on; below, it proposes uniformly on a ball
-    enclosing D_q.  The kappa family's branch column reads it too."""
+    """Whether :func:`kappa_mu` proposes from a Gaussian at e = mu - rho."""
     return e >= 0.5
 
 

@@ -190,10 +190,8 @@ def _law(name: str, val, cfg: dict) -> dict:
 
 
 def _float64_moments(spec: dict) -> MomentData | None:
-    """The moments of a spec's law, or None where computing them leaves
-    float64: a float power overflows, or MomentData's checks (which square
-    m1 and m2) refuse what overflowed.  Infinite moments are returned: a
-    law can have m2 = 0 and m4 = inf in float64."""
+    """The moments of a spec's law, or None where a float power overflows or
+    MomentData's checks (which square m2) refuse them; inf is returned."""
     try:
         with np.errstate(all="ignore"):
             return _moments_of(spec)
@@ -509,8 +507,7 @@ class CltCheckExperiment:
             raise ConfigError("law", f"{kind}'s scale {scale:.3g} and limit variance "
                               f"{var[ok.argmin()]:.3g} must be positive finite float64 numbers")
         warnings = clt.regime(n, index)
-        # singular where its smallest eigenvalue is at most dim eps times its
-        # largest (numpy's matrix_rank tolerance)
+        # numpy's rank: an eigenvalue at most dim eps times the largest is 0
         rank = np.linalg.matrix_rank(cov, hermitian=True)
         if rank < len(cov):
             warnings.append(f"singular limit: {kind}'s limit covariance has rank {rank} of "

@@ -160,9 +160,8 @@ class RadialLaw:
         raise ValueError(f"unknown law kind {self.kind!r}")
 
     def _mixture_index(self, rng: np.random.Generator, size) -> np.ndarray:
-        # the draws and stream state of rng.choice(len(w), size, p=w), which
-        # rebuilds and checks the CDF on every call, but one atom (a point
-        # mass) draws nothing
+        # rng.choice(len(w), size, p=w)'s draws, without its per-call CDF
+        # checks; but one atom (a point mass) draws nothing
         if self.cdf.size == 1:
             return np.zeros(size, dtype=np.intp)
         return self.cdf.searchsorted(rng.random(size), side="right")
