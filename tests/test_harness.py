@@ -1312,6 +1312,12 @@ class TestCli:
             {"check": "mu-scaling", "q": 2, "mu": 40.0, "n_steps": 4, "cap": 6.0,
              "law": {"kind": "point_mass", "atom": [[0.0, 0.0], [0.0, 0.0]]},
              "replicates": 10}]}, "checks[0].law"),
+        # m2 = exp(-748) is 0 but m4 = exp(808) is inf in float64: the
+        # zero-law rule reads m2 of moments that do not all fit
+        ({"experiment": "axioms", "seed": 1, "checks": [
+            {"check": "mu-scaling", "mu": 40.0, "n_steps": 4, "cap": 6.0, "replicates": 10,
+             "law": {"kind": "log_normal", "log_mean": -950.0, "log_sd": 24.0}}]},
+         "checks[0].law"),
     ], ids=["p-below-q", "too-few-for-mardia", "top-level-list", "grid-p-zero", "grid-n-zero",
             "mu-scaling-ratio-bounds", "clt2-point-mass", "clt1-zero-law", "clt3-atom-1e-100",
             "clt1-moments-overflow", "clt2-moments-overflow", "clt4-log-normal-moments-overflow",
@@ -1324,7 +1330,8 @@ class TestCli:
             "kappa-real-underflow", "group-consistency-nu-inf",
             "mu-scaling-4mu-nu-inf", "contraction-beta-nu-inf",
             "berry-esseen-zero-atom", "berry-esseen-atom-1e-170", "berry-esseen-zero-two-point",
-            "berry-esseen-atom-1e-160", "mu-scaling-zero-law", "mu-scaling-q2-zero-law"])
+            "berry-esseen-atom-1e-160", "mu-scaling-zero-law", "mu-scaling-q2-zero-law",
+            "mu-scaling-zero-m2-infinite-m4"])
     def test_unrunnable_config_exit_two(self, tmp_path, capsys, raw, field):
         # refused before anything runs or is written
         path = tmp_path / "cfg.json"
