@@ -251,7 +251,8 @@ def paired_composition_diffs(law: RadialLaw, param: BesselParam, n: int, cap: fl
         s = law.sample_scalar(rng, (reps, n))
         bullet_sq = np.sum(s * s, axis=1)
     else:
-        s = law.sample(rng, reps * n).reshape(reps, n, q, q)
+        # the draws in their (reps, n) order: the einsum's sums follow the layout
+        s = np.ascontiguousarray(law.sample(rng, reps * n)).reshape(reps, n, q, q)
         bullet_sq = cl.herm_part(np.einsum("rnki,rnkj->rij", np.conj(s), s))
     increments = iter(np.moveaxis(s, 1, 0))
 

@@ -12,6 +12,10 @@ Conventions used throughout the package:
   BLAS call per small matrix), and returns its :func:`psd_factor`, the
   semidefinite Cholesky factor with diagonal pivoting, with no
   eigensolver;
+* the walks' stacks are entry-major: the draws of increments and of v,
+  and the factors, are (n, q, q) views of C-contiguous (q, q, n) stacks
+  (:func:`from_entries`), so :func:`to_entries` reads their entries as
+  rows without a copy; only the QR frame at p = q is copied;
 * PSD input is checked by whichever kernel reads it: a Cholesky pivot or
   an eigenvalue below -EPS_PSD*(1+||a||_F) raises
   :class:`ConeViolationError`, smaller violations are clamped (a pivot at
@@ -143,7 +147,7 @@ def cone_step(a, s, v):
         return np.sqrt(np.maximum(a * a + s * s + 2.0 * a * s * np.real(v), 0.0))
     shape = np.broadcast_shapes(np.shape(a), np.shape(s), np.shape(v))
     dtype = np.result_type(a, s, v)
-    a, s, v = (_entries(x) for x in (a, s, v))
+    a, s, v = (to_entries(x) for x in (a, s, v))
     q = len(v)
     conj = np.conj if np.issubdtype(dtype, np.complexfloating) else same
     ah, sh = ([[conj(m[k][i]) for k in range(q)] for i in range(q)] for m in (a, s))
@@ -171,7 +175,7 @@ def psd_factor(m: np.ndarray) -> np.ndarray:
     Non-finite input raises NumericalFailureError; large finite input runs.
     """
     m = np.asarray(m)
-    return _factor(_entries(m), m.shape, m.dtype)
+    return _factor(to_entries(m), m.shape, m.dtype)
 
 
 def _factor(t: list, shape: tuple, dtype) -> np.ndarray:
@@ -232,13 +236,20 @@ def _factor(t: list, shape: tuple, dtype) -> np.ndarray:
             t[i][i] = t[i][i] - abs2(r[j, i])
             for m in range(i + 1, q):
                 t[i][m] = t[i][m] - conj(r[j, i]) * r[j, m]
-    return np.moveaxis(r, (0, 1), (-2, -1))
+    return from_entries(r)
 
 
-def _entries(x) -> np.ndarray:
+def to_entries(x) -> np.ndarray:
     """x with its matrix axes first and its batch axes contiguous, so that
-    entry [k][j] is one contiguous row (a scalar when x is unbatched)."""
+    entry [k][j] is one contiguous row (a scalar when x is unbatched); a
+    view of x when x is :func:`from_entries` of such a stack, else a copy."""
     return np.ascontiguousarray(np.moveaxis(np.asarray(x), (-2, -1), (0, 1)))
+
+
+def from_entries(e: np.ndarray) -> np.ndarray:
+    """The (..., q, q) view of an entry-major (q, q, ...) stack e, the
+    inverse of :func:`to_entries`."""
+    return np.moveaxis(e, (0, 1), (-2, -1))
 
 
 def _dot(xs, ys):

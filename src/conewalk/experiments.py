@@ -748,7 +748,9 @@ def _run_support_bound(spec, k, stream):
     r, s = (RadialLaw.wishart_root(c * np.eye(q) / (q + 2), q + 2, field).sample(rng, k)
             for c in (1.5, 0.8))
     t = convolve_points(r, s, _param(spec), rng, k)
-    return _support_partial(t, r, s, spec["slack"])
+    # the norms of r and s sum each matrix's entries in the order of the
+    # draws' (k, q, q) stacks
+    return _support_partial(t, *map(np.ascontiguousarray, (r, s)), spec["slack"])
 
 
 def _reduce_support_bound(spec, parts):

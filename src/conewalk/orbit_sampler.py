@@ -70,8 +70,9 @@ def sample_stiefel_frame(p: int, q: int, field: str, rng: np.random.Generator,
 
 def haar_block(nu: float, q: int, field: str, rng: np.random.Generator,
                n: int) -> np.ndarray:
-    """n draws, shape (n, q, q), of v = G1 R^{-1}: G1 a standard Gaussian
-    q x q block, R the upper Cholesky factor (positive real diagonal) of
+    """n draws of v = G1 R^{-1}, an entry-major (n, q, q) view
+    (:func:`cone_linalg.from_entries`): G1 a standard Gaussian q x q
+    block, R the upper Cholesky factor (positive real diagonal) of
     M = G1*G1 + W, W ~ Wishart(I_q, nu) independent.  At nu = p - q, v is
     the top block of a Haar q-frame in F^p; at a real nu > q - 1 its density
     on the contraction ball is proportional to det(I - v*v)^(d (nu-q+1)/2 - 1)
@@ -92,26 +93,29 @@ def haar_block(nu: float, q: int, field: str, rng: np.random.Generator,
     if not (nu > q - 1 or (nu == int(nu) and nu >= 1)):
         raise ValueError(f"Wishart degrees of freedom nu={nu} need nu > q - 1 = {q - 1} "
                          "or a positive integer")
-    g1 = std_entries(rng, (n, q, q), field)
+    # the Gaussian blocks are drawn in their stream's (n, ., q) order and
+    # laid out entry-major once
+    g1 = cl.to_entries(std_entries(rng, (n, q, q), field))
     if nu > q - 1:
         # column i of A*, with W = (A*)* A*: conj(A[i, :i]) above A[i, i]
         cols = bartlett_columns(nu, q, field, rng, n)
     else:
-        g2 = std_entries(rng, (n, int(nu), q), field)
-        cols = [list(g2[:, :, i].T) for i in range(q)]
-    return _cholesky_solve(g1, cols)
+        g2 = cl.to_entries(std_entries(rng, (n, int(nu), q), field))
+        cols = [list(g2[:, i]) for i in range(q)]
+    return cl.from_entries(_cholesky_solve(g1, cols))
 
 
 def _cholesky_solve(g: np.ndarray, cols: list) -> np.ndarray:
     """g R^{-1} for the upper Cholesky factor R of M = g*g + h*h, over
-    (n, q, q) stacks; cols[i] holds the leading (n,) rows of column i of h,
-    zero below and no more than in column i + 1.  Step j reads row j of M
-    (its real diagonal and upper triangle only), makes the pivot R[j, j]
-    (NumericalFailureError unless finite and above 0) and row j of R, then
-    column j of v by forward substitution in v R = g."""
-    q = g.shape[-1]
+    entry-major (q, q, n) stacks (:func:`cone_linalg.to_entries`); cols[i]
+    holds the leading (n,) rows of column i of h, zero below and no more
+    than in column i + 1.  Step j reads row j of M (its real diagonal and
+    upper triangle only), makes the pivot R[j, j] (NumericalFailureError
+    unless finite and above 0) and row j of R, then column j of v by
+    forward substitution in v R = g, each entry a whole (n,) row."""
+    q = len(g)
     conj = np.conj if np.iscomplexobj(g) else cl.same
-    rows = [[*g[:, :, j].T, *cols[j]] for j in range(q)]
+    rows = [[*g[:, j], *cols[j]] for j in range(q)]
     r, v = {}, np.empty_like(g)
     for j in range(q):
         piv = sum(map(cl.abs2, rows[j])) - sum(cl.abs2(r[k, j]) for k in range(j))
@@ -122,8 +126,7 @@ def _cholesky_solve(g: np.ndarray, cols: list) -> np.ndarray:
         for m in range(j + 1, q):
             r[j, m] = inv * (sum(conj(a) * b for a, b in zip(rows[j], rows[m]))
                              - sum(conj(r[k, j]) * r[k, m] for k in range(j)))
-        v[:, :, j] = inv[:, None] * (g[:, :, j] - sum(v[:, :, k] * r[k, j][:, None]
-                                                      for k in range(j)))
+        v[:, j] = inv * (g[:, j] - sum(v[:, k] * r[k, j] for k in range(j)))
     return v
 
 
@@ -167,7 +170,8 @@ def cone_block(nu: float, q: int, field: str, rng: np.random.Generator,
     """The v of n cone steps at Wishart index nu, for every walk and check:
     at q = 1 the (n,) real parts Re v, all that the q = 1 step reads, drawn
     at the real dimension m = d (nu + 1); at nu = 0 (p = q) a Haar unitary
-    from QR, the whole frame; otherwise (n, q, q) draws of :func:`haar_block`."""
+    from QR, the whole frame, a contiguous stack that the cone step lays
+    out again; otherwise the entry-major (n, q, q) draws of :func:`haar_block`."""
     if q == 1:
         return radial_projection_coeff(nu + 1, field, rng, n)
     if nu == 0:
@@ -185,7 +189,9 @@ def sample_radial_matrix(law: RadialLaw, p: int, rng: np.random.Generator,
     X = (Q W) s for the unitary W of L's polar decomposition L = W s, and
     Q W is Haar.  :func:`sample_stiefel_frame` refuses p < q.
     """
-    return sample_stiefel_frame(p, law.q, law.field, rng, size) @ law.sample(rng, size)
+    frame = sample_stiefel_frame(p, law.q, law.field, rng, size)
+    # L laid out as a contiguous stack, so that matmul multiplies by BLAS
+    return frame @ np.ascontiguousarray(law.sample(rng, size))
 
 
 @dataclass(frozen=True)
@@ -244,8 +250,9 @@ def drive_walk(state, step, record, checkpoints: tuple[int, ...]) -> np.ndarray:
 
 
 def zero_radial(q: int, field: str, n: int) -> np.ndarray:
-    """State of n walks at S_0 = 0: (n,) reals for q = 1, else (n, q, q)."""
-    return np.zeros(n) if q == 1 else np.zeros((n, q, q), dtype=cl.field_dtype(field))
+    """State of n walks at S_0 = 0: (n,) reals for q = 1, else an
+    entry-major (n, q, q) view, the layout of the step's factors."""
+    return np.zeros(n) if q == 1 else cl.from_entries(np.zeros((q, q, n), cl.field_dtype(field)))
 
 
 def square_radial(a: np.ndarray) -> np.ndarray:

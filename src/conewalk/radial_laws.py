@@ -171,11 +171,14 @@ class RadialLaw:
         (size, q, q): L*L = s^2 for a draw s of the law.  For a mixture of
         atoms and the scalar kinds L is s itself; for wishart_root it is the upper
         Bartlett factor of a Wishart(I_q, dof) draw times the scale's
-        factor, with no root per draw.  Every walk and check reads only
+        factor, with no root per draw.  At q >= 2 the stack is an
+        entry-major view (:func:`cone_linalg.from_entries`), the layout the
+        cone step reads without a copy.  Every walk and check reads only
         L*L, whose law does not depend on the factor (see
         :func:`cone_linalg.cone_step`)."""
         if self.kind == "finite_mixture":
-            return self.atoms[self._mixture_index(rng, size)]
+            atoms = np.moveaxis(self.atoms, 0, -1)
+            return cl.from_entries(atoms.take(self._mixture_index(rng, size), axis=-1))
         if self.kind in _SCALAR_KINDS:
             out = self.sample_scalar(rng, size)[:, None, None]
             return out if self.field == cl.REAL else out.astype(np.complex128)
@@ -183,7 +186,10 @@ class RadialLaw:
             u = np.zeros((size, self.q, self.q), dtype=cl.field_dtype(self.field))
             for i, col in enumerate(bartlett_columns(self.dof, self.q, self.field, rng, size)):
                 u[:, :i + 1, i] = np.stack(col, axis=-1)
-            return (u.reshape(-1, self.q) @ self.scale_factor).reshape(u.shape)
+            # this BLAS product over the draws' rows sets their bits; its
+            # result is laid out entry-major after it
+            prod = (u.reshape(-1, self.q) @ self.scale_factor).reshape(u.shape)
+            return cl.from_entries(cl.to_entries(prod))
         raise ValueError(f"unknown law kind {self.kind!r}")
 
 
@@ -230,12 +236,13 @@ def bartlett_columns(dof: float, q: int, field: str, rng: np.random.Generator,
                      n: int) -> list:
     """The columns of an upper Bartlett factor U of W ~ Wishart(I_q, dof),
     W = U*U, drawn one at a time: column i is i standard entries, taken
-    conjugate, above U[i, i] = sqrt(_bartlett_diag(dof - i)), each a (n,)
-    row."""
+    conjugate, above U[i, i] = sqrt(_bartlett_diag(dof - i)), each a
+    contiguous (n,) row."""
+    conj = np.conj if field == cl.COMPLEX else cl.same
     cols = []
     for i in range(q):
         diag = np.sqrt(_bartlett_diag(dof - i, field, rng, n))
-        cols.append([*np.conj(std_entries(rng, (n, i), field)).T, diag])
+        cols.append([*conj(np.ascontiguousarray(std_entries(rng, (n, i), field).T)), diag])
     return cols
 
 

@@ -452,6 +452,29 @@ class TestFactorStep:
         bound = 1e-12 * (cl.frob_norm(a) + cl.frob_norm(s)) ** 2
         assert np.all(cl.frob_norm(gram(t) - step_gram(a, s, v)) <= bound)
 
+    @PROPS
+    @given(SEEDS, st.sampled_from([2, 3]), FIELD, SINGULAR, SINGULAR, st.integers(1, 3),
+           st.sampled_from([0, 0.5, 2.5]), st.lists(st.booleans(), min_size=3, max_size=3))
+    @example(seed=0, q=3, field=cl.COMPLEX, kind_a="drawn", kind_s="drawn", rank=1,
+             excess=0, layout=[True, True, True])
+    def test_entry_major_views_keep_every_bit(self, seed, q, field, kind_a, kind_s, rank,
+                                             excess, layout):
+        # the walks hand the step (n, q, q) views of entry-major (q, q, n)
+        # stacks: the same values in a contiguous (n, q, q) stack give the
+        # same bits, in the step and in psd_factor, near-singular T from
+        # frames at nu = 0 (p = q) among them
+        rng = np.random.default_rng(seed)
+        a, s = (np.stack([factor_of(kind, rng, q, field, min(rank, q), 1.0)
+                          for _ in range(16)]) for kind in (kind_a, kind_s))
+        v = np.ascontiguousarray(cone_block(q - 1 + excess if excess else 0, q, field, rng, 16))
+        views = [cl.from_entries(cl.to_entries(x)) if em else x
+                 for x, em in zip((a, s, v), layout)]
+        assert [x.flags.c_contiguous for x in views] == [not em for em in layout]
+        assert cl.cone_step(*views).tobytes() == cl.cone_step(a, s, v).tobytes()
+        m = step_gram(a, s, v)
+        r = cl.psd_factor(cl.from_entries(cl.to_entries(m)))
+        assert r.tobytes() == cl.psd_factor(m).tobytes()
+
     @pytest.mark.parametrize("field", cl.FIELDS)
     @pytest.mark.parametrize("q", [2, 3])
     @pytest.mark.parametrize("scale", [1e-300, 1e-16, 1e-12, 1.0, 1e200, 1e300])

@@ -1159,10 +1159,17 @@ class TestOtherFamilies:
         assert (tmp_path / "berry-esseen-scan.plotdata.csv") in paths
 
 
+def cli_env(**extra):
+    """The environment of a CLI subprocess: the tests' own, with the directory
+    that the imported package came from first on PYTHONPATH."""
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    return os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, path))} | extra
+
+
 class TestCli:
     def _run(self, *args):
         return subprocess.run([sys.executable, "-m", "conewalk.cli", *args],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=cli_env())
 
     def test_success_exit_zero(self, tmp_path):
         cfg = tiny_walk_config(replicates=500)
@@ -1393,7 +1400,7 @@ class TestCli:
         res = subprocess.run([sys.executable, "-m", "conewalk.cli", "walk-bessel",
                               "--config", str(path), "--out", str(tmp_path / "out")],
                              capture_output=True, text=True,
-                             env=os.environ | {"CONEWALK_WORKERS": env})
+                             env=cli_env(CONEWALK_WORKERS=env))
         assert res.returncode == 2
         assert "config field 'CONEWALK_WORKERS'" in res.stderr
         assert not (tmp_path / "out").exists()

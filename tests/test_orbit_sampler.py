@@ -3,7 +3,7 @@ import pytest
 from scipy import special, stats
 
 from conewalk import cone_linalg as cl
-from conewalk.bessel import BesselParam
+from conewalk.bessel import BesselParam, convolve_points
 from conewalk.errors import NumericalFailureError
 from conewalk.limit_lab import ks_2samp, moment_identity_rhs
 from conewalk.orbit_sampler import (
@@ -255,25 +255,73 @@ class TestHaarBlock:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_gram_raises(self, bad):
-        # one entry of one matrix of the stack: of G1, or of W off the diagonal
+        # one entry of one matrix of the stack: of G1, or of W off the diagonal;
+        # G1 is given entry-major, entry (0, 1) of matrix 2 at [0, 1, 2]
         for where in ("g", "w"):
-            g = std_entries(np.random.default_rng(38), (4, 2, 2), cl.COMPLEX)
+            g = cl.to_entries(std_entries(np.random.default_rng(38), (4, 2, 2), cl.COMPLEX))
             cols = [[np.ones(4)], [np.zeros(4, complex), np.ones(4)]]
             if where == "g":
-                g[2, 0, 1] = bad
+                g[0, 1, 2] = bad
             else:
                 cols[1][0][2] = bad
             with np.errstate(invalid="ignore"), pytest.raises(NumericalFailureError):
                 _cholesky_solve(g, cols)
 
     def test_singular_gram_raises(self):
-        g = std_entries(np.random.default_rng(39), (4, 2, 2), cl.REAL)
+        g = cl.to_entries(std_entries(np.random.default_rng(39), (4, 2, 2), cl.REAL))
         cols = [[np.ones(4)], [np.zeros(4), np.ones(4)]]
         assert np.all(np.isfinite(_cholesky_solve(g, cols)))
-        g[1] = 0.0
+        g[:, :, 1] = 0.0
         cols[0][0][1] = cols[1][1][1] = 0.0
         with pytest.raises(NumericalFailureError):
             _cholesky_solve(g, cols)
+
+
+def _entry_major(x):
+    """Whether x is an (n, q, q) view of a C-contiguous (q, q, n) stack."""
+    return np.moveaxis(x, (-2, -1), (0, 1)).flags.c_contiguous
+
+
+def _laws(q, field):
+    """A law of every q >= 2 kind: a one-atom and a two-atom mixture and
+    wishart_root."""
+    eye = np.eye(q)
+    return [RadialLaw.point_mass(eye, field),
+            RadialLaw.finite_mixture([eye, 2.0 * eye + 0.1], [0.3, 0.7], field),
+            RadialLaw.wishart_root(eye + 0.2, q + 1, field)]
+
+
+class TestEntryMajor:
+    # the q >= 2 walks draw their increments and v entry-major, so the cone
+    # step reads every entry as a contiguous row with no layout copy
+    @pytest.mark.parametrize("field", cl.FIELDS)
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_draws_are_entry_major(self, q, field):
+        rng = np.random.default_rng(41)
+        for law in _laws(q, field):
+            assert _entry_major(law.sample(rng, 50))
+        for nu in (q - 0.5, q + 3, 1, q - 1):  # real, integer >= q, 0 < integer <= q - 1
+            assert _entry_major(cone_block(nu, q, field, rng, 50))
+
+    @pytest.mark.parametrize("field", cl.FIELDS)
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_walk_path_takes_no_copy(self, q, field, monkeypatch):
+        # every a, s and v that the step reads, on walks of each law and on
+        # the support bound's convolution, is laid out as the step reads it
+        seen, step = [], cl.cone_step
+
+        def recording(a, s, v):
+            seen.extend(_entry_major(x) for x in (a, s, v))
+            return step(a, s, v)
+
+        monkeypatch.setattr(cl, "cone_step", recording)
+        rng = np.random.default_rng(42)
+        for law in _laws(q, field):
+            for nu in (q - 0.5, 2):
+                run_cone_walks(law, nu, (3,), rng, 40)
+        r, s = (law.sample(rng, 40) for law in _laws(q, field)[1:])
+        convolve_points(r, s, BesselParam(10.0, q, cl.field_dim(field)), rng, 40)
+        assert len(seen) == 3 * (3 * 2 * 3 + 1) and all(seen)
 
 
 class TestRadialMatrix:

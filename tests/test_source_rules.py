@@ -166,12 +166,14 @@ def test_one_radial_matrix_construction():
 
 
 def test_cone_step_has_no_matmul_operator():
-    # at q = 2 the cone step's products are written out, as matmul makes
-    # one BLAS call per 2 x 2 matrix; other q call np.matmul by name
+    # the cone step's products are written out entry by entry at every q,
+    # as matmul makes one BLAS call per small matrix: no q calls np.matmul
     tree = ast.parse((SRC / "cone_linalg.py").read_text())
     step = next(node for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name == "cone_step")
-    found = [node.lineno for node in ast.walk(step) if isinstance(node, ast.MatMult)]
+    found = [node.lineno for node in ast.walk(step)
+             if isinstance(node, ast.MatMult)
+             or isinstance(node, ast.Call) and _called_name(node) == "matmul"]
     assert found == []
 
 
