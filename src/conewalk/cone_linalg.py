@@ -15,7 +15,8 @@ Conventions used throughout the package:
 * the walks' stacks are entry-major: the draws of increments and of v,
   and the factors, are (n, q, q) views of C-contiguous (q, q, n) stacks
   (:func:`from_entries`), so :func:`to_entries` reads their entries as
-  rows without a copy; only the QR frame at p = q is copied;
+  rows without a copy; only the QR frame at p = q and the increments of
+  the paired composition gap (drawn in their (reps, n) order) are copied;
 * PSD input is checked by whichever kernel reads it: a Cholesky pivot or
   an eigenvalue below -EPS_PSD*(1+||a||_F) raises
   :class:`ConeViolationError`, smaller violations are clamped (a pivot at
